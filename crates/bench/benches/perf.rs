@@ -194,8 +194,7 @@ fn bench_online_ingest(c: &mut Criterion) {
 
 fn bench_engine(c: &mut Criterion) {
     // The sharded parallel engine over a multi-subscriber tap, 1 worker
-    // vs 4 (no simulated tap pacing — pure compute; the tap-paced
-    // regime lives in the `engine-scaling` repro experiment).
+    // vs 4, pure compute.
     let mut rng = rand::SeedableRng::seed_from_u64(8);
     let mut entries = Vec::new();
     for s in 0..6u64 {
@@ -232,7 +231,7 @@ fn bench_engine(c: &mut Criterion) {
             workers,
             ..EngineConfig::default()
         };
-        let name = format!("assess_corpus_w{workers}");
+        let name = format!("assess_w{workers}");
         group.bench_function(name.as_str(), |b| {
             b.iter(|| monitor.pipeline().with_engine(cfg).assess(&entries))
         });

@@ -11,10 +11,9 @@
 
 use std::io::Write;
 use vqoe_bench::experiments::{
-    abr_comparison, engine_scaling_with, ingest_bench_with, obs_overhead_with, overload_sweep_with,
-    run_experiment, subscriber_scaling_with, trace_overhead_with, train_scaling_with,
-    EngineScalingConfig, IngestBenchConfig, ObsOverheadConfig, OverloadSweepConfig,
-    SubscriberScalingConfig, TraceOverheadConfig, TrainScalingConfig, EXPERIMENTS,
+    abr_comparison, ingest_bench_with, obs_overhead_with, overload_sweep_with, run_experiment,
+    subscriber_scaling_with, trace_overhead_with, IngestBenchConfig, ObsOverheadConfig,
+    OverloadSweepConfig, SubscriberScalingConfig, TraceOverheadConfig, EXPERIMENTS,
 };
 use vqoe_bench::{ReproContext, ReproScale};
 
@@ -96,59 +95,29 @@ fn main() {
     eprintln!("context ready in {:.1}s\n", t0.elapsed().as_secs_f64());
 
     for id in &ids {
-        let report = if id == "abr-comparison" {
-            abr_comparison(scale.seed, 600)
-        } else if id == "engine-scaling" {
-            let (txt, json) = engine_scaling_with(&ctx, EngineScalingConfig::quick());
+        let bench = |(txt, json): (String, String)| {
             if let Some(path) = &bench_json {
                 std::fs::write(path, json).expect("write --bench-json file");
             }
             txt
-        } else if id == "obs-overhead" {
-            let (txt, json) = obs_overhead_with(&ctx, ObsOverheadConfig::quick());
-            if let Some(path) = &bench_json {
-                std::fs::write(path, json).expect("write --bench-json file");
-            }
-            txt
-        } else if id == "overload-sweep" {
-            let (txt, json) = overload_sweep_with(&ctx, OverloadSweepConfig::quick());
-            if let Some(path) = &bench_json {
-                std::fs::write(path, json).expect("write --bench-json file");
-            }
-            txt
-        } else if id == "train-scaling" {
-            let (txt, json) = train_scaling_with(&ctx, TrainScalingConfig::quick());
-            if let Some(path) = &bench_json {
-                std::fs::write(path, json).expect("write --bench-json file");
-            }
-            txt
-        } else if id == "ingest-bench" {
-            let (txt, json) = ingest_bench_with(&ctx, IngestBenchConfig::quick());
-            if let Some(path) = &bench_json {
-                std::fs::write(path, json).expect("write --bench-json file");
-            }
-            txt
-        } else if id == "trace-overhead" {
-            let (txt, json) = trace_overhead_with(&ctx, TraceOverheadConfig::quick());
-            if let Some(path) = &bench_json {
-                std::fs::write(path, json).expect("write --bench-json file");
-            }
-            txt
-        } else if id == "subscriber-scaling" {
+        };
+        let report = match id.as_str() {
+            "abr-comparison" => abr_comparison(scale.seed, 600),
+            "obs-overhead" => bench(obs_overhead_with(&ctx, ObsOverheadConfig::quick())),
+            "overload-sweep" => bench(overload_sweep_with(&ctx, OverloadSweepConfig::quick())),
+            "ingest-bench" => bench(ingest_bench_with(&ctx, IngestBenchConfig::quick())),
+            "trace-overhead" => bench(trace_overhead_with(&ctx, TraceOverheadConfig::quick())),
             // The full 100k-1M ladder takes minutes; --smoke runs the
             // single 10k point scripts/check.sh gates on.
-            let cfg = if smoke {
-                SubscriberScalingConfig::smoke()
-            } else {
-                SubscriberScalingConfig::quick()
-            };
-            let (txt, json) = subscriber_scaling_with(&ctx, cfg);
-            if let Some(path) = &bench_json {
-                std::fs::write(path, json).expect("write --bench-json file");
-            }
-            txt
-        } else {
-            run_experiment(id, &ctx)
+            "subscriber-scaling" => bench(subscriber_scaling_with(
+                &ctx,
+                if smoke {
+                    SubscriberScalingConfig::smoke()
+                } else {
+                    SubscriberScalingConfig::quick()
+                },
+            )),
+            _ => run_experiment(id, &ctx),
         };
         print!("{report}");
         if let Some(dir) = &out_dir {

@@ -5,10 +5,11 @@ use vqoe_changedet::SwitchScoreConfig;
 use vqoe_core::avgrep_pipeline::{train_representation_detector, RepresentationTrainingReport};
 use vqoe_core::stall_pipeline::{train_stall_detector, StallTrainingReport};
 use vqoe_core::switch_pipeline::SwitchCalibrationReport;
-use vqoe_core::SwitchModel;
 use vqoe_core::{generate_traces, DatasetSpec, EncryptedEvalConfig, EncryptedWorld};
+use vqoe_core::{QoeMonitor, SwitchModel};
 use vqoe_ml::ForestConfig;
 use vqoe_player::SessionTrace;
+use vqoe_telemetry::ReassemblyConfig;
 
 /// How big a reproduction run to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +93,17 @@ impl ReproContext {
             representation,
             switch,
             world,
+        }
+    }
+
+    /// The context's trained models as a deployable monitor with
+    /// default reassembly parameters.
+    pub fn monitor(&self) -> QoeMonitor {
+        QoeMonitor {
+            stall_model: self.stall.model.clone(),
+            representation_model: self.representation.model.clone(),
+            switch_model: self.switch.model,
+            reassembly: ReassemblyConfig::default(),
         }
     }
 }

@@ -96,6 +96,74 @@ fn header(id: &str, title: &str) -> String {
     format!("\n=== {id}: {title} ===\n\n")
 }
 
+/// A tap shared by `subscribers` independent encrypted streams of
+/// `sessions` sessions each (subscriber `s` seeded `seed ^ (s << 8)`),
+/// interleaved by timestamp.
+fn interleaved_tap(
+    seed: u64,
+    subscribers: u64,
+    sessions: usize,
+) -> Vec<vqoe_telemetry::WeblogEntry> {
+    let mut entries = Vec::new();
+    for s in 0..subscribers {
+        let mut wc = vqoe_core::EncryptedEvalConfig::paper_default(seed ^ (s << 8));
+        wc.spec.n_sessions = sessions;
+        let mut world = vqoe_core::EncryptedWorld::build(&wc).expect("simulated world builds");
+        for e in &mut world.entries {
+            e.subscriber_id = s;
+        }
+        entries.extend(world.entries);
+    }
+    entries.sort_by_key(|e| e.timestamp);
+    entries
+}
+
+/// Best-of-`reps` wall time of `pass(workers)` at 1/2/4/8 workers: a
+/// table of `units` per second and speedup over one worker, closed by
+/// the 2-vs-1 speedup against the machine's core count. Also returns
+/// whether every timed pass reproduced `reference` (compared outside
+/// the timing).
+fn worker_scaling<T: PartialEq>(
+    rate: &str,
+    units: usize,
+    reps: usize,
+    reference: &T,
+    mut pass: impl FnMut(usize) -> T,
+) -> (String, bool) {
+    let mut t = Table::new(vec!["workers", "wall secs", rate, "speedup vs 1"]);
+    let mut identical = true;
+    let (mut base, mut speedup_2v1) = (f64::NAN, f64::NAN);
+    for workers in [1usize, 2, 4, 8] {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let t0 = std::time::Instant::now();
+            let result = pass(workers);
+            best = best.min(t0.elapsed().as_secs_f64());
+            identical &= result == *reference;
+        }
+        if workers == 1 {
+            base = best;
+        }
+        let speedup = base / best;
+        if workers == 2 {
+            speedup_2v1 = speedup;
+        }
+        t.row(vec![
+            workers.to_string(),
+            format!("{best:.3}"),
+            format!("{:.1}", units as f64 / best),
+            format!("{speedup:.2}x"),
+        ]);
+    }
+    let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
+    let text = format!(
+        "{}\n  compute speedup, 2 workers vs 1: {speedup_2v1:.2}x \
+         (bounded by the {cores} cores)\n",
+        t.render()
+    );
+    (text, identical)
+}
+
 // ---------------------------------------------------------------- tab1
 
 fn tab1() -> String {
@@ -1106,19 +1174,14 @@ fn match_assessments(
 /// the deployment question §8 leaves open (how does the monitor degrade
 /// when the tap itself is unreliable?).
 fn chaos_sweep(ctx: &ReproContext) -> String {
-    use vqoe_core::{OnlineAssessor, QoeMonitor};
-    use vqoe_telemetry::{apply_chaos, ChaosConfig, ReassemblyConfig};
+    use vqoe_core::OnlineAssessor;
+    use vqoe_telemetry::{apply_chaos, ChaosConfig};
 
     let mut out = header(
         "chaos-sweep",
         "graceful degradation under a hostile tap (fault intensity sweep)",
     );
-    let monitor = QoeMonitor {
-        stall_model: ctx.stall.model.clone(),
-        representation_model: ctx.representation.model.clone(),
-        switch_model: ctx.switch.model,
-        reassembly: ReassemblyConfig::default(),
-    };
+    let monitor = ctx.monitor();
     // Reference: the un-wrapped batch pipeline on the clean stream.
     let batch = monitor.pipeline().assess_subscriber(&ctx.world.entries);
 
@@ -1247,20 +1310,13 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
     use std::collections::BTreeSet;
     use vqoe_core::{
         AdmissionPolicy, BudgetConfig, Fidelity, IngestReport, OnlineAssessor, OnlineCheckpoint,
-        QoeMonitor,
     };
     use vqoe_simnet::time::{Duration, Instant};
     use vqoe_telemetry::{
         generate_pathological_session, generate_subscriber_flood, merge_streams, FloodSpec,
-        ReassemblyConfig,
     };
 
-    let monitor = QoeMonitor {
-        stall_model: ctx.stall.model.clone(),
-        representation_model: ctx.representation.model.clone(),
-        switch_model: ctx.switch.model,
-        reassembly: ReassemblyConfig::default(),
-    };
+    let monitor = ctx.monitor();
 
     // The legitimate tap plus the overload: a subscriber flood sized at
     // `flood_multiplier` times the legitimate population, spread over
@@ -1532,173 +1588,43 @@ fn overload_sweep(ctx: &ReproContext) -> String {
 
 // ------------------------------------------------------ engine-scaling
 
-/// Workload and measurement knobs for [`engine_scaling_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineScalingConfig {
-    /// Independent subscriber streams sharing the tap.
-    pub subscribers: u64,
-    /// Sessions per subscriber.
-    pub sessions: usize,
-    /// Shard count (fixed across worker counts).
-    pub shards: usize,
-    /// Simulated tap-spool read latency per shard job, for the
-    /// tap-paced regime (`EngineConfig::shard_pacing_micros`).
-    pub pacing_micros: u64,
-    /// Timing repetitions; the best (minimum) wall time is reported.
-    pub reps: usize,
-}
+/// Compute-bound throughput of the sharded engine at 1/2/4/8 workers on
+/// a 12-subscriber tap over 32 shards, best of two reps: reassembly,
+/// feature construction and forest inference, nothing simulated. Every
+/// timed pass must reproduce the single-worker report bit for bit.
+fn engine_scaling(ctx: &ReproContext) -> String {
+    use vqoe_core::EngineConfig;
 
-impl EngineScalingConfig {
-    /// The quick harness point `scripts/bench.sh` records: small enough
-    /// to run in seconds, paced hard enough that the tap-read latency
-    /// dominates the per-shard compute.
-    pub fn quick() -> Self {
-        EngineScalingConfig {
-            subscribers: 12,
-            sessions: 1,
-            shards: 32,
-            pacing_micros: 15_000,
-            reps: 2,
-        }
-    }
-}
-
-/// Throughput of the sharded engine at 1/2/4/8 workers, in two regimes.
-///
-/// * **compute** — pure CPU: reassembly, feature construction and
-///   forest inference with no simulated tap latency. Speedup here is
-///   bounded by the machine's core count (a 1-core container honestly
-///   reports ~1×).
-/// * **tap-paced** — each shard job is charged a fixed simulated
-///   tap-spool read ([`EngineConfig::shard_pacing_micros`]) before
-///   processing, modelling the I/O-bound deployment the engine is
-///   designed for. Reads overlap across workers regardless of core
-///   count, so this regime exposes the engine's pipelining headroom
-///   even on a small machine.
-///
-/// Returns the rendered text report and a machine-readable JSON record
-/// (the `BENCH_pr3.json` artifact). The headline `speedup_4v1` is the
-/// tap-paced one; both regimes are recorded and labelled.
-pub fn engine_scaling_with(ctx: &ReproContext, cfg: EngineScalingConfig) -> (String, String) {
-    use std::time::Instant;
-    use vqoe_core::{
-        AssessmentEngine, EncryptedEvalConfig, EncryptedWorld, EngineConfig, QoeMonitor,
+    let (subscribers, shards, reps) = (12, 32, 2);
+    let monitor = ctx.monitor();
+    let entries = interleaved_tap(ctx.scale.seed ^ 0xE561, subscribers, 1);
+    let engine = |workers| {
+        monitor.pipeline().with_engine(EngineConfig {
+            workers,
+            shards,
+            ..EngineConfig::default()
+        })
     };
-    use vqoe_telemetry::{ReassemblyConfig, WeblogEntry};
-
-    let monitor = QoeMonitor {
-        stall_model: ctx.stall.model.clone(),
-        representation_model: ctx.representation.model.clone(),
-        switch_model: ctx.switch.model,
-        reassembly: ReassemblyConfig::default(),
-    };
-    // A multi-subscriber tap, interleaved by timestamp.
-    let mut entries: Vec<WeblogEntry> = Vec::new();
-    for s in 0..cfg.subscribers {
-        let mut wc = EncryptedEvalConfig::paper_default(ctx.scale.seed ^ 0xE561 ^ (s << 8));
-        wc.spec.n_sessions = cfg.sessions;
-        let mut world = EncryptedWorld::build(&wc).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
-
-    let workers_axis = [1usize, 2, 4, 8];
-    let regimes = [("compute", 0u64), ("tap-paced", cfg.pacing_micros)];
+    let reference = engine(1).assess(&entries);
+    let (table, identical) = worker_scaling(
+        "sessions/s",
+        reference.assessments.len(),
+        reps,
+        &reference,
+        |workers| engine(workers).assess(&entries),
+    );
 
     let mut out = header(
         "engine-scaling",
         "sharded-engine throughput vs worker count",
     );
     out.push_str(&format!(
-        "tap: {} entries from {} subscribers over {} shards; best of {} reps; \
-         machine parallelism {}\n\n",
+        "tap: {} entries from {subscribers} subscribers over {shards} shards; \
+         best of {reps} reps\n\n{table}",
         entries.len(),
-        cfg.subscribers,
-        cfg.shards,
-        cfg.reps,
-        std::thread::available_parallelism().map_or(0, |p| p.get()),
     ));
-
-    let mut t = Table::new(vec![
-        "regime",
-        "workers",
-        "wall secs",
-        "sessions/s",
-        "speedup vs 1",
-    ]);
-    let mut json_regimes = String::new();
-    let mut headline_speedup = 0.0f64;
-    let mut sessions_assessed = 0usize;
-    let mut identical = true;
-    for (regime, pacing) in regimes {
-        let mut reference: Option<vqoe_core::IngestReport> = None;
-        let mut secs_at: Vec<(usize, f64)> = Vec::new();
-        for &workers in &workers_axis {
-            let engine_cfg = EngineConfig {
-                workers,
-                shards: cfg.shards,
-                shard_pacing_micros: pacing,
-                ..EngineConfig::default()
-            };
-            let engine = AssessmentEngine::new(&monitor, engine_cfg);
-            let mut best = f64::INFINITY;
-            for _ in 0..cfg.reps.max(1) {
-                let t0 = Instant::now();
-                let report = engine.assess(&entries);
-                best = best.min(t0.elapsed().as_secs_f64());
-                sessions_assessed = report.assessments.len();
-                match &reference {
-                    None => reference = Some(report),
-                    Some(r) => identical &= *r == report,
-                }
-            }
-            secs_at.push((workers, best));
-        }
-        let base = secs_at[0].1;
-        let mut json_workers = String::new();
-        for &(workers, secs) in &secs_at {
-            let speedup = base / secs;
-            t.row(vec![
-                regime.to_string(),
-                workers.to_string(),
-                format!("{secs:.3}"),
-                format!("{:.1}", sessions_assessed as f64 / secs),
-                format!("{speedup:.2}x"),
-            ]);
-            if !json_workers.is_empty() {
-                json_workers.push_str(", ");
-            }
-            json_workers.push_str(&format!(
-                "\"{workers}\": {{\"secs\": {secs:.6}, \"sessions_per_sec\": {:.3}, \
-                 \"speedup_vs_1\": {speedup:.4}}}",
-                sessions_assessed as f64 / secs
-            ));
-        }
-        let speedup_4v1 = base
-            / secs_at
-                .iter()
-                .find(|&&(w, _)| w == 4)
-                .expect("4-worker point")
-                .1;
-        if regime == "tap-paced" {
-            headline_speedup = speedup_4v1;
-        }
-        if !json_regimes.is_empty() {
-            json_regimes.push_str(", ");
-        }
-        json_regimes.push_str(&format!(
-            "\"{}\": {{\"pacing_micros\": {pacing}, \"workers\": {{{json_workers}}}, \
-             \"speedup_4v1\": {speedup_4v1:.4}}}",
-            regime.replace('-', "_"),
-        ));
-    }
-    out.push_str(&t.render());
-    out.push('\n');
     out.push_str(&compare_line(
-        "output across worker counts and regimes",
+        "output across worker counts",
         "bit-identical",
         if identical {
             "bit-identical"
@@ -1706,35 +1632,7 @@ pub fn engine_scaling_with(ctx: &ReproContext, cfg: EngineScalingConfig) -> (Str
             "DIVERGED"
         },
     ));
-    out.push_str(&compare_line(
-        "tap-paced speedup, 4 workers vs 1",
-        ">= 2x",
-        &format!("{headline_speedup:.2}x"),
-    ));
-    out.push_str(
-        "\nthe compute regime is bounded by physical cores; the tap-paced regime\n\
-         overlaps simulated tap reads across workers and is the deployment-\n\
-         relevant (I/O-bound) figure. pacing never affects engine output.\n",
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"engine-scaling\",\n  \"entries\": {},\n  \
-         \"sessions_assessed\": {},\n  \"subscribers\": {},\n  \"shards\": {},\n  \
-         \"reps\": {},\n  \"machine_parallelism\": {},\n  \"bit_identical\": {},\n  \
-         \"regimes\": {{{json_regimes}}},\n  \"speedup_4v1\": {headline_speedup:.4}\n}}\n",
-        entries.len(),
-        sessions_assessed,
-        cfg.subscribers,
-        cfg.shards,
-        cfg.reps,
-        std::thread::available_parallelism().map_or(0, |p| p.get()),
-        identical,
-    );
-    (out, json)
-}
-
-fn engine_scaling(ctx: &ReproContext) -> String {
-    engine_scaling_with(ctx, EngineScalingConfig::quick()).0
+    out
 }
 
 // ------------------------------------------------------- obs-overhead
@@ -1756,11 +1654,9 @@ pub struct ObsOverheadConfig {
 }
 
 impl ObsOverheadConfig {
-    /// The harness point `scripts/bench.sh` records: the compute
-    /// regime (no simulated tap pacing), so any metric-recording cost
-    /// lands directly on the measured wall time instead of hiding
-    /// behind simulated I/O, and a single worker, so a small container
-    /// measures recording cost rather than scheduler jitter.
+    /// The harness point `scripts/bench.sh` records: a single worker,
+    /// so a small container measures recording cost rather than
+    /// scheduler jitter.
     pub fn quick() -> Self {
         ObsOverheadConfig {
             subscribers: 12,
@@ -1794,44 +1690,24 @@ impl ObsOverheadConfig {
 /// determinism would be impossible).
 pub fn obs_overhead_with(ctx: &ReproContext, cfg: ObsOverheadConfig) -> (String, String) {
     use std::time::Instant;
-    use vqoe_core::{
-        AssessmentEngine, EncryptedEvalConfig, EncryptedWorld, EngineConfig, PipelineMetrics,
-        QoeMonitor,
-    };
+    use vqoe_core::{EngineConfig, PipelineMetrics};
     use vqoe_obs::{buckets, MetricClass, Registry, StageSpan};
-    use vqoe_telemetry::{ReassemblyConfig, WeblogEntry};
 
-    let monitor = QoeMonitor {
-        stall_model: ctx.stall.model.clone(),
-        representation_model: ctx.representation.model.clone(),
-        switch_model: ctx.switch.model,
-        reassembly: ReassemblyConfig::default(),
-    };
+    let monitor = ctx.monitor();
     // The same multi-subscriber tap engine-scaling uses, interleaved by
     // timestamp.
-    let mut entries: Vec<WeblogEntry> = Vec::new();
-    for s in 0..cfg.subscribers {
-        let mut wc = EncryptedEvalConfig::paper_default(ctx.scale.seed ^ 0xE561 ^ (s << 8));
-        wc.spec.n_sessions = cfg.sessions;
-        let mut world = EncryptedWorld::build(&wc).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
+    let entries = interleaved_tap(ctx.scale.seed ^ 0xE561, cfg.subscribers, cfg.sessions);
 
     let engine_cfg = EngineConfig {
         workers: cfg.workers,
         shards: cfg.shards,
-        shard_pacing_micros: 0,
         ..EngineConfig::default()
     };
 
     // One untimed warm-up pass, then bare and instrumented runs
     // interleaved within each rep so neither variant systematically
     // enjoys warmer caches; best (minimum) time per variant wins.
-    let bare_engine = AssessmentEngine::new(&monitor, engine_cfg);
+    let bare_engine = monitor.pipeline().with_engine(engine_cfg);
     let reference = bare_engine.assess(&entries);
 
     let wall = crate::WallClock::new();
@@ -1856,7 +1732,7 @@ pub fn obs_overhead_with(ctx: &ReproContext, cfg: ObsOverheadConfig) -> (String,
             MetricClass::Runtime,
             buckets::STAGE_MICROS,
         );
-        let engine = AssessmentEngine::new(&monitor, engine_cfg).with_metrics(metrics);
+        let engine = bare_engine.clone().with_metrics(metrics);
         let span = StageSpan::start(&wall, &span_hist);
         let t0 = Instant::now();
         let report = engine.assess(&entries);
@@ -1879,7 +1755,7 @@ pub fn obs_overhead_with(ctx: &ReproContext, cfg: ObsOverheadConfig) -> (String,
             workers: cfg.workers + 2,
             ..engine_cfg
         };
-        let engine = AssessmentEngine::new(&monitor, other).with_metrics(metrics);
+        let engine = monitor.pipeline().with_engine(other).with_metrics(metrics);
         let report = engine.assess(&entries);
         bit_identical &= report == reference;
         snapshots.push(registry.snapshot_json());
@@ -1981,10 +1857,10 @@ pub struct TraceOverheadConfig {
 }
 
 impl TraceOverheadConfig {
-    /// The harness point `scripts/bench.sh` records: same compute
-    /// regime and single-worker rationale as
-    /// [`ObsOverheadConfig::quick`] — span recording cost must land on
-    /// the measured wall time, not hide behind pacing or scheduling.
+    /// The harness point `scripts/bench.sh` records: the same
+    /// single-worker rationale as [`ObsOverheadConfig::quick`] — span
+    /// recording cost must land on the measured wall time, not hide
+    /// behind scheduling.
     pub fn quick() -> Self {
         TraceOverheadConfig {
             subscribers: 12,
@@ -2013,40 +1889,21 @@ impl TraceOverheadConfig {
 ///    in the compute regime, against the `< 2%` budget.
 pub fn trace_overhead_with(ctx: &ReproContext, cfg: TraceOverheadConfig) -> (String, String) {
     use std::time::Instant;
-    use vqoe_core::{
-        AssessmentEngine, EncryptedEvalConfig, EncryptedWorld, EngineConfig, QoeMonitor,
-    };
+    use vqoe_core::EngineConfig;
     use vqoe_obs::TraceConfig;
-    use vqoe_telemetry::{ReassemblyConfig, WeblogEntry};
 
-    let monitor = QoeMonitor {
-        stall_model: ctx.stall.model.clone(),
-        representation_model: ctx.representation.model.clone(),
-        switch_model: ctx.switch.model,
-        reassembly: ReassemblyConfig::default(),
-    };
-    let mut entries: Vec<WeblogEntry> = Vec::new();
-    for s in 0..cfg.subscribers {
-        let mut wc = EncryptedEvalConfig::paper_default(ctx.scale.seed ^ 0x7ACE ^ (s << 8));
-        wc.spec.n_sessions = cfg.sessions;
-        let mut world = EncryptedWorld::build(&wc).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
+    let monitor = ctx.monitor();
+    let entries = interleaved_tap(ctx.scale.seed ^ 0x7ACE, cfg.subscribers, cfg.sessions);
 
     let engine_cfg = EngineConfig {
         workers: cfg.workers,
         shards: cfg.shards,
-        shard_pacing_micros: 0,
         ..EngineConfig::default()
     };
 
     // Warm-up, then bare and traced passes interleaved per rep so
     // neither variant systematically enjoys warmer caches.
-    let engine = AssessmentEngine::new(&monitor, engine_cfg);
+    let engine = monitor.pipeline().with_engine(engine_cfg);
     let reference = engine.assess(&entries);
 
     let mut bare_secs = f64::INFINITY;
@@ -2076,7 +1933,7 @@ pub fn trace_overhead_with(ctx: &ReproContext, cfg: TraceOverheadConfig) -> (Str
             workers: cfg.workers + 2,
             ..engine_cfg
         };
-        let engine = AssessmentEngine::new(&monitor, other);
+        let engine = monitor.pipeline().with_engine(other);
         let (report, trace) = engine.assess_traced(&entries, TraceConfig::default());
         bit_identical &= report == reference;
         exports.push(trace.to_chrome_json());
@@ -2166,173 +2023,58 @@ fn trace_overhead(ctx: &ReproContext) -> String {
 
 // ------------------------------------------------------ train-scaling
 
-/// Workload and measurement knobs for [`train_scaling_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrainScalingConfig {
-    /// Sessions drawn from the context's cleartext corpus for the
-    /// training workload.
-    pub sessions: usize,
-    /// Trees in the timed forest fits.
-    pub n_trees: usize,
-    /// Simulated per-job feature-store read latency for the paced
-    /// regime ([`TrainConfig::job_pacing_micros`]).
-    pub pacing_micros: u64,
-    /// Timing repetitions; the best (minimum) wall time is reported.
-    pub reps: usize,
-}
-
-impl TrainScalingConfig {
-    /// The quick harness point `scripts/bench.sh` records: small enough
-    /// to run in seconds, paced hard enough that the simulated
-    /// feature-store read dominates the per-tree compute.
-    pub fn quick() -> Self {
-        TrainScalingConfig {
-            sessions: 300,
-            n_trees: 48,
-            pacing_micros: 4_000,
-            reps: 2,
-        }
-    }
-}
-
-/// Training-path scaling: forest fit and cross-validation at 1/2/4/8
-/// workers, in two regimes, plus the bit-identity proof.
-///
-/// * **identity** — the fitted forest and the full 10-fold CV report are
-///   compared against the sequential reference at workers ∈ {1, 2, 7}.
-///   Determinism is the training fan-out's contract
-///   ([`vqoe_ml::par::run_indexed`] reduces in job-index order), so the
-///   expectation is byte-identity, not approximate agreement.
-/// * **compute** — pure CPU tree fitting. Speedup is bounded by the
-///   machine's core count (a 1-core container honestly reports ~1×).
-/// * **paced** — each tree job is charged a fixed simulated
-///   feature-store read ([`TrainConfig::job_pacing_micros`]) before
-///   fitting, modelling an I/O-paced trainer. Reads overlap across
-///   workers regardless of core count, so this regime exposes the
-///   fan-out's pipelining headroom even on a small machine.
-///
-/// Returns the rendered text report and a machine-readable JSON record
-/// (the `BENCH_pr5.json` artifact). The headline `speedup_4v1` is the
-/// paced one; both regimes are recorded and labelled.
-pub fn train_scaling_with(ctx: &ReproContext, cfg: TrainScalingConfig) -> (String, String) {
+/// Training-path scaling: a 48-tree forest fit on the stall detector's
+/// reduced feature space over 300 cleartext sessions at 1/2/4/8
+/// workers, compute-bound, best of two reps, plus the bit-identity
+/// proof: the fitted forest and the full 10-fold CV report against the
+/// sequential reference at workers ∈ {1, 2, 7}, and every timed fit
+/// against the reference forest. Determinism is the training fan-out's
+/// contract ([`vqoe_ml::par::run_indexed`] reduces in job-index order),
+/// so the expectation is byte-identity, not approximate agreement.
+fn train_scaling(ctx: &ReproContext) -> String {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::time::Instant;
     use vqoe_core::stall_pipeline::CV_FOLDS;
     use vqoe_ml::{cross_validate_with, RandomForest, TrainConfig};
 
+    let (n_trees, reps) = (48, 2);
     // The workload: the stall detector's own reduced feature space over
     // a slice of the cleartext corpus, balanced exactly as the training
     // pipeline balances it.
-    let sessions = cfg.sessions.min(ctx.cleartext.len());
+    let sessions = ctx.cleartext.len().min(300);
     let full = vqoe_features::build_stall_dataset(&ctx.cleartext[..sessions]);
     let reduced = full.select_features(&ctx.stall.model.selected_indices);
     let mut rng = StdRng::seed_from_u64(ctx.scale.seed);
     let train_set = reduced.balanced_downsample(&mut rng);
     let forest_cfg = ForestConfig {
-        n_trees: cfg.n_trees,
+        n_trees,
         ..ForestConfig::default()
+    };
+    let fit = |workers| {
+        RandomForest::fit_with(&train_set, forest_cfg, TrainConfig::with_workers(workers))
+    };
+    let cv = |workers| {
+        let tc = TrainConfig::with_workers(workers);
+        cross_validate_with(&reduced, CV_FOLDS, forest_cfg, true, ctx.scale.seed, tc)
     };
 
     // Identity phase: forest fit and cross-validation at several worker
     // counts must equal the sequential reference, field for field.
-    let ref_forest = RandomForest::fit_with(&train_set, forest_cfg, TrainConfig::sequential());
-    let ref_cv = cross_validate_with(
-        &reduced,
-        CV_FOLDS,
-        forest_cfg,
-        true,
-        ctx.scale.seed,
-        TrainConfig::sequential(),
-    );
-    let mut identical = true;
-    for workers in [1usize, 2, 7] {
-        let tc = TrainConfig::with_workers(workers);
-        identical &= RandomForest::fit_with(&train_set, forest_cfg, tc) == ref_forest;
-        identical &=
-            cross_validate_with(&reduced, CV_FOLDS, forest_cfg, true, ctx.scale.seed, tc) == ref_cv;
-    }
-
-    let workers_axis = [1usize, 2, 4, 8];
-    let regimes = [("compute", 0u64), ("paced", cfg.pacing_micros)];
+    let (ref_forest, ref_cv) = (fit(1), cv(1));
+    let mut identical = [1, 2, 7]
+        .into_iter()
+        .all(|w| fit(w) == ref_forest && cv(w) == ref_cv);
+    let (table, timed_identical) = worker_scaling("trees/s", n_trees, reps, &ref_forest, fit);
+    identical &= timed_identical;
 
     let mut out = header("train-scaling", "training-path throughput vs worker count");
     out.push_str(&format!(
         "workload: {} rows × {} features (balanced to {} rows for fitting), \
-         {} trees; best of {} reps; machine parallelism {}\n\n",
+         {n_trees} trees; best of {reps} reps\n\n{table}",
         reduced.n_rows(),
         reduced.n_features(),
         train_set.n_rows(),
-        cfg.n_trees,
-        cfg.reps,
-        std::thread::available_parallelism().map_or(0, |p| p.get()),
     ));
-
-    let mut t = Table::new(vec![
-        "regime",
-        "workers",
-        "wall secs",
-        "trees/s",
-        "speedup vs 1",
-    ]);
-    let mut json_regimes = String::new();
-    let mut headline_speedup = 0.0f64;
-    for (regime, pacing) in regimes {
-        let mut secs_at: Vec<(usize, f64)> = Vec::new();
-        for &workers in &workers_axis {
-            let tc = TrainConfig {
-                workers,
-                job_pacing_micros: pacing,
-            };
-            let mut best = f64::INFINITY;
-            for _ in 0..cfg.reps.max(1) {
-                let t0 = Instant::now();
-                let forest = RandomForest::fit_with(&train_set, forest_cfg, tc);
-                best = best.min(t0.elapsed().as_secs_f64());
-                // Pacing and worker count must never leak into the model.
-                identical &= forest == ref_forest;
-            }
-            secs_at.push((workers, best));
-        }
-        let base = secs_at[0].1;
-        let mut json_workers = String::new();
-        for &(workers, secs) in &secs_at {
-            let speedup = base / secs;
-            t.row(vec![
-                regime.to_string(),
-                workers.to_string(),
-                format!("{secs:.3}"),
-                format!("{:.1}", cfg.n_trees as f64 / secs),
-                format!("{speedup:.2}x"),
-            ]);
-            if !json_workers.is_empty() {
-                json_workers.push_str(", ");
-            }
-            json_workers.push_str(&format!(
-                "\"{workers}\": {{\"secs\": {secs:.6}, \"trees_per_sec\": {:.3}, \
-                 \"speedup_vs_1\": {speedup:.4}}}",
-                cfg.n_trees as f64 / secs
-            ));
-        }
-        let speedup_4v1 = base
-            / secs_at
-                .iter()
-                .find(|&&(w, _)| w == 4)
-                .expect("4-worker point")
-                .1;
-        if regime == "paced" {
-            headline_speedup = speedup_4v1;
-        }
-        if !json_regimes.is_empty() {
-            json_regimes.push_str(", ");
-        }
-        json_regimes.push_str(&format!(
-            "\"{regime}\": {{\"pacing_micros\": {pacing}, \"workers\": {{{json_workers}}}, \
-             \"speedup_4v1\": {speedup_4v1:.4}}}",
-        ));
-    }
-    out.push_str(&t.render());
-    out.push('\n');
     out.push_str(&compare_line(
         "fitted forest & CV report across worker counts",
         "byte-identical",
@@ -2342,36 +2084,7 @@ pub fn train_scaling_with(ctx: &ReproContext, cfg: TrainScalingConfig) -> (Strin
             "DIVERGED"
         },
     ));
-    out.push_str(&compare_line(
-        "paced fit speedup, 4 workers vs 1",
-        ">= 1.8x",
-        &format!("{headline_speedup:.2}x"),
-    ));
-    out.push_str(
-        "\nthe compute regime is bounded by physical cores; the paced regime\n\
-         overlaps simulated feature-store reads across workers and is the\n\
-         I/O-bound figure. pacing never affects the fitted model.\n",
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"train-scaling\",\n  \"rows\": {},\n  \
-         \"features\": {},\n  \"balanced_rows\": {},\n  \"n_trees\": {},\n  \
-         \"cv_folds\": {CV_FOLDS},\n  \"reps\": {},\n  \
-         \"machine_parallelism\": {},\n  \"bit_identical\": {},\n  \
-         \"regimes\": {{{json_regimes}}},\n  \"speedup_4v1\": {headline_speedup:.4}\n}}\n",
-        reduced.n_rows(),
-        reduced.n_features(),
-        train_set.n_rows(),
-        cfg.n_trees,
-        cfg.reps,
-        std::thread::available_parallelism().map_or(0, |p| p.get()),
-        identical,
-    );
-    (out, json)
-}
-
-fn train_scaling(ctx: &ReproContext) -> String {
-    train_scaling_with(ctx, TrainScalingConfig::quick()).0
+    out
 }
 
 // -------------------------------------------------------- ingest-bench
@@ -2416,38 +2129,20 @@ impl IngestBenchConfig {
 ///
 /// Identity is asserted, not assumed: the packed corpus must decode to
 /// the exact entry vector, and the [`IngestReport`]s from JSON-decoded
-/// and binary-decoded replay — plus the deprecated
-/// `QoeMonitor::assess_corpus` shim — must be bit-identical at 1, 2
-/// and 7 workers.
+/// and binary-decoded replay must be bit-identical to each other and
+/// across 1, 2 and 7 workers.
 ///
 /// [`IngestPipeline::assess`]: vqoe_core::IngestPipeline
 /// [`IngestReport`]: vqoe_core::IngestReport
 pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String, String) {
     use std::time::Instant;
-    use vqoe_core::{
-        EncryptedEvalConfig, EncryptedWorld, EngineConfig, IngestPipeline, QoeMonitor,
-    };
-    use vqoe_telemetry::{BinaryCorpus, ReassemblyConfig, WeblogEntry};
+    use vqoe_core::{EngineConfig, IngestPipeline};
+    use vqoe_telemetry::{BinaryCorpus, WeblogEntry};
 
-    let monitor = QoeMonitor {
-        stall_model: ctx.stall.model.clone(),
-        representation_model: ctx.representation.model.clone(),
-        switch_model: ctx.switch.model,
-        reassembly: ReassemblyConfig::default(),
-    };
+    let monitor = ctx.monitor();
     // The same multi-subscriber tap engine-scaling uses, interleaved by
     // timestamp.
-    let mut entries: Vec<WeblogEntry> = Vec::new();
-    for s in 0..cfg.subscribers {
-        let mut wc = EncryptedEvalConfig::paper_default(ctx.scale.seed ^ 0xE561 ^ (s << 8));
-        wc.spec.n_sessions = cfg.sessions;
-        let mut world = EncryptedWorld::build(&wc).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
+    let entries = interleaved_tap(ctx.scale.seed ^ 0xE561, cfg.subscribers, cfg.sessions);
 
     // Both encodings of the same tap, in memory (no disk noise).
     let jsonl: String = entries
@@ -2472,20 +2167,17 @@ pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String,
     // path at every worker count.
     let mut identical = decode_binary(&corpus) == entries;
     let pipeline = IngestPipeline::new(&monitor);
-    let mut sessions_assessed = 0usize;
+    let reference = pipeline.assess(&entries);
     for workers in [1usize, 2, 7] {
-        let engine_cfg = EngineConfig {
+        let p = pipeline.clone().with_engine(EngineConfig {
             workers,
             ..EngineConfig::default()
-        };
-        let p = pipeline.clone().with_engine(engine_cfg);
+        });
         let from_json = p.assess(&decode_jsonl(&jsonl));
         let from_binary = p.assess_binary(&corpus).expect("packed corpus replays");
-        #[allow(deprecated)]
-        let from_shim = monitor.assess_corpus(&entries, &engine_cfg);
-        identical &= from_json == from_binary && from_json == from_shim;
-        sessions_assessed = from_json.assessments.len();
+        identical &= from_json == reference && from_binary == reference;
     }
+    let sessions_assessed = reference.assessments.len();
 
     // Timed phases, best of reps. Decode is the format's own cost;
     // end-to-end adds the (format-independent) assessment pass.
@@ -2544,7 +2236,7 @@ pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String,
     out.push_str(&t.render());
     out.push('\n');
     out.push_str(&compare_line(
-        "reports across encodings, shim and workers 1/2/7",
+        "reports across encodings and workers 1/2/7",
         "bit-identical",
         if identical {
             "bit-identical"
@@ -2664,10 +2356,10 @@ pub fn subscriber_scaling_with(
     ctx: &ReproContext,
     cfg: SubscriberScalingConfig,
 ) -> (String, String) {
-    use vqoe_core::{Fidelity, OnlineAssessor, QoeMonitor};
+    use vqoe_core::{Fidelity, OnlineAssessor};
     use vqoe_player::TransportSummary;
     use vqoe_simnet::time::{Duration as SimDuration, Instant as SimInstant};
-    use vqoe_telemetry::{EntryKind, IngestConfig, ReassemblyConfig, WeblogEntry};
+    use vqoe_telemetry::{EntryKind, IngestConfig, WeblogEntry};
 
     let wave_micros: u64 = 2_000_000; // one chunk per subscriber every 2 s
     let entry = |s: u64, k: usize| -> WeblogEntry {
@@ -2698,15 +2390,8 @@ pub fn subscriber_scaling_with(
 
     let mut points: Vec<ScalePoint> = Vec::new();
     for &n in &cfg.subscriber_counts {
-        let monitor = QoeMonitor {
-            stall_model: ctx.stall.model.clone(),
-            representation_model: ctx.representation.model.clone(),
-            switch_model: ctx.switch.model,
-            reassembly: ReassemblyConfig {
-                exact_entry_cap: cfg.exact_entry_cap,
-                ..ReassemblyConfig::default()
-            },
-        };
+        let mut monitor = ctx.monitor();
+        monitor.reassembly.exact_entry_cap = cfg.exact_entry_cap;
         let ingest_cfg = IngestConfig {
             max_open_subscribers: n,
             ..IngestConfig::default()

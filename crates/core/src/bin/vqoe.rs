@@ -435,8 +435,8 @@ fn assess(flags: &Flags) {
         ..IngestConfig::default()
     };
     // Memory budgets, admission policy and checkpoint/restore belong to
-    // the streaming assessor (the batch engine holds one subscriber per
-    // worker and never sheds, so the knobs would be moot there).
+    // the streaming assessor (the batch engine never sheds, so the
+    // knobs would be moot there).
     let budget = BudgetConfig {
         per_subscriber_bytes: flags.num("subscriber-budget", 0u64),
         global_bytes: flags.num("memory-budget", 0u64),
@@ -477,8 +477,8 @@ fn assess(flags: &Flags) {
     // `--workers N` routes through the sharded parallel engine (see
     // `vqoe_core::engine`); without it, the streaming assessor runs the
     // tap one entry at a time. Output is bit-identical either way (the
-    // engine ignores `--max-subscribers`: its batch walk holds one open
-    // subscriber per worker, so the cap is moot).
+    // engine ignores `--max-subscribers`: it admits every subscriber of
+    // a shard job and drains them at the job's end).
     let assess_span = StageSpan::start(&wall, &assess_hist);
     let report: IngestReport = match flags.get("workers") {
         Some(_) => {
@@ -486,7 +486,6 @@ fn assess(flags: &Flags) {
                 workers: flags.num("workers", 0usize),
                 shards: flags.num("shards", EngineConfig::default().shards),
                 queue_depth: flags.num("queue-depth", EngineConfig::default().queue_depth),
-                ..EngineConfig::default()
             };
             let mut pipeline = IngestPipeline::new(&monitor)
                 .with_engine(engine_cfg)

@@ -99,11 +99,6 @@ impl DigestSink {
         }
     }
 
-    /// Sealed digests waiting to be claimed.
-    pub fn sealed_len(&self) -> usize {
-        self.sealed.len()
-    }
-
     /// Rehydrate from the snapshot emitted by
     /// [`SpillSink::state_json`] (checkpoint restore).
     pub fn from_json(json: &str) -> Option<DigestSink> {

@@ -1,9 +1,12 @@
-//! The sharded parallel assessment engine.
+//! The sharded parallel engine behind
+//! [`IngestPipeline::assess`](crate::IngestPipeline::assess).
 //!
 //! The paper's monitor sits behind an operator tap carrying "heavy
 //! traffic from millions of users"; after §5.2 reassembly, subscribers
 //! are mutually independent, which makes the subscriber the natural
-//! unit of parallelism. [`AssessmentEngine`] exploits that:
+//! unit of parallelism. The engine is the second driver of the
+//! per-shard machine (`crate::shard`) the streaming
+//! [`OnlineAssessor`](crate::online::OnlineAssessor) runs:
 //!
 //! 1. **Shard** — every weblog entry is routed to one of
 //!    [`EngineConfig::shards`] shards by a deterministic hash of its
@@ -13,42 +16,37 @@
 //!    [`EngineConfig::queue_depth`], producer blocks when workers fall
 //!    behind — backpressure, not unbounded buffering) onto
 //!    [`EngineConfig::workers`] threads using the same vendored
-//!    `crossbeam::scope` pattern as `crate::generate`. Each worker runs
-//!    reassembly → feature construction → frozen-model inference for
-//!    its shard's subscribers one at a time, so peak open reassembly
-//!    state is one subscriber per worker.
+//!    `crossbeam::scope` pattern as `crate::generate`. Each job feeds
+//!    its entries, in arrival order, to a fresh shard machine, then
+//!    drains it in subscriber order.
 //! 3. **Reduce** — per-shard results carry *emission keys* that encode
-//!    where the sequential [`OnlineAssessor`](crate::online::OnlineAssessor)
-//!    would have emitted each assessment; a deterministic ordered merge
-//!    sorts on those keys, so the output is **bit-identical** to the
-//!    sequential path at any worker count (asserted by the
-//!    `engine_parallel` integration tests). [`StreamHealth`] counters
-//!    sum per shard, and the per-shard [`AnomalyLog`]s merge back into
-//!    exactly the global first-`cap` record set.
+//!    where the sequential online assessor would have emitted each
+//!    assessment; a deterministic ordered merge sorts on those keys, so
+//!    the output is **bit-identical** to the sequential path at any
+//!    worker count (asserted by the `engine_parallel` integration
+//!    tests). [`StreamHealth`] counters sum per shard, and the
+//!    per-shard anomaly logs merge back into exactly the global
+//!    first-`cap` record set.
 //!
 //! Emission keys: an assessment produced while pushing the entry with
 //! global arrival index `g` gets key `(0, g, k)` (`k` = its position in
 //! that push's output); an assessment emitted by the end-of-stream
-//! finish of subscriber `s` gets `(1, s, k)`. Sorting reproduces the
+//! drain of subscriber `s` gets `(1, s, k)`. Sorting reproduces the
 //! sequential order exactly: mid-stream emissions in arrival order
-//! first, then finish emissions in subscriber-id order (the order
-//! `OnlineAssessor::finish` walks its subscriber map).
+//! first, then drain emissions in subscriber-id order (the order
+//! `OnlineAssessor::finish` walks its subscribers).
 
-use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex as StdMutex};
 
-use vqoe_features::{SessionObs, SessionView};
 use vqoe_obs::{SimClock, StageSpan, Trace, TraceConfig, TraceEvent, TraceSink, TraceStage};
 use vqoe_telemetry::{
-    AnomalyKindCounts, AnomalyLog, IngestAnomaly, IngestConfig, ReassembledSession,
-    RobustReassembler, StreamHealth, WeblogEntry,
+    AnomalyKindCounts, AnomalyLog, IngestAnomaly, ReassembledSession, StreamHealth, WeblogEntry,
 };
 
-use crate::digest::{claim_digest, install_digest_sink, SessionDigest};
-use crate::metrics::PipelineMetrics;
-use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
+use crate::monitor::{Fidelity, SessionAssessment};
 use crate::online::{IngestReport, ShedLog};
-use crate::subscribe::SubscriptionSet;
+use crate::shard::{assess, close, Closed, Shard};
+use crate::subscribe::{IngestPipeline, SubscriptionSet};
 
 /// Knobs of the parallel engine. All defaults are safe for production;
 /// the output is bit-identical for every combination.
@@ -65,12 +63,6 @@ pub struct EngineConfig {
     /// in flight beyond the ones workers already hold; the producer
     /// blocks (backpressure) rather than buffering without bound.
     pub queue_depth: usize,
-    /// Simulated per-shard tap-read latency in microseconds, for
-    /// throughput harnesses that model an I/O-bound tap (each worker
-    /// sleeps this long before processing a shard job, as if paging
-    /// the shard's slice from the tap spool). Production paths leave
-    /// this at 0; it never affects output, only timing.
-    pub shard_pacing_micros: u64,
 }
 
 impl Default for EngineConfig {
@@ -79,7 +71,6 @@ impl Default for EngineConfig {
             workers: 0,
             shards: 32,
             queue_depth: 8,
-            shard_pacing_micros: 0,
         }
     }
 }
@@ -128,20 +119,16 @@ type EmissionKey = (u8, u64, u32);
 struct ShardOutput {
     emissions: Vec<(EmissionKey, SessionAssessment)>,
     health: StreamHealth,
-    /// Kept anomalies tagged with their global entry index, sorted by
-    /// it, truncated to the log cap (a superset of this shard's
-    /// contribution to the global first-`cap` set).
-    anomalies: Vec<(u64, IngestAnomaly)>,
-    anomaly_total: u64,
-    /// Exact per-kind quarantine counts for this shard (not capped).
-    kinds: AnomalyKindCounts,
-    /// Span events recorded by this shard job (empty when tracing is
-    /// off). Like everything else in this struct they travel back
-    /// through the worker's join handle — the hot path never touches a
-    /// shared sink.
-    trace: Vec<TraceEvent>,
-    /// Events the shard's bounded sink had to drop.
-    trace_dropped: u64,
+    /// The job's anomaly log: exact totals and per-kind counts, and its
+    /// first `cap` records (a superset of this shard's contribution to
+    /// the global first-`cap` set)...
+    log: AnomalyLog,
+    /// ...and the global entry index of each kept record.
+    kept_at: Vec<u64>,
+    /// The job's span sink (`None` when tracing is off). Like everything
+    /// else in this struct it travels back through the worker's join
+    /// handle — the hot path never touches a shared sink.
+    trace: Option<TraceSink>,
 }
 
 /// A bounded single-producer / multi-consumer job queue. `push` blocks
@@ -223,383 +210,218 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// The sharded parallel assessment engine: a frozen [`QoeMonitor`]
-/// fanned out over worker threads, with output bit-identical to the
-/// sequential streaming path.
-#[derive(Debug, Clone)]
-pub struct AssessmentEngine<'a> {
-    monitor: &'a QoeMonitor,
-    config: EngineConfig,
-    ingest_cfg: IngestConfig,
-    metrics: Option<PipelineMetrics>,
+/// Assess a whole tap capture on `pipeline`'s engine: route entries to
+/// shards, run the shard jobs on the worker pool, reduce. With
+/// `trace_cfg`, every emitted session also records its span chain into
+/// the job's bounded sink, and the reducer merges the sinks in
+/// emission-key order into one [`Trace`].
+pub(crate) fn run(
+    pipeline: &IngestPipeline<'_>,
+    entries: &[WeblogEntry],
+    trace_cfg: Option<TraceConfig>,
+) -> (IngestReport, Option<Trace>) {
+    // One subscription set for the whole pass, shared by reference
+    // across every worker: the detectors are registered once, and each
+    // reassembled session is fanned out to them as one immutable view.
+    let subs = SubscriptionSet::standard(pipeline.monitor);
+    let config = &pipeline.engine;
+    let shards = config.shards.max(1);
+    // Route each arrival to its shard; per-shard index lists keep the
+    // global arrival order (indices ascend).
+    let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
+    for (g, e) in entries.iter().enumerate() {
+        by_shard[shard_of(e.subscriber_id, shards)].push(g as u32);
+    }
+
+    let workers = config.effective_workers();
+    let queue: BoundedQueue<ShardJob> = BoundedQueue::new(config.queue_depth);
+    let metrics = pipeline.metrics.as_ref();
+
+    let result = crossbeam::thread::scope(|scope| {
+        // Workers keep their shard outputs in a private `(shard,
+        // output)` vector — no shared lock on the hot path — and hand it
+        // back through their join handle; the scatter after the joins
+        // restores shard order.
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|_| {
+                    let mut local: Vec<(usize, ShardOutput)> = Vec::new();
+                    while let Some(job) = queue.pop() {
+                        let out = run_job(pipeline, &subs, entries, &job.entry_indices, trace_cfg);
+                        local.push((job.shard, out));
+                    }
+                    local
+                })
+            })
+            .collect();
+        // Produce shard jobs on the calling thread; `push` blocks when
+        // `queue_depth` jobs are already waiting. The queue must close
+        // before the joins below, or the workers would never exit their
+        // pop loops.
+        for (shard, entry_indices) in by_shard.into_iter().enumerate() {
+            let stalled = queue.push(ShardJob {
+                shard,
+                entry_indices,
+            });
+            if let Some(m) = metrics {
+                if stalled {
+                    m.queue_stalls.inc();
+                }
+                m.queue_depth.set(queue.len() as i64);
+            }
+        }
+        queue.close();
+        let mut pairs: Vec<(usize, ShardOutput)> = Vec::with_capacity(shards);
+        for h in handles {
+            match h.join() {
+                Ok(local) => pairs.extend(local),
+                Err(p) => std::panic::resume_unwind(p),
+            }
+        }
+        pairs.sort_by_key(|&(shard, _)| shard);
+        pairs.into_iter().map(|(_, out)| out).collect()
+    });
+    let outputs: Vec<ShardOutput> = match result {
+        Ok(outputs) => outputs,
+        // A worker panic is a bug in the pipeline itself; re-raising it
+        // is the only sane response.
+        Err(p) => std::panic::resume_unwind(p),
+    };
+    reduce(pipeline, outputs, trace_cfg.is_some())
 }
 
-impl<'a> AssessmentEngine<'a> {
-    /// Wrap a trained monitor with default hardening parameters.
-    pub fn new(monitor: &'a QoeMonitor, config: EngineConfig) -> Self {
-        AssessmentEngine::with_ingest(monitor, config, IngestConfig::default())
-    }
-
-    /// Wrap a trained monitor with explicit hardening parameters.
-    pub fn with_ingest(
-        monitor: &'a QoeMonitor,
-        config: EngineConfig,
-        ingest_cfg: IngestConfig,
-    ) -> Self {
-        AssessmentEngine {
-            monitor,
-            config,
-            ingest_cfg,
-            metrics: None,
+/// Run one shard job: its entries, in arrival order, through a fresh
+/// shard machine, then the machine's drain — recording emission keys
+/// and tagging kept anomalies with their global entry index.
+fn run_job(
+    pipeline: &IngestPipeline<'_>,
+    subs: &SubscriptionSet<'_>,
+    entries: &[WeblogEntry],
+    indices: &[u32],
+    trace_cfg: Option<TraceConfig>,
+) -> ShardOutput {
+    let metrics = pipeline.metrics.as_ref();
+    let mut shard = Shard::new(pipeline.monitor, pipeline.ingest);
+    // The job's own anomaly log: its entries arrive in global order, so
+    // its first `cap` records are exactly this shard's candidates for
+    // the global first-`cap` set.
+    let mut log = AnomalyLog::new(pipeline.ingest.max_anomalies_kept);
+    let mut kept_at: Vec<u64> = Vec::new();
+    let mut emissions: Vec<(EmissionKey, SessionAssessment)> = Vec::new();
+    // This job's private trace sink: recorded into without locks,
+    // handed back through the join handle with everything else.
+    let mut trace =
+        trace_cfg.map(|c| (TraceSink::with_capacity(c.capacity_per_shard), subs.names()));
+    let mut emit = |key: EmissionKey, subscriber: u64, c: &Closed| {
+        let a = assess(subs, c, Fidelity::Full, metrics);
+        if let Some((sink, names)) = trace.as_mut() {
+            record_session_spans(sink, key, subscriber, &c.session, names);
+        }
+        emissions.push((key, a));
+    };
+    // Deterministic stage timing: the worker's clock advances one tick
+    // per entry processed, so the span length is the shard's entry
+    // count — identical at any worker count.
+    let clock = SimClock::new();
+    let span = metrics.map(|m| StageSpan::start(&clock, &m.stage_ticks));
+    for &g in indices {
+        let e = &entries[g as usize];
+        clock.advance(1);
+        let closed = shard.ingest(e, &mut log);
+        kept_at.resize(log.kept().len(), g as u64);
+        for (k, c) in closed.iter().enumerate() {
+            emit((0, g as u64, k as u32), e.subscriber_id, c);
         }
     }
-
-    /// Attach a [`PipelineMetrics`] handle bundle: workers record
-    /// per-shard-job deltas into it during [`AssessmentEngine::assess`].
-    /// The assessment output is bit-identical with or without metrics.
-    pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The engine configuration in effect.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Assess a whole tap capture (any mix of subscribers, in arrival
-    /// order) in parallel. Equivalent to feeding every entry through an
-    /// [`OnlineAssessor`](crate::online::OnlineAssessor) with the same
-    /// [`IngestConfig`] and unlimited subscriber slots, but sharded
-    /// across [`EngineConfig::effective_workers`] threads — and
-    /// bit-identical to that sequential run, including the health
-    /// counters and the anomaly log.
-    pub fn assess(&self, entries: &[WeblogEntry]) -> IngestReport {
-        self.assess_inner(entries, None).0
-    }
-
-    /// Like [`AssessmentEngine::assess`], with session tracing: every
-    /// emitted session records its typed span chain (ingest →
-    /// reassemble → subscription fan-out → per-detector deliver) into a
-    /// per-shard-job bounded [`TraceSink`], and the reducer merges the
-    /// sinks in emission-key order into one [`Trace`]. Every span is a
-    /// pure function of the input (deterministic ticks, no wall clock),
-    /// so the trace is byte-stable across runs and worker counts — and
-    /// the report stays bit-identical to the untraced pass.
-    pub fn assess_traced(
-        &self,
-        entries: &[WeblogEntry],
-        trace_cfg: TraceConfig,
-    ) -> (IngestReport, Trace) {
-        let (report, trace) = self.assess_inner(entries, Some(trace_cfg));
-        (report, trace.unwrap_or_default())
-    }
-
-    fn assess_inner(
-        &self,
-        entries: &[WeblogEntry],
-        trace_cfg: Option<TraceConfig>,
-    ) -> (IngestReport, Option<Trace>) {
-        // One subscription set for the whole pass, shared by reference
-        // across every worker: the detectors are registered once, and
-        // each reassembled session is fanned out to them as one
-        // immutable view.
-        let subs = SubscriptionSet::standard(self.monitor);
-        let shards = self.config.shards.max(1);
-        // Route each arrival to its shard; per-shard index lists keep
-        // the global arrival order (indices ascend).
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for (g, e) in entries.iter().enumerate() {
-            by_shard[shard_of(e.subscriber_id, shards)].push(g as u32);
+    for (subscriber, machine) in shard.take_all() {
+        for (k, c) in close(machine).iter().enumerate() {
+            emit((1, subscriber, k as u32), subscriber, c);
         }
-
-        let workers = self.config.effective_workers();
-        let queue: BoundedQueue<ShardJob> = BoundedQueue::new(self.config.queue_depth);
-        let pacing = self.config.shard_pacing_micros;
-
-        let result = crossbeam::thread::scope(|scope| {
-            // Workers keep their shard outputs in a private
-            // `(shard, output)` vector — no shared lock on the hot path
-            // — and hand it back through their join handle; the scatter
-            // after the joins restores shard order.
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut local: Vec<(usize, ShardOutput)> = Vec::new();
-                        while let Some(job) = queue.pop() {
-                            if pacing > 0 {
-                                // Harness-only: model the tap-spool read
-                                // for this shard's slice (I/O-bound
-                                // regime).
-                                std::thread::sleep(std::time::Duration::from_micros(pacing));
-                            }
-                            let out =
-                                self.process_shard(&subs, entries, &job.entry_indices, trace_cfg);
-                            local.push((job.shard, out));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            // Produce shard jobs on the calling thread; `push` blocks
-            // when `queue_depth` jobs are already waiting. The queue
-            // must close before the joins below, or the workers would
-            // never exit their pop loops.
-            for (shard, entry_indices) in by_shard.into_iter().enumerate() {
-                let stalled = queue.push(ShardJob {
-                    shard,
-                    entry_indices,
-                });
-                if let Some(m) = &self.metrics {
-                    if stalled {
-                        m.queue_stalls.inc();
-                    }
-                    m.queue_depth.set(queue.len() as i64);
-                }
-            }
-            queue.close();
-            let mut pairs: Vec<(usize, ShardOutput)> = Vec::with_capacity(shards);
-            for h in handles {
-                match h.join() {
-                    Ok(local) => pairs.extend(local),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-            pairs.sort_by_key(|&(shard, _)| shard);
-            pairs.into_iter().map(|(_, out)| out).collect()
-        });
-        let outputs: Vec<ShardOutput> = match result {
-            Ok(outputs) => outputs,
-            // A worker panic is a bug in the pipeline itself;
-            // re-raising it is the only sane response.
-            Err(p) => std::panic::resume_unwind(p),
-        };
-        self.reduce(outputs, trace_cfg.is_some())
     }
+    if let (Some(span), Some(m)) = (span, metrics) {
+        m.shard_jobs.inc();
+        m.worker_busy_ticks.add(span.finish());
+        m.observe_health_delta(&StreamHealth::default(), &shard.health);
+        m.observe_kind_delta(&AnomalyKindCounts::default(), &log.kinds());
+    }
+    ShardOutput {
+        emissions,
+        health: shard.health,
+        log,
+        kept_at,
+        trace: trace.map(|(sink, _)| sink),
+    }
+}
 
-    /// Run one shard: its subscribers one at a time, each through a
-    /// fresh `RobustReassembler`, recording emission keys and tagging
-    /// kept anomalies with their global entry index.
-    fn process_shard(
-        &self,
-        subs: &SubscriptionSet<'_>,
-        entries: &[WeblogEntry],
-        indices: &[u32],
-        trace_cfg: Option<TraceConfig>,
-    ) -> ShardOutput {
-        // Group the shard's arrivals per subscriber, preserving arrival
-        // order inside each group. BTreeMap: worker code must never
-        // iterate a HashMap (vqoe-analyze `hashmap-iter` gate).
-        let mut per_subscriber: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for &g in indices {
-            per_subscriber
-                .entry(entries[g as usize].subscriber_id)
-                .or_default()
-                .push(g);
+/// The deterministic ordered reducer: sort emissions on their keys, sum
+/// health counters, merge anomaly logs back into global arrival order.
+fn reduce(
+    pipeline: &IngestPipeline<'_>,
+    outputs: Vec<ShardOutput>,
+    traced: bool,
+) -> (IngestReport, Option<Trace>) {
+    let mut emissions: Vec<(EmissionKey, SessionAssessment)> = Vec::new();
+    let mut health = StreamHealth::default();
+    let mut shard_health = Vec::with_capacity(outputs.len());
+    let mut anomalies: Vec<(u64, IngestAnomaly)> = Vec::new();
+    let mut anomaly_total = 0u64;
+    let mut kinds = AnomalyKindCounts::default();
+    let mut trace_events: Vec<TraceEvent> = Vec::new();
+    let mut trace_dropped = 0u64;
+    for out in outputs {
+        if let Some(m) = &pipeline.metrics {
+            m.reduce_merge_size.observe(out.emissions.len() as u64);
         }
-
-        let cap = self.ingest_cfg.max_anomalies_kept;
-        let mut out = ShardOutput {
-            emissions: Vec::new(),
-            health: StreamHealth::default(),
-            anomalies: Vec::new(),
-            anomaly_total: 0,
-            kinds: AnomalyKindCounts::default(),
-            trace: Vec::new(),
-            trace_dropped: 0,
-        };
-        // This job's private trace sink: recorded into without locks,
-        // handed back through the join handle with everything else.
-        let mut sink = trace_cfg.map(|c| TraceSink::with_capacity(c.capacity_per_shard));
-        // Deterministic stage timing: the worker's clock advances one
-        // tick per entry processed, so the span length is the shard's
-        // entry count — identical at any worker count.
-        let clock = SimClock::new();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| StageSpan::start(&clock, &m.stage_ticks));
-        for (&subscriber, subscriber_indices) in &per_subscriber {
-            let mut machine = RobustReassembler::new(self.monitor.reassembly, self.ingest_cfg);
-            install_digest_sink(&mut machine, *self.monitor.switch_model.scoring());
-            // Per-subscriber scratch log: its entries arrive in global
-            // order, so its first `cap` records are exactly the
-            // subscriber's candidates for the global first-`cap` set.
-            let mut log = AnomalyLog::new(cap);
-            let mut tagged: Vec<(u64, IngestAnomaly)> = Vec::new();
-            let mut prev_kept = 0usize;
-            for &g in subscriber_indices {
-                let e = &entries[g as usize];
-                out.health.entries_seen += 1;
-                clock.advance(1);
-                let sessions = machine.push(e, &mut out.health, &mut log);
-                for a in &log.kept()[prev_kept..] {
-                    tagged.push((g as u64, *a));
-                }
-                prev_kept = log.kept().len();
-                for (k, s) in sessions.iter().enumerate() {
-                    let digest = claim_digest(&mut machine, s);
-                    let key = (0, g as u64, k as u32);
-                    let a = self.assess_one(
-                        subs,
-                        s,
-                        digest.as_ref(),
-                        sink.as_mut().map(|t| (t, key, subscriber)),
-                    );
-                    out.emissions.push((key, a));
-                }
-            }
-            // flush (not the consuming finish): the sealed digest of a
-            // spilled final session must still be claimable afterwards.
-            let final_sessions = machine.flush();
-            for (k, s) in final_sessions.iter().enumerate() {
-                let digest = claim_digest(&mut machine, s);
-                let key = (1, subscriber, k as u32);
-                let a = self.assess_one(
-                    subs,
-                    s,
-                    digest.as_ref(),
-                    sink.as_mut().map(|t| (t, key, subscriber)),
-                );
-                out.emissions.push((key, a));
-            }
-            out.anomaly_total += log.total();
-            out.kinds.absorb(&log.kinds());
-            // Keep the shard's anomaly memory bounded: merge this
-            // subscriber's tagged records in (both lists are sorted by
-            // global index) and retain only the earliest `cap`.
-            if !tagged.is_empty() {
-                out.anomalies.extend(tagged);
-                out.anomalies.sort_by_key(|&(g, _)| g);
-                out.anomalies.truncate(cap);
-            }
-        }
-        if let Some(span) = span {
-            let ticks = span.finish();
-            if let Some(m) = &self.metrics {
-                m.shard_jobs.inc();
-                m.worker_busy_ticks.add(ticks);
-                m.observe_health_delta(&StreamHealth::default(), &out.health);
-                m.observe_kind_delta(&AnomalyKindCounts::default(), &out.kinds);
-            }
-        }
-        if let Some(sink) = sink {
+        emissions.extend(out.emissions);
+        shard_health.push(out.health);
+        health.absorb(&out.health);
+        anomalies.extend(out.kept_at.into_iter().zip(out.log.kept().iter().copied()));
+        anomaly_total += out.log.total();
+        kinds.absorb(&out.log.kinds());
+        if let Some(sink) = out.trace {
             let (events, dropped) = sink.into_parts();
-            out.trace = events;
-            out.trace_dropped = dropped;
+            trace_events.extend(events);
+            trace_dropped += dropped;
         }
-        out
     }
-
-    /// The deterministic ordered reducer: sort emissions on their keys,
-    /// sum health counters, merge anomaly logs back into global arrival
-    /// order.
-    fn reduce(&self, outputs: Vec<ShardOutput>, traced: bool) -> (IngestReport, Option<Trace>) {
-        let mut emissions: Vec<(EmissionKey, SessionAssessment)> = Vec::new();
-        let mut health = StreamHealth::default();
-        let mut shard_health = Vec::with_capacity(outputs.len());
-        let mut anomalies: Vec<(u64, IngestAnomaly)> = Vec::new();
-        let mut anomaly_total = 0u64;
-        let mut kinds = AnomalyKindCounts::default();
-        let mut trace_events: Vec<TraceEvent> = Vec::new();
-        let mut trace_dropped = 0u64;
-        for out in outputs {
-            if let Some(m) = &self.metrics {
-                m.reduce_merge_size.observe(out.emissions.len() as u64);
-            }
-            emissions.extend(out.emissions);
-            shard_health.push(out.health);
-            health.absorb(&out.health);
-            anomalies.extend(out.anomalies);
-            anomaly_total += out.anomaly_total;
-            kinds.absorb(&out.kinds);
-            trace_events.extend(out.trace);
-            trace_dropped += out.trace_dropped;
-        }
-        // Keys are unique (at most one anomaly and one emission batch
-        // per entry), so an unstable sort is deterministic here.
-        emissions.sort_unstable_by_key(|&(key, _)| key);
-        anomalies.sort_unstable_by_key(|&(g, _)| g);
-        let trace = traced.then(|| {
-            // One closing span for the reducer itself, keyed after
-            // every per-session key (phase 2): ticks = emissions
-            // merged, a pure function of the input.
-            trace_events.push(TraceEvent {
-                key: (2, 0, 0),
-                seq: 0,
-                stage: TraceStage::Reduce,
-                subscriber: 0,
-                session: 0,
-                start_tick: 0,
-                dur_ticks: emissions.len() as u64,
-                detail: "",
-            });
-            Trace::from_parts(trace_events, trace_dropped)
+    // Keys are unique (at most one anomaly and one emission batch per
+    // entry), so an unstable sort is deterministic here.
+    emissions.sort_unstable_by_key(|&(key, _)| key);
+    anomalies.sort_unstable_by_key(|&(g, _)| g);
+    let trace = traced.then(|| {
+        // One closing span for the reducer itself, keyed after every
+        // per-session key (phase 2): ticks = emissions merged, a pure
+        // function of the input.
+        trace_events.push(TraceEvent {
+            key: (2, 0, 0),
+            seq: 0,
+            stage: TraceStage::Reduce,
+            subscriber: 0,
+            session: 0,
+            start_tick: 0,
+            dur_ticks: emissions.len() as u64,
+            detail: "",
         });
-        let cap = self.ingest_cfg.max_anomalies_kept;
-        let report = IngestReport {
-            assessments: emissions.into_iter().map(|(_, a)| a).collect(),
-            health,
-            shard_health,
-            anomalies: AnomalyLog::from_parts(
-                cap,
-                anomalies.into_iter().map(|(_, a)| a).collect(),
-                anomaly_total,
-                kinds,
-            ),
-            // The batch engine never sheds: each worker holds exactly
-            // one subscriber's machine at a time, so memory budgets are
-            // a streaming-path concern. An empty log with the same cap
-            // keeps engine reports comparable (and equal, unbudgeted)
-            // to streaming reports.
-            shed: ShedLog::new(cap),
-            alerts: Vec::new(),
-        };
-        (report, trace)
-    }
-
-    fn assess_one(
-        &self,
-        subs: &SubscriptionSet<'_>,
-        session: &ReassembledSession,
-        digest: Option<&SessionDigest>,
-        trace: Option<(&mut TraceSink, EmissionKey, u64)>,
-    ) -> SessionAssessment {
-        let obs = SessionObs::from_reassembled(session);
-        let view = SessionView::over(&obs, session);
-        // Mirrors the streaming path's tiering exactly (the engine ↔
-        // online byte-identity contract): a session whose chunks spilled
-        // past the exactness cap is `Sketched`, everything else `Full`.
-        let fidelity = if session.spilled_chunks > 0 {
-            Fidelity::Sketched
-        } else {
-            Fidelity::Full
-        };
-        let assessment = match (digest, trace) {
-            (None, None) => subs.assess_session(view),
-            (None, Some((sink, key, subscriber))) => {
-                let mut delivered: Vec<&'static str> = Vec::new();
-                let assessment = subs.assess_session_observed(view, |_, name| delivered.push(name));
-                record_session_spans(sink, key, subscriber, session, &delivered);
-                assessment
-            }
-            (Some(d), trace) => {
-                let assessment = subs.assess_session_sketched(view, d);
-                if let Some((sink, key, subscriber)) = trace {
-                    record_session_spans(sink, key, subscriber, session, &subs.names());
-                }
-                assessment
-            }
-        }
-        .with_fidelity(fidelity);
-        if let Some(m) = &self.metrics {
-            m.observe_session(session, &assessment);
-            if session.spilled_chunks > 0 {
-                m.sessions_sketched.inc();
-            }
-        }
-        assessment
-    }
+        Trace::from_parts(trace_events, trace_dropped)
+    });
+    let cap = pipeline.ingest.max_anomalies_kept;
+    let report = IngestReport {
+        assessments: emissions.into_iter().map(|(_, a)| a).collect(),
+        health,
+        shard_health,
+        anomalies: AnomalyLog::from_parts(
+            cap,
+            anomalies.into_iter().map(|(_, a)| a).collect(),
+            anomaly_total,
+            kinds,
+        ),
+        // The engine never sheds: memory budgets are a streaming-path
+        // concern. An empty log with the same cap keeps engine reports
+        // comparable (and equal, unbudgeted) to streaming reports.
+        shed: ShedLog::new(cap),
+        alerts: Vec::new(),
+    };
+    (report, trace)
 }
 
 /// Record one emitted session's span chain: ingest (all records),

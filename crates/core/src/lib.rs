@@ -52,8 +52,10 @@
 //! §5 encrypted-traffic evaluation), [`monitor`] (the deployable
 //! operator API), [`subscribe`] (the typed subscription ingest API:
 //! one pass, many detectors), [`engine`] (the sharded parallel
-//! assessment engine), [`online`] (the streaming path), [`digest`]
-//! (bounded-memory per-session digests behind the sketched tier).
+//! driver behind [`IngestPipeline::assess`]), [`online`] (the
+//! streaming driver), [`digest`] (bounded-memory per-session digests
+//! behind the sketched tier). Both drivers run one private per-shard
+//! machine, so they cannot drift apart.
 //!
 //! Downstream code that just wants "the monitor and friends" can
 //! `use vqoe_core::prelude::*;`.
@@ -72,6 +74,7 @@ pub mod metrics;
 pub mod monitor;
 pub mod online;
 pub mod qoe_score;
+mod shard;
 pub mod spec;
 pub mod stall_pipeline;
 pub mod subscribe;
@@ -85,7 +88,7 @@ pub use avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
 pub use detector::{Detector, DetectorAccuracy};
 pub use digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 pub use encrypted::{EncryptedEvalConfig, EncryptedWorld};
-pub use engine::{shard_of, AssessmentEngine, EngineConfig};
+pub use engine::{shard_of, EngineConfig};
 pub use generate::{generate_sequential_traces, generate_traces};
 pub use metrics::PipelineMetrics;
 pub use monitor::{
@@ -113,7 +116,7 @@ pub use weblog_training::{
 /// (batch, parallel or streaming), inspect health.
 pub mod prelude {
     pub use crate::detector::{Detector, DetectorAccuracy};
-    pub use crate::engine::{AssessmentEngine, EngineConfig};
+    pub use crate::engine::EngineConfig;
     pub use crate::metrics::PipelineMetrics;
     pub use crate::monitor::{
         ConfigError, Fidelity, QoeMonitor, SessionAssessment, TrainingConfig, TrainingConfigBuilder,

@@ -3,8 +3,9 @@
 //! [`PipelineMetrics`] registers every hot-path metric of the ingest →
 //! engine → inference pipeline under the
 //! `vqoe_<crate>_<subsystem>_<name>` naming scheme and hands out cheap
-//! clonable handles to the [`AssessmentEngine`](crate::AssessmentEngine)
-//! and [`OnlineAssessor`](crate::OnlineAssessor). Every counter that
+//! clonable handles to the engine behind
+//! [`IngestPipeline`](crate::IngestPipeline) and to the
+//! [`OnlineAssessor`](crate::OnlineAssessor). Every counter that
 //! mirrors a [`StreamHealth`] or [`AnomalyKindCounts`] field is
 //! recorded as a per-entry (or per-shard-job) delta, so sums are
 //! commutative and the `Stable`-class snapshot is identical at any

@@ -15,13 +15,11 @@ use vqoe_changedet::SwitchScoreConfig;
 use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
 use vqoe_ml::{ForestConfig, TrainConfig};
 use vqoe_simnet::time::Instant;
-use vqoe_telemetry::{ReassemblyConfig, WeblogEntry};
+use vqoe_telemetry::ReassemblyConfig;
 
 use crate::avgrep_pipeline::{train_representation_detector_with, RepresentationModel};
-use crate::engine::EngineConfig;
 use crate::generate::generate_traces;
 use crate::metrics::PipelineMetrics;
-use crate::online::IngestReport;
 use crate::spec::{DatasetSpec, ScenarioMix};
 use crate::stall_pipeline::{train_stall_detector_with, StallModel};
 use crate::subscribe::{IngestPipeline, SubscriptionSet};
@@ -358,50 +356,6 @@ impl QoeMonitor {
     ) -> SessionAssessment {
         self.subscriptions()
             .assess_session(SessionView::new(obs, start, end))
-    }
-
-    /// Assess a subscriber's raw (possibly encrypted) weblog stream:
-    /// reassemble sessions, then classify each.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `monitor.pipeline().assess_subscriber(entries)` — one ingest pass, \
-                subscription fan-out"
-    )]
-    pub fn assess_subscriber(&self, entries: &[WeblogEntry]) -> Vec<SessionAssessment> {
-        self.pipeline().assess_subscriber(entries)
-    }
-
-    /// Assess a whole tap capture (any mix of subscribers, in arrival
-    /// order) on the sharded parallel engine. Bit-identical to feeding
-    /// the capture through an [`OnlineAssessor`](crate::OnlineAssessor)
-    /// entry by entry, at any worker count — see [`crate::engine`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `monitor.pipeline().with_engine(config).assess(entries)`"
-    )]
-    pub fn assess_corpus(&self, entries: &[WeblogEntry], config: &EngineConfig) -> IngestReport {
-        self.pipeline().with_engine(*config).assess(entries)
-    }
-
-    /// [`QoeMonitor::assess_corpus`] with a [`PipelineMetrics`] bundle
-    /// attached: the report is bit-identical, and the registry behind
-    /// `metrics` accumulates the run's ingest/engine/inference metrics.
-    ///
-    /// [`PipelineMetrics`]: crate::metrics::PipelineMetrics
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `monitor.pipeline().with_engine(config).with_metrics(metrics).assess(entries)`"
-    )]
-    pub fn assess_corpus_with_metrics(
-        &self,
-        entries: &[WeblogEntry],
-        config: &EngineConfig,
-        metrics: crate::metrics::PipelineMetrics,
-    ) -> IngestReport {
-        self.pipeline()
-            .with_engine(*config)
-            .with_metrics(metrics)
-            .assess(entries)
     }
 
     /// Serialize the trained monitor to JSON (model shipping).

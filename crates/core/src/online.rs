@@ -20,32 +20,33 @@
 //! absorbed is reported through [`StreamHealth`] and the typed
 //! [`AnomalyLog`].
 //!
-//! Since the engine PR, subscriber state is partitioned onto
-//! [`EngineConfig::shards`](crate::engine::EngineConfig) shards by the
-//! same [`shard_of`](crate::engine::shard_of) hash the parallel batch
-//! engine uses, and health counters accumulate per shard. That makes
-//! the streaming path the single-threaded projection of the sharded
-//! engine: [`AssessmentEngine::assess`](crate::engine::AssessmentEngine)
-//! over a capture produces a bit-identical [`IngestReport`] — same
+//! The assessor is one of two drivers of the per-shard machine
+//! (`crate::shard`): subscriber state is partitioned onto
+//! [`EngineConfig::shards`](crate::engine::EngineConfig) shard machines
+//! by the same [`shard_of`](crate::engine::shard_of) hash the parallel
+//! engine uses, and health counters accumulate per shard. What the
+//! assessor adds on top is what only a long-running loop needs: the
+//! global LRU (eviction stays *global* across shards), memory budgets
+//! and admission, the shed log, alerts and checkpoints. Unbudgeted, it
+//! is the single-threaded projection of the engine:
+//! [`IngestPipeline::assess`](crate::IngestPipeline::assess) over a
+//! capture produces a bit-identical [`IngestReport`] — same
 //! assessments in the same order, same per-shard health, same anomaly
-//! log. Eviction (the memory cap) stays *global* across shards, exactly
-//! as before.
+//! log.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use vqoe_features::{SessionObs, SessionView};
 use vqoe_obs::{Alert, AlertEngine};
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{
-    validate_entry, AnomalyLog, IngestAnomaly, IngestConfig, ReassembledSession, ReassemblerState,
-    RobustReassembler, StreamHealth, WeblogEntry,
+    AnomalyLog, IngestConfig, ReassemblerState, RobustReassembler, StreamHealth, WeblogEntry,
 };
 
-use crate::digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 use crate::engine::{shard_of, EngineConfig};
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
+use crate::shard::{assess, close, Closed, Shard};
 
 /// How the assessor reacts when the global memory budget is already
 /// exhausted and a *new* subscriber shows up.
@@ -75,9 +76,9 @@ impl AdmissionPolicy {
 /// [`WeblogEntry::tracked_cost`] units (record granularity). `0` means
 /// unlimited — the default configuration changes nothing.
 ///
-/// Budgets apply to the *streaming* path only: the batch engine walks
-/// one subscriber per worker and never buffers more than a shard's
-/// queue slice, exactly as it already ignores
+/// Budgets apply to the *streaming* path only: the batch engine holds
+/// one shard job's subscribers at a time and never buffers more than
+/// that slice of the capture, exactly as it already ignores
 /// [`IngestConfig::max_open_subscribers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct BudgetConfig {
@@ -256,9 +257,9 @@ pub struct IngestReport {
     /// The quarantine log (bounded, with an exact total).
     pub anomalies: AnomalyLog,
     /// The load-shedding log (bounded, with an exact total). Always
-    /// empty on the batch engine path, which holds one subscriber per
-    /// worker and never sheds — so an unbudgeted streaming run stays
-    /// bit-identical to the engine at any worker count.
+    /// empty on the batch engine path, which never sheds — so an
+    /// unbudgeted streaming run stays bit-identical to the engine at any
+    /// worker count.
     pub shed: ShedLog,
     /// Alerts the attached [`AlertEngine`] raised over the run's
     /// per-window sample series (empty without
@@ -298,16 +299,6 @@ impl Deserialize for IngestReport {
     }
 }
 
-/// One shard's streaming state: the subscribers hashed onto it and the
-/// health its entries accumulated.
-#[derive(Debug, Clone, Default)]
-struct ShardState {
-    // BTreeMap, not HashMap: `finish` walks these maps, and assessments
-    // must come out in a stable (subscriber-id) order run after run.
-    per_subscriber: BTreeMap<u64, RobustReassembler>,
-    health: StreamHealth,
-}
-
 /// A streaming wrapper over a trained [`QoeMonitor`].
 #[derive(Debug, Clone)]
 pub struct OnlineAssessor {
@@ -317,7 +308,7 @@ pub struct OnlineAssessor {
     /// `ingest` evicts the least-recently-active subscriber (across all
     /// shards) whenever `tracked` would exceed
     /// `ingest_cfg.max_open_subscribers`.
-    shards: Vec<ShardState>,
+    shards: Vec<Shard>,
     /// Eviction index: (activity watermark, subscriber id), oldest
     /// first. Global — it mirrors the union of all shard maps. Ties on
     /// the watermark are broken by the subscriber id (ascending), so
@@ -379,13 +370,13 @@ impl OnlineAssessor {
         engine_cfg: EngineConfig,
     ) -> Self {
         OnlineAssessor {
-            monitor,
             anomalies: AnomalyLog::new(ingest_cfg.max_anomalies_kept),
             shed: ShedLog::new(ingest_cfg.max_anomalies_kept),
-            ingest_cfg,
             shards: (0..engine_cfg.shards.max(1))
-                .map(|_| ShardState::default())
+                .map(|_| Shard::new(&monitor, ingest_cfg))
                 .collect(),
+            monitor,
+            ingest_cfg,
             lru: BTreeSet::new(),
             tracked: 0,
             budget: BudgetConfig::default(),
@@ -495,32 +486,17 @@ impl OnlineAssessor {
     /// flushed stream contained complete sessions.
     pub fn ingest(&mut self, entry: &WeblogEntry) -> Vec<SessionAssessment> {
         self.records_ingested += 1;
-        let shard = shard_of(entry.subscriber_id, self.shards.len());
+        let id = entry.subscriber_id;
+        let shard = shard_of(id, self.shards.len());
         self.shards[shard].health.entries_seen += 1;
         if let Some(m) = &self.metrics {
             m.entries_seen.inc();
         }
         let mut out = Vec::new();
-        if !self.shards[shard]
-            .per_subscriber
-            .contains_key(&entry.subscriber_id)
-        {
+        if !self.shards[shard].tracks(id) {
             // Quarantine malformed records and drop non-service noise
             // *before* a tracking slot is spent on the subscriber.
-            if let Some(kind) = validate_entry(entry, &self.ingest_cfg) {
-                self.shards[shard].health.entries_quarantined += 1;
-                self.anomalies.record(IngestAnomaly {
-                    subscriber_id: entry.subscriber_id,
-                    timestamp: entry.timestamp,
-                    kind,
-                });
-                if let Some(m) = &self.metrics {
-                    m.entries_quarantined.inc();
-                    m.anomaly_kind(kind).inc();
-                }
-                return out;
-            }
-            if !entry.is_service_host() {
+            if !self.shards[shard].screen(entry, &mut self.anomalies, self.metrics.as_ref()) {
                 return out;
             }
             // Admission control: under `Refuse`, a newcomer that does
@@ -532,7 +508,7 @@ impl OnlineAssessor {
             {
                 self.shards[shard].health.subscribers_refused += 1;
                 self.shed.record(ShedEvent {
-                    subscriber_id: entry.subscriber_id,
+                    subscriber_id: id,
                     at_record: self.records_ingested,
                     reason: ShedReason::AdmissionRefused,
                 });
@@ -549,28 +525,21 @@ impl OnlineAssessor {
                     break;
                 }
             }
-            let machine = self.new_machine();
-            self.shards[shard]
-                .per_subscriber
-                .insert(entry.subscriber_id, machine);
+            self.shards[shard].admit(id);
             self.tracked += 1;
             if let Some(m) = &self.metrics {
                 m.open_subscribers.set(self.tracked as i64);
             }
         }
         let shard_state = &mut self.shards[shard];
+        // Snapshot health/kind counters around the push so the registry
+        // sees exactly the deltas this entry caused (`entries_seen` was
+        // already counted above).
+        let health_before = shard_state.health;
+        let kinds_before = self.anomalies.kinds();
         let mut over_subscriber_budget = false;
-        if let Some(machine) = shard_state.per_subscriber.get_mut(&entry.subscriber_id) {
-            let before = machine.watermark();
-            let cost_before = machine.tracked_cost();
-            // Snapshot health/kind counters around the push so the
-            // registry sees exactly the deltas this entry caused
-            // (`entries_seen` was already counted above).
-            let health_before = shard_state.health;
-            let kinds_before = self.anomalies.kinds();
-            let sessions = machine.push(entry, &mut shard_state.health, &mut self.anomalies);
-            let after = machine.watermark();
-            let cost_after = machine.tracked_cost();
+        if let Some(pushed) = shard_state.push(entry, &mut self.anomalies) {
+            let (cost_before, cost_after) = pushed.cost;
             self.tracked_bytes = self
                 .tracked_bytes
                 .saturating_sub(cost_before)
@@ -587,31 +556,22 @@ impl OnlineAssessor {
                 m.bytes_per_subscriber
                     .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
             }
-            // Claim each emitted session's sealed digest (FIFO with the
-            // reassembler's seal calls) while the machine is still
-            // borrowed; spilled sessions are assessed from it below.
-            let digests: Vec<Option<SessionDigest>> =
-                sessions.iter().map(|s| claim_digest(machine, s)).collect();
+            let (before, after) = pushed.watermark;
             if before != after {
                 if let Some(w) = before {
-                    self.lru.remove(&(w, entry.subscriber_id));
+                    self.lru.remove(&(w, id));
                 }
                 if let Some(w) = after {
-                    self.lru.insert((w, entry.subscriber_id));
+                    self.lru.insert((w, id));
                 }
             }
-            out.extend(
-                sessions
-                    .iter()
-                    .zip(&digests)
-                    .map(|(s, d)| self.assess_with_digest(s, Fidelity::Full, d.as_ref())),
-            );
+            out.extend(self.assess_all(&pushed.closed, Fidelity::Full));
         }
         // A subscriber that outgrew its own budget is force-finalized
         // immediately: its buffered remains are assessed at the `Shed`
         // tier and the slot is freed (the id may be re-admitted later).
         if over_subscriber_budget {
-            out.extend(self.force_finalize(entry.subscriber_id, ShedReason::SubscriberBudget));
+            out.extend(self.force_finalize(id, ShedReason::SubscriberBudget));
         }
         // While the global budget is exceeded, shed the coldest
         // subscribers — deterministic: the LRU order is total.
@@ -700,11 +660,7 @@ impl OnlineAssessor {
     /// Number of subscribers with an open session group or buffered
     /// entries. Bounded by [`IngestConfig::max_open_subscribers`].
     pub fn open_subscribers(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.per_subscriber.values())
-            .filter(|m| m.open_entries() > 0)
-            .count()
+        self.shards.iter().map(Shard::open_subscribers).sum()
     }
 
     /// Force-close the least-recently-active subscriber (across all
@@ -721,9 +677,9 @@ impl OnlineAssessor {
     /// stay [`Fidelity::Partial`]; budget sheds are [`Fidelity::Shed`].
     /// The event is always counted in the shed log — never silent.
     fn force_finalize(&mut self, id: u64, reason: ShedReason) -> Vec<SessionAssessment> {
-        let shard = shard_of(id, self.shards.len());
-        let shard_state = &mut self.shards[shard];
-        let Some(mut machine) = shard_state.per_subscriber.remove(&id) else {
+        let n = self.shards.len();
+        let shard = &mut self.shards[shard_of(id, n)];
+        let Some(machine) = shard.remove(id) else {
             return Vec::new();
         };
         if let Some(w) = machine.watermark() {
@@ -731,20 +687,18 @@ impl OnlineAssessor {
         }
         self.tracked -= 1;
         self.tracked_bytes = self.tracked_bytes.saturating_sub(machine.tracked_cost());
-        let fidelity = match reason {
-            ShedReason::LruCapacity => Fidelity::Partial,
-            _ => Fidelity::Shed,
+        let tier = match reason {
+            ShedReason::LruCapacity => {
+                shard.health.sessions_evicted += 1;
+                Fidelity::Partial
+            }
+            _ => {
+                shard.health.sessions_shed += 1;
+                Fidelity::Shed
+            }
         };
-        match reason {
-            ShedReason::LruCapacity => shard_state.health.sessions_evicted += 1,
-            _ => shard_state.health.sessions_shed += 1,
-        }
-        let sessions = machine.flush();
-        let digests: Vec<Option<SessionDigest>> = sessions
-            .iter()
-            .map(|s| claim_digest(&mut machine, s))
-            .collect();
-        shard_state.health.sessions_partial += sessions.len() as u64;
+        let closed = close(machine);
+        shard.health.sessions_partial += closed.len() as u64;
         self.shed.record(ShedEvent {
             subscriber_id: id,
             at_record: self.records_ingested,
@@ -761,18 +715,14 @@ impl OnlineAssessor {
                     m.sessions_shed.inc();
                 }
             }
-            m.sessions_partial.add(sessions.len() as u64);
+            m.sessions_partial.add(closed.len() as u64);
             m.shed_reason(reason).inc();
             m.open_subscribers.set(self.tracked as i64);
             m.tracked_bytes.set(self.tracked_bytes as i64);
             m.bytes_per_subscriber
                 .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
         }
-        sessions
-            .iter()
-            .zip(&digests)
-            .map(|(s, d)| self.assess_with_digest(s, fidelity, d.as_ref()))
-            .collect()
+        self.assess_all(&closed, tier)
     }
 
     fn drain(&mut self) -> Vec<SessionAssessment> {
@@ -784,64 +734,28 @@ impl OnlineAssessor {
             m.tracked_bytes.set(0);
             m.bytes_per_subscriber.set(0);
         }
-        // Subscriber-id order across all shards, exactly as the
-        // pre-shard single map walked it (and exactly the order the
-        // parallel engine's phase-1 emission keys reproduce).
-        let mut machines: Vec<(u64, RobustReassembler)> = self
-            .shards
-            .iter_mut()
-            .flat_map(|s| std::mem::take(&mut s.per_subscriber))
-            .collect();
-        machines.sort_by_key(|&(id, _)| id);
+        // Subscriber-id order across all shards (exactly the order the
+        // parallel engine's phase-1 emission keys reproduce), closing
+        // one machine at a time.
+        let machines: BTreeMap<u64, RobustReassembler> =
+            self.shards.iter_mut().flat_map(Shard::take_all).collect();
         machines
-            .into_iter()
-            .flat_map(|(_, mut m)| {
-                let sessions = m.flush();
-                let digests: Vec<Option<SessionDigest>> =
-                    sessions.iter().map(|s| claim_digest(&mut m, s)).collect();
-                sessions.into_iter().zip(digests)
-            })
-            .map(|(s, d)| self.assess_with_digest(&s, Fidelity::Full, d.as_ref()))
+            .into_values()
+            .flat_map(|m| self.assess_all(&close(m), Fidelity::Full))
             .collect()
     }
 
-    /// Build one subscriber's hardened reassembler with the streaming
-    /// digest sink installed (sketched-tier coverage from record one).
-    fn new_machine(&self) -> RobustReassembler {
-        let mut machine = RobustReassembler::new(self.monitor.reassembly, self.ingest_cfg);
-        install_digest_sink(&mut machine, *self.monitor.switch_model.scoring());
-        machine
-    }
-
-    fn assess_with_digest(
-        &self,
-        session: &ReassembledSession,
-        fidelity: Fidelity,
-        digest: Option<&SessionDigest>,
-    ) -> SessionAssessment {
-        let obs = SessionObs::from_reassembled(session);
-        let view = SessionView::over(&obs, session);
+    /// Assess closed sessions at `tier` against the standard
+    /// subscriptions.
+    fn assess_all(&self, closed: &[Closed], tier: Fidelity) -> Vec<SessionAssessment> {
+        if closed.is_empty() {
+            return Vec::new();
+        }
         let subs = self.monitor.subscriptions();
-        // A session whose chunks spilled past the exactness cap is at
-        // best `Sketched`; eviction/shedding tiers dominate when both
-        // degradations apply.
-        let effective = if session.spilled_chunks > 0 {
-            fidelity.max(Fidelity::Sketched)
-        } else {
-            fidelity
-        };
-        let a = match digest {
-            Some(d) => subs.assess_session_sketched(view, d),
-            None => subs.assess_session(view),
-        }
-        .with_fidelity(effective);
-        if let Some(m) = &self.metrics {
-            m.observe_session(session, &a);
-            if session.spilled_chunks > 0 {
-                m.sessions_sketched.inc();
-            }
-        }
-        a
+        closed
+            .iter()
+            .map(|c| assess(&subs, c, tier, self.metrics.as_ref()))
+            .collect()
     }
 
     /// Snapshot the complete online state into a deterministic,
@@ -855,18 +769,7 @@ impl OnlineAssessor {
             records_ingested: self.records_ingested,
             ingest_cfg: self.ingest_cfg,
             budget: self.budget,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardCheckpoint {
-                    health: s.health,
-                    subscribers: s
-                        .per_subscriber
-                        .iter()
-                        .map(|(id, m)| (*id, m.to_state()))
-                        .collect(),
-                })
-                .collect(),
+            shards: self.shards.iter().map(Shard::checkpoint).collect(),
             lru: self.lru.iter().copied().collect(),
             peak_tracked_bytes: self.peak_tracked_bytes,
             anomalies: self.anomalies.clone(),
@@ -908,35 +811,10 @@ impl OnlineAssessor {
         let mut tracked = 0usize;
         let mut tracked_bytes = 0u64;
         for (i, sc) in ck.shards.iter().enumerate() {
-            let mut per_subscriber = BTreeMap::new();
-            for (id, state) in &sc.subscribers {
-                if shard_of(*id, n) != i {
-                    return Err(RestoreError::Corrupt(
-                        "subscriber routed to the wrong shard",
-                    ));
-                }
-                let mut machine = RobustReassembler::from_state(state.clone());
-                // Rehydrate the streaming digest sink: from its own
-                // snapshot when the checkpoint carried one (v2+), fresh
-                // otherwise (v1 checkpoints predate spilling, so no
-                // in-flight digest existed to lose).
-                let sink = state
-                    .inner
-                    .spill_json
-                    .as_deref()
-                    .and_then(DigestSink::from_json)
-                    .unwrap_or_else(|| DigestSink::new(*monitor.switch_model.scoring()));
-                machine.attach_spill(Box::new(sink));
-                tracked_bytes += machine.tracked_cost();
-                if per_subscriber.insert(*id, machine).is_some() {
-                    return Err(RestoreError::Corrupt("duplicate subscriber in one shard"));
-                }
-            }
-            tracked += per_subscriber.len();
-            shards.push(ShardState {
-                per_subscriber,
-                health: sc.health,
-            });
+            let shard = Shard::restore(&monitor, ck.ingest_cfg, sc, i, n)?;
+            tracked += shard.len();
+            tracked_bytes += shard.tracked_cost();
+            shards.push(shard);
         }
         let lru: BTreeSet<(Instant, u64)> = ck.lru.iter().copied().collect();
         if lru.len() != tracked {
@@ -945,14 +823,10 @@ impl OnlineAssessor {
             ));
         }
         for &(w, id) in &lru {
-            let shard = shard_of(id, n);
-            match shards[shard].per_subscriber.get(&id) {
-                Some(m) if m.watermark() == Some(w) => {}
-                _ => {
-                    return Err(RestoreError::Corrupt(
-                        "LRU entry disagrees with its subscriber's watermark",
-                    ))
-                }
+            if shards[shard_of(id, n)].watermark(id) != Some(Some(w)) {
+                return Err(RestoreError::Corrupt(
+                    "LRU entry disagrees with its subscriber's watermark",
+                ));
             }
         }
         Ok(OnlineAssessor {

@@ -2,10 +2,7 @@
 //!
 //! The paper's monitor is three independent detectors applied to the
 //! *same* per-session observations (§5): a stall forest, a
-//! representation forest and a σ(CUSUM) switch threshold. Historically
-//! each caller re-derived those observations through its own entry
-//! point (`assess_subscriber`, `assess_corpus`, the streaming
-//! assessor's private path). This module inverts that: detectors
+//! representation forest and a σ(CUSUM) switch threshold. Detectors
 //! *subscribe* to a single shared ingest pass, which parses each weblog
 //! record exactly once, reassembles sessions once, extracts one
 //! [`SessionObs`] per session — and fans the resulting [`SessionView`]
@@ -20,15 +17,20 @@
 //!   a set of subscriptions can be shared across engine workers.
 //! * [`SubscriptionSet`] — the registered detectors. Its
 //!   [`assess_session`](SubscriptionSet::assess_session) fold is **the**
-//!   per-session assessment implementation: [`QoeMonitor`],
-//!   [`AssessmentEngine`] and the streaming
-//!   [`OnlineAssessor`](crate::online::OnlineAssessor) all route
-//!   through it, which is what makes the byte-identity contract
-//!   (same corpus → bit-identical [`IngestReport`] on every path, at
-//!   any worker count) a structural property instead of a test hope.
+//!   per-session assessment implementation: [`QoeMonitor`] and the one
+//!   per-shard machine (`crate::shard`) route through it, and that
+//!   machine has two drivers — the parallel engine behind
+//!   [`IngestPipeline::assess`] and the streaming
+//!   [`OnlineAssessor`](crate::online::OnlineAssessor). That is what
+//!   makes the byte-identity contract (same corpus → bit-identical
+//!   [`IngestReport`] on every path, at any worker count) a structural
+//!   property instead of a test hope.
 //! * [`IngestPipeline`] — the one front door: batch slices, packed
 //!   binary corpora ([`BinaryCorpus`], no serde on the hot path) and
 //!   single-subscriber streams, all over the same subscription fold.
+//!   Its batch methods *are* the engine: the shard fan-out, bounded
+//!   queue and reducer in `crate::engine` are private code behind
+//!   them.
 //!
 //! Extension detectors register with
 //! [`SubscriptionSet::subscribe`]; their [`Signal::Score`] channel is
@@ -38,11 +40,13 @@
 
 use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
 use vqoe_obs::{Trace, TraceConfig};
-use vqoe_telemetry::{reassemble_subscriber, BinaryCorpus, BinlogError, IngestConfig, WeblogEntry};
+use vqoe_telemetry::{
+    reassemble_subscriber, BinaryCorpus, BinlogError, IngestConfig, ReassemblyConfig, WeblogEntry,
+};
 
 use crate::avgrep_pipeline::RepresentationModel;
 use crate::digest::SessionDigest;
-use crate::engine::{AssessmentEngine, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::online::IngestReport;
@@ -274,23 +278,7 @@ impl<'m> SubscriptionSet<'m> {
     /// bit-identical to the historical hand-rolled computation (same
     /// frozen models, same decision rule, same composite score).
     pub fn assess_session(&self, view: SessionView<'_>) -> SessionAssessment {
-        self.assess_session_observed(view, |_, _| {})
-    }
-
-    /// Like [`SubscriptionSet::assess_session`], but invokes `observe`
-    /// with `(index, name)` immediately before each subscription's
-    /// `deliver` call — the hook the session tracer uses to record one
-    /// deliver span per detector. The returned assessment is
-    /// bit-identical to the unobserved fold.
-    pub fn assess_session_observed(
-        &self,
-        view: SessionView<'_>,
-        mut observe: impl FnMut(usize, &'static str),
-    ) -> SessionAssessment {
-        self.fold_signals(view, view.obs.len(), |sub, idx| {
-            observe(idx, sub.name());
-            sub.deliver(&view)
-        })
+        self.fold_signals(view, view.obs.len(), |sub| sub.deliver(&view))
     }
 
     /// The sketched-tier fold: every subscription is delivered the
@@ -304,7 +292,7 @@ impl<'m> SubscriptionSet<'m> {
         view: SessionView<'_>,
         digest: &SessionDigest,
     ) -> SessionAssessment {
-        self.fold_signals(view, digest.chunk_count() as usize, |sub, _| {
+        self.fold_signals(view, digest.chunk_count() as usize, |sub| {
             sub.deliver_sketched(&view, digest)
         })
     }
@@ -313,14 +301,14 @@ impl<'m> SubscriptionSet<'m> {
         &self,
         view: SessionView<'_>,
         chunk_count: usize,
-        mut deliver: impl FnMut(&(dyn Subscription + 'm), usize) -> Signal,
+        mut deliver: impl FnMut(&(dyn Subscription + 'm)) -> Signal,
     ) -> SessionAssessment {
         let mut stall = StallClass::NoStalls;
         let mut representation = RqClass::Ld;
         let mut has_quality_switches = false;
         let mut switch_score = 0.0;
-        for (idx, sub) in self.subs.iter().enumerate() {
-            match deliver(sub.as_ref(), idx) {
+        for sub in &self.subs {
+            match deliver(sub.as_ref()) {
                 Signal::Stall(c) => stall = c,
                 Signal::Representation(c) => representation = c,
                 Signal::Switch { detected, score } => {
@@ -377,10 +365,10 @@ impl std::fmt::Debug for SubscriptionSet<'_> {
 /// regardless of input encoding or worker count.
 #[derive(Debug, Clone)]
 pub struct IngestPipeline<'m> {
-    monitor: &'m QoeMonitor,
-    engine: EngineConfig,
-    ingest: IngestConfig,
-    metrics: Option<PipelineMetrics>,
+    pub(crate) monitor: &'m QoeMonitor,
+    pub(crate) engine: EngineConfig,
+    pub(crate) ingest: IngestConfig,
+    pub(crate) metrics: Option<PipelineMetrics>,
 }
 
 impl<'m> IngestPipeline<'m> {
@@ -424,21 +412,13 @@ impl<'m> IngestPipeline<'m> {
         &self.engine
     }
 
-    fn build_engine(&self) -> AssessmentEngine<'m> {
-        let engine = AssessmentEngine::with_ingest(self.monitor, self.engine, self.ingest);
-        match &self.metrics {
-            Some(m) => engine.with_metrics(m.clone()),
-            None => engine,
-        }
-    }
-
     /// Assess a whole tap capture (any mix of subscribers, in arrival
     /// order): one shared pass over the records, sharded across
     /// workers, every session fanned out to the standard
     /// subscriptions. Bit-identical to the sequential streaming path
     /// at any worker count.
     pub fn assess(&self, entries: &[WeblogEntry]) -> IngestReport {
-        self.build_engine().assess(entries)
+        crate::engine::run(self, entries, None).0
     }
 
     /// Like [`IngestPipeline::assess`], with session tracing: every
@@ -451,7 +431,8 @@ impl<'m> IngestPipeline<'m> {
         entries: &[WeblogEntry],
         trace_cfg: TraceConfig,
     ) -> (IngestReport, Trace) {
-        self.build_engine().assess_traced(entries, trace_cfg)
+        let (report, trace) = crate::engine::run(self, entries, Some(trace_cfg));
+        (report, trace.unwrap_or_default())
     }
 
     /// Assess a packed binary corpus: decode records straight from the
@@ -465,10 +446,18 @@ impl<'m> IngestPipeline<'m> {
 
     /// Assess one subscriber's raw (possibly encrypted) stream
     /// sequentially: reassemble sessions once, then fan each session's
-    /// view out to the standard subscriptions.
+    /// view out to the standard subscriptions. The whole slice is in
+    /// memory already, so sessions are buffered in full (no exactness
+    /// cap): every session is assessed exactly, at [`Fidelity::Full`],
+    /// however long it runs — the exact reference the capped paths are
+    /// measured against.
     pub fn assess_subscriber(&self, entries: &[WeblogEntry]) -> Vec<SessionAssessment> {
         let subs = SubscriptionSet::standard(self.monitor);
-        reassemble_subscriber(entries, &self.monitor.reassembly)
+        let unbounded = ReassemblyConfig {
+            exact_entry_cap: 0,
+            ..self.monitor.reassembly
+        };
+        reassemble_subscriber(entries, &unbounded)
             .iter()
             .map(|session| {
                 let obs = SessionObs::from_reassembled(session);
@@ -523,17 +512,6 @@ mod tests {
             let folded = set.assess_session(SessionView::over(&obs, session));
             assert_eq!(legacy, folded);
         }
-    }
-
-    #[test]
-    fn pipeline_assess_subscriber_matches_the_monitor_shim() {
-        let m = monitor();
-        let w = world(83, 8);
-        let via_pipeline = IngestPipeline::new(&m).assess_subscriber(&w.entries);
-        #[allow(deprecated)]
-        let via_monitor = m.assess_subscriber(&w.entries);
-        assert!(!via_pipeline.is_empty());
-        assert_eq!(via_pipeline, via_monitor);
     }
 
     #[test]

@@ -35,20 +35,11 @@ pub struct TrainConfig {
     /// auto (`available_parallelism`, capped at 16 — the same policy as
     /// the assessment engine); `1` runs the plain sequential loop.
     pub workers: usize,
-    /// Simulated per-job input latency in microseconds, for throughput
-    /// harnesses that model an I/O-paced trainer (each worker sleeps
-    /// this long before starting a job, as if paging the job's slice of
-    /// the feature store). Production paths leave this at 0; it never
-    /// affects output, only timing.
-    pub job_pacing_micros: u64,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        TrainConfig {
-            workers: 1,
-            job_pacing_micros: 0,
-        }
+        TrainConfig { workers: 1 }
     }
 }
 
@@ -60,18 +51,12 @@ impl TrainConfig {
 
     /// Auto-sized worker pool (`available_parallelism`, capped at 16).
     pub fn auto() -> Self {
-        TrainConfig {
-            workers: 0,
-            ..TrainConfig::default()
-        }
+        TrainConfig { workers: 0 }
     }
 
     /// A fixed worker count.
     pub fn with_workers(workers: usize) -> Self {
-        TrainConfig {
-            workers,
-            ..TrainConfig::default()
-        }
+        TrainConfig { workers }
     }
 
     /// The worker count actually used for a list of `jobs`: `workers`
@@ -116,19 +101,9 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let pace = || {
-        if config.job_pacing_micros > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(config.job_pacing_micros));
-        }
-    };
     let workers = config.effective_workers(jobs);
     if workers <= 1 || jobs <= 1 {
-        return (0..jobs)
-            .map(|i| {
-                pace();
-                f(i)
-            })
-            .collect();
+        return (0..jobs).map(f).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     let result = crossbeam::thread::scope(|scope| {
@@ -144,7 +119,6 @@ where
                         if i >= jobs {
                             break;
                         }
-                        pace();
                         local.push((i, f(i)));
                     }
                     local
@@ -212,15 +186,5 @@ mod tests {
         for w in outs.windows(2) {
             assert!(w[0].abs_diff(w[1]) > 1 << 32, "{} vs {}", w[0], w[1]);
         }
-    }
-
-    #[test]
-    fn pacing_does_not_affect_results() {
-        let plain = run_indexed(6, TrainConfig::with_workers(3), |i| i as u64 * 7);
-        let paced = TrainConfig {
-            workers: 3,
-            job_pacing_micros: 100,
-        };
-        assert_eq!(run_indexed(6, paced, |i| i as u64 * 7), plain);
     }
 }

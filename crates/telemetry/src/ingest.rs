@@ -392,12 +392,6 @@ impl RobustReassembler {
     /// Attach a streaming receiver for entries past the exactness cap
     /// (see [`crate::reassembly::SpillSink`]); forwarded to the inner
     /// boundary machine.
-    pub fn with_spill(mut self, sink: Box<dyn crate::reassembly::SpillSink>) -> Self {
-        self.inner.attach_spill(sink);
-        self
-    }
-
-    /// In-place form of [`RobustReassembler::with_spill`].
     pub fn attach_spill(&mut self, sink: Box<dyn crate::reassembly::SpillSink>) {
         self.inner.attach_spill(sink);
     }

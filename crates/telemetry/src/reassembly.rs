@@ -260,7 +260,7 @@ pub struct StreamReassemblerState {
     /// Deterministic snapshot of the attached [`SpillSink`] (the
     /// caller that restores the machine rehydrates the concrete sink
     /// from this and re-attaches it via
-    /// [`StreamReassembler::with_spill`]).
+    /// [`StreamReassembler::attach_spill`]).
     pub spill_json: Option<String>,
 }
 
@@ -323,12 +323,6 @@ impl StreamReassembler {
     /// Without one, over-cap entries are counted and dropped (sessions
     /// still finalize with correct boundaries and `spilled_*` counts,
     /// but no digest exists to assess them from).
-    pub fn with_spill(mut self, sink: Box<dyn SpillSink>) -> Self {
-        self.attach_spill(sink);
-        self
-    }
-
-    /// In-place form of [`StreamReassembler::with_spill`].
     pub fn attach_spill(&mut self, sink: Box<dyn SpillSink>) {
         self.spill = Some(sink);
     }
@@ -364,7 +358,7 @@ impl StreamReassembler {
     /// The spill sink is *not* rebuilt here (this crate does not know
     /// the concrete digest type); the caller rehydrates it from
     /// [`StreamReassemblerState::spill_json`] and re-attaches via
-    /// [`StreamReassembler::with_spill`].
+    /// [`StreamReassembler::attach_spill`].
     pub fn from_state(state: StreamReassemblerState) -> Self {
         let mut buffered_cost: u64 = state.current.iter().map(|e| e.tracked_cost()).sum();
         if state.spill_active {

@@ -7,12 +7,10 @@
 # Quick mode builds release, runs the `engine-scaling` and
 # `obs-overhead` repro experiments at their quick harness points
 # (smoke-scale training context), and leaves
-#   results/engine-scaling.txt   human-readable report
-#   BENCH_pr3.json               machine-readable record (speedup_4v1)
+#   results/engine-scaling.txt   compute-bound engine scaling report
 #   results/obs-overhead.txt     metrics-layer cost report
 #   BENCH_pr4.json               machine-readable record (overhead_pct)
 #   results/train-scaling.txt    training fan-out scaling report
-#   BENCH_pr5.json               machine-readable record (speedup_4v1)
 #   results/overload-sweep.txt   overload/shedding/restore report
 #   BENCH_pr7.json               machine-readable record (shed_rate, tiers)
 #   results/ingest-bench.txt     binary vs JSONL replay report
@@ -34,11 +32,7 @@ cargo build --release -p vqoe-bench
 
 echo "==> repro engine-scaling (quick mode)"
 mkdir -p results
-./target/release/repro engine-scaling --smoke \
-  --bench-json BENCH_pr3.json --out results
-
-echo "==> BENCH_pr3.json"
-cat BENCH_pr3.json
+./target/release/repro engine-scaling --smoke --out results
 
 echo "==> repro obs-overhead (quick mode)"
 ./target/release/repro obs-overhead --smoke \
@@ -48,11 +42,7 @@ echo "==> BENCH_pr4.json"
 cat BENCH_pr4.json
 
 echo "==> repro train-scaling (quick mode)"
-./target/release/repro train-scaling --smoke \
-  --bench-json BENCH_pr5.json --out results
-
-echo "==> BENCH_pr5.json"
-cat BENCH_pr5.json
+./target/release/repro train-scaling --smoke --out results
 
 echo "==> repro overload-sweep (quick mode)"
 ./target/release/repro overload-sweep --smoke \

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, clippy (warnings promoted to
-# errors), the workspace's own static-analysis passes, and the test
-# suite. CI and pre-merge runs should call exactly this.
+# errors), the workspace's own static-analysis passes, a locked build
+# of the standalone benchmark package, and the test suite. CI and pre-merge runs should call exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +24,10 @@ t2=$(date +%s%N)
 cold_ms=$(( (t1 - t0) / 1000000 ))
 warm_ms=$(( (t2 - t1) / 1000000 ))
 echo "vqoe-analyze timing: cold ${cold_ms}ms, warm ${warm_ms}ms (incremental cache)"
+
+echo "==> qoebench standalone build (--locked: its committed Cargo.lock must stay current)"
+cargo build --release --offline --locked \
+  --manifest-path crates/bench/src/bin/qoebench/Cargo.toml --target-dir target/qoebench
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q

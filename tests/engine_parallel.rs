@@ -1,8 +1,9 @@
 //! Parallel-engine integration tests (ISSUE 3 acceptance criteria):
 //!
-//! * the sharded [`AssessmentEngine`] is **bit-identical** to the
-//!   sequential streaming path — full [`IngestReport`] equality, not
-//!   just the assessments — at worker counts 1, 2 and 7;
+//! * the sharded engine behind [`IngestPipeline::assess`] is
+//!   **bit-identical** to the sequential streaming path — full
+//!   [`IngestReport`] equality, not just the assessments — at worker
+//!   counts 1, 2 and 7;
 //! * the identity holds even when the tap is hostile (`ChaosTap`
 //!   faults), where ordering bugs would surface first;
 //! * all three detectors survive a JSON round trip with identical
@@ -68,7 +69,11 @@ fn engine_report(
     engine: EngineConfig,
     entries: &[WeblogEntry],
 ) -> IngestReport {
-    AssessmentEngine::with_ingest(monitor(), engine, ingest).assess(entries)
+    monitor()
+        .pipeline()
+        .with_engine(engine)
+        .with_ingest(ingest)
+        .assess(entries)
 }
 
 #[test]
@@ -136,30 +141,6 @@ fn bit_identity_survives_a_hostile_tap() {
             assert_eq!(parallel.health.entries_seen, faulted.len() as u64);
         }
     }
-}
-
-#[test]
-fn assess_corpus_is_the_engine() {
-    let entries = multi_subscriber_tap(3, 2, 1600);
-    let cfg = EngineConfig {
-        workers: 2,
-        shards: 8,
-        ..EngineConfig::default()
-    };
-    // The deprecated shim must stay bit-identical to the engine (and
-    // hence to the IngestPipeline front door it now delegates to).
-    #[allow(deprecated)]
-    let via_shim = monitor().assess_corpus(&entries, &cfg);
-    assert_eq!(
-        via_shim,
-        engine_report(IngestConfig::default(), cfg, &entries),
-    );
-    assert_eq!(
-        via_shim,
-        IngestPipeline::new(monitor())
-            .with_engine(cfg)
-            .assess(&entries),
-    );
 }
 
 /// Freeze → serialize → thaw → identical predictions, generically over

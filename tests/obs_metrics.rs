@@ -60,7 +60,9 @@ fn instrumented_run(
     };
     let registry = Registry::new();
     let metrics = PipelineMetrics::register(&registry);
-    let report = AssessmentEngine::new(monitor(), cfg)
+    let report = monitor()
+        .pipeline()
+        .with_engine(cfg)
         .with_metrics(metrics.clone())
         .assess(entries);
     (report, registry.snapshot_json(), metrics)
@@ -75,7 +77,7 @@ fn metrics_never_perturb_engine_output_at_any_worker_count() {
             shards: 16,
             ..EngineConfig::default()
         };
-        let bare = AssessmentEngine::new(monitor(), cfg).assess(&entries);
+        let bare = monitor().pipeline().with_engine(cfg).assess(&entries);
         let (instrumented, _, _) = instrumented_run(workers, &entries);
         assert_eq!(
             instrumented, bare,

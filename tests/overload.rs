@@ -19,9 +19,9 @@
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    AdmissionPolicy, AssessmentEngine, BudgetConfig, EncryptedEvalConfig, EncryptedWorld,
-    EngineConfig, Fidelity, IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics,
-    QoeMonitor, RestoreError, ShedReason, TrainingConfig,
+    AdmissionPolicy, BudgetConfig, EncryptedEvalConfig, EncryptedWorld, EngineConfig, Fidelity,
+    IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, RestoreError,
+    ShedReason, TrainingConfig,
 };
 use vqoe_features::{
     representation_feature_names, representation_features, stall_feature_names, stall_features,
@@ -217,13 +217,10 @@ fn unbudgeted_streaming_equals_engine_at_workers_1_2_7() {
         let cut = entries.len() / 2;
         let (streamed, _) = run_interrupted(entries, shards, BudgetConfig::default(), cut);
         for workers in [1usize, 2, 7] {
-            let engine = AssessmentEngine::new(
-                monitor(),
-                EngineConfig {
-                    workers,
-                    ..EngineConfig::default()
-                },
-            );
+            let engine = monitor().pipeline().with_engine(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
             let batch = engine.assess(entries);
             assert_eq!(
                 batch, streamed,

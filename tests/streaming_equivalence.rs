@@ -9,7 +9,9 @@
 //!   predictions match the fully-buffered reference within pinned
 //!   tolerances — identically at every worker count;
 //! * edge sessions (empty, single-chunk, all-NaN metric column) behave
-//!   identically on both paths.
+//!   identically on both paths;
+//! * the single-stream batch path never truncates: a session past the
+//!   cap is assessed from every chunk, exactly, at `Fidelity::Full`.
 
 use std::sync::OnceLock;
 
@@ -17,7 +19,9 @@ use vqoe_core::prelude::*;
 use vqoe_core::{EncryptedEvalConfig, EncryptedWorld};
 use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration as SimDuration, Instant as SimInstant};
-use vqoe_telemetry::{apply_chaos, ChaosConfig, EntryKind, ReassemblyConfig};
+use vqoe_telemetry::{
+    apply_chaos, generate_pathological_session, ChaosConfig, EntryKind, ReassemblyConfig,
+};
 
 fn monitor() -> &'static QoeMonitor {
     static MONITOR: OnceLock<QoeMonitor> = OnceLock::new();
@@ -124,7 +128,11 @@ fn engine_report(monitor: &QoeMonitor, workers: usize, entries: &[WeblogEntry]) 
         shards: 8,
         ..EngineConfig::default()
     };
-    AssessmentEngine::with_ingest(monitor, cfg, IngestConfig::default()).assess(entries)
+    monitor
+        .pipeline()
+        .with_engine(cfg)
+        .with_ingest(IngestConfig::default())
+        .assess(entries)
 }
 
 fn streamed(monitor: &QoeMonitor, entries: &[WeblogEntry]) -> Vec<SessionAssessment> {
@@ -303,4 +311,39 @@ fn edge_sessions_behave_identically_on_both_paths() {
     assert_eq!(sketched[0].chunk_count, full[0].chunk_count);
     assert!(sketched[0].switch_score.is_finite());
     assert!(sketched[0].qoe.mos.is_finite());
+}
+
+#[test]
+fn batch_subscriber_path_assesses_long_sessions_in_full() {
+    // One 300-chunk session that never pauses, against a 64-entry cap:
+    // the streaming paths sketch it, the batch path holds the whole
+    // slice and must assess every chunk exactly.
+    let tap = generate_pathological_session(
+        0,
+        SimInstant::from_secs(10),
+        300,
+        SimDuration::from_millis(250),
+        12,
+    );
+    let chunks = tap
+        .iter()
+        .filter(|e| e.kind == EntryKind::MediaChunk)
+        .count();
+    assert_eq!(chunks, 300);
+    let capped = monitor_with_cap(64);
+    let batch = capped.pipeline().assess_subscriber(&tap);
+    assert_eq!(batch.len(), 1);
+    assert_eq!(
+        batch[0].chunk_count, chunks,
+        "batch path truncated the session"
+    );
+    assert_eq!(batch[0].fidelity, Fidelity::Full);
+    // Exactly what a monitor without a cap assesses on the engine.
+    let uncapped = engine_report(&monitor_with_cap(0), 1, &tap).assessments;
+    assert_eq!(batch, uncapped);
+    // The capped engine sees the same session through the sketched tier.
+    let sketched = engine_report(&capped, 1, &tap).assessments;
+    assert_eq!(sketched.len(), 1);
+    assert_eq!(sketched[0].fidelity, Fidelity::Sketched);
+    assert_eq!(sketched[0].chunk_count, chunks);
 }

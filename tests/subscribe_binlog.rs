@@ -85,15 +85,9 @@ fn all_replay_paths_agree_at_every_worker_count() {
         let pipeline = IngestPipeline::new(monitor()).with_engine(cfg);
         let subscription_path: IngestReport = pipeline.assess(&entries);
         let binary_path = pipeline.assess_binary(&corpus).expect("corpus replays");
-        #[allow(deprecated)]
-        let legacy_path = monitor().assess_corpus(&entries, &cfg);
         assert_eq!(
             subscription_path, binary_path,
             "binary replay diverged at {workers} workers"
-        );
-        assert_eq!(
-            subscription_path, legacy_path,
-            "legacy shim diverged at {workers} workers"
         );
         assert!(!subscription_path.assessments.is_empty());
     }

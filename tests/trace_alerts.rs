@@ -17,9 +17,9 @@
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    default_alert_rules, standard_alert_engine, AdmissionPolicy, AssessmentEngine, BudgetConfig,
-    EncryptedEvalConfig, EncryptedWorld, EngineConfig, IngestReport, OnlineAssessor,
-    PipelineMetrics, QoeMonitor, TrainingConfig,
+    default_alert_rules, standard_alert_engine, AdmissionPolicy, BudgetConfig, EncryptedEvalConfig,
+    EncryptedWorld, EngineConfig, IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor,
+    TrainingConfig,
 };
 use vqoe_obs::{Registry, Trace, TraceConfig};
 use vqoe_telemetry::{
@@ -103,7 +103,7 @@ fn engine_run(
     } else {
         PipelineMetrics::register(&registry)
     };
-    let engine = AssessmentEngine::new(monitor(), cfg).with_metrics(metrics);
+    let engine = monitor().pipeline().with_engine(cfg).with_metrics(metrics);
     let (report, trace) = if observed {
         let (report, trace) = engine.assess_traced(entries, TraceConfig::default());
         (report, Some(trace))
