@@ -2084,7 +2084,71 @@ fn train_scaling(ctx: &ReproContext) -> String {
             "DIVERGED"
         },
     ));
+    out.push_str(&training_setup_split());
     out
+}
+
+/// Where the time of one full [`vqoe_core::QoeMonitor::train`] goes, at
+/// the model set-up every qoebench run pays (800 cleartext + 300
+/// adaptive sessions, seed 2016, 2 workers): wall time per
+/// [`TrainStage`](vqoe_core::TrainStage), median of three trainings.
+fn training_setup_split() -> String {
+    use std::time::Instant;
+    use vqoe_core::{QoeMonitor, TrainConfig, TrainStage, TrainingConfig};
+
+    let (reps, workers) = (3, 2);
+    let config = TrainingConfig {
+        cleartext_sessions: 800,
+        adaptive_sessions: 300,
+        seed: 2016,
+        train: TrainConfig::with_workers(workers),
+        ..TrainingConfig::default()
+    };
+    let mut stage_secs: [Vec<f64>; 3] = Default::default();
+    for _ in 0..reps {
+        let mut last = Instant::now();
+        QoeMonitor::train_staged(&config, |stage| {
+            let i = match stage {
+                TrainStage::Generated => 0,
+                TrainStage::Selected => 1,
+                TrainStage::Fitted => 2,
+            };
+            stage_secs[i].push(last.elapsed().as_secs_f64());
+            last = Instant::now();
+        });
+    }
+    let medians = stage_secs.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    let total: f64 = medians.iter().sum();
+    let mut t = Table::new(vec!["stage", "secs", "share"]);
+    let labels = [
+        "trace generation",
+        "feature build + selection",
+        "final fits + switch calibration",
+    ];
+    for (label, secs) in labels.iter().zip(medians) {
+        t.row(vec![
+            label.to_string(),
+            format!("{secs:.3}"),
+            format!("{:.0}%", 100.0 * secs / total),
+        ]);
+    }
+    t.row(vec![
+        "total".to_string(),
+        format!("{total:.3}"),
+        "100%".to_string(),
+    ]);
+    format!(
+        "\nmodel set-up split: QoeMonitor::train at {} cleartext + {} adaptive \
+         sessions, {workers} workers, {} cores available; median of {reps} trainings \
+         per stage\n\n{}",
+        config.cleartext_sessions,
+        config.adaptive_sessions,
+        std::thread::available_parallelism().map_or(1, |p| p.get()),
+        t.render(),
+    )
 }
 
 // -------------------------------------------------------- ingest-bench

@@ -2,12 +2,12 @@
 //! CFS selection to the Table-5 subset, training and evaluation.
 
 use crate::metrics::PipelineMetrics;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::stall_pipeline::CV_FOLDS;
+use crate::subset::FeatureSubset;
 use serde::{Deserialize, Serialize};
 use vqoe_features::representation::{representation_feature_names, representation_features};
 use vqoe_features::{RqClass, SessionObs};
-use vqoe_ml::selection::{cfs_best_first_with, info_gain_ranking_with, RankedFeature};
+use vqoe_ml::selection::RankedFeature;
 use vqoe_ml::{
     cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
 };
@@ -29,6 +29,24 @@ pub struct RepresentationModel {
 }
 
 impl RepresentationModel {
+    /// The fit step's second half: the deployable forest over
+    /// `subset`'s features of the 210-dim `full` dataset.
+    pub fn fit(
+        subset: &mut FeatureSubset,
+        full: &Dataset,
+        forest_config: ForestConfig,
+        train: TrainConfig,
+    ) -> RepresentationModel {
+        let forest = subset.fit_forest(full, forest_config, train);
+        let names = representation_feature_names();
+        let selected_indices = subset.indices();
+        RepresentationModel {
+            forest,
+            selected_names: selected_indices.iter().map(|&i| names[i].clone()).collect(),
+            selected_indices,
+        }
+    }
+
     /// Project a full 210-dim feature vector onto the selected subspace.
     pub fn project(&self, full: &[f64]) -> Vec<f64> {
         self.selected_indices.iter().map(|&i| full[i]).collect()
@@ -76,7 +94,10 @@ pub struct RepresentationTrainingReport {
     pub model: RepresentationModel,
 }
 
-/// Train the average-representation detector on adaptive sessions.
+/// Train the average-representation detector on adaptive sessions and
+/// report on it: the fit step ([`FeatureSubset::select`] with a floor
+/// of [`TARGET_SUBSET_SIZE`], then [`RepresentationModel::fit`]) plus
+/// 10-fold CV.
 pub fn train_representation_detector(
     traces: &[SessionTrace],
     forest_config: ForestConfig,
@@ -123,57 +144,20 @@ pub fn train_representation_detector_on_with(
     train: TrainConfig,
     metrics: Option<&PipelineMetrics>,
 ) -> RepresentationTrainingReport {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let balanced = full.balanced_downsample(&mut rng);
-
-    let mut selected_idx = cfs_best_first_with(&balanced, 5, train);
-    let ranking = info_gain_ranking_with(&balanced, train);
-    if selected_idx.len() < TARGET_SUBSET_SIZE {
-        for r in &ranking {
-            if selected_idx.len() >= TARGET_SUBSET_SIZE {
-                break;
-            }
-            if !selected_idx.contains(&r.index) {
-                selected_idx.push(r.index);
-            }
-        }
-    }
-    let mut selected: Vec<RankedFeature> = ranking
-        .iter()
-        .filter(|r| selected_idx.contains(&r.index))
-        .cloned()
-        .collect();
-    selected.sort_by(|a, b| b.gain.total_cmp(&a.gain));
-    let ordered_idx: Vec<usize> = selected.iter().map(|r| r.index).collect();
-
-    let reduced = full.select_features(&ordered_idx);
-    let cv = cross_validate_with(
-        &reduced,
-        crate::stall_pipeline::CV_FOLDS,
-        forest_config,
-        true,
-        seed,
-        train,
-    );
-
-    let final_train = reduced.balanced_downsample(&mut rng);
-    let forest = RandomForest::fit_with(&final_train, forest_config, train);
+    let mut subset = FeatureSubset::select(full, TARGET_SUBSET_SIZE, seed, train);
+    let model = RepresentationModel::fit(&mut subset, full, forest_config, train);
+    let reduced = full.select_features(&model.selected_indices);
+    let cv = cross_validate_with(&reduced, CV_FOLDS, forest_config, true, seed, train);
     if let Some(m) = metrics {
         m.observe_cv(&cv);
         m.observe_fit(forest_config.n_trees);
     }
-    let names = representation_feature_names();
-
     RepresentationTrainingReport {
-        selected,
+        selected: subset.ranked,
         cv_matrix: cv.matrix,
         class_counts: full.class_counts(),
         cv_skipped_folds: cv.skipped_folds,
-        model: RepresentationModel {
-            forest,
-            selected_names: ordered_idx.iter().map(|&i| names[i].clone()).collect(),
-            selected_indices: ordered_idx,
-        },
+        model,
     }
 }
 

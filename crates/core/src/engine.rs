@@ -16,7 +16,7 @@
 //!    [`EngineConfig::queue_depth`], producer blocks when workers fall
 //!    behind — backpressure, not unbounded buffering) onto
 //!    [`EngineConfig::workers`] threads using the same vendored
-//!    `crossbeam::scope` pattern as `crate::generate`. Each job feeds
+//!    `crossbeam::scope` pattern as `vqoe_ml::par::run_indexed`. Each job feeds
 //!    its entries, in arrival order, to a fresh shard machine, then
 //!    drains it in subscriber order.
 //! 3. **Reduce** — per-shard results carry *emission keys* that encode

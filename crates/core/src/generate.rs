@@ -2,12 +2,14 @@
 //!
 //! Sessions are mutually independent (each derives its own RNG streams
 //! from the master seed and its index), so trace generation fans out
-//! across worker threads with `crossbeam::scope` and reassembles in
-//! index order — the output is bit-identical to a sequential run with
-//! the same spec.
+//! over the training stack's [`run_indexed`] and comes back in index
+//! order — the output is bit-identical to a sequential run with the
+//! same spec.
 
 use crate::spec::DatasetSpec;
 use rand::Rng;
+use vqoe_ml::par::run_indexed;
+use vqoe_ml::TrainConfig;
 use vqoe_player::{simulate_session, SessionConfig, SessionTrace};
 use vqoe_simnet::rng::SeedSequence;
 use vqoe_simnet::time::{Duration, Instant};
@@ -35,60 +37,9 @@ fn session_config(spec: &DatasetSpec, seeds: &SeedSequence, index: u64) -> Sessi
 /// deterministically ordered by session index.
 pub fn generate_traces(spec: &DatasetSpec) -> Vec<SessionTrace> {
     let seeds = SeedSequence::new(spec.seed);
-    let n = spec.n_sessions;
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(16)
-        .min(n);
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    const BATCH: usize = 64;
-
-    let result = crossbeam::thread::scope(|scope| {
-        // Workers claim BATCH-sized index ranges from the atomic cursor
-        // and keep their traces in a private `(index, trace)` vector —
-        // no shared lock on the hot path. Each worker hands its vector
-        // back through its join handle; the scatter below restores
-        // session-index order, so the output is still bit-identical to
-        // the sequential run.
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut local: Vec<(usize, SessionTrace)> = Vec::new();
-                    loop {
-                        let start = next.fetch_add(BATCH, std::sync::atomic::Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + BATCH).min(n);
-                        for i in start..end {
-                            let config = session_config(spec, &seeds, i as u64);
-                            local.push((i, simulate_session(&config, &seeds)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        let mut pairs: Vec<(usize, SessionTrace)> = Vec::with_capacity(n);
-        for h in handles {
-            match h.join() {
-                Ok(local) => pairs.extend(local),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-        pairs.sort_by_key(|&(i, _)| i);
-        pairs.into_iter().map(|(_, t)| t).collect()
-    });
-    match result {
-        Ok(traces) => traces,
-        // A worker panic is a bug in the simulator itself; re-raising
-        // it is the only sane response.
-        Err(p) => std::panic::resume_unwind(p),
-    }
+    run_indexed(spec.n_sessions, TrainConfig::auto(), |i| {
+        simulate_session(&session_config(spec, &seeds, i as u64), &seeds)
+    })
 }
 
 /// Generate traces **sequentially on one subscriber's timeline**: each

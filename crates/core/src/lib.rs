@@ -48,6 +48,7 @@
 //! Modules: [`spec`] (dataset specifications), [`generate`] (parallel
 //! trace generation), [`stall_pipeline`], [`avgrep_pipeline`],
 //! [`switch_pipeline`] (the three detectors' training/evaluation),
+//! [`subset`] (the fit step the two classifiers share),
 //! [`detector`] (the unifying [`Detector`] trait), [`encrypted`] (the
 //! §5 encrypted-traffic evaluation), [`monitor`] (the deployable
 //! operator API), [`subscribe`] (the typed subscription ingest API:
@@ -78,6 +79,7 @@ mod shard;
 pub mod spec;
 pub mod stall_pipeline;
 pub mod subscribe;
+pub mod subset;
 pub mod switch_pipeline;
 pub mod weblog_training;
 
@@ -92,7 +94,8 @@ pub use engine::{shard_of, EngineConfig};
 pub use generate::{generate_sequential_traces, generate_traces};
 pub use metrics::PipelineMetrics;
 pub use monitor::{
-    ConfigError, Fidelity, QoeMonitor, SessionAssessment, TrainingConfig, TrainingConfigBuilder,
+    ConfigError, Fidelity, QoeMonitor, SessionAssessment, TrainStage, TrainingConfig,
+    TrainingConfigBuilder,
 };
 pub use online::{
     AdmissionPolicy, BudgetConfig, IngestReport, OnlineAssessor, OnlineCheckpoint, RestoreError,

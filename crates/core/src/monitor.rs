@@ -12,17 +12,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vqoe_changedet::SwitchScoreConfig;
-use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
+use vqoe_features::{
+    build_representation_dataset, build_stall_dataset, RqClass, SessionObs, SessionView, StallClass,
+};
 use vqoe_ml::{ForestConfig, TrainConfig};
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::ReassemblyConfig;
 
-use crate::avgrep_pipeline::{train_representation_detector_with, RepresentationModel};
+use crate::avgrep_pipeline::{RepresentationModel, TARGET_SUBSET_SIZE};
 use crate::generate::generate_traces;
-use crate::metrics::PipelineMetrics;
 use crate::spec::{DatasetSpec, ScenarioMix};
-use crate::stall_pipeline::{train_stall_detector_with, StallModel};
+use crate::stall_pipeline::{StallModel, SUBSET_FLOOR};
 use crate::subscribe::{IngestPipeline, SubscriptionSet};
+use crate::subset::FeatureSubset;
 use crate::switch_pipeline::SwitchModel;
 
 /// End-to-end training configuration.
@@ -259,6 +261,18 @@ impl SessionAssessment {
     }
 }
 
+/// A stage of [`QoeMonitor::train_staged`], reported as it completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrainStage {
+    /// Both training corpora simulated.
+    Generated,
+    /// Feature datasets built and both classifiers' feature subsets
+    /// selected.
+    Selected,
+    /// Final forests fitted and the switch threshold calibrated.
+    Fitted,
+}
+
 /// The trained QoE monitoring framework: all three detectors plus the
 /// encrypted-session reassembly front-end.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -276,18 +290,18 @@ pub struct QoeMonitor {
 impl QoeMonitor {
     /// Train the full framework on simulated cleartext corpora — the
     /// paper's "use the insights and the ground truth from the
-    /// non-encrypted traffic" phase.
+    /// non-encrypted traffic" phase. Each detector runs only its fit
+    /// step; the cross-validated reports are the pipelines' business.
     pub fn train(config: &TrainingConfig) -> QoeMonitor {
-        Self::train_with_metrics(config, None)
+        Self::train_staged(config, |_| {})
     }
 
-    /// [`QoeMonitor::train`] with an optional [`PipelineMetrics`] bundle
-    /// attached: the monitor is bit-identical, and the registry behind
-    /// `metrics` additionally accumulates training counters (trees
-    /// fitted, CV fold spans, skipped folds).
-    pub fn train_with_metrics(
+    /// [`QoeMonitor::train`], calling `on_stage` as each
+    /// [`TrainStage`] completes — the hook a wall-clock profile of
+    /// training attaches to. The monitor is the same.
+    pub fn train_staged(
         config: &TrainingConfig,
-        metrics: Option<&PipelineMetrics>,
+        mut on_stage: impl FnMut(TrainStage),
     ) -> QoeMonitor {
         let mut cleartext_spec =
             DatasetSpec::cleartext_default(config.cleartext_sessions, config.seed);
@@ -299,6 +313,7 @@ impl QoeMonitor {
         }
         let cleartext = generate_traces(&cleartext_spec);
         let adaptive = generate_traces(&adaptive_spec);
+        on_stage(TrainStage::Generated);
 
         // The stall model trains on the union of both corpora. The paper
         // trains it on "the entire dataset" (§3.1) whose 390 k sessions
@@ -306,27 +321,24 @@ impl QoeMonitor {
         // whole simulated corpus. Folding the adaptive corpus in keeps
         // the *absolute* number of adaptive training examples meaningful
         // at simulation scale rather than preserving the 3 % share.
-        let mut stall_corpus = cleartext.clone();
+        let mut stall_corpus = cleartext;
         stall_corpus.extend(adaptive.iter().cloned());
-        let stall = train_stall_detector_with(
-            &stall_corpus,
-            config.forest,
-            config.seed,
-            config.train,
-            metrics,
-        );
-        let rep = train_representation_detector_with(
-            &adaptive,
-            config.forest,
-            config.seed,
-            config.train,
-            metrics,
-        );
+        let stall_data = build_stall_dataset(&stall_corpus);
+        let rep_data = build_representation_dataset(&adaptive);
+        let (seed, train) = (config.seed, config.train);
+        let mut stall_subset = FeatureSubset::select(&stall_data, SUBSET_FLOOR, seed, train);
+        let mut rep_subset = FeatureSubset::select(&rep_data, TARGET_SUBSET_SIZE, seed, train);
+        on_stage(TrainStage::Selected);
+
+        let stall_model = StallModel::fit(&mut stall_subset, &stall_data, config.forest, train);
+        let representation_model =
+            RepresentationModel::fit(&mut rep_subset, &rep_data, config.forest, train);
         let switch = SwitchModel::calibrate(&adaptive, config.switch_scoring);
+        on_stage(TrainStage::Fitted);
 
         QoeMonitor {
-            stall_model: stall.model,
-            representation_model: rep.model,
+            stall_model,
+            representation_model,
             switch_model: switch.model,
             reassembly: ReassemblyConfig::default(),
         }

@@ -2,12 +2,11 @@
 //! cross-validated evaluation, and the deployable model.
 
 use crate::metrics::PipelineMetrics;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::subset::FeatureSubset;
 use serde::{Deserialize, Serialize};
 use vqoe_features::stall::{stall_feature_names, stall_features};
 use vqoe_features::{SessionObs, StallClass};
-use vqoe_ml::selection::{cfs_best_first_with, info_gain_ranking_with, RankedFeature};
+use vqoe_ml::selection::RankedFeature;
 use vqoe_ml::{
     cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
 };
@@ -26,6 +25,24 @@ pub struct StallModel {
 }
 
 impl StallModel {
+    /// The fit step's second half: the deployable forest over
+    /// `subset`'s features of the 70-dim `full` dataset.
+    pub fn fit(
+        subset: &mut FeatureSubset,
+        full: &Dataset,
+        forest_config: ForestConfig,
+        train: TrainConfig,
+    ) -> StallModel {
+        let forest = subset.fit_forest(full, forest_config, train);
+        let names = stall_feature_names();
+        let selected_indices = subset.indices();
+        StallModel {
+            forest,
+            selected_names: selected_indices.iter().map(|&i| names[i].clone()).collect(),
+            selected_indices,
+        }
+    }
+
     /// Project a full 70-dim stall feature vector onto the model's
     /// selected subspace.
     pub fn project(&self, full: &[f64]) -> Vec<f64> {
@@ -81,13 +98,17 @@ pub struct StallTrainingReport {
 /// Number of CV folds (§4: 10-fold cross-validation).
 pub const CV_FOLDS: usize = 10;
 
-/// Train the stall detector on a cleartext corpus.
+/// Minimum size of the selected subset: the paper's four-feature model
+/// (Table 2), reached by info-gain padding when CFS returns fewer.
+pub const SUBSET_FLOOR: usize = 4;
+
+/// Train the stall detector on a cleartext corpus and report on it.
 ///
 /// Steps, per §4.1: build the 70-feature dataset over *all* sessions
-/// (progressive + adaptive); class-balance; CFS feature selection (with
-/// an info-gain fallback floor of 4 features, the paper's subset size);
-/// 10-fold CV with balanced training folds and natural test folds;
-/// finally fit the deployment model on the whole balanced corpus.
+/// (progressive + adaptive); the fit step ([`FeatureSubset::select`]
+/// with a floor of [`SUBSET_FLOOR`], then [`StallModel::fit`] on the
+/// whole balanced corpus); and 10-fold CV with balanced training folds
+/// and natural test folds, which the deployed model does not depend on.
 pub fn train_stall_detector(
     traces: &[SessionTrace],
     forest_config: ForestConfig,
@@ -128,56 +149,20 @@ pub fn train_stall_detector_on_with(
     train: TrainConfig,
     metrics: Option<&PipelineMetrics>,
 ) -> StallTrainingReport {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let balanced = full.balanced_downsample(&mut rng);
-
-    // Feature selection on the balanced corpus (selection on the raw
-    // corpus would be dominated by the 88 % no-stall class).
-    let mut selected_idx = cfs_best_first_with(&balanced, 5, train);
-    let ranking = info_gain_ranking_with(&balanced, train);
-    if selected_idx.len() < 4 {
-        // CFS can return very small subsets on easy corpora; pad with the
-        // top info-gain features so the model keeps the paper's
-        // four-feature shape.
-        for r in &ranking {
-            if selected_idx.len() >= 4 {
-                break;
-            }
-            if !selected_idx.contains(&r.index) {
-                selected_idx.push(r.index);
-            }
-        }
-    }
-    // Rank the selected features by info gain, descending (Table 2).
-    let mut selected: Vec<RankedFeature> = ranking
-        .iter()
-        .filter(|r| selected_idx.contains(&r.index))
-        .cloned()
-        .collect();
-    selected.sort_by(|a, b| b.gain.total_cmp(&a.gain));
-    let ordered_idx: Vec<usize> = selected.iter().map(|r| r.index).collect();
-
-    let reduced = full.select_features(&ordered_idx);
+    let mut subset = FeatureSubset::select(full, SUBSET_FLOOR, seed, train);
+    let model = StallModel::fit(&mut subset, full, forest_config, train);
+    let reduced = full.select_features(&model.selected_indices);
     let cv = cross_validate_with(&reduced, CV_FOLDS, forest_config, true, seed, train);
-
-    let final_train = reduced.balanced_downsample(&mut rng);
-    let forest = RandomForest::fit_with(&final_train, forest_config, train);
     if let Some(m) = metrics {
         m.observe_cv(&cv);
         m.observe_fit(forest_config.n_trees);
     }
-    let names = stall_feature_names();
-
     StallTrainingReport {
-        selected,
+        selected: subset.ranked,
         cv_matrix: cv.matrix,
         class_counts: full.class_counts(),
         cv_skipped_folds: cv.skipped_folds,
-        model: StallModel {
-            forest,
-            selected_names: ordered_idx.iter().map(|&i| names[i].clone()).collect(),
-            selected_indices: ordered_idx,
-        },
+        model,
     }
 }
 

@@ -230,10 +230,50 @@ impl Scenario {
     }
 }
 
+/// One scenario's Markov chain, looked up once per channel so the
+/// per-dwell walk neither rebuilds the transition matrix nor the
+/// per-state parameters.
+#[derive(Debug, Clone)]
+struct Chain {
+    /// `Scenario::params`, by state index.
+    params: [ChannelParams; 5],
+    /// `Scenario::transition_row`, by state index.
+    rows: [[f64; 5]; 5],
+    /// Each row's `iter().sum()`: the exact float `sample_categorical`
+    /// scales its draw by.
+    row_sums: [f64; 5],
+}
+
+impl Chain {
+    fn new(scenario: Scenario) -> Self {
+        let rows = ALL_STATES.map(|s| scenario.transition_row(s));
+        Chain {
+            params: ALL_STATES.map(|s| scenario.params(s)),
+            row_sums: rows.map(|row| row.iter().sum()),
+            rows,
+        }
+    }
+}
+
 /// The evolving radio channel one device experiences.
+///
+/// Every dwell consumes the channel's RNG in one fixed order:
+///
+/// 1. the categorical next-state draw (skipped for the first dwell,
+///    whose state comes from the scenario's initial distribution);
+/// 2. the exponential dwell-length draw;
+/// 3. the two Box–Muller draws behind the lognormal capacity;
+/// 4. the `gen_bool(0.3)` extra-loss draw, plus one follow-up draw when
+///    it fires.
+///
+/// [`RadioChannel::advance_to`] keeps this order for every dwell it
+/// walks, but only computes capacity and extra loss for the dwell that
+/// covers its target: dwells that expire before it consume steps 3 and
+/// 4 without the maths, since no one can observe their conditions.
 #[derive(Debug, Clone)]
 pub struct RadioChannel {
     scenario: Scenario,
+    chain: Chain,
     rng: StdRng,
     now: Instant,
     state: RadioState,
@@ -253,9 +293,11 @@ impl RadioChannel {
     /// `stream_index` (typically the session index).
     pub fn new(scenario: Scenario, seeds: &SeedSequence, stream_index: u64) -> Self {
         let mut rng = seeds.child(0xC4A7).stream(stream_index);
-        let state = sample_categorical(&mut rng, &scenario.initial_distribution());
+        let init = scenario.initial_distribution();
+        let state = sample_categorical(&mut rng, &init, init.iter().sum());
         let mut ch = RadioChannel {
             scenario,
+            chain: Chain::new(scenario),
             rng,
             now: Instant::ZERO,
             state,
@@ -263,19 +305,31 @@ impl RadioChannel {
             dwell_capacity_bps: 0.0,
             dwell_extra_loss: 0.0,
         };
-        ch.enter_state(state);
+        ch.enter_dwell(state, Instant::ZERO);
+        ch.draw_conditions();
         ch
     }
 
-    fn enter_state(&mut self, state: RadioState) {
+    /// Parameters of the current state.
+    fn params(&self) -> &ChannelParams {
+        &self.chain.params[self.state.index()]
+    }
+
+    /// Enter `state` at `start` and draw how long it lasts (step 2).
+    fn enter_dwell(&mut self, state: RadioState, start: Instant) {
         self.state = state;
-        let p = self.scenario.params(state);
         // Exponential dwell with the scenario's mean.
         let u: f64 = self.rng.gen_range(1e-9..1.0);
-        let dwell = p.mean_dwell.mul_f64(-u.ln());
-        // Clamp dwells into [0.5 s, 10 min] to keep traces well-behaved.
+        let dwell = self.params().mean_dwell.mul_f64(-u.ln());
+        // Clamp dwells into [0.5 s, 10 min] to keep traces well-behaved;
+        // the floor also guarantees the walk makes forward progress.
         let dwell_us = dwell.as_micros().clamp(500_000, 600_000_000);
-        self.dwell_until = self.now + Duration(dwell_us);
+        self.dwell_until = start + Duration(dwell_us);
+    }
+
+    /// Draw the current dwell's capacity and extra loss (steps 3–4).
+    fn draw_conditions(&mut self) {
+        let p = *self.params();
         // Lognormal capacity draw centred on the state mean.
         let z = sample_standard_normal(&mut self.rng);
         self.dwell_capacity_bps = p.mean_capacity_bps * (z * p.capacity_sigma).exp();
@@ -295,6 +349,16 @@ impl RadioChannel {
         };
     }
 
+    /// Consume exactly the draws of [`Self::draw_conditions`] without
+    /// computing anything from them, for a dwell that expires unseen.
+    fn skip_conditions(&mut self) {
+        let _: f64 = self.rng.gen_range(1e-12..1.0);
+        let _: f64 = self.rng.gen_range(0.0..1.0);
+        if self.rng.gen_bool(0.3) {
+            let _: f64 = self.rng.gen_range(1e-9..1.0);
+        }
+    }
+
     /// Advance simulated time to `t`, stepping the Markov chain through
     /// however many dwell expirations fall in the interval. Time never
     /// moves backwards; stale calls are no-ops.
@@ -303,19 +367,20 @@ impl RadioChannel {
             return;
         }
         self.now = t;
-        while self.now >= self.dwell_until {
-            let row = self.scenario.transition_row(self.state);
-            let next = sample_categorical(&mut self.rng, &row);
-            // `enter_state` computes the next dwell relative to `self.now`;
-            // anchor it at the expiry point so dwell boundaries are exact.
-            let resume_at = self.dwell_until;
-            let saved_now = self.now;
-            self.now = resume_at;
-            self.enter_state(next);
-            self.now = saved_now;
-            if self.dwell_until <= resume_at {
-                // Defensive: guarantee forward progress.
-                self.dwell_until = resume_at + Duration::from_millis(500);
+        while t >= self.dwell_until {
+            let from = self.state.index();
+            let next = sample_categorical(
+                &mut self.rng,
+                &self.chain.rows[from],
+                self.chain.row_sums[from],
+            );
+            // Anchor the new dwell at the expiry point so dwell
+            // boundaries are exact.
+            self.enter_dwell(next, self.dwell_until);
+            if self.dwell_until > t {
+                self.draw_conditions();
+            } else {
+                self.skip_conditions();
             }
         }
     }
@@ -343,17 +408,17 @@ impl RadioChannel {
     /// Per-packet loss probability in the current state (radio baseline
     /// plus the per-dwell cross-traffic component).
     pub fn loss_rate(&self) -> f64 {
-        self.scenario.params(self.state).loss_rate + self.dwell_extra_loss
+        self.params().loss_rate + self.dwell_extra_loss
     }
 
     /// Base (unloaded) RTT in the current state.
     pub fn base_rtt(&self) -> Duration {
-        self.scenario.params(self.state).base_rtt
+        self.params().base_rtt
     }
 
     /// Draw one RTT jitter sample (exponential, state-dependent mean).
     pub fn sample_rtt_jitter(&mut self) -> Duration {
-        let mean_ms = self.scenario.params(self.state).rtt_jitter_ms;
+        let mean_ms = self.params().rtt_jitter_ms;
         let u: f64 = self.rng.gen_range(1e-9..1.0);
         Duration::from_secs_f64(-u.ln() * mean_ms / 1e3)
     }
@@ -368,16 +433,23 @@ impl RadioChannel {
     }
 }
 
-fn sample_categorical(rng: &mut StdRng, probs: &[f64; 5]) -> RadioState {
-    let total: f64 = probs.iter().sum();
-    let mut x: f64 = rng.gen_range(0.0..total.max(1e-12));
-    for (i, &p) in probs.iter().enumerate() {
-        if x < p {
-            return ALL_STATES[i];
-        }
-        x -= p;
-    }
-    ALL_STATES[4]
+/// Draw a state with probabilities `probs`, whose `iter().sum()` is
+/// `total`: the first state `i` whose running remainder `x_i` (the draw
+/// minus the probabilities before `i`, subtracted in order) falls below
+/// `probs[i]`, else the last state. All remainders are computed up
+/// front so the choice is a bit scan rather than a chain of
+/// unpredictable branches; the floats are the same either way.
+fn sample_categorical(rng: &mut StdRng, probs: &[f64; 5], total: f64) -> RadioState {
+    let x0: f64 = rng.gen_range(0.0..total.max(1e-12));
+    let x1 = x0 - probs[0];
+    let x2 = x1 - probs[1];
+    let x3 = x2 - probs[2];
+    let hits = u32::from(x0 < probs[0])
+        | u32::from(x1 < probs[1]) << 1
+        | u32::from(x2 < probs[2]) << 2
+        | u32::from(x3 < probs[3]) << 3
+        | 1 << 4;
+    ALL_STATES[hits.trailing_zeros() as usize]
 }
 
 /// Box–Muller standard normal.
@@ -396,14 +468,111 @@ mod tests {
         RadioChannel::new(scenario, &SeedSequence::new(1234), idx)
     }
 
+    const SCENARIOS: [Scenario; 4] = [
+        Scenario::StaticHome,
+        Scenario::StaticOffice,
+        Scenario::Commuting,
+        Scenario::CongestedCell,
+    ];
+
+    /// The categorical draw as a chain of branches, summing its row.
+    fn reference_categorical(rng: &mut StdRng, probs: &[f64; 5]) -> RadioState {
+        let total: f64 = probs.iter().sum();
+        let mut x: f64 = rng.gen_range(0.0..total.max(1e-12));
+        for (i, &p) in probs.iter().enumerate() {
+            if x < p {
+                return ALL_STATES[i];
+            }
+            x -= p;
+        }
+        ALL_STATES[4]
+    }
+
+    /// The channel as it stepped before the walk skipped unseen dwells:
+    /// every dwell rebuilds its parameters and transition row and
+    /// computes its conditions in full. The oracle for the fast path.
+    struct ReferenceChannel {
+        scenario: Scenario,
+        rng: StdRng,
+        now: Instant,
+        state: RadioState,
+        dwell_until: Instant,
+        dwell_capacity_bps: f64,
+        dwell_extra_loss: f64,
+    }
+
+    impl ReferenceChannel {
+        fn new(scenario: Scenario, seeds: &SeedSequence, stream_index: u64) -> Self {
+            let mut rng = seeds.child(0xC4A7).stream(stream_index);
+            let init = scenario.initial_distribution();
+            let state = reference_categorical(&mut rng, &init);
+            let mut ch = ReferenceChannel {
+                scenario,
+                rng,
+                now: Instant::ZERO,
+                state,
+                dwell_until: Instant::ZERO,
+                dwell_capacity_bps: 0.0,
+                dwell_extra_loss: 0.0,
+            };
+            ch.enter_state(state);
+            ch
+        }
+
+        fn enter_state(&mut self, state: RadioState) {
+            self.state = state;
+            let p = self.scenario.params(state);
+            let u: f64 = self.rng.gen_range(1e-9..1.0);
+            let dwell = p.mean_dwell.mul_f64(-u.ln());
+            let dwell_us = dwell.as_micros().clamp(500_000, 600_000_000);
+            self.dwell_until = self.now + Duration(dwell_us);
+            let z = sample_standard_normal(&mut self.rng);
+            self.dwell_capacity_bps = p.mean_capacity_bps * (z * p.capacity_sigma).exp();
+            self.dwell_extra_loss = if self.rng.gen_bool(0.3) {
+                let u: f64 = self.rng.gen_range(1e-9..1.0);
+                (-u.ln() * 0.002).min(0.01)
+            } else {
+                0.0
+            };
+        }
+
+        fn advance_to(&mut self, t: Instant) {
+            if t <= self.now {
+                return;
+            }
+            self.now = t;
+            while self.now >= self.dwell_until {
+                let row = self.scenario.transition_row(self.state);
+                let next = reference_categorical(&mut self.rng, &row);
+                let resume_at = self.dwell_until;
+                let saved_now = self.now;
+                self.now = resume_at;
+                self.enter_state(next);
+                self.now = saved_now;
+                if self.dwell_until <= resume_at {
+                    self.dwell_until = resume_at + Duration::from_millis(500);
+                }
+            }
+        }
+
+        fn loss_rate(&self) -> f64 {
+            self.scenario.params(self.state).loss_rate + self.dwell_extra_loss
+        }
+
+        fn base_rtt(&self) -> Duration {
+            self.scenario.params(self.state).base_rtt
+        }
+
+        fn sample_rtt_jitter(&mut self) -> Duration {
+            let mean_ms = self.scenario.params(self.state).rtt_jitter_ms;
+            let u: f64 = self.rng.gen_range(1e-9..1.0);
+            Duration::from_secs_f64(-u.ln() * mean_ms / 1e3)
+        }
+    }
+
     #[test]
     fn transition_rows_are_stochastic() {
-        for scenario in [
-            Scenario::StaticHome,
-            Scenario::StaticOffice,
-            Scenario::Commuting,
-            Scenario::CongestedCell,
-        ] {
+        for scenario in SCENARIOS {
             let init: f64 = scenario.initial_distribution().iter().sum();
             assert!(
                 (init - 1.0).abs() < 1e-9,
@@ -532,6 +701,37 @@ mod tests {
     }
 
     proptest! {
+        /// The fast walk is bit-identical to the full per-dwell stepper:
+        /// same state and conditions at every target, and the same RNG
+        /// position afterwards (the next jitter draw agrees). Targets
+        /// mix sub-minute steps with jumps of up to ~14 h, spanning up
+        /// to 30 days in all.
+        #[test]
+        fn prop_fast_walk_matches_the_full_stepper(
+            scenario in 0usize..4,
+            idx in 0u64..1_000_000,
+            steps in proptest::collection::vec((proptest::bool::ANY, 0u64..51_840, 0u64..60_000_000), 1..51),
+        ) {
+            let scenario = SCENARIOS[scenario];
+            let seeds = SeedSequence::new(2016);
+            let mut fast = RadioChannel::new(scenario, &seeds, idx);
+            let mut reference = ReferenceChannel::new(scenario, &seeds, idx);
+            let mut t = Instant::ZERO;
+            for (long, secs, micros) in steps {
+                t += Duration(micros);
+                if long {
+                    t += Duration::from_secs(secs);
+                }
+                fast.advance_to(t);
+                reference.advance_to(t);
+                prop_assert_eq!(fast.state(), reference.state);
+                prop_assert_eq!(fast.capacity_bps().to_bits(), reference.dwell_capacity_bps.to_bits());
+                prop_assert_eq!(fast.loss_rate().to_bits(), reference.loss_rate().to_bits());
+                prop_assert_eq!(fast.base_rtt(), reference.base_rtt());
+                prop_assert_eq!(fast.sample_rtt_jitter(), reference.sample_rtt_jitter());
+            }
+        }
+
         #[test]
         fn prop_advance_is_monotone_and_total(steps in proptest::collection::vec(1u64..30, 1..50), idx in 0u64..1000) {
             let mut ch = channel(Scenario::Commuting, idx);
