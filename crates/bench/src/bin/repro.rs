@@ -11,9 +11,9 @@
 
 use std::io::Write;
 use vqoe_bench::experiments::{
-    abr_comparison, ingest_bench_with, obs_overhead_with, overload_sweep_with, run_experiment,
-    subscriber_scaling_with, trace_overhead_with, IngestBenchConfig, ObsOverheadConfig,
-    OverloadSweepConfig, SubscriberScalingConfig, TraceOverheadConfig, EXPERIMENTS,
+    abr_comparison, ingest_bench_with, overload_sweep_with, run_experiment,
+    subscriber_scaling_with, trace_overhead_with, IngestBenchConfig, OverloadSweepConfig,
+    SubscriberScalingConfig, TraceOverheadConfig, EXPERIMENTS,
 };
 use vqoe_bench::{ReproContext, ReproScale};
 
@@ -103,7 +103,6 @@ fn main() {
         };
         let report = match id.as_str() {
             "abr-comparison" => abr_comparison(scale.seed, 600),
-            "obs-overhead" => bench(obs_overhead_with(&ctx, ObsOverheadConfig::quick())),
             "overload-sweep" => bench(overload_sweep_with(&ctx, OverloadSweepConfig::quick())),
             "ingest-bench" => bench(ingest_bench_with(&ctx, IngestBenchConfig::quick())),
             "trace-overhead" => bench(trace_overhead_with(&ctx, TraceOverheadConfig::quick())),

@@ -16,7 +16,7 @@ use vqoe_player::{AbrKind, ContentType, SessionTrace};
 use vqoe_stats::Ecdf;
 
 /// All experiment identifiers, in paper order.
-pub const EXPERIMENTS: [&str; 31] = [
+pub const EXPERIMENTS: [&str; 30] = [
     "tab1",
     "fig1",
     "fig2",
@@ -43,7 +43,6 @@ pub const EXPERIMENTS: [&str; 31] = [
     "chaos-sweep",
     "overload-sweep",
     "engine-scaling",
-    "obs-overhead",
     "train-scaling",
     "ingest-bench",
     "trace-overhead",
@@ -80,7 +79,6 @@ pub fn run_experiment(id: &str, ctx: &ReproContext) -> String {
         "chaos-sweep" => chaos_sweep(ctx),
         "overload-sweep" => overload_sweep(ctx),
         "engine-scaling" => engine_scaling(ctx),
-        "obs-overhead" => obs_overhead(ctx),
         "train-scaling" => train_scaling(ctx),
         "ingest-bench" => ingest_bench(ctx),
         "trace-overhead" => trace_overhead(ctx),
@@ -1635,209 +1633,6 @@ fn engine_scaling(ctx: &ReproContext) -> String {
     out
 }
 
-// ------------------------------------------------------- obs-overhead
-
-/// Workload and measurement knobs for [`obs_overhead_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsOverheadConfig {
-    /// Independent subscriber streams sharing the tap.
-    pub subscribers: u64,
-    /// Sessions per subscriber.
-    pub sessions: usize,
-    /// Shard count.
-    pub shards: usize,
-    /// Worker count for the timed runs.
-    pub workers: usize,
-    /// Timing repetitions; the best (minimum) wall time per variant is
-    /// reported.
-    pub reps: usize,
-}
-
-impl ObsOverheadConfig {
-    /// The harness point `scripts/bench.sh` records: a single worker,
-    /// so a small container measures recording cost rather than
-    /// scheduler jitter.
-    pub fn quick() -> Self {
-        ObsOverheadConfig {
-            subscribers: 12,
-            sessions: 4,
-            shards: 32,
-            workers: 1,
-            reps: 7,
-        }
-    }
-}
-
-/// Cost and fidelity of the `vqoe-obs` instrumentation layer.
-///
-/// Runs the same multi-subscriber tap through the sharded engine twice
-/// per repetition — once bare, once with [`PipelineMetrics`] attached —
-/// and checks three things:
-///
-/// 1. **bit-identity** — the instrumented engine's `IngestReport`
-///    equals the bare engine's, field for field. Observability must
-///    never perturb assessments.
-/// 2. **snapshot determinism** — the stable-class JSON snapshot is
-///    byte-identical across repeated instrumented runs *and* across
-///    worker counts (1 vs `cfg.workers`).
-/// 3. **overhead** — best-of-reps instrumented wall time vs bare wall
-///    time, in the compute regime, against the `< 2%` budget.
-///
-/// Each instrumented run is also wrapped in a [`crate::WallClock`]
-/// stage span feeding a `Runtime`-class histogram — the one sanctioned
-/// wall-clock `Clock` impl outside the CLI — which shows up in the
-/// Prometheus rendering but is excluded from the JSON snapshot (else
-/// determinism would be impossible).
-pub fn obs_overhead_with(ctx: &ReproContext, cfg: ObsOverheadConfig) -> (String, String) {
-    use std::time::Instant;
-    use vqoe_core::{EngineConfig, PipelineMetrics};
-    use vqoe_obs::{buckets, MetricClass, Registry, StageSpan};
-
-    let monitor = ctx.monitor();
-    // The same multi-subscriber tap engine-scaling uses, interleaved by
-    // timestamp.
-    let entries = interleaved_tap(ctx.scale.seed ^ 0xE561, cfg.subscribers, cfg.sessions);
-
-    let engine_cfg = EngineConfig {
-        workers: cfg.workers,
-        shards: cfg.shards,
-        ..EngineConfig::default()
-    };
-
-    // One untimed warm-up pass, then bare and instrumented runs
-    // interleaved within each rep so neither variant systematically
-    // enjoys warmer caches; best (minimum) time per variant wins.
-    let bare_engine = monitor.pipeline().with_engine(engine_cfg);
-    let reference = bare_engine.assess(&entries);
-
-    let wall = crate::WallClock::new();
-    let mut bare_secs = f64::INFINITY;
-    let mut instrumented_secs = f64::INFINITY;
-    let mut bit_identical = true;
-    let mut snapshots: Vec<String> = Vec::new();
-    let mut prom_series = 0usize;
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = Instant::now();
-        let bare_report = bare_engine.assess(&entries);
-        bare_secs = bare_secs.min(t0.elapsed().as_secs_f64());
-        bit_identical &= bare_report == reference;
-
-        // Fresh registry per instrumented run so each snapshot is a
-        // full, independent record of one pass over the tap.
-        let registry = Registry::new();
-        let metrics = PipelineMetrics::register(&registry);
-        let span_hist = registry.histogram(
-            "vqoe_bench_obs_overhead_run_wall_micros",
-            "wall time of one instrumented engine pass",
-            MetricClass::Runtime,
-            buckets::STAGE_MICROS,
-        );
-        let engine = bare_engine.clone().with_metrics(metrics);
-        let span = StageSpan::start(&wall, &span_hist);
-        let t0 = Instant::now();
-        let report = engine.assess(&entries);
-        instrumented_secs = instrumented_secs.min(t0.elapsed().as_secs_f64());
-        span.finish();
-        bit_identical &= report == reference;
-        snapshots.push(registry.snapshot_json());
-        prom_series = registry
-            .render_prometheus()
-            .lines()
-            .filter(|l| l.starts_with("vqoe_"))
-            .count();
-    }
-    // One more instrumented pass at a different worker count: the
-    // stable-class snapshot must not care how the work was scheduled.
-    {
-        let registry = Registry::new();
-        let metrics = PipelineMetrics::register(&registry);
-        let other = EngineConfig {
-            workers: cfg.workers + 2,
-            ..engine_cfg
-        };
-        let engine = monitor.pipeline().with_engine(other).with_metrics(metrics);
-        let report = engine.assess(&entries);
-        bit_identical &= report == reference;
-        snapshots.push(registry.snapshot_json());
-    }
-    let snapshot_deterministic = snapshots.windows(2).all(|w| w[0] == w[1]);
-    let overhead_pct = (instrumented_secs - bare_secs) / bare_secs * 100.0;
-
-    let mut out = header("obs-overhead", "cost of the vqoe-obs metrics layer");
-    out.push_str(&format!(
-        "tap: {} entries from {} subscribers over {} shards; {} workers; \
-         best of {} reps, compute regime (no tap pacing)\n\n",
-        entries.len(),
-        cfg.subscribers,
-        cfg.shards,
-        cfg.workers,
-        cfg.reps,
-    ));
-    let mut t = Table::new(vec!["variant", "wall secs", "sessions/s"]);
-    for (variant, secs) in [("bare", bare_secs), ("instrumented", instrumented_secs)] {
-        t.row(vec![
-            variant.to_string(),
-            format!("{secs:.4}"),
-            format!("{:.1}", reference.assessments.len() as f64 / secs),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    out.push_str(&format!(
-        "registry after one pass: {prom_series} Prometheus sample lines; \
-         stable-class JSON snapshot compared across {} runs\n\n",
-        snapshots.len(),
-    ));
-    out.push_str(&compare_line(
-        "instrumented vs bare assessments",
-        "bit-identical",
-        if bit_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    out.push_str(&compare_line(
-        "JSON snapshot across runs and worker counts",
-        "byte-identical",
-        if snapshot_deterministic {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    out.push_str(&compare_line(
-        "metrics overhead (compute regime)",
-        "< 2%",
-        &format!("{overhead_pct:.2}%"),
-    ));
-    out.push_str(
-        "\nstable-class metrics are recorded as commutative per-shard deltas,\n\
-         so the snapshot is a property of the tap, not of the schedule; the\n\
-         wall-clock span histogram is runtime-class and stays out of it.\n",
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"obs-overhead\",\n  \"entries\": {},\n  \
-         \"sessions_assessed\": {},\n  \"subscribers\": {},\n  \"shards\": {},\n  \
-         \"workers\": {},\n  \"reps\": {},\n  \"base_secs\": {bare_secs:.6},\n  \
-         \"instrumented_secs\": {instrumented_secs:.6},\n  \
-         \"overhead_pct\": {overhead_pct:.4},\n  \"bit_identical\": {bit_identical},\n  \
-         \"snapshot_deterministic\": {snapshot_deterministic}\n}}\n",
-        entries.len(),
-        reference.assessments.len(),
-        cfg.subscribers,
-        cfg.shards,
-        cfg.workers,
-        cfg.reps,
-    );
-    (out, json)
-}
-
-fn obs_overhead(ctx: &ReproContext) -> String {
-    obs_overhead_with(ctx, ObsOverheadConfig::quick()).0
-}
-
 // ----------------------------------------------------- trace-overhead
 
 /// Workload and measurement knobs for [`trace_overhead_with`].
@@ -1857,10 +1652,9 @@ pub struct TraceOverheadConfig {
 }
 
 impl TraceOverheadConfig {
-    /// The harness point `scripts/bench.sh` records: the same
-    /// single-worker rationale as [`ObsOverheadConfig::quick`] — span
-    /// recording cost must land on the measured wall time, not hide
-    /// behind scheduling.
+    /// The harness point `scripts/bench.sh` records: a single worker,
+    /// so a small container measures span recording cost rather than
+    /// scheduler jitter.
     pub fn quick() -> Self {
         TraceOverheadConfig {
             subscribers: 12,

@@ -26,8 +26,6 @@
 pub mod context;
 pub mod experiments;
 pub mod render;
-pub mod wallclock;
 
 pub use context::{ReproContext, ReproScale};
 pub use experiments::{run_experiment, EXPERIMENTS};
-pub use wallclock::WallClock;

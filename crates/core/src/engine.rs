@@ -43,6 +43,7 @@ use vqoe_telemetry::{
     AnomalyKindCounts, AnomalyLog, IngestAnomaly, ReassembledSession, StreamHealth, WeblogEntry,
 };
 
+use crate::metrics::Published;
 use crate::monitor::{Fidelity, SessionAssessment};
 use crate::online::{IngestReport, ShedLog};
 use crate::shard::{assess, close, Closed, Shard};
@@ -341,8 +342,6 @@ fn run_job(
     if let (Some(span), Some(m)) = (span, metrics) {
         m.shard_jobs.inc();
         m.worker_busy_ticks.add(span.finish());
-        m.observe_health_delta(&StreamHealth::default(), &shard.health);
-        m.observe_kind_delta(&AnomalyKindCounts::default(), &log.kinds());
     }
     ShardOutput {
         emissions,
@@ -421,6 +420,12 @@ fn reduce(
         shed: ShedLog::new(cap),
         alerts: Vec::new(),
     };
+    // The run's one publication, from the reduced report's tallies.
+    if let Some(m) = &pipeline.metrics {
+        let (kinds, reasons) = (report.anomalies.kinds(), report.shed.reasons());
+        let health = report.shard_health.iter().enumerate();
+        m.publish(&mut Published::default(), health, kinds, reasons, None);
+    }
     (report, trace)
 }
 

@@ -5,22 +5,32 @@
 //! `vqoe_<crate>_<subsystem>_<name>` naming scheme and hands out cheap
 //! clonable handles to the engine behind
 //! [`IngestPipeline`](crate::IngestPipeline) and to the
-//! [`OnlineAssessor`](crate::OnlineAssessor). Every counter that
-//! mirrors a [`StreamHealth`] or [`AnomalyKindCounts`] field is
-//! recorded as a per-entry (or per-shard-job) delta, so sums are
-//! commutative and the `Stable`-class snapshot is identical at any
-//! worker count. Scheduling-dependent signals (queue depth,
-//! backpressure stalls) are registered as `Runtime` class and excluded
-//! from the snapshot.
+//! [`OnlineAssessor`](crate::OnlineAssessor).
+//!
+//! Ingest health is kept once: per-shard [`StreamHealth`],
+//! [`AnomalyLog::kinds`] and [`ShedLog::reasons`] are the only state,
+//! and the registry's ingest, anomaly-kind and shed-reason counters and
+//! the online gauges are their projection, written only by
+//! `PipelineMetrics::publish` at one point per step (once per engine
+//! run; after every online `ingest` call and in the drain) against a
+//! `Published` watermark. Sums are commutative, so the
+//! `Stable`-class snapshot is identical at any worker count. A restored
+//! assessor's registry absorbs the checkpoint's snapshot before
+//! `with_metrics` sets the watermark to the restored tallies.
+//! Scheduling-dependent signals (queue depth, backpressure stalls) are
+//! registered as `Runtime` class and excluded from the snapshot.
+//!
+//! [`AnomalyLog::kinds`]: vqoe_telemetry::AnomalyLog::kinds
+//! [`ShedLog::reasons`]: crate::online::ShedLog::reasons
 
 use vqoe_features::{RqClass, StallClass};
 use vqoe_obs::{buckets, Counter, Gauge, Histogram, MetricClass, Registry, SimClock, StageSpan};
-use vqoe_telemetry::{AnomalyKind, AnomalyKindCounts, ReassembledSession, StreamHealth};
+use vqoe_telemetry::{AnomalyKindCounts, ReassembledSession, StreamHealth};
 
 use crate::avgrep_pipeline::RepresentationModel;
 use crate::detector::Detector;
 use crate::monitor::SessionAssessment;
-use crate::online::{ShedReason, ShedReasonCounts};
+use crate::online::ShedReasonCounts;
 use crate::stall_pipeline::StallModel;
 use crate::switch_pipeline::SwitchModel;
 
@@ -62,8 +72,6 @@ pub struct PipelineMetrics {
     pub(crate) queue_stalls: Counter,
     pub(crate) queue_depth: Gauge,
     // Online assessor.
-    pub(crate) online_evictions: Counter,
-    pub(crate) online_sheds: Counter,
     pub(crate) shed_lru_capacity: Counter,
     pub(crate) shed_subscriber_budget: Counter,
     pub(crate) shed_global_budget: Counter,
@@ -76,6 +84,52 @@ pub struct PipelineMetrics {
     pub(crate) trees_fitted: Counter,
     pub(crate) cv_folds_skipped: Counter,
     pub(crate) cv_fold_ticks: Histogram,
+}
+
+/// One report tally and the registry counter that projects it.
+type Projection<T> = (fn(&T) -> u64, fn(&PipelineMetrics) -> &Counter);
+
+/// The health counters, one per [`StreamHealth`] field.
+const HEALTH: [Projection<StreamHealth>; 8] = [
+    (|h| h.entries_seen, |m| &m.entries_seen),
+    (|h| h.entries_reordered, |m| &m.entries_reordered),
+    (|h| h.entries_duplicated, |m| &m.entries_duplicated),
+    (|h| h.entries_quarantined, |m| &m.entries_quarantined),
+    (|h| h.sessions_evicted, |m| &m.sessions_evicted),
+    (|h| h.sessions_shed, |m| &m.sessions_shed),
+    (|h| h.subscribers_refused, |m| &m.subscribers_refused),
+    (|h| h.sessions_partial, |m| &m.sessions_partial),
+];
+
+/// The quarantine counters, one per anomaly kind.
+const KINDS: [Projection<AnomalyKindCounts>; 5] = [
+    (|k| k.empty_host, |m| &m.anomaly_empty_host),
+    (|k| k.oversized_object, |m| &m.anomaly_oversized_object),
+    (|k| k.zero_sized_object, |m| &m.anomaly_zero_sized_object),
+    (
+        |k| k.overlong_transaction,
+        |m| &m.anomaly_overlong_transaction,
+    ),
+    (|k| k.late_arrival, |m| &m.anomaly_late_arrival),
+];
+
+/// The shed counters, one per shed reason.
+const REASONS: [Projection<ShedReasonCounts>; 4] = [
+    (|r| r.lru_capacity, |m| &m.shed_lru_capacity),
+    (|r| r.subscriber_budget, |m| &m.shed_subscriber_budget),
+    (|r| r.global_budget, |m| &m.shed_global_budget),
+    (|r| r.admission_refused, |m| &m.shed_admission_refused),
+];
+
+/// The tallies a registry was last brought up to by
+/// `PipelineMetrics::publish`: the watermark the next publication
+/// diffs against.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Published {
+    /// Health per shard, indexed by shard id.
+    pub(crate) shards: Vec<StreamHealth>,
+    pub(crate) kinds: AnomalyKindCounts,
+    pub(crate) reasons: ShedReasonCounts,
 }
 
 impl PipelineMetrics {
@@ -223,14 +277,6 @@ impl PipelineMetrics {
                 "shard jobs waiting in the bounded work queue",
                 MetricClass::Runtime,
             ),
-            online_evictions: counter(
-                "vqoe_core_online_evictions_total",
-                "LRU subscriber evictions by the online assessor",
-            ),
-            online_sheds: counter(
-                "vqoe_core_online_sheds_total",
-                "budget-driven force-finalizations by the online assessor",
-            ),
             shed_lru_capacity: counter(
                 "vqoe_core_online_shed_lru_capacity_total",
                 "shed events: LRU eviction under the open-subscriber cap",
@@ -320,16 +366,6 @@ impl PipelineMetrics {
         self.trees_fitted.add(n_trees as u64);
     }
 
-    /// Handle for one shed-reason counter.
-    pub(crate) fn shed_reason(&self, reason: ShedReason) -> &Counter {
-        match reason {
-            ShedReason::LruCapacity => &self.shed_lru_capacity,
-            ShedReason::SubscriberBudget => &self.shed_subscriber_budget,
-            ShedReason::GlobalBudget => &self.shed_global_budget,
-            ShedReason::AdmissionRefused => &self.shed_admission_refused,
-        }
-    }
-
     /// Reconstruct the per-reason shed distribution from the registry
     /// counters (mirrors [`ShedLog::reasons`]): with metrics attached,
     /// the report's shed log and this view agree field for field.
@@ -344,69 +380,46 @@ impl PipelineMetrics {
         }
     }
 
-    /// Handle for one anomaly-kind counter.
-    pub(crate) fn anomaly_kind(&self, kind: AnomalyKind) -> &Counter {
-        match kind {
-            AnomalyKind::EmptyHost => &self.anomaly_empty_host,
-            AnomalyKind::OversizedObject => &self.anomaly_oversized_object,
-            AnomalyKind::ZeroSizedObject => &self.anomaly_zero_sized_object,
-            AnomalyKind::OverlongTransaction => &self.anomaly_overlong_transaction,
-            AnomalyKind::LateArrival => &self.anomaly_late_arrival,
+    /// Bring the registry up to the report's own tallies: the only
+    /// writer of the ingest, anomaly-kind and shed-reason counters and
+    /// the online gauges. Each counter gains its tally's growth since
+    /// `mark` (the previous publication), then `mark` advances.
+    /// `shards` names the shards this step may have changed, so a
+    /// per-record publication compares one shard, not all of them.
+    /// `occupancy` is the online assessor's (tracked subscribers,
+    /// tracked bytes); the engine, which owns no gauges, passes `None`.
+    pub(crate) fn publish<'a>(
+        &self,
+        mark: &mut Published,
+        shards: impl IntoIterator<Item = (usize, &'a StreamHealth)>,
+        kinds: AnomalyKindCounts,
+        reasons: ShedReasonCounts,
+        occupancy: Option<(usize, u64)>,
+    ) {
+        fn bump<T>(m: &PipelineMetrics, projections: &[Projection<T>], was: &T, now: &T) {
+            for (tally, counter) in projections {
+                let (was, now) = (tally(was), tally(now));
+                if now > was {
+                    counter(m).add(now - was);
+                }
+            }
         }
-    }
-
-    /// Record the difference between two [`StreamHealth`] snapshots
-    /// into the ingest counters. Deltas are commutative sums, so
-    /// per-shard recording order cannot affect the totals.
-    pub(crate) fn observe_health_delta(&self, before: &StreamHealth, after: &StreamHealth) {
-        self.entries_seen
-            .add(after.entries_seen.saturating_sub(before.entries_seen));
-        self.entries_reordered.add(
-            after
-                .entries_reordered
-                .saturating_sub(before.entries_reordered),
-        );
-        self.entries_duplicated.add(
-            after
-                .entries_duplicated
-                .saturating_sub(before.entries_duplicated),
-        );
-        self.entries_quarantined.add(
-            after
-                .entries_quarantined
-                .saturating_sub(before.entries_quarantined),
-        );
-        self.sessions_evicted.add(
-            after
-                .sessions_evicted
-                .saturating_sub(before.sessions_evicted),
-        );
-        self.sessions_shed
-            .add(after.sessions_shed.saturating_sub(before.sessions_shed));
-        self.subscribers_refused.add(
-            after
-                .subscribers_refused
-                .saturating_sub(before.subscribers_refused),
-        );
-        self.sessions_partial.add(
-            after
-                .sessions_partial
-                .saturating_sub(before.sessions_partial),
-        );
-    }
-
-    /// Record the difference between two [`AnomalyKindCounts`]
-    /// snapshots into the per-kind quarantine counters.
-    pub(crate) fn observe_kind_delta(&self, before: &AnomalyKindCounts, after: &AnomalyKindCounts) {
-        for kind in [
-            AnomalyKind::EmptyHost,
-            AnomalyKind::OversizedObject,
-            AnomalyKind::ZeroSizedObject,
-            AnomalyKind::OverlongTransaction,
-            AnomalyKind::LateArrival,
-        ] {
-            self.anomaly_kind(kind)
-                .add(after.of(kind).saturating_sub(before.of(kind)));
+        for (i, now) in shards {
+            if mark.shards.len() <= i {
+                mark.shards.resize(i + 1, StreamHealth::default());
+            }
+            let was = std::mem::replace(&mut mark.shards[i], *now);
+            bump(self, &HEALTH, &was, now);
+        }
+        let was = std::mem::replace(&mut mark.kinds, kinds);
+        bump(self, &KINDS, &was, &kinds);
+        let was = std::mem::replace(&mut mark.reasons, reasons);
+        bump(self, &REASONS, &was, &reasons);
+        if let Some((subscribers, bytes)) = occupancy {
+            self.open_subscribers.set(subscribers as i64);
+            self.tracked_bytes.set(bytes as i64);
+            self.bytes_per_subscriber
+                .set((bytes / subscribers.max(1) as u64) as i64);
         }
     }
 
@@ -484,6 +497,8 @@ impl PipelineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::ShedReason;
+    use vqoe_telemetry::AnomalyKind;
 
     #[test]
     fn register_is_idempotent_on_one_registry() {
@@ -499,7 +514,6 @@ mod tests {
     fn health_view_mirrors_recorded_deltas() {
         let registry = Registry::new();
         let m = PipelineMetrics::register(&registry);
-        let before = StreamHealth::default();
         let after = StreamHealth {
             entries_seen: 10,
             entries_reordered: 2,
@@ -510,8 +524,39 @@ mod tests {
             subscribers_refused: 5,
             sessions_partial: 0,
         };
-        m.observe_health_delta(&before, &after);
+        let (kinds, reasons) = (AnomalyKindCounts::default(), ShedReasonCounts::default());
+        m.publish(
+            &mut Published::default(),
+            [(0, &after)],
+            kinds,
+            reasons,
+            None,
+        );
         assert_eq!(m.health_view(), after);
+    }
+
+    #[test]
+    fn publish_adds_only_growth_since_the_watermark() {
+        let registry = Registry::new();
+        let m = PipelineMetrics::register(&registry);
+        let mut mark = Published::default();
+        let mut reasons = ShedReasonCounts::default();
+        let mut health = StreamHealth {
+            entries_seen: 4,
+            ..StreamHealth::default()
+        };
+        let kinds = AnomalyKindCounts::default();
+        m.publish(&mut mark, [(1, &health)], kinds, reasons, Some((3, 100)));
+        health.entries_seen = 9;
+        reasons.record(ShedReason::GlobalBudget);
+        m.publish(&mut mark, [(1, &health)], kinds, reasons, Some((2, 7)));
+        m.publish(&mut mark, [(1, &health)], kinds, reasons, None);
+        assert_eq!(m.health_view(), health);
+        assert_eq!(m.shed_reasons_view(), reasons);
+        assert_eq!(mark.shards, [StreamHealth::default(), health]);
+        assert_eq!(m.open_subscribers.get(), 2);
+        assert_eq!(m.tracked_bytes.get(), 7);
+        assert_eq!(m.bytes_per_subscriber.get(), 3);
     }
 
     #[test]
@@ -542,7 +587,13 @@ mod tests {
         after.record(AnomalyKind::LateArrival);
         after.record(AnomalyKind::LateArrival);
         after.record(AnomalyKind::EmptyHost);
-        m.observe_kind_delta(&AnomalyKindCounts::default(), &after);
+        m.publish(
+            &mut Published::default(),
+            [],
+            after,
+            ShedReasonCounts::default(),
+            None,
+        );
         assert_eq!(m.anomaly_kinds_view(), after);
         let text = registry.render_prometheus();
         assert!(text.contains("vqoe_telemetry_ingest_anomaly_late_arrival_total 2"));

@@ -44,7 +44,7 @@ use vqoe_telemetry::{
 };
 
 use crate::engine::{shard_of, EngineConfig};
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{PipelineMetrics, Published};
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::shard::{assess, close, Closed, Shard};
 
@@ -169,16 +169,6 @@ impl ShedReasonCounts {
             ShedReason::SubscriberBudget => self.subscriber_budget += 1,
             ShedReason::GlobalBudget => self.global_budget += 1,
             ShedReason::AdmissionRefused => self.admission_refused += 1,
-        }
-    }
-
-    /// The count for one reason.
-    pub fn of(&self, reason: ShedReason) -> u64 {
-        match reason {
-            ShedReason::LruCapacity => self.lru_capacity,
-            ShedReason::SubscriberBudget => self.subscriber_budget,
-            ShedReason::GlobalBudget => self.global_budget,
-            ShedReason::AdmissionRefused => self.admission_refused,
         }
     }
 
@@ -331,6 +321,8 @@ pub struct OnlineAssessor {
     anomalies: AnomalyLog,
     shed: ShedLog,
     metrics: Option<PipelineMetrics>,
+    /// The tallies `metrics` was last brought up to.
+    published: Published,
     alerts: Option<AlertState>,
 }
 
@@ -384,6 +376,7 @@ impl OnlineAssessor {
             peak_tracked_bytes: 0,
             records_ingested: 0,
             metrics: None,
+            published: Published::default(),
             alerts: None,
         }
     }
@@ -396,11 +389,18 @@ impl OnlineAssessor {
         self
     }
 
-    /// Attach a [`PipelineMetrics`] handle bundle: every ingested entry
-    /// records its health/anomaly deltas, every emitted assessment its
-    /// detector classes. The assessments themselves are bit-identical
-    /// with or without metrics.
+    /// Attach a [`PipelineMetrics`] handle bundle: every emitted
+    /// assessment records its detector classes, and every `ingest` call
+    /// publishes the tallies' growth since the last publication (the
+    /// first counts from the tallies held now, so a restored registry
+    /// absorbs the checkpoint's snapshot first). The assessments are
+    /// bit-identical with or without metrics.
     pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
+        self.published = Published {
+            shards: self.shard_health(),
+            kinds: self.anomalies.kinds(),
+            reasons: self.shed.reasons(),
+        };
         self.metrics = Some(metrics);
         self
     }
@@ -485,18 +485,42 @@ impl OnlineAssessor {
     /// closes a session, several when it forces an eviction whose
     /// flushed stream contained complete sessions.
     pub fn ingest(&mut self, entry: &WeblogEntry) -> Vec<SessionAssessment> {
+        let shard = shard_of(entry.subscriber_id, self.shards.len());
+        let out = self.step(entry, shard);
+        self.publish(Some(shard));
+        out
+    }
+
+    /// Publish the tallies to the attached metrics, if any. `shard` is
+    /// the ingested entry's shard; `None` publishes every shard.
+    fn publish(&mut self, shard: Option<usize>) {
+        let Some(m) = &self.metrics else {
+            return;
+        };
+        // Health off the entry's shard moves only when another
+        // subscriber is force-finalized, which always logs a shed event.
+        let touched = match shard {
+            Some(s) if self.shed.total() == self.published.reasons.total() => s..s + 1,
+            _ => 0..self.shards.len(),
+        };
+        let health = self.shards[touched.clone()].iter().map(|s| &s.health);
+        let (kinds, reasons) = (self.anomalies.kinds(), self.shed.reasons());
+        let shards = touched.zip(health);
+        let occupancy = Some((self.tracked, self.tracked_bytes));
+        m.publish(&mut self.published, shards, kinds, reasons, occupancy);
+    }
+
+    /// [`OnlineAssessor::ingest`] on the entry's `shard`, short of
+    /// publishing.
+    fn step(&mut self, entry: &WeblogEntry, shard: usize) -> Vec<SessionAssessment> {
         self.records_ingested += 1;
         let id = entry.subscriber_id;
-        let shard = shard_of(id, self.shards.len());
         self.shards[shard].health.entries_seen += 1;
-        if let Some(m) = &self.metrics {
-            m.entries_seen.inc();
-        }
         let mut out = Vec::new();
         if !self.shards[shard].tracks(id) {
             // Quarantine malformed records and drop non-service noise
             // *before* a tracking slot is spent on the subscriber.
-            if !self.shards[shard].screen(entry, &mut self.anomalies, self.metrics.as_ref()) {
+            if !self.shards[shard].screen(entry, &mut self.anomalies) {
                 return out;
             }
             // Admission control: under `Refuse`, a newcomer that does
@@ -512,10 +536,6 @@ impl OnlineAssessor {
                     at_record: self.records_ingested,
                     reason: ShedReason::AdmissionRefused,
                 });
-                if let Some(m) = &self.metrics {
-                    m.subscribers_refused.inc();
-                    m.shed_reason(ShedReason::AdmissionRefused).inc();
-                }
                 return out;
             }
             while self.tracked >= self.ingest_cfg.max_open_subscribers.max(1) {
@@ -527,18 +547,9 @@ impl OnlineAssessor {
             }
             self.shards[shard].admit(id);
             self.tracked += 1;
-            if let Some(m) = &self.metrics {
-                m.open_subscribers.set(self.tracked as i64);
-            }
         }
-        let shard_state = &mut self.shards[shard];
-        // Snapshot health/kind counters around the push so the registry
-        // sees exactly the deltas this entry caused (`entries_seen` was
-        // already counted above).
-        let health_before = shard_state.health;
-        let kinds_before = self.anomalies.kinds();
         let mut over_subscriber_budget = false;
-        if let Some(pushed) = shard_state.push(entry, &mut self.anomalies) {
+        if let Some(pushed) = self.shards[shard].push(entry, &mut self.anomalies) {
             let (cost_before, cost_after) = pushed.cost;
             self.tracked_bytes = self
                 .tracked_bytes
@@ -547,15 +558,6 @@ impl OnlineAssessor {
             self.peak_tracked_bytes = self.peak_tracked_bytes.max(self.tracked_bytes);
             over_subscriber_budget = self.budget.per_subscriber_bytes > 0
                 && cost_after > self.budget.per_subscriber_bytes;
-            if let Some(m) = &self.metrics {
-                let mut health_after = shard_state.health;
-                health_after.entries_seen = health_before.entries_seen;
-                m.observe_health_delta(&health_before, &health_after);
-                m.observe_kind_delta(&kinds_before, &self.anomalies.kinds());
-                m.tracked_bytes.set(self.tracked_bytes as i64);
-                m.bytes_per_subscriber
-                    .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
-            }
             let (before, after) = pushed.watermark;
             if before != after {
                 if let Some(w) = before {
@@ -704,24 +706,6 @@ impl OnlineAssessor {
             at_record: self.records_ingested,
             reason,
         });
-        if let Some(m) = &self.metrics {
-            match reason {
-                ShedReason::LruCapacity => {
-                    m.online_evictions.inc();
-                    m.sessions_evicted.inc();
-                }
-                _ => {
-                    m.online_sheds.inc();
-                    m.sessions_shed.inc();
-                }
-            }
-            m.sessions_partial.add(closed.len() as u64);
-            m.shed_reason(reason).inc();
-            m.open_subscribers.set(self.tracked as i64);
-            m.tracked_bytes.set(self.tracked_bytes as i64);
-            m.bytes_per_subscriber
-                .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
-        }
         self.assess_all(&closed, tier)
     }
 
@@ -729,11 +713,7 @@ impl OnlineAssessor {
         self.lru.clear();
         self.tracked = 0;
         self.tracked_bytes = 0;
-        if let Some(m) = &self.metrics {
-            m.open_subscribers.set(0);
-            m.tracked_bytes.set(0);
-            m.bytes_per_subscriber.set(0);
-        }
+        self.publish(None);
         // Subscriber-id order across all shards (exactly the order the
         // parallel engine's phase-1 emission keys reproduce), closing
         // one machine at a time.
@@ -842,6 +822,7 @@ impl OnlineAssessor {
             anomalies: ck.anomalies.clone(),
             shed: ck.shed.clone(),
             metrics: None,
+            published: Published::default(),
             alerts: None,
         })
     }

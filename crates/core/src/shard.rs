@@ -91,12 +91,7 @@ impl Shard {
     /// spent on it: malformed records are quarantined, non-service
     /// noise is dropped. Returns whether the entry may open the
     /// subscriber.
-    pub(crate) fn screen(
-        &mut self,
-        e: &WeblogEntry,
-        anomalies: &mut AnomalyLog,
-        metrics: Option<&PipelineMetrics>,
-    ) -> bool {
+    pub(crate) fn screen(&mut self, e: &WeblogEntry, anomalies: &mut AnomalyLog) -> bool {
         if let Some(kind) = validate_entry(e, &self.ingest) {
             self.health.entries_quarantined += 1;
             anomalies.record(IngestAnomaly {
@@ -104,10 +99,6 @@ impl Shard {
                 timestamp: e.timestamp,
                 kind,
             });
-            if let Some(m) = metrics {
-                m.entries_quarantined.inc();
-                m.anomaly_kind(kind).inc();
-            }
             return false;
         }
         e.is_service_host()
@@ -139,7 +130,7 @@ impl Shard {
     pub(crate) fn ingest(&mut self, e: &WeblogEntry, anomalies: &mut AnomalyLog) -> Vec<Closed> {
         self.health.entries_seen += 1;
         if !self.tracks(e.subscriber_id) {
-            if !self.screen(e, anomalies, None) {
+            if !self.screen(e, anomalies) {
                 return Vec::new();
             }
             self.admit(e.subscriber_id);
@@ -210,16 +201,15 @@ impl Shard {
                 ));
             }
             let mut machine = RobustReassembler::from_state(state.clone());
-            // Rehydrate the streaming digest sink: from its own
-            // snapshot when the checkpoint carried one (v2+), fresh
-            // otherwise (v1 checkpoints predate spilling, so no
-            // in-flight digest existed to lose).
-            let sink = state
-                .inner
-                .spill_json
-                .as_deref()
-                .and_then(DigestSink::from_json)
-                .unwrap_or_else(|| DigestSink::new(shard.scoring));
+            // Rehydrate the streaming digest sink from its own snapshot,
+            // fresh when there is none (v1 checkpoints, or nothing
+            // folded yet). An unreadable snapshot is damage: a fresh
+            // sink would silently lose the fold and any sealed digest.
+            let sink = match state.inner.spill_json.as_deref() {
+                Some(json) => DigestSink::from_json(json)
+                    .ok_or(RestoreError::Corrupt("unreadable spill digest"))?,
+                None => DigestSink::new(shard.scoring),
+            };
             machine.attach_spill(Box::new(sink));
             if shard.subscribers.insert(*id, machine).is_some() {
                 return Err(RestoreError::Corrupt("duplicate subscriber in one shard"));

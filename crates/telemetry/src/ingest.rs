@@ -130,17 +130,6 @@ impl AnomalyKindCounts {
         }
     }
 
-    /// The count for one kind.
-    pub fn of(&self, kind: AnomalyKind) -> u64 {
-        match kind {
-            AnomalyKind::EmptyHost => self.empty_host,
-            AnomalyKind::OversizedObject => self.oversized_object,
-            AnomalyKind::ZeroSizedObject => self.zero_sized_object,
-            AnomalyKind::OverlongTransaction => self.overlong_transaction,
-            AnomalyKind::LateArrival => self.late_arrival,
-        }
-    }
-
     /// Sum across all kinds.
     pub fn total(&self) -> u64 {
         self.empty_host

@@ -4,12 +4,9 @@
 #   scripts/bench.sh          # quick mode: engine-scaling experiment only
 #   scripts/bench.sh --full   # also run the Criterion perf benches
 #
-# Quick mode builds release, runs the `engine-scaling` and
-# `obs-overhead` repro experiments at their quick harness points
-# (smoke-scale training context), and leaves
+# Quick mode builds release, runs the repro benchmark experiments at
+# their quick harness points (smoke-scale training context), and leaves
 #   results/engine-scaling.txt   compute-bound engine scaling report
-#   results/obs-overhead.txt     metrics-layer cost report
-#   BENCH_pr4.json               machine-readable record (overhead_pct)
 #   results/train-scaling.txt    training fan-out scaling report
 #   results/overload-sweep.txt   overload/shedding/restore report
 #   BENCH_pr7.json               machine-readable record (shed_rate, tiers)
@@ -33,13 +30,6 @@ cargo build --release -p vqoe-bench
 echo "==> repro engine-scaling (quick mode)"
 mkdir -p results
 ./target/release/repro engine-scaling --smoke --out results
-
-echo "==> repro obs-overhead (quick mode)"
-./target/release/repro obs-overhead --smoke \
-  --bench-json BENCH_pr4.json --out results
-
-echo "==> BENCH_pr4.json"
-cat BENCH_pr4.json
 
 echo "==> repro train-scaling (quick mode)"
 ./target/release/repro train-scaling --smoke --out results

@@ -6,7 +6,9 @@
 //!   repeated runs and across worker counts;
 //! * [`StreamHealth`] and the per-kind anomaly counts can be
 //!   reconstructed from the registry alone (the counters are the
-//!   report, not a parallel bookkeeping path);
+//!   report, not a parallel bookkeeping path) — on the streaming path
+//!   after every `ingest` call, shed reasons included, and across a
+//!   checkpoint/restore cut;
 //! * the `vqoe` CLI emits both exposition formats via `--metrics`,
 //!   keeps its `--verbose` stderr stable, and goes silent on `--quiet`.
 
@@ -17,7 +19,7 @@ use std::sync::OnceLock;
 use vqoe_core::prelude::*;
 use vqoe_core::{EncryptedEvalConfig, EncryptedWorld};
 use vqoe_obs::Registry;
-use vqoe_telemetry::AnomalyKindCounts;
+use vqoe_telemetry::{apply_chaos, AnomalyKindCounts, ChaosProfile};
 
 fn monitor() -> &'static QoeMonitor {
     static MONITOR: OnceLock<QoeMonitor> = OnceLock::new();
@@ -140,6 +142,113 @@ fn stream_health_and_anomaly_kinds_reconstruct_from_the_registry() {
         online_report.anomalies.kinds()
     );
     assert_ne!(online_metrics.health_view().entries_seen, 0);
+}
+
+/// The registry's views agree with the assessor's own tallies.
+fn assert_mirrors(metrics: &PipelineMetrics, online: &OnlineAssessor, at: &str) {
+    assert_eq!(metrics.health_view(), online.health(), "health {at}");
+    assert_eq!(
+        metrics.anomaly_kinds_view(),
+        online.anomalies().kinds(),
+        "anomaly kinds {at}"
+    );
+    assert_eq!(
+        metrics.shed_reasons_view(),
+        online.shed_log().reasons(),
+        "shed reasons {at}"
+    );
+}
+
+#[test]
+fn registry_mirrors_the_tallies_after_every_ingest_call() {
+    let clean = multi_subscriber_tap(6, 1, 4300);
+    let (entries, _) = apply_chaos(&clean, &ChaosProfile::Harsh.chaos(), 4301);
+    let per_record = clean.iter().map(|e| e.tracked_cost()).max().unwrap_or(256);
+    let budgets = [
+        (
+            IngestConfig::default(),
+            BudgetConfig {
+                per_subscriber_bytes: 16 * per_record,
+                global_bytes: 48 * per_record,
+                admission: AdmissionPolicy::ShedColdest,
+            },
+        ),
+        (
+            IngestConfig {
+                max_open_subscribers: 3,
+                ..IngestConfig::default()
+            },
+            BudgetConfig {
+                per_subscriber_bytes: 0,
+                global_bytes: 24 * per_record,
+                admission: AdmissionPolicy::Refuse,
+            },
+        ),
+    ];
+    let cut = entries.len() / 2;
+    for (ingest, budget) in budgets {
+        for shards in [1usize, 2, 7] {
+            let engine = EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            };
+            let registry = Registry::new();
+            let metrics = PipelineMetrics::register(&registry);
+            let mut online = OnlineAssessor::with_engine(monitor().clone(), ingest, engine)
+                .with_budget(budget)
+                .with_metrics(metrics.clone());
+            for (i, e) in entries.iter().take(cut).enumerate() {
+                online.ingest(e);
+                assert_mirrors(
+                    &metrics,
+                    &online,
+                    &format!("at record {i}, {shards} shards"),
+                );
+            }
+            // Kill, checkpoint through JSON, absorb, restore.
+            let json = online
+                .checkpoint_with_metrics(&registry)
+                .to_json()
+                .expect("checkpoint serializes");
+            drop(online);
+            let ck = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
+            let registry = Registry::new();
+            let metrics = PipelineMetrics::register(&registry);
+            registry
+                .absorb_snapshot(ck.metrics_snapshot.as_deref().expect("snapshot embedded"))
+                .expect("snapshot absorbs");
+            let mut online = OnlineAssessor::restore(monitor().clone(), &ck)
+                .expect("checkpoint restores")
+                .with_metrics(metrics.clone());
+            assert_mirrors(
+                &metrics,
+                &online,
+                &format!("after restore, {shards} shards"),
+            );
+            for (i, e) in entries.iter().enumerate().skip(cut) {
+                online.ingest(e);
+                assert_mirrors(
+                    &metrics,
+                    &online,
+                    &format!("at record {i}, {shards} shards"),
+                );
+            }
+            let reasons = online.shed_log().reasons();
+            let report = online.into_report();
+            assert_eq!(metrics.health_view(), report.health);
+            // Each budget must actually exercise the paths it names.
+            match budget.admission {
+                AdmissionPolicy::ShedColdest => {
+                    assert!(reasons.subscriber_budget > 0, "{reasons:?}");
+                    assert!(reasons.global_budget > 0, "{reasons:?}");
+                }
+                AdmissionPolicy::Refuse => {
+                    assert!(reasons.admission_refused > 0, "{reasons:?}");
+                    assert!(reasons.lru_capacity > 0, "{reasons:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -14,10 +14,14 @@
 //! * `Fidelity::Partial`/`Shed` outputs are built from feature blocks
 //!   that use `MISSING_STAT` (never 0.0) for unavailable statistics;
 //! * a 10x subscriber flood stays within budget, every shed is typed,
-//!   and refused admissions are counted.
+//!   and refused admissions are counted;
+//! * checkpoint decoding is total: arbitrary bytes, truncations and
+//!   bit flips of a real checkpoint decode and restore to `Ok` or a
+//!   typed error, never a panic, and a damaged spill digest is refused.
 
 use std::sync::OnceLock;
 
+use proptest::prelude::*;
 use vqoe_core::{
     AdmissionPolicy, BudgetConfig, EncryptedEvalConfig, EncryptedWorld, EngineConfig, Fidelity,
     IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, RestoreError,
@@ -32,7 +36,7 @@ use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration, Instant};
 use vqoe_telemetry::{
     apply_chaos, generate_subscriber_flood, merge_streams, ChaosConfig, EntryKind, FloodSpec,
-    IngestConfig, RobustReassembler, WeblogEntry,
+    IngestConfig, ReassemblyConfig, RobustReassembler, WeblogEntry, SPILL_STATE_COST_BYTES,
 };
 
 fn monitor() -> &'static QoeMonitor {
@@ -562,6 +566,107 @@ fn restore_rejects_corrupt_checkpoints() {
         OnlineAssessor::restore(monitor().clone(), &wrong_shard),
         Err(RestoreError::Corrupt(_))
     ));
+}
+
+/// The trained monitor with a per-session exactness cap low enough
+/// that mid-stream subscribers have spilled into their digest sinks.
+fn spilling_monitor() -> QoeMonitor {
+    let mut m = monitor().clone();
+    m.reassembly = ReassemblyConfig {
+        exact_entry_cap: 8,
+        ..m.reassembly
+    };
+    m
+}
+
+/// A mid-stream checkpoint of a budgeted, chaos-faulted run on the
+/// spilling monitor, metrics snapshot embedded: spill digests, shed
+/// and anomaly logs and the LRU index are all populated.
+fn spilled_checkpoint() -> &'static OnlineCheckpoint {
+    static CHECKPOINT: OnceLock<OnlineCheckpoint> = OnceLock::new();
+    CHECKPOINT.get_or_init(|| {
+        let clean = multi_subscriber_tap(3, 1, 921);
+        let (entries, _) = apply_chaos(&clean, &ChaosConfig::uniform(0.2), 922);
+        let per_record = clean.iter().map(|e| e.tracked_cost()).max().unwrap_or(256);
+        let registry = Registry::new();
+        let mut online = OnlineAssessor::with_engine(
+            spilling_monitor(),
+            IngestConfig::default(),
+            EngineConfig {
+                shards: 2,
+                ..EngineConfig::default()
+            },
+        )
+        .with_budget(BudgetConfig {
+            per_subscriber_bytes: 0,
+            global_bytes: 2 * SPILL_STATE_COST_BYTES + 16 * per_record,
+            admission: AdmissionPolicy::ShedColdest,
+        })
+        .with_metrics(PipelineMetrics::register(&registry));
+        for e in entries.iter().take(entries.len() / 2) {
+            online.ingest(e);
+        }
+        online.checkpoint_with_metrics(&registry)
+    })
+}
+
+#[test]
+fn restore_rejects_an_unreadable_spill_digest() {
+    let good = spilled_checkpoint();
+    assert!(OnlineAssessor::restore(spilling_monitor(), good).is_ok());
+    let mut damaged = good.clone();
+    let json = damaged
+        .shards
+        .iter_mut()
+        .flat_map(|s| s.subscribers.iter_mut())
+        .find_map(|(_, state)| state.inner.spill_json.as_mut())
+        .expect("a subscriber is spilled at the cut");
+    json.truncate(json.len() / 2);
+    assert!(matches!(
+        OnlineAssessor::restore(spilling_monitor(), &damaged),
+        Err(RestoreError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn a_valid_checkpoint_round_trips_byte_for_byte() {
+    let json = spilled_checkpoint()
+        .to_json()
+        .expect("checkpoint serializes");
+    let decoded = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
+    assert_eq!(&decoded, spilled_checkpoint());
+    assert_eq!(decoded.to_json().expect("re-serializes"), json);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Decode and restore are total over damaged input: whatever the
+    /// bytes, the result is `Ok` or a typed error, never a panic.
+    #[test]
+    fn checkpoint_decoding_never_panics(
+        mode in 0u8..4,
+        at in 0usize..usize::MAX,
+        bit in 0u8..8,
+        junk in proptest::collection::vec(0u16..256, 0..48),
+    ) {
+        let json = spilled_checkpoint().to_json().expect("checkpoint serializes");
+        let mut bytes = json.into_bytes();
+        let junk: Vec<u8> = junk.into_iter().map(|b| b as u8).collect();
+        let pos = at % bytes.len();
+        match mode {
+            0 => bytes.truncate(pos),
+            1 => bytes[pos] ^= 1 << bit,
+            2 => bytes = junk,
+            _ => {
+                bytes.splice(pos..pos, junk);
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(ck) = OnlineCheckpoint::from_json(&text) {
+            let _ = OnlineAssessor::restore(spilling_monitor(), &ck);
+        }
+    }
 }
 
 /// Long-running overload soak (run by `scripts/soak.sh` under
