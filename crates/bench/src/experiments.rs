@@ -6,7 +6,8 @@
 
 use crate::context::ReproContext;
 use crate::render::{
-    compare_line, render_cdf, render_cdf_pair, render_class_report, render_confusion, Table,
+    budget_line, compare_line, render_cdf, render_cdf_pair, render_class_report, render_confusion,
+    Table,
 };
 use vqoe_core::spec::DatasetSpec;
 use vqoe_features::labels::has_switches;
@@ -1980,10 +1981,12 @@ impl IngestBenchConfig {
 ///
 /// 1. **decode** — bytes back to `Vec<WeblogEntry>`. This is the step
 ///    the binary format exists for; its speedup is the headline
-///    `replay_speedup` (budget: ≥ 3x).
-/// 2. **end-to-end** — decode plus a full [`IngestPipeline::assess`]
-///    pass, the operator-facing replay figure (model inference
-///    dominates, so this ratio is closer to 1).
+///    `replay_speedup` (a budget this repository set: ≥ 3x).
+/// 2. **end-to-end** — each format's replay path: JSONL decode plus a
+///    full [`IngestPipeline::assess`] pass, against
+///    `IngestPipeline::assess_binary`, which decodes each record on its
+///    shard worker (model inference dominates, so this ratio is closer
+///    to 1).
 ///
 /// Identity is asserted, not assumed: the packed corpus must decode to
 /// the exact entry vector, and the [`IngestReport`]s from JSON-decoded
@@ -2053,12 +2056,11 @@ pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String,
         json_e2e = json_e2e.min(json_decode + assess_secs);
 
         let t0 = Instant::now();
-        let decoded = decode_binary(&corpus);
+        let _ = decode_binary(&corpus);
         bin_decode = bin_decode.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
-        let _ = pipeline.assess(&decoded);
-        let assess_secs = t0.elapsed().as_secs_f64();
-        bin_e2e = bin_e2e.min(bin_decode + assess_secs);
+        let _ = pipeline.assess_binary(&corpus);
+        bin_e2e = bin_e2e.min(t0.elapsed().as_secs_f64());
     }
     let replay_speedup = json_decode / bin_decode;
     let e2e_speedup = json_e2e / bin_e2e;
@@ -2080,13 +2082,13 @@ pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String,
     ));
     let mut t = Table::new(vec!["phase", "JSONL secs", "binary secs", "speedup"]);
     t.row(vec![
-        "decode (replay hot path)".to_string(),
+        "decode to entries".to_string(),
         format!("{json_decode:.4}"),
         format!("{bin_decode:.4}"),
         format!("{replay_speedup:.2}x"),
     ]);
     t.row(vec![
-        "decode + assess (end-to-end)".to_string(),
+        "replay (end-to-end)".to_string(),
         format!("{json_e2e:.4}"),
         format!("{bin_e2e:.4}"),
         format!("{e2e_speedup:.2}x"),
@@ -2102,15 +2104,17 @@ pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String,
             "DIVERGED"
         },
     ));
-    out.push_str(&compare_line(
-        "binary-over-JSON replay (decode) speedup",
+    out.push_str(&budget_line(
+        "binary-over-JSON decode speedup",
         ">= 3x",
         &format!("{replay_speedup:.2}x"),
     ));
     out.push_str(
-        "\nthe decode phase is what the binary format accelerates (no serde on\n\
-         the hot path); the end-to-end figure folds in the format-independent\n\
-         assessment pass. encoding never affects the report.\n",
+        "\nthe decode phase is what the binary format accelerates (no serde).\n\
+         end to end, JSONL is decoded and then assessed, while binary replay\n\
+         (assess_binary) decodes each record on the shard worker that\n\
+         assesses it; both fold in the format-independent assessment pass.\n\
+         encoding never affects the report.\n",
     );
 
     let json = format!(

@@ -175,6 +175,12 @@ pub fn compare_line(what: &str, paper: &str, measured: &str) -> String {
     format!("  {what:<46} paper: {paper:<18} measured: {measured}\n")
 }
 
+/// A footer line for a target this repository set itself, laid out
+/// like [`compare_line`] but never labelled as a paper figure.
+pub fn budget_line(what: &str, budget: &str, measured: &str) -> String {
+    format!("  {what:<46} budget: {budget:<17} measured: {measured}\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

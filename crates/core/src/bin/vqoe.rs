@@ -125,7 +125,7 @@ fn corpus(args: &[String]) {
         "pack" => {
             let weblogs = flags.path("weblogs");
             let entries: Vec<WeblogEntry> = read_jsonl(&weblogs).unwrap_or_else(die(&weblogs));
-            let corpus = BinaryCorpus::pack(&entries);
+            let corpus = BinaryCorpus::try_pack(&entries).unwrap_or_else(die(&weblogs));
             corpus.write_file(&out).unwrap_or_else(die(&out));
             reporter(&flags).normal(&format!(
                 "packed {} weblog entries into {} ({} bytes, {:.2}x vs JSONL)",

@@ -8,17 +8,22 @@
 //! per-shard machine (`crate::shard`) the streaming
 //! [`OnlineAssessor`](crate::online::OnlineAssessor) runs:
 //!
-//! 1. **Shard** — every weblog entry is routed to one of
+//! 1. **Shard** — every weblog record is routed to one of
 //!    [`EngineConfig::shards`] shards by a deterministic hash of its
 //!    subscriber id ([`shard_of`]), so a subscriber's whole stream
-//!    lands on exactly one shard.
+//!    lands on exactly one shard. The records come from a
+//!    [`RecordSource`]: a slice of entries is read in place; a packed
+//!    [`BinaryCorpus`] is validated and routed in one zero-copy pass
+//!    that notes each record's byte offset.
 //! 2. **Fan out** — shard jobs flow through a bounded work queue (depth
 //!    [`EngineConfig::queue_depth`], producer blocks when workers fall
 //!    behind — backpressure, not unbounded buffering) onto
 //!    [`EngineConfig::workers`] threads using the same vendored
 //!    `crossbeam::scope` pattern as `vqoe_ml::par::run_indexed`. Each job feeds
-//!    its entries, in arrival order, to a fresh shard machine, then
-//!    drains it in subscriber order.
+//!    its records, in arrival order, to a fresh shard machine, then
+//!    drains it in subscriber order. A corpus job decodes its own
+//!    records on its worker, one at a time, into one scratch entry, so
+//!    a binary pass never holds the corpus as owned entries.
 //! 3. **Reduce** — per-shard results carry *emission keys* that encode
 //!    where the sequential online assessor would have emitted each
 //!    assessment; a deterministic ordered merge sorts on those keys, so
@@ -36,11 +41,13 @@
 //! first, then drain emissions in subscriber-id order (the order
 //! `OnlineAssessor::finish` walks its subscribers).
 
+use std::convert::Infallible;
 use std::sync::{Condvar, Mutex as StdMutex};
 
 use vqoe_obs::{SimClock, StageSpan, Trace, TraceConfig, TraceEvent, TraceSink, TraceStage};
 use vqoe_telemetry::{
-    AnomalyKindCounts, AnomalyLog, IngestAnomaly, ReassembledSession, StreamHealth, WeblogEntry,
+    AnomalyKindCounts, AnomalyLog, BinaryCorpus, BinlogError, IngestAnomaly, ReassembledSession,
+    StreamHealth, WeblogEntry,
 };
 
 use crate::metrics::Published;
@@ -105,11 +112,87 @@ pub fn shard_of(subscriber_id: u64, shards: usize) -> usize {
     (z % shards.max(1) as u64) as usize
 }
 
-/// One shard's work: which global entry indices (in arrival order)
-/// belong to it.
-struct ShardJob {
+/// What the engine reads a tap from: every record's subscriber id for
+/// routing, then each record again on the worker that runs its shard.
+pub(crate) trait RecordSource: Sync {
+    /// Where one record sits in the source, kept beside its arrival
+    /// index in its shard job.
+    type At: Copy + Send;
+    /// Why the source cannot be read.
+    type Error: Send;
+
+    /// Visit every record's subscriber id and location, in arrival
+    /// order. An error stops the pass before any shard job runs.
+    fn scan(&self, visit: impl FnMut(u64, Self::At)) -> Result<(), Self::Error>;
+
+    /// Read the record with arrival index `g` at `at`. A source that
+    /// decodes writes into `scratch`, reusing its buffers; the entry is
+    /// valid until the next read.
+    fn read<'s>(
+        &'s self,
+        g: u32,
+        at: Self::At,
+        scratch: &'s mut Option<WeblogEntry>,
+    ) -> Result<&'s WeblogEntry, Self::Error>;
+}
+
+/// Decoded entries are read in place.
+impl RecordSource for [WeblogEntry] {
+    type At = ();
+    type Error = Infallible;
+
+    fn scan(&self, mut visit: impl FnMut(u64, ())) -> Result<(), Infallible> {
+        for e in self {
+            visit(e.subscriber_id, ());
+        }
+        Ok(())
+    }
+
+    fn read<'s>(
+        &'s self,
+        g: u32,
+        _: (),
+        _: &'s mut Option<WeblogEntry>,
+    ) -> Result<&'s WeblogEntry, Infallible> {
+        Ok(&self[g as usize])
+    }
+}
+
+/// A packed corpus is routed by byte offset and decoded on the worker.
+/// The scan is the corpus's own validating pass, so it fails exactly as
+/// [`BinaryCorpus::decode_all`] does. Re-reading a record the scan
+/// validated does not fail; were it to, the typed error would travel
+/// back through the job instead of a panic.
+impl RecordSource for BinaryCorpus {
+    type At = usize;
+    type Error = BinlogError;
+
+    fn scan(&self, mut visit: impl FnMut(u64, usize)) -> Result<(), BinlogError> {
+        self.for_each_record(|offset, record| visit(record.subscriber_id, offset))
+    }
+
+    fn read<'s>(
+        &'s self,
+        g: u32,
+        offset: usize,
+        scratch: &'s mut Option<WeblogEntry>,
+    ) -> Result<&'s WeblogEntry, BinlogError> {
+        let record = self.record_at(offset, u64::from(g))?;
+        Ok(match scratch {
+            Some(entry) => {
+                record.decode_into(entry);
+                entry
+            }
+            None => scratch.insert(record.to_entry()),
+        })
+    }
+}
+
+/// One shard's work: the arrival index and location of each of its
+/// records, in arrival order.
+struct ShardJob<A> {
     shard: usize,
-    entry_indices: Vec<u32>,
+    records: Vec<(u32, A)>,
 }
 
 /// Where in the sequential emission order an assessment belongs:
@@ -211,31 +294,33 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Assess a whole tap capture on `pipeline`'s engine: route entries to
+/// Assess a whole tap capture on `pipeline`'s engine: route records to
 /// shards, run the shard jobs on the worker pool, reduce. With
 /// `trace_cfg`, every emitted session also records its span chain into
 /// the job's bounded sink, and the reducer merges the sinks in
 /// emission-key order into one [`Trace`].
-pub(crate) fn run(
+pub(crate) fn run<S: RecordSource + ?Sized>(
     pipeline: &IngestPipeline<'_>,
-    entries: &[WeblogEntry],
+    source: &S,
     trace_cfg: Option<TraceConfig>,
-) -> (IngestReport, Option<Trace>) {
+) -> Result<(IngestReport, Option<Trace>), S::Error> {
     // One subscription set for the whole pass, shared by reference
     // across every worker: the detectors are registered once, and each
     // reassembled session is fanned out to them as one immutable view.
     let subs = SubscriptionSet::standard(pipeline.monitor);
     let config = &pipeline.engine;
     let shards = config.shards.max(1);
-    // Route each arrival to its shard; per-shard index lists keep the
+    // Route each arrival to its shard; per-shard record lists keep the
     // global arrival order (indices ascend).
-    let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
-    for (g, e) in entries.iter().enumerate() {
-        by_shard[shard_of(e.subscriber_id, shards)].push(g as u32);
-    }
+    let mut by_shard: Vec<Vec<(u32, S::At)>> = vec![Vec::new(); shards];
+    let mut g = 0u32;
+    source.scan(|subscriber, at| {
+        by_shard[shard_of(subscriber, shards)].push((g, at));
+        g += 1;
+    })?;
 
     let workers = config.effective_workers();
-    let queue: BoundedQueue<ShardJob> = BoundedQueue::new(config.queue_depth);
+    let queue: BoundedQueue<ShardJob<S::At>> = BoundedQueue::new(config.queue_depth);
     let metrics = pipeline.metrics.as_ref();
 
     let result = crossbeam::thread::scope(|scope| {
@@ -246,9 +331,9 @@ pub(crate) fn run(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|_| {
-                    let mut local: Vec<(usize, ShardOutput)> = Vec::new();
+                    let mut local: Vec<(usize, Result<ShardOutput, S::Error>)> = Vec::new();
                     while let Some(job) = queue.pop() {
-                        let out = run_job(pipeline, &subs, entries, &job.entry_indices, trace_cfg);
+                        let out = run_job(pipeline, &subs, source, &job.records, trace_cfg);
                         local.push((job.shard, out));
                     }
                     local
@@ -259,11 +344,8 @@ pub(crate) fn run(
         // `queue_depth` jobs are already waiting. The queue must close
         // before the joins below, or the workers would never exit their
         // pop loops.
-        for (shard, entry_indices) in by_shard.into_iter().enumerate() {
-            let stalled = queue.push(ShardJob {
-                shard,
-                entry_indices,
-            });
+        for (shard, records) in by_shard.into_iter().enumerate() {
+            let stalled = queue.push(ShardJob { shard, records });
             if let Some(m) = metrics {
                 if stalled {
                     m.queue_stalls.inc();
@@ -272,35 +354,38 @@ pub(crate) fn run(
             }
         }
         queue.close();
-        let mut pairs: Vec<(usize, ShardOutput)> = Vec::with_capacity(shards);
+        let mut pairs: Vec<(usize, Result<ShardOutput, S::Error>)> = Vec::with_capacity(shards);
         for h in handles {
             match h.join() {
                 Ok(local) => pairs.extend(local),
                 Err(p) => std::panic::resume_unwind(p),
             }
         }
-        pairs.sort_by_key(|&(shard, _)| shard);
-        pairs.into_iter().map(|(_, out)| out).collect()
+        pairs.sort_by_key(|(shard, _)| *shard);
+        pairs
+            .into_iter()
+            .map(|(_, out)| out)
+            .collect::<Result<Vec<_>, _>>()
     });
     let outputs: Vec<ShardOutput> = match result {
-        Ok(outputs) => outputs,
+        Ok(outputs) => outputs?,
         // A worker panic is a bug in the pipeline itself; re-raising it
         // is the only sane response.
         Err(p) => std::panic::resume_unwind(p),
     };
-    reduce(pipeline, outputs, trace_cfg.is_some())
+    Ok(reduce(pipeline, outputs, trace_cfg.is_some()))
 }
 
-/// Run one shard job: its entries, in arrival order, through a fresh
+/// Run one shard job: its records, in arrival order, through a fresh
 /// shard machine, then the machine's drain — recording emission keys
 /// and tagging kept anomalies with their global entry index.
-fn run_job(
+fn run_job<S: RecordSource + ?Sized>(
     pipeline: &IngestPipeline<'_>,
     subs: &SubscriptionSet<'_>,
-    entries: &[WeblogEntry],
-    indices: &[u32],
+    source: &S,
+    records: &[(u32, S::At)],
     trace_cfg: Option<TraceConfig>,
-) -> ShardOutput {
+) -> Result<ShardOutput, S::Error> {
     let metrics = pipeline.metrics.as_ref();
     let mut shard = Shard::new(pipeline.monitor, pipeline.ingest);
     // The job's own anomaly log: its entries arrive in global order, so
@@ -325,8 +410,9 @@ fn run_job(
     // count — identical at any worker count.
     let clock = SimClock::new();
     let span = metrics.map(|m| StageSpan::start(&clock, &m.stage_ticks));
-    for &g in indices {
-        let e = &entries[g as usize];
+    let mut scratch = None;
+    for &(g, at) in records {
+        let e = source.read(g, at, &mut scratch)?;
         clock.advance(1);
         let closed = shard.ingest(e, &mut log);
         kept_at.resize(log.kept().len(), g as u64);
@@ -343,13 +429,13 @@ fn run_job(
         m.shard_jobs.inc();
         m.worker_busy_ticks.add(span.finish());
     }
-    ShardOutput {
+    Ok(ShardOutput {
         emissions,
         health: shard.health,
         log,
         kept_at,
         trace: trace.map(|(sink, _)| sink),
-    }
+    })
 }
 
 /// The deterministic ordered reducer: sort emissions on their keys, sum

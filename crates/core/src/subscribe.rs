@@ -355,8 +355,9 @@ impl std::fmt::Debug for SubscriptionSet<'_> {
 /// * [`assess`](IngestPipeline::assess) — a whole tap capture (any mix
 ///   of subscribers), sharded across workers by the parallel engine.
 /// * [`assess_binary`](IngestPipeline::assess_binary) — the same, from
-///   a packed [`BinaryCorpus`]: records decode straight from the byte
-///   buffer, no serde on the replay hot path.
+///   a packed [`BinaryCorpus`]: each shard worker decodes its own
+///   records straight from the byte buffer, no serde and no owned copy
+///   of the corpus on the replay hot path.
 /// * [`assess_subscriber`](IngestPipeline::assess_subscriber) — one
 ///   subscriber's stream, sequentially.
 ///
@@ -418,7 +419,10 @@ impl<'m> IngestPipeline<'m> {
     /// subscriptions. Bit-identical to the sequential streaming path
     /// at any worker count.
     pub fn assess(&self, entries: &[WeblogEntry]) -> IngestReport {
-        crate::engine::run(self, entries, None).0
+        match crate::engine::run(self, entries, None) {
+            Ok((report, _)) => report,
+            Err(never) => match never {},
+        }
     }
 
     /// Like [`IngestPipeline::assess`], with session tracing: every
@@ -431,17 +435,23 @@ impl<'m> IngestPipeline<'m> {
         entries: &[WeblogEntry],
         trace_cfg: TraceConfig,
     ) -> (IngestReport, Trace) {
-        let (report, trace) = crate::engine::run(self, entries, Some(trace_cfg));
-        (report, trace.unwrap_or_default())
+        match crate::engine::run(self, entries, Some(trace_cfg)) {
+            Ok((report, trace)) => (report, trace.unwrap_or_default()),
+            Err(never) => match never {},
+        }
     }
 
-    /// Assess a packed binary corpus: decode records straight from the
-    /// length-prefixed byte buffer (zero serde), then run the same
-    /// shared pass as [`IngestPipeline::assess`]. The report is
-    /// bit-identical to assessing the equivalent JSONL decode.
+    /// Assess a packed binary corpus on the same engine pass as
+    /// [`IngestPipeline::assess`], without building a
+    /// `Vec<WeblogEntry>` of it. One zero-copy pass validates the
+    /// corpus and routes each record's byte offset to its shard; each
+    /// shard worker then decodes its own records, one at a time, into
+    /// one reused scratch entry. A corpus that does not decode fails
+    /// with exactly the error [`BinaryCorpus::decode_all`] returns,
+    /// before any record is assessed. The report is bit-identical to
+    /// assessing the decoded entries.
     pub fn assess_binary(&self, corpus: &BinaryCorpus) -> Result<IngestReport, BinlogError> {
-        let entries = corpus.decode_all()?;
-        Ok(self.assess(&entries))
+        crate::engine::run(self, corpus, None).map(|(report, _)| report)
     }
 
     /// Assess one subscriber's raw (possibly encrypted) stream

@@ -6,8 +6,17 @@
 //! [`BinaryCorpus`] is one owned byte buffer holding a versioned header
 //! followed by length-prefixed records, and [`BinaryCorpus::records`]
 //! iterates it **without allocating** — every [`RecordRef`] borrows its
-//! `host`/`uri` strings straight out of the buffer. Materialize a
-//! [`WeblogEntry`] only where an owned record is actually needed.
+//! `host`/`uri` strings straight out of the buffer.
+//!
+//! Replay never needs the whole corpus as owned entries. The engine
+//! behind `IngestPipeline::assess_binary` validates and routes a corpus
+//! in one zero-copy pass ([`BinaryCorpus::for_each_record`], which
+//! reports each record's byte offset), then every shard worker re-reads
+//! its own records by offset ([`BinaryCorpus::record_at`]) and decodes
+//! them one at a time into a single reused scratch entry
+//! ([`RecordRef::decode_into`]). No `Vec<WeblogEntry>` of the corpus is
+//! built; [`BinaryCorpus::decode_all`] remains for callers that want
+//! one, and fails with exactly the error the routing pass reports.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -126,6 +135,19 @@ pub enum BinlogError {
         /// Records actually decoded.
         actual: u64,
     },
+    /// An entry is too large for the format's length fields, so it
+    /// cannot be packed (see [`BinaryCorpus::try_pack`]).
+    TooLong {
+        /// Zero-based index of the offending entry.
+        index: u64,
+        /// Which length overflowed: `"host"` (u16) or `"record"` (the
+        /// u32 body length).
+        field: &'static str,
+        /// The length in bytes.
+        len: u64,
+        /// The largest length the field can carry.
+        max: u64,
+    },
 }
 
 impl fmt::Display for BinlogError {
@@ -160,6 +182,15 @@ impl fmt::Display for BinlogError {
             BinlogError::CountMismatch { header, actual } => {
                 write!(f, "header claims {header} records, buffer holds {actual}")
             }
+            BinlogError::TooLong {
+                index,
+                field,
+                len,
+                max,
+            } => write!(
+                f,
+                "record {index}: {field} is {len} bytes, the format carries at most {max}"
+            ),
         }
     }
 }
@@ -205,6 +236,28 @@ pub struct RecordRef<'a> {
 }
 
 impl RecordRef<'_> {
+    /// Overwrite `entry` with this record, reusing its `host` and `uri`
+    /// buffers: a reader that decodes record after record into one
+    /// scratch entry allocates only when a string outgrows its buffer.
+    pub fn decode_into(&self, entry: &mut WeblogEntry) {
+        entry.timestamp = self.timestamp;
+        entry.subscriber_id = self.subscriber_id;
+        entry.host.clear();
+        entry.host.push_str(self.host);
+        match (self.uri, &mut entry.uri) {
+            (Some(uri), Some(buf)) => {
+                buf.clear();
+                buf.push_str(uri);
+            }
+            (uri, slot) => *slot = uri.map(str::to_string),
+        }
+        entry.bytes = self.bytes;
+        entry.duration = self.duration;
+        entry.transport = self.transport;
+        entry.encrypted = self.encrypted;
+        entry.kind = self.kind;
+    }
+
     /// Materialize an owned [`WeblogEntry`] (allocates the strings).
     pub fn to_entry(&self) -> WeblogEntry {
         WeblogEntry {
@@ -256,10 +309,42 @@ pub struct BinaryCorpus {
 }
 
 impl BinaryCorpus {
+    /// Encode a slice of entries into a fresh corpus, refusing any entry
+    /// the format cannot carry: a host of 64 KiB or more (its length is
+    /// a u16) or a record body of 4 GiB or more (a u32). The error names
+    /// the first such entry. Otherwise identical to
+    /// [`BinaryCorpus::pack`]; use this for input read from outside the
+    /// process.
+    pub fn try_pack(entries: &[WeblogEntry]) -> Result<BinaryCorpus, BinlogError> {
+        for (index, e) in entries.iter().enumerate() {
+            let too_long = |field, len: u64, max: u64| BinlogError::TooLong {
+                index: index as u64,
+                field,
+                len,
+                max,
+            };
+            let host = e.host.len() as u64;
+            if host > u64::from(u16::MAX) {
+                return Err(too_long("host", host, u64::from(u16::MAX)));
+            }
+            let body = encoded_body_len(e);
+            if body > u64::from(u32::MAX) {
+                return Err(too_long("record", body, u64::from(u32::MAX)));
+            }
+        }
+        Ok(BinaryCorpus::pack(entries))
+    }
+
     /// Encode a slice of entries into a fresh corpus. The inverse of
     /// [`BinaryCorpus::decode_all`]: packing and unpacking reproduces
     /// the input bit for bit (f64 transport fields round-trip through
     /// their raw bits).
+    ///
+    /// Every entry must fit the format's length fields, as entries built
+    /// in-process do. An entry [`BinaryCorpus::try_pack`] refuses is
+    /// written with a truncated length, and decoding the corpus then
+    /// fails at that record; input from outside the process goes
+    /// through `try_pack`.
     pub fn pack(entries: &[WeblogEntry]) -> BinaryCorpus {
         let total: usize = entries
             .iter()
@@ -360,19 +445,55 @@ impl BinaryCorpus {
         }
     }
 
+    /// The one validating pass over the records: visit each record in
+    /// order with the byte offset it starts at, then check the header's
+    /// count. Returns the first decode error (or the count mismatch),
+    /// after visiting every record before it.
+    pub fn for_each_record<'a>(
+        &'a self,
+        mut visit: impl FnMut(usize, RecordRef<'a>),
+    ) -> Result<(), BinlogError> {
+        let mut records = self.records();
+        loop {
+            let offset = records.offset;
+            let Some(record) = records.next() else {
+                break;
+            };
+            visit(offset, record?);
+        }
+        if records.index != self.count {
+            return Err(BinlogError::CountMismatch {
+                header: self.count,
+                actual: records.index,
+            });
+        }
+        Ok(())
+    }
+
+    /// Parse the one record starting at byte `offset`, labelling errors
+    /// with `index`. Meant for re-reading a record whose offset
+    /// [`BinaryCorpus::for_each_record`] reported; any other offset
+    /// yields a typed error or a record read from the wrong bytes, never
+    /// a panic.
+    pub fn record_at(&self, offset: usize, index: u64) -> Result<RecordRef<'_>, BinlogError> {
+        let mut at = Records {
+            buf: &self.buf,
+            offset,
+            index,
+            failed: false,
+        };
+        at.parse_next()
+            .unwrap_or(Err(BinlogError::Truncated { index, offset }))
+    }
+
     /// Decode every record into owned [`WeblogEntry`] values, verifying
     /// the header count along the way.
     pub fn decode_all(&self) -> Result<Vec<WeblogEntry>, BinlogError> {
-        let mut out = Vec::with_capacity(usize::try_from(self.count).unwrap_or(0));
-        for record in self.records() {
-            out.push(record?.to_entry());
-        }
-        if out.len() as u64 != self.count {
-            return Err(BinlogError::CountMismatch {
-                header: self.count,
-                actual: out.len() as u64,
-            });
-        }
+        // The header count is untrusted: reserve no more records than the
+        // buffer could possibly hold.
+        let room = self.buf.len().saturating_sub(HEADER_BYTES) / (4 + RECORD_FIXED_BYTES);
+        let mut out = Vec::with_capacity(room.min(usize::try_from(self.count).unwrap_or(room)));
+        self.for_each_record(|_, record| out.push(record.to_entry()))?;
         Ok(out)
     }
 
@@ -404,17 +525,17 @@ pub struct Records<'a> {
 }
 
 fn read_u16(buf: &[u8], offset: usize) -> Option<u16> {
-    let b = buf.get(offset..offset + 2)?;
+    let b = buf.get(offset..offset.checked_add(2)?)?;
     Some(u16::from_le_bytes([b[0], b[1]]))
 }
 
 fn read_u32(buf: &[u8], offset: usize) -> Option<u32> {
-    let b = buf.get(offset..offset + 4)?;
+    let b = buf.get(offset..offset.checked_add(4)?)?;
     Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 fn read_u64(buf: &[u8], offset: usize) -> Option<u64> {
-    let b = buf.get(offset..offset + 8)?;
+    let b = buf.get(offset..offset.checked_add(8)?)?;
     let mut raw = [0u8; 8];
     raw.copy_from_slice(b);
     Some(u64::from_le_bytes(raw))
@@ -589,6 +710,7 @@ impl<'a> Iterator for Records<'a> {
 mod tests {
     use super::*;
     use crate::weblog::RECORD_OVERHEAD_BYTES;
+    use proptest::prelude::*;
 
     fn entry(host: &str, uri: Option<&str>) -> WeblogEntry {
         WeblogEntry {
@@ -805,6 +927,78 @@ mod tests {
     }
 
     #[test]
+    fn try_pack_refuses_a_host_the_format_cannot_carry() {
+        let long = entry(&"h".repeat(70_000), None);
+        let entries = vec![entry("m.youtube.com", None), long];
+        let err = BinaryCorpus::try_pack(&entries).expect_err("a 70,000-byte host cannot fit");
+        assert!(
+            matches!(
+                err,
+                BinlogError::TooLong {
+                    index: 1,
+                    field: "host",
+                    len: 70_000,
+                    max: 65_535,
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("record 1"), "{err}");
+        // The longest host the u16 length carries still packs losslessly.
+        let widest = vec![entry(&"h".repeat(65_535), Some("/watch"))];
+        let corpus = BinaryCorpus::try_pack(&widest).expect("fits");
+        assert_eq!(corpus, BinaryCorpus::pack(&widest));
+        assert_eq!(corpus.decode_all().expect("decodes"), widest);
+    }
+
+    #[test]
+    fn record_at_rereads_what_the_routing_pass_saw() {
+        let entries = sample();
+        let corpus = BinaryCorpus::pack(&entries);
+        let mut seen = Vec::new();
+        corpus
+            .for_each_record(|offset, r| seen.push((offset, r)))
+            .expect("clean corpus validates");
+        assert_eq!(seen.len(), entries.len());
+        assert_eq!(seen[0].0, HEADER_BYTES);
+        // One scratch entry reused across records whose uri goes
+        // absent -> present -> present -> absent.
+        let mut scratch = entries[2].clone();
+        for (i, ((offset, r), e)) in seen.iter().zip(&entries).enumerate() {
+            let again = corpus.record_at(*offset, i as u64).expect("re-reads");
+            assert_eq!(&again, r);
+            again.decode_into(&mut scratch);
+            assert_eq!(&scratch, e);
+        }
+    }
+
+    #[test]
+    fn record_at_out_of_range_is_a_typed_truncation() {
+        let corpus = BinaryCorpus::pack(&sample());
+        let end = corpus.as_bytes().len();
+        for offset in [end, end + 1, usize::MAX - 3, usize::MAX] {
+            assert!(matches!(
+                corpus.record_at(offset, 7),
+                Err(BinlogError::Truncated { index: 7, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_huge_header_count_is_a_count_mismatch_not_an_allocation() {
+        let mut bytes = BinaryCorpus::pack(&sample()).as_bytes().to_vec();
+        bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let corpus = BinaryCorpus::from_bytes(bytes).expect("header intact");
+        assert!(matches!(
+            corpus.decode_all(),
+            Err(BinlogError::CountMismatch {
+                header: u64::MAX,
+                actual: 4,
+            })
+        ));
+    }
+
+    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("vqoe_binlog_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -814,5 +1008,193 @@ mod tests {
         let back = BinaryCorpus::read_file(&path).expect("reads");
         assert_eq!(back, corpus);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Hosts and uris outside ASCII, empty and absent.
+    const HOSTS: [&str; 5] = [
+        "",
+        "r3---sn-abc123.googlevideo.com",
+        "räksmörgås.example",
+        "視頻.例子.cn",
+        "\u{1f3ac}\u{0}.tv",
+    ];
+    const URIS: [Option<&str>; 4] = [None, Some(""), Some("/videoplayback?id=é"), Some("/🎥")];
+    /// NaN (quiet, signalling, with payloads), ±0, subnormals and
+    /// infinities; a ninth choice takes raw bits from the seeds.
+    const FLOATS: [u64; 8] = [
+        0x7ff8_0000_0000_0000,
+        0xfff0_0000_dead_beef,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800f_ffff_ffff_ffff,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+    ];
+
+    /// A deterministic entry built from four seeds, covering every
+    /// encoded field's awkward values.
+    fn arbitrary_entry((a, b, c, d): (u64, u64, u64, u64)) -> WeblogEntry {
+        let mut transport = [0f64; 8];
+        for (i, v) in transport.iter_mut().enumerate() {
+            let pick = ((d >> (8 * i)) & 0xFF) as usize % (FLOATS.len() + 1);
+            let bits = FLOATS
+                .get(pick)
+                .copied()
+                .unwrap_or(a.rotate_left(7 * i as u32) ^ b);
+            *v = f64::from_bits(bits);
+        }
+        let host = HOSTS[(c % 5) as usize].repeat(((c >> 8) % 3) as usize);
+        WeblogEntry {
+            timestamp: Instant(a),
+            subscriber_id: b,
+            host,
+            uri: URIS[((c >> 16) % 4) as usize].map(str::to_string),
+            bytes: a ^ b.rotate_left(13),
+            duration: Duration(c),
+            transport: TransportSummary {
+                rtt_min: transport[0],
+                rtt_mean: transport[1],
+                rtt_max: transport[2],
+                bdp_mean: transport[3],
+                bif_mean: transport[4],
+                bif_max: transport[5],
+                loss_frac: transport[6],
+                retx_frac: transport[7],
+            },
+            encrypted: (c >> 24) & 1 == 1,
+            kind: kind_from_byte(((c >> 25) % 4) as u8).unwrap_or(EntryKind::Noise),
+        }
+    }
+
+    type EntryBits = (
+        u64,
+        u64,
+        String,
+        Option<String>,
+        u64,
+        u64,
+        [u64; 8],
+        bool,
+        EntryKind,
+    );
+
+    /// Every field of an entry, floats as raw bits, so NaNs compare.
+    fn bits(e: &WeblogEntry) -> EntryBits {
+        let t = &e.transport;
+        (
+            e.timestamp.as_micros(),
+            e.subscriber_id,
+            e.host.clone(),
+            e.uri.clone(),
+            e.bytes,
+            e.duration.as_micros(),
+            [
+                t.rtt_min,
+                t.rtt_mean,
+                t.rtt_max,
+                t.bdp_mean,
+                t.bif_mean,
+                t.bif_max,
+                t.loss_frac,
+                t.retx_frac,
+            ]
+            .map(f64::to_bits),
+            e.encrypted,
+            e.kind,
+        )
+    }
+
+    /// Everything a reader can do with a buffer: every path must agree
+    /// and end in a record list or a typed error, never a panic.
+    fn read_every_way(bytes: Vec<u8>) -> Result<Vec<WeblogEntry>, String> {
+        let corpus = BinaryCorpus::from_bytes(bytes).map_err(|e| format!("{e:?}"))?;
+        let iterated: Vec<_> = corpus.records().collect();
+        let mut routed = Vec::new();
+        let scanned = corpus.for_each_record(|offset, r| routed.push((offset, r)));
+        let decoded = corpus.decode_all();
+        assert_eq!(
+            scanned.as_ref().map_err(|e| format!("{e:?}")).err(),
+            decoded.as_ref().map_err(|e| format!("{e:?}")).err(),
+            "the routing pass and decode_all disagree"
+        );
+        let ok_refs = iterated.iter().take_while(|r| r.is_ok()).count();
+        assert!(routed.len() <= ok_refs);
+        for (i, (offset, r)) in routed.iter().enumerate() {
+            let again = corpus
+                .record_at(*offset, i as u64)
+                .map(|a| bits(&a.to_entry()));
+            assert_eq!(again.ok(), Some(bits(&r.to_entry())));
+        }
+        let _ = corpus.record_at(corpus.as_bytes().len() / 2, 0);
+        decoded.map_err(|e| format!("{e:?}"))
+    }
+
+    fn header(count: u64) -> Vec<u8> {
+        let mut h = BINLOG_MAGIC.to_vec();
+        h.extend_from_slice(&BINLOG_VERSION.to_le_bytes());
+        h.extend_from_slice(&[0, 0]);
+        h.extend_from_slice(&count.to_le_bytes());
+        h
+    }
+
+    const SEED: core::ops::RangeInclusive<u64> = 0..=u64::MAX;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_arbitrary_buffers_fail_typed(
+            junk in proptest::collection::vec(0u8..=255, 0..400),
+            count in 0u64..6,
+            huge in proptest::bool::ANY,
+            framed in proptest::bool::ANY,
+        ) {
+            let count = if huge { u64::MAX - count } else { count };
+            let mut bytes = if framed { header(count) } else { Vec::new() };
+            bytes.extend_from_slice(&junk);
+            let _ = read_every_way(bytes);
+        }
+
+        #[test]
+        fn prop_truncated_corpora_fail_typed(
+            seeds in proptest::collection::vec((SEED, SEED, SEED, SEED), 1..6),
+            cut in SEED,
+        ) {
+            let entries: Vec<WeblogEntry> = seeds.into_iter().map(arbitrary_entry).collect();
+            let full = BinaryCorpus::pack(&entries).as_bytes().to_vec();
+            let cut = (cut % full.len() as u64) as usize;
+            prop_assert!(read_every_way(full[..cut].to_vec()).is_err());
+        }
+
+        #[test]
+        fn prop_bit_flipped_corpora_decode_or_fail_typed(
+            seeds in proptest::collection::vec((SEED, SEED, SEED, SEED), 1..6),
+            at in SEED,
+            bit in 0u32..8,
+        ) {
+            let entries: Vec<WeblogEntry> = seeds.into_iter().map(arbitrary_entry).collect();
+            let mut bytes = BinaryCorpus::pack(&entries).as_bytes().to_vec();
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] ^= 1 << bit;
+            if let Ok(decoded) = read_every_way(bytes) {
+                prop_assert_eq!(decoded.len(), entries.len());
+            }
+        }
+
+        #[test]
+        fn prop_pack_then_decode_round_trips_bit_for_bit(
+            seeds in proptest::collection::vec((SEED, SEED, SEED, SEED), 0..12),
+        ) {
+            let entries: Vec<WeblogEntry> = seeds.into_iter().map(arbitrary_entry).collect();
+            let corpus = BinaryCorpus::try_pack(&entries).map_err(|e| {
+                proptest::TestCaseError::Fail(format!("refused: {e}"))
+            })?;
+            let decoded = read_every_way(corpus.as_bytes().to_vec())
+                .map_err(proptest::TestCaseError::Fail)?;
+            let want: Vec<EntryBits> = entries.iter().map(bits).collect();
+            let got: Vec<EntryBits> = decoded.iter().map(bits).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -1,21 +1,29 @@
-//! Subscription ingest + binary replay integration (ISSUE 8 acceptance
-//! criteria):
+//! Subscription ingest + binary replay integration:
 //!
-//! * JSON → pack → unpack is **bit-identical** at the entry level, and
-//!   the packed corpus replays into the exact same [`IngestReport`] as
-//!   the JSONL decode — through the legacy shim, the subscription
-//!   pipeline and the binary path — at worker counts 1, 2 and 7;
-//! * truncated and corrupted corpora are rejected with typed errors,
-//!   never a panic and never a silently short decode;
+//! * JSON → pack → unpack is **bit-identical** at the entry level;
+//! * `assess_binary(&corpus)`, which decodes each record on its shard
+//!   worker, replays into the exact [`IngestReport`] of
+//!   `assess(&corpus.decode_all()?)`, with equal metrics snapshots — at
+//!   worker counts 1, 2 and 7 and a non-default shard count, on a clean
+//!   tap and on a harsh-chaos tap with a session past the exactness cap;
+//! * truncated, bit-flipped and arbitrary corpora are rejected with
+//!   typed errors, never a panic and never a silently short decode, and
+//!   `assess_binary` fails with exactly `decode_all`'s error;
 //! * extension subscriptions observe every session without perturbing
 //!   the standard report.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use proptest::prelude::*;
 use vqoe_core::prelude::*;
 use vqoe_core::{EncryptedEvalConfig, EncryptedWorld};
-use vqoe_telemetry::{read_jsonl, write_jsonl, BINLOG_MAGIC};
+use vqoe_obs::Registry;
+use vqoe_simnet::time::{Duration, Instant};
+use vqoe_telemetry::{
+    apply_chaos, generate_pathological_session, merge_streams, read_jsonl, write_jsonl,
+    ChaosConfig, ChaosProfile, BINLOG_MAGIC, EXACT_ENTRY_CAP,
+};
 
 fn monitor() -> &'static QoeMonitor {
     static MONITOR: OnceLock<QoeMonitor> = OnceLock::new();
@@ -72,24 +80,92 @@ fn json_pack_unpack_round_trip_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Engine settings every bit-identity check runs at: workers 1, 2 and 7
+/// on the default shard count, and 2 workers on a non-default one.
+fn engine_grid() -> [EngineConfig; 4] {
+    let at = |workers, shards| EngineConfig {
+        workers,
+        shards,
+        ..EngineConfig::default()
+    };
+    let shards = EngineConfig::default().shards;
+    [at(1, shards), at(2, shards), at(7, shards), at(2, 5)]
+}
+
+/// Replay `corpus` both ways at `cfg` — decoded by the worker that runs
+/// each shard, and decoded up front — each with a fresh metrics registry
+/// attached, and demand equal reports and equal metrics snapshots.
+/// Returns the report.
+fn assert_binary_replay_matches_decoded(cfg: EngineConfig, corpus: &BinaryCorpus) -> IngestReport {
+    let entries = corpus.decode_all().expect("corpus decodes");
+    let replay = |binary: bool| {
+        let registry = Registry::new();
+        let pipeline = IngestPipeline::new(monitor())
+            .with_engine(cfg)
+            .with_metrics(PipelineMetrics::register(&registry));
+        let report = if binary {
+            pipeline.assess_binary(corpus).expect("corpus replays")
+        } else {
+            pipeline.assess(&entries)
+        };
+        (report, registry.snapshot_json())
+    };
+    let (binary, binary_snapshot) = replay(true);
+    let (decoded, decoded_snapshot) = replay(false);
+    assert_eq!(binary, decoded, "binary replay diverged at {cfg:?}");
+    assert_eq!(
+        binary_snapshot, decoded_snapshot,
+        "metrics snapshot diverged at {cfg:?}"
+    );
+    assert!(!binary.assessments.is_empty());
+    assert_eq!(binary.shard_health.len(), cfg.shards);
+    binary
+}
+
 #[test]
 fn all_replay_paths_agree_at_every_worker_count() {
-    let entries = multi_subscriber_tap(4, 2, 800);
-    let corpus = BinaryCorpus::pack(&entries);
-    for workers in [1usize, 2, 7] {
-        let cfg = EngineConfig {
-            workers,
-            shards: 16,
-            ..EngineConfig::default()
-        };
-        let pipeline = IngestPipeline::new(monitor()).with_engine(cfg);
-        let subscription_path: IngestReport = pipeline.assess(&entries);
-        let binary_path = pipeline.assess_binary(&corpus).expect("corpus replays");
-        assert_eq!(
-            subscription_path, binary_path,
-            "binary replay diverged at {workers} workers"
+    let corpus = BinaryCorpus::pack(&multi_subscriber_tap(4, 2, 800));
+    for cfg in engine_grid() {
+        assert_binary_replay_matches_decoded(cfg, &corpus);
+    }
+}
+
+/// A hostile tap: three ordinary subscribers plus one whose session
+/// never pauses and runs past the exactness cap (even after the faults
+/// drop or quarantine about two in five of its chunks), under the harsh
+/// fault mix (reordering, duplicates, drops, skew, corruption,
+/// subscriber-id collisions) with stream cuts off so the long session
+/// survives.
+fn harsh_tap() -> Vec<WeblogEntry> {
+    let long = generate_pathological_session(
+        2,
+        Instant::from_secs(5),
+        2 * EXACT_ENTRY_CAP,
+        Duration::from_secs(1),
+        977,
+    );
+    let tap = merge_streams(vec![multi_subscriber_tap(3, 1, 970), long]);
+    let harsh = ChaosConfig {
+        cut: 0.0,
+        ..ChaosProfile::Harsh.chaos()
+    };
+    apply_chaos(&tap, &harsh, 971).0
+}
+
+#[test]
+fn binary_replay_is_bit_identical_on_a_harsh_tap_past_the_exactness_cap() {
+    let corpus = BinaryCorpus::pack(&harsh_tap());
+    for cfg in engine_grid() {
+        let report = assert_binary_replay_matches_decoded(cfg, &corpus);
+        assert!(
+            report
+                .assessments
+                .iter()
+                .any(|a| a.fidelity == Fidelity::Sketched),
+            "no session ran past the exactness cap"
         );
-        assert!(!subscription_path.assessments.is_empty());
+        let h = &report.health;
+        assert!(h.entries_reordered > 0 && h.entries_duplicated > 0, "{h:?}");
     }
 }
 
@@ -127,6 +203,61 @@ fn truncated_and_corrupt_corpora_are_rejected_with_typed_errors() {
 
     // A decode failure must also fail the pipeline, typed.
     assert!(IngestPipeline::new(monitor()).assess_binary(&cut).is_err());
+}
+
+/// The packed bytes of a small clean tap, shared by the properties.
+fn small_corpus() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        BinaryCorpus::pack(&multi_subscriber_tap(2, 1, 990))
+            .as_bytes()
+            .to_vec()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Truncate, flip one bit of, or splice junk into a real corpus:
+    /// `assess_binary` either fails with exactly `decode_all`'s error
+    /// (variant, index and offset) or replays into the report of the
+    /// decoded entries — never a panic.
+    #[test]
+    fn prop_assess_binary_fails_exactly_as_decode_all(
+        damage in 0u8..3,
+        at in 0u64..=u64::MAX,
+        bit in 0u32..8,
+        junk in proptest::collection::vec(0u8..=255, 0..160),
+    ) {
+        let mut bytes = small_corpus().to_vec();
+        let at = (at % bytes.len() as u64) as usize;
+        match damage {
+            0 => bytes.truncate(at),
+            1 => bytes[at] ^= 1 << bit,
+            _ => {
+                bytes.truncate(at.max(16));
+                bytes.extend_from_slice(&junk);
+            }
+        }
+        let Ok(corpus) = BinaryCorpus::from_bytes(bytes) else {
+            return Ok(());
+        };
+        let pipeline = IngestPipeline::new(monitor()).with_engine(EngineConfig {
+            workers: 2,
+            shards: 4,
+            ..EngineConfig::default()
+        });
+        match (corpus.decode_all(), pipeline.assess_binary(&corpus)) {
+            (Err(want), Err(got)) => prop_assert_eq!(format!("{got:?}"), format!("{want:?}")),
+            (Ok(entries), Ok(report)) => prop_assert_eq!(report, pipeline.assess(&entries)),
+            (want, got) => prop_assert!(
+                false,
+                "decode_all: {:?}, assess_binary: {:?}",
+                want.err(),
+                got.err()
+            ),
+        }
+    }
 }
 
 #[test]
