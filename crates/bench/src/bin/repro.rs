@@ -11,9 +11,8 @@
 
 use std::io::Write;
 use vqoe_bench::experiments::{
-    abr_comparison, ingest_bench_with, overload_sweep_with, run_experiment,
-    subscriber_scaling_with, trace_overhead_with, IngestBenchConfig, OverloadSweepConfig,
-    SubscriberScalingConfig, TraceOverheadConfig, EXPERIMENTS,
+    abr_comparison, overload_sweep_with, run_experiment, subscriber_scaling_with,
+    OverloadSweepConfig, SubscriberScalingConfig, EXPERIMENTS,
 };
 use vqoe_bench::{ReproContext, ReproScale};
 
@@ -104,8 +103,6 @@ fn main() {
         let report = match id.as_str() {
             "abr-comparison" => abr_comparison(scale.seed, 600),
             "overload-sweep" => bench(overload_sweep_with(&ctx, OverloadSweepConfig::quick())),
-            "ingest-bench" => bench(ingest_bench_with(&ctx, IngestBenchConfig::quick())),
-            "trace-overhead" => bench(trace_overhead_with(&ctx, TraceOverheadConfig::quick())),
             // The full 100k-1M ladder takes minutes; --smoke runs the
             // single 10k point scripts/check.sh gates on.
             "subscriber-scaling" => bench(subscriber_scaling_with(

@@ -1,8 +1,14 @@
 //! One experiment per table and figure of the paper's evaluation, plus
-//! the DESIGN.md ablations. Every experiment renders a self-contained
-//! text report ending in paper-vs-measured comparison lines; the
-//! `repro` binary prints them and `EXPERIMENTS.md` records a reference
-//! run.
+//! the DESIGN.md ablations and four systems harnesses. Every experiment
+//! renders a self-contained text report; the `repro` binary prints them
+//! and `EXPERIMENTS.md` records a reference run.
+//!
+//! The paper experiments end in paper-vs-measured comparison lines. The
+//! systems harnesses (`chaos-sweep`, `overload-sweep`,
+//! `subscriber-scaling`) end in `budget:` lines instead: their targets
+//! are this repository's, not the paper's. `setup-split` times the
+//! model set-up stage by stage. Every other speed figure comes from
+//! qoebench (`crates/bench/src/bin/qoebench`), the one speed harness.
 
 use crate::context::ReproContext;
 use crate::render::{
@@ -17,7 +23,7 @@ use vqoe_player::{AbrKind, ContentType, SessionTrace};
 use vqoe_stats::Ecdf;
 
 /// All experiment identifiers, in paper order.
-pub const EXPERIMENTS: [&str; 30] = [
+pub const EXPERIMENTS: [&str; 27] = [
     "tab1",
     "fig1",
     "fig2",
@@ -43,10 +49,7 @@ pub const EXPERIMENTS: [&str; 30] = [
     "obfuscation",
     "chaos-sweep",
     "overload-sweep",
-    "engine-scaling",
-    "train-scaling",
-    "ingest-bench",
-    "trace-overhead",
+    "setup-split",
     "subscriber-scaling",
 ];
 
@@ -79,10 +82,7 @@ pub fn run_experiment(id: &str, ctx: &ReproContext) -> String {
         "obfuscation" => obfuscation(ctx),
         "chaos-sweep" => chaos_sweep(ctx),
         "overload-sweep" => overload_sweep(ctx),
-        "engine-scaling" => engine_scaling(ctx),
-        "train-scaling" => train_scaling(ctx),
-        "ingest-bench" => ingest_bench(ctx),
-        "trace-overhead" => trace_overhead(ctx),
+        "setup-split" => setup_split(),
         "subscriber-scaling" => subscriber_scaling(ctx),
         other => format!(
             "unknown experiment '{other}'. known: {}\n",
@@ -93,74 +93,6 @@ pub fn run_experiment(id: &str, ctx: &ReproContext) -> String {
 
 fn header(id: &str, title: &str) -> String {
     format!("\n=== {id}: {title} ===\n\n")
-}
-
-/// A tap shared by `subscribers` independent encrypted streams of
-/// `sessions` sessions each (subscriber `s` seeded `seed ^ (s << 8)`),
-/// interleaved by timestamp.
-fn interleaved_tap(
-    seed: u64,
-    subscribers: u64,
-    sessions: usize,
-) -> Vec<vqoe_telemetry::WeblogEntry> {
-    let mut entries = Vec::new();
-    for s in 0..subscribers {
-        let mut wc = vqoe_core::EncryptedEvalConfig::paper_default(seed ^ (s << 8));
-        wc.spec.n_sessions = sessions;
-        let mut world = vqoe_core::EncryptedWorld::build(&wc).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
-    entries
-}
-
-/// Best-of-`reps` wall time of `pass(workers)` at 1/2/4/8 workers: a
-/// table of `units` per second and speedup over one worker, closed by
-/// the 2-vs-1 speedup against the machine's core count. Also returns
-/// whether every timed pass reproduced `reference` (compared outside
-/// the timing).
-fn worker_scaling<T: PartialEq>(
-    rate: &str,
-    units: usize,
-    reps: usize,
-    reference: &T,
-    mut pass: impl FnMut(usize) -> T,
-) -> (String, bool) {
-    let mut t = Table::new(vec!["workers", "wall secs", rate, "speedup vs 1"]);
-    let mut identical = true;
-    let (mut base, mut speedup_2v1) = (f64::NAN, f64::NAN);
-    for workers in [1usize, 2, 4, 8] {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = std::time::Instant::now();
-            let result = pass(workers);
-            best = best.min(t0.elapsed().as_secs_f64());
-            identical &= result == *reference;
-        }
-        if workers == 1 {
-            base = best;
-        }
-        let speedup = base / best;
-        if workers == 2 {
-            speedup_2v1 = speedup;
-        }
-        t.row(vec![
-            workers.to_string(),
-            format!("{best:.3}"),
-            format!("{:.1}", units as f64 / best),
-            format!("{speedup:.2}x"),
-        ]);
-    }
-    let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let text = format!(
-        "{}\n  compute speedup, 2 workers vs 1: {speedup_2v1:.2}x \
-         (bounded by the {cores} cores)\n",
-        t.render()
-    );
-    (text, identical)
 }
 
 // ---------------------------------------------------------------- tab1
@@ -1254,16 +1186,16 @@ fn chaos_sweep(ctx: &ReproContext) -> String {
     }
     out.push_str(&t.render());
     out.push('\n');
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "clean path bit-identical at zero faults",
-        "required (ISSUE 2)",
+        "required",
         if zero_identical {
             "yes"
         } else {
             "NO — regression"
         },
     ));
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "degradation shape",
         "graceful (no collapse)",
         "accuracy and match rate decay with intensity; see table",
@@ -1524,7 +1456,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
     let restore_identical = resumed == shed_report;
 
     let within_budget = peak_shed <= peak_unbudgeted && peak_refuse <= peak_unbudgeted;
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "survived 10x flood within budget",
         "yes (no panics, peak under unbudgeted)",
         if within_budget {
@@ -1533,7 +1465,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
             "NO — regression"
         },
     ));
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "kill @ midpoint + restore + replay tail",
         "bit-identical report",
         if restore_identical && json_stable {
@@ -1542,7 +1474,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
             "DIVERGED"
         },
     ));
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "shedding is typed and logged",
         "every force-finalize has a ShedReason",
         &format!(
@@ -1585,309 +1517,15 @@ fn overload_sweep(ctx: &ReproContext) -> String {
     overload_sweep_with(ctx, OverloadSweepConfig::quick()).0
 }
 
-// ------------------------------------------------------ engine-scaling
-
-/// Compute-bound throughput of the sharded engine at 1/2/4/8 workers on
-/// a 12-subscriber tap over 32 shards, best of two reps: reassembly,
-/// feature construction and forest inference, nothing simulated. Every
-/// timed pass must reproduce the single-worker report bit for bit.
-fn engine_scaling(ctx: &ReproContext) -> String {
-    use vqoe_core::EngineConfig;
-
-    let (subscribers, shards, reps) = (12, 32, 2);
-    let monitor = ctx.monitor();
-    let entries = interleaved_tap(ctx.scale.seed ^ 0xE561, subscribers, 1);
-    let engine = |workers| {
-        monitor.pipeline().with_engine(EngineConfig {
-            workers,
-            shards,
-            ..EngineConfig::default()
-        })
-    };
-    let reference = engine(1).assess(&entries);
-    let (table, identical) = worker_scaling(
-        "sessions/s",
-        reference.assessments.len(),
-        reps,
-        &reference,
-        |workers| engine(workers).assess(&entries),
-    );
-
-    let mut out = header(
-        "engine-scaling",
-        "sharded-engine throughput vs worker count",
-    );
-    out.push_str(&format!(
-        "tap: {} entries from {subscribers} subscribers over {shards} shards; \
-         best of {reps} reps\n\n{table}",
-        entries.len(),
-    ));
-    out.push_str(&compare_line(
-        "output across worker counts",
-        "bit-identical",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    out
-}
-
-// ----------------------------------------------------- trace-overhead
-
-/// Workload and measurement knobs for [`trace_overhead_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceOverheadConfig {
-    /// Independent subscriber streams sharing the tap.
-    pub subscribers: u64,
-    /// Sessions per subscriber.
-    pub sessions: usize,
-    /// Shard count.
-    pub shards: usize,
-    /// Worker count for the timed runs.
-    pub workers: usize,
-    /// Timing repetitions; the best (minimum) wall time per variant is
-    /// reported.
-    pub reps: usize,
-}
-
-impl TraceOverheadConfig {
-    /// The harness point `scripts/bench.sh` records: a single worker,
-    /// so a small container measures span recording cost rather than
-    /// scheduler jitter.
-    pub fn quick() -> Self {
-        TraceOverheadConfig {
-            subscribers: 12,
-            sessions: 4,
-            shards: 32,
-            workers: 1,
-            reps: 7,
-        }
-    }
-}
-
-/// Cost and fidelity of the deterministic session-tracing layer.
-///
-/// Runs the same multi-subscriber tap through the sharded engine twice
-/// per repetition — once bare (`assess`), once traced
-/// (`assess_traced`) — and checks three things:
-///
-/// 1. **bit-identity** — the traced engine's `IngestReport` equals the
-///    bare engine's. Tracing must never perturb assessments.
-/// 2. **trace determinism** — the Chrome trace-event export is
-///    byte-identical across repeated traced runs *and* across worker
-///    counts (`cfg.workers` vs `cfg.workers + 2`): span events are
-///    keyed by emission key and merged in key order, so the schedule
-///    cannot leak into the artifact.
-/// 3. **overhead** — best-of-reps traced wall time vs bare wall time,
-///    in the compute regime, against the `< 2%` budget.
-pub fn trace_overhead_with(ctx: &ReproContext, cfg: TraceOverheadConfig) -> (String, String) {
-    use std::time::Instant;
-    use vqoe_core::EngineConfig;
-    use vqoe_obs::TraceConfig;
-
-    let monitor = ctx.monitor();
-    let entries = interleaved_tap(ctx.scale.seed ^ 0x7ACE, cfg.subscribers, cfg.sessions);
-
-    let engine_cfg = EngineConfig {
-        workers: cfg.workers,
-        shards: cfg.shards,
-        ..EngineConfig::default()
-    };
-
-    // Warm-up, then bare and traced passes interleaved per rep so
-    // neither variant systematically enjoys warmer caches.
-    let engine = monitor.pipeline().with_engine(engine_cfg);
-    let reference = engine.assess(&entries);
-
-    let mut bare_secs = f64::INFINITY;
-    let mut traced_secs = f64::INFINITY;
-    let mut bit_identical = true;
-    let mut exports: Vec<String> = Vec::new();
-    let mut spans = 0u64;
-    let mut dropped = 0u64;
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = Instant::now();
-        let bare_report = engine.assess(&entries);
-        bare_secs = bare_secs.min(t0.elapsed().as_secs_f64());
-        bit_identical &= bare_report == reference;
-
-        let t0 = Instant::now();
-        let (report, trace) = engine.assess_traced(&entries, TraceConfig::default());
-        traced_secs = traced_secs.min(t0.elapsed().as_secs_f64());
-        bit_identical &= report == reference;
-        spans = trace.events().len() as u64;
-        dropped = trace.dropped();
-        exports.push(trace.to_chrome_json());
-    }
-    // One traced pass at a different worker count: the export must not
-    // care how the work was scheduled.
-    {
-        let other = EngineConfig {
-            workers: cfg.workers + 2,
-            ..engine_cfg
-        };
-        let engine = monitor.pipeline().with_engine(other);
-        let (report, trace) = engine.assess_traced(&entries, TraceConfig::default());
-        bit_identical &= report == reference;
-        exports.push(trace.to_chrome_json());
-    }
-    let trace_deterministic = exports.windows(2).all(|w| w[0] == w[1]);
-    let overhead_pct = (traced_secs - bare_secs) / bare_secs * 100.0;
-    let export_bytes = exports.first().map(String::len).unwrap_or(0);
-
-    let mut out = header("trace-overhead", "cost of deterministic session tracing");
-    out.push_str(&format!(
-        "tap: {} entries from {} subscribers over {} shards; {} workers; \
-         best of {} reps, compute regime (no tap pacing)\n\n",
-        entries.len(),
-        cfg.subscribers,
-        cfg.shards,
-        cfg.workers,
-        cfg.reps,
-    ));
-    let mut t = Table::new(vec!["variant", "wall secs", "sessions/s"]);
-    for (variant, secs) in [("bare", bare_secs), ("traced", traced_secs)] {
-        t.row(vec![
-            variant.to_string(),
-            format!("{secs:.4}"),
-            format!("{:.1}", reference.assessments.len() as f64 / secs),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    out.push_str(&format!(
-        "trace after one pass: {spans} span events ({dropped} dropped), \
-         {export_bytes} bytes of Chrome trace JSON; export compared \
-         across {} runs\n\n",
-        exports.len(),
-    ));
-    out.push_str(&compare_line(
-        "traced vs bare assessments",
-        "bit-identical",
-        if bit_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    out.push_str(&compare_line(
-        "Chrome export across runs and worker counts",
-        "byte-identical",
-        if trace_deterministic {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    out.push_str(&compare_line(
-        "tracing overhead (compute regime)",
-        "< 2%",
-        &format!("{overhead_pct:.2}%"),
-    ));
-    out.push_str(
-        "\nspan events carry the session's emission key plus a sequence\n\
-         number and the reducer sorts the merged shard vectors by (key,\n\
-         seq), so the assembled trace is a property of the tap, not of\n\
-         the schedule; per-shard sinks are bounded, and overflow is\n\
-         counted instead of reallocating on the hot path.\n",
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"trace-overhead\",\n  \"entries\": {},\n  \
-         \"sessions_assessed\": {},\n  \"subscribers\": {},\n  \"shards\": {},\n  \
-         \"workers\": {},\n  \"reps\": {},\n  \"span_events\": {spans},\n  \
-         \"spans_dropped\": {dropped},\n  \"export_bytes\": {export_bytes},\n  \
-         \"base_secs\": {bare_secs:.6},\n  \"traced_secs\": {traced_secs:.6},\n  \
-         \"overhead_pct\": {overhead_pct:.4},\n  \"bit_identical\": {bit_identical},\n  \
-         \"trace_deterministic\": {trace_deterministic}\n}}\n",
-        entries.len(),
-        reference.assessments.len(),
-        cfg.subscribers,
-        cfg.shards,
-        cfg.workers,
-        cfg.reps,
-    );
-    (out, json)
-}
-
-fn trace_overhead(ctx: &ReproContext) -> String {
-    trace_overhead_with(ctx, TraceOverheadConfig::quick()).0
-}
-
-// ------------------------------------------------------ train-scaling
-
-/// Training-path scaling: a 48-tree forest fit on the stall detector's
-/// reduced feature space over 300 cleartext sessions at 1/2/4/8
-/// workers, compute-bound, best of two reps, plus the bit-identity
-/// proof: the fitted forest and the full 10-fold CV report against the
-/// sequential reference at workers ∈ {1, 2, 7}, and every timed fit
-/// against the reference forest. Determinism is the training fan-out's
-/// contract ([`vqoe_ml::par::run_indexed`] reduces in job-index order),
-/// so the expectation is byte-identity, not approximate agreement.
-fn train_scaling(ctx: &ReproContext) -> String {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use vqoe_core::stall_pipeline::CV_FOLDS;
-    use vqoe_ml::{cross_validate_with, RandomForest, TrainConfig};
-
-    let (n_trees, reps) = (48, 2);
-    // The workload: the stall detector's own reduced feature space over
-    // a slice of the cleartext corpus, balanced exactly as the training
-    // pipeline balances it.
-    let sessions = ctx.cleartext.len().min(300);
-    let full = vqoe_features::build_stall_dataset(&ctx.cleartext[..sessions]);
-    let reduced = full.select_features(&ctx.stall.model.selected_indices);
-    let mut rng = StdRng::seed_from_u64(ctx.scale.seed);
-    let train_set = reduced.balanced_downsample(&mut rng);
-    let forest_cfg = ForestConfig {
-        n_trees,
-        ..ForestConfig::default()
-    };
-    let fit = |workers| {
-        RandomForest::fit_with(&train_set, forest_cfg, TrainConfig::with_workers(workers))
-    };
-    let cv = |workers| {
-        let tc = TrainConfig::with_workers(workers);
-        cross_validate_with(&reduced, CV_FOLDS, forest_cfg, true, ctx.scale.seed, tc)
-    };
-
-    // Identity phase: forest fit and cross-validation at several worker
-    // counts must equal the sequential reference, field for field.
-    let (ref_forest, ref_cv) = (fit(1), cv(1));
-    let mut identical = [1, 2, 7]
-        .into_iter()
-        .all(|w| fit(w) == ref_forest && cv(w) == ref_cv);
-    let (table, timed_identical) = worker_scaling("trees/s", n_trees, reps, &ref_forest, fit);
-    identical &= timed_identical;
-
-    let mut out = header("train-scaling", "training-path throughput vs worker count");
-    out.push_str(&format!(
-        "workload: {} rows × {} features (balanced to {} rows for fitting), \
-         {n_trees} trees; best of {reps} reps\n\n{table}",
-        reduced.n_rows(),
-        reduced.n_features(),
-        train_set.n_rows(),
-    ));
-    out.push_str(&compare_line(
-        "fitted forest & CV report across worker counts",
-        "byte-identical",
-        if identical {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    out.push_str(&training_setup_split());
-    out
-}
+// --------------------------------------------------------- setup-split
 
 /// Where the time of one full [`vqoe_core::QoeMonitor::train`] goes, at
 /// the model set-up every qoebench run pays (800 cleartext + 300
 /// adaptive sessions, seed 2016, 2 workers): wall time per
 /// [`TrainStage`](vqoe_core::TrainStage), median of three trainings.
-fn training_setup_split() -> String {
+/// qoebench gates the total as `setup_s`; this is its only per-stage
+/// view.
+fn setup_split() -> String {
     use std::time::Instant;
     use vqoe_core::{QoeMonitor, TrainConfig, TrainStage, TrainingConfig};
 
@@ -1935,209 +1573,19 @@ fn training_setup_split() -> String {
         format!("{total:.3}"),
         "100%".to_string(),
     ]);
-    format!(
-        "\nmodel set-up split: QoeMonitor::train at {} cleartext + {} adaptive \
-         sessions, {workers} workers, {} cores available; median of {reps} trainings \
-         per stage\n\n{}",
+    let mut out = header(
+        "setup-split",
+        "where model set-up time goes, per training stage",
+    );
+    out.push_str(&format!(
+        "QoeMonitor::train at {} cleartext + {} adaptive sessions, {workers} \
+         workers, {} cores available; median of {reps} trainings per stage\n\n{}",
         config.cleartext_sessions,
         config.adaptive_sessions,
         std::thread::available_parallelism().map_or(1, |p| p.get()),
         t.render(),
-    )
-}
-
-// -------------------------------------------------------- ingest-bench
-
-/// Workload and measurement knobs for [`ingest_bench_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestBenchConfig {
-    /// Independent subscriber streams sharing the tap.
-    pub subscribers: u64,
-    /// Sessions per subscriber.
-    pub sessions: usize,
-    /// Timing repetitions; the best (minimum) wall time per variant is
-    /// reported.
-    pub reps: usize,
-}
-
-impl IngestBenchConfig {
-    /// The harness point `scripts/bench.sh` records (`BENCH_pr8.json`).
-    pub fn quick() -> Self {
-        IngestBenchConfig {
-            subscribers: 12,
-            sessions: 4,
-            reps: 7,
-        }
-    }
-}
-
-/// JSON vs binary weblog replay through the subscription ingest
-/// pipeline.
-///
-/// Serializes one multi-subscriber tap both ways — JSONL (the archival
-/// interchange format, serde per line) and the packed
-/// [`vqoe_telemetry::BinaryCorpus`] (length-prefixed records, zero-copy
-/// iteration) — then measures, best-of-reps:
-///
-/// 1. **decode** — bytes back to `Vec<WeblogEntry>`. This is the step
-///    the binary format exists for; its speedup is the headline
-///    `replay_speedup` (a budget this repository set: ≥ 3x).
-/// 2. **end-to-end** — each format's replay path: JSONL decode plus a
-///    full [`IngestPipeline::assess`] pass, against
-///    `IngestPipeline::assess_binary`, which decodes each record on its
-///    shard worker (model inference dominates, so this ratio is closer
-///    to 1).
-///
-/// Identity is asserted, not assumed: the packed corpus must decode to
-/// the exact entry vector, and the [`IngestReport`]s from JSON-decoded
-/// and binary-decoded replay must be bit-identical to each other and
-/// across 1, 2 and 7 workers.
-///
-/// [`IngestPipeline::assess`]: vqoe_core::IngestPipeline
-/// [`IngestReport`]: vqoe_core::IngestReport
-pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String, String) {
-    use std::time::Instant;
-    use vqoe_core::{EngineConfig, IngestPipeline};
-    use vqoe_telemetry::{BinaryCorpus, WeblogEntry};
-
-    let monitor = ctx.monitor();
-    // The same multi-subscriber tap engine-scaling uses, interleaved by
-    // timestamp.
-    let entries = interleaved_tap(ctx.scale.seed ^ 0xE561, cfg.subscribers, cfg.sessions);
-
-    // Both encodings of the same tap, in memory (no disk noise).
-    let jsonl: String = entries
-        .iter()
-        .map(|e| {
-            let mut line = serde_json::to_string(e).expect("weblog entries serialize");
-            line.push('\n');
-            line
-        })
-        .collect();
-    let corpus = BinaryCorpus::pack(&entries);
-
-    let decode_jsonl = |text: &str| -> Vec<WeblogEntry> {
-        text.lines()
-            .map(|l| serde_json::from_str(l).expect("weblog JSONL parses"))
-            .collect()
-    };
-    let decode_binary = |c: &BinaryCorpus| c.decode_all().expect("packed corpus decodes");
-
-    // Identity first, timing second: the binary round trip must be
-    // exact, and the replay reports must be bit-identical on every
-    // path at every worker count.
-    let mut identical = decode_binary(&corpus) == entries;
-    let pipeline = IngestPipeline::new(&monitor);
-    let reference = pipeline.assess(&entries);
-    for workers in [1usize, 2, 7] {
-        let p = pipeline.clone().with_engine(EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        });
-        let from_json = p.assess(&decode_jsonl(&jsonl));
-        let from_binary = p.assess_binary(&corpus).expect("packed corpus replays");
-        identical &= from_json == reference && from_binary == reference;
-    }
-    let sessions_assessed = reference.assessments.len();
-
-    // Timed phases, best of reps. Decode is the format's own cost;
-    // end-to-end adds the (format-independent) assessment pass.
-    let mut json_decode = f64::INFINITY;
-    let mut bin_decode = f64::INFINITY;
-    let mut json_e2e = f64::INFINITY;
-    let mut bin_e2e = f64::INFINITY;
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = Instant::now();
-        let decoded = decode_jsonl(&jsonl);
-        json_decode = json_decode.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let _ = pipeline.assess(&decoded);
-        let assess_secs = t0.elapsed().as_secs_f64();
-        json_e2e = json_e2e.min(json_decode + assess_secs);
-
-        let t0 = Instant::now();
-        let _ = decode_binary(&corpus);
-        bin_decode = bin_decode.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let _ = pipeline.assess_binary(&corpus);
-        bin_e2e = bin_e2e.min(t0.elapsed().as_secs_f64());
-    }
-    let replay_speedup = json_decode / bin_decode;
-    let e2e_speedup = json_e2e / bin_e2e;
-    let size_ratio = jsonl.len() as f64 / corpus.as_bytes().len().max(1) as f64;
-
-    let mut out = header(
-        "ingest-bench",
-        "JSON vs binary weblog replay through the subscription pipeline",
-    );
-    out.push_str(&format!(
-        "tap: {} entries from {} subscribers, {} sessions assessed; best of {} reps\n\
-         encodings: JSONL {} bytes, packed binary {} bytes ({size_ratio:.2}x smaller)\n\n",
-        entries.len(),
-        cfg.subscribers,
-        sessions_assessed,
-        cfg.reps,
-        jsonl.len(),
-        corpus.as_bytes().len(),
     ));
-    let mut t = Table::new(vec!["phase", "JSONL secs", "binary secs", "speedup"]);
-    t.row(vec![
-        "decode to entries".to_string(),
-        format!("{json_decode:.4}"),
-        format!("{bin_decode:.4}"),
-        format!("{replay_speedup:.2}x"),
-    ]);
-    t.row(vec![
-        "replay (end-to-end)".to_string(),
-        format!("{json_e2e:.4}"),
-        format!("{bin_e2e:.4}"),
-        format!("{e2e_speedup:.2}x"),
-    ]);
-    out.push_str(&t.render());
-    out.push('\n');
-    out.push_str(&compare_line(
-        "reports across encodings and workers 1/2/7",
-        "bit-identical",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    out.push_str(&budget_line(
-        "binary-over-JSON decode speedup",
-        ">= 3x",
-        &format!("{replay_speedup:.2}x"),
-    ));
-    out.push_str(
-        "\nthe decode phase is what the binary format accelerates (no serde).\n\
-         end to end, JSONL is decoded and then assessed, while binary replay\n\
-         (assess_binary) decodes each record on the shard worker that\n\
-         assesses it; both fold in the format-independent assessment pass.\n\
-         encoding never affects the report.\n",
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"ingest-bench\",\n  \"entries\": {},\n  \
-         \"sessions_assessed\": {},\n  \"subscribers\": {},\n  \"reps\": {},\n  \
-         \"jsonl_bytes\": {},\n  \"binary_bytes\": {},\n  \"size_ratio\": {size_ratio:.4},\n  \
-         \"bit_identical\": {},\n  \
-         \"json_decode_secs\": {json_decode:.6},\n  \"binary_decode_secs\": {bin_decode:.6},\n  \
-         \"json_e2e_secs\": {json_e2e:.6},\n  \"binary_e2e_secs\": {bin_e2e:.6},\n  \
-         \"e2e_speedup\": {e2e_speedup:.4},\n  \"replay_speedup\": {replay_speedup:.4}\n}}\n",
-        entries.len(),
-        sessions_assessed,
-        cfg.subscribers,
-        cfg.reps,
-        jsonl.len(),
-        corpus.as_bytes().len(),
-        identical,
-    );
-    (out, json)
-}
-
-fn ingest_bench(ctx: &ReproContext) -> String {
-    ingest_bench_with(ctx, IngestBenchConfig::quick()).0
+    out
 }
 
 // -------------------------------------------------- subscriber-scaling
@@ -2362,14 +1810,14 @@ pub fn subscriber_scaling_with(
          streaming path:              {} bytes (constant for any length)\n\n",
         cfg.long_chunks, buffered_long, streaming_long,
     ));
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "bytes/subscriber flatness across the ladder (max/min)",
         "<= 1.15x",
         &format!("{flatness:.3}x"),
     ));
     let expected_sketched = 100.0 / cfg.long_every as f64;
     let last = points.last().expect("at least one ladder point");
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "sketched-session rate at the largest point",
         &format!("~{expected_sketched:.2}%"),
         &format!(
@@ -2377,7 +1825,7 @@ pub fn subscriber_scaling_with(
             100.0 * last.sketched as f64 / last.sessions.max(1) as f64
         ),
     ));
-    out.push_str(&compare_line(
+    out.push_str(&budget_line(
         "sessions assessed at the largest point",
         &format!("{}", last.subscribers),
         &format!("{}", last.sessions),
@@ -2444,6 +1892,14 @@ mod tests {
     #[test]
     fn every_experiment_renders() {
         let ctx = ctx();
+        // Systems-harness targets are this repository's own budgets,
+        // never paper figures.
+        let systems = [
+            "chaos-sweep",
+            "overload-sweep",
+            "setup-split",
+            "subscriber-scaling",
+        ];
         for id in EXPERIMENTS {
             let report = run_experiment(id, ctx);
             assert!(
@@ -2451,6 +1907,12 @@ mod tests {
                 "experiment {id} produced a stub: {report}"
             );
             assert!(report.contains(id), "report missing its id: {id}");
+            if systems.contains(&id) {
+                assert!(
+                    !report.contains("paper:"),
+                    "systems harness {id} labels a budget as a paper figure:\n{report}"
+                );
+            }
         }
     }
 

@@ -3,7 +3,9 @@
 //! The reproduction harness for *Measuring Video QoE from Encrypted
 //! Traffic* (IMC 2016): one experiment per table and figure in the
 //! paper's evaluation, regenerated end to end from the simulation
-//! substrate, plus the ablations called out in `DESIGN.md`.
+//! substrate, plus the ablations called out in `DESIGN.md` and the
+//! systems harnesses (`chaos-sweep`, `overload-sweep`, `setup-split`,
+//! `subscriber-scaling`).
 //!
 //! Run everything:
 //!
@@ -17,8 +19,9 @@
 //! cargo run --release -p vqoe-bench --bin repro -- tab3 --sessions 20000
 //! ```
 //!
-//! The Criterion performance benches live in `benches/perf.rs`
-//! (`cargo bench -p vqoe-bench`).
+//! Speed is measured by `qoebench` alone, the benchmark of the
+//! assessment path: its own package in `src/bin/qoebench/`, declared in
+//! the root `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

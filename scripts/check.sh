@@ -33,23 +33,12 @@ echo "==> cargo test --workspace"
 cargo test --workspace -q
 
 # Opt-in long soak: a high-fault chaos stream through the online
-# assessor (see scripts/soak.sh), plus a trace-overhead smoke that
-# enforces the < 2% tracing budget. Default runtime is unchanged.
+# assessor (see scripts/soak.sh), plus a 10k-subscriber memory smoke.
+# Default runtime is unchanged.
 if [[ "${VQOE_SOAK:-0}" == "1" ]]; then
   ./scripts/soak.sh
-  echo "==> repro trace-overhead smoke (tracing budget < 2%)"
-  cargo build --release -q -p vqoe-bench
-  ./target/release/repro trace-overhead --smoke --bench-json BENCH_smoke_pr9.json >/dev/null
-  grep -q '"bit_identical": true' BENCH_smoke_pr9.json
-  grep -q '"trace_deterministic": true' BENCH_smoke_pr9.json
-  overhead=$(sed -n 's/.*"overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' BENCH_smoke_pr9.json)
-  awk -v o="$overhead" 'BEGIN {
-    if (o >= 2.0) { printf "tracing overhead %.2f%% breaches the 2%% budget\n", o; exit 1 }
-    printf "trace-overhead smoke: %.2f%% (< 2%% budget)\n", o
-  }'
-  rm -f BENCH_smoke_pr9.json
-
   echo "==> repro subscriber-scaling smoke (10k concurrent subscribers)"
+  cargo build --release -q -p vqoe-bench
   ./target/release/repro subscriber-scaling --smoke \
     --bench-json BENCH_smoke_pr10.json >/dev/null
   # Per-subscriber memory must stay a small constant: the 10k point has
