@@ -7,7 +7,7 @@ use vqoe_core::stall_pipeline::{train_stall_detector, StallTrainingReport};
 use vqoe_core::switch_pipeline::SwitchCalibrationReport;
 use vqoe_core::{generate_traces, DatasetSpec, EncryptedEvalConfig, EncryptedWorld};
 use vqoe_core::{QoeMonitor, SwitchModel};
-use vqoe_ml::ForestConfig;
+use vqoe_ml::{ForestConfig, TrainConfig};
 use vqoe_player::SessionTrace;
 use vqoe_telemetry::ReassemblyConfig;
 
@@ -66,14 +66,14 @@ impl ReproContext {
     /// Build the full context (generation + training + encrypted world).
     /// At the default scale this takes tens of seconds in release mode.
     pub fn build(scale: ReproScale) -> Self {
-        let cleartext = generate_traces(&DatasetSpec::cleartext_default(
-            scale.cleartext_sessions,
-            scale.seed,
-        ));
-        let adaptive = generate_traces(&DatasetSpec::adaptive_default(
-            scale.adaptive_sessions,
-            scale.seed ^ 0xADA7,
-        ));
+        let cleartext = generate_traces(
+            &DatasetSpec::cleartext_default(scale.cleartext_sessions, scale.seed),
+            TrainConfig::auto(),
+        );
+        let adaptive = generate_traces(
+            &DatasetSpec::adaptive_default(scale.adaptive_sessions, scale.seed ^ 0xADA7),
+            TrainConfig::auto(),
+        );
 
         let mut stall_corpus = cleartext.clone();
         stall_corpus.extend(adaptive.iter().cloned());

@@ -1016,7 +1016,7 @@ pub fn abr_comparison(seed: u64, n: usize) -> String {
     for abr in [AbrKind::Throughput, AbrKind::BufferBased, AbrKind::Hybrid] {
         let mut spec = DatasetSpec::adaptive_default(n, seed);
         spec.delivery.abr = abr;
-        let traces = vqoe_core::generate_traces(&spec);
+        let traces = vqoe_core::generate_traces(&spec, vqoe_core::TrainConfig::auto());
         let stalled = traces
             .iter()
             .filter(|t| t.ground_truth.stall_count() > 0)
@@ -1717,7 +1717,7 @@ pub fn subscriber_scaling_with(
                 if a.fidelity == Fidelity::Sketched {
                     t.1 += 1;
                 }
-                if a.partial {
+                if a.fidelity >= Fidelity::Partial {
                     t.2 += 1;
                 }
             }

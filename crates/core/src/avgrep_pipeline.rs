@@ -168,7 +168,7 @@ mod tests {
     use crate::spec::DatasetSpec;
 
     fn adaptive_corpus(n: usize, seed: u64) -> Vec<SessionTrace> {
-        generate_traces(&DatasetSpec::adaptive_default(n, seed))
+        generate_traces(&DatasetSpec::adaptive_default(n, seed), TrainConfig::auto())
     }
 
     #[test]

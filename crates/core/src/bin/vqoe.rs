@@ -34,7 +34,7 @@ use rand::SeedableRng;
 use vqoe_core::{
     generate_sequential_traces, generate_traces, standard_alert_engine, AdmissionPolicy,
     BudgetConfig, DatasetSpec, EngineConfig, Fidelity, IngestPipeline, IngestReport,
-    OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, TrainingConfig,
+    OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, TrainConfig, TrainingConfig,
     ALERT_WINDOW_RECORDS,
 };
 use vqoe_obs::{
@@ -231,8 +231,14 @@ fn generate(flags: &Flags) {
     let kind = flags.get("kind").unwrap_or("cleartext");
     let out = flags.path("out");
     let traces: Vec<SessionTrace> = match kind {
-        "cleartext" => generate_traces(&DatasetSpec::cleartext_default(sessions, seed)),
-        "adaptive" => generate_traces(&DatasetSpec::adaptive_default(sessions, seed)),
+        "cleartext" => generate_traces(
+            &DatasetSpec::cleartext_default(sessions, seed),
+            TrainConfig::auto(),
+        ),
+        "adaptive" => generate_traces(
+            &DatasetSpec::adaptive_default(sessions, seed),
+            TrainConfig::auto(),
+        ),
         "encrypted" => {
             let spec = DatasetSpec {
                 n_sessions: sessions,

@@ -44,6 +44,7 @@
 use std::convert::Infallible;
 use std::sync::{Condvar, Mutex as StdMutex};
 
+use vqoe_ml::TrainConfig;
 use vqoe_obs::{SimClock, StageSpan, Trace, TraceConfig, TraceEvent, TraceSink, TraceStage};
 use vqoe_telemetry::{
     AnomalyKindCounts, AnomalyLog, BinaryCorpus, BinlogError, IngestAnomaly, ReassembledSession,
@@ -86,18 +87,10 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The effective worker count: `workers`, with `0` resolved to the
     /// machine's available parallelism (capped at 16), and never more
-    /// than the shard count (excess workers would only idle).
+    /// than the shard count (excess workers would only idle) — the
+    /// training stack's [`TrainConfig`] policy over one job per shard.
     pub fn effective_workers(&self) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(16);
-        let w = if self.workers == 0 {
-            auto
-        } else {
-            self.workers
-        };
-        w.max(1).min(self.shards.max(1))
+        TrainConfig::with_workers(self.workers).effective_workers(self.shards)
     }
 }
 
@@ -304,9 +297,9 @@ pub(crate) fn run<S: RecordSource + ?Sized>(
     source: &S,
     trace_cfg: Option<TraceConfig>,
 ) -> Result<(IngestReport, Option<Trace>), S::Error> {
-    // One subscription set for the whole pass, shared by reference
-    // across every worker: the detectors are registered once, and each
-    // reassembled session is fanned out to them as one immutable view.
+    // The three frozen models, borrowed once for the whole pass and
+    // shared by every worker: each reassembled session is assessed
+    // from one immutable view.
     let subs = SubscriptionSet::standard(pipeline.monitor);
     let config = &pipeline.engine;
     let shards = config.shards.max(1);
@@ -396,12 +389,11 @@ fn run_job<S: RecordSource + ?Sized>(
     let mut emissions: Vec<(EmissionKey, SessionAssessment)> = Vec::new();
     // This job's private trace sink: recorded into without locks,
     // handed back through the join handle with everything else.
-    let mut trace =
-        trace_cfg.map(|c| (TraceSink::with_capacity(c.capacity_per_shard), subs.names()));
+    let mut trace = trace_cfg.map(|c| TraceSink::with_capacity(c.capacity_per_shard));
     let mut emit = |key: EmissionKey, subscriber: u64, c: &Closed| {
         let a = assess(subs, c, Fidelity::Full, metrics);
-        if let Some((sink, names)) = trace.as_mut() {
-            record_session_spans(sink, key, subscriber, &c.session, names);
+        if let Some(sink) = trace.as_mut() {
+            record_session_spans(sink, key, subscriber, &c.session);
         }
         emissions.push((key, a));
     };
@@ -434,7 +426,7 @@ fn run_job<S: RecordSource + ?Sized>(
         health: shard.health,
         log,
         kept_at,
-        trace: trace.map(|(sink, _)| sink),
+        trace,
     })
 }
 
@@ -515,6 +507,10 @@ fn reduce(
     (report, trace)
 }
 
+/// The three frozen models each session is assessed with, in call
+/// order: the names of its deliver spans.
+const DETECTORS: [&str; 3] = ["stall", "representation", "switch"];
+
 /// Record one emitted session's span chain: ingest (all records),
 /// reassemble (media chunks), fan-out, then one deliver span per
 /// detector. Ticks are deterministic work units — one per record
@@ -526,7 +522,6 @@ fn record_session_spans(
     key: EmissionKey,
     subscriber: u64,
     session: &ReassembledSession,
-    delivered: &[&'static str],
 ) {
     let session_id = session.start.as_micros();
     let chunks = (session.chunks.len() as u64).max(1);
@@ -535,10 +530,10 @@ fn record_session_spans(
     let head = [
         (TraceStage::Ingest, records, ""),
         (TraceStage::Reassemble, chunks, ""),
-        (TraceStage::Fanout, (delivered.len() as u64).max(1), ""),
+        (TraceStage::Fanout, DETECTORS.len() as u64, ""),
     ];
     let spans = head.into_iter().chain(
-        delivered
+        DETECTORS
             .iter()
             .map(|&name| (TraceStage::Deliver, chunks, name)),
     );

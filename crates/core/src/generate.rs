@@ -33,11 +33,12 @@ fn session_config(spec: &DatasetSpec, seeds: &SeedSequence, index: u64) -> Sessi
     }
 }
 
-/// Generate `spec.n_sessions` independent traces, in parallel,
-/// deterministically ordered by session index.
-pub fn generate_traces(spec: &DatasetSpec) -> Vec<SessionTrace> {
+/// Generate `spec.n_sessions` independent traces on `train`'s workers,
+/// deterministically ordered by session index: the output is the same
+/// at any worker count.
+pub fn generate_traces(spec: &DatasetSpec, train: TrainConfig) -> Vec<SessionTrace> {
     let seeds = SeedSequence::new(spec.seed);
-    run_indexed(spec.n_sessions, TrainConfig::auto(), |i| {
+    run_indexed(spec.n_sessions, train, |i| {
         simulate_session(&session_config(spec, &seeds, i as u64), &seeds)
     })
 }
@@ -75,22 +76,22 @@ mod tests {
     #[test]
     fn parallel_generation_is_deterministic() {
         let spec = DatasetSpec::cleartext_default(40, 11);
-        let a = generate_traces(&spec);
-        let b = generate_traces(&spec);
+        let a = generate_traces(&spec, TrainConfig::auto());
+        let b = generate_traces(&spec, TrainConfig::auto());
         assert_eq!(a, b);
         assert_eq!(a.len(), 40);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = generate_traces(&DatasetSpec::cleartext_default(10, 1));
-        let b = generate_traces(&DatasetSpec::cleartext_default(10, 2));
+        let a = generate_traces(&DatasetSpec::cleartext_default(10, 1), TrainConfig::auto());
+        let b = generate_traces(&DatasetSpec::cleartext_default(10, 2), TrainConfig::auto());
         assert_ne!(a, b);
     }
 
     #[test]
     fn session_ids_are_unique() {
-        let traces = generate_traces(&DatasetSpec::cleartext_default(60, 12));
+        let traces = generate_traces(&DatasetSpec::cleartext_default(60, 12), TrainConfig::auto());
         let mut ids: Vec<&str> = traces.iter().map(|t| t.session_id.as_str()).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -99,12 +100,17 @@ mod tests {
 
     #[test]
     fn empty_spec_yields_empty_dataset() {
-        assert!(generate_traces(&DatasetSpec::cleartext_default(0, 1)).is_empty());
+        assert!(
+            generate_traces(&DatasetSpec::cleartext_default(0, 1), TrainConfig::auto()).is_empty()
+        );
     }
 
     #[test]
     fn delivery_mix_is_respected() {
-        let traces = generate_traces(&DatasetSpec::cleartext_default(300, 13));
+        let traces = generate_traces(
+            &DatasetSpec::cleartext_default(300, 13),
+            TrainConfig::auto(),
+        );
         let dash = traces
             .iter()
             .filter(|t| t.config.delivery.is_adaptive())

@@ -33,8 +33,8 @@
 //! let monitor = QoeMonitor::train(&TrainingConfig::default());
 //!
 //! // ...then assess encrypted traffic through the one front door: a
-//! // single ingest pass reassembles sessions and fans each session's
-//! // view out to the subscribed detectors.
+//! // single ingest pass reassembles sessions and assesses each one
+//! // with the three frozen models.
 //! # let entries: Vec<vqoe_telemetry::WeblogEntry> = vec![];
 //! for assessment in monitor.pipeline().assess_subscriber(&entries) {
 //!     println!(
@@ -49,11 +49,10 @@
 //! trace generation), [`stall_pipeline`], [`avgrep_pipeline`],
 //! [`switch_pipeline`] (the three detectors' training/evaluation),
 //! [`subset`] (the fit step the two classifiers share),
-//! [`detector`] (the unifying [`Detector`] trait), [`encrypted`] (the
-//! §5 encrypted-traffic evaluation), [`monitor`] (the deployable
-//! operator API), [`subscribe`] (the typed subscription ingest API:
-//! one pass, many detectors), [`engine`] (the sharded parallel
-//! driver behind [`IngestPipeline::assess`]), [`online`] (the
+//! [`encrypted`] (the §5 encrypted-traffic evaluation), [`monitor`]
+//! (the deployable operator API), [`subscribe`] (the per-session
+//! assessment fold and the ingest front door), [`engine`] (the sharded
+//! parallel driver behind [`IngestPipeline::assess`]), [`online`] (the
 //! streaming driver), [`digest`] (bounded-memory per-session digests
 //! behind the sketched tier). Both drivers run one private per-shard
 //! machine, so they cannot drift apart.
@@ -66,7 +65,6 @@
 
 pub mod alerting;
 pub mod avgrep_pipeline;
-pub mod detector;
 pub mod digest;
 pub mod encrypted;
 pub mod engine;
@@ -87,7 +85,6 @@ pub use alerting::{
     default_alert_rules, drift_backend, standard_alert_engine, ALERT_WINDOW_RECORDS,
 };
 pub use avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
-pub use detector::{Detector, DetectorAccuracy};
 pub use digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 pub use encrypted::{EncryptedEvalConfig, EncryptedWorld};
 pub use engine::{shard_of, EngineConfig};
@@ -104,10 +101,7 @@ pub use online::{
 pub use qoe_score::QoeScore;
 pub use spec::{DatasetSpec, DeliveryMix, ScenarioMix};
 pub use stall_pipeline::{StallModel, StallTrainingReport};
-pub use subscribe::{
-    IngestPipeline, RepresentationSubscription, Signal, StallSubscription, Subscription,
-    SubscriptionSet, SwitchSubscription,
-};
+pub use subscribe::{IngestPipeline, SubscriptionSet};
 pub use switch_pipeline::{SwitchCalibrationReport, SwitchEvalReport, SwitchModel};
 pub use vqoe_ml::TrainConfig;
 pub use weblog_training::{
@@ -118,7 +112,6 @@ pub use weblog_training::{
 /// The one-stop import for operating the monitor: train, assess
 /// (batch, parallel or streaming), inspect health.
 pub mod prelude {
-    pub use crate::detector::{Detector, DetectorAccuracy};
     pub use crate::engine::EngineConfig;
     pub use crate::metrics::PipelineMetrics;
     pub use crate::monitor::{
@@ -129,7 +122,7 @@ pub mod prelude {
         RestoreError, ShedLog, ShedReason,
     };
     pub use crate::qoe_score::QoeScore;
-    pub use crate::subscribe::{IngestPipeline, Signal, Subscription, SubscriptionSet};
+    pub use crate::subscribe::{IngestPipeline, SubscriptionSet};
     pub use crate::{RepresentationModel, StallModel, SwitchModel};
     pub use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
     pub use vqoe_ml::TrainConfig;

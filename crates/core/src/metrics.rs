@@ -23,16 +23,23 @@
 //! [`AnomalyLog::kinds`]: vqoe_telemetry::AnomalyLog::kinds
 //! [`ShedLog::reasons`]: crate::online::ShedLog::reasons
 
-use vqoe_features::{RqClass, StallClass};
 use vqoe_obs::{buckets, Counter, Gauge, Histogram, MetricClass, Registry, SimClock, StageSpan};
 use vqoe_telemetry::{AnomalyKindCounts, ReassembledSession, StreamHealth};
 
-use crate::avgrep_pipeline::RepresentationModel;
-use crate::detector::Detector;
 use crate::monitor::SessionAssessment;
 use crate::online::ShedReasonCounts;
-use crate::stall_pipeline::StallModel;
-use crate::switch_pipeline::SwitchModel;
+
+/// Snake_case labels of the stall classes, in
+/// [`StallClass::index`](vqoe_features::StallClass::index) order: the
+/// `<label>` of `vqoe_core_detector_stall_class_<label>_total`.
+const STALL_CLASS_LABELS: [&str; 3] = ["no_stalls", "mild", "severe"];
+
+/// Snake_case labels of the representation classes, in
+/// [`RqClass::index`](vqoe_features::RqClass::index) order.
+const REPRESENTATION_CLASS_LABELS: [&str; 3] = ["ld", "sd", "hd"];
+
+/// Labels of the switch decision, indexed by `!has_quality_switches`.
+const SWITCH_CLASS_LABELS: [&str; 2] = ["switching", "stable"];
 
 /// Clonable bundle of every pipeline metric handle.
 ///
@@ -139,38 +146,17 @@ impl PipelineMetrics {
     pub fn register(registry: &Registry) -> Self {
         let s = MetricClass::Stable;
         let counter = |name: &str, help: &str| registry.counter(name, help, s);
-        let stall = [StallClass::NoStalls, StallClass::Mild, StallClass::Severe];
-        let rq = [RqClass::Ld, RqClass::Sd, RqClass::Hd];
-        let stall_classes = stall.map(|c| {
+        let class_counter = |detector: &str, label: &str| {
             registry.counter(
-                &format!(
-                    "vqoe_core_detector_stall_class_{}_total",
-                    StallModel::class_label(&c)
-                ),
-                "sessions the stall detector assigned to this class",
+                &format!("vqoe_core_detector_{detector}_class_{label}_total"),
+                &format!("sessions the {detector} detector assigned to this class"),
                 s,
             )
-        });
-        let representation_classes = rq.map(|c| {
-            registry.counter(
-                &format!(
-                    "vqoe_core_detector_representation_class_{}_total",
-                    RepresentationModel::class_label(&c)
-                ),
-                "sessions the representation detector assigned to this class",
-                s,
-            )
-        });
-        let switch_classes = [true, false].map(|c| {
-            registry.counter(
-                &format!(
-                    "vqoe_core_detector_switch_class_{}_total",
-                    SwitchModel::class_label(&c)
-                ),
-                "sessions the switch detector assigned to this class",
-                s,
-            )
-        });
+        };
+        let stall_classes = STALL_CLASS_LABELS.map(|l| class_counter("stall", l));
+        let representation_classes =
+            REPRESENTATION_CLASS_LABELS.map(|l| class_counter("representation", l));
+        let switch_classes = SWITCH_CLASS_LABELS.map(|l| class_counter("switch", l));
         PipelineMetrics {
             entries_seen: counter(
                 "vqoe_telemetry_ingest_entries_seen_total",

@@ -48,8 +48,9 @@ pub struct TrainingConfig {
     /// corpora (`None` keeps the per-corpus presets). Must carry at
     /// least one positive weight.
     pub scenarios: Option<ScenarioMix>,
-    /// Worker policy for the training fan-out (trees, CV folds, CFS
-    /// candidates). Never changes the trained models — only wall-clock.
+    /// Worker policy for the training fan-out (corpus simulation,
+    /// trees, CV folds, CFS candidates). Never changes the trained
+    /// models — only wall-clock.
     pub train: TrainConfig,
 }
 
@@ -239,24 +240,17 @@ pub struct SessionAssessment {
     pub switch_score: f64,
     /// Composite 1–5 QoE estimate from the three detections.
     pub qoe: crate::qoe_score::QoeScore,
-    /// True when the session was force-closed (its subscriber was
-    /// evicted or shed under memory pressure), so the tail may be
-    /// missing. Kept in sync with `fidelity`: `partial` is exactly
-    /// `fidelity >= Fidelity::Partial` — `Sketched` sessions saw every
-    /// chunk (nothing is missing, only summarized) and stay
-    /// `partial: false`.
-    pub partial: bool,
     /// The degraded-mode tier this assessment was produced under (see
-    /// [`Fidelity`]). Always agrees with `partial`.
+    /// [`Fidelity`]). A force-closed session, whose tail may be
+    /// missing, is `fidelity >= Fidelity::Partial`; `Sketched` sessions
+    /// saw every chunk (nothing is missing, only summarized).
     pub fidelity: Fidelity,
 }
 
 impl SessionAssessment {
-    /// Tag this assessment with a degraded-mode tier, keeping the
-    /// legacy `partial` flag consistent.
+    /// Tag this assessment with a degraded-mode tier.
     pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
-        self.partial = fidelity >= Fidelity::Partial;
         self
     }
 }
@@ -311,8 +305,8 @@ impl QoeMonitor {
             cleartext_spec.scenarios = mix;
             adaptive_spec.scenarios = mix;
         }
-        let cleartext = generate_traces(&cleartext_spec);
-        let adaptive = generate_traces(&adaptive_spec);
+        let cleartext = generate_traces(&cleartext_spec, config.train);
+        let adaptive = generate_traces(&adaptive_spec, config.train);
         on_stage(TrainStage::Generated);
 
         // The stall model trains on the union of both corpora. The paper
@@ -344,9 +338,8 @@ impl QoeMonitor {
         }
     }
 
-    /// The paper's three detectors subscribed against this monitor's
-    /// frozen models — the standard [`SubscriptionSet`] every entry
-    /// point fans sessions out to.
+    /// This monitor's three frozen models as the [`SubscriptionSet`]
+    /// every entry point assesses sessions with.
     pub fn subscriptions(&self) -> SubscriptionSet<'_> {
         SubscriptionSet::standard(self)
     }
@@ -358,8 +351,8 @@ impl QoeMonitor {
         IngestPipeline::new(self)
     }
 
-    /// Assess one already-extracted session: fan its shared view out
-    /// to the standard subscriptions and fold the signals.
+    /// Assess one already-extracted session with the three frozen
+    /// models.
     pub fn assess_session(
         &self,
         obs: &SessionObs,
@@ -391,6 +384,9 @@ pub fn example_rng(seed: u64) -> StdRng {
 mod tests {
     use super::*;
     use crate::encrypted::{EncryptedEvalConfig, EncryptedWorld};
+    use vqoe_features::labels::has_switches;
+    use vqoe_features::{representation_features, rq_label, stall_features, stall_label};
+    use vqoe_player::SessionTrace;
 
     fn tiny_config() -> TrainingConfig {
         TrainingConfig {
@@ -415,6 +411,39 @@ mod tests {
             assert!(a.end > a.start);
             assert!(a.switch_score.is_finite());
         }
+    }
+
+    #[test]
+    fn all_three_frozen_models_score_fresh_sessions() {
+        let m = QoeMonitor::train(&tiny_config());
+        let eval = generate_traces(&DatasetSpec::adaptive_default(60, 92), TrainConfig::auto());
+        let hits = |hit: &dyn Fn(&SessionObs, &SessionTrace) -> bool| {
+            eval.iter()
+                .filter(|t| hit(&SessionObs::from_trace(t), t))
+                .count()
+        };
+        // Better than falling over; real accuracy claims live in the
+        // pipeline tests and the reproduction tables.
+        assert!(hits(&|o, t| m.stall_model.predict(o) == stall_label(&t.ground_truth)) > 0);
+        assert!(hits(&|o, t| m.representation_model.predict(o) == rq_label(&t.ground_truth)) > 0);
+        assert!(hits(&|o, t| m.switch_model.detect(o) == has_switches(&t.ground_truth)) > 0);
+    }
+
+    #[test]
+    fn projections_have_the_models_dimensions() {
+        let m = QoeMonitor::train(&tiny_config());
+        let eval = generate_traces(&DatasetSpec::adaptive_default(5, 93), TrainConfig::auto());
+        let obs = SessionObs::from_trace(&eval[0]);
+        assert_eq!(
+            m.stall_model.project(&stall_features(&obs)).len(),
+            m.stall_model.selected_indices.len()
+        );
+        assert_eq!(
+            m.representation_model
+                .project(&representation_features(&obs))
+                .len(),
+            m.representation_model.selected_indices.len()
+        );
     }
 
     #[test]

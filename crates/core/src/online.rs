@@ -16,7 +16,8 @@
 //! [`IngestConfig::max_open_subscribers`] are tracked, with the
 //! least-recently-active subscriber evicted beyond that. Evicted
 //! streams are force-closed and their qualifying sessions assessed
-//! with [`SessionAssessment::partial`] set. Everything the layer
+//! at [`Fidelity::Partial`] (budget sheds at [`Fidelity::Shed`]).
+//! Everything the layer
 //! absorbed is reported through [`StreamHealth`] and the typed
 //! [`AnomalyLog`].
 //!
@@ -725,8 +726,8 @@ impl OnlineAssessor {
             .collect()
     }
 
-    /// Assess closed sessions at `tier` against the standard
-    /// subscriptions.
+    /// Assess closed sessions at `tier` with the monitor's three
+    /// frozen models.
     fn assess_all(&self, closed: &[Closed], tier: Fidelity) -> Vec<SessionAssessment> {
         if closed.is_empty() {
             return Vec::new();
@@ -1063,7 +1064,10 @@ mod tests {
         all.extend(online.finish());
         assert_eq!(health.sessions_evicted, 1, "subscriber 1 evicted once");
         assert!(health.sessions_partial >= 1);
-        let partials: Vec<_> = all.iter().filter(|a| a.partial).collect();
+        let partials: Vec<_> = all
+            .iter()
+            .filter(|a| a.fidelity >= Fidelity::Partial)
+            .collect();
         assert_eq!(partials.len() as u64, health.sessions_partial);
         // Both subscribers' complete sessions still got assessed.
         assert_eq!(all.len(), 4);

@@ -173,7 +173,10 @@ mod tests {
     use crate::spec::DatasetSpec;
 
     fn small_corpus() -> Vec<SessionTrace> {
-        generate_traces(&DatasetSpec::cleartext_default(1500, 77))
+        generate_traces(
+            &DatasetSpec::cleartext_default(1500, 77),
+            TrainConfig::auto(),
+        )
     }
 
     #[test]
@@ -219,7 +222,10 @@ mod tests {
     fn chunk_size_features_dominate_selection() {
         // The paper's headline finding (§4.1, Table 2): chunk-size
         // statistics carry the most stall information.
-        let traces = generate_traces(&DatasetSpec::cleartext_default(2500, 78));
+        let traces = generate_traces(
+            &DatasetSpec::cleartext_default(2500, 78),
+            TrainConfig::auto(),
+        );
         let report = train_stall_detector(&traces, ForestConfig::default(), 2);
         let top_names: Vec<&str> = report
             .selected
@@ -243,7 +249,10 @@ mod tests {
 
     #[test]
     fn parallel_training_is_byte_identical_to_sequential() {
-        let traces = generate_traces(&DatasetSpec::cleartext_default(400, 79));
+        let traces = generate_traces(
+            &DatasetSpec::cleartext_default(400, 79),
+            TrainConfig::auto(),
+        );
         let reference = train_stall_detector(&traces, ForestConfig::default(), 9);
         for workers in [2usize, 7] {
             let got = train_stall_detector_with(
@@ -262,7 +271,10 @@ mod tests {
     fn training_with_metrics_counts_the_work() {
         let registry = vqoe_obs::Registry::new();
         let m = PipelineMetrics::register(&registry);
-        let traces = generate_traces(&DatasetSpec::cleartext_default(300, 80));
+        let traces = generate_traces(
+            &DatasetSpec::cleartext_default(300, 80),
+            TrainConfig::auto(),
+        );
         let report = train_stall_detector_with(
             &traces,
             ForestConfig::default(),

@@ -1,24 +1,19 @@
-//! The typed subscription ingest API: one pass, many detectors.
+//! The per-session assessment fold and the ingest front door.
 //!
-//! The paper's monitor is three independent detectors applied to the
-//! *same* per-session observations (§5): a stall forest, a
-//! representation forest and a σ(CUSUM) switch threshold. Detectors
-//! *subscribe* to a single shared ingest pass, which parses each weblog
-//! record exactly once, reassembles sessions once, extracts one
-//! [`SessionObs`] per session — and fans the resulting [`SessionView`]
-//! out to every registered [`Subscription`].
+//! The paper's monitor is three frozen detectors applied to the *same*
+//! per-session observations (§5): a stall forest, a representation
+//! forest and a σ(CUSUM) switch threshold. One shared ingest pass
+//! parses each weblog record once, reassembles sessions once and
+//! extracts one [`SessionObs`] per session; the fold then calls the
+//! three models on that session's [`SessionView`] and builds the
+//! [`SessionAssessment`].
 //!
-//! The pieces, bottom-up:
-//!
-//! * [`Signal`] — what one detector says about one session: a typed
-//!   verdict folded into the final [`SessionAssessment`].
-//! * [`Subscription`] — the detector-side contract: given a shared,
-//!   immutable view, produce a signal. Object-safe, `Send + Sync`, so
-//!   a set of subscriptions can be shared across engine workers.
-//! * [`SubscriptionSet`] — the registered detectors. Its
-//!   [`assess_session`](SubscriptionSet::assess_session) fold is **the**
-//!   per-session assessment implementation: [`QoeMonitor`] and the one
-//!   per-shard machine (`crate::shard`) route through it, and that
+//! * [`SubscriptionSet`] — the three frozen models of one trained
+//!   monitor, borrowed. Its
+//!   [`assess_session`](SubscriptionSet::assess_session) and
+//!   [`assess_session_sketched`](SubscriptionSet::assess_session_sketched)
+//!   are **the** per-session assessment: [`QoeMonitor`] and the one
+//!   per-shard machine (`crate::shard`) route through them, and that
 //!   machine has two drivers — the parallel engine behind
 //!   [`IngestPipeline::assess`] and the streaming
 //!   [`OnlineAssessor`](crate::online::OnlineAssessor). That is what
@@ -27,16 +22,9 @@
 //!   property instead of a test hope.
 //! * [`IngestPipeline`] — the one front door: batch slices, packed
 //!   binary corpora ([`BinaryCorpus`], no serde on the hot path) and
-//!   single-subscriber streams, all over the same subscription fold.
-//!   Its batch methods *are* the engine: the shard fan-out, bounded
-//!   queue and reducer in `crate::engine` are private code behind
-//!   them.
-//!
-//! Extension detectors register with
-//! [`SubscriptionSet::subscribe`]; their [`Signal::Score`] channel is
-//! observable (metrics, logging via interior mutability) without
-//! perturbing the report, so adding a fourth detector can never change
-//! what the standard three produce.
+//!   single-subscriber streams, all over the same fold. Its batch
+//!   methods *are* the engine: the shard fan-out, bounded queue and
+//!   reducer in `crate::engine` are private code behind them.
 
 use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
 use vqoe_obs::{Trace, TraceConfig};
@@ -54,270 +42,75 @@ use crate::qoe_score::QoeScore;
 use crate::stall_pipeline::StallModel;
 use crate::switch_pipeline::SwitchModel;
 
-/// One detector's verdict about one session, delivered back to the
-/// ingest fold. The three standard channels map onto the fields of
-/// [`SessionAssessment`]; [`Signal::Score`] is the extension channel —
-/// carried for custom subscriptions, ignored by the fold, so new
-/// detectors observe sessions without changing the report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Signal {
-    /// Predicted stalling severity (§4.1 channel).
-    Stall(StallClass),
-    /// Predicted average representation (§4.2 channel).
-    Representation(RqClass),
-    /// Switch detection with its raw σ(CUSUM) score (§4.3 channel).
-    Switch {
-        /// `score > threshold`, the frozen calibrated decision.
-        detected: bool,
-        /// The raw σ(CUSUM) score behind the boolean.
-        score: f64,
-    },
-    /// An extension detector's raw per-session score. Folded into
-    /// nothing: the standard report shape is closed.
-    Score(f64),
-}
-
-/// A detector registered against the shared ingest pass.
-///
-/// Implementations receive every session exactly once, as an immutable
-/// [`SessionView`] borrowed from the single shared extraction — no
-/// subscriber can re-parse, mutate or starve another. `Send + Sync` is
-/// part of the contract: the same set is shared by reference across
-/// the parallel engine's workers.
-pub trait Subscription: Send + Sync {
-    /// Stable name (reports, metrics, debugging).
-    fn name(&self) -> &'static str;
-
-    /// Observe one session and return a verdict.
-    fn deliver(&self, view: &SessionView<'_>) -> Signal;
-
-    /// Observe one *sketched* session: the view's [`SessionObs`] holds
-    /// only the exact prefix, while `digest` summarizes every chunk
-    /// (running moments, quantile sketches, streaming switch score).
-    /// Detectors that can assess from the digest should override this;
-    /// the default falls back to the exact-prefix view, which is still
-    /// a valid (if truncated) observation of the session.
-    fn deliver_sketched(&self, view: &SessionView<'_>, digest: &SessionDigest) -> Signal {
-        let _ = digest;
-        self.deliver(view)
-    }
-}
-
-impl<S: Subscription + ?Sized> Subscription for &S {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn deliver(&self, view: &SessionView<'_>) -> Signal {
-        (**self).deliver(view)
-    }
-
-    fn deliver_sketched(&self, view: &SessionView<'_>, digest: &SessionDigest) -> Signal {
-        (**self).deliver_sketched(view, digest)
-    }
-}
-
-/// The §4.1 stall detector as a subscription (borrows the frozen
-/// model).
+/// The paper's three frozen detectors, borrowed from one trained
+/// monitor: the models every session is assessed with.
 #[derive(Debug, Clone, Copy)]
-pub struct StallSubscription<'m> {
-    model: &'m StallModel,
-}
-
-impl<'m> StallSubscription<'m> {
-    /// Subscribe a frozen stall model.
-    pub fn new(model: &'m StallModel) -> Self {
-        StallSubscription { model }
-    }
-}
-
-impl Subscription for StallSubscription<'_> {
-    fn name(&self) -> &'static str {
-        "stall"
-    }
-
-    fn deliver(&self, view: &SessionView<'_>) -> Signal {
-        Signal::Stall(self.model.predict(view.obs))
-    }
-
-    fn deliver_sketched(&self, _view: &SessionView<'_>, digest: &SessionDigest) -> Signal {
-        Signal::Stall(
-            self.model
-                .predict_from_features(&digest.features.stall_features_approx()),
-        )
-    }
-}
-
-/// The §4.2 average-representation detector as a subscription (borrows
-/// the frozen model).
-#[derive(Debug, Clone, Copy)]
-pub struct RepresentationSubscription<'m> {
-    model: &'m RepresentationModel,
-}
-
-impl<'m> RepresentationSubscription<'m> {
-    /// Subscribe a frozen representation model.
-    pub fn new(model: &'m RepresentationModel) -> Self {
-        RepresentationSubscription { model }
-    }
-}
-
-impl Subscription for RepresentationSubscription<'_> {
-    fn name(&self) -> &'static str {
-        "representation"
-    }
-
-    fn deliver(&self, view: &SessionView<'_>) -> Signal {
-        Signal::Representation(self.model.predict(view.obs))
-    }
-
-    fn deliver_sketched(&self, _view: &SessionView<'_>, digest: &SessionDigest) -> Signal {
-        Signal::Representation(
-            self.model
-                .predict_from_features(&digest.features.representation_features_approx()),
-        )
-    }
-}
-
-/// The §4.3 switch detector as a subscription (borrows the frozen
-/// threshold model).
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchSubscription<'m> {
-    model: &'m SwitchModel,
-}
-
-impl<'m> SwitchSubscription<'m> {
-    /// Subscribe a frozen switch model.
-    pub fn new(model: &'m SwitchModel) -> Self {
-        SwitchSubscription { model }
-    }
-}
-
-impl Subscription for SwitchSubscription<'_> {
-    fn name(&self) -> &'static str {
-        "switch"
-    }
-
-    fn deliver(&self, view: &SessionView<'_>) -> Signal {
-        let score = self.model.score(view.obs);
-        Signal::Switch {
-            detected: score > self.model.threshold(),
-            score,
-        }
-    }
-
-    fn deliver_sketched(&self, _view: &SessionView<'_>, digest: &SessionDigest) -> Signal {
-        // The digest's streaming CUSUM was configured from this model's
-        // frozen scoring parameters at sink-install time, so the score
-        // answers the same question against the same threshold.
-        let score = digest.switch.score();
-        Signal::Switch {
-            detected: score > self.model.threshold(),
-            score,
-        }
-    }
-}
-
-/// The detectors registered against one ingest pass.
-///
-/// [`SubscriptionSet::standard`] is the paper's trio;
-/// [`SubscriptionSet::subscribe`] adds extension detectors. The
-/// [`assess_session`](SubscriptionSet::assess_session) fold is the
-/// single per-session assessment implementation every entry point
-/// routes through.
 pub struct SubscriptionSet<'m> {
-    subs: Vec<Box<dyn Subscription + 'm>>,
+    stall: &'m StallModel,
+    representation: &'m RepresentationModel,
+    switch: &'m SwitchModel,
 }
 
 impl<'m> SubscriptionSet<'m> {
-    /// An empty set (register detectors with
-    /// [`SubscriptionSet::subscribe`]).
-    pub fn new() -> Self {
-        SubscriptionSet { subs: Vec::new() }
-    }
-
-    /// The paper's three detectors, subscribed against a trained
-    /// monitor's frozen models.
+    /// The three frozen models of a trained monitor.
     pub fn standard(monitor: &'m QoeMonitor) -> Self {
-        let mut set = SubscriptionSet::new();
-        set.subscribe(Box::new(StallSubscription::new(&monitor.stall_model)));
-        set.subscribe(Box::new(RepresentationSubscription::new(
-            &monitor.representation_model,
-        )));
-        set.subscribe(Box::new(SwitchSubscription::new(&monitor.switch_model)));
-        set
+        SubscriptionSet {
+            stall: &monitor.stall_model,
+            representation: &monitor.representation_model,
+            switch: &monitor.switch_model,
+        }
     }
 
-    /// Register one more detector. Later signals on the same channel
-    /// overwrite earlier ones, so standard detectors should come first
-    /// and extensions should use [`Signal::Score`].
-    pub fn subscribe(&mut self, sub: Box<dyn Subscription + 'm>) {
-        self.subs.push(sub);
-    }
-
-    /// Names of the registered detectors, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.subs.iter().map(|s| s.name()).collect()
-    }
-
-    /// Number of registered detectors.
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// Whether no detector is registered.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
-    }
-
-    /// Fan one session's shared view out to every subscription and
-    /// fold the signals into an assessment.
-    ///
-    /// This is *the* per-session assessment: `QoeMonitor::assess_session`
-    /// delegates here, and with the standard set the result is
-    /// bit-identical to the historical hand-rolled computation (same
-    /// frozen models, same decision rule, same composite score).
+    /// Assess one session from its exact observations: both forests
+    /// predict from the full feature vectors and the switch model
+    /// scores σ(CUSUM) against its frozen threshold.
     pub fn assess_session(&self, view: SessionView<'_>) -> SessionAssessment {
-        self.fold_signals(view, view.obs.len(), |sub| sub.deliver(&view))
+        self.fold(
+            view,
+            view.obs.len(),
+            self.stall.predict(view.obs),
+            self.representation.predict(view.obs),
+            self.switch.score(view.obs),
+        )
     }
 
-    /// The sketched-tier fold: every subscription is delivered the
-    /// exact-prefix view *plus* the whole-session [`SessionDigest`]
-    /// (via [`Subscription::deliver_sketched`]), and the chunk count
-    /// comes from the digest — which saw every chunk — rather than the
-    /// truncated view. Callers tag the result `Fidelity::Sketched` (or
-    /// worse) with [`SessionAssessment::with_fidelity`].
+    /// Assess one session past the exactness cap from its
+    /// whole-session [`SessionDigest`]: both forests predict from the
+    /// digest's approximate feature vectors, the switch score is the
+    /// digest's streaming σ(CUSUM) (configured from this switch model's
+    /// scoring parameters when the sink was installed), and the chunk
+    /// count comes from the digest, which saw every chunk. The view
+    /// supplies only the boundaries. Callers tag the result
+    /// `Fidelity::Sketched` (or worse) with
+    /// [`SessionAssessment::with_fidelity`].
     pub fn assess_session_sketched(
         &self,
         view: SessionView<'_>,
         digest: &SessionDigest,
     ) -> SessionAssessment {
-        self.fold_signals(view, digest.chunk_count() as usize, |sub| {
-            sub.deliver_sketched(&view, digest)
-        })
+        let features = &digest.features;
+        self.fold(
+            view,
+            digest.chunk_count() as usize,
+            self.stall
+                .predict_from_features(&features.stall_features_approx()),
+            self.representation
+                .predict_from_features(&features.representation_features_approx()),
+            digest.switch.score(),
+        )
     }
 
-    fn fold_signals(
+    /// Build the assessment from the three models' answers: the one
+    /// place a [`SessionAssessment`] is made.
+    fn fold(
         &self,
         view: SessionView<'_>,
         chunk_count: usize,
-        mut deliver: impl FnMut(&(dyn Subscription + 'm)) -> Signal,
+        stall: StallClass,
+        representation: RqClass,
+        switch_score: f64,
     ) -> SessionAssessment {
-        let mut stall = StallClass::NoStalls;
-        let mut representation = RqClass::Ld;
-        let mut has_quality_switches = false;
-        let mut switch_score = 0.0;
-        for sub in &self.subs {
-            match deliver(sub.as_ref()) {
-                Signal::Stall(c) => stall = c,
-                Signal::Representation(c) => representation = c,
-                Signal::Switch { detected, score } => {
-                    has_quality_switches = detected;
-                    switch_score = score;
-                }
-                Signal::Score(_) => {}
-            }
-        }
+        let has_quality_switches = switch_score > self.switch.threshold();
         SessionAssessment {
             start: view.start,
             end: view.end,
@@ -327,30 +120,15 @@ impl<'m> SubscriptionSet<'m> {
             has_quality_switches,
             switch_score,
             qoe: QoeScore::from_assessment(stall, representation, has_quality_switches),
-            partial: false,
             fidelity: Fidelity::Full,
         }
-    }
-}
-
-impl Default for SubscriptionSet<'_> {
-    fn default() -> Self {
-        SubscriptionSet::new()
-    }
-}
-
-impl std::fmt::Debug for SubscriptionSet<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubscriptionSet")
-            .field("subscriptions", &self.names())
-            .finish()
     }
 }
 
 /// The one front door for assessing weblog traffic.
 ///
 /// Wraps a trained [`QoeMonitor`] and routes every input shape through
-/// the same shared ingest pass and subscription fold:
+/// the same shared ingest pass and per-session fold:
 ///
 /// * [`assess`](IngestPipeline::assess) — a whole tap capture (any mix
 ///   of subscribers), sharded across workers by the parallel engine.
@@ -415,8 +193,8 @@ impl<'m> IngestPipeline<'m> {
 
     /// Assess a whole tap capture (any mix of subscribers, in arrival
     /// order): one shared pass over the records, sharded across
-    /// workers, every session fanned out to the standard
-    /// subscriptions. Bit-identical to the sequential streaming path
+    /// workers, every session assessed by the three frozen models.
+    /// Bit-identical to the sequential streaming path
     /// at any worker count.
     pub fn assess(&self, entries: &[WeblogEntry]) -> IngestReport {
         match crate::engine::run(self, entries, None) {
@@ -455,8 +233,8 @@ impl<'m> IngestPipeline<'m> {
     }
 
     /// Assess one subscriber's raw (possibly encrypted) stream
-    /// sequentially: reassemble sessions once, then fan each session's
-    /// view out to the standard subscriptions. The whole slice is in
+    /// sequentially: reassemble sessions once, then assess each
+    /// session's view with the three frozen models. The whole slice is in
     /// memory already, so sessions are buffered in full (no exactness
     /// cap): every session is assessed exactly, at [`Fidelity::Full`],
     /// however long it runs — the exact reference the capped paths are
@@ -482,7 +260,6 @@ mod tests {
     use super::*;
     use crate::encrypted::{EncryptedEvalConfig, EncryptedWorld};
     use crate::monitor::TrainingConfig;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn monitor() -> QoeMonitor {
         QoeMonitor::train(&TrainingConfig {
@@ -500,16 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn standard_set_registers_the_papers_trio_in_order() {
-        let m = monitor();
-        let set = SubscriptionSet::standard(&m);
-        assert_eq!(set.names(), vec!["stall", "representation", "switch"]);
-        assert_eq!(set.len(), 3);
-        assert!(!set.is_empty());
-        assert!(SubscriptionSet::default().is_empty());
-    }
-
-    #[test]
     fn subscription_fold_matches_the_legacy_assessment_exactly() {
         let m = monitor();
         let set = SubscriptionSet::standard(&m);
@@ -518,46 +285,20 @@ mod tests {
         assert!(!sessions.is_empty());
         for session in &sessions {
             let obs = SessionObs::from_reassembled(session);
-            let legacy = m.assess_session(&obs, session.start, session.end);
             let folded = set.assess_session(SessionView::over(&obs, session));
-            assert_eq!(legacy, folded);
+            assert_eq!(folded, m.assess_session(&obs, session.start, session.end));
+            assert_eq!(folded.stall, m.stall_model.predict(&obs));
+            assert_eq!(folded.representation, m.representation_model.predict(&obs));
+            assert_eq!(folded.has_quality_switches, m.switch_model.detect(&obs));
+            assert_eq!(
+                folded.switch_score.to_bits(),
+                m.switch_model.score(&obs).to_bits()
+            );
+            assert_eq!(
+                (folded.chunk_count, folded.fidelity),
+                (obs.len(), Fidelity::Full)
+            );
         }
-    }
-
-    #[test]
-    fn extension_subscription_sees_every_session_without_changing_the_report() {
-        struct CountingProbe {
-            delivered: AtomicUsize,
-        }
-        impl Subscription for CountingProbe {
-            fn name(&self) -> &'static str {
-                "probe"
-            }
-            fn deliver(&self, view: &SessionView<'_>) -> Signal {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-                Signal::Score(view.chunk_count() as f64)
-            }
-        }
-
-        let m = monitor();
-        let probe = CountingProbe {
-            delivered: AtomicUsize::new(0),
-        };
-        let mut set = SubscriptionSet::standard(&m);
-        set.subscribe(Box::new(&probe as &dyn Subscription));
-        assert_eq!(set.len(), 4);
-
-        let baseline = SubscriptionSet::standard(&m);
-        let w = world(84, 6);
-        let sessions = reassemble_subscriber(&w.entries, &m.reassembly);
-        assert!(!sessions.is_empty());
-        for session in &sessions {
-            let obs = SessionObs::from_reassembled(session);
-            let with_probe = set.assess_session(SessionView::over(&obs, session));
-            let without = baseline.assess_session(SessionView::over(&obs, session));
-            assert_eq!(with_probe, without, "Score channel must not leak");
-        }
-        assert_eq!(probe.delivered.load(Ordering::Relaxed), sessions.len());
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! (Figure 4), freeze it, and evaluate on new data (§5.6).
 //!
 //! The calibrated artifact is a [`SwitchModel`] — the same
-//! train-once / apply-frozen shape as the two Random-Forest detectors,
-//! so all three plug into the [`Detector`](crate::detector::Detector)
-//! trait.
+//! train-once / apply-frozen shape as the two Random-Forest detectors.
 
 use serde::{Deserialize, Serialize};
 use vqoe_changedet::detector::{calibrate_threshold, session_score, SwitchDetector};
@@ -151,9 +149,10 @@ mod tests {
     use super::*;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
+    use vqoe_ml::TrainConfig;
 
     fn corpus(n: usize, seed: u64) -> Vec<SessionTrace> {
-        generate_traces(&DatasetSpec::adaptive_default(n, seed))
+        generate_traces(&DatasetSpec::adaptive_default(n, seed), TrainConfig::auto())
     }
 
     #[test]

@@ -163,10 +163,11 @@ mod tests {
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
     use vqoe_features::{rq_label, stall_label};
+    use vqoe_ml::TrainConfig;
 
     #[test]
     fn weblog_sessions_match_traces() {
-        let traces = generate_traces(&DatasetSpec::cleartext_default(40, 91));
+        let traces = generate_traces(&DatasetSpec::cleartext_default(40, 91), TrainConfig::auto());
         let entries = capture_cleartext_corpus(&traces, 7).expect("capture");
         let sessions = sessions_from_weblogs(&entries);
         assert_eq!(sessions.len(), traces.len());
@@ -183,7 +184,7 @@ mod tests {
 
     #[test]
     fn weblog_labels_match_simulator_labels() {
-        let traces = generate_traces(&DatasetSpec::cleartext_default(60, 92));
+        let traces = generate_traces(&DatasetSpec::cleartext_default(60, 92), TrainConfig::auto());
         let entries = capture_cleartext_corpus(&traces, 8).expect("capture");
         let sessions = sessions_from_weblogs(&entries);
         let mut checked = 0;
@@ -211,7 +212,7 @@ mod tests {
 
     #[test]
     fn weblog_datasets_match_trace_datasets() {
-        let traces = generate_traces(&DatasetSpec::cleartext_default(30, 93));
+        let traces = generate_traces(&DatasetSpec::cleartext_default(30, 93), TrainConfig::auto());
         let entries = capture_cleartext_corpus(&traces, 9).expect("capture");
         let from_weblogs = stall_dataset_from_weblogs(&entries);
         let from_traces = vqoe_features::build_stall_dataset(&traces);

@@ -359,11 +359,16 @@ pub fn parse_rules(text: &str) -> Result<Vec<AlertRule>, RuleParseError> {
                 })?;
             Ok(v.to_string())
         };
+        // A non-finite bound would make its rule silently dead: every
+        // comparison against NaN is false.
         let number = |v: &str| -> Result<f64, RuleParseError> {
-            v.parse::<f64>().map_err(|_| RuleParseError {
-                what: format!("`{key}` expects a number, got {v:?}"),
-                line: lineno,
-            })
+            v.parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or(RuleParseError {
+                    what: format!("`{key}` expects a finite number, got {v:?}"),
+                    line: lineno,
+                })
         };
         match key {
             "name" => p.name = Some(string(value)?),
@@ -533,5 +538,147 @@ severity = "warning"
         assert!(err.what.contains("outside"));
         let err = parse_rules("[[rule]]\nbogus = 3\n").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn parse_rules_rejects_non_finite_bounds() {
+        for (key, value) in [
+            ("max", "nan"),
+            ("max", "inf"),
+            ("max_delta", "-inf"),
+            ("h_sigmas", "NaN"),
+            ("h_sigmas", "infinity"),
+        ] {
+            let text = format!("[[rule]]\nname = \"r\"\nseries = \"s\"\n{key} = {value}\n");
+            let err = parse_rules(&text).unwrap_err();
+            assert_eq!(err.line, 4, "{key} = {value}");
+            assert!(
+                err.what.contains(key) && err.what.contains("finite"),
+                "{err}"
+            );
+        }
+    }
+
+    /// Characters a rule name or series may hold in the rules file:
+    /// everything but `#` (a comment), `"` and line breaks.
+    const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-.:/ =";
+
+    fn name_from(picks: &[u8]) -> String {
+        let chars = picks
+            .iter()
+            .map(|&p| NAME_CHARS[usize::from(p) % NAME_CHARS.len()]);
+        let name: String = chars.map(char::from).collect();
+        format!("r{}x", name.trim())
+    }
+
+    /// The rules file that declares `rules`.
+    fn render(rules: &[AlertRule]) -> String {
+        let mut text = String::new();
+        for r in rules {
+            let (key, value) = match r.kind {
+                RuleKind::Threshold { max } => ("max", max),
+                RuleKind::RateOverWindow { max_delta } => ("max_delta", max_delta),
+                RuleKind::Drift { h_sigmas } => ("h_sigmas", h_sigmas),
+            };
+            text += &format!(
+                "[[rule]]\nname = \"{}\"\nseries = \"{}\"\nkind = \"{}\"\n\
+                 {key} = {value:?}\nseverity = \"{}\"\n",
+                r.name,
+                r.series,
+                r.kind.label(),
+                r.severity.label()
+            );
+        }
+        text
+    }
+
+    fn rules_from(specs: &[(u8, u64, bool, Vec<u8>)]) -> Vec<AlertRule> {
+        specs
+            .iter()
+            .map(|(kind, bits, critical, name)| {
+                let mut bound = f64::from_bits(*bits);
+                if !bound.is_finite() {
+                    bound = f64::from_bits(bits >> 12);
+                }
+                AlertRule {
+                    name: name_from(name),
+                    series: name_from(&name[name.len() / 2..]),
+                    severity: if *critical {
+                        AlertSeverity::Critical
+                    } else {
+                        AlertSeverity::Warning
+                    },
+                    kind: match kind % 3 {
+                        0 => RuleKind::Threshold { max: bound },
+                        1 => RuleKind::RateOverWindow { max_delta: bound },
+                        _ => RuleKind::Drift { h_sigmas: bound },
+                    },
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Every rule set survives rendering and parsing unchanged, its
+        /// bounds bit for bit.
+        #[test]
+        fn rendered_rules_parse_back_unchanged(
+            specs in proptest::collection::vec(
+                (
+                    0u8..3,
+                    0u64..u64::MAX,
+                    proptest::bool::ANY,
+                    proptest::collection::vec(0u8..255, 0..12),
+                ),
+                0..6,
+            ),
+        ) {
+            let rules = rules_from(&specs);
+            let parsed = parse_rules(&render(&rules));
+            proptest::prop_assert_eq!(parsed, Ok(rules));
+        }
+
+        /// Parsing is total over damaged files: truncated, bit-flipped,
+        /// arbitrary or spliced bytes give rules or a typed error that
+        /// names a line of the file, never a panic.
+        #[test]
+        fn damaged_rule_files_never_panic(
+            specs in proptest::collection::vec(
+                (
+                    0u8..3,
+                    0u64..u64::MAX,
+                    proptest::bool::ANY,
+                    proptest::collection::vec(0u8..255, 0..12),
+                ),
+                1..4,
+            ),
+            mode in 0u8..4,
+            at in 0usize..usize::MAX,
+            bit in 0u8..8,
+            junk in proptest::collection::vec(0u16..256, 0..48),
+        ) {
+            let mut bytes = render(&rules_from(&specs)).into_bytes();
+            let junk: Vec<u8> = junk.into_iter().map(|b| b as u8).collect();
+            let pos = at % bytes.len();
+            match mode {
+                0 => bytes.truncate(pos),
+                1 => bytes[pos] ^= 1 << bit,
+                2 => bytes = junk,
+                _ => {
+                    bytes.splice(pos..pos, junk);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Err(e) = parse_rules(&text) {
+                proptest::prop_assert!(
+                    (1..=text.lines().count()).contains(&e.line),
+                    "line {} of {}",
+                    e.line,
+                    text.lines().count()
+                );
+            }
+        }
     }
 }

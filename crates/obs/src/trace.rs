@@ -29,9 +29,9 @@ pub enum TraceStage {
     Ingest,
     /// Session carving / reassembly of the media chunks.
     Reassemble,
-    /// Subscription fan-out: handing the session view to the detectors.
+    /// Fan-out: handing the session view to the three detectors.
     Fanout,
-    /// One detector's `deliver` call (the detector name is the event
+    /// One detector's model call (the detector name is the event
     /// detail).
     Deliver,
     /// The ordered reducer merging per-shard emissions.

@@ -123,6 +123,7 @@ mod tests {
     use super::*;
     use crate::capture::{capture_session, CaptureConfig};
     use crate::reassembly::{reassemble_subscriber, ReassemblyConfig};
+    use crate::weblog::{EntryKind, WeblogEntry};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vqoe_player::{simulate_session, AbrKind, Delivery, SessionConfig};
@@ -225,5 +226,152 @@ mod tests {
             Err(crate::error::TelemetryError::Parse { line: 1, .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A scratch path private to one test.
+    fn scratch(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("vqoe_test_jsonl");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{test}_{}.jsonl", std::process::id()))
+    }
+
+    /// A JSON string's worth of arbitrary characters: escapes, control
+    /// characters and non-ASCII included.
+    fn text_from(codes: &[u32]) -> String {
+        codes
+            .iter()
+            .map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'))
+            .collect()
+    }
+
+    /// A finite float from arbitrary bits (non-finite bits are shifted
+    /// into the finite range: JSON cannot carry NaN or infinity).
+    fn finite(bits: u64) -> f64 {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            f64::from_bits(bits >> 12)
+        }
+    }
+
+    type RecordSpec = (
+        (u64, u64, u64, u64),
+        (Vec<u32>, Vec<u32>, bool),
+        (Vec<u64>, u8, bool),
+    );
+
+    fn record_from(spec: &RecordSpec) -> WeblogEntry {
+        let ((t, id, bytes, dur), (host, uri, has_uri), (tr, kind, encrypted)) = spec;
+        let f = |i: usize| finite(tr[i % tr.len()].rotate_left(i as u32 * 7));
+        WeblogEntry {
+            timestamp: Instant(*t),
+            subscriber_id: *id,
+            host: text_from(host),
+            uri: has_uri.then(|| text_from(uri)),
+            bytes: *bytes,
+            duration: Duration(*dur),
+            transport: vqoe_player::TransportSummary {
+                rtt_min: f(0),
+                rtt_mean: f(1),
+                rtt_max: f(2),
+                bdp_mean: f(3),
+                bif_mean: f(4),
+                bif_max: f(5),
+                loss_frac: f(6),
+                retx_frac: f(7),
+            },
+            encrypted: *encrypted,
+            kind: match kind % 4 {
+                0 => EntryKind::PageLoad,
+                1 => EntryKind::MediaChunk,
+                2 => EntryKind::StatsReport,
+                _ => EntryKind::Noise,
+            },
+        }
+    }
+
+    fn record_spec() -> impl proptest::strategy::Strategy<Value = RecordSpec> {
+        use proptest::collection::vec;
+        (
+            (
+                0u64..u64::MAX,
+                0u64..u64::MAX,
+                0u64..u64::MAX,
+                0u64..u64::MAX,
+            ),
+            (
+                vec(0u32..0x11_0000, 0..24),
+                vec(0u32..0x11_0000, 0..24),
+                proptest::bool::ANY,
+            ),
+            (vec(0u64..u64::MAX, 1..8), 0u8..4, proptest::bool::ANY),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary weblog records survive `write_jsonl` → `read_jsonl`
+        /// unchanged, floats bit for bit.
+        #[test]
+        fn weblog_records_round_trip_through_jsonl(
+            specs in proptest::collection::vec(record_spec(), 0..6),
+        ) {
+            let records: Vec<WeblogEntry> = specs.iter().map(record_from).collect();
+            let path = scratch("weblog_round_trip");
+            write_jsonl(&path, &records).unwrap();
+            let back: Vec<WeblogEntry> = read_jsonl(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            proptest::prop_assert_eq!(back, records);
+        }
+
+        /// Reading is total over damaged weblog files: truncated,
+        /// bit-flipped, arbitrary or spliced bytes give records or a
+        /// typed parse error naming a line of the file, never a panic.
+        #[test]
+        fn damaged_weblog_lines_give_typed_errors(
+            specs in proptest::collection::vec(record_spec(), 1..4),
+            mode in 0u8..4,
+            at in 0usize..usize::MAX,
+            bit in 0u8..8,
+            junk in proptest::collection::vec(0u16..256, 0..48),
+        ) {
+            let records: Vec<WeblogEntry> = specs.iter().map(record_from).collect();
+            let path = scratch("weblog_damaged");
+            write_jsonl(&path, &records).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let junk: Vec<u8> = junk.into_iter().map(|b| b as u8).collect();
+            let pos = at % bytes.len();
+            match mode {
+                0 => bytes.truncate(pos),
+                1 => bytes[pos] ^= 1 << bit,
+                2 => bytes = junk,
+                _ => {
+                    bytes.splice(pos..pos, junk);
+                }
+            }
+            let lines = String::from_utf8_lossy(&bytes).lines().count();
+            std::fs::write(&path, &bytes).unwrap();
+            let read: Result<Vec<WeblogEntry>, _> = read_jsonl(&path);
+            std::fs::remove_file(&path).ok();
+            match read {
+                Ok(_) | Err(TelemetryError::Io(_)) => {}
+                Err(TelemetryError::Parse { line, .. }) => {
+                    proptest::prop_assert!((1..=lines).contains(&line), "line {} of {}", line, lines);
+                }
+                Err(e) => proptest::prop_assert!(false, "untyped failure {}", e),
+            }
+        }
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_a_parse_error_not_a_stack_overflow() {
+        let path = scratch("deep");
+        let line = "[".repeat(100_000) + &"]".repeat(100_000);
+        std::fs::write(&path, format!("{line}\n")).unwrap();
+        let read: Result<Vec<WeblogEntry>, _> = read_jsonl(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(read, Err(TelemetryError::Parse { line: 1, .. })));
     }
 }

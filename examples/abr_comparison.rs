@@ -6,7 +6,7 @@
 //! cargo run --release -p vqoe-core --example abr_comparison
 //! ```
 
-use vqoe_core::{generate_traces, DatasetSpec};
+use vqoe_core::{generate_traces, DatasetSpec, TrainConfig};
 use vqoe_player::AbrKind;
 use vqoe_simnet::channel::Scenario;
 
@@ -46,7 +46,7 @@ fn main() {
                     congested: 1.0,
                 },
             };
-            let traces = generate_traces(&spec);
+            let traces = generate_traces(&spec, TrainConfig::auto());
             let n = traces.len() as f64;
             let stalled = traces
                 .iter()

@@ -32,6 +32,13 @@ cargo build --release --offline --locked \
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# The vendored stand-ins sit outside the workspace (see the root
+# Cargo.toml), so `--workspace` never runs their own tests.
+for manifest in vendor/*/Cargo.toml; do
+  echo "==> cargo test ${manifest%/Cargo.toml}"
+  cargo test --offline -q --manifest-path "$manifest" --target-dir target/vendor
+done
+
 # Opt-in long soak: a high-fault chaos stream through the online
 # assessor (see scripts/soak.sh), plus a 10k-subscriber memory smoke.
 # Default runtime is unchanged.

@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    BudgetConfig, EncryptedEvalConfig, EncryptedWorld, OnlineAssessor, QoeMonitor,
+    BudgetConfig, EncryptedEvalConfig, EncryptedWorld, Fidelity, OnlineAssessor, QoeMonitor,
     SessionAssessment, TrainingConfig,
 };
 use vqoe_telemetry::{
@@ -190,7 +190,7 @@ fn zero_faults_are_bit_identical_to_the_batch_pipeline() {
         streamed, batch,
         "robust layer must be invisible at zero faults"
     );
-    assert!(streamed.iter().all(|a| !a.partial));
+    assert!(streamed.iter().all(|a| a.fidelity < Fidelity::Partial));
     assert_eq!(report.health.entries_reordered, 0);
     assert_eq!(report.health.entries_duplicated, 0);
     assert_eq!(report.health.entries_quarantined, 0);

@@ -5,18 +5,27 @@
 use vqoe_changedet::SwitchScoreConfig;
 use vqoe_core::avgrep_pipeline::train_representation_detector;
 use vqoe_core::stall_pipeline::train_stall_detector;
-use vqoe_core::{generate_traces, DatasetSpec, SwitchModel};
+use vqoe_core::{generate_traces, DatasetSpec, SwitchModel, TrainConfig};
 use vqoe_features::labels::has_switches;
 use vqoe_features::SessionObs;
 use vqoe_ml::ForestConfig;
 
 #[test]
 fn stall_model_transfers_across_seeds() {
-    let mut train_corpus = generate_traces(&DatasetSpec::cleartext_default(1200, 41));
-    train_corpus.extend(generate_traces(&DatasetSpec::adaptive_default(400, 42)));
+    let mut train_corpus = generate_traces(
+        &DatasetSpec::cleartext_default(1200, 41),
+        TrainConfig::auto(),
+    );
+    train_corpus.extend(generate_traces(
+        &DatasetSpec::adaptive_default(400, 42),
+        TrainConfig::auto(),
+    ));
     let report = train_stall_detector(&train_corpus, ForestConfig::default(), 1);
 
-    let fresh = generate_traces(&DatasetSpec::cleartext_default(600, 4242));
+    let fresh = generate_traces(
+        &DatasetSpec::cleartext_default(600, 4242),
+        TrainConfig::auto(),
+    );
     let eval = report
         .model
         .evaluate(&vqoe_features::build_stall_dataset(&fresh));
@@ -34,10 +43,14 @@ fn stall_model_transfers_across_seeds() {
 
 #[test]
 fn representation_model_transfers_across_seeds() {
-    let train_corpus = generate_traces(&DatasetSpec::adaptive_default(800, 43));
+    let train_corpus =
+        generate_traces(&DatasetSpec::adaptive_default(800, 43), TrainConfig::auto());
     let report = train_representation_detector(&train_corpus, ForestConfig::default(), 2);
 
-    let fresh = generate_traces(&DatasetSpec::adaptive_default(400, 4343));
+    let fresh = generate_traces(
+        &DatasetSpec::adaptive_default(400, 4343),
+        TrainConfig::auto(),
+    );
     let eval = report
         .model
         .evaluate(&vqoe_features::build_representation_dataset(&fresh));
@@ -52,10 +65,14 @@ fn representation_model_transfers_across_seeds() {
 
 #[test]
 fn switch_threshold_transfers_across_seeds() {
-    let train_corpus = generate_traces(&DatasetSpec::adaptive_default(800, 44));
+    let train_corpus =
+        generate_traces(&DatasetSpec::adaptive_default(800, 44), TrainConfig::auto());
     let calib = SwitchModel::calibrate(&train_corpus, SwitchScoreConfig::default());
 
-    let fresh = generate_traces(&DatasetSpec::adaptive_default(400, 4444));
+    let fresh = generate_traces(
+        &DatasetSpec::adaptive_default(400, 4444),
+        TrainConfig::auto(),
+    );
     let sessions: Vec<(SessionObs, bool)> = fresh
         .iter()
         .map(|t| (SessionObs::from_trace(t), has_switches(&t.ground_truth)))
@@ -72,7 +89,10 @@ fn detectors_never_see_ground_truth_fields() {
     // A type-level property worth an executable witness: predictions are
     // a function of SessionObs alone. Two traces with identical chunks
     // but different ground truth must predict identically.
-    let corpus = generate_traces(&DatasetSpec::cleartext_default(400, 45));
+    let corpus = generate_traces(
+        &DatasetSpec::cleartext_default(400, 45),
+        TrainConfig::auto(),
+    );
     let report = train_stall_detector(&corpus, ForestConfig::default(), 3);
     let mut trace = corpus[0].clone();
     let obs_before = SessionObs::from_trace(&trace);

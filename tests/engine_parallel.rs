@@ -7,12 +7,13 @@
 //! * the identity holds even when the tap is hostile (`ChaosTap`
 //!   faults), where ordering bugs would surface first;
 //! * all three detectors survive a JSON round trip with identical
-//!   predictions, exercised generically through the [`Detector`] trait.
+//!   predictions and projections.
 
 use std::sync::OnceLock;
 
 use vqoe_core::prelude::*;
 use vqoe_core::{generate_traces, DatasetSpec, EncryptedEvalConfig, EncryptedWorld};
+use vqoe_features::{representation_features, stall_features};
 use vqoe_telemetry::{apply_chaos, ChaosConfig};
 
 fn monitor() -> &'static QoeMonitor {
@@ -143,36 +144,49 @@ fn bit_identity_survives_a_hostile_tap() {
     }
 }
 
-/// Freeze → serialize → thaw → identical predictions, generically over
-/// the [`Detector`] trait — the code shape the unification exists for.
-fn assert_roundtrip<D>(model: &D, obs: &[SessionObs])
-where
-    D: Detector + serde::Serialize + serde::de::DeserializeOwned,
-{
+/// Freeze → serialize → thaw.
+fn thaw<T: serde::Serialize + serde::de::DeserializeOwned>(model: &T) -> T {
     let json = serde_json::to_string(model).expect("model serializes");
-    let thawed: D = serde_json::from_str(&json).expect("model deserializes");
-    for (i, o) in obs.iter().enumerate() {
-        assert_eq!(
-            model.predict(o),
-            thawed.predict(o),
-            "{}: prediction {i} changed across the JSON round trip",
-            model.name()
-        );
-        assert_eq!(
-            model.project(o),
-            thawed.project(o),
-            "{}: projection {i} changed across the JSON round trip",
-            model.name()
-        );
-    }
+    serde_json::from_str(&json).expect("model deserializes")
 }
 
 #[test]
 fn detectors_round_trip_through_json_with_identical_predictions() {
     let m = monitor();
-    let eval = generate_traces(&DatasetSpec::adaptive_default(40, 1700));
+    let eval = generate_traces(
+        &DatasetSpec::adaptive_default(40, 1700),
+        TrainConfig::auto(),
+    );
     let obs: Vec<SessionObs> = eval.iter().map(SessionObs::from_trace).collect();
-    assert_roundtrip(&m.stall_model, &obs);
-    assert_roundtrip(&m.representation_model, &obs);
-    assert_roundtrip(&m.switch_model, &obs);
+    let (stall, representation, switch) = (
+        thaw(&m.stall_model),
+        thaw(&m.representation_model),
+        thaw(&m.switch_model),
+    );
+    for (i, o) in obs.iter().enumerate() {
+        let full = stall_features(o);
+        assert_eq!(m.stall_model.predict(o), stall.predict(o), "stall {i}");
+        assert_eq!(
+            m.stall_model.project(&full),
+            stall.project(&full),
+            "stall {i}"
+        );
+        let full = representation_features(o);
+        assert_eq!(
+            m.representation_model.predict(o),
+            representation.predict(o),
+            "representation {i}"
+        );
+        assert_eq!(
+            m.representation_model.project(&full),
+            representation.project(&full),
+            "representation {i}"
+        );
+        assert_eq!(m.switch_model.detect(o), switch.detect(o), "switch {i}");
+        assert_eq!(
+            m.switch_model.score(o).to_bits(),
+            switch.score(o).to_bits(),
+            "switch {i}"
+        );
+    }
 }

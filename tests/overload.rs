@@ -17,7 +17,8 @@
 //!   and refused admissions are counted;
 //! * checkpoint decoding is total: arbitrary bytes, truncations and
 //!   bit flips of a real checkpoint decode and restore to `Ok` or a
-//!   typed error, never a panic, and a damaged spill digest is refused.
+//!   typed error, never a panic (nor a stack overflow on deep nesting),
+//!   and a damaged spill digest is refused.
 
 use std::sync::OnceLock;
 
@@ -354,7 +355,10 @@ fn degraded_tiers_use_missing_stat_never_zero() {
         .collect();
     assert!(!partials.is_empty(), "the eviction emits Partial output");
     for a in &partials {
-        assert!(a.partial, "partial flag agrees with the fidelity tier");
+        assert!(
+            a.fidelity >= Fidelity::Partial,
+            "an evicted session is force-closed"
+        );
         assert!(a.switch_score.is_finite(), "switch detector stayed sane");
         assert!(a.chunk_count > 0, "assessed from a real chunk block");
     }
@@ -420,16 +424,19 @@ fn flood_survives_within_budget_with_typed_shedding() {
         reasons.subscriber_budget + reasons.global_budget,
         "health counter mirrors the budget-shed reasons"
     );
-    let partial_flags = out.iter().filter(|a| a.partial).count() as u64;
+    let force_closed = out
+        .iter()
+        .filter(|a| a.fidelity >= Fidelity::Partial)
+        .count() as u64;
     assert_eq!(
-        partial_flags, health.sessions_partial,
-        "partial flags equal the force-closed session count"
+        force_closed, health.sessions_partial,
+        "force-closed tiers equal the force-closed session count"
     );
     for a in &out {
-        assert_eq!(
-            a.partial,
-            a.fidelity != Fidelity::Full,
-            "partial flag always agrees with the fidelity tier"
+        assert_ne!(
+            a.fidelity,
+            Fidelity::Sketched,
+            "no flood session outgrows the exactness cap"
         );
     }
 }
@@ -636,6 +643,13 @@ fn a_valid_checkpoint_round_trips_byte_for_byte() {
     let decoded = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
     assert_eq!(&decoded, spilled_checkpoint());
     assert_eq!(decoded.to_json().expect("re-serializes"), json);
+}
+
+#[test]
+fn a_deeply_nested_checkpoint_is_an_error_not_a_stack_overflow() {
+    let deep = "{\"shards\":".repeat(100_000) + "[]" + &"}".repeat(100_000);
+    assert!(OnlineCheckpoint::from_json(&deep).is_err());
+    assert!(OnlineCheckpoint::from_json(&"[".repeat(100_000)).is_err());
 }
 
 proptest! {

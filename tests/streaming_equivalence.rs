@@ -4,8 +4,8 @@
 //!   `SessionAssessment`s on the buffered batch path, the sequential
 //!   streaming path, and the sharded engine at workers 1/2/7 — with and
 //!   without chaos faults;
-//! * sessions **past the cap** carry `Fidelity::Sketched`, stay
-//!   `partial: false`, keep exact session boundaries, and their
+//! * sessions **past the cap** carry `Fidelity::Sketched` (below the
+//!   force-closed `Partial` tier), keep exact session boundaries, and their
 //!   predictions match the fully-buffered reference within pinned
 //!   tolerances — identically at every worker count;
 //! * edge sessions (empty, single-chunk, all-NaN metric column) behave
@@ -214,8 +214,8 @@ fn sketched_sessions_carry_the_tier_and_pinned_tolerance_predictions() {
         assert_eq!(f.fidelity, Fidelity::Full);
         assert_eq!(s.fidelity, Fidelity::Sketched);
         // Sketched sessions saw every chunk — nothing is missing, only
-        // summarized — so they are not partial.
-        assert!(!s.partial);
+        // summarized — so they rank below the force-closed tiers.
+        assert!(s.fidelity < Fidelity::Partial);
         // Session recovery is exact either way: boundaries and chunk
         // counts never degrade.
         assert_eq!(s.start, f.start);

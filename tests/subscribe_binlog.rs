@@ -1,4 +1,4 @@
-//! Subscription ingest + binary replay integration:
+//! Ingest + binary replay integration:
 //!
 //! * JSON → pack → unpack is **bit-identical** at the entry level;
 //! * `assess_binary(&corpus)`, which decodes each record on its shard
@@ -8,11 +8,8 @@
 //!   tap and on a harsh-chaos tap with a session past the exactness cap;
 //! * truncated, bit-flipped and arbitrary corpora are rejected with
 //!   typed errors, never a panic and never a silently short decode, and
-//!   `assess_binary` fails with exactly `decode_all`'s error;
-//! * extension subscriptions observe every session without perturbing
-//!   the standard report.
+//!   `assess_binary` fails with exactly `decode_all`'s error.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -258,47 +255,4 @@ proptest! {
             ),
         }
     }
-}
-
-#[test]
-fn extension_subscription_rides_along_without_changing_the_fold() {
-    struct ThroughputProbe {
-        sessions: AtomicUsize,
-        chunks: AtomicUsize,
-    }
-    impl Subscription for ThroughputProbe {
-        fn name(&self) -> &'static str {
-            "throughput-probe"
-        }
-        fn deliver(&self, view: &SessionView<'_>) -> Signal {
-            self.sessions.fetch_add(1, Ordering::Relaxed);
-            self.chunks.fetch_add(view.chunk_count(), Ordering::Relaxed);
-            Signal::Score(view.chunk_count() as f64)
-        }
-    }
-
-    let entries = multi_subscriber_tap(1, 3, 950);
-    let m = monitor();
-    let probe = ThroughputProbe {
-        sessions: AtomicUsize::new(0),
-        chunks: AtomicUsize::new(0),
-    };
-    let mut set = m.subscriptions();
-    set.subscribe(Box::new(&probe as &dyn Subscription));
-    assert_eq!(
-        set.names(),
-        vec!["stall", "representation", "switch", "throughput-probe"]
-    );
-
-    let baseline = m.pipeline().assess_subscriber(&entries);
-    let sessions = vqoe_telemetry::reassemble_subscriber(&entries, &m.reassembly);
-    let mut probed = Vec::new();
-    for session in &sessions {
-        let obs = SessionObs::from_reassembled(session);
-        probed.push(set.assess_session(SessionView::over(&obs, session)));
-    }
-    assert_eq!(probed, baseline, "probe must not perturb the fold");
-    assert_eq!(probe.sessions.load(Ordering::Relaxed), sessions.len());
-    let total_chunks: usize = probed.iter().map(|a| a.chunk_count).sum();
-    assert_eq!(probe.chunks.load(Ordering::Relaxed), total_chunks);
 }

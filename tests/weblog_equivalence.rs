@@ -7,13 +7,16 @@ use vqoe_core::weblog_training::{
     capture_cleartext_corpus, representation_dataset_from_weblogs, sessions_from_weblogs,
     stall_dataset_from_weblogs,
 };
-use vqoe_core::{generate_traces, DatasetSpec};
+use vqoe_core::{generate_traces, DatasetSpec, TrainConfig};
 use vqoe_features::{rq_label, stall_label};
 use vqoe_telemetry::extract_sessions;
 
 #[test]
 fn every_session_is_recovered_with_its_label() {
-    let traces = generate_traces(&DatasetSpec::cleartext_default(120, 3001));
+    let traces = generate_traces(
+        &DatasetSpec::cleartext_default(120, 3001),
+        TrainConfig::auto(),
+    );
     let entries = capture_cleartext_corpus(&traces, 1).expect("capture");
     let sessions = sessions_from_weblogs(&entries);
     assert_eq!(sessions.len(), traces.len());
@@ -39,7 +42,10 @@ fn every_session_is_recovered_with_its_label() {
 
 #[test]
 fn weblog_datasets_have_identical_class_structure() {
-    let traces = generate_traces(&DatasetSpec::cleartext_default(100, 3002));
+    let traces = generate_traces(
+        &DatasetSpec::cleartext_default(100, 3002),
+        TrainConfig::auto(),
+    );
     let entries = capture_cleartext_corpus(&traces, 2).expect("capture");
 
     let stall_w = stall_dataset_from_weblogs(&entries);
@@ -59,7 +65,10 @@ fn feature_rows_match_between_paths() {
     // Not just the same shape: per-session feature vectors must agree,
     // because the weblog path reads transport annotations off the same
     // proxy records the direct path summarizes.
-    let traces = generate_traces(&DatasetSpec::cleartext_default(40, 3003));
+    let traces = generate_traces(
+        &DatasetSpec::cleartext_default(40, 3003),
+        TrainConfig::auto(),
+    );
     let entries = capture_cleartext_corpus(&traces, 3).expect("capture");
     let sessions = sessions_from_weblogs(&entries);
     for s in &sessions {
@@ -81,7 +90,10 @@ fn feature_rows_match_between_paths() {
 
 #[test]
 fn extraction_orders_chunks_by_time() {
-    let traces = generate_traces(&DatasetSpec::cleartext_default(30, 3004));
+    let traces = generate_traces(
+        &DatasetSpec::cleartext_default(30, 3004),
+        TrainConfig::auto(),
+    );
     let entries = capture_cleartext_corpus(&traces, 4).expect("capture");
     for s in extract_sessions(&entries) {
         for w in s.chunks.windows(2) {
