@@ -5,7 +5,8 @@
 //! The obs crate stays dependency-free by accepting drift detection as
 //! an injected function pointer ([`vqoe_obs::DriftFn`]); this module is
 //! where the injection happens. The three series the assessor samples —
-//! `shed_rate`, `anomaly_rate`, `queue_depth` — are documented on
+//! `shed_rate`, `anomaly_rate`, `queue_depth` (the number of tracked
+//! subscribers) — are documented on
 //! [`crate::OnlineAssessor::with_alerts`].
 
 use vqoe_changedet::drift_alarm;

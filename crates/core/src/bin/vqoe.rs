@@ -87,67 +87,137 @@ fn reporter(flags: &Flags) -> Reporter {
     })
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        usage("no command given");
-    };
-    // `corpus` carries a sub-verb before its flags, so it parses its
-    // own tail; every other command takes flags directly.
-    if command == "corpus" {
-        return corpus(&args[1..]);
-    }
-    let flags = Flags::parse(&args[1..]);
-    match command.as_str() {
-        "generate" => generate(&flags),
-        "capture" => capture(&flags),
-        "extract-gt" => extract_gt(&flags),
-        "train" => train(&flags),
-        "assess" => assess(&flags),
-        "metrics-doc" => metrics_doc(&flags),
-        "--help" | "-h" | "help" => usage(""),
-        other => usage(&format!("unknown command '{other}'")),
-    }
+/// One `vqoe` command: its name as typed (a `corpus` verb included),
+/// the flags it accepts and its entry point. [`USAGE`] lists exactly
+/// these flags for each command (a unit test checks), and any other
+/// flag is a usage error.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Flags),
 }
 
-/// `vqoe corpus pack|unpack` — convert between the JSONL archival
-/// format and the length-prefixed binary replay format.
-fn corpus(args: &[String]) {
-    let Some(verb) = args.first() else {
-        usage("corpus wants a verb: pack or unpack");
+const COMMANDS: [Command; 8] = [
+    Command {
+        name: "generate",
+        flags: &["kind", "sessions", "seed", "out", "quiet"],
+        run: generate,
+    },
+    Command {
+        name: "capture",
+        flags: &["traces", "encrypted", "subscriber", "seed", "out", "quiet"],
+        run: capture,
+    },
+    Command {
+        name: "extract-gt",
+        flags: &["weblogs", "out", "quiet"],
+        run: extract_gt,
+    },
+    Command {
+        name: "train",
+        flags: &["cleartext", "adaptive", "seed", "workers", "out", "quiet"],
+        run: train,
+    },
+    Command {
+        name: "assess",
+        flags: &[
+            "model",
+            "weblogs",
+            "out",
+            "workers",
+            "shards",
+            "verbose",
+            "chaos",
+            "chaos-seed",
+            "chaos-profile",
+            "max-subscribers",
+            "memory-budget",
+            "subscriber-budget",
+            "admission",
+            "checkpoint",
+            "checkpoint-at",
+            "restore",
+            "metrics",
+            "exemplars",
+            "trace",
+            "alerts",
+            "quiet",
+        ],
+        run: assess,
+    },
+    Command {
+        name: "metrics-doc",
+        flags: &["out", "quiet"],
+        run: metrics_doc,
+    },
+    Command {
+        name: "corpus pack",
+        flags: &["weblogs", "out", "quiet"],
+        run: corpus_pack,
+    },
+    Command {
+        name: "corpus unpack",
+        flags: &["corpus", "out", "quiet"],
+        run: corpus_unpack,
+    },
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(first) = args.first() else {
+        usage("no command given");
     };
-    if verb != "pack" && verb != "unpack" {
-        usage(&format!("corpus verb must be pack|unpack, got '{verb}'"));
+    if matches!(first.as_str(), "--help" | "-h" | "help") {
+        usage("");
     }
-    let flags = Flags::parse(&args[1..]);
+    // `corpus` carries a sub-verb before its flags.
+    let (name, tail) = if first == "corpus" {
+        let Some(verb) = args.get(1) else {
+            usage("corpus wants a verb: pack or unpack");
+        };
+        if verb != "pack" && verb != "unpack" {
+            usage(&format!("corpus verb must be pack|unpack, got '{verb}'"));
+        }
+        (format!("corpus {verb}"), &args[2..])
+    } else {
+        (first.clone(), &args[1..])
+    };
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        usage(&format!("unknown command '{name}'"));
+    };
+    (command.run)(&Flags::parse(command, tail));
+}
+
+/// `vqoe corpus pack` — convert a JSONL weblog file into the
+/// length-prefixed binary replay format.
+fn corpus_pack(flags: &Flags) {
+    let weblogs = flags.path("weblogs");
     let out = flags.path("out");
-    match verb.as_str() {
-        "pack" => {
-            let weblogs = flags.path("weblogs");
-            let entries: Vec<WeblogEntry> = read_jsonl(&weblogs).unwrap_or_else(die(&weblogs));
-            let corpus = BinaryCorpus::try_pack(&entries).unwrap_or_else(die(&weblogs));
-            corpus.write_file(&out).unwrap_or_else(die(&out));
-            reporter(&flags).normal(&format!(
-                "packed {} weblog entries into {} ({} bytes, {:.2}x vs JSONL)",
-                corpus.len(),
-                out.display(),
-                corpus.as_bytes().len(),
-                jsonl_size(&entries) as f64 / corpus.as_bytes().len().max(1) as f64,
-            ));
-        }
-        "unpack" => {
-            let packed = flags.path("corpus");
-            let corpus = BinaryCorpus::read_file(&packed).unwrap_or_else(die(&packed));
-            let entries = corpus.decode_all().unwrap_or_else(die(&packed));
-            write_jsonl(&out, &entries).unwrap_or_else(die(&out));
-            reporter(&flags).normal(&format!(
-                "unpacked {} weblog entries to {}",
-                entries.len(),
-                out.display()
-            ));
-        }
-        other => usage(&format!("corpus verb must be pack|unpack, got '{other}'")),
-    }
+    let entries: Vec<WeblogEntry> = read_jsonl(&weblogs).unwrap_or_else(die(&weblogs));
+    let corpus = BinaryCorpus::try_pack(&entries).unwrap_or_else(die(&weblogs));
+    corpus.write_file(&out).unwrap_or_else(die(&out));
+    reporter(flags).normal(&format!(
+        "packed {} weblog entries into {} ({} bytes, {:.2}x vs JSONL)",
+        corpus.len(),
+        out.display(),
+        corpus.as_bytes().len(),
+        jsonl_size(&entries) as f64 / corpus.as_bytes().len().max(1) as f64,
+    ));
+}
+
+/// `vqoe corpus unpack` — convert a packed corpus back to JSONL,
+/// bit-identically.
+fn corpus_unpack(flags: &Flags) {
+    let packed = flags.path("corpus");
+    let out = flags.path("out");
+    let corpus = BinaryCorpus::read_file(&packed).unwrap_or_else(die(&packed));
+    let entries = corpus.decode_all().unwrap_or_else(die(&packed));
+    write_jsonl(&out, &entries).unwrap_or_else(die(&out));
+    reporter(flags).normal(&format!(
+        "unpacked {} weblog entries to {}",
+        entries.len(),
+        out.display()
+    ));
 }
 
 /// Serialized JSONL footprint of a weblog slice (for the pack ratio
@@ -175,13 +245,18 @@ fn read_weblogs(path: &Path) -> Vec<WeblogEntry> {
 struct Flags(Vec<(String, String)>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Flags {
+    /// Parse `args` as `command`'s flags; a flag it does not accept is
+    /// a usage error, so a typo never runs with a default.
+    fn parse(command: &Command, args: &[String]) -> Flags {
         let mut out = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let Some(key) = args[i].strip_prefix("--") else {
                 usage(&format!("expected a --flag, got '{}'", args[i]));
             };
+            if !command.flags.contains(&key) {
+                usage(&format!("unknown flag --{key} for {}", command.name));
+            }
             // Boolean flags have no value (next token is another flag or
             // the end).
             if i + 1 >= args.len() || args[i + 1].starts_with("--") {
@@ -491,7 +566,6 @@ fn assess(flags: &Flags) {
             let engine_cfg = EngineConfig {
                 workers: flags.num("workers", 0usize),
                 shards: flags.num("shards", EngineConfig::default().shards),
-                queue_depth: flags.num("queue-depth", EngineConfig::default().queue_depth),
             };
             let mut pipeline = IngestPipeline::new(&monitor)
                 .with_engine(engine_cfg)
@@ -768,29 +842,29 @@ fn die<E: std::fmt::Display, T>(path: &Path) -> impl FnOnce(E) -> T + '_ {
     }
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "vqoe — video QoE monitoring from (encrypted) traffic\n\
+/// The help text. Each command's usage lines name exactly the flags
+/// in its [`COMMANDS`] entry.
+const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          \n\
          commands:\n\
-           generate   --kind cleartext|adaptive|encrypted --sessions N --seed S --out FILE\n\
-           capture    --traces FILE [--encrypted] [--subscriber ID] [--seed S] --out FILE\n\
-           extract-gt --weblogs FILE --out FILE\n\
-           train      [--cleartext N] [--adaptive N] [--seed S] [--workers N] --out FILE\n\
+           generate   --kind cleartext|adaptive|encrypted --sessions N --seed S\n\
+         \x20          --out FILE [--quiet]\n\
+           capture    --traces FILE [--encrypted] [--subscriber ID] [--seed S]\n\
+         \x20          --out FILE [--quiet]\n\
+           extract-gt --weblogs FILE --out FILE [--quiet]\n\
+           train      [--cleartext N] [--adaptive N] [--seed S] [--workers N]\n\
+         \x20          --out FILE [--quiet]\n\
            assess     --model FILE --weblogs FILE --out FILE\n\
-         \x20          [--workers N] [--shards N] [--queue-depth N] [--verbose]\n\
+         \x20          [--workers N] [--shards N] [--verbose]\n\
          \x20          [--chaos RATE] [--chaos-seed S] [--chaos-profile mild|harsh|flood]\n\
          \x20          [--max-subscribers N] [--memory-budget BYTES]\n\
          \x20          [--subscriber-budget BYTES] [--admission shed|refuse]\n\
          \x20          [--checkpoint PATH] [--checkpoint-at N] [--restore PATH]\n\
          \x20          [--metrics PATH|-] [--exemplars] [--trace PATH]\n\
          \x20          [--alerts RULES.toml] [--quiet]\n\
-           metrics-doc [--out FILE]\n\
-           corpus pack   --weblogs FILE --out FILE\n\
-           corpus unpack --corpus FILE --out FILE\n\
+           metrics-doc [--out FILE] [--quiet]\n\
+           corpus pack   --weblogs FILE --out FILE [--quiet]\n\
+           corpus unpack --corpus FILE --out FILE [--quiet]\n\
          \n\
          corpus pack converts a JSONL weblog file into the length-\n\
          prefixed binary replay format (magic VQWL); corpus unpack\n\
@@ -803,7 +877,8 @@ fn usage(err: &str) -> ! {
          assess runs the streaming assessor by default; --workers routes\n\
          the capture through the sharded parallel engine (0 = auto),\n\
          with bit-identical output. --verbose adds stream-health and\n\
-         anomaly details on stderr; --quiet suppresses status lines.\n\
+         anomaly details on stderr; --quiet suppresses status lines\n\
+         (every command). A flag a command does not list is an error.\n\
          --chaos-profile applies a preset fault table (mild: 5% faults,\n\
          harsh: 35% faults, flood: 5% faults plus a synthetic subscriber\n\
          flood merged into the tap); it conflicts with --chaos.\n\
@@ -828,9 +903,70 @@ fn usage(err: &str) -> ! {
          count (needs --workers). --alerts RULES.toml evaluates\n\
          declarative threshold/rate/drift rules over the streaming\n\
          assessor's per-window shed_rate / anomaly_rate / queue_depth\n\
-         series (drift is CUSUM-backed); fired alerts print on stderr,\n\
+         series (queue_depth counts tracked subscribers; drift is\n\
+         CUSUM-backed); fired alerts print on stderr,\n\
          critical at the default level. metrics-doc regenerates the\n\
-         docs/METRICS.md metric reference."
-    );
+         docs/METRICS.md metric reference.";
+
+fn usage(err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("error: {err}\n");
+    }
+    eprintln!("{USAGE}");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each command's usage lines, joined: a line that opens with a
+    /// word starts a command, a line that opens with a flag continues
+    /// the one before.
+    fn usage_lines() -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = Vec::new();
+        let lines = USAGE
+            .lines()
+            .skip_while(|l| l.trim() != "commands:")
+            .skip(1);
+        for line in lines.take_while(|l| !l.trim().is_empty()) {
+            let line = line.trim();
+            match out.last_mut() {
+                Some((_, rest)) if line.starts_with(['-', '[']) => {
+                    rest.push(' ');
+                    rest.push_str(line);
+                }
+                _ => {
+                    let words: Vec<&str> = line.split_whitespace().collect();
+                    let at = words
+                        .iter()
+                        .position(|w| w.starts_with(['-', '[']))
+                        .unwrap_or(words.len());
+                    out.push((words[..at].join(" "), words[at..].join(" ")));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_accepts() {
+        let usage = usage_lines();
+        let names: Vec<&str> = usage.iter().map(|(name, _)| name.as_str()).collect();
+        let commands: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(
+            names, commands,
+            "usage and COMMANDS disagree on the commands"
+        );
+        for ((name, text), command) in usage.iter().zip(&COMMANDS) {
+            let mut listed: Vec<&str> = text
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|w| w.strip_prefix("--"))
+                .collect();
+            let mut accepted = command.flags.to_vec();
+            listed.sort_unstable();
+            accepted.sort_unstable();
+            assert_eq!(listed, accepted, "{name}: usage vs accepted flags");
+        }
+    }
 }

@@ -8,8 +8,8 @@
 //! deterministic quantile sketches over all §4 metric series
 //! ([`StreamingSessionState`]) and the streaming §4.3 switch score
 //! ([`StreamingSwitchScore`]). Per-subscriber cost is O(1) in session
-//! length; the digest is seedless, mergeable state that serializes
-//! byte-stably for checkpointing.
+//! length; the digest is seedless state that serializes byte-stably
+//! for checkpointing.
 //!
 //! The plumbing is the [`SpillSink`] trait from `vqoe-telemetry` (which
 //! cannot depend on the feature/detector crates, so the dependency is

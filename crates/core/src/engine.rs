@@ -15,15 +15,14 @@
 //!    [`RecordSource`]: a slice of entries is read in place; a packed
 //!    [`BinaryCorpus`] is validated and routed in one zero-copy pass
 //!    that notes each record's byte offset.
-//! 2. **Fan out** — shard jobs flow through a bounded work queue (depth
-//!    [`EngineConfig::queue_depth`], producer blocks when workers fall
-//!    behind — backpressure, not unbounded buffering) onto
-//!    [`EngineConfig::workers`] threads using the same vendored
-//!    `crossbeam::scope` pattern as `vqoe_ml::par::run_indexed`. Each job feeds
-//!    its records, in arrival order, to a fresh shard machine, then
-//!    drains it in subscriber order. A corpus job decodes its own
-//!    records on its worker, one at a time, into one scratch entry, so
-//!    a binary pass never holds the corpus as owned entries.
+//! 2. **Fan out** — one job per shard runs on [`EngineConfig::workers`]
+//!    threads through the training stack's [`run_indexed`], which
+//!    claims jobs in shard order and returns their outputs in shard
+//!    order. Each job feeds its records, in arrival order, to a fresh
+//!    shard machine, then drains it in subscriber order. A corpus job
+//!    decodes its own records on its worker, one at a time, into one
+//!    scratch entry, so a binary pass never holds the corpus as owned
+//!    entries.
 //! 3. **Reduce** — per-shard results carry *emission keys* that encode
 //!    where the sequential online assessor would have emitted each
 //!    assessment; a deterministic ordered merge sorts on those keys, so
@@ -42,8 +41,8 @@
 //! `OnlineAssessor::finish` walks its subscribers).
 
 use std::convert::Infallible;
-use std::sync::{Condvar, Mutex as StdMutex};
 
+use vqoe_ml::par::run_indexed;
 use vqoe_ml::TrainConfig;
 use vqoe_obs::{SimClock, StageSpan, Trace, TraceConfig, TraceEvent, TraceSink, TraceStage};
 use vqoe_telemetry::{
@@ -62,16 +61,13 @@ use crate::subscribe::{IngestPipeline, SubscriptionSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads. `0` means auto: `available_parallelism`, capped
-    /// at 16 (the same policy as parallel trace generation).
+    /// at 16, and never more than the shard count — the
+    /// [`TrainConfig`] policy.
     pub workers: usize,
     /// Number of shards the subscriber space is hashed onto. More
-    /// shards than workers keeps the queue busy when shard sizes are
+    /// shards than workers keeps every worker busy when shard sizes are
     /// skewed.
     pub shards: usize,
-    /// Bounded work-queue depth: at most this many shard jobs are
-    /// in flight beyond the ones workers already hold; the producer
-    /// blocks (backpressure) rather than buffering without bound.
-    pub queue_depth: usize,
 }
 
 impl Default for EngineConfig {
@@ -79,18 +75,7 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             shards: 32,
-            queue_depth: 8,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The effective worker count: `workers`, with `0` resolved to the
-    /// machine's available parallelism (capped at 16), and never more
-    /// than the shard count (excess workers would only idle) — the
-    /// training stack's [`TrainConfig`] policy over one job per shard.
-    pub fn effective_workers(&self) -> usize {
-        TrainConfig::with_workers(self.workers).effective_workers(self.shards)
     }
 }
 
@@ -109,8 +94,8 @@ pub fn shard_of(subscriber_id: u64, shards: usize) -> usize {
 /// routing, then each record again on the worker that runs its shard.
 pub(crate) trait RecordSource: Sync {
     /// Where one record sits in the source, kept beside its arrival
-    /// index in its shard job.
-    type At: Copy + Send;
+    /// index in its shard's record list.
+    type At: Copy + Sync;
     /// Why the source cannot be read.
     type Error: Send;
 
@@ -181,13 +166,6 @@ impl RecordSource for BinaryCorpus {
     }
 }
 
-/// One shard's work: the arrival index and location of each of its
-/// records, in arrival order.
-struct ShardJob<A> {
-    shard: usize,
-    records: Vec<(u32, A)>,
-}
-
 /// Where in the sequential emission order an assessment belongs:
 /// `(phase, major, minor)` — see the module docs.
 type EmissionKey = (u8, u64, u32);
@@ -203,88 +181,9 @@ struct ShardOutput {
     /// ...and the global entry index of each kept record.
     kept_at: Vec<u64>,
     /// The job's span sink (`None` when tracing is off). Like everything
-    /// else in this struct it travels back through the worker's join
-    /// handle — the hot path never touches a shared sink.
+    /// else in this struct it comes back as the job's result — the hot
+    /// path never touches a shared sink.
     trace: Option<TraceSink>,
-}
-
-/// A bounded single-producer / multi-consumer job queue. `push` blocks
-/// while the queue is full — that is the engine's backpressure: the
-/// producer can never race ahead of the workers by more than
-/// `queue_depth` shard jobs.
-struct BoundedQueue<T> {
-    state: StdMutex<QueueState<T>>,
-    readable: Condvar,
-    writable: Condvar,
-    depth: usize,
-}
-
-struct QueueState<T> {
-    items: std::collections::VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(depth: usize) -> Self {
-        BoundedQueue {
-            state: StdMutex::new(QueueState {
-                items: std::collections::VecDeque::new(),
-                closed: false,
-            }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-            depth: depth.max(1),
-        }
-    }
-
-    /// A poisoned lock means a worker already panicked; the surrounding
-    /// `crossbeam::scope` re-raises that panic, so recovering the guard
-    /// here only lets shutdown proceed.
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Enqueue one item, blocking while the queue is full. Returns
-    /// `true` when the push had to wait on backpressure at least once
-    /// (a scheduling-dependent signal, surfaced as a `Runtime`-class
-    /// metric only).
-    fn push(&self, item: T) -> bool {
-        let mut s = self.lock();
-        let mut stalled = false;
-        while s.items.len() >= self.depth {
-            stalled = true;
-            s = self.writable.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        s.items.push_back(item);
-        drop(s);
-        self.readable.notify_one();
-        stalled
-    }
-
-    /// Jobs currently waiting (racy by nature; metrics use only).
-    fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    fn pop(&self) -> Option<T> {
-        let mut s = self.lock();
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                drop(s);
-                self.writable.notify_one();
-                return Some(item);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.readable.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.readable.notify_all();
-    }
 }
 
 /// Assess a whole tap capture on `pipeline`'s engine: route records to
@@ -312,60 +211,13 @@ pub(crate) fn run<S: RecordSource + ?Sized>(
         g += 1;
     })?;
 
-    let workers = config.effective_workers();
-    let queue: BoundedQueue<ShardJob<S::At>> = BoundedQueue::new(config.queue_depth);
-    let metrics = pipeline.metrics.as_ref();
-
-    let result = crossbeam::thread::scope(|scope| {
-        // Workers keep their shard outputs in a private `(shard,
-        // output)` vector — no shared lock on the hot path — and hand it
-        // back through their join handle; the scatter after the joins
-        // restores shard order.
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut local: Vec<(usize, Result<ShardOutput, S::Error>)> = Vec::new();
-                    while let Some(job) = queue.pop() {
-                        let out = run_job(pipeline, &subs, source, &job.records, trace_cfg);
-                        local.push((job.shard, out));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Produce shard jobs on the calling thread; `push` blocks when
-        // `queue_depth` jobs are already waiting. The queue must close
-        // before the joins below, or the workers would never exit their
-        // pop loops.
-        for (shard, records) in by_shard.into_iter().enumerate() {
-            let stalled = queue.push(ShardJob { shard, records });
-            if let Some(m) = metrics {
-                if stalled {
-                    m.queue_stalls.inc();
-                }
-                m.queue_depth.set(queue.len() as i64);
-            }
-        }
-        queue.close();
-        let mut pairs: Vec<(usize, Result<ShardOutput, S::Error>)> = Vec::with_capacity(shards);
-        for h in handles {
-            match h.join() {
-                Ok(local) => pairs.extend(local),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-        pairs.sort_by_key(|(shard, _)| *shard);
-        pairs
-            .into_iter()
-            .map(|(_, out)| out)
-            .collect::<Result<Vec<_>, _>>()
-    });
-    let outputs: Vec<ShardOutput> = match result {
-        Ok(outputs) => outputs?,
-        // A worker panic is a bug in the pipeline itself; re-raising it
-        // is the only sane response.
-        Err(p) => std::panic::resume_unwind(p),
-    };
+    // Outputs come back in shard order at any worker count, so the
+    // reducer's input is the same; a worker panic re-raises here.
+    let outputs = run_indexed(shards, TrainConfig::with_workers(config.workers), |i| {
+        run_job(pipeline, &subs, source, &by_shard[i], trace_cfg)
+    })
+    .into_iter()
+    .collect::<Result<Vec<ShardOutput>, S::Error>>()?;
     Ok(reduce(pipeline, outputs, trace_cfg.is_some()))
 }
 
@@ -388,7 +240,7 @@ fn run_job<S: RecordSource + ?Sized>(
     let mut kept_at: Vec<u64> = Vec::new();
     let mut emissions: Vec<(EmissionKey, SessionAssessment)> = Vec::new();
     // This job's private trace sink: recorded into without locks,
-    // handed back through the join handle with everything else.
+    // returned with everything else as the job's result.
     let mut trace = trace_cfg.map(|c| TraceSink::with_capacity(c.capacity_per_shard));
     let mut emit = |key: EmissionKey, subscriber: u64, c: &Closed| {
         let a = assess(subs, c, Fidelity::Full, metrics);
@@ -576,48 +428,5 @@ mod tests {
         for (s, &c) in counts.iter().enumerate() {
             assert!(c > 40, "shard {s} starved: {c} of 800");
         }
-    }
-
-    #[test]
-    fn effective_workers_clamps_to_shards() {
-        let cfg = EngineConfig {
-            workers: 64,
-            shards: 3,
-            ..EngineConfig::default()
-        };
-        assert_eq!(cfg.effective_workers(), 3);
-        let auto = EngineConfig::default().effective_workers();
-        assert!((1..=16).contains(&auto));
-    }
-
-    #[test]
-    fn bounded_queue_delivers_everything_once_despite_backpressure() {
-        let q: BoundedQueue<usize> = BoundedQueue::new(2);
-        let total = 100usize;
-        let got = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut local = Vec::new();
-                        while let Some(v) = q.pop() {
-                            local.push(v);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for v in 0..total {
-                q.push(v);
-            }
-            q.close();
-            let mut all: Vec<usize> = handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("consumer thread"))
-                .collect();
-            all.sort_unstable();
-            all
-        })
-        .expect("queue test scope");
-        assert_eq!(got, (0..total).collect::<Vec<_>>());
     }
 }

@@ -17,8 +17,9 @@
 //! `Stable`-class snapshot is identical at any worker count. A restored
 //! assessor's registry absorbs the checkpoint's snapshot before
 //! `with_metrics` sets the watermark to the restored tallies.
-//! Scheduling-dependent signals (queue depth, backpressure stalls) are
-//! registered as `Runtime` class and excluded from the snapshot.
+//! Every metric registered here is `Stable` class; scheduling-dependent
+//! signals (the `vqoe` CLI's wall-clock stage times) are registered by
+//! their caller as `Runtime` class and excluded from the snapshot.
 //!
 //! [`AnomalyLog::kinds`]: vqoe_telemetry::AnomalyLog::kinds
 //! [`ShedLog::reasons`]: crate::online::ShedLog::reasons
@@ -76,8 +77,6 @@ pub struct PipelineMetrics {
     pub(crate) stage_ticks: Histogram,
     pub(crate) worker_busy_ticks: Counter,
     pub(crate) reduce_merge_size: Histogram,
-    pub(crate) queue_stalls: Counter,
-    pub(crate) queue_depth: Gauge,
     // Online assessor.
     pub(crate) shed_lru_capacity: Counter,
     pub(crate) shed_subscriber_budget: Counter,
@@ -252,16 +251,6 @@ impl PipelineMetrics {
                 "emissions merged per shard by the ordered reducer",
                 s,
                 buckets::MERGE_SIZE,
-            ),
-            queue_stalls: registry.counter(
-                "vqoe_core_engine_queue_stalls_total",
-                "producer pushes that blocked on a full work queue (backpressure)",
-                MetricClass::Runtime,
-            ),
-            queue_depth: registry.gauge(
-                "vqoe_core_engine_queue_depth",
-                "shard jobs waiting in the bounded work queue",
-                MetricClass::Runtime,
             ),
             shed_lru_capacity: counter(
                 "vqoe_core_online_shed_lru_capacity_total",

@@ -355,8 +355,7 @@ impl OnlineAssessor {
 
     /// Wrap a trained monitor with explicit hardening parameters and an
     /// explicit shard layout (only [`EngineConfig::shards`] matters to
-    /// the streaming path; worker count and queue depth are batch-engine
-    /// knobs).
+    /// the streaming path; the worker count is a batch-engine knob).
     pub fn with_engine(
         monitor: QoeMonitor,
         ingest_cfg: IngestConfig,
@@ -409,8 +408,9 @@ impl OnlineAssessor {
     /// Attach an [`AlertEngine`]: every `window_records` ingested
     /// records the assessor pushes one sample per built-in series —
     /// `shed_rate` (shed events this window), `anomaly_rate`
-    /// (quarantines this window), `queue_depth` (subscribers tracked at
-    /// the boundary) — and [`OnlineAssessor::into_report`] evaluates
+    /// (quarantines this window), `queue_depth` (the number of
+    /// subscribers tracked at the boundary; the name stays because rule
+    /// files use it) — and [`OnlineAssessor::into_report`] evaluates
     /// the rules over the completed series into
     /// [`IngestReport::alerts`]. The window is measured on the record
     /// clock, so the samples (and thus the alerts) are deterministic.

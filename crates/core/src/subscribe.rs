@@ -23,8 +23,8 @@
 //! * [`IngestPipeline`] — the one front door: batch slices, packed
 //!   binary corpora ([`BinaryCorpus`], no serde on the hot path) and
 //!   single-subscriber streams, all over the same fold. Its batch
-//!   methods *are* the engine: the shard fan-out, bounded queue and
-//!   reducer in `crate::engine` are private code behind them.
+//!   methods *are* the engine: the shard routing, fan-out and reducer
+//!   in `crate::engine` are private code behind them.
 
 use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
 use vqoe_obs::{Trace, TraceConfig};
@@ -162,7 +162,7 @@ impl<'m> IngestPipeline<'m> {
         }
     }
 
-    /// Set the parallel-engine knobs (workers, shards, queue depth).
+    /// Set the parallel-engine knobs (workers, shards).
     /// Never changes the output, only wall-clock.
     pub fn with_engine(mut self, config: EngineConfig) -> Self {
         self.engine = config;

@@ -11,6 +11,8 @@
 //! fixing the reduction order is what makes the parallel output
 //! *byte-identical* to the sequential one at any worker count — the
 //! same discipline `vqoe_core::engine` established for assessment.
+//! Trace generation and the engine's shard jobs fan out through
+//! [`run_indexed`] too.
 //!
 //! Seed streams are laid out so they cannot overlap (DESIGN.md §10):
 //! trees within one forest use the affine family

@@ -201,26 +201,6 @@ impl OnlineMoments {
             Some(self.max)
         }
     }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -269,28 +249,6 @@ mod tests {
         acc.push(3.0);
         assert_eq!(acc.count(), 2);
         assert_eq!(acc.mean(), 2.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0, 30.0, 40.0];
-        let mut a = OnlineMoments::new();
-        let mut b = OnlineMoments::new();
-        for &x in &a_data {
-            a.push(x);
-        }
-        for &x in &b_data {
-            b.push(x);
-        }
-        a.merge(&b);
-        let mut all = OnlineMoments::new();
-        for &x in a_data.iter().chain(&b_data) {
-            all.push(x);
-        }
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-        assert_eq!(a.count(), all.count());
     }
 
     #[test]
@@ -351,25 +309,6 @@ mod tests {
         assert_eq!(OnlineMoments::default(), OnlineMoments::new());
     }
 
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineMoments::new();
-        a.push(5.0);
-        a.push(7.0);
-        let before_mean = a.mean();
-        a.merge(&OnlineMoments::new());
-        assert_eq!(a.mean(), before_mean);
-        assert_eq!(a.count(), 2);
-
-        let mut empty = OnlineMoments::new();
-        let mut b = OnlineMoments::new();
-        b.push(5.0);
-        b.push(7.0);
-        empty.merge(&b);
-        assert_eq!(empty.mean(), 6.0);
-        assert_eq!(empty.count(), 2);
-    }
-
     proptest! {
         #[test]
         fn prop_online_matches_batch(data in proptest::collection::vec(-1e6f64..1e6, 0..200)) {
@@ -386,19 +325,6 @@ mod tests {
         #[test]
         fn prop_variance_nonnegative(data in proptest::collection::vec(-1e9f64..1e9, 0..100)) {
             prop_assert!(variance(&data) >= 0.0);
-        }
-
-        #[test]
-        fn prop_merge_associative_count(
-            a in proptest::collection::vec(-1e3f64..1e3, 0..50),
-            b in proptest::collection::vec(-1e3f64..1e3, 0..50),
-        ) {
-            let mut am = OnlineMoments::new();
-            for &x in &a { am.push(x); }
-            let mut bm = OnlineMoments::new();
-            for &x in &b { bm.push(x); }
-            am.merge(&bm);
-            prop_assert_eq!(am.count() as usize, a.len() + b.len());
         }
     }
 }

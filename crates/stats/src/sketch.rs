@@ -18,13 +18,17 @@
 //!
 //! * `push` sequences that are element-for-element identical produce
 //!   byte-identical sketches (no RNG, no addresses, no time);
-//! * `merge(a, b)` is deterministic in the *argument order* — merging
-//!   the same two sketches the same way around always yields the same
-//!   bytes, but `merge(a, b)` and `merge(b, a)` may differ (callers
-//!   that need cross-worker stability must merge in a canonical order,
-//!   exactly like the engine's emission-key sort);
 //! * serialization round-trips bit-exactly (the state is integers and
 //!   f64 values already observed).
+//!
+//! There is no merge: a session's sketch is only ever pushed into, by
+//! the one shard that owns the session.
+//!
+//! Error bound, pinned by a property test: at capacity 64 and up to
+//! 20,000 observations, the returned value's rank is within 0.05·n of
+//! the requested rank q·(n−1), under sorted, reversed,
+//! duplicate-heavy, zig-zag, scrambled and block-adversarial push
+//! orders.
 //!
 //! Memory is bounded by `levels × capacity` values; with the pinned
 //! [`SKETCH_CAPACITY`] of 64 and the ~log₂(n/64) levels an hour-long
@@ -61,8 +65,8 @@ impl Level {
     }
 }
 
-/// Deterministic, mergeable, fixed-capacity quantile sketch (see the
-/// module docs for the determinism contract).
+/// Deterministic, fixed-capacity quantile sketch (see the module docs
+/// for the determinism contract and the error bound).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantileSketch {
     capacity: usize,
@@ -145,23 +149,6 @@ impl QuantileSketch {
             self.levels[lvl + 1].values.extend(survivors);
             lvl += 1;
         }
-    }
-
-    /// Merge another sketch into this one. Level buffers concatenate
-    /// (self's values first, then `other`'s), then over-full levels
-    /// compact bottom-up — deterministic in argument order.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        while self.levels.len() < other.levels.len() {
-            self.levels.push(Level::new());
-        }
-        for (lvl, theirs) in other.levels.iter().enumerate() {
-            self.levels[lvl].values.extend_from_slice(&theirs.values);
-        }
-        self.count += other.count;
-        self.compact_from(0);
     }
 
     /// Approximate quantile `q ∈ [0, 1]` (clamped), or `None` when the
@@ -279,18 +266,23 @@ mod tests {
         assert_eq!(s.count(), 200_000);
     }
 
-    #[test]
-    fn merge_is_deterministic_and_weight_preserving() {
-        let a_data: Vec<f64> = (0..5_000).map(|i| i as f64).collect();
-        let b_data: Vec<f64> = (5_000..9_000).map(|i| i as f64).collect();
-        let mut m1 = filled(&a_data);
-        m1.merge(&filled(&b_data));
-        let mut m2 = filled(&a_data);
-        m2.merge(&filled(&b_data));
-        assert_eq!(m1, m2, "same-order merge must be byte-identical");
-        assert_eq!(m1.count(), 9_000);
-        let median = m1.try_quantile(0.5).unwrap();
-        assert!((median - 4_500.0).abs() < 450.0, "median {median}");
+    /// The `i`-th of `n` values in push order `order`: sorted,
+    /// reversed, duplicate-heavy, zig-zag, LCG-scrambled, and
+    /// ascending 65-value blocks (one capacity-64 compaction each).
+    fn ordered(order: usize, i: u64, n: u64) -> f64 {
+        match order {
+            0 => i as f64,
+            1 => (n - 1 - i) as f64,
+            2 => (i % 3) as f64,
+            3 if i % 2 == 0 => (i / 2) as f64,
+            3 => (n - 1 - i / 2) as f64,
+            4 => {
+                (i.wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407)
+                    >> 33) as f64
+            }
+            _ => ((i % 65) * n + i / 65) as f64,
+        }
     }
 
     proptest! {
@@ -323,6 +315,34 @@ mod tests {
                 (exact - approx).abs() <= 0.05 * 100_000.0,
                 "median drifted: exact {exact}, sketch {approx}"
             );
+        }
+
+        #[test]
+        fn prop_rank_error_stays_within_five_percent(n in 1u64..20_000) {
+            for order in 0..6 {
+                let data: Vec<f64> = (0..n).map(|i| ordered(order, i, n)).collect();
+                let mut s = QuantileSketch::with_capacity(64);
+                for &x in &data {
+                    s.push(x);
+                }
+                let mut sorted = data;
+                sorted.sort_by(f64::total_cmp);
+                for k in 0..=100 {
+                    let q = k as f64 / 100.0;
+                    let v = s.try_quantile(q).unwrap();
+                    // `v` holds every rank in `lo..=hi` (ties share
+                    // ranks); its error is the distance from that
+                    // range to the requested rank.
+                    let lo = sorted.partition_point(|&x| x < v) as f64;
+                    let hi = sorted.partition_point(|&x| x <= v) as f64 - 1.0;
+                    let target = q * (n - 1) as f64;
+                    let err = (lo - target).max(target - hi).max(0.0);
+                    prop_assert!(
+                        err <= 0.05 * n as f64,
+                        "order {order}, n {n}, q {q}: rank error {err}"
+                    );
+                }
+            }
         }
 
         #[test]

@@ -171,6 +171,42 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
     let out = vqoe().args(["generate"]).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --out"));
+
+    // A flag the command does not take is a usage error, not a silent
+    // default: a typo, a flag from another command, a removed knob.
+    let assess = ["assess", "--model", "m.json", "--weblogs", "w.jsonl"];
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[&assess[..], &["--out", "o.jsonl", "--wokers", "2"]].concat(),
+            "--wokers for assess",
+        ),
+        (
+            &[
+                "generate",
+                "--kind",
+                "encrypted",
+                "--sessions",
+                "4",
+                "--seed",
+                "3",
+                "--out",
+                "x",
+                "--bogus-flag",
+                "7",
+            ],
+            "--bogus-flag for generate",
+        ),
+        (
+            &[&assess[..], &["--out", "o.jsonl", "--queue-depth", "4"]].concat(),
+            "--queue-depth for assess",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = vqoe().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "vqoe {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
 }
 
 #[test]

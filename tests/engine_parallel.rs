@@ -85,7 +85,6 @@ fn engine_is_bit_identical_to_the_streaming_path_at_every_worker_count() {
         let cfg = EngineConfig {
             workers,
             shards: 16,
-            ..EngineConfig::default()
         };
         let sequential = sequential_report(ingest, cfg, &entries);
         let parallel = engine_report(ingest, cfg, &entries);
@@ -105,20 +104,12 @@ fn worker_count_never_changes_the_report() {
     let base = EngineConfig {
         workers: 1,
         shards: 8,
-        ..EngineConfig::default()
     };
     let reference = engine_report(ingest, base, &entries);
     for workers in [2usize, 7] {
         let report = engine_report(ingest, EngineConfig { workers, ..base }, &entries);
         assert_eq!(report, reference, "{workers} workers diverged from 1");
     }
-    // Queue depth is a throughput knob, never a semantic one.
-    let deep = EngineConfig {
-        workers: 7,
-        queue_depth: 1,
-        ..base
-    };
-    assert_eq!(engine_report(ingest, deep, &entries), reference);
 }
 
 #[test]
@@ -131,7 +122,6 @@ fn bit_identity_survives_a_hostile_tap() {
             let cfg = EngineConfig {
                 workers,
                 shards: 16,
-                ..EngineConfig::default()
             };
             let sequential = sequential_report(ingest, cfg, &faulted);
             let parallel = engine_report(ingest, cfg, &faulted);

@@ -58,7 +58,6 @@ fn instrumented_run(
     let cfg = EngineConfig {
         workers,
         shards: 16,
-        ..EngineConfig::default()
     };
     let registry = Registry::new();
     let metrics = PipelineMetrics::register(&registry);
@@ -77,7 +76,6 @@ fn metrics_never_perturb_engine_output_at_any_worker_count() {
         let cfg = EngineConfig {
             workers,
             shards: 16,
-            ..EngineConfig::default()
         };
         let bare = monitor().pipeline().with_engine(cfg).assess(&entries);
         let (instrumented, _, _) = instrumented_run(workers, &entries);

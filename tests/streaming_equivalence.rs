@@ -123,11 +123,7 @@ fn synthetic_sessions(
 }
 
 fn engine_report(monitor: &QoeMonitor, workers: usize, entries: &[WeblogEntry]) -> IngestReport {
-    let cfg = EngineConfig {
-        workers,
-        shards: 8,
-        ..EngineConfig::default()
-    };
+    let cfg = EngineConfig { workers, shards: 8 };
     monitor
         .pipeline()
         .with_engine(cfg)

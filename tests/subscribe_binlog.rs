@@ -80,11 +80,7 @@ fn json_pack_unpack_round_trip_is_bit_identical() {
 /// Engine settings every bit-identity check runs at: workers 1, 2 and 7
 /// on the default shard count, and 2 workers on a non-default one.
 fn engine_grid() -> [EngineConfig; 4] {
-    let at = |workers, shards| EngineConfig {
-        workers,
-        shards,
-        ..EngineConfig::default()
-    };
+    let at = |workers, shards| EngineConfig { workers, shards };
     let shards = EngineConfig::default().shards;
     [at(1, shards), at(2, shards), at(7, shards), at(2, 5)]
 }
@@ -242,7 +238,6 @@ proptest! {
         let pipeline = IngestPipeline::new(monitor()).with_engine(EngineConfig {
             workers: 2,
             shards: 4,
-            ..EngineConfig::default()
         });
         match (corpus.decode_all(), pipeline.assess_binary(&corpus)) {
             (Err(want), Err(got)) => prop_assert_eq!(format!("{got:?}"), format!("{want:?}")),

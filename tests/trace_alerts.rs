@@ -95,7 +95,6 @@ fn engine_run(
     let cfg = EngineConfig {
         workers,
         shards: 16,
-        ..EngineConfig::default()
     };
     let registry = Registry::new();
     let metrics = if observed {
