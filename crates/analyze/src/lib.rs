@@ -39,11 +39,10 @@
 //! The scope-aware passes (7–9) run on the [`tree`] token-tree layer
 //! built over the [`lexer`]. Violations carry `file:line`, a rule id,
 //! a severity ([`Severity::Deny`] fails the gate, [`Severity::Warn`]
-//! reports), and a message; known debt can be grandfathered in a
-//! committed [`baseline`] file, and per-file results are memoized by
-//! content hash in the [`cache`]. A `// analyze:allow(<rule>)` comment
-//! on (or directly above) a line is the escape hatch for the
-//! line-level rules — and pass 10 keeps the hatches honest.
+//! reports), and a message; [`gate_fails`] turns the findings into
+//! the exit verdict. A `// analyze:allow(<rule>)` comment on (or
+//! directly above) a line is the one way to suppress a finding — and
+//! pass 10 keeps those markers honest.
 //!
 //! The crate deliberately depends on nothing but `std` — it is the gate
 //! for the rest of the workspace and must keep building when everything
@@ -52,9 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod bounded;
-pub mod cache;
 pub mod clock;
 pub mod clones;
 pub mod constants;
@@ -106,7 +103,7 @@ pub const PANIC_CRATES: &[&str] = &[
 /// How a rule's findings affect the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Fresh findings fail the gate (exit nonzero).
+    /// Findings fail the gate (exit nonzero).
     Deny,
     /// Findings are reported but never fail the gate on their own.
     Warn,
@@ -117,7 +114,7 @@ pub enum Severity {
 pub struct Rule {
     /// Stable rule id (the token accepted by `analyze:allow(...)`).
     pub id: &'static str,
-    /// Gate behaviour of fresh findings.
+    /// Gate behaviour of the rule's findings.
     pub severity: Severity,
     /// One-line description (used in SARIF rule metadata).
     pub summary: &'static str,
@@ -303,9 +300,8 @@ fn crate_of(rel: &str) -> Option<&str> {
     rel.strip_prefix("crates/")?.split('/').next()
 }
 
-/// Run every line-level pass on one file. This is the unit the
-/// [`cache`] memoizes: a pure function of the relative path (crate
-/// scoping) and content.
+/// Run every line-level pass on one file: a pure function of the
+/// relative path (crate scoping) and content.
 pub fn analyze_file(rel: &str, text: &str) -> Vec<Finding> {
     let lines = lexer::lex_file(text);
     let tree = tree::TokenTree::build(&lines);
@@ -338,27 +334,25 @@ pub fn analyze_file(rel: &str, text: &str) -> Vec<Finding> {
 /// Run all ten passes over the workspace at `root` and return the
 /// findings sorted by `(file, line, rule)`.
 pub fn run_all(root: &Path) -> Vec<Finding> {
-    run_all_cached(root, None)
-}
-
-/// [`run_all`] with an optional per-file findings cache.
-pub fn run_all_cached(root: &Path, mut cache: Option<&mut cache::Cache>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (_name, dir) in walk::crate_dirs(root) {
         for file in walk::rust_sources(&dir.join("src")) {
             let Ok(text) = std::fs::read_to_string(&file) else {
                 continue;
             };
-            let rel = walk::rel(root, &file);
-            let file_findings = match cache.as_deref_mut() {
-                Some(c) => c.get_or_compute(&rel, &text, || analyze_file(&rel, &text)),
-                None => analyze_file(&rel, &text),
-            };
-            findings.extend(file_findings);
+            findings.extend(analyze_file(&walk::rel(root, &file), &text));
         }
     }
     findings.extend(constants::check(root));
     findings.extend(hygiene::check(root));
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     findings
+}
+
+/// The gate's verdict: true when any finding has [`Severity::Deny`].
+/// Warn-severity findings are reported but never fail the gate.
+pub fn gate_fails(findings: &[Finding]) -> bool {
+    findings
+        .iter()
+        .any(|f| severity_of(&f.rule) == Severity::Deny)
 }

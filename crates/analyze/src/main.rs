@@ -1,79 +1,44 @@
 //! `vqoe-analyze` — run the ten static-analysis gates over the
-//! workspace and exit nonzero on any fresh deny-severity violation.
+//! workspace and exit nonzero on any deny-severity violation.
 //!
 //! ```text
-//! vqoe-analyze [--root <dir>] [--format text|json|sarif] [--sarif]
-//!              [--baseline <file>] [--no-baseline] [--write-baseline]
-//!              [--cache] [--cache-path <file>]
+//! vqoe-analyze [--root <dir>] [--format text|sarif]
 //! ```
 //!
 //! Without `--root`, the workspace root is found by walking up from the
 //! current directory to the first `Cargo.toml` declaring `[workspace]`,
 //! so the gate works from any crate directory.
 //!
-//! A committed `analyze-baseline.toml` at the root (override with
-//! `--baseline`, disable with `--no-baseline`) grandfathers known debt:
-//! baseline-covered findings are reported on stderr but do not fail the
-//! gate, new findings do. `--write-baseline` snapshots the current
-//! findings into the baseline file and exits.
-//!
-//! `--cache` memoizes per-file findings by content hash (default
-//! `<root>/target/vqoe-analyze.cache`, override with `--cache-path`) so
-//! warm reruns only re-analyze files that changed. Hit/miss stats go to
-//! stderr; stdout stays pure text/JSON/SARIF.
+//! Exit codes: 0 when no deny-severity finding remains (warnings are
+//! printed but pass), 1 when one does, 2 on a usage error. An
+//! `analyze:allow(<rule>)` marker is the one way to suppress a finding.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vqoe_analyze::baseline::Baseline;
-use vqoe_analyze::cache::Cache;
-use vqoe_analyze::{report, run_all_cached, sarif, severity_of, Severity};
+use vqoe_analyze::{gate_fails, report, run_all, sarif};
 
 enum Format {
     Text,
-    Json,
     Sarif,
 }
 
-const USAGE: &str = "usage: vqoe-analyze [--root <dir>] [--format text|json|sarif] [--sarif] \
-                     [--baseline <file>] [--no-baseline] [--write-baseline] \
-                     [--cache] [--cache-path <file>]";
+const USAGE: &str = "usage: vqoe-analyze [--root <dir>] [--format text|sarif]";
 
 fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
-    let mut use_cache = false;
-    let mut cache_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
                 Some("sarif") => format = Format::Sarif,
-                other => return usage(&format!("--format expects text|json|sarif, got {other:?}")),
+                other => return usage(&format!("--format expects text|sarif, got {other:?}")),
             },
-            "--sarif" => format = Format::Sarif,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root expects a directory"),
-            },
-            "--baseline" => match args.next() {
-                Some(path) => baseline_path = Some(PathBuf::from(path)),
-                None => return usage("--baseline expects a file"),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
-            "--cache" => use_cache = true,
-            "--cache-path" => match args.next() {
-                Some(path) => {
-                    use_cache = true;
-                    cache_path = Some(PathBuf::from(path));
-                }
-                None => return usage("--cache-path expects a file"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -87,73 +52,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let findings = if use_cache {
-        let cache_file = cache_path.unwrap_or_else(|| root.join("target/vqoe-analyze.cache"));
-        let mut cache = Cache::load(&cache_file);
-        let findings = run_all_cached(&root, Some(&mut cache));
-        eprintln!(
-            "vqoe-analyze: cache {} hit(s), {} miss(es)",
-            cache.hits(),
-            cache.misses()
-        );
-        if let Err(e) = cache.save() {
-            eprintln!("vqoe-analyze: could not write cache: {e}");
-        }
-        findings
-    } else {
-        run_all_cached(&root, None)
-    };
-
-    let baseline_file = baseline_path.unwrap_or_else(|| root.join("analyze-baseline.toml"));
-    if write_baseline {
-        let rendered = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_file, rendered) {
-            eprintln!("vqoe-analyze: could not write baseline: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "vqoe-analyze: wrote {} finding(s) to {}",
-            findings.len(),
-            baseline_file.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let baseline = if no_baseline {
-        Baseline::default()
-    } else {
-        match Baseline::load(&baseline_file) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("vqoe-analyze: bad baseline: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    let applied = baseline.apply(findings);
-
+    let findings = run_all(&root);
     match format {
-        Format::Text => print!("{}", report::render_text(&applied.fresh)),
-        Format::Json => print!("{}", report::render_json(&applied.fresh)),
-        Format::Sarif => print!("{}", sarif::render(&applied.fresh)),
+        Format::Text => print!("{}", report::render_text(&findings)),
+        Format::Sarif => print!("{}", sarif::render(&findings)),
     }
-    if !applied.grandfathered.is_empty() {
-        eprintln!(
-            "vqoe-analyze: {} grandfathered finding(s) suppressed by the baseline",
-            applied.grandfathered.len()
-        );
-    }
-    for (file, rule, remaining) in &applied.stale_entries {
-        eprintln!(
-            "vqoe-analyze: stale baseline entry: {file} / {rule} over-budgets by {remaining}; \
-             shrink or delete it"
-        );
-    }
-
-    let fresh_deny = applied
-        .fresh
-        .iter()
-        .any(|f| severity_of(&f.rule) == Severity::Deny);
-    if fresh_deny || !applied.stale_entries.is_empty() {
+    if gate_fails(&findings) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -1,10 +1,6 @@
-//! Diagnostic rendering: human-readable text and machine-readable JSON.
-//!
-//! The JSON writer is hand-rolled (a few dozen lines) because the
-//! analyzer must not depend on anything — not even the workspace's own
-//! vendored `serde_json` — so it keeps building when everything else is
-//! broken. SARIF output shares the same escaping helper (see
-//! [`crate::sarif`]).
+//! Human-readable diagnostic rendering: one `file:line: [rule]
+//! message` line per finding plus a summary. The machine-readable
+//! format is SARIF (see [`crate::sarif`]).
 
 use crate::{severity_of, Finding, Severity};
 
@@ -36,54 +32,6 @@ pub fn render_text(findings: &[Finding]) -> String {
             "vqoe-analyze: {violations} violation(s), {warnings} warning(s)\n"
         ));
     }
-    out
-}
-
-/// `{"count": N, "findings": [{"file", "line", "rule", "severity",
-/// "message"}, ...]}`.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"count\": {},\n", findings.len()));
-    out.push_str("  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let severity = match severity_of(&f.rule) {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        };
-        out.push_str(&format!(
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"severity\": {}, \"message\": {}}}",
-            json_string(&f.file),
-            f.line,
-            json_string(&f.rule),
-            json_string(severity),
-            json_string(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -119,17 +67,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_counts() {
-        let json = render_json(&sample());
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("a \\\"quoted\\\" message"));
-        assert!(json.contains("\"line\": 7"));
-        assert!(json.contains("\"severity\": \"deny\""));
-    }
-
-    #[test]
     fn empty_report_is_valid() {
         assert!(render_text(&[]).contains("all checks passed"));
-        assert!(render_json(&[]).contains("\"findings\": []"));
     }
 }

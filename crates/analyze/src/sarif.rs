@@ -1,13 +1,13 @@
-//! SARIF 2.1.0 output.
+//! SARIF 2.1.0 output, the analyzer's one machine-readable format.
 //!
 //! SARIF (Static Analysis Results Interchange Format) is what code
-//! hosts and IDEs ingest to annotate diffs with findings; emitting it
-//! lets the ten-pass gate surface inline on review instead of only in a
-//! CI log. The writer is hand-rolled on the same escaping helper as the
-//! JSON renderer — one `run`, one `tool.driver` carrying the full rule
-//! table (with default severity levels), one `result` per finding.
+//! hosts and IDEs ingest to annotate diffs with findings. The writer
+//! is hand-rolled (the analyzer depends on nothing, not even the
+//! workspace's vendored `serde_json`, so it keeps building when
+//! everything else is broken) — one `run`, one `tool.driver` carrying
+//! the full rule table (with default severity levels), one `result`
+//! per finding.
 
-use crate::report::json_string;
 use crate::{severity_of, Finding, Severity, RULES};
 
 /// Render findings as a SARIF 2.1.0 log.
@@ -66,6 +66,26 @@ fn level(severity: Severity) -> &'static str {
     }
 }
 
+/// `s` as a quoted JSON string literal, escaping quotes, backslashes
+/// and every control character.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,6 +107,22 @@ mod tests {
         assert!(s.contains("a \\\"quoted\\\" message"));
         // The warn-severity rule maps to SARIF's `warning` level.
         assert!(s.contains("\"level\": \"warning\""));
+    }
+
+    #[test]
+    fn escaped_strings_parse_back_to_the_originals() {
+        let file = "crates/x/src/we\"ird\\na\nme\t.rs";
+        let message = "quote \" backslash \\ newline \n tab \t ctrl \u{1} end";
+        let s = render(&[Finding::new(file, 3, "unwrap", message)]);
+        let doc: serde_json::Value = serde_json::from_str(&s).expect("SARIF parses as JSON");
+        let runs = doc["runs"].as_array().expect("runs");
+        let results = runs[0]["results"].as_array().expect("results");
+        assert_eq!(results[0]["message"]["text"].as_str(), Some(message));
+        let locations = results[0]["locations"].as_array().expect("locations");
+        assert_eq!(
+            locations[0]["physicalLocation"]["artifactLocation"]["uri"].as_str(),
+            Some(file)
+        );
     }
 
     #[test]

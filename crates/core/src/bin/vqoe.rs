@@ -423,6 +423,9 @@ fn assess(flags: &Flags) {
     let weblogs = flags.path("weblogs");
     let out = flags.path("out");
     let chaos = flags.num("chaos", 0.0f64);
+    if !(0.0..=1.0).contains(&chaos) {
+        usage(&format!("--chaos wants a rate in [0, 1], got '{chaos}'"));
+    }
     let chaos_seed = flags.num("chaos-seed", 2016u64);
     // `--metrics PATH` (or `-` for stdout) turns on pipeline
     // instrumentation; the wall clock feeds Runtime-class CLI stage
@@ -879,9 +882,10 @@ const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          with bit-identical output. --verbose adds stream-health and\n\
          anomaly details on stderr; --quiet suppresses status lines\n\
          (every command). A flag a command does not list is an error.\n\
-         --chaos-profile applies a preset fault table (mild: 5% faults,\n\
-         harsh: 35% faults, flood: 5% faults plus a synthetic subscriber\n\
-         flood merged into the tap); it conflicts with --chaos.\n\
+         --chaos RATE, in [0, 1], scales a uniform fault mix on the tap\n\
+         (0 = clean). --chaos-profile applies a preset fault table (mild:\n\
+         5% faults, harsh: 35% faults, flood: 5% faults plus a synthetic\n\
+         subscriber flood merged into the tap); it conflicts with --chaos.\n\
          --memory-budget / --subscriber-budget cap buffered bytes\n\
          (record-cost units, 0 = unlimited); over budget, the coldest\n\
          subscribers are force-finalized and assessed at the shed tier.\n\

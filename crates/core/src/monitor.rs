@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vqoe_changedet::SwitchScoreConfig;
 use vqoe_features::{
@@ -372,12 +370,6 @@ impl QoeMonitor {
     pub fn from_json(json: &str) -> serde_json::Result<QoeMonitor> {
         serde_json::from_str(json)
     }
-}
-
-/// A convenience seeded RNG for callers that need one alongside the
-/// monitor (e.g. capture in examples).
-pub fn example_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
 }
 
 #[cfg(test)]

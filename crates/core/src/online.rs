@@ -430,11 +430,6 @@ impl OnlineAssessor {
         &self.monitor
     }
 
-    /// The hardening parameters in effect.
-    pub fn ingest_config(&self) -> &IngestConfig {
-        &self.ingest_cfg
-    }
-
     /// Health counters accumulated so far (monotone; summed over
     /// shards).
     pub fn health(&self) -> StreamHealth {

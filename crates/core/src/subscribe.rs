@@ -186,11 +186,6 @@ impl<'m> IngestPipeline<'m> {
         self.monitor
     }
 
-    /// The engine configuration in effect.
-    pub fn engine_config(&self) -> &EngineConfig {
-        &self.engine
-    }
-
     /// Assess a whole tap capture (any mix of subscribers, in arrival
     /// order): one shared pass over the records, sharded across
     /// workers, every session assessed by the three frozen models.

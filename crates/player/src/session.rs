@@ -228,11 +228,6 @@ impl SessionTrace {
             .iter()
             .filter(|c| c.content_type == ContentType::Video)
     }
-
-    /// Total bytes transferred in the session.
-    pub fn total_bytes(&self) -> u64 {
-        self.chunks.iter().map(|c| c.bytes).sum()
-    }
 }
 
 /// User patience: how much cumulative stalling (or start-up waiting) a

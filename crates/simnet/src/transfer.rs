@@ -80,24 +80,6 @@ impl TransferEngine {
         }
     }
 
-    /// Build with a custom TCP configuration (used by ablation benches).
-    pub fn with_tcp_config(
-        scenario: Scenario,
-        seeds: &SeedSequence,
-        session_index: u64,
-        config: TcpConfig,
-    ) -> Self {
-        TransferEngine {
-            channel: RadioChannel::new(scenario, seeds, session_index),
-            connection: TcpConnection::new(config),
-            rng: seeds.child(0x7C9A).stream(session_index),
-            first_fetch_extra: Duration::ZERO,
-            bias_rtt: 1.0,
-            bias_bdp: 1.0,
-            bias_bif: 1.0,
-        }
-    }
-
     /// Download `bytes` starting at `start`. `throttle_bps` caps the
     /// server sending rate (steady-state pacing); `None` downloads at
     /// full speed (start-up burst / urgent refill).
@@ -123,13 +105,6 @@ impl TransferEngine {
         stats.bif_mean *= self.bias_bif;
         stats.bif_max *= self.bias_bif;
         ChunkTransfer { stats, radio_state }
-    }
-
-    /// Peek at the channel (advancing it to `t`) — used by players that
-    /// probe conditions, and by tests.
-    pub fn channel_at(&mut self, t: Instant) -> &RadioChannel {
-        self.channel.advance_to(t);
-        &self.channel
     }
 }
 

@@ -105,16 +105,6 @@ impl Histogram {
             .collect()
     }
 
-    /// `(bin_center, count)` pairs for plotting/printing.
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + width * (i as f64 + 0.5), c))
-            .collect()
-    }
-
     /// A one-line ASCII sparkline of the distribution, for harness output.
     pub fn sparkline(&self) -> String {
         const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];

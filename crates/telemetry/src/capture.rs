@@ -14,7 +14,7 @@ use crate::uri;
 use crate::weblog::{EntryKind, WeblogEntry};
 use rand::rngs::StdRng;
 use rand::Rng;
-use vqoe_player::{ContentType, SessionTrace, TransportSummary, AUDIO_BITRATE_BPS};
+use vqoe_player::{ContentType, SessionTrace, TransportSummary};
 use vqoe_simnet::time::{Duration, Instant};
 
 /// How a session is rendered into weblog entries.
@@ -248,11 +248,6 @@ fn synthetic_small_transport(rng: &mut StdRng) -> TransportSummary {
         loss_frac: 0.0,
         retx_frac: 0.0,
     }
-}
-
-/// Rough audio-chunk size ceiling used by tests (nominal 5 s segment).
-pub fn nominal_audio_chunk_bytes(media_secs: f64) -> f64 {
-    AUDIO_BITRATE_BPS / 8.0 * media_secs
 }
 
 #[cfg(test)]

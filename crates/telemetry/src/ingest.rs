@@ -259,18 +259,6 @@ impl StreamHealth {
         self.sessions_shed += other.sessions_shed;
         self.subscribers_refused += other.subscribers_refused;
     }
-
-    /// Sum of all counters — a cheap monotonicity witness for tests.
-    pub fn total_events(&self) -> u64 {
-        self.entries_seen
-            + self.entries_reordered
-            + self.entries_duplicated
-            + self.entries_quarantined
-            + self.sessions_evicted
-            + self.sessions_partial
-            + self.sessions_shed
-            + self.subscribers_refused
-    }
 }
 
 /// Structural validation of a single entry against the fault model.

@@ -190,12 +190,6 @@ impl ReassembledSession {
         self.chunks.len() as u64 + self.spilled_chunks
     }
 
-    /// True when every chunk was buffered verbatim — the session is
-    /// eligible for the bit-identical exact assessment path.
-    pub fn is_exact(&self) -> bool {
-        self.spilled_chunks == 0
-    }
-
     /// Duration spanned by the recovered session.
     pub fn span(&self) -> Duration {
         self.end.duration_since(self.start)

@@ -13,17 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> vqoe-analyze (ten passes: determinism / panic-path / constants / hygiene / bounded / clock / locks / floatord / clones / stale-allow)"
 cargo build -q -p vqoe-analyze
-ANALYZE=target/debug/vqoe-analyze
-CACHE=target/vqoe-analyze.cache
-rm -f "$CACHE"
-t0=$(date +%s%N)
-"$ANALYZE" --cache
-t1=$(date +%s%N)
-"$ANALYZE" --cache
-t2=$(date +%s%N)
-cold_ms=$(( (t1 - t0) / 1000000 ))
-warm_ms=$(( (t2 - t1) / 1000000 ))
-echo "vqoe-analyze timing: cold ${cold_ms}ms, warm ${warm_ms}ms (incremental cache)"
+target/debug/vqoe-analyze
 
 echo "==> qoebench standalone build (--locked: its committed Cargo.lock must stay current)"
 cargo build --release --offline --locked \

@@ -207,6 +207,20 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
     }
+
+    // A chaos rate outside [0, 1] is a usage error, caught before the
+    // model is read: NaN and negatives would silently run clean, and
+    // rates above 1 would be clamped.
+    for rate in ["NaN", "-0.5", "7"] {
+        let args = [&assess[..], &["--out", "o.jsonl", "--chaos", rate]].concat();
+        let out = vqoe().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "vqoe {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--chaos wants a rate in [0, 1]"),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
