@@ -1,15 +1,10 @@
 //! Shared experiment context: corpora, trained models and the encrypted
 //! evaluation world, built once and reused by every experiment.
 
-use vqoe_changedet::SwitchScoreConfig;
-use vqoe_core::avgrep_pipeline::{train_representation_detector, RepresentationTrainingReport};
-use vqoe_core::stall_pipeline::{train_stall_detector, StallTrainingReport};
-use vqoe_core::switch_pipeline::SwitchCalibrationReport;
-use vqoe_core::{generate_traces, DatasetSpec, EncryptedEvalConfig, EncryptedWorld};
-use vqoe_core::{QoeMonitor, SwitchModel};
-use vqoe_ml::{ForestConfig, TrainConfig};
-use vqoe_player::SessionTrace;
-use vqoe_telemetry::ReassemblyConfig;
+use vqoe_core::{
+    EncryptedEvalConfig, EncryptedWorld, ModelFit, QoeMonitor, RepresentationTrainingReport,
+    StallTrainingReport, TrainConfig, TrainingConfig,
+};
 
 /// How big a reproduction run to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,51 +42,41 @@ impl ReproScale {
 pub struct ReproContext {
     /// The scale this context was built at.
     pub scale: ReproScale,
-    /// §3 cleartext corpus (97 % progressive).
-    pub cleartext: Vec<SessionTrace>,
-    /// Adaptive-only corpus (representation & switch models).
-    pub adaptive: Vec<SessionTrace>,
-    /// §4.1 stall pipeline outputs (Tables 2–4) — trained on the union
-    /// of both corpora (see `vqoe_core::monitor` for the rationale).
+    /// The three models and what they were fitted on: the §3 cleartext
+    /// corpus (97 % progressive), the adaptive corpus, both datasets and
+    /// the §4.3 switch calibration (Figure 4).
+    pub fit: ModelFit,
+    /// §4.1 stall report (Tables 2–4) — trained on the union of both
+    /// corpora (see `vqoe_core::monitor` for the rationale).
     pub stall: StallTrainingReport,
-    /// §4.2 representation pipeline outputs (Tables 5–7).
+    /// §4.2 representation report (Tables 5–7).
     pub representation: RepresentationTrainingReport,
-    /// §4.3 switch calibration (Figure 4).
-    pub switch: SwitchCalibrationReport,
     /// §5 encrypted evaluation world (722 sessions).
     pub world: EncryptedWorld,
 }
 
 impl ReproContext {
-    /// Build the full context (generation + training + encrypted world).
-    /// At the default scale this takes tens of seconds in release mode.
+    /// Build the full context: one [`ModelFit::run`], its
+    /// [`ModelFit::reports`] (the 10-fold CV) and the encrypted world. At the default scale this takes tens of seconds in release
+    /// mode.
     pub fn build(scale: ReproScale) -> Self {
-        let cleartext = generate_traces(
-            &DatasetSpec::cleartext_default(scale.cleartext_sessions, scale.seed),
-            TrainConfig::auto(),
-        );
-        let adaptive = generate_traces(
-            &DatasetSpec::adaptive_default(scale.adaptive_sessions, scale.seed ^ 0xADA7),
-            TrainConfig::auto(),
-        );
-
-        let mut stall_corpus = cleartext.clone();
-        stall_corpus.extend(adaptive.iter().cloned());
-        let stall = train_stall_detector(&stall_corpus, ForestConfig::default(), scale.seed);
-        let representation =
-            train_representation_detector(&adaptive, ForestConfig::default(), scale.seed);
-        let switch = SwitchModel::calibrate(&adaptive, SwitchScoreConfig::default());
-
+        let config = TrainingConfig {
+            cleartext_sessions: scale.cleartext_sessions,
+            adaptive_sessions: scale.adaptive_sessions,
+            seed: scale.seed,
+            train: TrainConfig::auto(),
+            ..TrainingConfig::default()
+        };
+        let fit = ModelFit::run(&config, |_| {});
+        let (stall, representation) = fit.reports();
         let world = EncryptedWorld::build(&EncryptedEvalConfig::paper_default(scale.seed ^ 0x5EC5))
             .expect("simulated world builds");
 
         ReproContext {
             scale,
-            cleartext,
-            adaptive,
+            fit,
             stall,
             representation,
-            switch,
             world,
         }
     }
@@ -99,12 +84,7 @@ impl ReproContext {
     /// The context's trained models as a deployable monitor with
     /// default reassembly parameters.
     pub fn monitor(&self) -> QoeMonitor {
-        QoeMonitor {
-            stall_model: self.stall.model.clone(),
-            representation_model: self.representation.model.clone(),
-            switch_model: self.switch.model,
-            reassembly: ReassemblyConfig::default(),
-        }
+        self.fit.monitor.clone()
     }
 }
 
@@ -115,12 +95,19 @@ mod tests {
     #[test]
     fn smoke_context_builds_consistently() {
         let ctx = ReproContext::build(ReproScale::smoke());
-        assert_eq!(ctx.cleartext.len(), 800);
-        assert_eq!(ctx.adaptive.len(), 400);
+        assert_eq!(ctx.fit.cleartext().len(), 800);
+        assert_eq!(ctx.fit.adaptive.len(), 400);
         assert!(ctx.stall.selected.len() >= 4);
         assert!(ctx.representation.selected.len() >= 10);
-        assert!(ctx.switch.model.threshold().is_finite());
+        assert!(ctx.fit.switch.model.threshold().is_finite());
         assert_eq!(ctx.world.traces.len(), 722);
         assert!(ctx.world.reassembly_recall() > 0.9);
+        // The context fits its models through the same path as the
+        // operator's `QoeMonitor::train`, at any worker count.
+        let sequential = TrainingConfig {
+            train: TrainConfig::sequential(),
+            ..ctx.fit.config
+        };
+        assert_eq!(ctx.monitor(), QoeMonitor::train(&sequential));
     }
 }

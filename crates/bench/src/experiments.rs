@@ -16,6 +16,8 @@ use crate::render::{
     Table,
 };
 use vqoe_core::spec::DatasetSpec;
+use vqoe_core::stall_pipeline::train_stall_detector;
+use vqoe_core::TrainConfig;
 use vqoe_features::labels::has_switches;
 use vqoe_features::{stall_label, SessionObs, StallClass};
 use vqoe_ml::{cross_validate, Dataset, ForestConfig};
@@ -141,7 +143,7 @@ fn find_stalled_session(traces: &[SessionTrace]) -> Option<&SessionTrace> {
 
 fn fig1(ctx: &ReproContext) -> String {
     let mut out = header("fig1", "chunk sizes in a video session with stalls");
-    let Some(session) = find_stalled_session(&ctx.adaptive) else {
+    let Some(session) = find_stalled_session(&ctx.fit.adaptive) else {
         return out + "no stalled adaptive session in the corpus (increase --sessions)\n";
     };
     let t0 = session.config.start_time;
@@ -191,17 +193,16 @@ fn fig1(ctx: &ReproContext) -> String {
 
 fn fig2(ctx: &ReproContext) -> String {
     let mut out = header("fig2", "ECDF of stalls per session and rebuffering ratio");
-    let stall_counts: Vec<f64> = ctx
-        .cleartext
+    let cleartext = ctx.fit.cleartext();
+    let stall_counts: Vec<f64> = cleartext
         .iter()
         .map(|t| t.ground_truth.stall_count() as f64)
         .collect();
-    let rr: Vec<f64> = ctx
-        .cleartext
+    let rr: Vec<f64> = cleartext
         .iter()
         .map(|t| t.ground_truth.rebuffering_ratio())
         .collect();
-    let n = ctx.cleartext.len() as f64;
+    let n = cleartext.len() as f64;
     let with_stalls = stall_counts.iter().filter(|&&c| c > 0.0).count() as f64 / n;
     let multi = stall_counts.iter().filter(|&&c| c > 1.0).count() as f64 / n;
     let severe = rr.iter().filter(|&&r| r > 0.1).count() as f64 / n;
@@ -245,6 +246,7 @@ fn fig3(ctx: &ReproContext) -> String {
     let mut out = header("fig3", "Δt and Δsize around a representation switch");
     // Find a session with a clean up-switch and no stalls.
     let session = ctx
+        .fit
         .adaptive
         .iter()
         .filter(|t| t.ground_truth.stall_count() == 0 && t.chunks.len() >= 20)
@@ -453,8 +455,9 @@ fn fig4(ctx: &ReproContext) -> String {
         "fig4",
         "CDF of σ(CUSUM(Δsize×Δt)) with vs without representation switches",
     );
-    let a = Ecdf::new(&ctx.switch.scores_without);
-    let b = Ecdf::new(&ctx.switch.scores_with);
+    let switch = &ctx.fit.switch;
+    let a = Ecdf::new(&switch.scores_without);
+    let b = Ecdf::new(&switch.scores_with);
     out.push_str(&render_cdf_pair(
         "score distributions",
         "score",
@@ -467,17 +470,17 @@ fn fig4(ctx: &ReproContext) -> String {
     out.push('\n');
     out.push_str(&format!(
         "calibrated threshold: {:.1} (paper's threshold: 500, in its units)\n\n",
-        ctx.switch.model.threshold()
+        switch.model.threshold()
     ));
     out.push_str(&compare_line(
         "no-switch sessions below threshold",
         "78%",
-        &format!("{:.1}%", ctx.switch.acc_without * 100.0),
+        &format!("{:.1}%", switch.acc_without * 100.0),
     ));
     out.push_str(&compare_line(
         "switch sessions above threshold",
         "76%",
-        &format!("{:.1}%", ctx.switch.acc_with * 100.0),
+        &format!("{:.1}%", switch.acc_with * 100.0),
     ));
     out
 }
@@ -489,8 +492,8 @@ fn fig5(ctx: &ReproContext) -> String {
         "fig5",
         "segment size and inter-arrival CDFs: encrypted vs cleartext",
     );
-    let clear_sizes: Vec<f64> = ctx
-        .cleartext
+    let cleartext = ctx.fit.cleartext();
+    let clear_sizes: Vec<f64> = cleartext
         .iter()
         .flat_map(|t| t.chunks.iter().map(|c| c.bytes as f64 / 1024.0))
         .collect();
@@ -501,8 +504,7 @@ fn fig5(ctx: &ReproContext) -> String {
         .flat_map(|s| s.chunks.iter().map(|c| c.bytes as f64 / 1024.0))
         .collect();
     let inter = |obs: SessionObs| obs.inter_arrivals();
-    let clear_gaps: Vec<f64> = ctx
-        .cleartext
+    let clear_gaps: Vec<f64> = cleartext
         .iter()
         .flat_map(|t| inter(SessionObs::from_trace(t)))
         .collect();
@@ -636,13 +638,13 @@ fn sec56(ctx: &ReproContext) -> String {
         "sec56",
         "representation-switch detection on encrypted traffic (frozen threshold)",
     );
-    let eval = ctx
-        .switch
+    let switch = &ctx.fit.switch;
+    let eval = switch
         .model
         .evaluate_labelled(&ctx.world.labelled_switch_sessions());
     out.push_str(&format!(
         "frozen threshold {:.1} applied to {} encrypted sessions\n\n",
-        ctx.switch.model.threshold(),
+        switch.model.threshold(),
         eval.n_with + eval.n_without
     ));
     out.push_str(&compare_line(
@@ -651,7 +653,7 @@ fn sec56(ctx: &ReproContext) -> String {
         &format!(
             "{:.1}% (calibration − {:.1})",
             eval.acc_without * 100.0,
-            (ctx.switch.acc_without - eval.acc_without) * 100.0
+            (switch.acc_without - eval.acc_without) * 100.0
         ),
     ));
     out.push_str(&compare_line(
@@ -660,7 +662,7 @@ fn sec56(ctx: &ReproContext) -> String {
         &format!(
             "{:.1}% (calibration − {:.1})",
             eval.acc_with * 100.0,
-            (ctx.switch.acc_with - eval.acc_with) * 100.0
+            (switch.acc_with - eval.acc_with) * 100.0
         ),
     ));
     out
@@ -676,18 +678,14 @@ fn ablation_features(ctx: &ReproContext) -> String {
         "ablation-features",
         "stall model without chunk-size features",
     );
-    let mut stall_corpus = ctx.cleartext.clone();
-    stall_corpus.extend(ctx.adaptive.iter().cloned());
-    let full = vqoe_features::build_stall_dataset(&stall_corpus);
+    let full = &ctx.fit.stall_data;
     // Drop the 7 chunk-size statistics (metric index 8 → columns 56..63).
     let keep: Vec<usize> = (0..full.n_features())
         .filter(|&i| !full.feature_names[i].starts_with("chunk size"))
         .collect();
     let without = full.select_features(&keep);
-    let report_full =
-        vqoe_core::stall_pipeline::train_stall_detector_on(&full, ForestConfig::default(), 7);
-    let report_without =
-        vqoe_core::stall_pipeline::train_stall_detector_on(&without, ForestConfig::default(), 7);
+    let report_full = train_stall_detector(full, 7, TrainConfig::auto());
+    let report_without = train_stall_detector(&without, 7, TrainConfig::auto());
     let mut t = Table::new(vec![
         "feature set",
         "CV accuracy",
@@ -722,10 +720,11 @@ fn ablation_features(ctx: &ReproContext) -> String {
 /// instead of σ(CUSUM(...)) and compare separation quality.
 fn ablation_cusum(ctx: &ReproContext) -> String {
     let mut out = header("ablation-cusum", "CUSUM vs raw σ of the Δsize×Δt series");
-    let cfg = *ctx.switch.model.scoring();
+    let switch = &ctx.fit.switch;
+    let cfg = *switch.model.scoring();
     let mut raw_without = Vec::new();
     let mut raw_with = Vec::new();
-    for t in &ctx.adaptive {
+    for t in &ctx.fit.adaptive {
         let obs = SessionObs::from_trace(t);
         let filtered = vqoe_changedet::detector::startup_filter(&obs.chunk_points(), &cfg);
         if filtered.len() < 3 {
@@ -743,12 +742,9 @@ fn ablation_cusum(ctx: &ReproContext) -> String {
     let mut t = Table::new(vec!["method", "no-switch acc", "switch acc", "balanced"]);
     t.row(vec![
         "σ(CUSUM(Δsize×Δt)) [paper]".to_string(),
-        format!("{:.3}", ctx.switch.acc_without),
-        format!("{:.3}", ctx.switch.acc_with),
-        format!(
-            "{:.3}",
-            (ctx.switch.acc_without + ctx.switch.acc_with) / 2.0
-        ),
+        format!("{:.3}", switch.acc_without),
+        format!("{:.3}", switch.acc_with),
+        format!("{:.3}", (switch.acc_without + switch.acc_with) / 2.0),
     ]);
     t.row(vec![
         "σ(Δsize×Δt) raw".to_string(),
@@ -763,7 +759,7 @@ fn ablation_cusum(ctx: &ReproContext) -> String {
         "implied by §4.3's method choice",
         &format!(
             "Δbalanced = {:+.3}",
-            (ctx.switch.acc_without + ctx.switch.acc_with) / 2.0 - (raw_wo + raw_w) / 2.0
+            (switch.acc_without + switch.acc_with) / 2.0 - (raw_wo + raw_w) / 2.0
         ),
     ));
     out
@@ -823,12 +819,11 @@ fn baseline_binary(ctx: &ReproContext) -> String {
         "baseline-binary",
         "binary stall classifier (Prometheus-style baseline)",
     );
-    let mut stall_corpus = ctx.cleartext.clone();
-    stall_corpus.extend(ctx.adaptive.iter().cloned());
-    let full = vqoe_features::build_stall_dataset(&stall_corpus);
-    let y_binary: Vec<usize> = stall_corpus
+    let full = &ctx.fit.stall_data;
+    let y_binary: Vec<usize> = full
+        .y
         .iter()
-        .map(|t| usize::from(stall_label(&t.ground_truth) != StallClass::NoStalls))
+        .map(|&y| usize::from(y != StallClass::NoStalls.index()))
         .collect();
     let binary = Dataset::new(
         full.feature_names.clone(),
@@ -874,14 +869,9 @@ fn generalization(ctx: &ReproContext) -> String {
         .representation
         .model
         .evaluate(&other.representation_eval_dataset());
-    let sw_home = ctx
-        .switch
-        .model
-        .evaluate_labelled(&ctx.world.labelled_switch_sessions());
-    let sw_away = ctx
-        .switch
-        .model
-        .evaluate_labelled(&other.labelled_switch_sessions());
+    let switch = &ctx.fit.switch.model;
+    let sw_home = switch.evaluate_labelled(&ctx.world.labelled_switch_sessions());
+    let sw_away = switch.evaluate_labelled(&other.labelled_switch_sessions());
 
     let mut t = Table::new(vec![
         "detector",
@@ -1527,7 +1517,7 @@ fn overload_sweep(ctx: &ReproContext) -> String {
 /// view.
 fn setup_split() -> String {
     use std::time::Instant;
-    use vqoe_core::{QoeMonitor, TrainConfig, TrainStage, TrainingConfig};
+    use vqoe_core::{QoeMonitor, TrainStage, TrainingConfig};
 
     let (reps, workers) = (3, 2);
     let config = TrainingConfig {

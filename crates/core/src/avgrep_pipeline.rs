@@ -1,17 +1,11 @@
 //! The §4.2 average-representation pipeline: 210-feature construction,
 //! CFS selection to the Table-5 subset, training and evaluation.
 
-use crate::metrics::PipelineMetrics;
-use crate::stall_pipeline::CV_FOLDS;
-use crate::subset::FeatureSubset;
+use crate::subset::{FeatureSubset, TrainingReport};
 use serde::{Deserialize, Serialize};
 use vqoe_features::representation::{representation_feature_names, representation_features};
 use vqoe_features::{RqClass, SessionObs};
-use vqoe_ml::selection::RankedFeature;
-use vqoe_ml::{
-    cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
-};
-use vqoe_player::SessionTrace;
+use vqoe_ml::{ConfusionMatrix, Dataset, RandomForest, TrainConfig};
 
 /// Target size of the selected subset (the paper lands on 15 features,
 /// Table 5); used as an info-gain fallback floor when CFS returns fewer.
@@ -34,10 +28,9 @@ impl RepresentationModel {
     pub fn fit(
         subset: &mut FeatureSubset,
         full: &Dataset,
-        forest_config: ForestConfig,
         train: TrainConfig,
     ) -> RepresentationModel {
-        let forest = subset.fit_forest(full, forest_config, train);
+        let forest = subset.fit_forest(full, train);
         let names = representation_feature_names();
         let selected_indices = subset.indices();
         RepresentationModel {
@@ -78,87 +71,23 @@ impl RepresentationModel {
     }
 }
 
-/// Training outputs: the Table-5 feature list, Tables 6–7, the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RepresentationTrainingReport {
-    /// Selected features with information gains, ranked (Table 5).
-    pub selected: Vec<RankedFeature>,
-    /// Aggregated 10-fold CV confusion matrix (Tables 6 and 7).
-    pub cv_matrix: ConfusionMatrix,
-    /// LD/SD/HD counts of the raw corpus (paper: 57 % / 38 % / 5 %).
-    pub class_counts: Vec<usize>,
-    /// CV folds that contributed no predictions (empty test or training
-    /// side); `0` on any reasonably sized corpus.
-    pub cv_skipped_folds: usize,
-    /// The deployable model.
-    pub model: RepresentationModel,
-}
+/// The representation detector's report (Tables 5–7) and its model.
+pub type RepresentationTrainingReport = TrainingReport<RepresentationModel>;
 
-/// Train the average-representation detector on adaptive sessions and
-/// report on it: the fit step ([`FeatureSubset::select`] with a floor
-/// of [`TARGET_SUBSET_SIZE`], then [`RepresentationModel::fit`]) plus
-/// 10-fold CV.
+/// Train the average-representation detector on a built 210-dim
+/// dataset of adaptive sessions and report on it: the fit step
+/// ([`FeatureSubset::select`] with a floor of [`TARGET_SUBSET_SIZE`],
+/// then [`RepresentationModel::fit`]) plus the 10-fold CV of
+/// [`TrainingReport::cross_validate`]. Output is byte-identical at any
+/// worker count.
 pub fn train_representation_detector(
-    traces: &[SessionTrace],
-    forest_config: ForestConfig,
-    seed: u64,
-) -> RepresentationTrainingReport {
-    train_representation_detector_with(traces, forest_config, seed, TrainConfig::sequential(), None)
-}
-
-/// [`train_representation_detector`] with an explicit worker policy and
-/// optional metric recording; output is byte-identical at any worker
-/// count.
-pub fn train_representation_detector_with(
-    traces: &[SessionTrace],
-    forest_config: ForestConfig,
+    full: &Dataset,
     seed: u64,
     train: TrainConfig,
-    metrics: Option<&PipelineMetrics>,
-) -> RepresentationTrainingReport {
-    let full = vqoe_features::build_representation_dataset(traces);
-    train_representation_detector_on_with(&full, forest_config, seed, train, metrics)
-}
-
-/// Train from a pre-built 210-dim dataset.
-pub fn train_representation_detector_on(
-    full: &Dataset,
-    forest_config: ForestConfig,
-    seed: u64,
-) -> RepresentationTrainingReport {
-    train_representation_detector_on_with(
-        full,
-        forest_config,
-        seed,
-        TrainConfig::sequential(),
-        None,
-    )
-}
-
-/// [`train_representation_detector_on`] with an explicit worker policy
-/// and optional metric recording.
-pub fn train_representation_detector_on_with(
-    full: &Dataset,
-    forest_config: ForestConfig,
-    seed: u64,
-    train: TrainConfig,
-    metrics: Option<&PipelineMetrics>,
 ) -> RepresentationTrainingReport {
     let mut subset = FeatureSubset::select(full, TARGET_SUBSET_SIZE, seed, train);
-    let model = RepresentationModel::fit(&mut subset, full, forest_config, train);
-    let reduced = full.select_features(&model.selected_indices);
-    let cv = cross_validate_with(&reduced, CV_FOLDS, forest_config, true, seed, train);
-    if let Some(m) = metrics {
-        m.observe_cv(&cv);
-        m.observe_fit(forest_config.n_trees);
-    }
-    RepresentationTrainingReport {
-        selected: subset.ranked,
-        cv_matrix: cv.matrix,
-        class_counts: full.class_counts(),
-        cv_skipped_folds: cv.skipped_folds,
-        model,
-    }
+    let model = RepresentationModel::fit(&mut subset, full, train);
+    TrainingReport::cross_validate(full, subset.ranked, model, seed, train)
 }
 
 #[cfg(test)]
@@ -166,6 +95,13 @@ mod tests {
     use super::*;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
+    use vqoe_features::build_representation_dataset;
+    use vqoe_player::SessionTrace;
+
+    fn fit_report(traces: &[SessionTrace], seed: u64) -> RepresentationTrainingReport {
+        let full = build_representation_dataset(traces);
+        train_representation_detector(&full, seed, TrainConfig::auto())
+    }
 
     fn adaptive_corpus(n: usize, seed: u64) -> Vec<SessionTrace> {
         generate_traces(&DatasetSpec::adaptive_default(n, seed), TrainConfig::auto())
@@ -174,7 +110,7 @@ mod tests {
     #[test]
     fn training_produces_a_usable_model() {
         let traces = adaptive_corpus(300, 21);
-        let report = train_representation_detector(&traces, ForestConfig::default(), 1);
+        let report = fit_report(&traces, 1);
         assert!(report.selected.len() >= 10);
         assert_eq!(report.cv_matrix.total() as usize, traces.len());
         let obs = SessionObs::from_trace(&traces[0]);
@@ -184,7 +120,7 @@ mod tests {
     #[test]
     fn cv_accuracy_beats_chance_comfortably() {
         let traces = adaptive_corpus(400, 22);
-        let report = train_representation_detector(&traces, ForestConfig::default(), 2);
+        let report = fit_report(&traces, 2);
         assert!(
             report.cv_matrix.accuracy() > 0.6,
             "cv accuracy {}",
@@ -197,7 +133,7 @@ mod tests {
         // §4.2: "statistics derived from the chunk size are the ones with
         // the highest rank and represent the vast majority of the 15".
         let traces = adaptive_corpus(500, 23);
-        let report = train_representation_detector(&traces, ForestConfig::default(), 3);
+        let report = fit_report(&traces, 3);
         let top5: Vec<&str> = report
             .selected
             .iter()
@@ -225,7 +161,7 @@ mod tests {
         // Paper priors: 57 % LD / 38 % SD / 5 % HD. Direction matters:
         // LD+SD must dominate HD by an order of magnitude.
         let traces = adaptive_corpus(500, 24);
-        let report = train_representation_detector(&traces, ForestConfig::default(), 4);
+        let report = fit_report(&traces, 4);
         let [ld, sd, hd] = [
             report.class_counts[0],
             report.class_counts[1],
@@ -238,23 +174,17 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let traces = adaptive_corpus(200, 25);
-        let a = train_representation_detector(&traces, ForestConfig::default(), 5);
-        let b = train_representation_detector(&traces, ForestConfig::default(), 5);
+        let a = fit_report(&traces, 5);
+        let b = fit_report(&traces, 5);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_training_is_byte_identical_to_sequential() {
-        let traces = adaptive_corpus(200, 26);
-        let reference = train_representation_detector(&traces, ForestConfig::default(), 5);
+        let full = build_representation_dataset(&adaptive_corpus(200, 26));
+        let reference = train_representation_detector(&full, 5, TrainConfig::sequential());
         for workers in [2usize, 7] {
-            let got = train_representation_detector_with(
-                &traces,
-                ForestConfig::default(),
-                5,
-                TrainConfig::with_workers(workers),
-                None,
-            );
+            let got = train_representation_detector(&full, 5, TrainConfig::with_workers(workers));
             assert_eq!(reference, got, "workers {workers}");
         }
     }

@@ -48,9 +48,11 @@
 //! Modules: [`spec`] (dataset specifications), [`generate`] (parallel
 //! trace generation), [`stall_pipeline`], [`avgrep_pipeline`],
 //! [`switch_pipeline`] (the three detectors' training/evaluation),
-//! [`subset`] (the fit step the two classifiers share),
-//! [`encrypted`] (the §5 encrypted-traffic evaluation), [`monitor`]
-//! (the deployable operator API), [`subscribe`] (the per-session
+//! [`subset`] (the fit step the two classifiers share and their
+//! [`TrainingReport`]), [`encrypted`] (the §5 encrypted-traffic
+//! evaluation), [`monitor`] (the deployable operator API, and
+//! [`ModelFit`], the one path that fits the three models),
+//! [`subscribe`] (the per-session
 //! assessment fold and the ingest front door), [`engine`] (the sharded
 //! parallel driver behind [`IngestPipeline::assess`]), [`online`] (the
 //! streaming driver), [`digest`] (bounded-memory per-session digests
@@ -91,7 +93,7 @@ pub use engine::{shard_of, EngineConfig};
 pub use generate::{generate_sequential_traces, generate_traces};
 pub use metrics::PipelineMetrics;
 pub use monitor::{
-    ConfigError, Fidelity, QoeMonitor, SessionAssessment, TrainStage, TrainingConfig,
+    ConfigError, Fidelity, ModelFit, QoeMonitor, SessionAssessment, TrainStage, TrainingConfig,
     TrainingConfigBuilder,
 };
 pub use online::{
@@ -102,6 +104,7 @@ pub use qoe_score::QoeScore;
 pub use spec::{DatasetSpec, DeliveryMix, ScenarioMix};
 pub use stall_pipeline::{StallModel, StallTrainingReport};
 pub use subscribe::{IngestPipeline, SubscriptionSet};
+pub use subset::TrainingReport;
 pub use switch_pipeline::{SwitchCalibrationReport, SwitchEvalReport, SwitchModel};
 pub use vqoe_ml::TrainConfig;
 pub use weblog_training::{

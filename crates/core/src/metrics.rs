@@ -24,7 +24,7 @@
 //! [`AnomalyLog::kinds`]: vqoe_telemetry::AnomalyLog::kinds
 //! [`ShedLog::reasons`]: crate::online::ShedLog::reasons
 
-use vqoe_obs::{buckets, Counter, Gauge, Histogram, MetricClass, Registry, SimClock, StageSpan};
+use vqoe_obs::{buckets, Counter, Gauge, Histogram, MetricClass, Registry};
 use vqoe_telemetry::{AnomalyKindCounts, ReassembledSession, StreamHealth};
 
 use crate::monitor::SessionAssessment;
@@ -86,10 +86,6 @@ pub struct PipelineMetrics {
     pub(crate) tracked_bytes: Gauge,
     pub(crate) bytes_per_subscriber: Gauge,
     pub(crate) sessions_sketched: Counter,
-    // Training.
-    pub(crate) trees_fitted: Counter,
-    pub(crate) cv_folds_skipped: Counter,
-    pub(crate) cv_fold_ticks: Histogram,
 }
 
 /// One report tally and the registry counter that projects it.
@@ -287,20 +283,6 @@ impl PipelineMetrics {
                 "vqoe_core_online_sessions_sketched_total",
                 "sessions that spilled past the exactness cap and were assessed from streaming sketches",
             ),
-            trees_fitted: counter(
-                "vqoe_core_train_trees_fitted_total",
-                "decision trees fitted across CV folds and deployment fits",
-            ),
-            cv_folds_skipped: counter(
-                "vqoe_core_train_cv_folds_skipped_total",
-                "cross-validation folds skipped as unusable (empty test or training side)",
-            ),
-            cv_fold_ticks: registry.histogram(
-                "vqoe_core_train_cv_fold_ticks",
-                "deterministic work ticks (test rows scored) per cross-validation fold",
-                s,
-                buckets::WORK_TICKS,
-            ),
         }
     }
 
@@ -316,29 +298,6 @@ impl PipelineMetrics {
         metrics.chunk_bytes.enable_exemplars();
         metrics.session_micros.enable_exemplars();
         metrics
-    }
-
-    /// Record one cross-validation run: a [`StageSpan`] per fold (ticks
-    /// = test rows scored, skipped folds span zero ticks), the
-    /// skipped-fold count, and the trees fitted. Everything recorded
-    /// here is a pure function of the [`CvReport`], so the `Stable`
-    /// snapshot stays byte-identical at any worker count.
-    ///
-    /// [`StageSpan`]: vqoe_obs::StageSpan
-    pub(crate) fn observe_cv(&self, report: &vqoe_ml::CvReport) {
-        let clock = SimClock::new();
-        for &test_rows in &report.fold_test_sizes {
-            let span = StageSpan::start(&clock, &self.cv_fold_ticks);
-            clock.advance(test_rows as u64);
-            span.finish();
-        }
-        self.cv_folds_skipped.add(report.skipped_folds as u64);
-        self.trees_fitted.add(report.trees_fitted as u64);
-    }
-
-    /// Record a deployment-model fit of `n_trees` trees.
-    pub(crate) fn observe_fit(&self, n_trees: usize) {
-        self.trees_fitted.add(n_trees as u64);
     }
 
     /// Reconstruct the per-reason shed distribution from the registry
@@ -532,26 +491,6 @@ mod tests {
         assert_eq!(m.open_subscribers.get(), 2);
         assert_eq!(m.tracked_bytes.get(), 7);
         assert_eq!(m.bytes_per_subscriber.get(), 3);
-    }
-
-    #[test]
-    fn observe_cv_records_folds_skips_and_trees() {
-        let registry = Registry::new();
-        let m = PipelineMetrics::register(&registry);
-        let report = vqoe_ml::CvReport {
-            matrix: vqoe_ml::ConfusionMatrix::new(vec!["a".into(), "b".into()]),
-            skipped_folds: 2,
-            fold_test_sizes: vec![12, 0, 15, 0],
-            trees_fitted: 120,
-        };
-        m.observe_cv(&report);
-        m.observe_fit(60);
-        assert_eq!(m.trees_fitted.get(), 180);
-        assert_eq!(m.cv_folds_skipped.get(), 2);
-        let text = registry.render_prometheus();
-        assert!(text.contains("vqoe_core_train_trees_fitted_total 180"));
-        assert!(text.contains("vqoe_core_train_cv_fold_ticks_count 4"));
-        assert!(text.contains("vqoe_core_train_cv_fold_ticks_sum 27"));
     }
 
     #[test]

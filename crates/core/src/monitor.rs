@@ -13,17 +13,21 @@ use vqoe_changedet::SwitchScoreConfig;
 use vqoe_features::{
     build_representation_dataset, build_stall_dataset, RqClass, SessionObs, SessionView, StallClass,
 };
-use vqoe_ml::{ForestConfig, TrainConfig};
+use vqoe_ml::selection::RankedFeature;
+use vqoe_ml::{Dataset, TrainConfig};
+use vqoe_player::SessionTrace;
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::ReassemblyConfig;
 
-use crate::avgrep_pipeline::{RepresentationModel, TARGET_SUBSET_SIZE};
+use crate::avgrep_pipeline::{
+    RepresentationModel, RepresentationTrainingReport, TARGET_SUBSET_SIZE,
+};
 use crate::generate::generate_traces;
-use crate::spec::{DatasetSpec, ScenarioMix};
-use crate::stall_pipeline::{StallModel, SUBSET_FLOOR};
+use crate::spec::DatasetSpec;
+use crate::stall_pipeline::{StallModel, StallTrainingReport, SUBSET_FLOOR};
 use crate::subscribe::{IngestPipeline, SubscriptionSet};
-use crate::subset::FeatureSubset;
-use crate::switch_pipeline::SwitchModel;
+use crate::subset::{FeatureSubset, TrainingReport};
+use crate::switch_pipeline::{SwitchCalibrationReport, SwitchModel};
 
 /// End-to-end training configuration.
 ///
@@ -38,14 +42,8 @@ pub struct TrainingConfig {
     pub adaptive_sessions: usize,
     /// Master seed.
     pub seed: u64,
-    /// Random Forest hyperparameters (shared by both classifiers).
-    pub forest: ForestConfig,
-    /// Switch-detector scoring parameters.
+    /// Switch-detector scoring parameters (§4.3).
     pub switch_scoring: SwitchScoreConfig,
-    /// Optional scenario-mix override applied to *both* training
-    /// corpora (`None` keeps the per-corpus presets). Must carry at
-    /// least one positive weight.
-    pub scenarios: Option<ScenarioMix>,
     /// Worker policy for the training fan-out (corpus simulation,
     /// trees, CV folds, CFS candidates). Never changes the trained
     /// models — only wall-clock.
@@ -58,9 +56,7 @@ impl Default for TrainingConfig {
             cleartext_sessions: 4_000,
             adaptive_sessions: 1_500,
             seed: 2016,
-            forest: ForestConfig::default(),
             switch_scoring: SwitchScoreConfig::default(),
-            scenarios: None,
             train: TrainConfig::sequential(),
         }
     }
@@ -84,11 +80,6 @@ pub enum ConfigError {
     /// The adaptive corpus would be empty — nothing to train the
     /// representation model on or calibrate the switch threshold with.
     ZeroAdaptiveSessions,
-    /// A scenario-mix override carried no positive weight, so no class
-    /// of sessions could ever be sampled.
-    EmptyScenarioMix,
-    /// The Random Forest would have zero trees.
-    ZeroForestTrees,
 }
 
 impl fmt::Display for ConfigError {
@@ -100,10 +91,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroAdaptiveSessions => {
                 write!(f, "adaptive_sessions must be at least 1")
             }
-            ConfigError::EmptyScenarioMix => {
-                write!(f, "scenario mix has no positive weight (empty class mix)")
-            }
-            ConfigError::ZeroForestTrees => write!(f, "forest.n_trees must be at least 1"),
         }
     }
 }
@@ -136,24 +123,6 @@ impl TrainingConfigBuilder {
         self
     }
 
-    /// Random Forest hyperparameters.
-    pub fn forest(mut self, forest: ForestConfig) -> Self {
-        self.config.forest = forest;
-        self
-    }
-
-    /// Switch-detector scoring parameters.
-    pub fn switch_scoring(mut self, scoring: SwitchScoreConfig) -> Self {
-        self.config.switch_scoring = scoring;
-        self
-    }
-
-    /// Override the scenario mix of both training corpora.
-    pub fn scenario_mix(mut self, mix: ScenarioMix) -> Self {
-        self.config.scenarios = Some(mix);
-        self
-    }
-
     /// Worker threads for the training fan-out (`0` = auto, `1` =
     /// sequential). The trained models are byte-identical either way.
     pub fn workers(mut self, workers: usize) -> Self {
@@ -169,15 +138,6 @@ impl TrainingConfigBuilder {
         }
         if c.adaptive_sessions == 0 {
             return Err(ConfigError::ZeroAdaptiveSessions);
-        }
-        if c.forest.n_trees == 0 {
-            return Err(ConfigError::ZeroForestTrees);
-        }
-        if let Some(mix) = &c.scenarios {
-            let total = mix.static_home + mix.static_office + mix.commuting + mix.congested;
-            if !total.is_finite() || total <= 0.0 {
-                return Err(ConfigError::EmptyScenarioMix);
-            }
         }
         Ok(self.config)
     }
@@ -253,7 +213,7 @@ impl SessionAssessment {
     }
 }
 
-/// A stage of [`QoeMonitor::train_staged`], reported as it completes.
+/// A stage of [`ModelFit::run`], reported as it completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainStage {
     /// Both training corpora simulated.
@@ -279,32 +239,45 @@ pub struct QoeMonitor {
     pub reassembly: ReassemblyConfig,
 }
 
-impl QoeMonitor {
-    /// Train the full framework on simulated cleartext corpora — the
-    /// paper's "use the insights and the ground truth from the
-    /// non-encrypted traffic" phase. Each detector runs only its fit
-    /// step; the cross-validated reports are the pipelines' business.
-    pub fn train(config: &TrainingConfig) -> QoeMonitor {
-        Self::train_staged(config, |_| {})
-    }
+/// One fit of the three models, with what it was fitted on: the
+/// paper's "use the insights and the ground truth from the
+/// non-encrypted traffic" phase. [`QoeMonitor::train`] keeps only the
+/// monitor; [`ModelFit::reports`] and the switch calibration report on
+/// the rest.
+#[derive(Debug, Clone)]
+pub struct ModelFit {
+    /// The configuration this fit ran with.
+    pub config: TrainingConfig,
+    /// The stall model's corpus: the cleartext corpus followed by the
+    /// adaptive one (see [`ModelFit::run`]).
+    pub stall_corpus: Vec<SessionTrace>,
+    /// The adaptive corpus (representation and switch models).
+    pub adaptive: Vec<SessionTrace>,
+    /// The 70-dim stall dataset of `stall_corpus`.
+    pub stall_data: Dataset,
+    /// The 210-dim representation dataset of `adaptive`.
+    pub representation_data: Dataset,
+    /// The stall subset, ranked by information gain (Table 2).
+    pub stall_selected: Vec<RankedFeature>,
+    /// The representation subset, ranked by information gain (Table 5).
+    pub representation_selected: Vec<RankedFeature>,
+    /// The switch calibration with its two score populations (Figure 4).
+    pub switch: SwitchCalibrationReport,
+    /// The three fitted models with default reassembly parameters.
+    pub monitor: QoeMonitor,
+}
 
-    /// [`QoeMonitor::train`], calling `on_stage` as each
-    /// [`TrainStage`] completes — the hook a wall-clock profile of
-    /// training attaches to. The monitor is the same.
-    pub fn train_staged(
-        config: &TrainingConfig,
-        mut on_stage: impl FnMut(TrainStage),
-    ) -> QoeMonitor {
-        let mut cleartext_spec =
-            DatasetSpec::cleartext_default(config.cleartext_sessions, config.seed);
-        let mut adaptive_spec =
-            DatasetSpec::adaptive_default(config.adaptive_sessions, config.seed ^ 0xADA7);
-        if let Some(mix) = config.scenarios {
-            cleartext_spec.scenarios = mix;
-            adaptive_spec.scenarios = mix;
-        }
-        let cleartext = generate_traces(&cleartext_spec, config.train);
-        let adaptive = generate_traces(&adaptive_spec, config.train);
+impl ModelFit {
+    /// Simulate both corpora, select both classifiers' subsets, fit the
+    /// two forests and calibrate the switch threshold, calling
+    /// `on_stage` as each [`TrainStage`] completes. No cross-validation
+    /// runs here.
+    pub fn run(config: &TrainingConfig, mut on_stage: impl FnMut(TrainStage)) -> ModelFit {
+        let (seed, train) = (config.seed, config.train);
+        let cleartext_spec = DatasetSpec::cleartext_default(config.cleartext_sessions, seed);
+        let adaptive_spec = DatasetSpec::adaptive_default(config.adaptive_sessions, seed ^ 0xADA7);
+        let mut stall_corpus = generate_traces(&cleartext_spec, train);
+        let adaptive = generate_traces(&adaptive_spec, train);
         on_stage(TrainStage::Generated);
 
         // The stall model trains on the union of both corpora. The paper
@@ -313,27 +286,79 @@ impl QoeMonitor {
         // whole simulated corpus. Folding the adaptive corpus in keeps
         // the *absolute* number of adaptive training examples meaningful
         // at simulation scale rather than preserving the 3 % share.
-        let mut stall_corpus = cleartext;
         stall_corpus.extend(adaptive.iter().cloned());
         let stall_data = build_stall_dataset(&stall_corpus);
-        let rep_data = build_representation_dataset(&adaptive);
-        let (seed, train) = (config.seed, config.train);
+        let representation_data = build_representation_dataset(&adaptive);
         let mut stall_subset = FeatureSubset::select(&stall_data, SUBSET_FLOOR, seed, train);
-        let mut rep_subset = FeatureSubset::select(&rep_data, TARGET_SUBSET_SIZE, seed, train);
+        let mut rep_subset =
+            FeatureSubset::select(&representation_data, TARGET_SUBSET_SIZE, seed, train);
         on_stage(TrainStage::Selected);
 
-        let stall_model = StallModel::fit(&mut stall_subset, &stall_data, config.forest, train);
+        let stall_model = StallModel::fit(&mut stall_subset, &stall_data, train);
         let representation_model =
-            RepresentationModel::fit(&mut rep_subset, &rep_data, config.forest, train);
+            RepresentationModel::fit(&mut rep_subset, &representation_data, train);
         let switch = SwitchModel::calibrate(&adaptive, config.switch_scoring);
         on_stage(TrainStage::Fitted);
 
-        QoeMonitor {
+        let monitor = QoeMonitor {
             stall_model,
             representation_model,
             switch_model: switch.model,
             reassembly: ReassemblyConfig::default(),
+        };
+        ModelFit {
+            config: *config,
+            stall_corpus,
+            adaptive,
+            stall_data,
+            representation_data,
+            stall_selected: stall_subset.ranked,
+            representation_selected: rep_subset.ranked,
+            switch,
+            monitor,
         }
+    }
+
+    /// The §4 reports on both classifiers: the 10-fold CV of each on
+    /// its selected columns, seeded like its fit (Tables 2–7).
+    pub fn reports(&self) -> (StallTrainingReport, RepresentationTrainingReport) {
+        let (seed, train) = (self.config.seed, self.config.train);
+        let stall = TrainingReport::cross_validate(
+            &self.stall_data,
+            self.stall_selected.clone(),
+            self.monitor.stall_model.clone(),
+            seed,
+            train,
+        );
+        let representation = TrainingReport::cross_validate(
+            &self.representation_data,
+            self.representation_selected.clone(),
+            self.monitor.representation_model.clone(),
+            seed,
+            train,
+        );
+        (stall, representation)
+    }
+
+    /// The cleartext corpus: `stall_corpus` without the adaptive tail.
+    pub fn cleartext(&self) -> &[SessionTrace] {
+        &self.stall_corpus[..self.stall_corpus.len() - self.adaptive.len()]
+    }
+}
+
+impl QoeMonitor {
+    /// Train the full framework on simulated cleartext corpora: the
+    /// monitor of [`ModelFit::run`]. Each detector runs only its fit
+    /// step; the cross-validated reports are the pipelines' business.
+    pub fn train(config: &TrainingConfig) -> QoeMonitor {
+        Self::train_staged(config, |_| {})
+    }
+
+    /// [`QoeMonitor::train`], calling `on_stage` as each
+    /// [`TrainStage`] completes — the hook a wall-clock profile of
+    /// training attaches to. The monitor is the same.
+    pub fn train_staged(config: &TrainingConfig, on_stage: impl FnMut(TrainStage)) -> QoeMonitor {
+        ModelFit::run(config, on_stage).monitor
     }
 
     /// This monitor's three frozen models as the [`SubscriptionSet`]
@@ -378,7 +403,6 @@ mod tests {
     use crate::encrypted::{EncryptedEvalConfig, EncryptedWorld};
     use vqoe_features::labels::has_switches;
     use vqoe_features::{representation_features, rq_label, stall_features, stall_label};
-    use vqoe_player::SessionTrace;
 
     fn tiny_config() -> TrainingConfig {
         TrainingConfig {
@@ -497,60 +521,29 @@ mod tests {
             TrainingConfig::builder().cleartext_sessions(0).build(),
             Err(ConfigError::ZeroCleartextSessions)
         );
-        assert_eq!(
-            TrainingConfig::builder().adaptive_sessions(0).build(),
-            Err(ConfigError::ZeroAdaptiveSessions)
-        );
-        assert_eq!(
-            TrainingConfig::builder()
-                .forest(ForestConfig {
-                    n_trees: 0,
-                    ..ForestConfig::default()
-                })
-                .build(),
-            Err(ConfigError::ZeroForestTrees)
-        );
-        let empty = ScenarioMix {
-            static_home: 0.0,
-            static_office: 0.0,
-            commuting: 0.0,
-            congested: 0.0,
-        };
         let err = TrainingConfig::builder()
-            .scenario_mix(empty)
+            .adaptive_sessions(0)
             .build()
-            .expect_err("empty class mix must be rejected");
-        assert_eq!(err, ConfigError::EmptyScenarioMix);
-        assert!(err.to_string().contains("empty class mix"));
+            .expect_err("an empty adaptive corpus must be rejected");
+        assert_eq!(err, ConfigError::ZeroAdaptiveSessions);
+        assert!(err.to_string().contains("adaptive_sessions"));
     }
 
     #[test]
-    fn scenario_mix_override_reaches_training_and_stays_deterministic() {
-        let mix = ScenarioMix {
-            static_home: 1.0,
-            static_office: 0.0,
-            commuting: 0.0,
-            congested: 0.0,
-        };
-        let cfg = TrainingConfig::builder()
-            .cleartext_sessions(120)
-            .adaptive_sessions(80)
-            .seed(54)
-            .scenario_mix(mix)
-            .build()
-            .expect("valid config");
-        let a = QoeMonitor::train(&cfg);
-        let b = QoeMonitor::train(&cfg);
-        assert_eq!(a, b);
-        // The override changes the corpus, hence the trained models.
-        let preset = QoeMonitor::train(
-            &TrainingConfig::builder()
-                .cleartext_sessions(120)
-                .adaptive_sessions(80)
-                .seed(54)
-                .build()
-                .expect("valid config"),
+    fn model_fit_reports_its_stages_and_keeps_its_corpora() {
+        let mut stages = Vec::new();
+        let fit = ModelFit::run(&tiny_config(), |stage| stages.push(stage));
+        assert_eq!(
+            stages,
+            [
+                TrainStage::Generated,
+                TrainStage::Selected,
+                TrainStage::Fitted
+            ]
         );
-        assert_ne!(a, preset);
+        assert_eq!(fit.cleartext().len(), 250);
+        assert_eq!(fit.adaptive.len(), 150);
+        assert_eq!(fit.stall_data.n_rows(), 400);
+        assert_eq!(fit.monitor, QoeMonitor::train(&tiny_config()));
     }
 }

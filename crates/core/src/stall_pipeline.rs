@@ -1,16 +1,11 @@
 //! The §4.1 stall-detection pipeline: feature selection, training,
 //! cross-validated evaluation, and the deployable model.
 
-use crate::metrics::PipelineMetrics;
-use crate::subset::FeatureSubset;
+use crate::subset::{FeatureSubset, TrainingReport};
 use serde::{Deserialize, Serialize};
 use vqoe_features::stall::{stall_feature_names, stall_features};
 use vqoe_features::{SessionObs, StallClass};
-use vqoe_ml::selection::RankedFeature;
-use vqoe_ml::{
-    cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
-};
-use vqoe_player::SessionTrace;
+use vqoe_ml::{ConfusionMatrix, Dataset, RandomForest, TrainConfig};
 
 /// A trained, deployable stall detector: the Random Forest plus the
 /// projection from the full 70-feature space onto the selected subset.
@@ -27,13 +22,8 @@ pub struct StallModel {
 impl StallModel {
     /// The fit step's second half: the deployable forest over
     /// `subset`'s features of the 70-dim `full` dataset.
-    pub fn fit(
-        subset: &mut FeatureSubset,
-        full: &Dataset,
-        forest_config: ForestConfig,
-        train: TrainConfig,
-    ) -> StallModel {
-        let forest = subset.fit_forest(full, forest_config, train);
+    pub fn fit(subset: &mut FeatureSubset, full: &Dataset, train: TrainConfig) -> StallModel {
+        let forest = subset.fit_forest(full, train);
         let names = stall_feature_names();
         let selected_indices = subset.indices();
         StallModel {
@@ -77,93 +67,24 @@ impl StallModel {
     }
 }
 
-/// Everything the training phase produces: the Table-2 feature ranking,
-/// the Table-3/4 cross-validated evaluation, and the frozen model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StallTrainingReport {
-    /// Selected features with their information gains, ranked (Table 2).
-    pub selected: Vec<RankedFeature>,
-    /// Aggregated 10-fold CV confusion matrix (Tables 3 and 4).
-    pub cv_matrix: ConfusionMatrix,
-    /// Class counts of the raw training corpus (the paper's priors:
-    /// ~88 % no stalls).
-    pub class_counts: Vec<usize>,
-    /// CV folds that contributed no predictions (empty test or training
-    /// side); `0` on any reasonably sized corpus.
-    pub cv_skipped_folds: usize,
-    /// The deployable model, trained on the full balanced corpus.
-    pub model: StallModel,
-}
-
-/// Number of CV folds (§4: 10-fold cross-validation).
-pub const CV_FOLDS: usize = 10;
+/// The stall detector's report (Tables 2–4) and its model.
+pub type StallTrainingReport = TrainingReport<StallModel>;
 
 /// Minimum size of the selected subset: the paper's four-feature model
 /// (Table 2), reached by info-gain padding when CFS returns fewer.
 pub const SUBSET_FLOOR: usize = 4;
 
-/// Train the stall detector on a cleartext corpus and report on it.
+/// Train the stall detector on a built 70-dim dataset and report on it.
 ///
-/// Steps, per §4.1: build the 70-feature dataset over *all* sessions
-/// (progressive + adaptive); the fit step ([`FeatureSubset::select`]
-/// with a floor of [`SUBSET_FLOOR`], then [`StallModel::fit`] on the
-/// whole balanced corpus); and 10-fold CV with balanced training folds
-/// and natural test folds, which the deployed model does not depend on.
-pub fn train_stall_detector(
-    traces: &[SessionTrace],
-    forest_config: ForestConfig,
-    seed: u64,
-) -> StallTrainingReport {
-    train_stall_detector_with(traces, forest_config, seed, TrainConfig::sequential(), None)
-}
-
-/// [`train_stall_detector`] with an explicit worker policy and optional
-/// metric recording; output is byte-identical at any worker count.
-pub fn train_stall_detector_with(
-    traces: &[SessionTrace],
-    forest_config: ForestConfig,
-    seed: u64,
-    train: TrainConfig,
-    metrics: Option<&PipelineMetrics>,
-) -> StallTrainingReport {
-    let full = vqoe_features::build_stall_dataset(traces);
-    train_stall_detector_on_with(&full, forest_config, seed, train, metrics)
-}
-
-/// Train from a pre-built 70-dim dataset (used by ablations that
-/// manipulate the dataset before training).
-pub fn train_stall_detector_on(
-    full: &Dataset,
-    forest_config: ForestConfig,
-    seed: u64,
-) -> StallTrainingReport {
-    train_stall_detector_on_with(full, forest_config, seed, TrainConfig::sequential(), None)
-}
-
-/// [`train_stall_detector_on`] with an explicit worker policy and
-/// optional metric recording.
-pub fn train_stall_detector_on_with(
-    full: &Dataset,
-    forest_config: ForestConfig,
-    seed: u64,
-    train: TrainConfig,
-    metrics: Option<&PipelineMetrics>,
-) -> StallTrainingReport {
+/// Per §4.1 the dataset holds *all* sessions (progressive + adaptive).
+/// The fit step is [`FeatureSubset::select`] with a floor of
+/// [`SUBSET_FLOOR`], then [`StallModel::fit`] on the whole balanced
+/// corpus; [`TrainingReport::cross_validate`] adds the 10-fold CV.
+/// Output is byte-identical at any worker count.
+pub fn train_stall_detector(full: &Dataset, seed: u64, train: TrainConfig) -> StallTrainingReport {
     let mut subset = FeatureSubset::select(full, SUBSET_FLOOR, seed, train);
-    let model = StallModel::fit(&mut subset, full, forest_config, train);
-    let reduced = full.select_features(&model.selected_indices);
-    let cv = cross_validate_with(&reduced, CV_FOLDS, forest_config, true, seed, train);
-    if let Some(m) = metrics {
-        m.observe_cv(&cv);
-        m.observe_fit(forest_config.n_trees);
-    }
-    StallTrainingReport {
-        selected: subset.ranked,
-        cv_matrix: cv.matrix,
-        class_counts: full.class_counts(),
-        cv_skipped_folds: cv.skipped_folds,
-        model,
-    }
+    let model = StallModel::fit(&mut subset, full, train);
+    TrainingReport::cross_validate(full, subset.ranked, model, seed, train)
 }
 
 #[cfg(test)]
@@ -171,6 +92,12 @@ mod tests {
     use super::*;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
+    use vqoe_features::build_stall_dataset;
+    use vqoe_player::SessionTrace;
+
+    fn fit_report(traces: &[SessionTrace], seed: u64) -> StallTrainingReport {
+        train_stall_detector(&build_stall_dataset(traces), seed, TrainConfig::auto())
+    }
 
     fn small_corpus() -> Vec<SessionTrace> {
         generate_traces(
@@ -182,7 +109,7 @@ mod tests {
     #[test]
     fn training_produces_a_usable_model() {
         let traces = small_corpus();
-        let report = train_stall_detector(&traces, ForestConfig::default(), 1);
+        let report = fit_report(&traces, 1);
         assert!(report.selected.len() >= 4);
         assert_eq!(
             report.model.selected_indices.len(),
@@ -198,7 +125,7 @@ mod tests {
     #[test]
     fn cv_accuracy_is_far_above_chance() {
         let traces = small_corpus();
-        let report = train_stall_detector(&traces, ForestConfig::default(), 1);
+        let report = fit_report(&traces, 1);
         // 3 classes, chance ≈ dominant-class prior. The paper reports
         // 93.5 % on 390 k sessions; this corpus is 260× smaller, so we
         // require clearly learnable structure rather than the headline.
@@ -212,7 +139,7 @@ mod tests {
     #[test]
     fn selected_features_are_ranked_by_gain() {
         let traces = small_corpus();
-        let report = train_stall_detector(&traces, ForestConfig::default(), 1);
+        let report = fit_report(&traces, 1);
         for w in report.selected.windows(2) {
             assert!(w[0].gain >= w[1].gain);
         }
@@ -226,7 +153,7 @@ mod tests {
             &DatasetSpec::cleartext_default(2500, 78),
             TrainConfig::auto(),
         );
-        let report = train_stall_detector(&traces, ForestConfig::default(), 2);
+        let report = fit_report(&traces, 2);
         let top_names: Vec<&str> = report
             .selected
             .iter()
@@ -242,8 +169,8 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let traces = small_corpus();
-        let a = train_stall_detector(&traces, ForestConfig::default(), 9);
-        let b = train_stall_detector(&traces, ForestConfig::default(), 9);
+        let a = fit_report(&traces, 9);
+        let b = fit_report(&traces, 9);
         assert_eq!(a, b);
     }
 
@@ -253,50 +180,20 @@ mod tests {
             &DatasetSpec::cleartext_default(400, 79),
             TrainConfig::auto(),
         );
-        let reference = train_stall_detector(&traces, ForestConfig::default(), 9);
+        let full = build_stall_dataset(&traces);
+        let reference = train_stall_detector(&full, 9, TrainConfig::sequential());
         for workers in [2usize, 7] {
-            let got = train_stall_detector_with(
-                &traces,
-                ForestConfig::default(),
-                9,
-                TrainConfig::with_workers(workers),
-                None,
-            );
+            let got = train_stall_detector(&full, 9, TrainConfig::with_workers(workers));
             assert_eq!(reference, got, "workers {workers}");
         }
         assert_eq!(reference.cv_skipped_folds, 0);
     }
 
     #[test]
-    fn training_with_metrics_counts_the_work() {
-        let registry = vqoe_obs::Registry::new();
-        let m = PipelineMetrics::register(&registry);
-        let traces = generate_traces(
-            &DatasetSpec::cleartext_default(300, 80),
-            TrainConfig::auto(),
-        );
-        let report = train_stall_detector_with(
-            &traces,
-            ForestConfig::default(),
-            9,
-            TrainConfig::sequential(),
-            Some(&m),
-        );
-        let scored = CV_FOLDS - report.cv_skipped_folds;
-        let expected = (scored + 1) * ForestConfig::default().n_trees;
-        let text = registry.render_prometheus();
-        assert!(
-            text.contains(&format!("vqoe_core_train_trees_fitted_total {expected}")),
-            "trees_fitted mismatch (want {expected})"
-        );
-        assert!(text.contains(&format!("vqoe_core_train_cv_fold_ticks_count {CV_FOLDS}")));
-    }
-
-    #[test]
     fn evaluate_on_labelled_dataset_roundtrips() {
         let traces = small_corpus();
-        let report = train_stall_detector(&traces, ForestConfig::default(), 3);
-        let full = vqoe_features::build_stall_dataset(&traces);
+        let report = fit_report(&traces, 3);
+        let full = build_stall_dataset(&traces);
         let m = report.model.evaluate(&full);
         assert_eq!(m.total() as usize, traces.len());
         // Training-set evaluation of a forest should be strong (the

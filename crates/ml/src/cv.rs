@@ -50,10 +50,9 @@ pub fn stratified_kfold(y: &[usize], k: usize, rng: &mut StdRng) -> Vec<Vec<usiz
     folds
 }
 
-/// Everything a cross-validation run produced, beyond the bare matrix:
-/// how many folds contributed, how many were silently unusable, and how
-/// much work was done — so callers (and `PipelineMetrics`) can tell a
-/// 10-fold estimate from a "10-fold" run that really scored 3 folds.
+/// A cross-validation run: the matrix plus how many folds were
+/// silently unusable, so callers can tell a 10-fold estimate from a
+/// "10-fold" run that really scored 3 folds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CvReport {
     /// Aggregate confusion matrix over every scored fold.
@@ -62,18 +61,6 @@ pub struct CvReport {
     /// than a class's row count), empty training side (`k == 1`), or a
     /// balanced-training set that downsampled to nothing.
     pub skipped_folds: usize,
-    /// Test-fold size per fold, in fold order (`0` for skipped folds —
-    /// also the per-fold work measure `StageSpan` ticks record).
-    pub fold_test_sizes: Vec<usize>,
-    /// Total trees fitted across the scored folds.
-    pub trees_fitted: usize,
-}
-
-impl CvReport {
-    /// Number of folds that actually contributed predictions.
-    pub fn scored_folds(&self) -> usize {
-        self.fold_test_sizes.len() - self.skipped_folds
-    }
 }
 
 /// Run k-fold cross-validation of a Random Forest over `data`,
@@ -156,29 +143,12 @@ pub fn cross_validate_with(
     // Merge in fold order — the order predictions enter the matrix is
     // part of the determinism contract.
     let mut matrix = ConfusionMatrix::new(data.class_names.clone());
-    let mut skipped_folds = 0;
-    let mut fold_test_sizes = Vec::with_capacity(k);
-    let mut trees_fitted = 0;
-    for pairs in &per_fold {
-        match pairs {
-            Some(pairs) => {
-                fold_test_sizes.push(pairs.len());
-                trees_fitted += forest_config.n_trees;
-                for &(actual, pred) in pairs {
-                    matrix.record(actual, pred);
-                }
-            }
-            None => {
-                fold_test_sizes.push(0);
-                skipped_folds += 1;
-            }
-        }
+    for &(actual, pred) in per_fold.iter().flatten().flatten() {
+        matrix.record(actual, pred);
     }
     CvReport {
         matrix,
-        skipped_folds,
-        fold_test_sizes,
-        trees_fitted,
+        skipped_folds: per_fold.iter().filter(|pairs| pairs.is_none()).count(),
     }
 }
 
@@ -282,8 +252,6 @@ mod tests {
             assert_eq!(reference, got, "workers {workers}");
         }
         assert_eq!(reference.skipped_folds, 0);
-        assert_eq!(reference.scored_folds(), 10);
-        assert_eq!(reference.trees_fitted, 10 * ForestConfig::default().n_trees);
     }
 
     #[test]
@@ -301,8 +269,6 @@ mod tests {
         );
         assert_eq!(r.matrix.total(), 0);
         assert_eq!(r.skipped_folds, 1);
-        assert_eq!(r.scored_folds(), 0);
-        assert_eq!(r.fold_test_sizes, vec![0]);
     }
 
     #[test]
@@ -319,12 +285,7 @@ mod tests {
             TrainConfig::sequential(),
         );
         assert!(r.skipped_folds >= 6, "skipped {}", r.skipped_folds);
-        assert_eq!(r.fold_test_sizes.len(), 12);
         assert_eq!(r.matrix.total() as usize, d.n_rows());
-        assert_eq!(
-            r.trees_fitted,
-            r.scored_folds() * ForestConfig::default().n_trees
-        );
     }
 
     #[test]

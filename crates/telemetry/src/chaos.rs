@@ -30,7 +30,8 @@
 //! `(stream, config, seed)` triple always yields the same faulted
 //! stream.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,17 +101,6 @@ impl ChaosConfig {
             cut: i / 200.0,
             ..ChaosConfig::clean()
         }
-    }
-
-    /// True when every fault probability is zero (pass-through tap).
-    pub fn is_clean(&self) -> bool {
-        self.reorder == 0.0
-            && self.duplicate == 0.0
-            && self.drop == 0.0
-            && self.skew == 0.0
-            && self.corrupt == 0.0
-            && self.collide == 0.0
-            && self.cut == 0.0
     }
 }
 
@@ -428,34 +418,6 @@ pub fn generate_subscriber_flood(spec: &FloodSpec, start: Instant, seed: u64) ->
     out
 }
 
-/// Generate a burst storm: every listed subscriber fires `burst_size`
-/// media chunks nearly simultaneously, `bursts` times, one burst every
-/// `period`. This is the synchronized-spike pattern (ad break, live
-/// event) that defeats per-subscriber pacing assumptions and lands many
-/// equal activity watermarks at once — exactly the LRU tie-break case.
-pub fn generate_burst_storm(
-    subscribers: &[u64],
-    bursts: usize,
-    burst_size: usize,
-    period: Duration,
-    start: Instant,
-    seed: u64,
-) -> Vec<WeblogEntry> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    for b in 0..bursts {
-        let at = start + Duration(period.as_micros().saturating_mul(b as u64));
-        for &id in subscribers {
-            for _ in 0..burst_size {
-                let jitter = Duration::from_millis(rng.gen_range(0..50));
-                out.push(load_media_entry(id, at + jitter, &mut rng));
-            }
-        }
-    }
-    out.sort_by_key(|e| e.timestamp);
-    out
-}
-
 /// Generate a pathological session: one subscriber whose chunk cadence
 /// never pauses longer than `gap`, so no idle boundary ever closes the
 /// session and its open group grows without limit. Pick `gap` below the
@@ -479,11 +441,30 @@ pub fn generate_pathological_session(
 }
 
 /// Merge several entry streams into one tap stream, ordered by
-/// timestamp. The sort is stable, so entries with equal timestamps keep
-/// their input-stream order — merging is deterministic.
+/// timestamp. Equal timestamps keep their input-stream order (a stable
+/// sort of the concatenation), so merging is deterministic. When every
+/// stream is timestamp-sorted, as generated streams are, a k-way merge
+/// fills an exact-capacity output: no doubling growth or sort scratch
+/// while every input is still alive.
 pub fn merge_streams(streams: Vec<Vec<WeblogEntry>>) -> Vec<WeblogEntry> {
-    let mut out: Vec<WeblogEntry> = streams.into_iter().flatten().collect();
-    out.sort_by_key(|e| e.timestamp);
+    let sorted = |s: &Vec<WeblogEntry>| s.windows(2).all(|w| w[0].timestamp <= w[1].timestamp);
+    if !streams.iter().all(sorted) {
+        let mut out: Vec<WeblogEntry> = streams.into_iter().flatten().collect();
+        out.sort_by_key(|e| e.timestamp);
+        return out;
+    }
+    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+    let mut streams: Vec<_> = streams.into_iter().map(Vec::into_iter).collect();
+    let head = |s: &std::vec::IntoIter<WeblogEntry>, i: usize| {
+        s.as_slice().first().map(|e| Reverse((e.timestamp, i)))
+    };
+    let mut heads: BinaryHeap<_> = (0..streams.len())
+        .filter_map(|i| head(&streams[i], i))
+        .collect();
+    while let Some(Reverse((_, i))) = heads.pop() {
+        out.extend(streams[i].next());
+        heads.extend(head(&streams[i], i));
+    }
     out
 }
 
@@ -506,10 +487,6 @@ pub enum ChaosProfile {
 }
 
 impl ChaosProfile {
-    /// Every profile, in documentation order.
-    pub const ALL: [ChaosProfile; 3] =
-        [ChaosProfile::Mild, ChaosProfile::Harsh, ChaosProfile::Flood];
-
     /// Parse a CLI name (case-insensitive).
     pub fn parse(s: &str) -> Option<ChaosProfile> {
         match s.to_ascii_lowercase().as_str() {
@@ -517,15 +494,6 @@ impl ChaosProfile {
             "harsh" => Some(ChaosProfile::Harsh),
             "flood" => Some(ChaosProfile::Flood),
             _ => None,
-        }
-    }
-
-    /// The profile's CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChaosProfile::Mild => "mild",
-            ChaosProfile::Harsh => "harsh",
-            ChaosProfile::Flood => "flood",
         }
     }
 
@@ -550,7 +518,34 @@ impl ChaosProfile {
 mod tests {
     use super::*;
     use crate::capture::generate_noise;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    proptest! {
+        #[test]
+        fn prop_merge_equals_a_stable_sort_of_the_concatenation(
+            stamps in proptest::collection::vec(proptest::collection::vec(0u64..1 << 20, 0..40), 0..6),
+            spread_bits in 1u32..=20,
+            all_sorted in proptest::bool::ANY,
+            sorted_mask in 0u8..=255,
+        ) {
+            // Few spread bits fold the stamps onto a few instants (the
+            // tie-heavy case); an unsorted stream takes the sort path.
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut streams = Vec::new();
+            for (s, stamps) in stamps.into_iter().enumerate() {
+                let mut stamps: Vec<u64> = stamps.iter().map(|t| t >> (20 - spread_bits)).collect();
+                if all_sorted || sorted_mask >> s & 1 == 1 {
+                    stamps.sort_unstable();
+                }
+                let entry = |(i, &t): (usize, &u64)| load_media_entry((s * 100 + i) as u64, Instant(t), &mut rng);
+                streams.push(stamps.iter().enumerate().map(entry).collect::<Vec<_>>());
+            }
+            let mut expected = streams.concat();
+            expected.sort_by_key(|e| e.timestamp);
+            prop_assert_eq!(merge_streams(streams), expected);
+        }
+    }
 
     fn stream(n: usize) -> Vec<WeblogEntry> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -565,8 +560,6 @@ mod tests {
         assert_eq!(stats.consumed, 200);
         assert_eq!(stats.emitted, 200);
         assert_eq!(stats.dropped + stats.duplicated + stats.corrupted, 0);
-        assert!(ChaosConfig::clean().is_clean());
-        assert!(!ChaosConfig::uniform(0.2).is_clean());
     }
 
     #[test]

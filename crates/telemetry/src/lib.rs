@@ -62,8 +62,8 @@ pub mod weblog;
 pub use binlog::{BinaryCorpus, BinlogError, RecordRef, BINLOG_MAGIC, BINLOG_VERSION};
 pub use capture::{capture_session, CaptureConfig};
 pub use chaos::{
-    apply_chaos, generate_burst_storm, generate_pathological_session, generate_subscriber_flood,
-    merge_streams, ChaosConfig, ChaosProfile, ChaosStats, ChaosTap, FloodSpec,
+    apply_chaos, generate_pathological_session, generate_subscriber_flood, merge_streams,
+    ChaosConfig, ChaosProfile, ChaosStats, ChaosTap, FloodSpec,
 };
 pub use dataset::{join_sessions, read_jsonl, write_jsonl, JoinedSession};
 pub use error::TelemetryError;

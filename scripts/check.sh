@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, clippy (warnings promoted to
 # errors), the workspace's own static-analysis passes, a locked build
-# of the standalone benchmark package, and the test suite. CI and pre-merge runs should call exactly this.
+# of the standalone benchmark package and its own tests, and the test
+# suite. CI and pre-merge runs should call exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +18,10 @@ target/debug/vqoe-analyze
 
 echo "==> qoebench standalone build (--locked: its committed Cargo.lock must stay current)"
 cargo build --release --offline --locked \
+  --manifest-path crates/bench/src/bin/qoebench/Cargo.toml --target-dir target/qoebench
+
+echo "==> qoebench's own tests (smoke runs of every workload with their checks)"
+cargo test --release --offline --locked \
   --manifest-path crates/bench/src/bin/qoebench/Cargo.toml --target-dir target/qoebench
 
 echo "==> cargo test --workspace"

@@ -7,8 +7,7 @@ use vqoe_core::avgrep_pipeline::train_representation_detector;
 use vqoe_core::stall_pipeline::train_stall_detector;
 use vqoe_core::{generate_traces, DatasetSpec, SwitchModel, TrainConfig};
 use vqoe_features::labels::has_switches;
-use vqoe_features::SessionObs;
-use vqoe_ml::ForestConfig;
+use vqoe_features::{build_representation_dataset, build_stall_dataset, SessionObs};
 
 #[test]
 fn stall_model_transfers_across_seeds() {
@@ -20,15 +19,13 @@ fn stall_model_transfers_across_seeds() {
         &DatasetSpec::adaptive_default(400, 42),
         TrainConfig::auto(),
     ));
-    let report = train_stall_detector(&train_corpus, ForestConfig::default(), 1);
+    let report = train_stall_detector(&build_stall_dataset(&train_corpus), 1, TrainConfig::auto());
 
     let fresh = generate_traces(
         &DatasetSpec::cleartext_default(600, 4242),
         TrainConfig::auto(),
     );
-    let eval = report
-        .model
-        .evaluate(&vqoe_features::build_stall_dataset(&fresh));
+    let eval = report.model.evaluate(&build_stall_dataset(&fresh));
     assert_eq!(eval.total() as usize, fresh.len());
     assert!(
         eval.accuracy() > 0.7,
@@ -45,15 +42,17 @@ fn stall_model_transfers_across_seeds() {
 fn representation_model_transfers_across_seeds() {
     let train_corpus =
         generate_traces(&DatasetSpec::adaptive_default(800, 43), TrainConfig::auto());
-    let report = train_representation_detector(&train_corpus, ForestConfig::default(), 2);
+    let report = train_representation_detector(
+        &build_representation_dataset(&train_corpus),
+        2,
+        TrainConfig::auto(),
+    );
 
     let fresh = generate_traces(
         &DatasetSpec::adaptive_default(400, 4343),
         TrainConfig::auto(),
     );
-    let eval = report
-        .model
-        .evaluate(&vqoe_features::build_representation_dataset(&fresh));
+    let eval = report.model.evaluate(&build_representation_dataset(&fresh));
     assert!(
         eval.accuracy() > 0.65,
         "cross-seed representation accuracy {}",
@@ -93,7 +92,7 @@ fn detectors_never_see_ground_truth_fields() {
         &DatasetSpec::cleartext_default(400, 45),
         TrainConfig::auto(),
     );
-    let report = train_stall_detector(&corpus, ForestConfig::default(), 3);
+    let report = train_stall_detector(&build_stall_dataset(&corpus), 3, TrainConfig::auto());
     let mut trace = corpus[0].clone();
     let obs_before = SessionObs::from_trace(&trace);
     let pred_before = report.model.predict(&obs_before);
