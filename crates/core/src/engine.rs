@@ -12,7 +12,7 @@
 //!    [`EngineConfig::shards`] shards by a deterministic hash of its
 //!    subscriber id ([`shard_of`]), so a subscriber's whole stream
 //!    lands on exactly one shard. The records come from a
-//!    [`RecordSource`]: a slice of entries is read in place; a packed
+//!    `RecordSource`: a slice of entries is read in place; a packed
 //!    [`BinaryCorpus`] is validated and routed in one zero-copy pass
 //!    that notes each record's byte offset.
 //! 2. **Fan out** — one job per shard runs on [`EngineConfig::workers`]

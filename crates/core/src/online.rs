@@ -9,7 +9,7 @@
 //!
 //! Unlike the lab loop, this one assumes a *hostile* tap. Each
 //! subscriber's stream runs through a
-//! [`RobustReassembler`](vqoe_telemetry::RobustReassembler) (bounded
+//! [`RobustReassembler`] (bounded
 //! reordering repair, duplicate suppression, quarantine of malformed
 //! records — see `vqoe_telemetry::ingest`), and the assessor itself
 //! enforces bounded memory: at most
@@ -23,9 +23,9 @@
 //!
 //! The assessor is one of two drivers of the per-shard machine
 //! (`crate::shard`): subscriber state is partitioned onto
-//! [`EngineConfig::shards`](crate::engine::EngineConfig) shard machines
-//! by the same [`shard_of`](crate::engine::shard_of) hash the parallel
-//! engine uses, and health counters accumulate per shard. What the
+//! [`EngineConfig::shards`] shard machines by the same [`shard_of`]
+//! hash the parallel engine uses, and health counters accumulate per
+//! shard. What the
 //! assessor adds on top is what only a long-running loop needs: the
 //! global LRU (eviction stays *global* across shards), memory budgets
 //! and admission, the shed log, alerts and checkpoints. Unbudgeted, it

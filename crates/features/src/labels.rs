@@ -111,65 +111,6 @@ pub fn rq_label(gt: &GroundTruth) -> RqClass {
     RqClass::from_avg_resolution(gt.avg_resolution())
 }
 
-/// Representation-variation classes (§4.3): frequency F and amplitude A
-/// combined "to a single indicator of the representation variation Var
-/// using linear combination".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum VariationClass {
-    /// No switches at all.
-    NoVariation,
-    /// Some switching, low combined score.
-    Mild,
-    /// Frequent and/or large switches.
-    High,
-}
-
-/// Weight of the amplitude term in the Var linear combination. A is in
-/// resolution lines; one ladder step at the bottom is ~96–120 lines, so
-/// dividing by 120 expresses A in "ladder steps per switch".
-pub const VAR_AMPLITUDE_WEIGHT: f64 = 1.0 / 120.0;
-
-/// Var score above which variation is labelled High.
-pub const VAR_HIGH_THRESHOLD: f64 = 6.0;
-
-impl VariationClass {
-    /// Class index (dataset label).
-    pub fn index(self) -> usize {
-        match self {
-            VariationClass::NoVariation => 0,
-            VariationClass::Mild => 1,
-            VariationClass::High => 2,
-        }
-    }
-
-    /// Class names in index order.
-    pub fn names() -> Vec<String> {
-        vec![
-            "no variation".to_string(),
-            "mild variation".to_string(),
-            "high variation".to_string(),
-        ]
-    }
-
-    /// Classify from switch frequency F and amplitude A (eq. 2).
-    pub fn from_frequency_amplitude(f: usize, a: f64) -> VariationClass {
-        if f == 0 {
-            return VariationClass::NoVariation;
-        }
-        let var = f as f64 + a * VAR_AMPLITUDE_WEIGHT;
-        if var >= VAR_HIGH_THRESHOLD {
-            VariationClass::High
-        } else {
-            VariationClass::Mild
-        }
-    }
-}
-
-/// Label a session's representation variation from its ground truth.
-pub fn variation_label(gt: &GroundTruth) -> VariationClass {
-    VariationClass::from_frequency_amplitude(gt.switch_count(), gt.switch_amplitude())
-}
-
 /// Binary ground truth for the Figure-4 / §5.6 evaluation: did the
 /// session have any quality switches?
 pub fn has_switches(gt: &GroundTruth) -> bool {
@@ -247,37 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn variation_classes() {
-        assert_eq!(
-            VariationClass::from_frequency_amplitude(0, 0.0),
-            VariationClass::NoVariation
-        );
-        assert_eq!(
-            VariationClass::from_frequency_amplitude(1, 30.0),
-            VariationClass::Mild
-        );
-        // 5 switches + amplitude 200/120 ≈ 6.7 → high
-        assert_eq!(
-            VariationClass::from_frequency_amplitude(5, 200.0),
-            VariationClass::High
-        );
-        assert_eq!(
-            VariationClass::from_frequency_amplitude(8, 0.0),
-            VariationClass::High
-        );
-    }
-
-    #[test]
     fn class_indexing_and_names_align() {
         assert_eq!(
             StallClass::names()[StallClass::Severe.index()],
             "severe stalls"
         );
         assert_eq!(RqClass::names()[RqClass::Hd.index()], "HD");
-        assert_eq!(
-            VariationClass::names()[VariationClass::NoVariation.index()],
-            "no variation"
-        );
     }
 
     #[test]

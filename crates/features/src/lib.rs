@@ -19,10 +19,13 @@
 //!   (4 moments + 11 percentiles) over 14 series (the 10 base metrics
 //!   plus the constructed *chunk average size*, *chunk Δsize*,
 //!   *chunk Δt* and *cumulative-sum throughput*) = 210 features.
+//!   Both sets share one layout — the series table, the per-chunk step
+//!   that yields every series' sample, and the two statistic orders —
+//!   which the exact builders and the streaming digest both evaluate.
 //! * [`labels`] — the labelling rules: Rebuffering Ratio → {no, mild,
 //!   severe} stalling (threshold 0.1, after Krishnan et al.), mean
-//!   resolution → {LD, SD, HD} (360/480 lines), and switch
-//!   frequency/amplitude → variation classes (§4.3).
+//!   resolution → {LD, SD, HD} (360/480 lines), and the binary
+//!   has-quality-switches truth of the §4.3 switch detector.
 //! * [`view`] — the per-session fan-out payload ([`SessionView`]): one
 //!   shared, borrowed [`SessionObs`] plus the recovered boundaries,
 //!   delivered identically to every subscribed detector.
@@ -57,6 +60,7 @@
 pub const MISSING_STAT: f64 = -1.0e12;
 
 pub mod labels;
+mod layout;
 pub mod matrix;
 pub mod obfuscation;
 pub mod obs;
@@ -65,7 +69,7 @@ pub mod stall;
 pub mod streaming;
 pub mod view;
 
-pub use labels::{rq_label, stall_label, variation_label, RqClass, StallClass, VariationClass};
+pub use labels::{rq_label, stall_label, RqClass, StallClass};
 pub use matrix::{build_representation_dataset, build_stall_dataset};
 pub use obs::{ChunkObs, SessionObs};
 pub use representation::{representation_feature_names, representation_features};

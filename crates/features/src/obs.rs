@@ -7,6 +7,7 @@
 //! detectors consume only this type, so they are structurally incapable
 //! of peeking at ground truth.
 
+use crate::layout::ChunkStep;
 use serde::{Deserialize, Serialize};
 use vqoe_player::{ChunkRecord, SessionTrace};
 use vqoe_telemetry::{ReassembledSession, WeblogEntry};
@@ -116,15 +117,6 @@ impl SessionObs {
             .collect()
     }
 
-    /// Arrival times relative to the first chunk's request (the "chunk
-    /// time" series the feature sets summarize).
-    pub fn relative_arrivals(&self) -> Vec<f64> {
-        let Some(t0) = self.chunks.first().map(|c| c.request_secs) else {
-            return Vec::new();
-        };
-        self.chunks.iter().map(|c| c.arrival_secs - t0).collect()
-    }
-
     /// Inter-arrival times Δt between consecutive chunks (seconds),
     /// length `len() - 1`.
     pub fn inter_arrivals(&self) -> Vec<f64> {
@@ -134,56 +126,19 @@ impl SessionObs {
             .collect()
     }
 
-    /// Absolute size differences Δsize between consecutive chunks,
-    /// length `len() - 1`.
-    pub fn size_deltas(&self) -> Vec<f64> {
-        self.chunks
-            .windows(2)
-            .map(|w| (w[1].bytes - w[0].bytes).abs())
-            .collect()
-    }
-
-    /// Per-chunk download throughput (bps).
-    pub fn throughputs(&self) -> Vec<f64> {
-        self.chunks
-            .iter()
-            .map(|c| {
-                let dt = c.arrival_secs - c.request_secs;
-                if dt > 0.0 {
-                    c.bytes * 8.0 / dt
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// Running (prefix) mean of chunk sizes — the paper's constructed
-    /// "chunk average size" series (§4.2).
-    pub fn running_avg_sizes(&self) -> Vec<f64> {
-        let mut sum = 0.0;
-        self.chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                sum += c.bytes;
-                sum / (i + 1) as f64
-            })
-            .collect()
-    }
-
-    /// Cumulative sum of per-chunk throughputs — the paper's
-    /// "throughput cumulative sum" series, "used as an indicator of
-    /// variations in throughput" (§4.2).
-    pub fn cumsum_throughputs(&self) -> Vec<f64> {
-        let mut sum = 0.0;
-        self.throughputs()
-            .into_iter()
-            .map(|t| {
-                sum += t;
-                sum
-            })
-            .collect()
+    /// The first `n` feature series (in [`SERIES`] order) as columns:
+    /// every sample the per-chunk [`ChunkStep`] yields.
+    ///
+    /// [`SERIES`]: crate::layout::SERIES
+    pub(crate) fn series(&self, n: usize) -> Vec<Vec<f64>> {
+        let mut cols: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(self.len())).collect();
+        let mut step = ChunkStep::default();
+        for c in &self.chunks {
+            for (col, x) in cols.iter_mut().zip(step.next(c)) {
+                col.extend(x);
+            }
+        }
+        cols
     }
 }
 
@@ -220,27 +175,23 @@ mod tests {
     #[test]
     fn derived_series_shapes() {
         let o = obs();
+        let s = o.series(14);
         assert_eq!(o.len(), 3);
-        assert_eq!(o.inter_arrivals().len(), 2);
-        assert_eq!(o.size_deltas().len(), 2);
-        assert_eq!(o.throughputs().len(), 3);
-        assert_eq!(o.running_avg_sizes().len(), 3);
-        assert_eq!(o.cumsum_throughputs().len(), 3);
+        // Δt (12) and Δsize (11) start at the second chunk; the running
+        // average size (10) and cumsum throughput (13) at the first.
+        assert_eq!(s[12].len(), 2);
+        assert_eq!(s[11].len(), 2);
+        assert_eq!(s[10].len(), 3);
+        assert_eq!(s[13].len(), 3);
     }
 
     #[test]
     fn inter_arrivals_and_deltas_are_correct() {
         let o = obs();
+        let s = o.series(14);
         assert_eq!(o.inter_arrivals(), vec![1.0, 2.0]);
-        assert_eq!(o.size_deltas(), vec![20_000.0, 30_000.0]);
-    }
-
-    #[test]
-    fn relative_arrivals_are_anchored_at_first_request() {
-        let o = SessionObs {
-            chunks: vec![chunk(100.0, 101.0, 1.0), chunk(102.0, 104.0, 1.0)],
-        };
-        assert_eq!(o.relative_arrivals(), vec![1.0, 4.0]);
+        assert_eq!(s[12], o.inter_arrivals());
+        assert_eq!(s[11], vec![20_000.0, 30_000.0]);
     }
 
     #[test]
@@ -248,13 +199,14 @@ mod tests {
         let o = SessionObs {
             chunks: vec![chunk(1.0, 1.0, 500.0)],
         };
-        assert_eq!(o.throughputs(), vec![0.0]);
+        // The cumulative-sum throughput of one zero-duration chunk.
+        assert_eq!(o.series(14)[13], vec![0.0]);
     }
 
     #[test]
     fn running_avg_is_prefix_mean() {
         let o = obs();
-        let avg = o.running_avg_sizes();
+        let avg = &o.series(14)[10];
         assert_eq!(avg[0], 100_000.0);
         assert_eq!(avg[1], 110_000.0);
         assert!((avg[2] - 103_333.333).abs() < 0.001);
@@ -263,7 +215,7 @@ mod tests {
     #[test]
     fn cumsum_is_monotone() {
         let o = obs();
-        let cs = o.cumsum_throughputs();
+        let cs = &o.series(14)[13];
         for w in cs.windows(2) {
             assert!(w[1] >= w[0]);
         }
@@ -273,8 +225,8 @@ mod tests {
     fn empty_session_degenerates() {
         let o = SessionObs::default();
         assert!(o.is_empty());
-        assert!(o.relative_arrivals().is_empty());
         assert!(o.inter_arrivals().is_empty());
         assert!(o.chunk_points().is_empty());
+        assert!(o.series(14).iter().all(Vec::is_empty));
     }
 }

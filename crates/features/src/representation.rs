@@ -15,125 +15,35 @@
 //! statistic of the throughput contribution inside the cumulative sum
 //! (a scalar, which is why 10 + 4 series — not 5 — make the 14).
 
+use crate::layout::{self, REP_ORDER, SERIES};
 use crate::obs::SessionObs;
-use crate::MISSING_STAT;
-use vqoe_stats::quantiles::try_quantile_sorted;
-use vqoe_stats::Summary;
 
 /// The fifteen §4.2 statistics, in a fixed order.
-pub const REP_STATS: [&str; 15] = [
-    "minimum", "mean", "maximum", "std", "5%", "10%", "15%", "20%", "25%", "50%", "75%", "80%",
-    "85%", "90%", "95%",
-];
+pub const REP_STATS: [&str; 15] = layout::names(&REP_ORDER);
 
 /// The fourteen base series, in a fixed order. The first ten are the
 /// Table-1 metrics; the last four are constructed (§4.2).
-pub const REP_METRICS: [&str; 14] = [
-    "RTT minimum",
-    "RTT average",
-    "RTT maximum",
-    "BDP",
-    "BIF average",
-    "BIF maximum",
-    "packet loss",
-    "packet retransmissions",
-    "chunk size",
-    "chunk time",
-    "chunk avg size",
-    "chunk Δsize",
-    "chunk Δt",
-    "cumsum throughput",
-];
+pub const REP_METRICS: [&str; 14] = layout::names(&SERIES);
 
 /// Names of the 210 representation features, aligned with
 /// [`representation_features`]' output.
 pub fn representation_feature_names() -> Vec<String> {
-    let mut names = Vec::with_capacity(210);
-    for metric in REP_METRICS {
-        for stat in REP_STATS {
-            names.push(format!("{metric} {stat}"));
-        }
-    }
-    names
-}
-
-fn metric_series(obs: &SessionObs, metric: usize) -> Vec<f64> {
-    match metric {
-        0 => obs.chunks.iter().map(|c| c.rtt_min).collect(),
-        1 => obs.chunks.iter().map(|c| c.rtt_mean).collect(),
-        2 => obs.chunks.iter().map(|c| c.rtt_max).collect(),
-        3 => obs.chunks.iter().map(|c| c.bdp).collect(),
-        4 => obs.chunks.iter().map(|c| c.bif_mean).collect(),
-        5 => obs.chunks.iter().map(|c| c.bif_max).collect(),
-        6 => obs.chunks.iter().map(|c| c.loss).collect(),
-        7 => obs.chunks.iter().map(|c| c.retx).collect(),
-        8 => obs.chunks.iter().map(|c| c.bytes).collect(),
-        9 => obs.chunks.iter().map(|c| c.arrival_secs).collect(),
-        10 => obs.running_avg_sizes(),
-        11 => obs.size_deltas(),
-        12 => obs.inter_arrivals(),
-        13 => obs.cumsum_throughputs(),
-        _ => unreachable!("metric index out of range"),
-    }
-}
-
-/// The fifteen summary statistics of one series, in [`REP_STATS`] order.
-///
-/// Same boundary policy as the stall set: empty series → all zeros,
-/// non-empty series with zero finite samples → [`MISSING_STAT`] across
-/// the block (undefined statistics must not alias a real `0.0`).
-fn fifteen_stats(series: &[f64]) -> [f64; 15] {
-    let s = Summary::from_slice(series);
-    if !series.is_empty() && s.count == 0 {
-        return [MISSING_STAT; 15];
-    }
-    let mut sorted: Vec<f64> = series.iter().copied().filter(|v| v.is_finite()).collect();
-    sorted.sort_by(f64::total_cmp);
-    // `try_` form so an unexpectedly empty series can never alias a
-    // real 0.0 percentile; the empty-series → 0.0 branch is the
-    // documented boundary policy above, not a sentinel collapse.
-    let q = |p: f64| try_quantile_sorted(&sorted, p).unwrap_or(0.0);
-    [
-        s.min,
-        s.mean,
-        s.max,
-        s.std_dev,
-        q(0.05),
-        q(0.10),
-        q(0.15),
-        q(0.20),
-        q(0.25),
-        q(0.50),
-        q(0.75),
-        q(0.80),
-        q(0.85),
-        q(0.90),
-        q(0.95),
-    ]
+    layout::feature_names(&REP_METRICS, &REP_STATS)
 }
 
 /// Compute the 210-dimensional representation feature vector of one
-/// session. Empty sessions yield the all-zero vector.
+/// session. Same boundary policy as the stall set: empty sessions yield
+/// the all-zero vector, a series with samples but no finite one yields
+/// [`crate::MISSING_STAT`] across its block.
 pub fn representation_features(obs: &SessionObs) -> Vec<f64> {
-    let mut out = Vec::with_capacity(210);
-    for metric in 0..REP_METRICS.len() {
-        let series = metric_series(obs, metric);
-        out.extend_from_slice(&fifteen_stats(&series));
-    }
-    out
-}
-
-/// Value of one named representation feature.
-pub fn representation_feature(obs: &SessionObs, name: &str) -> Option<f64> {
-    let names = representation_feature_names();
-    let idx = names.iter().position(|n| n == name)?;
-    Some(representation_features(obs)[idx])
+    layout::exact_features(obs, REP_METRICS.len(), &REP_ORDER)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::ChunkObs;
+    use crate::MISSING_STAT;
 
     fn chunk(req: f64, arr: f64, bytes: f64) -> ChunkObs {
         ChunkObs {
@@ -204,23 +114,21 @@ mod tests {
 
     #[test]
     fn named_lookup_matches_hand_values() {
-        let o = obs();
-        assert_eq!(
-            representation_feature(&o, "chunk size minimum"),
-            Some(100_000.0)
-        );
-        assert_eq!(
-            representation_feature(&o, "chunk size maximum"),
-            Some(190_000.0)
-        );
+        let v = representation_features(&obs());
+        let names = representation_feature_names();
+        let at = |metric: usize, stat: usize| metric * REP_STATS.len() + stat;
+        assert_eq!(names[at(8, 0)], "chunk size minimum");
+        assert_eq!(v[at(8, 0)], 100_000.0);
+        assert_eq!(names[at(8, 2)], "chunk size maximum");
+        assert_eq!(v[at(8, 2)], 190_000.0);
         // Δsize is constant 10_000 → std 0.
-        assert_eq!(representation_feature(&o, "chunk Δsize std"), Some(0.0));
-        assert_eq!(
-            representation_feature(&o, "chunk Δsize maximum"),
-            Some(10_000.0)
-        );
+        assert_eq!(names[at(11, 3)], "chunk Δsize std");
+        assert_eq!(v[at(11, 3)], 0.0);
+        assert_eq!(names[at(11, 2)], "chunk Δsize maximum");
+        assert_eq!(v[at(11, 2)], 10_000.0);
         // Δt constant 2.0.
-        assert_eq!(representation_feature(&o, "chunk Δt 50%"), Some(2.0));
+        assert_eq!(names[at(12, 9)], "chunk Δt 50%");
+        assert_eq!(v[at(12, 9)], 2.0);
     }
 
     #[test]

@@ -9,116 +9,37 @@
 //! features, named `"<metric> <stat>"` so the info-gain tables read like
 //! the paper's ("chunk size minimum", "BDP mean", ...).
 
+use crate::layout::{self, SERIES, STALL_ORDER};
 use crate::obs::SessionObs;
-use crate::MISSING_STAT;
-use vqoe_stats::quantiles::try_quantile;
-use vqoe_stats::Summary;
 
 /// The seven §4.1 statistics, in a fixed order.
-pub const STALL_STATS: [&str; 7] = [
-    "minimum",
-    "maximum",
-    "mean",
-    "std. deviation",
-    "25%",
-    "50%",
-    "75%",
-];
+pub const STALL_STATS: [&str; 7] = layout::names(&STALL_ORDER);
 
 /// The ten Table-1 base metrics, in a fixed order.
-pub const STALL_METRICS: [&str; 10] = [
-    "RTT minimum",
-    "RTT average",
-    "RTT maximum",
-    "BDP",
-    "BIF average",
-    "BIF maximum",
-    "packet loss",
-    "packet retransmissions",
-    "chunk size",
-    "chunk time",
-];
+pub const STALL_METRICS: [&str; 10] = layout::names(&SERIES);
 
 /// Names of the 70 stall features, aligned with
 /// [`stall_features`]' output.
 pub fn stall_feature_names() -> Vec<String> {
-    let mut names = Vec::with_capacity(70);
-    for metric in STALL_METRICS {
-        for stat in STALL_STATS {
-            names.push(format!("{metric} {stat}"));
-        }
-    }
-    names
-}
-
-/// Extract the per-chunk series of one base metric.
-fn metric_series(obs: &SessionObs, metric: usize) -> Vec<f64> {
-    match metric {
-        0 => obs.chunks.iter().map(|c| c.rtt_min).collect(),
-        1 => obs.chunks.iter().map(|c| c.rtt_mean).collect(),
-        2 => obs.chunks.iter().map(|c| c.rtt_max).collect(),
-        3 => obs.chunks.iter().map(|c| c.bdp).collect(),
-        4 => obs.chunks.iter().map(|c| c.bif_mean).collect(),
-        5 => obs.chunks.iter().map(|c| c.bif_max).collect(),
-        6 => obs.chunks.iter().map(|c| c.loss).collect(),
-        7 => obs.chunks.iter().map(|c| c.retx).collect(),
-        8 => obs.chunks.iter().map(|c| c.bytes).collect(),
-        9 => obs.chunks.iter().map(|c| c.arrival_secs).collect(),
-        _ => unreachable!("metric index out of range"),
-    }
-}
-
-/// The seven summary statistics of one series, in [`STALL_STATS`] order.
-///
-/// An empty series keeps the all-zero convention (no chunks → no
-/// signal); a non-empty series whose every sample is non-finite has
-/// *undefined* statistics and yields [`MISSING_STAT`] across the block,
-/// so a corrupted metric column cannot alias a genuine zero.
-pub(crate) fn seven_stats(series: &[f64]) -> [f64; 7] {
-    let s = Summary::from_slice(series);
-    if !series.is_empty() && s.count == 0 {
-        return [MISSING_STAT; 7];
-    }
-    [s.min, s.max, s.mean, s.std_dev, s.p25, s.p50, s.p75]
+    layout::feature_names(&STALL_METRICS, &STALL_STATS)
 }
 
 /// Compute the 70-dimensional stall feature vector of one session.
 ///
 /// Empty sessions produce the all-zero vector (a session with no
 /// observable chunks carries no signal; the classifier treats it as
-/// such rather than erroring out of a whole dataset build).
+/// such rather than erroring out of a whole dataset build). A metric
+/// whose every sample is non-finite yields [`crate::MISSING_STAT`]
+/// across its block, so a corrupted column cannot alias a genuine zero.
 pub fn stall_features(obs: &SessionObs) -> Vec<f64> {
-    let mut out = Vec::with_capacity(70);
-    for metric in 0..STALL_METRICS.len() {
-        let series = metric_series(obs, metric);
-        out.extend_from_slice(&seven_stats(&series));
-    }
-    out
-}
-
-/// Convenience: the value of one named stall feature (used by tests and
-/// the experiment harness to pull out, e.g., "chunk size minimum").
-pub fn stall_feature(obs: &SessionObs, name: &str) -> Option<f64> {
-    let names = stall_feature_names();
-    let idx = names.iter().position(|n| n == name)?;
-    Some(stall_features(obs)[idx])
-}
-
-/// The 75th-percentile helper the harness uses for spot checks. Follows
-/// the same boundary policy as the feature matrix: `0.0` for a chunkless
-/// session, [`MISSING_STAT`] when sizes exist but none is finite.
-pub fn chunk_size_percentile(obs: &SessionObs, q: f64) -> f64 {
-    let sizes: Vec<f64> = obs.chunks.iter().map(|c| c.bytes).collect();
-    if sizes.is_empty() {
-        return 0.0;
-    }
-    try_quantile(&sizes, q).unwrap_or(MISSING_STAT)
+    layout::exact_features(obs, STALL_METRICS.len(), &STALL_ORDER)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::ChunkObs;
+    use crate::MISSING_STAT;
 
     fn chunk(req: f64, arr: f64, bytes: f64, retx: f64) -> ChunkObs {
         ChunkObs {
@@ -159,18 +80,25 @@ mod tests {
         assert_eq!(sorted.len(), 70);
     }
 
+    /// Index of `"<metric> <stat>"` in the 70-dim vector.
+    fn at(metric: usize, stat: usize) -> usize {
+        metric * STALL_STATS.len() + stat
+    }
+
     #[test]
     fn named_lookup_matches_hand_computation() {
-        let o = obs();
-        assert_eq!(stall_feature(&o, "chunk size minimum"), Some(100_000.0));
-        assert_eq!(stall_feature(&o, "chunk size maximum"), Some(300_000.0));
-        assert_eq!(stall_feature(&o, "chunk size mean"), Some(200_000.0));
-        assert_eq!(
-            stall_feature(&o, "packet retransmissions maximum"),
-            Some(0.02)
-        );
-        assert_eq!(stall_feature(&o, "BDP mean"), Some(80_000.0));
-        assert_eq!(stall_feature(&o, "no such feature"), None);
+        let v = stall_features(&obs());
+        let names = stall_feature_names();
+        assert_eq!(names[at(8, 0)], "chunk size minimum");
+        assert_eq!(v[at(8, 0)], 100_000.0);
+        assert_eq!(names[at(8, 1)], "chunk size maximum");
+        assert_eq!(v[at(8, 1)], 300_000.0);
+        assert_eq!(names[at(8, 2)], "chunk size mean");
+        assert_eq!(v[at(8, 2)], 200_000.0);
+        assert_eq!(names[at(7, 1)], "packet retransmissions maximum");
+        assert_eq!(v[at(7, 1)], 0.02);
+        assert_eq!(names[at(3, 2)], "BDP mean");
+        assert_eq!(v[at(3, 2)], 80_000.0);
     }
 
     #[test]
@@ -180,9 +108,9 @@ mod tests {
         // weeks-long trace its summary statistics carry no QoE signal,
         // which is why none appear in Table 2; anchoring it at session
         // start would instead leak session duration into the features.
-        let o = obs();
-        assert_eq!(stall_feature(&o, "chunk time minimum"), Some(1.0));
-        assert_eq!(stall_feature(&o, "chunk time maximum"), Some(6.0));
+        let v = stall_features(&obs());
+        assert_eq!(v[at(9, 0)], 1.0);
+        assert_eq!(v[at(9, 1)], 6.0);
     }
 
     #[test]
@@ -216,14 +144,14 @@ mod tests {
         for c in &mut clean.chunks {
             c.loss = 0.0;
         }
-        assert_eq!(stall_feature(&clean, "packet loss mean"), Some(0.0));
-        // Same policy on the spot-check helper.
+        assert_eq!(stall_features(&clean)[at(6, 2)], 0.0);
+        // Same policy on the chunk-size percentiles.
         let mut sizes_gone = obs();
         for c in &mut sizes_gone.chunks {
             c.bytes = f64::NAN;
         }
-        assert_eq!(chunk_size_percentile(&sizes_gone, 0.75), MISSING_STAT);
-        assert_eq!(chunk_size_percentile(&SessionObs::default(), 0.75), 0.0);
+        assert_eq!(stall_features(&sizes_gone)[at(8, 6)], MISSING_STAT);
+        assert_eq!(stall_features(&SessionObs::default())[at(8, 6)], 0.0);
     }
 
     #[test]
@@ -239,6 +167,6 @@ mod tests {
         };
         let v = stall_features(&o);
         assert_eq!(v.len(), 70);
-        assert_eq!(stall_feature(&o, "chunk size std. deviation"), Some(0.0));
+        assert_eq!(v[at(8, 3)], 0.0);
     }
 }

@@ -12,13 +12,13 @@
 //!   ([`SeriesState`]) — exact min/max/mean/std, approximate
 //!   percentiles — for each of the 14 §4.2 series (the first 10 double
 //!   as the §4.1 series);
-//! * the O(1) recurrence state the four constructed series need
-//!   (previous chunk's arrival and size, running byte and throughput
-//!   sums).
+//! * the O(1) recurrence state of the per-chunk step the batch builders
+//!   also run (previous chunk's arrival and size, running byte and
+//!   throughput sums).
 //!
 //! The emitted vectors ([`stall_features_approx`],
-//! [`representation_features_approx`]) have the exact shape, order and
-//! missing-value policy of the batch builders: 70 and 210 features,
+//! [`representation_features_approx`]) go through the batch builders'
+//! statistic orders and missing-value policy: 70 and 210 features,
 //! all-zero for a chunkless session, [`MISSING_STAT`] across a block
 //! whose series is non-empty but has no finite sample. Min and max
 //! match the batch values f64-for-f64 on any input; mean and std agree
@@ -32,9 +32,10 @@
 //! [`stall_features_approx`]: StreamingSessionState::stall_features_approx
 //! [`representation_features_approx`]: StreamingSessionState::representation_features_approx
 
+use crate::layout::{self, ChunkStep, Moments, Stat, REP_ORDER, SERIES, STALL_ORDER};
 use crate::obs::ChunkObs;
 use crate::MISSING_STAT;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use vqoe_stats::{OnlineMoments, QuantileSketch};
 
 /// Streaming summary of one metric series: exact moments, approximate
@@ -63,102 +64,88 @@ impl Default for SeriesState {
 
 impl SeriesState {
     /// Fold in one sample (non-finite samples count toward `samples`
-    /// but not the statistics, matching `Summary::from_slice`).
+    /// but not the statistics, as in the exact builders).
     pub fn push(&mut self, x: f64) {
         self.samples += 1;
         self.moments.push(x);
         self.sketch.push(x);
     }
 
-    /// Approximate quantile with the batch builders' sentinel policy
-    /// baked in: the caller guarantees `samples > 0` has been checked.
-    fn q(&self, p: f64) -> f64 {
-        self.sketch.try_quantile(p).unwrap_or(MISSING_STAT)
-    }
-
-    /// The seven §4.1 statistics in `STALL_STATS` order, or `None` when
-    /// no sample has been folded (caller emits the all-zero block).
-    fn seven(&self) -> Option<[f64; 7]> {
-        if self.samples == 0 {
-            return None;
-        }
-        let (Some(min), Some(max), Some(mean)) = (
-            self.moments.try_min(),
-            self.moments.try_max(),
-            self.moments.try_mean(),
-        ) else {
-            return Some([MISSING_STAT; 7]);
+    /// Append this series' block of `order` statistics: exact moments,
+    /// sketched percentiles.
+    fn push_block(&self, out: &mut Vec<f64>, order: &[(&str, Stat)]) {
+        let m = &self.moments;
+        let moments = match (m.try_min(), m.try_max(), m.try_mean()) {
+            (Some(min), Some(max), Some(mean)) => Some(Moments {
+                min,
+                max,
+                mean,
+                std: m.std_dev(),
+            }),
+            _ => None,
         };
-        Some([
-            min,
-            max,
-            mean,
-            self.moments.std_dev(),
-            self.q(0.25),
-            self.q(0.50),
-            self.q(0.75),
-        ])
-    }
-
-    /// The fifteen §4.2 statistics in `REP_STATS` order, or `None` when
-    /// no sample has been folded.
-    fn fifteen(&self) -> Option<[f64; 15]> {
-        if self.samples == 0 {
-            return None;
-        }
-        let (Some(min), Some(max), Some(mean)) = (
-            self.moments.try_min(),
-            self.moments.try_max(),
-            self.moments.try_mean(),
-        ) else {
-            return Some([MISSING_STAT; 15]);
-        };
-        Some([
-            min,
-            mean,
-            max,
-            self.moments.std_dev(),
-            self.q(0.05),
-            self.q(0.10),
-            self.q(0.15),
-            self.q(0.20),
-            self.q(0.25),
-            self.q(0.50),
-            self.q(0.75),
-            self.q(0.80),
-            self.q(0.85),
-            self.q(0.90),
-            self.q(0.95),
-        ])
+        layout::push_block(out, order, self.samples, moments, |p| {
+            self.sketch.try_quantile(p).unwrap_or(MISSING_STAT)
+        });
     }
 }
 
 /// Bounded-memory feature state of one in-flight session (module docs).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamingSessionState {
-    /// Chunks folded in so far.
-    pub chunks: u64,
-    // The ten Table-1 base series, in STALL_METRICS / REP_METRICS order.
-    rtt_min: SeriesState,
-    rtt_mean: SeriesState,
-    rtt_max: SeriesState,
-    bdp: SeriesState,
-    bif_mean: SeriesState,
-    bif_max: SeriesState,
-    loss: SeriesState,
-    retx: SeriesState,
-    bytes: SeriesState,
-    arrival: SeriesState,
-    // The four constructed §4.2 series.
-    avg_size: SeriesState,
-    size_delta: SeriesState,
-    inter_arrival: SeriesState,
-    cum_throughput: SeriesState,
-    // Recurrence state for the constructed series.
-    bytes_sum: f64,
-    throughput_sum: f64,
-    prev_arrival: Option<f64>,
-    prev_bytes: f64,
+    /// One state per series, in [`SERIES`] order.
+    series: [SeriesState; 14],
+    /// Recurrence state of the constructed series.
+    step: ChunkStep,
+}
+
+// Hand-written so the state keeps the flat shape checkpoints store:
+// `chunks`, each series under its `SERIES` key, then the recurrence
+// fields.
+impl Serialize for StreamingSessionState {
+    fn to_value(&self) -> Value {
+        let step = &self.step;
+        let mut map = vec![("chunks".to_string(), step.chunks.to_value())];
+        map.extend(
+            SERIES
+                .iter()
+                .zip(&self.series)
+                .map(|(&(_, key), s)| (key.to_string(), s.to_value())),
+        );
+        map.extend([
+            ("bytes_sum".to_string(), step.bytes_sum.to_value()),
+            ("throughput_sum".to_string(), step.throughput_sum.to_value()),
+            ("prev_arrival".to_string(), step.prev_arrival.to_value()),
+            ("prev_bytes".to_string(), step.prev_bytes.to_value()),
+        ]);
+        Value::Map(map)
+    }
+}
+
+impl Deserialize for StreamingSessionState {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, DeError> {
+            let v = value
+                .get(name)
+                .ok_or_else(|| DeError::missing_field("StreamingSessionState", name))?;
+            T::from_value(v)
+        }
+        let chunks = field(value, "chunks")?;
+        let mut series: [SeriesState; 14] = Default::default();
+        for (s, &(_, key)) in series.iter_mut().zip(&SERIES) {
+            *s = field(value, key)?;
+        }
+        Ok(StreamingSessionState {
+            series,
+            step: ChunkStep {
+                chunks,
+                bytes_sum: field(value, "bytes_sum")?,
+                throughput_sum: field(value, "throughput_sum")?,
+                prev_arrival: field(value, "prev_arrival")?,
+                prev_bytes: field(value, "prev_bytes")?,
+            },
+        })
+    }
 }
 
 impl StreamingSessionState {
@@ -167,100 +154,55 @@ impl StreamingSessionState {
         StreamingSessionState::default()
     }
 
-    /// Fold in one chunk observation. The derived-series arithmetic is
-    /// expression-for-expression the one in [`crate::SessionObs`]
-    /// (`inter_arrivals`, `size_deltas`, `throughputs`,
-    /// `running_avg_sizes`, `cumsum_throughputs`), so the exact
-    /// statistics (min/max/mean/std) agree with the batch builders
-    /// bit-for-bit.
+    /// Fold in one chunk observation: every series' sample from the
+    /// same per-chunk step the exact builders use, so the exact
+    /// statistics (min/max/mean/std) see the same samples.
     pub fn fold(&mut self, c: &ChunkObs) {
-        self.chunks += 1;
-        self.rtt_min.push(c.rtt_min);
-        self.rtt_mean.push(c.rtt_mean);
-        self.rtt_max.push(c.rtt_max);
-        self.bdp.push(c.bdp);
-        self.bif_mean.push(c.bif_mean);
-        self.bif_max.push(c.bif_max);
-        self.loss.push(c.loss);
-        self.retx.push(c.retx);
-        self.bytes.push(c.bytes);
-        self.arrival.push(c.arrival_secs);
-
-        self.bytes_sum += c.bytes;
-        self.avg_size.push(self.bytes_sum / self.chunks as f64);
-
-        if let Some(prev_arrival) = self.prev_arrival {
-            self.inter_arrival
-                .push((c.arrival_secs - prev_arrival).max(0.0));
-            self.size_delta.push((c.bytes - self.prev_bytes).abs());
+        for (s, x) in self.series.iter_mut().zip(self.step.next(c)) {
+            if let Some(x) = x {
+                s.push(x);
+            }
         }
-        self.prev_arrival = Some(c.arrival_secs);
-        self.prev_bytes = c.bytes;
-
-        let dt = c.arrival_secs - c.request_secs;
-        let throughput = if dt > 0.0 { c.bytes * 8.0 / dt } else { 0.0 };
-        self.throughput_sum += throughput;
-        self.cum_throughput.push(self.throughput_sum);
     }
 
     /// Chunks folded in so far.
     pub fn chunk_count(&self) -> u64 {
-        self.chunks
+        self.step.chunks
     }
 
     /// True before the first chunk.
     pub fn is_empty(&self) -> bool {
-        self.chunks == 0
+        self.step.chunks == 0
     }
 
-    /// The 14 series in `REP_METRICS` order (the first 10 are the
-    /// `STALL_METRICS`).
-    fn series(&self) -> [&SeriesState; 14] {
-        [
-            &self.rtt_min,
-            &self.rtt_mean,
-            &self.rtt_max,
-            &self.bdp,
-            &self.bif_mean,
-            &self.bif_max,
-            &self.loss,
-            &self.retx,
-            &self.bytes,
-            &self.arrival,
-            &self.avg_size,
-            &self.size_delta,
-            &self.inter_arrival,
-            &self.cum_throughput,
-        ]
+    /// The first `series` series, each summarized by `order`.
+    fn features(&self, series: usize, order: &[(&str, Stat)]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(series * order.len());
+        for s in &self.series[..series] {
+            s.push_block(&mut out, order);
+        }
+        out
     }
 
     /// The 70-dimensional §4.1 vector, shaped and ordered exactly like
     /// [`crate::stall_features`]; percentile slots are sketch
     /// approximations.
     pub fn stall_features_approx(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(70);
-        for s in &self.series()[..10] {
-            out.extend_from_slice(&s.seven().unwrap_or([0.0; 7]));
-        }
-        out
+        self.features(crate::stall::STALL_METRICS.len(), &STALL_ORDER)
     }
 
     /// The 210-dimensional §4.2 vector, shaped and ordered exactly like
     /// [`crate::representation_features`]; percentile slots are sketch
     /// approximations.
     pub fn representation_features_approx(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(210);
-        for s in &self.series() {
-            out.extend_from_slice(&s.fifteen().unwrap_or([0.0; 15]));
-        }
-        out
+        self.features(SERIES.len(), &REP_ORDER)
     }
 
     /// Bytes of heap the state holds beyond its fixed footprint — the
     /// sketch buffers. Used by the budget audit to confirm the
     /// per-subscriber cost stays a small constant.
     pub fn heap_bytes(&self) -> usize {
-        self.series()
+        self.series
             .iter()
             .map(|s| s.sketch.stored() * std::mem::size_of::<f64>())
             .sum()
@@ -366,22 +308,7 @@ mod tests {
         let o = obs(200);
         let s = folded(&o);
         let approx = s.representation_features_approx();
-        let series: [Vec<f64>; 14] = [
-            o.chunks.iter().map(|c| c.rtt_min).collect(),
-            o.chunks.iter().map(|c| c.rtt_mean).collect(),
-            o.chunks.iter().map(|c| c.rtt_max).collect(),
-            o.chunks.iter().map(|c| c.bdp).collect(),
-            o.chunks.iter().map(|c| c.bif_mean).collect(),
-            o.chunks.iter().map(|c| c.bif_max).collect(),
-            o.chunks.iter().map(|c| c.loss).collect(),
-            o.chunks.iter().map(|c| c.retx).collect(),
-            o.chunks.iter().map(|c| c.bytes).collect(),
-            o.chunks.iter().map(|c| c.arrival_secs).collect(),
-            o.running_avg_sizes(),
-            o.size_deltas(),
-            o.inter_arrivals(),
-            o.cumsum_throughputs(),
-        ];
+        let series = o.series(14);
         let qs: [f64; 11] = [
             0.05, 0.10, 0.15, 0.20, 0.25, 0.50, 0.75, 0.80, 0.85, 0.90, 0.95,
         ];

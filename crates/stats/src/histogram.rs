@@ -57,7 +57,7 @@ impl Histogram {
     /// Record one observation.
     ///
     /// Non-finite values never enter a bin (naively, `NaN.max(0.0)`
-    /// inside [`bin_index`](Self::bin_index) would silently drop them
+    /// inside `bin_index` would silently drop them
     /// into bin 0, inflating the left tail); they are tallied separately
     /// in [`non_finite`](Self::non_finite) so a polluted sample is
     /// detectable rather than invisible.

@@ -7,9 +7,11 @@
 //! Every other crate in the reproduction of *Measuring Video QoE from
 //! Encrypted Traffic* (IMC 2016) builds on this one:
 //!
-//! * `vqoe-features` uses [`Summary`] and [`quantile`] to expand raw
-//!   per-chunk metrics into the paper's summary-statistic feature sets
-//!   (min / max / mean / std-dev / percentiles, §4.1 and §4.2).
+//! * `vqoe-features` uses [`mean`], [`population_std`] and
+//!   [`try_quantile_sorted`] (exact) and [`OnlineMoments`] +
+//!   [`QuantileSketch`] (streaming) to expand raw per-chunk metrics into
+//!   the paper's summary-statistic feature sets (min / max / mean /
+//!   std-dev / percentiles, §4.1 and §4.2).
 //! * `vqoe-ml` uses [`info`] (entropy, information gain, symmetrical
 //!   uncertainty) for the information-gain rankings of Tables 2 and 5 and
 //!   for the CFS merit function, and [`binning`] to discretize continuous
@@ -40,8 +42,7 @@ pub use histogram::Histogram;
 pub use info::{conditional_entropy, entropy_of_labels, info_gain, symmetrical_uncertainty};
 pub use moments::{mean, population_std, sample_std, variance, OnlineMoments};
 pub use quantiles::{
-    median, quantile, quantile_sorted, quantiles, try_median, try_quantile, try_quantile_sorted,
-    try_quantiles,
+    median, quantile, quantile_sorted, quantiles, try_quantile, try_quantile_sorted, try_quantiles,
 };
 pub use sketch::{QuantileSketch, SKETCH_CAPACITY};
 

@@ -56,12 +56,6 @@ pub fn try_quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     })
 }
 
-/// Median (50th percentile) of `data`, or `None` when no finite value
-/// exists.
-pub fn try_median(data: &[f64]) -> Option<f64> {
-    try_quantile(data, 0.5)
-}
-
 /// Evaluate several quantiles in one sort, or `None` when no finite
 /// value exists. `qs` are fractions in `[0, 1]`; the result is aligned
 /// with `qs`.
@@ -91,8 +85,8 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     try_quantile_sorted(sorted, q).unwrap_or(0.0)
 }
 
-/// [`try_median`] with the undefined case collapsed to the `0.0`
-/// sentinel (see the module docs).
+/// Median (50th percentile) of `data`, the undefined case collapsed to
+/// the `0.0` sentinel (see the module docs).
 pub fn median(data: &[f64]) -> f64 {
     quantile(data, 0.5)
 }
@@ -126,7 +120,6 @@ mod tests {
             try_quantiles(&[0.0, 0.0], &[0.1, 0.9]),
             Some(vec![0.0, 0.0])
         );
-        assert_eq!(try_median(&[f64::NAN]), None);
         assert_eq!(try_quantile_sorted(&[], 0.5), None);
     }
 

@@ -3,8 +3,9 @@
 //! §5.2: after reassembly, "the two datasets can be easily joined by
 //! matching the respective timestamps and the chunk count per session" —
 //! the instrumented handset's ground truth on one side, the proxy's
-//! encrypted weblogs on the other. [`join_sessions`] implements that
-//! matching; the JSONL helpers persist any serializable dataset line by
+//! encrypted weblogs on the other. [`match_sessions`] implements that
+//! matching over session spans and [`join_sessions`] applies it to
+//! reassembled sessions; the JSONL helpers persist any serializable dataset line by
 //! line so experiment stages can be run and inspected independently.
 
 use crate::error::TelemetryError;
@@ -14,11 +15,13 @@ use serde::Serialize;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 use vqoe_player::SessionTrace;
+use vqoe_simnet::time::Instant;
 
-/// A reassembled encrypted session matched to its ground-truth trace.
+/// A session matched to its ground-truth trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinedSession {
-    /// Index into the reassembled-session list.
+    /// Index into the matched session list (the reassembled sessions,
+    /// for [`join_sessions`]).
     pub reassembled_idx: usize,
     /// Index into the ground-truth trace list.
     pub trace_idx: usize,
@@ -27,14 +30,62 @@ pub struct JoinedSession {
     pub score: f64,
 }
 
+/// What the §5.2 joining rule sees of a session: its time span and its
+/// chunk count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionSpan {
+    /// First chunk request.
+    pub start: Instant,
+    /// Last chunk arrival.
+    pub end: Instant,
+    /// Chunks in the session.
+    pub chunks: usize,
+}
+
+impl SessionSpan {
+    /// A ground-truth trace's span. A chunkless trace gets an empty
+    /// span, which overlaps, and so matches, nothing.
+    pub fn of_trace(t: &SessionTrace) -> SessionSpan {
+        match (t.chunks.first(), t.chunks.last()) {
+            (Some(first), Some(last)) => SessionSpan {
+                start: first.request_time,
+                end: last.arrival_time,
+                chunks: t.chunks.len(),
+            },
+            _ => SessionSpan {
+                start: Instant(0),
+                end: Instant(0),
+                chunks: 0,
+            },
+        }
+    }
+}
+
 /// Match reassembled sessions to ground-truth traces by time overlap and
 /// chunk count (greedy best-first, one-to-one).
 pub fn join_sessions(
     reassembled: &[ReassembledSession],
     truths: &[SessionTrace],
 ) -> Vec<JoinedSession> {
+    let sessions: Vec<SessionSpan> = reassembled
+        .iter()
+        .map(|r| SessionSpan {
+            start: r.start,
+            end: r.end,
+            chunks: r.chunk_count(),
+        })
+        .collect();
+    let truths: Vec<SessionSpan> = truths.iter().map(SessionSpan::of_trace).collect();
+    match_sessions(&sessions, &truths)
+}
+
+/// The §5.2 joining rule: match `sessions` to `truths` greedily,
+/// best score first, one-to-one. A pair's score is its temporal overlap
+/// (intersection over union) weighted by chunk-count agreement; pairs
+/// that do not overlap never match. Sorted by session index.
+pub fn match_sessions(sessions: &[SessionSpan], truths: &[SessionSpan]) -> Vec<JoinedSession> {
     let mut candidates: Vec<JoinedSession> = Vec::new();
-    for (ri, r) in reassembled.iter().enumerate() {
+    for (ri, r) in sessions.iter().enumerate() {
         for (ti, t) in truths.iter().enumerate() {
             let score = match_score(r, t);
             if score > 0.0 {
@@ -47,7 +98,7 @@ pub fn join_sessions(
         }
     }
     candidates.sort_by(|a, b| b.score.total_cmp(&a.score));
-    let mut used_r = vec![false; reassembled.len()];
+    let mut used_r = vec![false; sessions.len()];
     let mut used_t = vec![false; truths.len()];
     let mut out = Vec::new();
     for c in candidates {
@@ -61,25 +112,21 @@ pub fn join_sessions(
     out
 }
 
-fn match_score(r: &ReassembledSession, t: &SessionTrace) -> f64 {
-    let (t_start, t_end) = match (t.chunks.first(), t.chunks.last()) {
-        (Some(first), Some(last)) => (first.request_time, last.arrival_time),
-        _ => return 0.0,
-    };
-    let overlap_start = r.start.max(t_start);
-    let overlap_end = r.end.min(t_end);
+fn match_score(r: &SessionSpan, t: &SessionSpan) -> f64 {
+    let overlap_start = r.start.max(t.start);
+    let overlap_end = r.end.min(t.end);
     if overlap_end <= overlap_start {
         return 0.0;
     }
     let overlap = overlap_end.duration_since(overlap_start).as_secs_f64();
     let union = r
         .end
-        .max(t_end)
-        .duration_since(r.start.min(t_start))
+        .max(t.end)
+        .duration_since(r.start.min(t.start))
         .as_secs_f64();
     let temporal = if union > 0.0 { overlap / union } else { 0.0 };
-    let cr = r.chunk_count() as f64;
-    let ct = t.chunks.len() as f64;
+    let cr = r.chunks as f64;
+    let ct = t.chunks as f64;
     let count_agreement = 1.0 - (cr - ct).abs() / cr.max(ct).max(1.0);
     temporal * count_agreement.max(0.0)
 }

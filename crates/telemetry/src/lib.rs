@@ -65,7 +65,9 @@ pub use chaos::{
     apply_chaos, generate_pathological_session, generate_subscriber_flood, merge_streams,
     ChaosConfig, ChaosProfile, ChaosStats, ChaosTap, FloodSpec,
 };
-pub use dataset::{join_sessions, read_jsonl, write_jsonl, JoinedSession};
+pub use dataset::{
+    join_sessions, match_sessions, read_jsonl, write_jsonl, JoinedSession, SessionSpan,
+};
 pub use error::TelemetryError;
 pub use groundtruth::{extract_sessions, ExtractedChunk, ExtractedSession};
 pub use ingest::{

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, clippy (warnings promoted to
+# errors), rustdoc (warnings, such as a dangling doc link, promoted to
 # errors), the workspace's own static-analysis passes, a locked build
 # of the standalone benchmark package and its own tests, and the test
 # suite. CI and pre-merge runs should call exactly this.
@@ -11,6 +12,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> vqoe-analyze (ten passes: determinism / panic-path / constants / hygiene / bounded / clock / locks / floatord / clones / stale-allow)"
 cargo build -q -p vqoe-analyze
