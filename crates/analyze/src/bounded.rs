@@ -16,12 +16,9 @@
 //! genuinely bounded designs it cannot see (e.g. eviction hidden behind
 //! a helper type) use `// analyze:allow(unbounded-map)` on the field.
 
-use std::fs;
-use std::path::Path;
-
-use crate::lexer::{lex_file, Line};
-use crate::walk::{rel, rust_sources};
-use crate::{Finding, DETERMINISM_CRATES};
+use crate::lexer::Line;
+use crate::tree::{contains_token, trailing_ident};
+use crate::Finding;
 
 /// Method calls on a map that shrink or empty it.
 const EVICT_METHODS: &[&str] = &[
@@ -31,25 +28,6 @@ const EVICT_METHODS: &[&str] = &[
     ".pop_first(",
     ".pop_last(",
 ];
-
-/// Run the bounded-collections pass over the workspace at `root`.
-pub fn check(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for name in DETERMINISM_CRATES {
-        let src = root.join("crates").join(name).join("src");
-        for file in rust_sources(&src) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let lines = lex_file(&text);
-            findings.extend(crate::filter_allows(
-                raw_findings(&rel(root, &file), &lines),
-                &lines,
-            ));
-        }
-    }
-    findings
-}
 
 /// Per-file findings *before* `analyze:allow` filtering.
 pub(crate) fn raw_findings(file: &str, lines: &[Line]) -> Vec<Finding> {
@@ -117,43 +95,10 @@ fn has_eviction(lines: &[Line], name: &str) -> bool {
     })
 }
 
-/// Substring match with identifier boundaries on both sides.
-fn contains_token(code: &str, pat: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(pat) {
-        let at = start + pos;
-        let before_ok = at == 0 || !is_ident_char(code.as_bytes()[at - 1]);
-        let end = at + pat.len();
-        let after_ok = end >= code.len() || !is_ident_char(code.as_bytes()[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + pat.len();
-    }
-    false
-}
-
-fn is_ident_char(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-fn trailing_ident(s: &str) -> Option<String> {
-    let trimmed = s.trim_end();
-    let start = trimmed
-        .char_indices()
-        .rev()
-        .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
-        .map_or(0, |(i, c)| i + c.len_utf8());
-    if start == trimmed.len() {
-        None
-    } else {
-        Some(trimmed[start..].to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex_file;
 
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);

@@ -14,38 +14,14 @@
 //! `std::time::Duration` stays legal everywhere: a duration is plain
 //! data, only *reading* a clock is non-deterministic.
 
-use std::fs;
-use std::path::Path;
-
-use crate::lexer::{lex_file, Line};
-use crate::walk::{member_crates, rel, rust_sources};
+use crate::lexer::Line;
+use crate::tree::contains_token;
 use crate::Finding;
 
 /// Crates whose whole purpose is wall-clock measurement; every other
 /// member crate (including binaries) must go through `vqoe_obs::Clock`
 /// or carry an explicit `analyze:allow(raw-wall-clock)` marker.
 pub(crate) const EXEMPT_CRATES: &[&str] = &["bench"];
-
-/// Run the raw-wall-clock pass over the workspace at `root`.
-pub fn check(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (name, dir) in member_crates(root) {
-        if EXEMPT_CRATES.contains(&name.as_str()) {
-            continue;
-        }
-        for file in rust_sources(&dir.join("src")) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let lines = lex_file(&text);
-            findings.extend(crate::filter_allows(
-                raw_findings(&rel(root, &file), &lines),
-                &lines,
-            ));
-        }
-    }
-    findings
-}
 
 /// Per-file findings *before* `analyze:allow` filtering.
 pub(crate) fn raw_findings(file: &str, lines: &[Line]) -> Vec<Finding> {
@@ -82,30 +58,10 @@ fn raw_clock_use(code: &str) -> Option<&'static str> {
     None
 }
 
-/// Substring match with identifier boundaries on both sides (same rule
-/// as the determinism pass).
-fn contains_token(code: &str, pat: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(pat) {
-        let at = start + pos;
-        let before_ok = at == 0 || !is_ident_char(code.as_bytes()[at - 1]);
-        let end = at + pat.len();
-        let after_ok = end >= code.len() || !is_ident_char(code.as_bytes()[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + pat.len();
-    }
-    false
-}
-
-fn is_ident_char(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex_file;
 
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);

@@ -18,12 +18,8 @@
 //! `analyze:allow` marker records the ones the code owns deliberately.
 //! Test code is exempt.
 
-use std::fs;
-use std::path::Path;
-
-use crate::lexer::{lex_file, Line};
-use crate::tree::TokenTree;
-use crate::walk::{crate_dirs, rel, rust_sources};
+use crate::lexer::Line;
+use crate::tree::{leading_ident, trailing_ident, TokenTree, FANOUT_HEADERS, HANDOFF_TOKENS};
 use crate::Finding;
 
 /// Session/chunk-vector types whose clones dominate handoff cost.
@@ -37,31 +33,6 @@ const HEAVY_TYPES: &[&str] = &[
     "Dataset",
     "ShardOutput",
 ];
-
-/// Tokens that hand work to another thread.
-const HANDOFF_TOKENS: &[&str] = &[".send(", ".spawn(", "thread::spawn", "run_indexed("];
-
-/// Scope headers that make the scope body a parallel job.
-const FANOUT_HEADERS: &[&str] = &["run_indexed(", ".spawn(", "thread::spawn"];
-
-/// Run the clone-heavy-handoff pass over the workspace at `root`.
-pub fn check(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (_name, dir) in crate_dirs(root) {
-        for file in rust_sources(&dir.join("src")) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let lines = lex_file(&text);
-            let tree = TokenTree::build(&lines);
-            findings.extend(crate::filter_allows(
-                raw_findings(&rel(root, &file), &lines, &tree),
-                &lines,
-            ));
-        }
-    }
-    findings
-}
 
 /// Per-file findings *before* `analyze:allow` filtering.
 pub(crate) fn raw_findings(file: &str, lines: &[Line], tree: &TokenTree) -> Vec<Finding> {
@@ -162,18 +133,6 @@ fn heavy_idents(lines: &[Line], tree: &TokenTree) -> Vec<String> {
     out
 }
 
-fn leading_ident(s: &str) -> Option<String> {
-    let end = s
-        .char_indices()
-        .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
-        .map_or(s.len(), |(i, _)| i);
-    if end == 0 {
-        None
-    } else {
-        Some(s[..end].to_string())
-    }
-}
-
 /// Is 0-based `line` inside a loop that hands off work, or inside a
 /// fan-out job body?
 fn in_handoff_region(tree: &TokenTree, lines: &[Line], line: usize) -> bool {
@@ -195,23 +154,10 @@ fn in_handoff_region(tree: &TokenTree, lines: &[Line], line: usize) -> bool {
     })
 }
 
-fn trailing_ident(s: &str) -> Option<String> {
-    let trimmed = s.trim_end();
-    let start = trimmed
-        .char_indices()
-        .rev()
-        .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
-        .map_or(0, |(i, c)| i + c.len_utf8());
-    if start == trimmed.len() {
-        None
-    } else {
-        Some(trimmed[start..].to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex_file;
 
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);

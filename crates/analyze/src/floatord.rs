@@ -19,12 +19,8 @@
 //! or reduce in job-index order") lands where the bits actually rot.
 //! Test code is exempt, matching `hashmap-iter`.
 
-use std::fs;
-use std::path::Path;
-
-use crate::lexer::{lex_file, Line};
-use crate::tree::TokenTree;
-use crate::walk::{crate_dirs, rel, rust_sources};
+use crate::lexer::Line;
+use crate::tree::{contains_token, trailing_ident, TokenTree};
 use crate::Finding;
 
 /// Reduction chain methods whose result depends on operand order for
@@ -39,25 +35,6 @@ fn reduce_method(code: &str) -> Option<&'static str> {
             rest.starts_with('(') || rest.starts_with("::<")
         })
     })
-}
-
-/// Run the float-reduction-order pass over the workspace at `root`.
-pub fn check(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (_name, dir) in crate_dirs(root) {
-        for file in rust_sources(&dir.join("src")) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let lines = lex_file(&text);
-            let tree = TokenTree::build(&lines);
-            findings.extend(crate::filter_allows(
-                raw_findings(&rel(root, &file), &lines, &tree),
-                &lines,
-            ));
-        }
-    }
-    findings
 }
 
 /// Per-file findings *before* `analyze:allow` filtering.
@@ -248,24 +225,8 @@ fn walks(code: &str, name: &str) -> bool {
 /// Does this text show a floating-point element: an `f64`/`f32` token
 /// or a float literal?
 fn float_hint(s: &str) -> bool {
-    for pat in ["f64", "f32"] {
-        let mut start = 0;
-        while let Some(p) = s[start..].find(pat) {
-            let at = start + p;
-            let before_ok = at == 0 || {
-                let b = s.as_bytes()[at - 1];
-                !(b.is_ascii_alphanumeric() || b == b'_')
-            };
-            let end = at + pat.len();
-            let after_ok = end >= s.len() || {
-                let b = s.as_bytes()[end];
-                !(b.is_ascii_alphanumeric() || b == b'_')
-            };
-            if before_ok && after_ok {
-                return true;
-            }
-            start = at + pat.len();
-        }
+    if contains_token(s, "f64") || contains_token(s, "f32") {
+        return true;
     }
     // A `1.0`-style literal.
     let b = s.as_bytes();
@@ -277,23 +238,10 @@ fn float_hint(s: &str) -> bool {
     false
 }
 
-fn trailing_ident(s: &str) -> Option<String> {
-    let trimmed = s.trim_end();
-    let start = trimmed
-        .char_indices()
-        .rev()
-        .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
-        .map_or(0, |(i, c)| i + c.len_utf8());
-    if start == trimmed.len() {
-        None
-    } else {
-        Some(trimmed[start..].to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex_file;
 
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);

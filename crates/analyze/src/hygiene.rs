@@ -16,13 +16,17 @@
 use std::fs;
 use std::path::Path;
 
-use crate::walk::member_crates;
+use crate::walk::crate_dirs;
 use crate::Finding;
 
-/// Run the hygiene pass over the workspace at `root`.
+/// Run the hygiene pass over the workspace at `root`: every crate
+/// directory that holds a `Cargo.toml` is a member crate.
 pub fn check(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (name, dir) in member_crates(root) {
+    for (name, dir) in crate_dirs(root) {
+        if !dir.join("Cargo.toml").is_file() {
+            continue;
+        }
         check_manifest(&name, &dir, &mut findings);
         check_lib(&name, &dir, &mut findings);
     }

@@ -36,8 +36,11 @@
 //! 10. [`staleallow`] — every `analyze:allow(rule)` marker still
 //!     suppresses something; dead markers must be deleted.
 //!
-//! The scope-aware passes (7–9) run on the [`tree`] token-tree layer
-//! built over the [`lexer`]. Violations carry `file:line`, a rule id,
+//! [`run_all`] is the one walk: it lexes each source file once, and
+//! [`analyze_file`] runs the line-level passes that apply to the
+//! file's crate; [`constants::check`] and [`hygiene::check`] read the
+//! workspace as a whole. The scope-aware passes (7–9) run on the
+//! [`tree`] token-tree layer built over the [`lexer`]. Violations carry `file:line`, a rule id,
 //! a severity ([`Severity::Deny`] fails the gate, [`Severity::Warn`]
 //! reports), and a message; [`gate_fails`] turns the findings into
 //! the exit verdict. A `// analyze:allow(<rule>)` comment on (or

@@ -22,39 +22,9 @@
 //! — `io::Read`/`Write` traits use the same method names. Test code is
 //! exempt: tests synchronize however they like.
 
-use std::fs;
-use std::path::Path;
-
-use crate::lexer::{lex_file, Line};
-use crate::tree::TokenTree;
-use crate::walk::{crate_dirs, rel, rust_sources};
+use crate::lexer::Line;
+use crate::tree::{TokenTree, FANOUT_HEADERS, HANDOFF_TOKENS};
 use crate::Finding;
-
-/// Tokens that hand work (and anything still borrowed) to another
-/// thread.
-const HANDOFF_TOKENS: &[&str] = &[".send(", ".spawn(", "thread::spawn", "run_indexed("];
-
-/// Scope headers that make the scope body a parallel job.
-const FANOUT_HEADERS: &[&str] = &["run_indexed(", ".spawn(", "thread::spawn"];
-
-/// Run the lock-across-handoff pass over the workspace at `root`.
-pub fn check(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (_name, dir) in crate_dirs(root) {
-        for file in rust_sources(&dir.join("src")) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let lines = lex_file(&text);
-            let tree = TokenTree::build(&lines);
-            findings.extend(crate::filter_allows(
-                raw_findings(&rel(root, &file), &lines, &tree),
-                &lines,
-            ));
-        }
-    }
-    findings
-}
 
 /// Per-file findings *before* `analyze:allow` filtering.
 pub(crate) fn raw_findings(file: &str, lines: &[Line], tree: &TokenTree) -> Vec<Finding> {
@@ -210,6 +180,7 @@ fn contains_ident(code: &str, name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex_file;
 
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);

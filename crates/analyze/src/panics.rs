@@ -15,31 +15,8 @@
 //! unreachable states can carry an `// analyze:allow(<rule>)` marker
 //! with a justification.
 
-use std::fs;
-use std::path::Path;
-
-use crate::lexer::{lex_file, Line};
-use crate::walk::{rel, rust_sources};
-use crate::{Finding, PANIC_CRATES};
-
-/// Run the panic-path pass over the workspace at `root`.
-pub fn check(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for name in PANIC_CRATES {
-        let src = root.join("crates").join(name).join("src");
-        for file in rust_sources(&src) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let lines = lex_file(&text);
-            findings.extend(crate::filter_allows(
-                raw_findings(&rel(root, &file), &lines),
-                &lines,
-            ));
-        }
-    }
-    findings
-}
+use crate::lexer::Line;
+use crate::Finding;
 
 /// Per-file findings *before* `analyze:allow` filtering.
 pub(crate) fn raw_findings(file: &str, lines: &[Line]) -> Vec<Finding> {
@@ -83,6 +60,7 @@ pub(crate) fn raw_findings(file: &str, lines: &[Line]) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex_file;
 
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);

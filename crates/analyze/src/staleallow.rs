@@ -22,32 +22,8 @@
 //!   rule (they are the escape hatch's escape hatch) and can suppress a
 //!   stale-marker report on the same line.
 
-use std::path::Path;
-
 use crate::lexer::Line;
-use crate::walk::{crate_dirs, rel, rust_sources};
 use crate::Finding;
-
-/// Run the stale-allow pass over the workspace at `root`. Staleness is
-/// judged against the full per-file analysis (a marker is live exactly
-/// when its rule fires before allow filtering), so this drives
-/// [`crate::analyze_file`] and keeps only the stale-allow findings.
-pub fn check(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (_name, dir) in crate_dirs(root) {
-        for file in rust_sources(&dir.join("src")) {
-            let Ok(text) = std::fs::read_to_string(&file) else {
-                continue;
-            };
-            findings.extend(
-                crate::analyze_file(&rel(root, &file), &text)
-                    .into_iter()
-                    .filter(|f| f.rule == "stale-allow"),
-            );
-        }
-    }
-    findings
-}
 
 /// Run the stale-allow check for one file, given the union of every
 /// line-level pass's findings *before* allow filtering.

@@ -72,6 +72,13 @@ pub struct TokenTree {
 /// the rest of the file).
 const MAX_INIT_LINES: usize = 200;
 
+/// Tokens that hand work (and anything still borrowed) to another
+/// thread.
+pub(crate) const HANDOFF_TOKENS: &[&str] = &[".send(", ".spawn(", "thread::spawn", "run_indexed("];
+
+/// Scope headers that make the scope body a parallel job.
+pub(crate) const FANOUT_HEADERS: &[&str] = &["run_indexed(", ".spawn(", "thread::spawn"];
+
 impl TokenTree {
     /// Build the tree for a lexed file.
     pub fn build(lines: &[Line]) -> TokenTree {
@@ -109,17 +116,6 @@ impl TokenTree {
         }
         let bindings = collect_bindings(lines, &scopes);
         TokenTree { scopes, bindings }
-    }
-
-    /// The innermost scope whose span contains 0-based `line`.
-    pub fn scope_at(&self, line: usize) -> usize {
-        let mut best = 0usize;
-        for (i, s) in self.scopes.iter().enumerate() {
-            if s.start <= line && line <= s.end && s.start >= self.scopes[best].start {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Bindings named `name` that are live on 0-based `line` (declared
@@ -182,11 +178,7 @@ fn find_lets(code: &str) -> Vec<usize> {
     let mut start = 0;
     while let Some(p) = code[start..].find("let ") {
         let at = start + p;
-        let before_ok = at == 0 || {
-            let b = code.as_bytes()[at - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        if before_ok {
+        if at == 0 || !is_ident_char(code.as_bytes()[at - 1]) {
             out.push(at);
         }
         start = at + 4;
@@ -285,7 +277,8 @@ fn innermost_scope(scopes: &[Scope], line: usize) -> usize {
     best
 }
 
-fn leading_ident(s: &str) -> Option<String> {
+/// The identifier `s` starts with, if any.
+pub(crate) fn leading_ident(s: &str) -> Option<String> {
     let end = s
         .char_indices()
         .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
@@ -295,6 +288,42 @@ fn leading_ident(s: &str) -> Option<String> {
     } else {
         Some(s[..end].to_string())
     }
+}
+
+/// The identifier `s` ends with (trailing whitespace ignored), if any.
+pub(crate) fn trailing_ident(s: &str) -> Option<String> {
+    let trimmed = s.trim_end();
+    let start = trimmed
+        .char_indices()
+        .rev()
+        .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
+        .map_or(0, |(i, c)| i + c.len_utf8());
+    if start == trimmed.len() {
+        None
+    } else {
+        Some(trimmed[start..].to_string())
+    }
+}
+
+/// Substring match with identifier boundaries on both sides, so
+/// `thread_rng` does not fire on `my_thread_rng_like`.
+pub(crate) fn contains_token(code: &str, pat: &str) -> bool {
+    let mut start = 0;
+    while let Some(pos) = code[start..].find(pat) {
+        let at = start + pos;
+        let before_ok = at == 0 || !is_ident_char(code.as_bytes()[at - 1]);
+        let end = at + pat.len();
+        let after_ok = end >= code.len() || !is_ident_char(code.as_bytes()[end]);
+        if before_ok && after_ok {
+            return true;
+        }
+        start = at + pat.len();
+    }
+    false
+}
+
+fn is_ident_char(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 #[cfg(test)]
@@ -318,14 +347,6 @@ mod tests {
         assert!(t.scopes[2].header.contains("for s in sessions"));
         assert_eq!((t.scopes[2].start, t.scopes[2].end), (1, 3));
         assert_eq!(t.scopes[2].parent, Some(1));
-    }
-
-    #[test]
-    fn scope_at_returns_innermost() {
-        let src = "fn f() {\n    {\n        x();\n    }\n}\n";
-        let t = tree_of(src);
-        assert_eq!(t.scope_at(2), 2);
-        assert_eq!(t.scope_at(4), 1);
     }
 
     #[test]

@@ -34,29 +34,11 @@ fn collect(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Workspace member crates: every `crates/<name>` directory holding a
-/// `Cargo.toml`, as `(name, dir)` pairs in sorted name order.
-pub fn member_crates(root: &Path) -> Vec<(String, PathBuf)> {
-    let mut out = Vec::new();
-    let Ok(entries) = fs::read_dir(root.join("crates")) else {
-        return out;
-    };
-    for entry in entries.flatten() {
-        let dir = entry.path();
-        if dir.is_dir() && dir.join("Cargo.toml").is_file() {
-            if let Some(name) = dir.file_name().and_then(|n| n.to_str()) {
-                out.push((name.to_string(), dir.clone()));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 /// Crate source directories: every `crates/<name>` directory, as
-/// `(name, dir)` pairs in sorted name order. Unlike [`member_crates`]
-/// this does not require a `Cargo.toml` — the line-level passes scan
-/// fixture trees that carry bare `src/` layouts.
+/// `(name, dir)` pairs in sorted name order. No `Cargo.toml` is
+/// required — the line-level passes scan fixture trees that carry bare
+/// `src/` layouts; checks that read manifests skip the directories
+/// without one.
 pub fn crate_dirs(root: &Path) -> Vec<(String, PathBuf)> {
     let mut out = Vec::new();
     let Ok(entries) = fs::read_dir(root.join("crates")) else {
@@ -97,7 +79,7 @@ mod tests {
     #[test]
     fn member_listing_includes_this_crate() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let members = member_crates(&root);
+        let members = crate_dirs(&root);
         assert!(members.iter().any(|(n, _)| n == "analyze"));
         assert!(members.iter().any(|(n, _)| n == "telemetry"));
     }

@@ -11,8 +11,7 @@
 
 use std::io::Write;
 use vqoe_bench::experiments::{
-    abr_comparison, overload_sweep_with, run_experiment, subscriber_scaling_with,
-    OverloadSweepConfig, SubscriberScalingConfig, EXPERIMENTS,
+    abr_comparison, run_experiment, subscriber_scaling_with, SubscriberScalingConfig, EXPERIMENTS,
 };
 use vqoe_bench::{ReproContext, ReproScale};
 
@@ -21,7 +20,6 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut scale = ReproScale::default();
     let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut bench_json: Option<std::path::PathBuf> = None;
     let mut smoke = false;
 
     let mut i = 0;
@@ -48,14 +46,6 @@ fn main() {
                     args.get(i)
                         .map(std::path::PathBuf::from)
                         .unwrap_or_else(|| usage("--out needs a directory")),
-                );
-            }
-            "--bench-json" => {
-                i += 1;
-                bench_json = Some(
-                    args.get(i)
-                        .map(std::path::PathBuf::from)
-                        .unwrap_or_else(|| usage("--bench-json needs a file path")),
                 );
             }
             "--smoke" => {
@@ -94,25 +84,18 @@ fn main() {
     eprintln!("context ready in {:.1}s\n", t0.elapsed().as_secs_f64());
 
     for id in &ids {
-        let bench = |(txt, json): (String, String)| {
-            if let Some(path) = &bench_json {
-                std::fs::write(path, json).expect("write --bench-json file");
-            }
-            txt
-        };
         let report = match id.as_str() {
             "abr-comparison" => abr_comparison(scale.seed, 600),
-            "overload-sweep" => bench(overload_sweep_with(&ctx, OverloadSweepConfig::quick())),
             // The full 100k-1M ladder takes minutes; --smoke runs the
-            // single 10k point scripts/check.sh gates on.
-            "subscriber-scaling" => bench(subscriber_scaling_with(
+            // single 10k point.
+            "subscriber-scaling" => subscriber_scaling_with(
                 &ctx,
                 if smoke {
                     SubscriberScalingConfig::smoke()
                 } else {
                     SubscriberScalingConfig::quick()
                 },
-            )),
+            ),
             _ => run_experiment(id, &ctx),
         };
         print!("{report}");
@@ -131,7 +114,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--sessions N] [--seed S] [--out DIR] [--smoke] \
-         [--bench-json FILE] <experiment...|all>\n\
+         <experiment...|all>\n\
          experiments: {}  abr-comparison",
         EXPERIMENTS.join(" ")
     );

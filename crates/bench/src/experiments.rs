@@ -1169,39 +1169,23 @@ fn chaos_sweep(ctx: &ReproContext) -> String {
 
 // ----------------------------------------------------- overload-sweep
 
-/// Workload knobs for [`overload_sweep_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverloadSweepConfig {
-    /// Flood subscribers per legitimate subscriber (the "10x flood" of
-    /// the acceptance bar).
-    pub flood_multiplier: u64,
-    /// Media chunks each flood subscriber requests.
-    pub chunks_per_subscriber: usize,
-    /// Chunks in the single pathological (never-ending) session.
-    pub pathological_chunks: usize,
-    /// Global budget as a percentage of the unbudgeted peak (forces
-    /// shedding by construction).
-    pub budget_pct_of_peak: u64,
-}
-
-impl OverloadSweepConfig {
-    /// The harness point `scripts/bench.sh` records.
-    pub fn quick() -> Self {
-        OverloadSweepConfig {
-            flood_multiplier: 10,
-            chunks_per_subscriber: 24,
-            pathological_chunks: 400,
-            budget_pct_of_peak: 50,
-        }
-    }
-}
+/// Flood subscribers per legitimate subscriber (the "10x flood" of
+/// the acceptance bar).
+const FLOOD_MULTIPLIER: u64 = 10;
+/// Media chunks each flood subscriber requests.
+const FLOOD_CHUNKS_PER_SUBSCRIBER: usize = 24;
+/// Chunks in the single pathological (never-ending) session.
+const PATHOLOGICAL_CHUNKS: usize = 400;
+/// Global budget as a percentage of the unbudgeted peak (forces
+/// shedding by construction).
+const BUDGET_PCT_OF_PEAK: u64 = 50;
 
 /// Overload harness: merge a 10x subscriber flood and one pathological
 /// never-ending session into the evaluation tap, cap the assessor's
 /// memory, and measure what the budgets shed, what accuracy each
 /// fidelity tier retains, and whether kill/checkpoint/restore/replay
 /// stays bit-identical to the uninterrupted run.
-pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (String, String) {
+fn overload_sweep(ctx: &ReproContext) -> String {
     use std::collections::BTreeSet;
     use vqoe_core::{
         AdmissionPolicy, BudgetConfig, Fidelity, IngestReport, OnlineAssessor, OnlineCheckpoint,
@@ -1214,7 +1198,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
     let monitor = ctx.monitor();
 
     // The legitimate tap plus the overload: a subscriber flood sized at
-    // `flood_multiplier` times the legitimate population, spread over
+    // `FLOOD_MULTIPLIER` times the legitimate population, spread over
     // the whole capture window, and one pathological session that never
     // reaches a session boundary.
     let legit = &ctx.world.entries;
@@ -1223,8 +1207,8 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
     let end = legit.last().map(|e| e.timestamp).unwrap_or(Instant(0));
     let window = end.duration_since(start).max(Duration::from_secs(60));
     let spec = FloodSpec {
-        subscribers: cfg.flood_multiplier * legit_subs.len().max(1) as u64,
-        chunks_per_subscriber: cfg.chunks_per_subscriber,
+        subscribers: FLOOD_MULTIPLIER * legit_subs.len().max(1) as u64,
+        chunks_per_subscriber: FLOOD_CHUNKS_PER_SUBSCRIBER,
         window,
         ..FloodSpec::default()
     };
@@ -1232,7 +1216,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
     let pathological = generate_pathological_session(
         0x000B_AD1D,
         start,
-        cfg.pathological_chunks,
+        PATHOLOGICAL_CHUNKS,
         Duration::from_millis(250),
         ctx.scale.seed ^ 0xBAD,
     );
@@ -1254,7 +1238,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
     // Unbudgeted reference run: sizes the budget and anchors the
     // restore-equivalence check.
     let (reference, peak_unbudgeted) = run(BudgetConfig::default());
-    let global_budget = (peak_unbudgeted * cfg.budget_pct_of_peak.clamp(1, 100)) / 100;
+    let global_budget = (peak_unbudgeted * BUDGET_PCT_OF_PEAK) / 100;
     let shed_budget = BudgetConfig {
         per_subscriber_bytes: global_budget / 4,
         global_bytes: global_budget,
@@ -1287,7 +1271,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
         spec.subscribers,
         peak_unbudgeted,
         global_budget,
-        cfg.budget_pct_of_peak,
+        BUDGET_PCT_OF_PEAK,
         shed_budget.per_subscriber_bytes,
     ));
 
@@ -1335,7 +1319,6 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
     // have no ground truth and simply stay unmatched.
     let matches = match_assessments(&shed_report.assessments, &ctx.world.traces);
     let mut tier_table = Table::new(vec!["tier", "matched", "stall", "repr", "switch"]);
-    let mut json_tiers = String::new();
     for tier in [Fidelity::Full, Fidelity::Partial, Fidelity::Shed] {
         let mut matched = 0usize;
         let mut stall_ok = 0usize;
@@ -1372,24 +1355,6 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
             pct(rep_ok),
             pct(switch_ok),
         ]);
-        if !json_tiers.is_empty() {
-            json_tiers.push_str(", ");
-        }
-        let frac = |n: usize| -> f64 {
-            if matched == 0 {
-                0.0
-            } else {
-                n as f64 / matched as f64
-            }
-        };
-        json_tiers.push_str(&format!(
-            "\"{}\": {{\"matched\": {matched}, \"stall_acc\": {:.4}, \
-             \"repr_acc\": {:.4}, \"switch_acc\": {:.4}}}",
-            tier.label(),
-            frac(stall_ok),
-            frac(rep_ok),
-            frac(switch_ok),
-        ));
     }
     out.push_str("per-tier accuracy (budget+shed scenario, legitimate ground truth):\n");
     out.push_str(&tier_table.render());
@@ -1451,34 +1416,7 @@ pub fn overload_sweep_with(ctx: &ReproContext, cfg: OverloadSweepConfig) -> (Str
         ),
     ));
 
-    let json = format!(
-        "{{\n  \"experiment\": \"overload-sweep\",\n  \"entries\": {},\n  \
-         \"flood_subscribers\": {},\n  \"peak_unbudgeted_bytes\": {},\n  \
-         \"global_budget_bytes\": {},\n  \"peak_budgeted_bytes\": {},\n  \
-         \"bytes_per_subscriber\": {},\n  \"assessed_unlimited\": {},\n  \
-         \"assessed_budgeted\": {},\n  \"shed_events\": {},\n  \
-         \"refused_subscribers\": {},\n  \"shed_rate\": {:.4},\n  \
-         \"tiers\": {{{json_tiers}}},\n  \"restore_bit_identical\": {},\n  \
-         \"checkpoint_json_stable\": {}\n}}\n",
-        entries.len(),
-        spec.subscribers,
-        peak_unbudgeted,
-        global_budget,
-        peak_shed,
-        peak_shed / total_subs,
-        reference.assessments.len(),
-        shed_report.assessments.len(),
-        shed_report.shed.total(),
-        refuse_report.shed.reasons().admission_refused,
-        shed_report.shed.total() as f64 / total_subs as f64,
-        restore_identical,
-        json_stable,
-    );
-    (out, json)
-}
-
-fn overload_sweep(ctx: &ReproContext) -> String {
-    overload_sweep_with(ctx, OverloadSweepConfig::quick()).0
+    out
 }
 
 // --------------------------------------------------------- setup-split
@@ -1573,7 +1511,7 @@ pub struct SubscriberScalingConfig {
 }
 
 impl SubscriberScalingConfig {
-    /// The 100k–1M ladder `scripts/bench.sh` records (`BENCH_pr10.json`).
+    /// The 100k–1M ladder `scripts/bench.sh` reports.
     pub fn quick() -> Self {
         SubscriberScalingConfig {
             subscriber_counts: vec![100_000, 300_000, 1_000_000],
@@ -1584,8 +1522,8 @@ impl SubscriberScalingConfig {
         }
     }
 
-    /// The 10k single point `scripts/check.sh` runs behind the soak
-    /// gate (also what `repro subscriber-scaling --smoke` uses).
+    /// The 10k single point the memory soak test gates (also what
+    /// `repro subscriber-scaling --smoke` uses).
     pub fn smoke() -> Self {
         SubscriberScalingConfig {
             subscriber_counts: vec![10_000],
@@ -1607,6 +1545,96 @@ struct ScalePoint {
     shed: u64,
 }
 
+/// The `k`-th media chunk of subscriber `s` on the scaling ladder's tap.
+fn scaling_entry(s: u64, k: usize) -> vqoe_telemetry::WeblogEntry {
+    use vqoe_player::TransportSummary;
+    use vqoe_simnet::time::{Duration as SimDuration, Instant as SimInstant};
+    use vqoe_telemetry::{EntryKind, WeblogEntry};
+
+    let wave_micros: u64 = 2_000_000; // one chunk per subscriber every 2 s
+    WeblogEntry {
+        // Waves are 2 s apart per subscriber; the sub-millisecond
+        // stagger spreads a wave across subscribers without ever
+        // reordering any single subscriber's stream.
+        timestamp: SimInstant(k as u64 * wave_micros + (s % 997) * 1_000),
+        subscriber_id: s,
+        host: "r7---sn-scale.googlevideo.com".to_string(),
+        uri: None,
+        bytes: 200_000 + ((s + k as u64) % 7) * 10_000,
+        duration: SimDuration::from_millis(400 + (k as u64 % 5) * 40),
+        transport: TransportSummary {
+            rtt_min: 0.020,
+            rtt_mean: 0.035,
+            rtt_max: 0.060,
+            bdp_mean: 80_000.0,
+            bif_mean: 30_000.0,
+            bif_max: 60_000.0,
+            loss_frac: 0.002,
+            retx_frac: 0.004,
+        },
+        encrypted: true,
+        kind: EntryKind::MediaChunk,
+    }
+}
+
+/// Measure one ladder point: `n` subscribers held open at once through
+/// one [`vqoe_core::OnlineAssessor`].
+fn measure_scale_point(ctx: &ReproContext, cfg: &SubscriberScalingConfig, n: usize) -> ScalePoint {
+    use vqoe_core::{Fidelity, OnlineAssessor};
+    use vqoe_telemetry::IngestConfig;
+
+    let mut monitor = ctx.monitor();
+    monitor.reassembly.exact_entry_cap = cfg.exact_entry_cap;
+    let ingest_cfg = IngestConfig {
+        max_open_subscribers: n,
+        ..IngestConfig::default()
+    };
+    let mut online = OnlineAssessor::with_config(monitor, ingest_cfg);
+    let t0 = std::time::Instant::now();
+    let mut entries_fed = 0u64;
+    let mut tally = (0usize, 0usize, 0usize); // (sessions, sketched, partial)
+    let fold = |assessments: Vec<vqoe_core::SessionAssessment>, t: &mut (usize, usize, usize)| {
+        for a in assessments {
+            t.0 += 1;
+            if a.fidelity == Fidelity::Sketched {
+                t.1 += 1;
+            }
+            if a.fidelity >= Fidelity::Partial {
+                t.2 += 1;
+            }
+        }
+    };
+    for k in 0..cfg.long_chunks {
+        if k < cfg.short_chunks {
+            for s in 0..n as u64 {
+                fold(online.ingest(&scaling_entry(s, k)), &mut tally);
+                entries_fed += 1;
+            }
+        } else {
+            // Only the long cohort is still playing.
+            for s in (0..n as u64).step_by(cfg.long_every) {
+                fold(online.ingest(&scaling_entry(s, k)), &mut tally);
+                entries_fed += 1;
+            }
+        }
+    }
+    let peak = online.peak_tracked_bytes();
+    let report = online.into_report();
+    fold(report.assessments, &mut tally);
+    let elapsed = t0.elapsed().as_secs_f64();
+    ScalePoint {
+        subscribers: n,
+        entries: entries_fed,
+        sessions: tally.0,
+        elapsed_secs: elapsed,
+        bytes_per_subscriber: peak / n.max(1) as u64,
+        sketched: tally.1,
+        partial: tally.2,
+        evicted: report.health.sessions_evicted,
+        shed: report.health.sessions_shed,
+    }
+}
+
 /// Concurrent-subscriber scaling of the streaming [`OnlineAssessor`].
 ///
 /// Every ladder point opens `n` subscribers *simultaneously*: chunks
@@ -1626,100 +1654,16 @@ struct ScalePoint {
 /// pinned constant (`SPILL_STATE_COST_BYTES` + the capped prefix).
 ///
 /// [`OnlineAssessor`]: vqoe_core::OnlineAssessor
-pub fn subscriber_scaling_with(
-    ctx: &ReproContext,
-    cfg: SubscriberScalingConfig,
-) -> (String, String) {
-    use vqoe_core::{Fidelity, OnlineAssessor};
-    use vqoe_player::TransportSummary;
-    use vqoe_simnet::time::{Duration as SimDuration, Instant as SimInstant};
-    use vqoe_telemetry::{EntryKind, IngestConfig, WeblogEntry};
-
-    let wave_micros: u64 = 2_000_000; // one chunk per subscriber every 2 s
-    let entry = |s: u64, k: usize| -> WeblogEntry {
-        WeblogEntry {
-            // Waves are 2 s apart per subscriber; the sub-millisecond
-            // stagger spreads a wave across subscribers without ever
-            // reordering any single subscriber's stream.
-            timestamp: SimInstant(k as u64 * wave_micros + (s % 997) * 1_000),
-            subscriber_id: s,
-            host: "r7---sn-scale.googlevideo.com".to_string(),
-            uri: None,
-            bytes: 200_000 + ((s + k as u64) % 7) * 10_000,
-            duration: SimDuration::from_millis(400 + (k as u64 % 5) * 40),
-            transport: TransportSummary {
-                rtt_min: 0.020,
-                rtt_mean: 0.035,
-                rtt_max: 0.060,
-                bdp_mean: 80_000.0,
-                bif_mean: 30_000.0,
-                bif_max: 60_000.0,
-                loss_frac: 0.002,
-                retx_frac: 0.004,
-            },
-            encrypted: true,
-            kind: EntryKind::MediaChunk,
-        }
-    };
-
-    let mut points: Vec<ScalePoint> = Vec::new();
-    for &n in &cfg.subscriber_counts {
-        let mut monitor = ctx.monitor();
-        monitor.reassembly.exact_entry_cap = cfg.exact_entry_cap;
-        let ingest_cfg = IngestConfig {
-            max_open_subscribers: n,
-            ..IngestConfig::default()
-        };
-        let mut online = OnlineAssessor::with_config(monitor, ingest_cfg);
-        let t0 = std::time::Instant::now();
-        let mut entries_fed = 0u64;
-        let mut tally = (0usize, 0usize, 0usize); // (sessions, sketched, partial)
-        let fold = |assessments: Vec<vqoe_core::SessionAssessment>,
-                    t: &mut (usize, usize, usize)| {
-            for a in assessments {
-                t.0 += 1;
-                if a.fidelity == Fidelity::Sketched {
-                    t.1 += 1;
-                }
-                if a.fidelity >= Fidelity::Partial {
-                    t.2 += 1;
-                }
-            }
-        };
-        for k in 0..cfg.long_chunks {
-            if k < cfg.short_chunks {
-                for s in 0..n as u64 {
-                    fold(online.ingest(&entry(s, k)), &mut tally);
-                    entries_fed += 1;
-                }
-            } else {
-                // Only the long cohort is still playing.
-                for s in (0..n as u64).step_by(cfg.long_every) {
-                    fold(online.ingest(&entry(s, k)), &mut tally);
-                    entries_fed += 1;
-                }
-            }
-        }
-        let peak = online.peak_tracked_bytes();
-        let report = online.into_report();
-        fold(report.assessments, &mut tally);
-        let elapsed = t0.elapsed().as_secs_f64();
-        points.push(ScalePoint {
-            subscribers: n,
-            entries: entries_fed,
-            sessions: tally.0,
-            elapsed_secs: elapsed,
-            bytes_per_subscriber: peak / n.max(1) as u64,
-            sketched: tally.1,
-            partial: tally.2,
-            evicted: report.health.sessions_evicted,
-            shed: report.health.sessions_shed,
-        });
-    }
+pub fn subscriber_scaling_with(ctx: &ReproContext, cfg: SubscriberScalingConfig) -> String {
+    let points: Vec<ScalePoint> = cfg
+        .subscriber_counts
+        .iter()
+        .map(|&n| measure_scale_point(ctx, &cfg, n))
+        .collect();
 
     // The counterfactual: what one long session would have cost the
     // budget had every chunk stayed buffered, vs the streaming bound.
-    let per_entry = entry(0, 0).tracked_cost();
+    let per_entry = scaling_entry(0, 0).tracked_cost();
     let buffered_long = cfg.long_chunks as u64 * per_entry;
     let streaming_long =
         cfg.exact_entry_cap as u64 * per_entry + vqoe_telemetry::SPILL_STATE_COST_BYTES;
@@ -1801,37 +1745,7 @@ pub fn subscriber_scaling_with(
          sketches and surface as Fidelity::Sketched.\n",
     );
 
-    let json_points: String = points
-        .iter()
-        .map(|p| {
-            format!(
-                "\n    {{\"subscribers\": {}, \"entries\": {}, \"sessions\": {}, \
-                 \"sessions_per_sec\": {:.1}, \"bytes_per_subscriber\": {}, \
-                 \"sketched\": {}, \"partial\": {}, \"evicted\": {}, \"shed\": {}}}",
-                p.subscribers,
-                p.entries,
-                p.sessions,
-                p.sessions as f64 / p.elapsed_secs.max(1e-9),
-                p.bytes_per_subscriber,
-                p.sketched,
-                p.partial,
-                p.evicted,
-                p.shed,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\n  \"experiment\": \"subscriber-scaling\",\n  \
-         \"exact_entry_cap\": {},\n  \"short_chunks\": {},\n  \
-         \"long_chunks\": {},\n  \"long_every\": {},\n  \
-         \"buffered_long_session_bytes\": {buffered_long},\n  \
-         \"streaming_long_session_bytes\": {streaming_long},\n  \
-         \"bytes_per_subscriber_flatness\": {flatness:.4},\n  \
-         \"points\": [{json_points}\n  ]\n}}\n",
-        cfg.exact_entry_cap, cfg.short_chunks, cfg.long_chunks, cfg.long_every,
-    );
-    (out, json)
+    out
 }
 
 /// `run_experiment` form: the 10k smoke point, so `repro all` and the
@@ -1839,7 +1753,7 @@ pub fn subscriber_scaling_with(
 /// [`subscriber_scaling_with`] on the full [`SubscriberScalingConfig::quick`]
 /// ladder.
 fn subscriber_scaling(ctx: &ReproContext) -> String {
-    subscriber_scaling_with(ctx, SubscriberScalingConfig::smoke()).0
+    subscriber_scaling_with(ctx, SubscriberScalingConfig::smoke())
 }
 
 #[cfg(test)]
@@ -1905,6 +1819,22 @@ mod tests {
         let report = run_experiment("fig4", ctx());
         assert!(report.contains("calibrated threshold"));
         assert!(report.contains("78%"));
+    }
+
+    /// The memory soak: at the 10k-subscriber smoke point, per-subscriber
+    /// state must land in the same small band the 100k-1M ladder
+    /// reports. Run by `scripts/soak.sh` (`VQOE_SOAK=1 scripts/check.sh`).
+    #[test]
+    #[ignore = "10k-subscriber memory soak; scripts/soak.sh runs it"]
+    fn ten_thousand_subscribers_stay_under_16_kib_each() {
+        let cfg = SubscriberScalingConfig::smoke();
+        assert_eq!(cfg.subscriber_counts, vec![10_000]);
+        let point = measure_scale_point(ctx(), &cfg, 10_000);
+        assert!(
+            point.bytes_per_subscriber <= 16 * 1024,
+            "{} bytes/subscriber breaches the 16 KiB bound",
+            point.bytes_per_subscriber
+        );
     }
 
     #[test]

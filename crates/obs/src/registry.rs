@@ -1275,4 +1275,53 @@ mod tests {
         assert_eq!(descs[3].kind, "histogram");
         assert_eq!(descs[0].help, "e");
     }
+
+    /// [`populated`]'s metrics plus an exemplar histogram, registered
+    /// empty: the registry a restoring process absorbs a snapshot into.
+    fn restore_target() -> Registry {
+        let reg = Registry::new();
+        reg.counter("vqoe_test_events_total", "e", MetricClass::Stable);
+        reg.gauge("vqoe_test_open", "o", MetricClass::Stable);
+        reg.histogram("vqoe_test_sizes", "s", MetricClass::Stable, &[10, 100]);
+        reg.histogram("vqoe_test_marked", "m", MetricClass::Stable, &[10]);
+        reg
+    }
+
+    /// Bytes the snapshot grammar gives meaning to, so spliced junk
+    /// reaches past the first token.
+    const SNAPSHOT_TOKENS: &[u8] = b"{}[],:\"\\-0123456789unx ";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Absorbing is total over damaged snapshots: truncated,
+        /// bit-flipped or junk-spliced `snapshot_json` output is absorbed
+        /// or rejected with a `SnapshotError`, never a panic.
+        #[test]
+        fn damaged_snapshots_never_panic(
+            mode in 0u8..3,
+            at in 0usize..usize::MAX,
+            bit in 0u8..8,
+            junk in proptest::collection::vec(0usize..SNAPSHOT_TOKENS.len(), 0..24),
+        ) {
+            let junk: Vec<u8> = junk.into_iter().map(|i| SNAPSHOT_TOKENS[i]).collect();
+            let source = populated();
+            source
+                .histogram_with_exemplars("vqoe_test_marked", "m", MetricClass::Stable, &[10])
+                .observe_exemplar(5_000, 12, 200);
+            let mut bytes = source.snapshot_json().into_bytes();
+            let pos = at % bytes.len();
+            match mode {
+                0 => bytes.truncate(pos),
+                1 => bytes[pos] ^= 1 << bit,
+                _ => {
+                    bytes.splice(pos..pos, junk);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Err(e) = restore_target().absorb_snapshot(&text) {
+                proptest::prop_assert!(!e.to_string().is_empty());
+            }
+        }
+    }
 }

@@ -1,8 +1,8 @@
 //! # vqoe-stats
 //!
 //! Numerical foundations for the vqoe workspace: descriptive statistics,
-//! quantiles, empirical distribution functions, histograms, discretization,
-//! information-theoretic measures and correlation.
+//! quantiles, empirical distribution functions, histograms, discretization
+//! and information-theoretic measures.
 //!
 //! Every other crate in the reproduction of *Measuring Video QoE from
 //! Encrypted Traffic* (IMC 2016) builds on this one:
@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod binning;
-pub mod correlation;
 pub mod ecdf;
 pub mod histogram;
 pub mod info;
@@ -36,11 +35,10 @@ pub mod quantiles;
 pub mod sketch;
 
 pub use binning::{BinningStrategy, Discretizer};
-pub use correlation::{pearson, spearman};
 pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use info::{conditional_entropy, entropy_of_labels, info_gain, symmetrical_uncertainty};
-pub use moments::{mean, population_std, sample_std, variance, OnlineMoments};
+pub use moments::{mean, population_std, variance, OnlineMoments};
 pub use quantiles::{
     median, quantile, quantile_sorted, quantiles, try_quantile, try_quantile_sorted, try_quantiles,
 };

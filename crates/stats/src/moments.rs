@@ -3,10 +3,8 @@
 //! The variance convention matters for the reproduction: the paper's
 //! feature tables (Tables 2 and 5) use the *standard deviation over the
 //! chunks of one session* as a feature. We follow the population
-//! convention (`1/n`) for those per-session features — a session's chunks
-//! are the whole population of interest, not a sample from a larger one —
-//! and expose the sample convention (`1/(n-1)`) separately for the few
-//! places (CFS correlations) where an unbiased estimator is appropriate.
+//! convention (`1/n`) throughout: a session's chunks are the whole
+//! population of interest, not a sample from a larger one.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,17 +28,6 @@ pub fn variance(data: &[f64]) -> f64 {
 /// Population standard deviation (normalized by `n`).
 pub fn population_std(data: &[f64]) -> f64 {
     variance(data).sqrt()
-}
-
-/// Sample standard deviation (normalized by `n - 1`).
-/// Returns `0.0` for `n < 2`.
-pub fn sample_std(data: &[f64]) -> f64 {
-    if data.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(data);
-    let ss: f64 = data.iter().map(|v| (v - m) * (v - m)).sum();
-    (ss / (data.len() - 1) as f64).sqrt()
 }
 
 /// Numerically stable streaming mean/variance accumulator
@@ -218,13 +205,7 @@ mod tests {
         let data = [1.0, 2.0, 3.0, 4.0];
         // population: ss = 5.0, /4 => 1.25
         assert!((variance(&data) - 1.25).abs() < 1e-12);
-        // sample: /3
-        assert!((sample_std(&data) - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_std_of_singleton_is_zero() {
-        assert_eq!(sample_std(&[42.0]), 0.0);
+        assert!((population_std(&data) - 1.25f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 #
 # Builds release and leaves
 #   results/overload-sweep.txt      overload/shedding/restore report
-#   BENCH_pr7.json                  machine-readable record (shed_rate, tiers)
 #   results/setup-split.txt         model set-up time per training stage
 #   results/subscriber-scaling.txt  100k-1M streaming-state ladder
-#   BENCH_pr10.json                 machine-readable record (bytes/subscriber)
 #
-# These are reports, not gates. Speed is measured by qoebench, the one
-# speed harness (BENCHMARK.json; `--trace 1` for the per-layer profile).
+# These are reports, not gates, and not records: the committed
+# BENCH_pr7.json and BENCH_pr10.json are history. qoebench writes the
+# one machine-readable record (BENCHMARK.json's schema; `--trace 1` for
+# the per-layer profile).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,11 +21,7 @@ cargo build --release -p vqoe-bench
 
 mkdir -p results
 echo "==> repro overload-sweep (quick mode)"
-./target/release/repro overload-sweep --smoke \
-  --bench-json BENCH_pr7.json --out results
-
-echo "==> BENCH_pr7.json"
-cat BENCH_pr7.json
+./target/release/repro overload-sweep --smoke --out results
 
 echo "==> repro setup-split"
 ./target/release/repro setup-split --smoke --out results
@@ -34,10 +30,6 @@ echo "==> repro setup-split"
 # deliverable (100k-1M concurrent subscribers; a few minutes). The
 # training context still builds at smoke scale via --sessions.
 echo "==> repro subscriber-scaling (full 100k-1M ladder)"
-./target/release/repro subscriber-scaling --sessions 800 \
-  --bench-json BENCH_pr10.json --out results
-
-echo "==> BENCH_pr10.json"
-cat BENCH_pr10.json
+./target/release/repro subscriber-scaling --sessions 800 --out results
 
 echo "bench done"

@@ -2,8 +2,10 @@
 # Long-running chaos soak: a half-broken tap (50 % composite fault
 # rate, 8 subscribers against a 4-slot cap) streamed through the
 # hardened online assessor, asserting the subscriber cap after every
-# entry and counter monotonicity throughout. Kept out of the default
-# test run for latency; scripts/check.sh invokes it when VQOE_SOAK=1.
+# entry and counter monotonicity throughout; a budgeted overload flood;
+# and the 10k-subscriber memory bound (at most 16 KiB of tracked state
+# per subscriber). Kept out of the default test run for latency;
+# scripts/check.sh invokes it when VQOE_SOAK=1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,3 +14,6 @@ cargo test --release -q -p vqoe-core --test chaos_matrix -- --ignored
 
 echo "==> overload soak (release, --ignored)"
 cargo test --release -q -p vqoe-core --test overload -- --ignored
+
+echo "==> subscriber-scaling memory soak: 10k subscribers, <= 16 KiB each (release, --ignored)"
+cargo test --release -q -p vqoe-bench --lib -- --ignored ten_thousand_subscribers

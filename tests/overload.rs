@@ -655,8 +655,9 @@ fn a_deeply_nested_checkpoint_is_an_error_not_a_stack_overflow() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Decode and restore are total over damaged input: whatever the
-    /// bytes, the result is `Ok` or a typed error, never a panic.
+    /// Decode, metrics absorb and restore are total over damaged input:
+    /// whatever the bytes, the result is `Ok` or a typed error, never a
+    /// panic.
     #[test]
     fn checkpoint_decoding_never_panics(
         mode in 0u8..4,
@@ -678,6 +679,13 @@ proptest! {
         }
         let text = String::from_utf8_lossy(&bytes);
         if let Ok(ck) = OnlineCheckpoint::from_json(&text) {
+            // As `vqoe assess --restore` does: absorb the embedded
+            // metrics into a freshly registered registry, then restore.
+            if let Some(snapshot) = &ck.metrics_snapshot {
+                let registry = Registry::new();
+                let _metrics = PipelineMetrics::register(&registry);
+                let _ = registry.absorb_snapshot(snapshot);
+            }
             let _ = OnlineAssessor::restore(spilling_monitor(), &ck);
         }
     }
