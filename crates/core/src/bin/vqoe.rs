@@ -438,6 +438,23 @@ fn assess(flags: &Flags) {
     if exemplars && metrics_path.is_none() {
         usage("--exemplars annotates the metrics output; add --metrics PATH|-");
     }
+    // A flag the chosen path would never read is an error, not a no-op.
+    let engine = flags.get("workers").is_some();
+    if flags.get("shards").is_some() && !engine {
+        usage("--shards sets the parallel engine's shard count; add --workers N (0 = auto)");
+    }
+    if flags.get("max-subscribers").is_some() && engine {
+        usage("--max-subscribers caps the streaming assessor; the engine admits every subscriber, so drop --workers");
+    }
+    if flags.get("checkpoint-at").is_some() && flags.get("checkpoint").is_none() {
+        usage("--checkpoint-at picks the record to checkpoint at; add --checkpoint PATH");
+    }
+    if flags.get("chaos-seed").is_some()
+        && flags.get("chaos").is_none()
+        && flags.get("chaos-profile").is_none()
+    {
+        usage("--chaos-seed seeds the chaos tap; add --chaos RATE or --chaos-profile NAME");
+    }
     let registry = Registry::new();
     let metrics = metrics_path.as_deref().map(|_| {
         if exemplars {
@@ -535,7 +552,7 @@ fn assess(flags: &Flags) {
     let restore_path = flags.get("restore").map(str::to_string);
     let alerts_path = flags.get("alerts").map(str::to_string);
     let trace_path = flags.get("trace").map(str::to_string);
-    if flags.get("workers").is_some()
+    if engine
         && (!budget.is_unlimited()
             || flags.get("admission").is_some()
             || checkpoint_path.is_some()
@@ -549,7 +566,7 @@ fn assess(flags: &Flags) {
     }
     // Tracing records the engine's span structure (ingest through
     // reduce), so it needs the engine.
-    if trace_path.is_some() && flags.get("workers").is_none() {
+    if trace_path.is_some() && !engine {
         usage("--trace records the parallel engine's spans; add --workers N (0 = auto)");
     }
     // Alert rules parse before the (potentially long) assessment runs,
@@ -560,9 +577,7 @@ fn assess(flags: &Flags) {
     });
     // `--workers N` routes through the sharded parallel engine (see
     // `vqoe_core::engine`); without it, the streaming assessor runs the
-    // tap one entry at a time. Output is bit-identical either way (the
-    // engine ignores `--max-subscribers`: it admits every subscriber of
-    // a shard job and drains them at the job's end).
+    // tap one entry at a time. Output is bit-identical either way.
     let assess_span = StageSpan::start(&wall, &assess_hist);
     let report: IngestReport = match flags.get("workers") {
         Some(_) => {
@@ -893,8 +908,8 @@ const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          global budget is full. --checkpoint writes a deterministic\n\
          snapshot (at record N with --checkpoint-at, else at stream\n\
          end); --restore resumes from one, skipping the records it had\n\
-         already consumed. These knobs need the streaming assessor\n\
-         (no --workers).\n\
+         already consumed. These knobs and --max-subscribers need the\n\
+         streaming assessor (no --workers); --shards needs the engine.\n\
          --metrics PATH writes pipeline metrics as Prometheus text to\n\
          PATH plus a deterministic JSON snapshot to PATH.json ('-'\n\
          prints both to stderr via the status reporter, keeping stdout\n\

@@ -5,7 +5,7 @@
 //! traffic from millions of users"; after §5.2 reassembly, subscribers
 //! are mutually independent, which makes the subscriber the natural
 //! unit of parallelism. The engine is the second driver of the
-//! per-shard machine (`crate::shard`) the streaming
+//! subscriber machine (`crate::shard`) the streaming
 //! [`OnlineAssessor`](crate::online::OnlineAssessor) runs:
 //!
 //! 1. **Shard** — every weblog record is routed to one of
@@ -27,9 +27,9 @@
 //!    where the sequential online assessor would have emitted each
 //!    assessment; a deterministic ordered merge sorts on those keys, so
 //!    the output is **bit-identical** to the sequential path at any
-//!    worker count (asserted by the `engine_parallel` integration
-//!    tests). [`StreamHealth`] counters sum per shard, and the
-//!    per-shard anomaly logs merge back into exactly the global
+//!    worker and shard count (asserted by the `engine_parallel`
+//!    integration tests). [`StreamHealth`] counters sum per shard, and
+//!    the per-shard anomaly logs merge back into exactly the global
 //!    first-`cap` record set.
 //!
 //! Emission keys: an assessment produced while pushing the entry with
@@ -291,7 +291,6 @@ fn reduce(
 ) -> (IngestReport, Option<Trace>) {
     let mut emissions: Vec<(EmissionKey, SessionAssessment)> = Vec::new();
     let mut health = StreamHealth::default();
-    let mut shard_health = Vec::with_capacity(outputs.len());
     let mut anomalies: Vec<(u64, IngestAnomaly)> = Vec::new();
     let mut anomaly_total = 0u64;
     let mut kinds = AnomalyKindCounts::default();
@@ -302,7 +301,6 @@ fn reduce(
             m.reduce_merge_size.observe(out.emissions.len() as u64);
         }
         emissions.extend(out.emissions);
-        shard_health.push(out.health);
         health.absorb(&out.health);
         anomalies.extend(out.kept_at.into_iter().zip(out.log.kept().iter().copied()));
         anomaly_total += out.log.total();
@@ -337,7 +335,6 @@ fn reduce(
     let report = IngestReport {
         assessments: emissions.into_iter().map(|(_, a)| a).collect(),
         health,
-        shard_health,
         anomalies: AnomalyLog::from_parts(
             cap,
             anomalies.into_iter().map(|(_, a)| a).collect(),
@@ -352,9 +349,12 @@ fn reduce(
     };
     // The run's one publication, from the reduced report's tallies.
     if let Some(m) = &pipeline.metrics {
-        let (kinds, reasons) = (report.anomalies.kinds(), report.shed.reasons());
-        let health = report.shard_health.iter().enumerate();
-        m.publish(&mut Published::default(), health, kinds, reasons, None);
+        let now = Published {
+            health: report.health,
+            kinds: report.anomalies.kinds(),
+            reasons: report.shed.reasons(),
+        };
+        m.publish(&mut Published::default(), now, None);
     }
     (report, trace)
 }

@@ -56,7 +56,7 @@
 //! assessment fold and the ingest front door), [`engine`] (the sharded
 //! parallel driver behind [`IngestPipeline::assess`]), [`online`] (the
 //! streaming driver), [`digest`] (bounded-memory per-session digests
-//! behind the sketched tier). Both drivers run one private per-shard
+//! behind the sketched tier). Both drivers run one private subscriber
 //! machine, so they cannot drift apart.
 //!
 //! Downstream code that just wants "the monitor and friends" can

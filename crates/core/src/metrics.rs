@@ -7,7 +7,7 @@
 //! [`IngestPipeline`](crate::IngestPipeline) and to the
 //! [`OnlineAssessor`](crate::OnlineAssessor).
 //!
-//! Ingest health is kept once: per-shard [`StreamHealth`],
+//! Ingest health is kept once: [`StreamHealth`],
 //! [`AnomalyLog::kinds`] and [`ShedLog::reasons`] are the only state,
 //! and the registry's ingest, anomaly-kind and shed-reason counters and
 //! the online gauges are their projection, written only by
@@ -126,10 +126,9 @@ const REASONS: [Projection<ShedReasonCounts>; 4] = [
 /// The tallies a registry was last brought up to by
 /// `PipelineMetrics::publish`: the watermark the next publication
 /// diffs against.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Published {
-    /// Health per shard, indexed by shard id.
-    pub(crate) shards: Vec<StreamHealth>,
+    pub(crate) health: StreamHealth,
     pub(crate) kinds: AnomalyKindCounts,
     pub(crate) reasons: ShedReasonCounts,
 }
@@ -316,18 +315,15 @@ impl PipelineMetrics {
 
     /// Bring the registry up to the report's own tallies: the only
     /// writer of the ingest, anomaly-kind and shed-reason counters and
-    /// the online gauges. Each counter gains its tally's growth since
-    /// `mark` (the previous publication), then `mark` advances.
-    /// `shards` names the shards this step may have changed, so a
-    /// per-record publication compares one shard, not all of them.
-    /// `occupancy` is the online assessor's (tracked subscribers,
-    /// tracked bytes); the engine, which owns no gauges, passes `None`.
-    pub(crate) fn publish<'a>(
+    /// the online gauges. Each counter gains its tally's growth from
+    /// `mark` (the previous publication) to `now`, then `mark` becomes
+    /// `now`. `occupancy` is the online assessor's (tracked
+    /// subscribers, tracked bytes); the engine, which owns no gauges,
+    /// passes `None`.
+    pub(crate) fn publish(
         &self,
         mark: &mut Published,
-        shards: impl IntoIterator<Item = (usize, &'a StreamHealth)>,
-        kinds: AnomalyKindCounts,
-        reasons: ShedReasonCounts,
+        now: Published,
         occupancy: Option<(usize, u64)>,
     ) {
         fn bump<T>(m: &PipelineMetrics, projections: &[Projection<T>], was: &T, now: &T) {
@@ -338,17 +334,10 @@ impl PipelineMetrics {
                 }
             }
         }
-        for (i, now) in shards {
-            if mark.shards.len() <= i {
-                mark.shards.resize(i + 1, StreamHealth::default());
-            }
-            let was = std::mem::replace(&mut mark.shards[i], *now);
-            bump(self, &HEALTH, &was, now);
-        }
-        let was = std::mem::replace(&mut mark.kinds, kinds);
-        bump(self, &KINDS, &was, &kinds);
-        let was = std::mem::replace(&mut mark.reasons, reasons);
-        bump(self, &REASONS, &was, &reasons);
+        bump(self, &HEALTH, &mark.health, &now.health);
+        bump(self, &KINDS, &mark.kinds, &now.kinds);
+        bump(self, &REASONS, &mark.reasons, &now.reasons);
+        *mark = now;
         if let Some((subscribers, bytes)) = occupancy {
             self.open_subscribers.set(subscribers as i64);
             self.tracked_bytes.set(bytes as i64);
@@ -458,14 +447,11 @@ mod tests {
             subscribers_refused: 5,
             sessions_partial: 0,
         };
-        let (kinds, reasons) = (AnomalyKindCounts::default(), ShedReasonCounts::default());
-        m.publish(
-            &mut Published::default(),
-            [(0, &after)],
-            kinds,
-            reasons,
-            None,
-        );
+        let now = Published {
+            health: after,
+            ..Published::default()
+        };
+        m.publish(&mut Published::default(), now, None);
         assert_eq!(m.health_view(), after);
     }
 
@@ -480,14 +466,19 @@ mod tests {
             ..StreamHealth::default()
         };
         let kinds = AnomalyKindCounts::default();
-        m.publish(&mut mark, [(1, &health)], kinds, reasons, Some((3, 100)));
+        let now = |health, reasons| Published {
+            health,
+            kinds,
+            reasons,
+        };
+        m.publish(&mut mark, now(health, reasons), Some((3, 100)));
         health.entries_seen = 9;
         reasons.record(ShedReason::GlobalBudget);
-        m.publish(&mut mark, [(1, &health)], kinds, reasons, Some((2, 7)));
-        m.publish(&mut mark, [(1, &health)], kinds, reasons, None);
+        m.publish(&mut mark, now(health, reasons), Some((2, 7)));
+        m.publish(&mut mark, now(health, reasons), None);
         assert_eq!(m.health_view(), health);
         assert_eq!(m.shed_reasons_view(), reasons);
-        assert_eq!(mark.shards, [StreamHealth::default(), health]);
+        assert_eq!(mark, now(health, reasons));
         assert_eq!(m.open_subscribers.get(), 2);
         assert_eq!(m.tracked_bytes.get(), 7);
         assert_eq!(m.bytes_per_subscriber.get(), 3);
@@ -501,13 +492,11 @@ mod tests {
         after.record(AnomalyKind::LateArrival);
         after.record(AnomalyKind::LateArrival);
         after.record(AnomalyKind::EmptyHost);
-        m.publish(
-            &mut Published::default(),
-            [],
-            after,
-            ShedReasonCounts::default(),
-            None,
-        );
+        let now = Published {
+            kinds: after,
+            ..Published::default()
+        };
+        m.publish(&mut Published::default(), now, None);
         assert_eq!(m.anomaly_kinds_view(), after);
         let text = registry.render_prometheus();
         assert!(text.contains("vqoe_telemetry_ingest_anomaly_late_arrival_total 2"));

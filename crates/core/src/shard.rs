@@ -1,7 +1,6 @@
-//! The per-shard assessment machine: one machine, two drivers.
+//! The subscriber assessment machine: one machine, two drivers.
 //!
-//! Subscriber state is partitioned onto shards by [`shard_of`]. A
-//! [`Shard`] holds the subscribers hashed onto one shard — one hardened
+//! A [`Shard`] is a table of subscribers — one hardened
 //! [`RobustReassembler`] each, with a streaming digest sink installed
 //! from its first record — plus the [`StreamHealth`] their entries
 //! accumulated. [`assess`] turns each session a machine closes into a
@@ -12,12 +11,13 @@
 //! Two drivers run it:
 //!
 //! * the parallel engine (`crate::engine`, behind
-//!   [`IngestPipeline`](crate::IngestPipeline)) gives every shard job a
-//!   fresh machine, feeds it the job's entries in arrival order with
-//!   unbounded admission, and drains it in subscriber order at the end;
+//!   [`IngestPipeline`](crate::IngestPipeline)) routes subscribers onto
+//!   shards by [`shard_of`], gives every shard job a fresh machine,
+//!   feeds it the job's entries in arrival order with unbounded
+//!   admission, and drains it in subscriber order at the end;
 //! * the streaming [`OnlineAssessor`](crate::OnlineAssessor) keeps one
-//!   machine per shard for its whole life and adds what only a
-//!   long-running assessor has: the global LRU, memory budgets and
+//!   machine holding every subscriber for its whole life and adds what
+//!   only a long-running assessor has: the LRU, memory budgets and
 //!   admission, the shed log, alerts and checkpoints.
 //!
 //! Both push the same entries through the same machine and assess
@@ -57,7 +57,7 @@ pub(crate) struct Pushed {
     pub(crate) cost: (u64, u64),
 }
 
-/// One shard's subscribers and health.
+/// A table of subscribers and their health.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     // BTreeMap, not HashMap: drains walk this map, and assessments
@@ -82,7 +82,7 @@ impl Shard {
         }
     }
 
-    /// Whether `id` has a machine on this shard.
+    /// Whether `id` has a machine in this table.
     pub(crate) fn tracks(&self, id: u64) -> bool {
         self.subscribers.contains_key(&id)
     }
@@ -138,12 +138,12 @@ impl Shard {
         self.push(e, anomalies).map_or_else(Vec::new, |p| p.closed)
     }
 
-    /// Take one subscriber's machine off the shard.
+    /// Take one subscriber's machine out of the table.
     pub(crate) fn remove(&mut self, id: u64) -> Option<RobustReassembler> {
         self.subscribers.remove(&id)
     }
 
-    /// Take every machine off the shard, in subscriber-id order.
+    /// Take every machine out of the table, in subscriber-id order.
     pub(crate) fn take_all(&mut self) -> BTreeMap<u64, RobustReassembler> {
         std::mem::take(&mut self.subscribers)
     }
@@ -156,12 +156,12 @@ impl Shard {
             .count()
     }
 
-    /// Subscribers tracked on this shard.
+    /// Subscribers tracked in this table.
     pub(crate) fn len(&self) -> usize {
         self.subscribers.len()
     }
 
-    /// Buffered bytes across this shard's machines.
+    /// Buffered bytes across this table's machines.
     pub(crate) fn tracked_cost(&self) -> u64 {
         self.subscribers.values().map(|m| m.tracked_cost()).sum()
     }
@@ -183,17 +183,15 @@ impl Shard {
         }
     }
 
-    /// Rebuild shard `index` of `shards` from its checkpoint, checking
-    /// that every subscriber routes here.
+    /// Merge shard `index` of a checkpoint's `shards` into this table,
+    /// checking that every subscriber routes there and is new here.
     pub(crate) fn restore(
-        monitor: &QoeMonitor,
-        ingest: IngestConfig,
+        &mut self,
         ck: &ShardCheckpoint,
         index: usize,
         shards: usize,
-    ) -> Result<Shard, RestoreError> {
-        let mut shard = Shard::new(monitor, ingest);
-        shard.health = ck.health;
+    ) -> Result<(), RestoreError> {
+        self.health.absorb(&ck.health);
         for (id, state) in &ck.subscribers {
             if shard_of(*id, shards) != index {
                 return Err(RestoreError::Corrupt(
@@ -208,14 +206,14 @@ impl Shard {
             let sink = match state.inner.spill_json.as_deref() {
                 Some(json) => DigestSink::from_json(json)
                     .ok_or(RestoreError::Corrupt("unreadable spill digest"))?,
-                None => DigestSink::new(shard.scoring),
+                None => DigestSink::new(self.scoring),
             };
             machine.attach_spill(Box::new(sink));
-            if shard.subscribers.insert(*id, machine).is_some() {
+            if self.subscribers.insert(*id, machine).is_some() {
                 return Err(RestoreError::Corrupt("duplicate subscriber in one shard"));
             }
         }
-        Ok(shard)
+        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@
 //!   [`assess_session`](SubscriptionSet::assess_session) and
 //!   [`assess_session_sketched`](SubscriptionSet::assess_session_sketched)
 //!   are **the** per-session assessment: [`QoeMonitor`] and the one
-//!   per-shard machine (`crate::shard`) route through them, and that
+//!   subscriber machine (`crate::shard`) route through them, and that
 //!   machine has two drivers — the parallel engine behind
 //!   [`IngestPipeline::assess`] and the streaming
 //!   [`OnlineAssessor`](crate::online::OnlineAssessor). That is what

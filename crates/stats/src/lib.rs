@@ -1,8 +1,8 @@
 //! # vqoe-stats
 //!
 //! Numerical foundations for the vqoe workspace: descriptive statistics,
-//! quantiles, empirical distribution functions, histograms, discretization
-//! and information-theoretic measures.
+//! quantiles, empirical distribution functions, discretization and
+//! information-theoretic measures.
 //!
 //! Every other crate in the reproduction of *Measuring Video QoE from
 //! Encrypted Traffic* (IMC 2016) builds on this one:
@@ -28,7 +28,6 @@
 
 pub mod binning;
 pub mod ecdf;
-pub mod histogram;
 pub mod info;
 pub mod moments;
 pub mod quantiles;
@@ -36,7 +35,6 @@ pub mod sketch;
 
 pub use binning::{BinningStrategy, Discretizer};
 pub use ecdf::Ecdf;
-pub use histogram::Histogram;
 pub use info::{conditional_entropy, entropy_of_labels, info_gain, symmetrical_uncertainty};
 pub use moments::{mean, population_std, variance, OnlineMoments};
 pub use quantiles::{

@@ -237,7 +237,14 @@ impl<I: Iterator<Item = WeblogEntry>> ChaosTap<I> {
     /// its content is no longer trustworthy.
     fn corrupt(&mut self, e: &mut WeblogEntry) {
         match self.rng.gen_range(0u32..6) {
-            0 => e.host.truncate(e.host.len() / 2),
+            0 => {
+                // Cut at a char boundary: a non-ASCII host must not panic.
+                let mut half = e.host.len() / 2;
+                while !e.host.is_char_boundary(half) {
+                    half -= 1;
+                }
+                e.host.truncate(half);
+            }
             1 => e.host.clear(),
             2 => e.bytes = u64::MAX,
             3 => e.bytes = 0,
@@ -655,5 +662,22 @@ mod tests {
         assert_eq!(stats.corrupted, entries.len() as u64);
         assert_eq!(out.len(), entries.len());
         assert!(out.iter().zip(entries.iter()).any(|(o, e)| o != e));
+    }
+
+    #[test]
+    fn corrupting_a_non_ascii_host_cuts_at_a_char_boundary() {
+        let mut entries = stream(200);
+        for e in &mut entries {
+            e.host = "日本語の動画.example.jp".to_string();
+        }
+        let cfg = ChaosConfig {
+            corrupt: 1.0,
+            ..ChaosConfig::clean()
+        };
+        let (out, _) = apply_chaos(&entries, &cfg, 17);
+        let host = &entries[0].host;
+        let cut: Vec<&str> = out.iter().map(|e| e.host.as_str()).collect();
+        assert!(cut.iter().all(|h| host.starts_with(h)), "{cut:?}");
+        assert!(cut.iter().any(|h| !h.is_empty() && h.len() < host.len()));
     }
 }

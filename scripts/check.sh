@@ -3,21 +3,23 @@
 # errors), rustdoc (warnings, such as a dangling doc link, promoted to
 # errors), the workspace's own static-analysis passes, a locked build
 # of the standalone benchmark package and its own tests, and the test
-# suite. CI and pre-merge runs should call exactly this.
+# suite. Every cargo step that resolves the workspace runs `--locked`,
+# so a stale root Cargo.lock fails the gate instead of being rewritten.
+# CI and pre-merge runs should call exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+echo "==> cargo doc --locked --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline
 
 echo "==> vqoe-analyze (ten passes: determinism / panic-path / constants / hygiene / bounded / clock / locks / floatord / clones / stale-allow)"
-cargo build -q -p vqoe-analyze
+cargo build -q --locked -p vqoe-analyze
 target/debug/vqoe-analyze
 
 echo "==> qoebench standalone build (--locked: its committed Cargo.lock must stay current)"
@@ -28,8 +30,8 @@ echo "==> qoebench's own tests (smoke runs of every workload with their checks)"
 cargo test --release --offline --locked \
   --manifest-path crates/bench/src/bin/qoebench/Cargo.toml --target-dir target/qoebench
 
-echo "==> cargo test --workspace"
-cargo test --workspace -q
+echo "==> cargo test --locked --workspace"
+cargo test --locked --workspace -q
 
 # The vendored stand-ins sit outside the workspace (see the root
 # Cargo.toml), so `--workspace` never runs their own tests.

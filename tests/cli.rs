@@ -221,6 +221,28 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
             "{stderr}"
         );
     }
+
+    // A flag the chosen path would never read is a usage error, also
+    // caught before the model is read.
+    let cases: [(&[&str], &str); 4] = [
+        (&["--shards", "4"], "--shards sets the parallel engine's"),
+        (
+            &["--workers", "2", "--max-subscribers", "4"],
+            "--max-subscribers caps the streaming assessor",
+        ),
+        (
+            &["--checkpoint-at", "10"],
+            "--checkpoint-at picks the record",
+        ),
+        (&["--chaos-seed", "9"], "--chaos-seed seeds the chaos tap"),
+    ];
+    for (extra, reason) in cases {
+        let args = [&assess[..], &["--out", "o.jsonl"], extra].concat();
+        let out = vqoe().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "vqoe {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(reason), "{stderr}");
+    }
 }
 
 #[test]

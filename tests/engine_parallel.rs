@@ -3,7 +3,7 @@
 //! * the sharded engine behind [`IngestPipeline::assess`] is
 //!   **bit-identical** to the sequential streaming path — full
 //!   [`IngestReport`] equality, not just the assessments — at worker
-//!   counts 1, 2 and 7;
+//!   counts 1, 2 and 7 and at 1, 8 and 32 shards;
 //! * the identity holds even when the tap is hostile (`ChaosTap`
 //!   faults), where ordering bugs would surface first;
 //! * all three detectors survive a JSON round trip with identical
@@ -46,15 +46,11 @@ fn multi_subscriber_tap(subscribers: u64, sessions: usize, seed: u64) -> Vec<Web
     entries
 }
 
-/// The sequential reference: every entry through an [`OnlineAssessor`]
-/// sharded the same way, with mid-stream emissions spliced before the
-/// end-of-stream drain — exactly what `vqoe assess` reports.
-fn sequential_report(
-    ingest: IngestConfig,
-    engine: EngineConfig,
-    entries: &[WeblogEntry],
-) -> IngestReport {
-    let mut online = OnlineAssessor::with_engine(monitor().clone(), ingest, engine);
+/// The sequential reference: every entry through an [`OnlineAssessor`],
+/// with mid-stream emissions spliced before the end-of-stream drain —
+/// exactly what `vqoe assess` reports.
+fn sequential_report(ingest: IngestConfig, entries: &[WeblogEntry]) -> IngestReport {
+    let mut online = OnlineAssessor::with_config(monitor().clone(), ingest);
     let mut assessments = Vec::new();
     for e in entries {
         assessments.extend(online.ingest(e));
@@ -81,19 +77,19 @@ fn engine_report(
 fn engine_is_bit_identical_to_the_streaming_path_at_every_worker_count() {
     let entries = multi_subscriber_tap(4, 2, 1300);
     let ingest = IngestConfig::default();
+    let sequential = sequential_report(ingest, &entries);
+    assert!(
+        !sequential.assessments.is_empty(),
+        "tap produced no sessions"
+    );
     for workers in [1usize, 2, 7] {
-        let cfg = EngineConfig {
-            workers,
-            shards: 16,
-        };
-        let sequential = sequential_report(ingest, cfg, &entries);
-        let parallel = engine_report(ingest, cfg, &entries);
-        assert_eq!(
-            parallel, sequential,
-            "engine at {workers} workers diverged from the sequential path"
-        );
-        assert!(!parallel.assessments.is_empty(), "tap produced no sessions");
-        assert_eq!(parallel.shard_health.len(), 16);
+        for shards in [1usize, 8, 32] {
+            let parallel = engine_report(ingest, EngineConfig { workers, shards }, &entries);
+            assert_eq!(
+                parallel, sequential,
+                "engine at {workers} workers, {shards} shards diverged from the sequential path"
+            );
+        }
     }
 }
 
@@ -118,18 +114,16 @@ fn bit_identity_survives_a_hostile_tap() {
     let ingest = IngestConfig::default();
     for seed in [21u64, 22] {
         let (faulted, _) = apply_chaos(&entries, &ChaosConfig::uniform(0.3), seed);
+        let sequential = sequential_report(ingest, &faulted);
+        assert_eq!(sequential.health.entries_seen, faulted.len() as u64);
         for workers in [1usize, 7] {
-            let cfg = EngineConfig {
-                workers,
-                shards: 16,
-            };
-            let sequential = sequential_report(ingest, cfg, &faulted);
-            let parallel = engine_report(ingest, cfg, &faulted);
-            assert_eq!(
-                parallel, sequential,
-                "chaos seed {seed}, {workers} workers: engine diverged"
-            );
-            assert_eq!(parallel.health.entries_seen, faulted.len() as u64);
+            for shards in [1usize, 8, 32] {
+                let parallel = engine_report(ingest, EngineConfig { workers, shards }, &faulted);
+                assert_eq!(
+                    parallel, sequential,
+                    "chaos seed {seed}, {workers} workers, {shards} shards: engine diverged"
+                );
+            }
         }
     }
 }

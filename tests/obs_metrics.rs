@@ -185,65 +185,47 @@ fn registry_mirrors_the_tallies_after_every_ingest_call() {
     ];
     let cut = entries.len() / 2;
     for (ingest, budget) in budgets {
-        for shards in [1usize, 2, 7] {
-            let engine = EngineConfig {
-                shards,
-                ..EngineConfig::default()
-            };
-            let registry = Registry::new();
-            let metrics = PipelineMetrics::register(&registry);
-            let mut online = OnlineAssessor::with_engine(monitor().clone(), ingest, engine)
-                .with_budget(budget)
-                .with_metrics(metrics.clone());
-            for (i, e) in entries.iter().take(cut).enumerate() {
-                online.ingest(e);
-                assert_mirrors(
-                    &metrics,
-                    &online,
-                    &format!("at record {i}, {shards} shards"),
-                );
+        let registry = Registry::new();
+        let metrics = PipelineMetrics::register(&registry);
+        let mut online = OnlineAssessor::with_config(monitor().clone(), ingest)
+            .with_budget(budget)
+            .with_metrics(metrics.clone());
+        for (i, e) in entries.iter().take(cut).enumerate() {
+            online.ingest(e);
+            assert_mirrors(&metrics, &online, &format!("at record {i}"));
+        }
+        // Kill, checkpoint through JSON, absorb, restore.
+        let json = online
+            .checkpoint_with_metrics(&registry)
+            .to_json()
+            .expect("checkpoint serializes");
+        drop(online);
+        let ck = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
+        let registry = Registry::new();
+        let metrics = PipelineMetrics::register(&registry);
+        registry
+            .absorb_snapshot(ck.metrics_snapshot.as_deref().expect("snapshot embedded"))
+            .expect("snapshot absorbs");
+        let mut online = OnlineAssessor::restore(monitor().clone(), &ck)
+            .expect("checkpoint restores")
+            .with_metrics(metrics.clone());
+        assert_mirrors(&metrics, &online, "after restore");
+        for (i, e) in entries.iter().enumerate().skip(cut) {
+            online.ingest(e);
+            assert_mirrors(&metrics, &online, &format!("at record {i}"));
+        }
+        let reasons = online.shed_log().reasons();
+        let report = online.into_report();
+        assert_eq!(metrics.health_view(), report.health);
+        // Each budget must actually exercise the paths it names.
+        match budget.admission {
+            AdmissionPolicy::ShedColdest => {
+                assert!(reasons.subscriber_budget > 0, "{reasons:?}");
+                assert!(reasons.global_budget > 0, "{reasons:?}");
             }
-            // Kill, checkpoint through JSON, absorb, restore.
-            let json = online
-                .checkpoint_with_metrics(&registry)
-                .to_json()
-                .expect("checkpoint serializes");
-            drop(online);
-            let ck = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
-            let registry = Registry::new();
-            let metrics = PipelineMetrics::register(&registry);
-            registry
-                .absorb_snapshot(ck.metrics_snapshot.as_deref().expect("snapshot embedded"))
-                .expect("snapshot absorbs");
-            let mut online = OnlineAssessor::restore(monitor().clone(), &ck)
-                .expect("checkpoint restores")
-                .with_metrics(metrics.clone());
-            assert_mirrors(
-                &metrics,
-                &online,
-                &format!("after restore, {shards} shards"),
-            );
-            for (i, e) in entries.iter().enumerate().skip(cut) {
-                online.ingest(e);
-                assert_mirrors(
-                    &metrics,
-                    &online,
-                    &format!("at record {i}, {shards} shards"),
-                );
-            }
-            let reasons = online.shed_log().reasons();
-            let report = online.into_report();
-            assert_eq!(metrics.health_view(), report.health);
-            // Each budget must actually exercise the paths it names.
-            match budget.admission {
-                AdmissionPolicy::ShedColdest => {
-                    assert!(reasons.subscriber_budget > 0, "{reasons:?}");
-                    assert!(reasons.global_budget > 0, "{reasons:?}");
-                }
-                AdmissionPolicy::Refuse => {
-                    assert!(reasons.admission_refused > 0, "{reasons:?}");
-                    assert!(reasons.lru_capacity > 0, "{reasons:?}");
-                }
+            AdmissionPolicy::Refuse => {
+                assert!(reasons.admission_refused > 0, "{reasons:?}");
+                assert!(reasons.lru_capacity > 0, "{reasons:?}");
             }
         }
     }

@@ -6,11 +6,12 @@
 //!
 //! * kill at record N + restore + replay tail is bit-identical to the
 //!   uninterrupted run — the `IngestReport` and the stable metrics
-//!   snapshot — at several shard layouts, with and without chaos;
+//!   snapshot — at several cut points, with and without chaos, and
+//!   from a 32-shard checkpoint an earlier build wrote;
 //! * the unbudgeted streaming path equals the batch engine at workers
 //!   1/2/7;
 //! * LRU eviction tie-breaking under equal activity ticks is by
-//!   subscriber id, at every shard count;
+//!   subscriber id;
 //! * `Fidelity::Partial`/`Shed` outputs are built from feature blocks
 //!   that use `MISSING_STAT` (never 0.0) for unavailable statistics;
 //! * a 10x subscriber flood stays within budget, every shed is typed,
@@ -18,15 +19,16 @@
 //! * checkpoint decoding is total: arbitrary bytes, truncations and
 //!   bit flips of a real checkpoint decode and restore to `Ok` or a
 //!   typed error, never a panic (nor a stack overflow on deep nesting),
-//!   and a damaged spill digest is refused.
+//!   and a damaged spill digest, a misrouted or duplicated subscriber
+//!   and an LRU mismatch are refused.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vqoe_core::{
-    AdmissionPolicy, BudgetConfig, EncryptedEvalConfig, EncryptedWorld, EngineConfig, Fidelity,
-    IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, RestoreError,
-    ShedReason, TrainingConfig,
+    shard_of, AdmissionPolicy, BudgetConfig, EncryptedEvalConfig, EncryptedWorld, EngineConfig,
+    Fidelity, IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor,
+    RestoreError, ShardCheckpoint, ShedReason, TrainingConfig,
 };
 use vqoe_features::{
     representation_feature_names, representation_features, stall_feature_names, stall_features,
@@ -37,7 +39,8 @@ use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration, Instant};
 use vqoe_telemetry::{
     apply_chaos, generate_subscriber_flood, merge_streams, ChaosConfig, EntryKind, FloodSpec,
-    IngestConfig, ReassemblyConfig, RobustReassembler, WeblogEntry, SPILL_STATE_COST_BYTES,
+    IngestConfig, ReassemblyConfig, RobustReassembler, StreamHealth, WeblogEntry,
+    SPILL_STATE_COST_BYTES,
 };
 
 fn monitor() -> &'static QoeMonitor {
@@ -94,23 +97,12 @@ fn media_entry(subscriber_id: u64, t: Instant, bytes: u64, rtt_min: f64) -> Webl
 
 /// Stream `entries` through a budgeted assessor and return the merged
 /// report plus the stable metrics snapshot.
-fn run_streaming(
-    entries: &[WeblogEntry],
-    shards: usize,
-    budget: BudgetConfig,
-) -> (IngestReport, String) {
+fn run_streaming(entries: &[WeblogEntry], budget: BudgetConfig) -> (IngestReport, String) {
     let registry = Registry::new();
     let metrics = PipelineMetrics::register(&registry);
-    let mut online = OnlineAssessor::with_engine(
-        monitor().clone(),
-        IngestConfig::default(),
-        EngineConfig {
-            shards,
-            ..EngineConfig::default()
-        },
-    )
-    .with_budget(budget)
-    .with_metrics(metrics);
+    let mut online = OnlineAssessor::with_config(monitor().clone(), IngestConfig::default())
+        .with_budget(budget)
+        .with_metrics(metrics);
     let mut assessments = Vec::new();
     for e in entries {
         assessments.extend(online.ingest(e));
@@ -126,22 +118,14 @@ fn run_streaming(
 /// a fresh registry, replay the tail.
 fn run_interrupted(
     entries: &[WeblogEntry],
-    shards: usize,
     budget: BudgetConfig,
     cut: usize,
 ) -> (IngestReport, String) {
     let registry1 = Registry::new();
     let metrics1 = PipelineMetrics::register(&registry1);
-    let mut first = OnlineAssessor::with_engine(
-        monitor().clone(),
-        IngestConfig::default(),
-        EngineConfig {
-            shards,
-            ..EngineConfig::default()
-        },
-    )
-    .with_budget(budget)
-    .with_metrics(metrics1);
+    let mut first = OnlineAssessor::with_config(monitor().clone(), IngestConfig::default())
+        .with_budget(budget)
+        .with_metrics(metrics1);
     let mut assessments = Vec::new();
     for e in entries.iter().take(cut) {
         assessments.extend(first.ingest(e));
@@ -187,27 +171,26 @@ fn kill_restore_replay_is_bit_identical() {
         admission: AdmissionPolicy::ShedColdest,
     };
     for entries in [&clean, &chaotic] {
-        for shards in [1usize, 2, 7] {
-            let cut = entries.len() / 3;
-            let (uninterrupted, snap_a) = run_streaming(entries, shards, budget);
-            let (resumed, snap_b) = run_interrupted(entries, shards, budget, cut);
-            assert!(
-                uninterrupted.shed.total() > 0,
-                "the budget must actually shed for this test to bite"
-            );
+        let (uninterrupted, snap_a) = run_streaming(entries, budget);
+        assert!(
+            uninterrupted.shed.total() > 0,
+            "the budget must actually shed for this test to bite"
+        );
+        for cut in [entries.len() / 3, entries.len() / 2, 2 * entries.len() / 3] {
+            let (resumed, snap_b) = run_interrupted(entries, budget, cut);
             assert_eq!(
                 uninterrupted, resumed,
-                "IngestReport diverged after restore (shards={shards})"
+                "IngestReport diverged after restore (cut={cut})"
             );
             // Byte-level identity, not just structural equality.
             assert_eq!(
                 serde_json::to_string(&uninterrupted).expect("report serializes"),
                 serde_json::to_string(&resumed).expect("report serializes"),
-                "serialized reports diverged (shards={shards})"
+                "serialized reports diverged (cut={cut})"
             );
             assert_eq!(
                 snap_a, snap_b,
-                "stable metrics snapshots diverged (shards={shards})"
+                "stable metrics snapshots diverged (cut={cut})"
             );
         }
     }
@@ -218,9 +201,8 @@ fn unbudgeted_streaming_equals_engine_at_workers_1_2_7() {
     let clean = multi_subscriber_tap(4, 1, 913);
     let (chaotic, _) = apply_chaos(&clean, &ChaosConfig::uniform(0.15), 914);
     for entries in [&clean, &chaotic] {
-        let shards = EngineConfig::default().shards;
         let cut = entries.len() / 2;
-        let (streamed, _) = run_interrupted(entries, shards, BudgetConfig::default(), cut);
+        let (streamed, _) = run_interrupted(entries, BudgetConfig::default(), cut);
         for workers in [1usize, 2, 7] {
             let engine = monitor().pipeline().with_engine(EngineConfig {
                 workers,
@@ -244,38 +226,27 @@ fn lru_eviction_tie_break_is_by_subscriber_id() {
         .iter()
         .map(|&id| media_entry(id, t, 500_000, 0.04))
         .collect();
-    let mut reference: Option<Vec<(u64, ShedReason)>> = None;
-    for shards in [1usize, 2, 7] {
-        let mut online = OnlineAssessor::with_engine(
-            monitor().clone(),
-            IngestConfig {
-                max_open_subscribers: 2,
-                ..IngestConfig::default()
-            },
-            EngineConfig {
-                shards,
-                ..EngineConfig::default()
-            },
-        );
-        for e in &entries {
-            online.ingest(e);
-        }
-        let events: Vec<(u64, ShedReason)> = online
-            .shed_log()
-            .kept()
-            .iter()
-            .map(|e| (e.subscriber_id, e.reason))
-            .collect();
-        assert_eq!(
-            events,
-            vec![(7, ShedReason::LruCapacity), (3, ShedReason::LruCapacity)],
-            "equal ticks must evict the lowest subscriber id first (shards={shards})"
-        );
-        match &reference {
-            None => reference = Some(events),
-            Some(r) => assert_eq!(r, &events, "eviction order changed with shard count"),
-        }
+    let mut online = OnlineAssessor::with_config(
+        monitor().clone(),
+        IngestConfig {
+            max_open_subscribers: 2,
+            ..IngestConfig::default()
+        },
+    );
+    for e in &entries {
+        online.ingest(e);
     }
+    let events: Vec<(u64, ShedReason)> = online
+        .shed_log()
+        .kept()
+        .iter()
+        .map(|e| (e.subscriber_id, e.reason))
+        .collect();
+    assert_eq!(
+        events,
+        vec![(7, ShedReason::LruCapacity), (3, ShedReason::LruCapacity)],
+        "equal ticks must evict the lowest subscriber id first"
+    );
 }
 
 #[test]
@@ -444,8 +415,8 @@ fn flood_survives_within_budget_with_typed_shedding() {
 #[test]
 fn shed_reason_counts_round_trip_through_the_metrics_registry() {
     // Every typed shed reason the flood provokes must be mirrored
-    // one-for-one by its per-reason Stable counter, at several shard
-    // layouts — the counters are the shed log, not a parallel tally.
+    // one-for-one by its per-reason Stable counter — the counters are
+    // the shed log, not a parallel tally.
     let legit = multi_subscriber_tap(2, 1, 2718);
     let start = legit.first().map(|e| e.timestamp).unwrap_or(Instant(0));
     let flood = generate_subscriber_flood(
@@ -467,41 +438,22 @@ fn shed_reason_counts_round_trip_through_the_metrics_registry() {
         global_bytes: 48 * per_record,
         admission: AdmissionPolicy::ShedColdest,
     };
-    let mut reference = None;
-    for shards in [1usize, 2, 7] {
-        let registry = Registry::new();
-        let metrics = PipelineMetrics::register(&registry);
-        let mut online = OnlineAssessor::with_engine(
-            monitor().clone(),
-            IngestConfig::default(),
-            EngineConfig {
-                shards,
-                ..EngineConfig::default()
-            },
-        )
+    let registry = Registry::new();
+    let metrics = PipelineMetrics::register(&registry);
+    let mut online = OnlineAssessor::new(monitor().clone())
         .with_budget(budget)
         .with_metrics(metrics.clone());
-        for e in &entries {
-            online.ingest(e);
-        }
-        let reasons_from_metrics = metrics.shed_reasons_view();
-        let report = online.into_report();
-        assert!(report.shed.total() > 0, "the flood must force shedding");
-        assert_eq!(
-            reasons_from_metrics,
-            report.shed.reasons(),
-            "per-reason counters diverged from the shed log at {shards} shards"
-        );
-        // The shed pattern itself is shard-layout-invariant, so the
-        // counters must be too.
-        match &reference {
-            None => reference = Some(reasons_from_metrics),
-            Some(r) => assert_eq!(
-                &reasons_from_metrics, r,
-                "shed reasons diverged at {shards} shards"
-            ),
-        }
+    for e in &entries {
+        online.ingest(e);
     }
+    let reasons_from_metrics = metrics.shed_reasons_view();
+    let report = online.into_report();
+    assert!(report.shed.total() > 0, "the flood must force shedding");
+    assert_eq!(
+        reasons_from_metrics,
+        report.shed.reasons(),
+        "per-reason counters diverged from the shed log"
+    );
 }
 
 #[test]
@@ -559,18 +511,44 @@ fn restore_rejects_corrupt_checkpoints() {
         Err(RestoreError::Corrupt(_))
     ));
 
-    let mut wrong_shard = good.clone();
-    // Move one subscriber into a shard its id does not hash to.
-    let donor = wrong_shard
-        .shards
-        .iter()
-        .position(|s| !s.subscribers.is_empty())
-        .expect("a populated shard");
-    let moved = wrong_shard.shards[donor].subscribers.remove(0);
-    let target = (donor + 1) % wrong_shard.shards.len();
-    wrong_shard.shards[target].subscribers.push(moved);
+    // This build writes one shard; split its subscribers over two the
+    // way `shard_of` routes them (as a two-shard build would) or the
+    // opposite way.
+    assert_eq!(good.shards.len(), 1);
+    let split = |misroute: bool| {
+        let mut ck = good.clone();
+        let all = std::mem::take(&mut ck.shards[0].subscribers);
+        ck.shards.push(ShardCheckpoint {
+            health: Default::default(),
+            subscribers: Vec::new(),
+        });
+        for (id, state) in all {
+            let home = shard_of(id, 2) ^ usize::from(misroute);
+            ck.shards[home].subscribers.push((id, state));
+        }
+        assert!(ck.shards.iter().all(|s| !s.subscribers.is_empty()));
+        ck
+    };
+    let merged = OnlineAssessor::restore(monitor().clone(), &split(false))
+        .expect("a correctly routed split restores");
+    assert_eq!(merged.checkpoint(), good, "the split merges back into one");
     assert!(matches!(
-        OnlineAssessor::restore(monitor().clone(), &wrong_shard),
+        OnlineAssessor::restore(monitor().clone(), &split(true)),
+        Err(RestoreError::Corrupt(_))
+    ));
+
+    let mut duplicated = good.clone();
+    let copy = duplicated.shards[0].subscribers[0].clone();
+    duplicated.shards[0].subscribers.push(copy);
+    assert!(matches!(
+        OnlineAssessor::restore(monitor().clone(), &duplicated),
+        Err(RestoreError::Corrupt(_))
+    ));
+
+    let mut no_shards = good.clone();
+    no_shards.shards.clear();
+    assert!(matches!(
+        OnlineAssessor::restore(monitor().clone(), &no_shards),
         Err(RestoreError::Corrupt(_))
     ));
 }
@@ -596,25 +574,96 @@ fn spilled_checkpoint() -> &'static OnlineCheckpoint {
         let (entries, _) = apply_chaos(&clean, &ChaosConfig::uniform(0.2), 922);
         let per_record = clean.iter().map(|e| e.tracked_cost()).max().unwrap_or(256);
         let registry = Registry::new();
-        let mut online = OnlineAssessor::with_engine(
-            spilling_monitor(),
-            IngestConfig::default(),
-            EngineConfig {
-                shards: 2,
-                ..EngineConfig::default()
-            },
-        )
-        .with_budget(BudgetConfig {
-            per_subscriber_bytes: 0,
-            global_bytes: 2 * SPILL_STATE_COST_BYTES + 16 * per_record,
-            admission: AdmissionPolicy::ShedColdest,
-        })
-        .with_metrics(PipelineMetrics::register(&registry));
+        let mut online = OnlineAssessor::with_config(spilling_monitor(), IngestConfig::default())
+            .with_budget(BudgetConfig {
+                per_subscriber_bytes: 0,
+                global_bytes: 2 * SPILL_STATE_COST_BYTES + 16 * per_record,
+                admission: AdmissionPolicy::ShedColdest,
+            })
+            .with_metrics(PipelineMetrics::register(&registry));
         for e in entries.iter().take(entries.len() / 2) {
             online.ingest(e);
         }
         online.checkpoint_with_metrics(&registry)
     })
+}
+
+/// A checkpoint an earlier build's 32-shard assessor wrote on
+/// [`spilling_monitor`] at record 199 of this tap: three subscribers on
+/// shards 1, 14 and 15, two of them spilled into their digests.
+const CHECKPOINT_32_SHARDS: &str = include_str!("fixtures/checkpoint_32_shards.json");
+
+/// The tap behind [`CHECKPOINT_32_SHARDS`]: three subscribers, two
+/// sessions each, mildly faulted.
+fn fixture_tap() -> Vec<WeblogEntry> {
+    let clean = multi_subscriber_tap(3, 2, 930);
+    apply_chaos(&clean, &ChaosConfig::uniform(0.1), 931).0
+}
+
+#[test]
+fn a_32_shard_checkpoint_resumes_from_one_table() {
+    let old = OnlineCheckpoint::from_json(CHECKPOINT_32_SHARDS).expect("fixture parses");
+    assert_eq!(old.shards.len(), 32);
+    let populated = old.shards.iter().filter(|s| s.health.entries_seen > 0);
+    assert_eq!(populated.count(), 3, "three shards carry health");
+    let mut subscribers: Vec<_> = old
+        .shards
+        .iter()
+        .flat_map(|s| s.subscribers.clone())
+        .collect();
+    subscribers.sort_by_key(|&(id, _)| id);
+    assert_eq!(subscribers.len(), 3);
+    assert!(subscribers
+        .iter()
+        .any(|(_, state)| state.inner.spill_json.is_some()));
+
+    // Restored into one table, it checkpoints again as one shard
+    // holding every subscriber and the summed health.
+    let restored = OnlineAssessor::restore(spilling_monitor(), &old).expect("fixture restores");
+    let json = restored
+        .checkpoint()
+        .to_json()
+        .expect("checkpoint serializes");
+    let ck = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
+    let mut summed = StreamHealth::default();
+    for s in &old.shards {
+        summed.absorb(&s.health);
+    }
+    assert_eq!(ck.shards.len(), 1);
+    assert_eq!(ck.shards[0].health, summed);
+    assert_eq!(ck.shards[0].subscribers, subscribers);
+    assert_eq!((ck.lru.clone(), ck.records_ingested), (old.lru, 199));
+
+    // Resumed from that one shard, the tail completes the
+    // uninterrupted run's report, which the engine also produces at
+    // one shard and at 32.
+    let monitor = spilling_monitor();
+    let entries = fixture_tap();
+    let (head, tail) = entries.split_at(199);
+    let mut uninterrupted = OnlineAssessor::new(monitor.clone());
+    let mut resumed = OnlineAssessor::restore(monitor.clone(), &ck).expect("checkpoint restores");
+    let mut expected: Vec<_> = head.iter().flat_map(|e| uninterrupted.ingest(e)).collect();
+    let mut got = expected.clone();
+    for e in tail {
+        expected.extend(uninterrupted.ingest(e));
+        got.extend(resumed.ingest(e));
+    }
+    let (mut expected_report, mut got_report) =
+        (uninterrupted.into_report(), resumed.into_report());
+    expected.append(&mut expected_report.assessments);
+    expected_report.assessments = expected;
+    got.append(&mut got_report.assessments);
+    got_report.assessments = got;
+    assert_eq!(got_report, expected_report);
+    assert!(expected_report.assessments.len() >= 6);
+    for shards in [1, 32] {
+        let engine = EngineConfig {
+            shards,
+            ..EngineConfig::default()
+        };
+        let batch = monitor.pipeline().with_engine(engine).assess(&entries);
+        assert_eq!(batch, expected_report, "engine at {shards} shards");
+    }
 }
 
 #[test]

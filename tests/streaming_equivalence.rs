@@ -8,11 +8,15 @@
 //!   force-closed `Partial` tier), keep exact session boundaries, and their
 //!   predictions match the fully-buffered reference within pinned
 //!   tolerances — identically at every worker count;
+//! * on the paper's simulated worlds, a cap most sessions outgrow
+//!   keeps most stall, representation and switch verdicts of the exact
+//!   path;
 //! * edge sessions (empty, single-chunk, all-NaN metric column) behave
 //!   identically on both paths;
 //! * the single-stream batch path never truncates: a session past the
 //!   cap is assessed from every chunk, exactly, at `Fidelity::Full`.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use vqoe_core::prelude::*;
@@ -253,6 +257,48 @@ fn sketched_sessions_carry_the_tier_and_pinned_tolerance_predictions() {
             "sketched path diverged at {workers} workers"
         );
     }
+}
+
+#[test]
+fn sketched_tier_agrees_with_the_exact_path_on_paper_worlds() {
+    // Two worlds of the §5 evaluation traffic, assessed at the default
+    // cap and at a cap of 16 entries, which most sessions outgrow.
+    let sketching = monitor_with_cap(16);
+    let (mut sessions, mut sketched) = (0usize, 0usize);
+    let mut agree = [0usize; 3];
+    for seed in [2400u64, 2401] {
+        let mut cfg = EncryptedEvalConfig::paper_default(seed);
+        cfg.spec.n_sessions = 100;
+        let world = EncryptedWorld::build(&cfg).expect("simulated world builds");
+        let exact: BTreeMap<_, _> = streamed(monitor(), &world.entries)
+            .into_iter()
+            .map(|a| ((a.start, a.end), a))
+            .collect();
+        let capped = streamed(&sketching, &world.entries);
+        assert_eq!(capped.len(), exact.len(), "the cap changed the sessions");
+        for s in &capped {
+            let f = &exact[&(s.start, s.end)];
+            sessions += 1;
+            sketched += usize::from(s.fidelity == Fidelity::Sketched);
+            agree[0] += usize::from(s.stall == f.stall);
+            agree[1] += usize::from(s.representation == f.representation);
+            agree[2] += usize::from(s.has_quality_switches == f.has_quality_switches);
+        }
+    }
+    let share = |k: usize| k as f64 / sessions as f64;
+    let [stall, representation, switch] = agree.map(share);
+    let measured = format!(
+        "{sessions} sessions, {:.3} sketched; agreement: stall {stall:.3}, \
+         representation {representation:.3}, switch {switch:.3}",
+        share(sketched)
+    );
+    eprintln!("{measured}");
+    // Floors sit a little under the measured shares (0.98 sketched;
+    // stall 0.985, representation and switch 1.0).
+    assert!(share(sketched) >= 0.9, "{measured}");
+    assert!(stall >= 0.95, "{measured}");
+    assert!(representation >= 0.97, "{measured}");
+    assert!(switch >= 0.97, "{measured}");
 }
 
 #[test]

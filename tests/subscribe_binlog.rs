@@ -111,7 +111,6 @@ fn assert_binary_replay_matches_decoded(cfg: EngineConfig, corpus: &BinaryCorpus
         "metrics snapshot diverged at {cfg:?}"
     );
     assert!(!binary.assessments.is_empty());
-    assert_eq!(binary.shard_health.len(), cfg.shards);
     binary
 }
 
