@@ -455,6 +455,23 @@ fn assess(flags: &Flags) {
     {
         usage("--chaos-seed seeds the chaos tap; add --chaos RATE or --chaos-profile NAME");
     }
+    // A restore takes its ingest config and budget from the checkpoint.
+    if flags.get("restore").is_some() {
+        for key in [
+            "max-subscribers",
+            "memory-budget",
+            "subscriber-budget",
+            "admission",
+        ] {
+            if flags.get(key).is_some() {
+                usage(&format!(
+                    "--{key} is fixed by the checkpoint --restore resumes from; drop it"
+                ));
+            }
+        }
+    } else if flags.get("admission").is_some() && flags.num("memory-budget", 0u64) == 0 {
+        usage("--admission acts only while the global budget is full; add --memory-budget BYTES (> 0)");
+    }
     let registry = Registry::new();
     let metrics = metrics_path.as_deref().map(|_| {
         if exemplars {
@@ -612,8 +629,9 @@ fn assess(flags: &Flags) {
         }
         None => {
             // Restore resumes the ingest clock where the checkpointed
-            // process died: its config/budget win over the CLI flags,
-            // and the first `records_ingested` entries are skipped.
+            // process died: its config and budget are the checkpoint's
+            // (the flags that would set them are rejected above), and
+            // the first `records_ingested` entries are skipped.
             let (mut online, skip) = match &restore_path {
                 Some(p) => {
                     let text =
@@ -905,11 +923,14 @@ const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          (record-cost units, 0 = unlimited); over budget, the coldest\n\
          subscribers are force-finalized and assessed at the shed tier.\n\
          --admission refuse turns new subscribers away instead while the\n\
-         global budget is full. --checkpoint writes a deterministic\n\
-         snapshot (at record N with --checkpoint-at, else at stream\n\
-         end); --restore resumes from one, skipping the records it had\n\
-         already consumed. These knobs and --max-subscribers need the\n\
-         streaming assessor (no --workers); --shards needs the engine.\n\
+         global budget is full (so it needs --memory-budget > 0).\n\
+         --checkpoint writes a deterministic snapshot (at record N with\n\
+         --checkpoint-at, else at stream end); --restore resumes from\n\
+         one, skipping the records it had already consumed, and takes\n\
+         --max-subscribers, the budgets and --admission from it (so it\n\
+         rejects those flags). These knobs and --max-subscribers need\n\
+         the streaming assessor (no --workers); --shards needs the\n\
+         engine.\n\
          --metrics PATH writes pipeline metrics as Prometheus text to\n\
          PATH plus a deterministic JSON snapshot to PATH.json ('-'\n\
          prints both to stderr via the status reporter, keeping stdout\n\

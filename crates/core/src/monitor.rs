@@ -10,9 +10,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use vqoe_changedet::SwitchScoreConfig;
-use vqoe_features::{
-    build_representation_dataset, build_stall_dataset, RqClass, SessionObs, SessionView, StallClass,
-};
+use vqoe_features::{build_representation_dataset, build_stall_dataset, RqClass, StallClass};
 use vqoe_ml::selection::RankedFeature;
 use vqoe_ml::{Dataset, TrainConfig};
 use vqoe_player::SessionTrace;
@@ -25,7 +23,7 @@ use crate::avgrep_pipeline::{
 use crate::generate::generate_traces;
 use crate::spec::DatasetSpec;
 use crate::stall_pipeline::{StallModel, StallTrainingReport, SUBSET_FLOOR};
-use crate::subscribe::{IngestPipeline, SubscriptionSet};
+use crate::subscribe::IngestPipeline;
 use crate::subset::{FeatureSubset, TrainingReport};
 use crate::switch_pipeline::{SwitchCalibrationReport, SwitchModel};
 
@@ -361,29 +359,11 @@ impl QoeMonitor {
         ModelFit::run(config, on_stage).monitor
     }
 
-    /// This monitor's three frozen models as the [`SubscriptionSet`]
-    /// every entry point assesses sessions with.
-    pub fn subscriptions(&self) -> SubscriptionSet<'_> {
-        SubscriptionSet::standard(self)
-    }
-
     /// The one front door for assessing traffic with this monitor: an
     /// [`IngestPipeline`] with default engine and hardening parameters
     /// (compose `with_engine` / `with_ingest` / `with_metrics` on it).
     pub fn pipeline(&self) -> IngestPipeline<'_> {
         IngestPipeline::new(self)
-    }
-
-    /// Assess one already-extracted session with the three frozen
-    /// models.
-    pub fn assess_session(
-        &self,
-        obs: &SessionObs,
-        start: Instant,
-        end: Instant,
-    ) -> SessionAssessment {
-        self.subscriptions()
-            .assess_session(SessionView::new(obs, start, end))
     }
 
     /// Serialize the trained monitor to JSON (model shipping).
@@ -402,7 +382,9 @@ mod tests {
     use super::*;
     use crate::encrypted::{EncryptedEvalConfig, EncryptedWorld};
     use vqoe_features::labels::has_switches;
-    use vqoe_features::{representation_features, rq_label, stall_features, stall_label};
+    use vqoe_features::{
+        representation_features, rq_label, stall_features, stall_label, SessionObs,
+    };
 
     fn tiny_config() -> TrainingConfig {
         TrainingConfig {

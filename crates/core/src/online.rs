@@ -43,6 +43,7 @@ use vqoe_telemetry::{AnomalyLog, IngestConfig, ReassemblerState, StreamHealth, W
 use crate::metrics::{PipelineMetrics, Published};
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::shard::{assess, close, Closed, Shard};
+use crate::subscribe::SubscriptionSet;
 
 /// How the assessor reacts when the global memory budget is already
 /// exhausted and a *new* subscriber shows up.
@@ -677,7 +678,7 @@ impl OnlineAssessor {
         if closed.is_empty() {
             return Vec::new();
         }
-        let subs = self.monitor.subscriptions();
+        let subs = SubscriptionSet::standard(&self.monitor);
         closed
             .iter()
             .map(|c| assess(&subs, c, tier, self.metrics.as_ref()))

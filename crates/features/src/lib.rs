@@ -49,8 +49,8 @@
 /// The value sits far outside the attainable range of every Table-1 /
 /// §4.2 metric (timings are seconds, sizes and windows are bytes ≤ a few
 /// hundred MB, ratios are `[0, 1]`), so a missing statistic can never
-/// alias a genuine measurement — in particular a genuine `0.0`, which
-/// `vqoe_stats::quantile`'s bare sentinel would have collided with.
+/// alias a genuine measurement — in particular a genuine `0.0`, which a
+/// bare `0.0` sentinel for an undefined quantile would collide with.
 /// Tree-based models simply split it off as its own regime.
 ///
 /// Distinct from the empty-session convention: a session with *no

@@ -18,7 +18,7 @@
 use crate::dataset::Dataset;
 use crate::par::{run_indexed, TrainConfig};
 use serde::{Deserialize, Serialize};
-use vqoe_stats::binning::{BinningStrategy, Discretizer};
+use vqoe_stats::binning::Discretizer;
 use vqoe_stats::info::{info_gain, symmetrical_uncertainty};
 
 /// Bins used when discretizing continuous features for the
@@ -42,12 +42,7 @@ pub struct RankedFeature {
 fn discretize_all(data: &Dataset, train: TrainConfig) -> Vec<Vec<usize>> {
     run_indexed(data.n_features(), train, |f| {
         let col = data.column(f);
-        let disc = Discretizer::fit(
-            &col,
-            BinningStrategy::EqualFrequency {
-                bins: DISCRETIZATION_BINS,
-            },
-        );
+        let disc = Discretizer::fit(&col, DISCRETIZATION_BINS);
         disc.transform(&col)
     })
 }

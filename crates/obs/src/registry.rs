@@ -373,23 +373,6 @@ impl Registry {
         handle
     }
 
-    /// Register (or look up) a fixed-boundary histogram with exemplar
-    /// capture enabled: each bucket retains its top
-    /// [`EXEMPLARS_PER_BUCKET`] samples with session linkage, rendered
-    /// in the JSON snapshot and as OpenMetrics-style exemplar suffixes
-    /// in the Prometheus exposition.
-    pub fn histogram_with_exemplars(
-        &self,
-        name: &str,
-        help: &str,
-        class: MetricClass,
-        bounds: &[u64],
-    ) -> Histogram {
-        let handle = self.histogram(name, help, class, bounds);
-        handle.enable_exemplars();
-        handle
-    }
-
     /// Describe every registered metric — name, kind, class, help — in
     /// name (lexicographic) order. The reference the `vqoe metrics-doc`
     /// subcommand renders.
@@ -1227,7 +1210,8 @@ mod tests {
     #[test]
     fn exemplar_snapshot_round_trips_through_absorb() {
         let reg = Registry::new();
-        let h = reg.histogram_with_exemplars("vqoe_test_sizes", "s", MetricClass::Stable, &[10]);
+        let h = reg.histogram("vqoe_test_sizes", "s", MetricClass::Stable, &[10]);
+        h.enable_exemplars();
         h.observe_exemplar(5, 11, 100);
         h.observe_exemplar(5_000, 12, 200);
         let saved = reg.snapshot_json();
@@ -1245,7 +1229,8 @@ mod tests {
     #[test]
     fn exemplars_render_in_prometheus_exemplar_syntax() {
         let reg = Registry::new();
-        let h = reg.histogram_with_exemplars("vqoe_test_sizes", "s", MetricClass::Stable, &[10]);
+        let h = reg.histogram("vqoe_test_sizes", "s", MetricClass::Stable, &[10]);
+        h.enable_exemplars();
         h.observe_exemplar(7, 42, 1_000);
         let text = reg.render_prometheus();
         assert!(
@@ -1306,9 +1291,9 @@ mod tests {
         ) {
             let junk: Vec<u8> = junk.into_iter().map(|i| SNAPSHOT_TOKENS[i]).collect();
             let source = populated();
-            source
-                .histogram_with_exemplars("vqoe_test_marked", "m", MetricClass::Stable, &[10])
-                .observe_exemplar(5_000, 12, 200);
+            let marked = source.histogram("vqoe_test_marked", "m", MetricClass::Stable, &[10]);
+            marked.enable_exemplars();
+            marked.observe_exemplar(5_000, 12, 200);
             let mut bytes = source.snapshot_json().into_bytes();
             let pos = at % bytes.len();
             match mode {

@@ -4,27 +4,9 @@
 //! Tables 2 and 5, and the CFS subset selection of §4.1/§4.2) is defined
 //! over *nominal* attributes, as in Weka. Weka discretizes continuous
 //! attributes first (Fayyad–Irani MDL by default; equal-frequency as a
-//! robust fallback). We provide both strategies behind one [`Discretizer`]
-//! type; `vqoe-ml` uses equal-frequency binning by default because it is
+//! robust fallback). [`Discretizer`] bins by equal frequency: it is
 //! parameter-light and behaves well on the heavy-tailed transport metrics
-//! this dataset is full of, and exposes MDL-style entropy binning for the
-//! ablation experiments.
-
-/// How to choose bin boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinningStrategy {
-    /// Equal-width bins over `[min, max]`.
-    EqualWidth {
-        /// Number of bins.
-        bins: usize,
-    },
-    /// Equal-frequency bins (each bin holds ~the same number of training
-    /// observations). Robust to heavy tails.
-    EqualFrequency {
-        /// Number of bins.
-        bins: usize,
-    },
-}
+//! this dataset is full of.
 
 /// A fitted discretizer: maps a continuous value to a bin index in
 /// `0..n_bins()`.
@@ -36,66 +18,34 @@ pub struct Discretizer {
 }
 
 impl Discretizer {
-    /// Fit a discretizer to training `data` with the given strategy.
+    /// Fit an equal-frequency discretizer with `bins` bins to training
+    /// `data`: each bin holds ~the same number of training observations,
+    /// which is robust to heavy tails.
     ///
     /// Degenerate inputs (empty data, constant data, or `bins < 2`)
     /// produce a single-bin discretizer, which downstream code treats as a
     /// zero-information feature.
-    pub fn fit(data: &[f64], strategy: BinningStrategy) -> Self {
+    pub fn fit(data: &[f64], bins: usize) -> Self {
         let mut finite: Vec<f64> = data.iter().copied().filter(|v| v.is_finite()).collect();
         if finite.is_empty() {
             return Discretizer { cuts: Vec::new() };
         }
         finite.sort_by(f64::total_cmp);
-        let cuts = match strategy {
-            BinningStrategy::EqualWidth { bins } => {
-                let lo = finite[0];
-                let hi = finite[finite.len() - 1];
-                if bins < 2 || hi <= lo {
-                    Vec::new()
-                } else {
-                    let width = (hi - lo) / bins as f64;
-                    (1..bins).map(|i| lo + width * i as f64).collect()
+        let cuts = if bins < 2 {
+            Vec::new()
+        } else {
+            let mut cuts: Vec<f64> = Vec::new();
+            for i in 1..bins {
+                let q = i as f64 / bins as f64;
+                let c = crate::quantiles::quantile_sorted(&finite, q);
+                // A cut at or below the sample minimum would create an
+                // empty bottom bin (constant-data degenerate case).
+                if c > finite[0] && cuts.last().map_or(true, |&last| c > last) {
+                    cuts.push(c);
                 }
             }
-            BinningStrategy::EqualFrequency { bins } => {
-                if bins < 2 {
-                    Vec::new()
-                } else {
-                    let mut cuts: Vec<f64> = Vec::new();
-                    for i in 1..bins {
-                        let q = i as f64 / bins as f64;
-                        let c = crate::quantiles::quantile_sorted(&finite, q);
-                        // A cut at or below the sample minimum would create an
-                        // empty bottom bin (constant-data degenerate case).
-                        if c > finite[0] && cuts.last().map_or(true, |&last| c > last) {
-                            cuts.push(c);
-                        }
-                    }
-                    cuts
-                }
-            }
+            cuts
         };
-        Discretizer { cuts }
-    }
-
-    /// Fit using supervised entropy-based binary splitting (a simplified
-    /// Fayyad–Irani scheme): recursively pick the cut that maximizes
-    /// information gain against `labels`, stopping at `max_depth` levels
-    /// (so at most `2^max_depth` bins) or when no cut yields positive gain.
-    pub fn fit_entropy(data: &[f64], labels: &[usize], max_depth: usize) -> Self {
-        assert_eq!(data.len(), labels.len(), "data/labels length mismatch");
-        let mut pairs: Vec<(f64, usize)> = data
-            .iter()
-            .copied()
-            .zip(labels.iter().copied())
-            .filter(|(v, _)| v.is_finite())
-            .collect();
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut cuts = Vec::new();
-        split_recursive(&pairs, max_depth, &mut cuts);
-        cuts.sort_by(f64::total_cmp);
-        cuts.dedup();
         Discretizer { cuts }
     }
 
@@ -112,46 +62,9 @@ impl Discretizer {
         self.cuts.len() + 1
     }
 
-    /// The interior cut points.
-    pub fn cuts(&self) -> &[f64] {
-        &self.cuts
-    }
-
     /// Discretize a whole column.
     pub fn transform(&self, data: &[f64]) -> Vec<usize> {
         data.iter().map(|&v| self.bin(v)).collect()
-    }
-}
-
-fn split_recursive(pairs: &[(f64, usize)], depth: usize, cuts: &mut Vec<f64>) {
-    if depth == 0 || pairs.len() < 4 {
-        return;
-    }
-    let labels: Vec<usize> = pairs.iter().map(|&(_, l)| l).collect();
-    let base_entropy = crate::info::entropy_of_labels(&labels);
-    if base_entropy <= 0.0 {
-        return;
-    }
-    let n = pairs.len() as f64;
-    let mut best: Option<(usize, f64)> = None;
-    for i in 1..pairs.len() {
-        if pairs[i].0 <= pairs[i - 1].0 {
-            continue; // not a valid boundary between distinct values
-        }
-        let left: Vec<usize> = pairs[..i].iter().map(|&(_, l)| l).collect();
-        let right: Vec<usize> = pairs[i..].iter().map(|&(_, l)| l).collect();
-        let h = (i as f64 / n) * crate::info::entropy_of_labels(&left)
-            + ((pairs.len() - i) as f64 / n) * crate::info::entropy_of_labels(&right);
-        let gain = base_entropy - h;
-        if gain > 1e-9 && best.map_or(true, |(_, g)| gain > g) {
-            best = Some((i, gain));
-        }
-    }
-    if let Some((i, _)) = best {
-        let cut = (pairs[i - 1].0 + pairs[i].0) / 2.0;
-        cuts.push(cut);
-        split_recursive(&pairs[..i], depth - 1, cuts);
-        split_recursive(&pairs[i..], depth - 1, cuts);
     }
 }
 
@@ -161,19 +74,9 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn equal_width_bins_partition_the_range() {
-        let data = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0];
-        let d = Discretizer::fit(&data, BinningStrategy::EqualWidth { bins: 5 });
-        assert_eq!(d.n_bins(), 5);
-        assert_eq!(d.bin(0.0), 0);
-        assert_eq!(d.bin(9.99), 4);
-        assert_eq!(d.bin(10.0), 5 - 1); // top value in last bin
-    }
-
-    #[test]
     fn equal_frequency_balances_counts() {
         let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let d = Discretizer::fit(&data, BinningStrategy::EqualFrequency { bins: 4 });
+        let d = Discretizer::fit(&data, 4);
         let binned = d.transform(&data);
         let mut counts = [0usize; 4];
         for b in binned {
@@ -186,7 +89,7 @@ mod tests {
 
     #[test]
     fn constant_data_yields_single_bin() {
-        let d = Discretizer::fit(&[3.0; 50], BinningStrategy::EqualFrequency { bins: 8 });
+        let d = Discretizer::fit(&[3.0; 50], 8);
         assert_eq!(d.n_bins(), 1);
         assert_eq!(d.bin(3.0), 0);
         assert_eq!(d.bin(-10.0), 0);
@@ -194,36 +97,14 @@ mod tests {
 
     #[test]
     fn empty_data_yields_single_bin() {
-        let d = Discretizer::fit(&[], BinningStrategy::EqualWidth { bins: 8 });
+        let d = Discretizer::fit(&[], 8);
         assert_eq!(d.n_bins(), 1);
     }
 
     #[test]
     fn nan_maps_to_bin_zero() {
-        let d = Discretizer::fit(
-            &[1.0, 2.0, 3.0, 4.0],
-            BinningStrategy::EqualWidth { bins: 2 },
-        );
+        let d = Discretizer::fit(&[1.0, 2.0, 3.0, 4.0], 2);
         assert_eq!(d.bin(f64::NAN), 0);
-    }
-
-    #[test]
-    fn entropy_binning_finds_the_class_boundary() {
-        // Class 0 lives below 5, class 1 above: the single most informative
-        // cut is between 4 and 6.
-        let data = [1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 9.0];
-        let labels = [0, 0, 0, 0, 1, 1, 1, 1];
-        let d = Discretizer::fit_entropy(&data, &labels, 1);
-        assert_eq!(d.cuts().len(), 1);
-        assert!((d.cuts()[0] - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn entropy_binning_on_pure_labels_makes_no_cut() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let labels = [1, 1, 1, 1, 1];
-        let d = Discretizer::fit_entropy(&data, &labels, 3);
-        assert_eq!(d.n_bins(), 1);
     }
 
     proptest! {
@@ -234,7 +115,7 @@ mod tests {
             v2 in -1e4f64..1e4,
             bins in 2usize..10,
         ) {
-            let d = Discretizer::fit(&data, BinningStrategy::EqualFrequency { bins });
+            let d = Discretizer::fit(&data, bins);
             let (lo, hi) = if v1 <= v2 { (v1, v2) } else { (v2, v1) };
             prop_assert!(d.bin(lo) <= d.bin(hi));
         }
@@ -245,7 +126,7 @@ mod tests {
             v in -1e5f64..1e5,
             bins in 2usize..10,
         ) {
-            let d = Discretizer::fit(&data, BinningStrategy::EqualWidth { bins });
+            let d = Discretizer::fit(&data, bins);
             prop_assert!(d.bin(v) < d.n_bins());
         }
     }

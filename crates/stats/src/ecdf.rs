@@ -71,26 +71,6 @@ impl Ecdf {
         out
     }
 
-    /// Evaluate the ECDF over an evenly spaced grid of `points` x-values
-    /// spanning the sample range — a fixed-size series convenient for
-    /// textual table output in the reproduction harness.
-    pub fn grid(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = self.sorted[self.sorted.len() - 1];
-        if points == 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
     /// Kolmogorov–Smirnov statistic `sup_x |F_a(x) - F_b(x)|` between two
     /// ECDFs. Used by the dataset-comparison experiment (Figure 5) to
     /// quantify how similar the encrypted and cleartext chunk-size /
@@ -211,16 +191,6 @@ mod tests {
         assert!((4.0..10.0).contains(&t), "t = {t}");
         assert!((ok_b - 0.8).abs() < 1e-12);
         assert_eq!(ok_a, 1.0);
-    }
-
-    #[test]
-    fn grid_spans_sample_range() {
-        let e = Ecdf::new(&[0.0, 10.0]);
-        let g = e.grid(11);
-        assert_eq!(g.len(), 11);
-        assert_eq!(g[0].0, 0.0);
-        assert_eq!(g[10].0, 10.0);
-        assert_eq!(g[10].1, 1.0);
     }
 
     proptest! {

@@ -181,15 +181,6 @@ impl QuantileSketch {
         }
         weighted.last().map(|&(v, _)| v)
     }
-
-    /// Several approximate quantiles in one weighted sort, aligned with
-    /// `qs`; `None` when the sketch is empty.
-    pub fn try_quantiles(&self, qs: &[f64]) -> Option<Vec<f64>> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(qs.iter().filter_map(|&q| self.try_quantile(q)).collect())
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +202,6 @@ mod tests {
         let s = QuantileSketch::new();
         assert!(s.is_empty());
         assert_eq!(s.try_quantile(0.5), None);
-        assert_eq!(s.try_quantiles(&[0.1, 0.9]), None);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! cargo run --release -p vqoe-core --example operator_monitoring
 //! ```
 
-use vqoe_core::{EncryptedEvalConfig, EncryptedWorld, QoeMonitor, TrainingConfig};
-use vqoe_features::{rq_label, stall_label, SessionObs};
+use vqoe_core::{EncryptedEvalConfig, EncryptedWorld, QoeMonitor, SubscriptionSet, TrainingConfig};
+use vqoe_features::{rq_label, stall_label, SessionObs, SessionView};
 
 fn main() {
     println!("training the monitor ...");
@@ -18,6 +18,7 @@ fn main() {
         .build()
         .expect("valid training config");
     let monitor = QoeMonitor::train(&config);
+    let subs = SubscriptionSet::standard(&monitor);
 
     println!("building the encrypted evaluation world (722 sessions) ...\n");
     let mut config = EncryptedEvalConfig::paper_default(99);
@@ -41,7 +42,7 @@ fn main() {
         let session = &world.sessions[j.reassembled_idx];
         let truth = &world.traces[j.trace_idx].ground_truth;
         let obs = SessionObs::from_reassembled(session);
-        let a = monitor.assess_session(&obs, session.start, session.end);
+        let a = subs.assess_session(SessionView::new(&obs, session.start, session.end));
         let true_stall = stall_label(truth);
         let true_rq = rq_label(truth);
         if a.stall == true_stall {

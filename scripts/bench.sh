@@ -16,8 +16,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release -p vqoe-bench"
-cargo build --release -p vqoe-bench
+echo "==> cargo build --release --locked -p vqoe-bench"
+cargo build --release --locked -p vqoe-bench
 
 mkdir -p results
 echo "==> repro overload-sweep (quick mode)"

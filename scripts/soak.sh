@@ -10,10 +10,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> chaos soak (release, --ignored)"
-cargo test --release -q -p vqoe-core --test chaos_matrix -- --ignored
+cargo test --release --locked -q -p vqoe-core --test chaos_matrix -- --ignored
 
 echo "==> overload soak (release, --ignored)"
-cargo test --release -q -p vqoe-core --test overload -- --ignored
+cargo test --release --locked -q -p vqoe-core --test overload -- --ignored
 
 echo "==> subscriber-scaling memory soak: 10k subscribers, <= 16 KiB each (release, --ignored)"
-cargo test --release -q -p vqoe-bench --lib -- --ignored ten_thousand_subscribers
+cargo test --release --locked -q -p vqoe-bench --lib -- --ignored ten_thousand_subscribers

@@ -223,8 +223,10 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
     }
 
     // A flag the chosen path would never read is a usage error, also
-    // caught before the model is read.
-    let cases: [(&[&str], &str); 4] = [
+    // caught before the model is read. A restore takes its ingest config
+    // and budget from the checkpoint, and admission only acts while a
+    // global budget is set.
+    let cases: [(&[&str], &str); 10] = [
         (&["--shards", "4"], "--shards sets the parallel engine's"),
         (
             &["--workers", "2", "--max-subscribers", "4"],
@@ -235,6 +237,30 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
             "--checkpoint-at picks the record",
         ),
         (&["--chaos-seed", "9"], "--chaos-seed seeds the chaos tap"),
+        (
+            &["--restore", "ck.json", "--max-subscribers", "1"],
+            "--max-subscribers is fixed by the checkpoint",
+        ),
+        (
+            &["--restore", "ck.json", "--memory-budget", "1"],
+            "--memory-budget is fixed by the checkpoint",
+        ),
+        (
+            &["--restore", "ck.json", "--subscriber-budget", "1"],
+            "--subscriber-budget is fixed by the checkpoint",
+        ),
+        (
+            &["--restore", "ck.json", "--admission", "refuse"],
+            "--admission is fixed by the checkpoint",
+        ),
+        (
+            &["--admission", "refuse"],
+            "--admission acts only while the global budget is full",
+        ),
+        (
+            &["--admission", "shed", "--memory-budget", "0"],
+            "--admission acts only while the global budget is full",
+        ),
     ];
     for (extra, reason) in cases {
         let args = [&assess[..], &["--out", "o.jsonl"], extra].concat();

@@ -1,8 +1,8 @@
 //! End-to-end integration: the full train-on-cleartext /
 //! assess-encrypted pipeline across every crate in the workspace.
 
-use vqoe_core::{EncryptedEvalConfig, EncryptedWorld, QoeMonitor, TrainingConfig};
-use vqoe_features::{rq_label, stall_label, SessionObs, StallClass};
+use vqoe_core::{EncryptedEvalConfig, EncryptedWorld, QoeMonitor, SubscriptionSet, TrainingConfig};
+use vqoe_features::{rq_label, stall_label, SessionObs, SessionView, StallClass};
 
 fn small_training() -> TrainingConfig {
     TrainingConfig {
@@ -32,6 +32,7 @@ fn whole_pipeline_is_deterministic() {
 #[test]
 fn trained_monitor_beats_chance_on_encrypted_traffic() {
     let monitor = QoeMonitor::train(&small_training());
+    let subs = SubscriptionSet::standard(&monitor);
     let world = small_world(80, 88);
     let mut stall_ok = 0usize;
     let mut rq_ok = 0usize;
@@ -40,7 +41,7 @@ fn trained_monitor_beats_chance_on_encrypted_traffic() {
         let obs = SessionObs::from_reassembled(&world.sessions[j.reassembled_idx]);
         let gt = &world.traces[j.trace_idx].ground_truth;
         let session = &world.sessions[j.reassembled_idx];
-        let a = monitor.assess_session(&obs, session.start, session.end);
+        let a = subs.assess_session(SessionView::new(&obs, session.start, session.end));
         if a.stall == stall_label(gt) {
             stall_ok += 1;
         }
@@ -88,6 +89,7 @@ fn severe_sessions_are_rarely_called_healthy() {
     // severe <-> healthy corner stays near-empty even when mild/severe
     // boundaries blur.
     let monitor = QoeMonitor::train(&small_training());
+    let subs = SubscriptionSet::standard(&monitor);
     let world = small_world(150, 66);
     let mut severe_total = 0usize;
     let mut severe_called_healthy = 0usize;
@@ -99,8 +101,8 @@ fn severe_sessions_are_rarely_called_healthy() {
         severe_total += 1;
         let obs = SessionObs::from_reassembled(&world.sessions[j.reassembled_idx]);
         let session = &world.sessions[j.reassembled_idx];
-        if monitor
-            .assess_session(&obs, session.start, session.end)
+        if subs
+            .assess_session(SessionView::new(&obs, session.start, session.end))
             .stall
             == StallClass::NoStalls
         {

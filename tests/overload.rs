@@ -38,9 +38,9 @@ use vqoe_obs::Registry;
 use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration, Instant};
 use vqoe_telemetry::{
-    apply_chaos, generate_subscriber_flood, merge_streams, ChaosConfig, EntryKind, FloodSpec,
-    IngestConfig, ReassemblyConfig, RobustReassembler, StreamHealth, WeblogEntry,
-    SPILL_STATE_COST_BYTES,
+    apply_chaos, generate_pathological_session, generate_subscriber_flood, merge_streams,
+    ChaosConfig, EntryKind, FloodSpec, IngestConfig, ReassemblyConfig, RobustReassembler,
+    StreamHealth, WeblogEntry, EXACT_ENTRY_CAP, SPILL_STATE_COST_BYTES,
 };
 
 fn monitor() -> &'static QoeMonitor {
@@ -692,6 +692,116 @@ fn a_valid_checkpoint_round_trips_byte_for_byte() {
     let decoded = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
     assert_eq!(&decoded, spilled_checkpoint());
     assert_eq!(decoded.to_json().expect("re-serializes"), json);
+}
+
+/// Delete every object key named in `keys`, at any depth of `value`.
+fn strip_keys(value: &mut serde_json::Value, keys: &[&str]) {
+    match value {
+        serde_json::Value::Map(entries) => {
+            entries.retain(|(k, _)| !keys.contains(&k.as_str()));
+            for (_, child) in entries {
+                strip_keys(child, keys);
+            }
+        }
+        serde_json::Value::Seq(items) => {
+            for item in items {
+                strip_keys(item, keys);
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn a_version_1_checkpoint_restores_and_resumes_bit_identically() {
+    let entries = multi_subscriber_tap(5, 1, 941);
+    let cut = entries.len() / 2;
+    let mut first = OnlineAssessor::new(monitor().clone());
+    let mut got: Vec<_> = entries[..cut]
+        .iter()
+        .flat_map(|e| first.ingest(e))
+        .collect();
+    let ck = first.checkpoint();
+    let machines: Vec<_> = ck
+        .shards
+        .iter()
+        .flat_map(|s| &s.subscribers)
+        .map(|(_, state)| &state.inner)
+        .collect();
+    assert!(
+        machines.iter().any(|m| !m.current.is_empty()),
+        "a session is open at the cut"
+    );
+    assert!(
+        machines
+            .iter()
+            .all(|m| !m.spill_active && m.spilled_chunks == 0 && m.spill_json.is_none()),
+        "nothing has spilled at the cut"
+    );
+
+    // Rewrite it as a version-1 build wrote it: no per-machine spill
+    // state and no exactness cap in the machines' configs.
+    let mut value: serde_json::Value =
+        serde_json::from_str(&ck.to_json().expect("checkpoint serializes")).expect("JSON parses");
+    strip_keys(
+        &mut value,
+        &[
+            "spill_active",
+            "spilled_chunks",
+            "spilled_other",
+            "spilled_end",
+            "spill_json",
+            "exact_entry_cap",
+        ],
+    );
+    if let serde_json::Value::Map(fields) = &mut value {
+        for (key, v) in fields.iter_mut() {
+            if key == "version" {
+                *v = serde_json::Value::U64(1);
+            }
+        }
+    }
+    let v1_json = serde_json::to_string(&value).expect("JSON serializes");
+    assert!(!v1_json.contains("spill") && !v1_json.contains("exact_entry_cap"));
+    let v1 = OnlineCheckpoint::from_json(&v1_json).expect("version-1 checkpoint parses");
+    assert_eq!(v1.version, 1);
+
+    let mut resumed =
+        OnlineAssessor::restore(monitor().clone(), &v1).expect("version-1 checkpoint restores");
+    got.extend(entries[cut..].iter().flat_map(|e| resumed.ingest(e)));
+    let mut report = resumed.into_report();
+    got.append(&mut report.assessments);
+    report.assessments = got;
+    let (uninterrupted, _) = run_streaming(&entries, BudgetConfig::default());
+    assert_eq!(report, uninterrupted);
+}
+
+#[test]
+fn a_model_file_without_the_exactness_cap_loads_with_the_default() {
+    let json = monitor().to_json().expect("model serializes");
+    let mut value: serde_json::Value = serde_json::from_str(&json).expect("JSON parses");
+    strip_keys(&mut value, &["exact_entry_cap"]);
+    let old_json = serde_json::to_string(&value).expect("JSON serializes");
+    assert!(!old_json.contains("exact_entry_cap"));
+    let old = QoeMonitor::from_json(&old_json).expect("a model without the cap loads");
+    assert_eq!(old.reassembly.exact_entry_cap, EXACT_ENTRY_CAP);
+
+    // One session runs past the cap, so the cap shapes the report.
+    let mut tap = multi_subscriber_tap(2, 1, 951);
+    tap.extend(generate_pathological_session(
+        7,
+        Instant::from_secs(30),
+        EXACT_ENTRY_CAP + 64,
+        Duration::from_secs(1),
+        952,
+    ));
+    tap.sort_by_key(|e| e.timestamp);
+    let expected = monitor().pipeline().assess(&tap);
+    assert!(expected
+        .assessments
+        .iter()
+        .any(|a| a.fidelity == Fidelity::Sketched));
+    assert_eq!(old.pipeline().assess(&tap), expected);
 }
 
 #[test]
