@@ -168,7 +168,7 @@ const GROUPS: &[Group] = &[
         ],
     },
     Group {
-        what: "binary weblog format version (§13, 1)",
+        what: "binary weblog format version (§13, 2)",
         sites: &[
             Site {
                 file: "crates/telemetry/src/binlog.rs",
@@ -177,19 +177,6 @@ const GROUPS: &[Group] = &[
             Site {
                 file: "DESIGN.md",
                 extract: Extract::NumberAfter("binlog format version: "),
-            },
-        ],
-    },
-    Group {
-        what: "binary record fixed preamble (§13, 105 bytes)",
-        sites: &[
-            Site {
-                file: "crates/telemetry/src/binlog.rs",
-                extract: Extract::NumberAfter("RECORD_FIXED_BYTES: usize = "),
-            },
-            Site {
-                file: "DESIGN.md",
-                extract: Extract::NumberAfter("fixed preamble of "),
             },
         ],
     },

@@ -1,3 +1,2 @@
-// Fixture: binary weblog constants mirrored into DESIGN.md.
+// Fixture: the binary weblog constant mirrored into DESIGN.md.
 pub const BINLOG_VERSION: u16 = 1;
-pub const RECORD_FIXED_BYTES: usize = 105;

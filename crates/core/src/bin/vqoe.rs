@@ -188,13 +188,13 @@ fn main() {
     (command.run)(&Flags::parse(command, tail));
 }
 
-/// `vqoe corpus pack` — convert a JSONL weblog file into the
-/// length-prefixed binary replay format.
+/// `vqoe corpus pack` — convert a JSONL weblog file into the packed
+/// binary replay format.
 fn corpus_pack(flags: &Flags) {
     let weblogs = flags.path("weblogs");
     let out = flags.path("out");
     let entries: Vec<WeblogEntry> = read_jsonl(&weblogs).unwrap_or_else(die(&weblogs));
-    let corpus = BinaryCorpus::try_pack(&entries).unwrap_or_else(die(&weblogs));
+    let corpus = BinaryCorpus::pack(&entries);
     corpus.write_file(&out).unwrap_or_else(die(&out));
     reporter(flags).normal(&format!(
         "packed {} weblog entries into {} ({} bytes, {:.2}x vs JSONL)",

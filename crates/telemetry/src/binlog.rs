@@ -3,10 +3,11 @@
 //! JSONL corpora are the archival interchange format ([`crate::dataset`]),
 //! but replaying one through `vqoe assess` or `repro` pays full serde
 //! cost on every record. This module defines the packed alternative: a
-//! [`BinaryCorpus`] is one owned byte buffer holding a versioned header
-//! followed by length-prefixed records, and [`BinaryCorpus::records`]
-//! iterates it **without allocating** — every [`RecordRef`] borrows its
-//! `host`/`uri` strings straight out of the buffer.
+//! [`BinaryCorpus`] is one owned byte buffer holding a versioned header,
+//! a table of the distinct hosts and then length-prefixed records, and
+//! [`BinaryCorpus::records`] iterates it **without allocating** — every
+//! [`RecordRef`] borrows its `uri` straight out of the buffer and its
+//! `host` out of the corpus's host table.
 //!
 //! Replay never needs the whole corpus as owned entries. The engine
 //! behind `IngestPipeline::assess_binary` validates and routes a corpus
@@ -18,44 +19,50 @@
 //! built; [`BinaryCorpus::decode_all`] remains for callers that want
 //! one, and fails with exactly the error the routing pass reports.
 //!
-//! ## Layout (all integers little-endian)
+//! ## Layout
+//!
+//! Fixed-width integers are little-endian; `varint` is an unsigned
+//! LEB128 integer of at most 10 bytes (7 bits a byte, low bits first).
 //!
 //! ```text
 //! header (16 bytes):
-//!   magic   [u8; 4]   = b"VQWL"
-//!   version u16       = 1
+//!   magic    [u8; 4]  = b"VQWL"
+//!   version  u16      = 2
 //!   reserved u16      = 0
-//!   count   u64       number of records
-//! record (length-prefixed):
-//!   len     u32       body length in bytes (fixed preamble + strings)
+//!   count    u64      number of records
+//! host table:
+//!   hosts    varint   number of distinct hosts
+//!   per host, in order of first appearance:
+//!     len    varint
+//!     host   [u8; len]   UTF-8
+//! record (length-prefixed, self-contained):
+//!   len      varint   body length in bytes
 //!   body:
-//!     timestamp     u64   microseconds
-//!     subscriber_id u64
-//!     bytes         u64
-//!     duration      u64   microseconds
-//!     transport     8 × f64 (rtt_min, rtt_mean, rtt_max, bdp_mean,
-//!                            bif_mean, bif_max, loss_frac, retx_frac)
-//!     encrypted     u8    0 | 1
-//!     kind          u8    0=PageLoad 1=MediaChunk 2=StatsReport 3=Noise
-//!     has_uri       u8    0 | 1
-//!     host_len      u16
-//!     uri_len       u32
-//!     host          [u8; host_len]   UTF-8
-//!     uri           [u8; uri_len]    UTF-8 (absent when has_uri = 0)
+//!     flags  u8       bit 0 encrypted, bits 1-2 kind (0=PageLoad
+//!                     1=MediaChunk 2=StatsReport 3=Noise), bit 3 has_uri;
+//!                     bits 4-7 are 0
+//!     mask   u8       bit i set = transport float i is stored
+//!     timestamp, subscriber_id, bytes, duration, host index: 5 × varint
+//!     transport  the floats whose raw bits are nonzero, in order
+//!                (rtt_min, rtt_mean, rtt_max, bdp_mean, bif_mean,
+//!                bif_max, loss_frac, retx_frac), each the f64's 8 raw
+//!                bytes; an unstored float is +0.0
+//!     uri    varint len + [u8; len] UTF-8, only when has_uri = 1
 //! ```
 //!
-//! The fixed preamble is [`RECORD_FIXED_BYTES`] bytes, so every record
-//! body is exactly `RECORD_FIXED_BYTES + entry.variable_cost()` bytes —
-//! the same [`WeblogEntry::variable_cost`] the memory-budget accounting
-//! ([`WeblogEntry::tracked_cost`]) is built on. A regression test pins
-//! the two accountings to that shared helper.
+//! Each host is stored once and each record names it by index. The
+//! mask keys on raw bits, so `-0.0` and every NaN payload are stored
+//! and a pack/decode round trip is bit-exact. Varint lengths carry any
+//! host, URI or record body, so [`BinaryCorpus::pack`] takes any entry.
 //!
 //! Decoding is strict and typed: a wrong magic, an unsupported version,
-//! a truncated buffer, an oversized length prefix, a bad enum byte or
-//! non-UTF-8 string all surface as a diagnosable [`BinlogError`], never
-//! a panic — the format sits on the same untrusted edge as
-//! [`crate::dataset`].
+//! a truncated buffer, a malformed varint, a length prefix that
+//! disagrees with its body, a set reserved bit, a host index past the
+//! table or a non-UTF-8 string all surface as a diagnosable
+//! [`BinlogError`], never a panic — the format sits on the same
+//! untrusted edge as [`crate::dataset`].
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
@@ -68,14 +75,14 @@ use crate::weblog::{EntryKind, WeblogEntry};
 pub const BINLOG_MAGIC: [u8; 4] = *b"VQWL";
 
 /// Format version stamped into the header. Bump on any layout change.
-pub const BINLOG_VERSION: u16 = 1;
+pub const BINLOG_VERSION: u16 = 2;
 
 /// Header size in bytes: magic + version + reserved + record count.
 pub const HEADER_BYTES: usize = 16;
 
-/// Fixed preamble size of one record body, before the variable-length
-/// host/uri bytes: 4 × u64 + 8 × f64 + 3 × u8 + u16 + u32 = 105.
-pub const RECORD_FIXED_BYTES: usize = 105;
+/// The smallest possible record: a one-byte length, the flags and mask
+/// bytes and five one-byte varints.
+const MIN_RECORD_BYTES: usize = 8;
 
 /// Why a binary corpus failed to decode.
 #[derive(Debug)]
@@ -97,6 +104,29 @@ pub enum BinlogError {
         /// The version found in the header.
         found: u16,
     },
+    /// The host table runs past the end of the buffer.
+    TruncatedHostTable {
+        /// Byte offset of the count or host entry that is cut short.
+        offset: usize,
+    },
+    /// The host table claims more hosts than the rest of the buffer
+    /// could hold, at one byte each.
+    BadHostCount {
+        /// The count found.
+        count: u64,
+        /// Bytes left after the count.
+        room: u64,
+    },
+    /// A host in the table is not valid UTF-8.
+    NonUtf8Host {
+        /// Zero-based index of the host in the table.
+        entry: u64,
+    },
+    /// A varint is longer than 10 bytes or overflows a u64.
+    BadVarint {
+        /// Byte offset where the varint starts.
+        offset: usize,
+    },
     /// A record's length prefix or body runs past the end of the buffer.
     Truncated {
         /// Zero-based index of the offending record.
@@ -104,15 +134,14 @@ pub enum BinlogError {
         /// Byte offset where the record starts.
         offset: usize,
     },
-    /// A record's length prefix disagrees with its own string lengths.
+    /// A record's length prefix disagrees with the fields of its body.
     BadLength {
         /// Zero-based index of the offending record.
         index: u64,
         /// The length prefix found.
-        len: u32,
+        len: u64,
     },
-    /// A one-byte field (kind, encrypted, has_uri) holds an undefined
-    /// value.
+    /// A one-byte field holds an undefined value.
     BadField {
         /// Zero-based index of the offending record.
         index: u64,
@@ -121,7 +150,16 @@ pub enum BinlogError {
         /// The byte found.
         value: u8,
     },
-    /// A host or uri is not valid UTF-8.
+    /// A record names a host past the end of the host table.
+    BadHostIndex {
+        /// Zero-based index of the offending record.
+        index: u64,
+        /// The host index found.
+        host: u64,
+        /// Entries in the host table.
+        hosts: u64,
+    },
+    /// A record's uri is not valid UTF-8.
     NonUtf8 {
         /// Zero-based index of the offending record.
         index: u64,
@@ -134,19 +172,6 @@ pub enum BinlogError {
         header: u64,
         /// Records actually decoded.
         actual: u64,
-    },
-    /// An entry is too large for the format's length fields, so it
-    /// cannot be packed (see [`BinaryCorpus::try_pack`]).
-    TooLong {
-        /// Zero-based index of the offending entry.
-        index: u64,
-        /// Which length overflowed: `"host"` (u16) or `"record"` (the
-        /// u32 body length).
-        field: &'static str,
-        /// The length in bytes.
-        len: u64,
-        /// The largest length the field can carry.
-        max: u64,
     },
 }
 
@@ -162,35 +187,45 @@ impl fmt::Display for BinlogError {
             }
             BinlogError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported format version {found} (this build reads {BINLOG_VERSION})"
+                "unsupported format version {found} (this build reads {BINLOG_VERSION}; \
+                 re-pack older corpora from JSONL)"
+            ),
+            BinlogError::TruncatedHostTable { offset } => {
+                write!(f, "host table is truncated at offset {offset}")
+            }
+            BinlogError::BadHostCount { count, room } => write!(
+                f,
+                "host table claims {count} hosts, only {room} bytes follow"
+            ),
+            BinlogError::NonUtf8Host { entry } => {
+                write!(f, "host table entry {entry} is not valid UTF-8")
+            }
+            BinlogError::BadVarint { offset } => write!(
+                f,
+                "varint at offset {offset} is longer than 10 bytes or overflows u64"
             ),
             BinlogError::Truncated { index, offset } => {
                 write!(f, "record {index} at offset {offset} is truncated")
             }
             BinlogError::BadLength { index, len } => write!(
                 f,
-                "record {index}: length prefix {len} disagrees with its field lengths"
+                "record {index}: length prefix {len} disagrees with its fields"
             ),
             BinlogError::BadField {
                 index,
                 field,
                 value,
             } => write!(f, "record {index}: undefined {field} byte {value}"),
+            BinlogError::BadHostIndex { index, host, hosts } => write!(
+                f,
+                "record {index}: host index {host} is past the {hosts}-entry host table"
+            ),
             BinlogError::NonUtf8 { index, field } => {
                 write!(f, "record {index}: {field} is not valid UTF-8")
             }
             BinlogError::CountMismatch { header, actual } => {
                 write!(f, "header claims {header} records, buffer holds {actual}")
             }
-            BinlogError::TooLong {
-                index,
-                field,
-                len,
-                max,
-            } => write!(
-                f,
-                "record {index}: {field} is {len} bytes, the format carries at most {max}"
-            ),
         }
     }
 }
@@ -211,7 +246,8 @@ impl From<std::io::Error> for BinlogError {
 }
 
 /// One record viewed in place: every field is parsed out of the corpus
-/// buffer, and the strings *borrow* it — no allocation per record.
+/// buffer, and the strings *borrow* the corpus — no allocation per
+/// record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecordRef<'a> {
     /// Request timestamp.
@@ -228,7 +264,7 @@ pub struct RecordRef<'a> {
     pub encrypted: bool,
     /// Simulator-side kind tag.
     pub kind: EntryKind,
-    /// Server hostname, borrowed from the corpus buffer.
+    /// Server hostname, borrowed from the corpus's host table.
     pub host: &'a str,
     /// Request URI, borrowed from the corpus buffer; `None` under
     /// encryption.
@@ -274,7 +310,7 @@ impl RecordRef<'_> {
     }
 }
 
-fn kind_to_byte(kind: EntryKind) -> u8 {
+fn kind_to_bits(kind: EntryKind) -> u8 {
     match kind {
         EntryKind::PageLoad => 0,
         EntryKind::MediaChunk => 1,
@@ -283,117 +319,174 @@ fn kind_to_byte(kind: EntryKind) -> u8 {
     }
 }
 
-fn kind_from_byte(b: u8) -> Option<EntryKind> {
-    match b {
-        0 => Some(EntryKind::PageLoad),
-        1 => Some(EntryKind::MediaChunk),
-        2 => Some(EntryKind::StatsReport),
-        3 => Some(EntryKind::Noise),
-        _ => None,
+fn kind_from_bits(b: u8) -> EntryKind {
+    match b & 3 {
+        0 => EntryKind::PageLoad,
+        1 => EntryKind::MediaChunk,
+        2 => EntryKind::StatsReport,
+        _ => EntryKind::Noise,
     }
 }
 
-/// The encoded body length of one entry: the value its length prefix
-/// carries. Exactly [`RECORD_FIXED_BYTES`] plus
-/// [`WeblogEntry::variable_cost`] — the shared accounting helper.
-pub fn encoded_body_len(entry: &WeblogEntry) -> u64 {
-    RECORD_FIXED_BYTES as u64 + entry.variable_cost()
+const FLAG_ENCRYPTED: u8 = 1;
+const FLAG_KIND_SHIFT: u8 = 1;
+const FLAG_HAS_URI: u8 = 1 << 3;
+const FLAG_RESERVED: u8 = 0xF0;
+
+/// Bytes a value takes as a varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// A packed weblog corpus: one owned byte buffer, validated header,
-/// zero-copy record iteration.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// One record's wire form, computed once so sizing and writing agree.
+struct Encoded {
+    flags: u8,
+    mask: u8,
+    /// Timestamp, subscriber, bytes, duration and host index.
+    ints: [u64; 5],
+    floats: [f64; 8],
+    body_len: u64,
+}
+
+impl Encoded {
+    fn new(e: &WeblogEntry, host: u64) -> Encoded {
+        let t = &e.transport;
+        let floats = [
+            t.rtt_min,
+            t.rtt_mean,
+            t.rtt_max,
+            t.bdp_mean,
+            t.bif_mean,
+            t.bif_max,
+            t.loss_frac,
+            t.retx_frac,
+        ];
+        let mut mask = 0u8;
+        for (i, v) in floats.iter().enumerate() {
+            if v.to_bits() != 0 {
+                mask |= 1 << i;
+            }
+        }
+        let mut flags = u8::from(e.encrypted) | (kind_to_bits(e.kind) << FLAG_KIND_SHIFT);
+        let uri = e.uri.as_ref().map_or(0, |u| {
+            flags |= FLAG_HAS_URI;
+            varint_len(u.len() as u64) + u.len()
+        });
+        let ints = [
+            e.timestamp.as_micros(),
+            e.subscriber_id,
+            e.bytes,
+            e.duration.as_micros(),
+            host,
+        ];
+        let varints: usize = ints.into_iter().map(varint_len).sum();
+        let body_len = 2 + varints + 8 * mask.count_ones() as usize + uri;
+        Encoded {
+            flags,
+            mask,
+            ints,
+            floats,
+            body_len: body_len as u64,
+        }
+    }
+
+    /// The record's size on the wire, length prefix included.
+    fn wire_len(&self) -> usize {
+        varint_len(self.body_len) + self.body_len as usize
+    }
+
+    fn write(&self, buf: &mut Vec<u8>, uri: Option<&str>) {
+        put_varint(buf, self.body_len);
+        buf.push(self.flags);
+        buf.push(self.mask);
+        for v in self.ints {
+            put_varint(buf, v);
+        }
+        for (i, v) in self.floats.iter().enumerate() {
+            if self.mask & (1 << i) != 0 {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        if let Some(uri) = uri {
+            put_varint(buf, uri.len() as u64);
+            buf.extend_from_slice(uri.as_bytes());
+        }
+    }
+}
+
+/// A packed weblog corpus: one owned byte buffer, validated header and
+/// host table, zero-copy record iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryCorpus {
     buf: Vec<u8>,
     count: u64,
+    /// The host table, each entry validated once; records borrow their
+    /// host from here by index.
+    hosts: Vec<Box<str>>,
+    /// Byte offset of the first record, just past the host table.
+    records_start: usize,
 }
 
 impl BinaryCorpus {
-    /// Encode a slice of entries into a fresh corpus, refusing any entry
-    /// the format cannot carry: a host of 64 KiB or more (its length is
-    /// a u16) or a record body of 4 GiB or more (a u32). The error names
-    /// the first such entry. Otherwise identical to
-    /// [`BinaryCorpus::pack`]; use this for input read from outside the
-    /// process.
-    pub fn try_pack(entries: &[WeblogEntry]) -> Result<BinaryCorpus, BinlogError> {
-        for (index, e) in entries.iter().enumerate() {
-            let too_long = |field, len: u64, max: u64| BinlogError::TooLong {
-                index: index as u64,
-                field,
-                len,
-                max,
-            };
-            let host = e.host.len() as u64;
-            if host > u64::from(u16::MAX) {
-                return Err(too_long("host", host, u64::from(u16::MAX)));
-            }
-            let body = encoded_body_len(e);
-            if body > u64::from(u32::MAX) {
-                return Err(too_long("record", body, u64::from(u32::MAX)));
-            }
-        }
-        Ok(BinaryCorpus::pack(entries))
-    }
-
     /// Encode a slice of entries into a fresh corpus. The inverse of
     /// [`BinaryCorpus::decode_all`]: packing and unpacking reproduces
     /// the input bit for bit (f64 transport fields round-trip through
-    /// their raw bits).
-    ///
-    /// Every entry must fit the format's length fields, as entries built
-    /// in-process do. An entry [`BinaryCorpus::try_pack`] refuses is
-    /// written with a truncated length, and decoding the corpus then
-    /// fails at that record; input from outside the process goes
-    /// through `try_pack`.
+    /// their raw bits). Every entry fits the format, whatever the length
+    /// of its strings. The buffer is sized exactly before it is written.
     pub fn pack(entries: &[WeblogEntry]) -> BinaryCorpus {
-        let total: usize = entries
+        // Number the hosts in order of first appearance and size the
+        // buffer, then write it in a second pass.
+        let mut numbers: HashMap<&str, u64> = HashMap::new();
+        let mut hosts: Vec<&str> = Vec::new();
+        let mut len = HEADER_BYTES;
+        for e in entries {
+            let host = *numbers.entry(e.host.as_str()).or_insert_with(|| {
+                hosts.push(&e.host);
+                hosts.len() as u64 - 1
+            });
+            len += Encoded::new(e, host).wire_len();
+        }
+        len += varint_len(hosts.len() as u64);
+        len += hosts
             .iter()
-            .map(|e| 4 + encoded_body_len(e) as usize)
-            .sum();
-        let mut buf = Vec::with_capacity(HEADER_BYTES + total);
+            .map(|h| varint_len(h.len() as u64) + h.len())
+            .sum::<usize>();
+
+        let mut buf = Vec::with_capacity(len);
         buf.extend_from_slice(&BINLOG_MAGIC);
         buf.extend_from_slice(&BINLOG_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for e in entries {
-            buf.extend_from_slice(&(encoded_body_len(e) as u32).to_le_bytes());
-            buf.extend_from_slice(&e.timestamp.as_micros().to_le_bytes());
-            buf.extend_from_slice(&e.subscriber_id.to_le_bytes());
-            buf.extend_from_slice(&e.bytes.to_le_bytes());
-            buf.extend_from_slice(&e.duration.as_micros().to_le_bytes());
-            let t = &e.transport;
-            for v in [
-                t.rtt_min,
-                t.rtt_mean,
-                t.rtt_max,
-                t.bdp_mean,
-                t.bif_mean,
-                t.bif_max,
-                t.loss_frac,
-                t.retx_frac,
-            ] {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            buf.push(u8::from(e.encrypted));
-            buf.push(kind_to_byte(e.kind));
-            buf.push(u8::from(e.uri.is_some()));
-            buf.extend_from_slice(&(e.host.len() as u16).to_le_bytes());
-            let uri_len = e.uri.as_ref().map_or(0, |u| u.len() as u32);
-            buf.extend_from_slice(&uri_len.to_le_bytes());
-            buf.extend_from_slice(e.host.as_bytes());
-            if let Some(uri) = &e.uri {
-                buf.extend_from_slice(uri.as_bytes());
-            }
+        put_varint(&mut buf, hosts.len() as u64);
+        for h in &hosts {
+            put_varint(&mut buf, h.len() as u64);
+            buf.extend_from_slice(h.as_bytes());
         }
+        let records_start = buf.len();
+        for e in entries {
+            Encoded::new(e, numbers[e.host.as_str()]).write(&mut buf, e.uri.as_deref());
+        }
+        debug_assert_eq!(buf.len(), len);
         BinaryCorpus {
             buf,
             count: entries.len() as u64,
+            hosts: hosts.into_iter().map(Box::from).collect(),
+            records_start,
         }
     }
 
     /// Adopt an already-encoded buffer, validating the header (magic,
-    /// version, minimum length). Record bodies are validated lazily,
-    /// during iteration — adoption stays O(1).
+    /// version, minimum length) and the host table, whose UTF-8 is
+    /// checked here once. Record bodies are validated lazily, during
+    /// iteration.
     pub fn from_bytes(buf: Vec<u8>) -> Result<BinaryCorpus, BinlogError> {
         if buf.len() < HEADER_BYTES {
             return Err(BinlogError::TruncatedHeader { len: buf.len() });
@@ -409,14 +502,17 @@ impl BinaryCorpus {
         }
         let mut count = [0u8; 8];
         count.copy_from_slice(&buf[8..16]);
+        let (hosts, records_start) = read_host_table(&buf)?;
         Ok(BinaryCorpus {
             buf,
             count: u64::from_le_bytes(count),
+            hosts,
+            records_start,
         })
     }
 
-    /// The raw encoded bytes (header + records), e.g. to write them
-    /// somewhere other than a file.
+    /// The raw encoded bytes (header, host table and records), e.g. to
+    /// write them somewhere other than a file.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -437,10 +533,15 @@ impl BinaryCorpus {
     /// [`RecordRef`] or the typed decode error at that point; iteration
     /// ends after the first error.
     pub fn records(&self) -> Records<'_> {
+        self.records_from(self.records_start, 0)
+    }
+
+    fn records_from(&self, offset: usize, index: u64) -> Records<'_> {
         Records {
             buf: &self.buf,
-            offset: HEADER_BYTES,
-            index: 0,
+            hosts: &self.hosts,
+            offset,
+            index,
             failed: false,
         }
     }
@@ -476,13 +577,8 @@ impl BinaryCorpus {
     /// yields a typed error or a record read from the wrong bytes, never
     /// a panic.
     pub fn record_at(&self, offset: usize, index: u64) -> Result<RecordRef<'_>, BinlogError> {
-        let mut at = Records {
-            buf: &self.buf,
-            offset,
-            index,
-            failed: false,
-        };
-        at.parse_next()
+        self.records_from(offset, index)
+            .parse_next()
             .unwrap_or(Err(BinlogError::Truncated { index, offset }))
     }
 
@@ -491,7 +587,7 @@ impl BinaryCorpus {
     pub fn decode_all(&self) -> Result<Vec<WeblogEntry>, BinlogError> {
         // The header count is untrusted: reserve no more records than the
         // buffer could possibly hold.
-        let room = self.buf.len().saturating_sub(HEADER_BYTES) / (4 + RECORD_FIXED_BYTES);
+        let room = (self.buf.len() - self.records_start) / MIN_RECORD_BYTES;
         let mut out = Vec::with_capacity(room.min(usize::try_from(self.count).unwrap_or(room)));
         self.for_each_record(|_, record| out.push(record.to_entry()))?;
         Ok(out)
@@ -503,7 +599,7 @@ impl BinaryCorpus {
         Ok(())
     }
 
-    /// Read a corpus from a file, validating the header.
+    /// Read a corpus from a file, validating the header and host table.
     pub fn read_file(path: &Path) -> Result<BinaryCorpus, BinlogError> {
         BinaryCorpus::from_bytes(std::fs::read(path)?)
     }
@@ -515,34 +611,110 @@ impl BinaryCorpus {
     }
 }
 
+/// Parse the host table that follows the header: the hosts, and the
+/// offset of the first record.
+fn read_host_table(buf: &[u8]) -> Result<(Vec<Box<str>>, usize), BinlogError> {
+    let mut at = Cursor::over(buf, HEADER_BYTES, buf.len());
+    let fault = |short, offset| match short {
+        Short::End => BinlogError::TruncatedHostTable { offset },
+        Short::Varint(offset) => BinlogError::BadVarint { offset },
+    };
+    let count = at.varint().map_err(|s| fault(s, HEADER_BYTES))?;
+    // Every host takes at least its one-byte length, so a count the rest
+    // of the buffer cannot hold is refused before anything is read; the
+    // table grows one host at a time, never by the untrusted count.
+    let room = at.rest.len() as u64;
+    if count > room {
+        return Err(BinlogError::BadHostCount { count, room });
+    }
+    let mut hosts = Vec::new();
+    for entry in 0..count {
+        let start = at.pos();
+        let bytes = at
+            .varint()
+            .and_then(|len| at.take(len))
+            .map_err(|s| fault(s, start))?;
+        let host = std::str::from_utf8(bytes).map_err(|_| BinlogError::NonUtf8Host { entry })?;
+        hosts.push(Box::from(host));
+    }
+    Ok((hosts, at.pos()))
+}
+
+/// Why a read inside one section of the buffer stopped short.
+enum Short {
+    /// The section ended first.
+    End,
+    /// The varint starting at this offset is longer than 10 bytes or
+    /// overflows a u64.
+    Varint(usize),
+}
+
+/// A reader over the unread part of one section of the buffer, which
+/// ends at absolute offset `end`.
+struct Cursor<'a> {
+    rest: &'a [u8],
+    end: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A reader over `buf[start..end]`; empty when that range is not in
+    /// the buffer.
+    fn over(buf: &'a [u8], start: usize, end: usize) -> Cursor<'a> {
+        Cursor {
+            rest: buf.get(start..end).unwrap_or_default(),
+            end,
+        }
+    }
+
+    /// The absolute offset of the next unread byte.
+    fn pos(&self) -> usize {
+        self.end - self.rest.len()
+    }
+
+    fn byte(&mut self) -> Result<u8, Short> {
+        let (&b, rest) = self.rest.split_first().ok_or(Short::End)?;
+        self.rest = rest;
+        Ok(b)
+    }
+
+    fn take(&mut self, n: u64) -> Result<&'a [u8], Short> {
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.rest.len())
+            .ok_or(Short::End)?;
+        let (bytes, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(bytes)
+    }
+
+    // Six varints are read per record; left to itself the compiler
+    // calls this out of line, which measurably slows the record scan.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, Short> {
+        let mut value = 0u64;
+        for (i, &b) in self.rest.iter().enumerate().take(10) {
+            // The tenth byte holds bit 63 alone, and ends the varint.
+            if i == 9 && b > 1 {
+                return Err(Short::Varint(self.pos()));
+            }
+            value |= u64::from(b & 0x7F) << (7 * i);
+            if b < 0x80 {
+                self.rest = &self.rest[i + 1..];
+                return Ok(value);
+            }
+        }
+        Err(Short::End)
+    }
+}
+
 /// Zero-copy record iterator over a [`BinaryCorpus`] buffer.
 #[derive(Debug, Clone)]
 pub struct Records<'a> {
     buf: &'a [u8],
+    hosts: &'a [Box<str>],
     offset: usize,
     index: u64,
     failed: bool,
-}
-
-fn read_u16(buf: &[u8], offset: usize) -> Option<u16> {
-    let b = buf.get(offset..offset.checked_add(2)?)?;
-    Some(u16::from_le_bytes([b[0], b[1]]))
-}
-
-fn read_u32(buf: &[u8], offset: usize) -> Option<u32> {
-    let b = buf.get(offset..offset.checked_add(4)?)?;
-    Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn read_u64(buf: &[u8], offset: usize) -> Option<u64> {
-    let b = buf.get(offset..offset.checked_add(8)?)?;
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(b);
-    Some(u64::from_le_bytes(raw))
-}
-
-fn read_f64(buf: &[u8], offset: usize) -> Option<f64> {
-    read_u64(buf, offset).map(f64::from_bits)
 }
 
 impl<'a> Records<'a> {
@@ -552,142 +724,108 @@ impl<'a> Records<'a> {
         if self.offset == self.buf.len() {
             return None;
         }
+        let parsed = self.parse_record();
+        if parsed.is_ok() {
+            self.index += 1;
+        }
+        Some(parsed)
+    }
+
+    /// Parse one record and, on success, move `self.offset` past it.
+    fn parse_record(&mut self) -> Result<RecordRef<'a>, BinlogError> {
+        let index = self.index;
         let start = self.offset;
-        let truncated = BinlogError::Truncated {
-            index: self.index,
-            offset: start,
+        let mut prefix = Cursor::over(self.buf, start, self.buf.len());
+        let cut = |short| match short {
+            Short::End => BinlogError::Truncated {
+                index,
+                offset: start,
+            },
+            Short::Varint(offset) => BinlogError::BadVarint { offset },
         };
-        let Some(body_len) = read_u32(self.buf, start) else {
-            return Some(Err(truncated));
+        let len = prefix.varint().map_err(cut)?;
+        let mut body = Cursor {
+            rest: prefix.take(len).map_err(cut)?,
+            end: prefix.pos(),
         };
-        let body = start + 4;
-        if (body_len as usize) < RECORD_FIXED_BYTES {
-            return Some(Err(BinlogError::BadLength {
-                index: self.index,
-                len: body_len,
-            }));
+        // A field that runs past the body means the length prefix lies.
+        let fault = |short| match short {
+            Short::End => BinlogError::BadLength { index, len },
+            Short::Varint(offset) => BinlogError::BadVarint { offset },
+        };
+
+        let flags = body.byte().map_err(fault)?;
+        if flags & FLAG_RESERVED != 0 {
+            return Err(BinlogError::BadField {
+                index,
+                field: "flags",
+                value: flags,
+            });
         }
-        let Some(end) = body
-            .checked_add(body_len as usize)
-            .filter(|&e| e <= self.buf.len())
-        else {
-            return Some(Err(truncated));
-        };
-        // The fixed preamble fits (checked above via body_len), so the
-        // field reads below cannot fail inside [body, body + FIXED).
-        let (Some(timestamp), Some(subscriber_id), Some(bytes), Some(duration)) = (
-            read_u64(self.buf, body),
-            read_u64(self.buf, body + 8),
-            read_u64(self.buf, body + 16),
-            read_u64(self.buf, body + 24),
-        ) else {
-            return Some(Err(truncated));
-        };
-        let mut transport = [0f64; 8];
-        for (i, v) in transport.iter_mut().enumerate() {
-            match read_f64(self.buf, body + 32 + 8 * i) {
-                Some(x) => *v = x,
-                None => return Some(Err(truncated)),
+        let mask = body.byte().map_err(fault)?;
+        let mut ints = [0u64; 5];
+        for v in &mut ints {
+            *v = body.varint().map_err(fault)?;
+        }
+        let [timestamp, subscriber_id, bytes, duration, host] = ints;
+        let host = usize::try_from(host)
+            .ok()
+            .and_then(|h| self.hosts.get(h))
+            .map(|h| &**h)
+            .ok_or(BinlogError::BadHostIndex {
+                index,
+                host,
+                hosts: self.hosts.len() as u64,
+            })?;
+        let mut t = [0f64; 8];
+        let mut stored = body
+            .take(8 * u64::from(mask.count_ones()))
+            .map_err(fault)?
+            .chunks_exact(8);
+        for (i, v) in t.iter_mut().enumerate() {
+            if mask & (1 << i) != 0 {
+                let mut raw = [0u8; 8];
+                raw.copy_from_slice(stored.next().unwrap_or(&[0; 8]));
+                *v = f64::from_le_bytes(raw);
             }
         }
-        let (Some(&enc_byte), Some(&kind_byte), Some(&uri_byte)) = (
-            self.buf.get(body + 96),
-            self.buf.get(body + 97),
-            self.buf.get(body + 98),
-        ) else {
-            return Some(Err(truncated));
-        };
-        let (Some(host_len), Some(uri_len)) = (
-            read_u16(self.buf, body + 99),
-            read_u32(self.buf, body + 101),
-        ) else {
-            return Some(Err(truncated));
-        };
-        let encrypted = match enc_byte {
-            0 => false,
-            1 => true,
-            v => {
-                return Some(Err(BinlogError::BadField {
-                    index: self.index,
-                    field: "encrypted",
-                    value: v,
-                }))
-            }
-        };
-        let Some(kind) = kind_from_byte(kind_byte) else {
-            return Some(Err(BinlogError::BadField {
-                index: self.index,
-                field: "kind",
-                value: kind_byte,
-            }));
-        };
-        let has_uri = match uri_byte {
-            0 => false,
-            1 => true,
-            v => {
-                return Some(Err(BinlogError::BadField {
-                    index: self.index,
-                    field: "has_uri",
-                    value: v,
-                }))
-            }
-        };
-        let declared_uri_len = if has_uri { uri_len as u64 } else { 0 };
-        if RECORD_FIXED_BYTES as u64 + host_len as u64 + declared_uri_len != body_len as u64 {
-            return Some(Err(BinlogError::BadLength {
-                index: self.index,
-                len: body_len,
-            }));
-        }
-        let host_start = body + RECORD_FIXED_BYTES;
-        let uri_start = host_start + host_len as usize;
-        let Some(host_bytes) = self.buf.get(host_start..uri_start) else {
-            return Some(Err(truncated));
-        };
-        let Ok(host) = std::str::from_utf8(host_bytes) else {
-            return Some(Err(BinlogError::NonUtf8 {
-                index: self.index,
-                field: "host",
-            }));
-        };
-        let uri = if has_uri {
-            let Some(uri_bytes) = self.buf.get(uri_start..end) else {
-                return Some(Err(truncated));
-            };
-            match std::str::from_utf8(uri_bytes) {
-                Ok(u) => Some(u),
-                Err(_) => {
-                    return Some(Err(BinlogError::NonUtf8 {
-                        index: self.index,
-                        field: "uri",
-                    }))
-                }
-            }
+        let uri = if flags & FLAG_HAS_URI != 0 {
+            let bytes = body
+                .varint()
+                .and_then(|len| body.take(len))
+                .map_err(fault)?;
+            let uri = std::str::from_utf8(bytes).map_err(|_| BinlogError::NonUtf8 {
+                index,
+                field: "uri",
+            })?;
+            Some(uri)
         } else {
             None
         };
-        self.offset = end;
-        self.index += 1;
-        Some(Ok(RecordRef {
+        if !body.rest.is_empty() {
+            return Err(BinlogError::BadLength { index, len });
+        }
+        self.offset = body.end;
+        Ok(RecordRef {
             timestamp: Instant(timestamp),
             subscriber_id,
             bytes,
             duration: Duration(duration),
             transport: TransportSummary {
-                rtt_min: transport[0],
-                rtt_mean: transport[1],
-                rtt_max: transport[2],
-                bdp_mean: transport[3],
-                bif_mean: transport[4],
-                bif_max: transport[5],
-                loss_frac: transport[6],
-                retx_frac: transport[7],
+                rtt_min: t[0],
+                rtt_mean: t[1],
+                rtt_max: t[2],
+                bdp_mean: t[3],
+                bif_mean: t[4],
+                bif_max: t[5],
+                loss_frac: t[6],
+                retx_frac: t[7],
             },
-            encrypted,
-            kind,
+            encrypted: flags & FLAG_ENCRYPTED != 0,
+            kind: kind_from_bits(flags >> FLAG_KIND_SHIFT),
             host,
             uri,
-        }))
+        })
     }
 }
 
@@ -768,14 +906,20 @@ mod tests {
             .collect::<Result<_, _>>()
             .expect("clean corpus iterates");
         assert_eq!(refs.len(), entries.len());
-        // The borrowed strings point into the corpus buffer itself.
+        // Hosts point into the corpus's host table, uris into its buffer.
         let buf_range = corpus.as_bytes().as_ptr_range();
         for (r, e) in refs.iter().zip(&entries) {
             assert_eq!(r.host, e.host);
             assert_eq!(r.uri, e.uri.as_deref());
-            if !r.host.is_empty() {
-                let p = r.host.as_ptr();
-                assert!(buf_range.contains(&p), "host not borrowed from the buffer");
+            assert!(
+                corpus.hosts.iter().any(|h| std::ptr::eq(&**h, r.host)),
+                "host not borrowed from the host table"
+            );
+            if let Some(uri) = r.uri.filter(|u| !u.is_empty()) {
+                assert!(
+                    buf_range.contains(&uri.as_ptr()),
+                    "uri not borrowed from the buffer"
+                );
             }
             assert_eq!(&r.to_entry(), e);
         }
@@ -790,33 +934,32 @@ mod tests {
     }
 
     #[test]
-    fn tracked_cost_and_record_length_share_one_accounting() {
-        // Satellite regression: the memory-budget accounting and the
-        // wire-format length prefix must derive their variable part
-        // from the same helper. Pin both fixed constants, then assert
-        // the shared relation on every sample entry.
+    fn tracked_cost_is_the_overhead_plus_the_variable_cost() {
+        // The memory budgets, and the checkpoints that carry them, charge
+        // the fixed overhead on top of the host and uri bytes.
         assert_eq!(RECORD_OVERHEAD_BYTES, 192);
-        assert_eq!(RECORD_FIXED_BYTES, 105);
         for e in sample() {
             assert_eq!(e.tracked_cost(), RECORD_OVERHEAD_BYTES + e.variable_cost());
-            assert_eq!(
-                encoded_body_len(&e),
-                RECORD_FIXED_BYTES as u64 + e.variable_cost()
-            );
-            // Therefore the two accountings differ by exactly the two
-            // fixed constants, for every possible entry.
-            assert_eq!(
-                e.tracked_cost() - encoded_body_len(&e),
-                RECORD_OVERHEAD_BYTES - RECORD_FIXED_BYTES as u64
-            );
         }
-        // And the encoder really emits `encoded_body_len` bytes.
-        let one = vec![entry("m.youtube.com", Some("/watch?v=a"))];
-        let corpus = BinaryCorpus::pack(&one);
+    }
+
+    #[test]
+    fn each_distinct_host_is_stored_once_in_order_of_first_appearance() {
+        let entries = sample();
+        let corpus = BinaryCorpus::pack(&entries);
+        let hosts: Vec<&str> = corpus.hosts.iter().map(|h| &**h).collect();
         assert_eq!(
-            corpus.as_bytes().len(),
-            HEADER_BYTES + 4 + encoded_body_len(&one[0]) as usize
+            hosts,
+            ["r3---sn-abc123.googlevideo.com", "m.youtube.com", ""]
         );
+        let needle = b"r3---sn-abc123.googlevideo.com";
+        let copies = corpus
+            .as_bytes()
+            .windows(needle.len())
+            .filter(|w| w == needle)
+            .count();
+        assert_eq!(copies, 1, "two records share one table entry");
+        assert_eq!(corpus.decode_all().expect("decodes"), entries);
     }
 
     #[test]
@@ -831,12 +974,15 @@ mod tests {
             BinaryCorpus::from_bytes(bad_magic),
             Err(BinlogError::BadMagic { .. })
         ));
-        let mut bad_version = BinaryCorpus::pack(&sample()).as_bytes().to_vec();
-        bad_version[4] = 99;
-        assert!(matches!(
-            BinaryCorpus::from_bytes(bad_version),
-            Err(BinlogError::UnsupportedVersion { found: 99 })
-        ));
+        for version in [1, 99] {
+            let mut bad_version = BinaryCorpus::pack(&sample()).as_bytes().to_vec();
+            bad_version[4..6].copy_from_slice(&u16::to_le_bytes(version));
+            let err = BinaryCorpus::from_bytes(bad_version).expect_err("only v2 is read");
+            assert!(
+                matches!(err, BinlogError::UnsupportedVersion { found } if found == version),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -851,27 +997,29 @@ mod tests {
             Err(BinlogError::Truncated { .. })
         ));
 
-        // Undefined kind byte in the first record.
-        let mut bad_kind = full.clone();
-        bad_kind[HEADER_BYTES + 4 + 97] = 9;
-        let corpus = BinaryCorpus::from_bytes(bad_kind).expect("header intact");
+        // A reserved flag bit set in the first record (whose one-byte
+        // length prefix precedes its flags).
+        let first = BinaryCorpus::pack(&entries).records_start;
+        let mut bad_flags = full.clone();
+        bad_flags[first + 1] |= 0x40;
+        let corpus = BinaryCorpus::from_bytes(bad_flags).expect("header intact");
         assert!(matches!(
             corpus.decode_all(),
             Err(BinlogError::BadField {
-                field: "kind",
-                value: 9,
+                index: 0,
+                field: "flags",
                 ..
             })
         ));
 
-        // Length prefix lies about the string lengths.
+        // Length prefix lies about the body.
         let mut bad_len = full.clone();
-        bad_len[HEADER_BYTES] ^= 1;
+        bad_len[first] ^= 1;
         let corpus = BinaryCorpus::from_bytes(bad_len).expect("header intact");
         let err = corpus.decode_all().expect_err("must be rejected");
         assert!(matches!(
             err,
-            BinlogError::BadLength { .. } | BinlogError::Truncated { .. }
+            BinlogError::BadLength { index: 0, .. } | BinlogError::Truncated { .. }
         ));
 
         // Header count disagrees with the records present.
@@ -886,14 +1034,25 @@ mod tests {
 
     #[test]
     fn non_utf8_strings_are_rejected() {
-        let entries = vec![entry("host.example", None)];
+        // A host fails when the table is adopted, before any record.
+        let entries = vec![entry("host.example", Some("/a"))];
         let mut bytes = BinaryCorpus::pack(&entries).as_bytes().to_vec();
-        let host_start = HEADER_BYTES + 4 + RECORD_FIXED_BYTES;
+        let host_start = HEADER_BYTES + 2; // past the count and the length
         bytes[host_start] = 0xFF;
-        let corpus = BinaryCorpus::from_bytes(bytes).expect("header intact");
+        assert!(matches!(
+            BinaryCorpus::from_bytes(bytes),
+            Err(BinlogError::NonUtf8Host { entry: 0 })
+        ));
+        // A uri fails in its record; it is the last byte of the corpus.
+        let mut bytes = BinaryCorpus::pack(&entries).as_bytes().to_vec();
+        *bytes.last_mut().expect("nonempty") = 0xFF;
+        let corpus = BinaryCorpus::from_bytes(bytes).expect("table intact");
         assert!(matches!(
             corpus.decode_all(),
-            Err(BinlogError::NonUtf8 { field: "host", .. })
+            Err(BinlogError::NonUtf8 {
+                index: 0,
+                field: "uri"
+            })
         ));
     }
 
@@ -909,7 +1068,8 @@ mod tests {
     fn empty_corpus_round_trips() {
         let corpus = BinaryCorpus::pack(&[]);
         assert!(corpus.is_empty());
-        assert_eq!(corpus.as_bytes().len(), HEADER_BYTES);
+        // The header and an empty host table's one-byte count.
+        assert_eq!(corpus.as_bytes().len(), HEADER_BYTES + 1);
         assert_eq!(corpus.decode_all().expect("decodes"), Vec::new());
     }
 
@@ -927,28 +1087,151 @@ mod tests {
     }
 
     #[test]
-    fn try_pack_refuses_a_host_the_format_cannot_carry() {
-        let long = entry(&"h".repeat(70_000), None);
-        let entries = vec![entry("m.youtube.com", None), long];
-        let err = BinaryCorpus::try_pack(&entries).expect_err("a 70,000-byte host cannot fit");
-        assert!(
-            matches!(
-                err,
-                BinlogError::TooLong {
-                    index: 1,
-                    field: "host",
-                    len: 70_000,
-                    max: 65_535,
-                }
-            ),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("record 1"), "{err}");
-        // The longest host the u16 length carries still packs losslessly.
-        let widest = vec![entry(&"h".repeat(65_535), Some("/watch"))];
-        let corpus = BinaryCorpus::try_pack(&widest).expect("fits");
-        assert_eq!(corpus, BinaryCorpus::pack(&widest));
-        assert_eq!(corpus.decode_all().expect("decodes"), widest);
+    fn a_host_or_uri_of_any_length_packs_and_unpacks() {
+        let entries = vec![
+            entry("m.youtube.com", None),
+            entry(&"h".repeat(70_000), None),
+            entry("m.youtube.com", Some(&"/u".repeat(40_000))),
+        ];
+        let corpus = BinaryCorpus::pack(&entries);
+        assert_eq!(corpus.decode_all().expect("decodes"), entries);
+        let adopted = BinaryCorpus::from_bytes(corpus.as_bytes().to_vec()).expect("adopts");
+        assert_eq!(adopted, corpus);
+    }
+
+    /// A header claiming `count` records, then a host table of `hosts`,
+    /// then `records` verbatim.
+    fn raw(count: u64, hosts: &[&[u8]], records: &[u8]) -> Vec<u8> {
+        let mut bytes = header(count);
+        put_varint(&mut bytes, hosts.len() as u64);
+        for h in hosts {
+            put_varint(&mut bytes, h.len() as u64);
+            bytes.extend_from_slice(h);
+        }
+        bytes.extend_from_slice(records);
+        bytes
+    }
+
+    /// `body` behind its varint length prefix.
+    fn record(body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, body.len() as u64);
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    #[test]
+    fn a_hand_built_record_decodes() {
+        // Encrypted media chunk, rtt_min only, timestamp 300 (two bytes).
+        let mut body = vec![0b011, 0b1, 0xAC, 0x02, 7, 9, 11, 0];
+        body.extend_from_slice(&0.25f64.to_le_bytes());
+        let bytes = raw(1, &[b"h.example"], &record(&body));
+        let got = BinaryCorpus::from_bytes(bytes)
+            .expect("adopts")
+            .decode_all()
+            .expect("decodes");
+        let mut want = entry("h.example", None);
+        want.timestamp = Instant(300);
+        (want.subscriber_id, want.bytes, want.duration) = (7, 9, Duration(11));
+        want.transport = TransportSummary {
+            rtt_min: 0.25,
+            rtt_mean: 0.0,
+            rtt_max: 0.0,
+            bdp_mean: 0.0,
+            bif_mean: 0.0,
+            bif_max: 0.0,
+            loss_frac: 0.0,
+            retx_frac: 0.0,
+        };
+        assert_eq!(got, vec![want]);
+    }
+
+    #[test]
+    fn a_malformed_host_table_is_typed() {
+        let full = BinaryCorpus::pack(&sample()).as_bytes().to_vec();
+        let adopt = |bytes: &[u8]| BinaryCorpus::from_bytes(bytes.to_vec()).map(|_| ());
+        // No table at all, then the first host (30 bytes, its length at
+        // offset 17) cut short.
+        assert!(matches!(
+            adopt(&full[..HEADER_BYTES]),
+            Err(BinlogError::TruncatedHostTable { offset: 16 })
+        ));
+        assert!(matches!(
+            adopt(&full[..HEADER_BYTES + 10]),
+            Err(BinlogError::TruncatedHostTable { offset: 17 })
+        ));
+        // A non-UTF-8 second host.
+        assert!(matches!(
+            adopt(&raw(0, &[b"ok", &[0xC3]], &[])),
+            Err(BinlogError::NonUtf8Host { entry: 1 })
+        ));
+        // Counts the rest of the buffer cannot hold, one past it and the
+        // largest a varint carries (ten bytes).
+        let mut five = header(0);
+        five.extend_from_slice(&[5, 0, 0, 0, 0]);
+        assert!(matches!(
+            adopt(&five),
+            Err(BinlogError::BadHostCount { count: 5, room: 4 })
+        ));
+        let mut huge = header(0);
+        huge.extend_from_slice(&[0xFF; 9]);
+        huge.push(0x01);
+        assert!(matches!(
+            adopt(&huge),
+            Err(BinlogError::BadHostCount {
+                count: u64::MAX,
+                room: 0
+            })
+        ));
+    }
+
+    #[test]
+    fn an_overlong_or_overflowing_varint_is_typed() {
+        let adopt = |bytes: Vec<u8>| BinaryCorpus::from_bytes(bytes).map(|_| ());
+        let mut eleven = header(0);
+        eleven.extend_from_slice(&[0x80; 10]);
+        eleven.push(0);
+        let mut overflow = header(0);
+        overflow.extend_from_slice(&[0xFF; 9]);
+        overflow.push(0x02);
+        for bytes in [eleven, overflow] {
+            assert!(matches!(
+                adopt(bytes),
+                Err(BinlogError::BadVarint { offset: 16 })
+            ));
+        }
+        // In a record: its length prefix, and its timestamp.
+        let start = raw(1, &[b"h"], &[]).len();
+        let decode = |records: &[u8]| {
+            BinaryCorpus::from_bytes(raw(1, &[b"h"], records))
+                .expect("table intact")
+                .decode_all()
+        };
+        assert!(matches!(
+            decode(&[0xFF; 11]),
+            Err(BinlogError::BadVarint { offset }) if offset == start
+        ));
+        let mut body = vec![0, 0];
+        body.extend_from_slice(&[0xFF; 10]);
+        body.extend_from_slice(&[0, 0, 0, 0]);
+        assert!(matches!(
+            decode(&record(&body)),
+            Err(BinlogError::BadVarint { offset }) if offset == start + 3
+        ));
+    }
+
+    #[test]
+    fn a_host_index_past_the_table_is_typed() {
+        let bytes = raw(1, &[b"h"], &record(&[0, 0, 1, 2, 3, 4, 1]));
+        let corpus = BinaryCorpus::from_bytes(bytes).expect("table intact");
+        assert!(matches!(
+            corpus.decode_all(),
+            Err(BinlogError::BadHostIndex {
+                index: 0,
+                host: 1,
+                hosts: 1
+            })
+        ));
     }
 
     #[test]
@@ -960,7 +1243,7 @@ mod tests {
             .for_each_record(|offset, r| seen.push((offset, r)))
             .expect("clean corpus validates");
         assert_eq!(seen.len(), entries.len());
-        assert_eq!(seen[0].0, HEADER_BYTES);
+        assert_eq!(seen[0].0, corpus.records_start);
         // One scratch entry reused across records whose uri goes
         // absent -> present -> present -> absent.
         let mut scratch = entries[2].clone();
@@ -1063,7 +1346,7 @@ mod tests {
                 retx_frac: transport[7],
             },
             encrypted: (c >> 24) & 1 == 1,
-            kind: kind_from_byte(((c >> 25) % 4) as u8).unwrap_or(EntryKind::Noise),
+            kind: kind_from_bits((c >> 25) as u8),
         }
     }
 
@@ -1148,10 +1431,18 @@ mod tests {
             junk in proptest::collection::vec(0u8..=255, 0..400),
             count in 0u64..6,
             huge in proptest::bool::ANY,
-            framed in proptest::bool::ANY,
+            framing in 0u8..3,
         ) {
+            // Junk alone, after a bare header (mostly refused by the host
+            // table parser), or after a valid header and host table, so
+            // the record parser reads it.
             let count = if huge { u64::MAX - count } else { count };
-            let mut bytes = if framed { header(count) } else { Vec::new() };
+            let hosts: Vec<&[u8]> = HOSTS.iter().map(|h| h.as_bytes()).collect();
+            let mut bytes = match framing {
+                0 => Vec::new(),
+                1 => header(count),
+                _ => raw(count, &hosts, &[]),
+            };
             bytes.extend_from_slice(&junk);
             let _ = read_every_way(bytes);
         }
@@ -1187,9 +1478,7 @@ mod tests {
             seeds in proptest::collection::vec((SEED, SEED, SEED, SEED), 0..12),
         ) {
             let entries: Vec<WeblogEntry> = seeds.into_iter().map(arbitrary_entry).collect();
-            let corpus = BinaryCorpus::try_pack(&entries).map_err(|e| {
-                proptest::TestCaseError::Fail(format!("refused: {e}"))
-            })?;
+            let corpus = BinaryCorpus::pack(&entries);
             let decoded = read_every_way(corpus.as_bytes().to_vec())
                 .map_err(proptest::TestCaseError::Fail)?;
             let want: Vec<EntryBits> = entries.iter().map(bits).collect();

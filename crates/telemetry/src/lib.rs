@@ -39,8 +39,9 @@
 //!   time overlap and chunk counts, as the paper joins its instrumented-
 //!   handset logs to proxy records) and persists datasets as JSONL.
 //! * [`binlog`] — the compact length-prefixed binary weblog format
-//!   ([`binlog::BinaryCorpus`]): versioned header, zero-copy record
-//!   iteration, typed decode errors. The replay hot path skips serde
+//!   ([`binlog::BinaryCorpus`]): versioned header, a table of the
+//!   distinct hosts, varint-packed records, zero-copy record iteration,
+//!   typed decode errors. The replay hot path skips serde
 //!   entirely; JSONL stays the archival interchange format.
 //!
 //! [`SessionTrace`]: vqoe_player::SessionTrace

@@ -71,12 +71,10 @@ impl WeblogEntry {
     }
 
     /// The variable-length byte count of this record: the host plus the
-    /// URI (when present). This is the *single* source of truth for
-    /// variable-size accounting — both [`WeblogEntry::tracked_cost`]
-    /// (memory budgets) and the binary weblog encoder
-    /// ([`crate::binlog`]) add their own fixed per-record constant on
-    /// top of exactly this value, so the two accountings can never
-    /// drift apart.
+    /// URI (when present). [`WeblogEntry::tracked_cost`] adds the fixed
+    /// per-record constant to it, so every memory budget charges a
+    /// record by this value. The binary weblog ([`crate::binlog`]) does
+    /// not: it stores each host once and names it by index.
     pub fn variable_cost(&self) -> u64 {
         self.host.len() as u64 + self.uri.as_ref().map_or(0, |u| u.len() as u64)
     }

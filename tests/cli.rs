@@ -399,28 +399,38 @@ fn corpus_pack_unpack_round_trips_and_assess_sniffs_both() {
         "assessments must not depend on the weblog encoding"
     );
 
-    // An entry the format cannot carry is refused, naming the record,
-    // and no corpus is written.
+    // A host of any length packs, and unpacks byte for byte.
     let mut entries: Vec<vqoe_telemetry::WeblogEntry> =
         vqoe_telemetry::read_jsonl(&dir.join("weblogs.jsonl")).expect("read weblogs");
     entries[1].host = "h".repeat(70_000);
     vqoe_telemetry::write_jsonl(&dir.join("long.jsonl"), &entries).expect("write weblogs");
-    let out = vqoe()
-        .current_dir(&dir)
-        .args([
+    run(
+        &dir,
+        &[
             "corpus",
             "pack",
             "--weblogs",
             "long.jsonl",
             "--out",
             "long.vqwl",
-        ])
-        .output()
-        .expect("spawn");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "oversized host packed: {err}");
-    assert!(err.contains("record 1: host is 70000 bytes"), "{err}");
-    assert!(!dir.join("long.vqwl").exists());
+        ],
+    );
+    run(
+        &dir,
+        &[
+            "corpus",
+            "unpack",
+            "--corpus",
+            "long.vqwl",
+            "--out",
+            "long_roundtrip.jsonl",
+        ],
+    );
+    assert_eq!(
+        std::fs::read(dir.join("long.jsonl")).unwrap(),
+        std::fs::read(dir.join("long_roundtrip.jsonl")).unwrap(),
+        "a 70,000-byte host must survive pack/unpack"
+    );
 
     // A bad verb fails cleanly.
     let out = vqoe()

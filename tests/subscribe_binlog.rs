@@ -8,7 +8,9 @@
 //!   tap and on a harsh-chaos tap with a session past the exactness cap;
 //! * truncated, bit-flipped and arbitrary corpora are rejected with
 //!   typed errors, never a panic and never a silently short decode, and
-//!   `assess_binary` fails with exactly `decode_all`'s error.
+//!   `assess_binary` fails with exactly `decode_all`'s error;
+//! * the wire format is pinned by a committed fixture, and a packed tap
+//!   stays well under the size of the fixed-width layout it replaced.
 
 use std::sync::OnceLock;
 
@@ -16,10 +18,11 @@ use proptest::prelude::*;
 use vqoe_core::prelude::*;
 use vqoe_core::{EncryptedEvalConfig, EncryptedWorld};
 use vqoe_obs::Registry;
+use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration, Instant};
 use vqoe_telemetry::{
     apply_chaos, generate_pathological_session, merge_streams, read_jsonl, write_jsonl,
-    ChaosConfig, ChaosProfile, BINLOG_MAGIC, EXACT_ENTRY_CAP,
+    ChaosConfig, ChaosProfile, EntryKind, BINLOG_MAGIC, EXACT_ENTRY_CAP,
 };
 
 fn monitor() -> &'static QoeMonitor {
@@ -75,6 +78,148 @@ fn json_pack_unpack_round_trip_is_bit_identical() {
     assert_eq!(unpacked, entries, "pack/unpack round trip must be lossless");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The committed packing of [`fixture_tap`]: a change to the wire format
+/// shows here as a byte diff.
+const FIXTURE: &[u8] = include_bytes!("fixtures/binlog_v2_small.vqwl");
+
+/// A small tap touching every corner of the format: a host shared by
+/// two records, a non-ASCII host, an empty one, a URI, a varint of each
+/// width class, and transport floats that are +0.0 (not stored), -0.0
+/// and NaNs with payloads (stored by their raw bits).
+fn fixture_tap() -> Vec<WeblogEntry> {
+    let video = "r4---sn-5hne6nsk.googlevideo.com";
+    let transport = |bits: [u64; 8]| {
+        let [rtt_min, rtt_mean, rtt_max, bdp_mean, bif_mean, bif_max, loss_frac, retx_frac] =
+            bits.map(f64::from_bits);
+        TransportSummary {
+            rtt_min,
+            rtt_mean,
+            rtt_max,
+            bdp_mean,
+            bif_mean,
+            bif_max,
+            loss_frac,
+            retx_frac,
+        }
+    };
+    let chunk = WeblogEntry {
+        timestamp: Instant::from_millis(1_250),
+        subscriber_id: 7,
+        host: video.to_string(),
+        uri: None,
+        bytes: 512_000,
+        duration: Duration::from_millis(420),
+        transport: transport(
+            [0.041, 0.048, 0.06, 61_440.0, 20_480.0, 40_960.0, 0.0, 0.0].map(f64::to_bits),
+        ),
+        encrypted: true,
+        kind: EntryKind::MediaChunk,
+    };
+    vec![
+        chunk.clone(),
+        WeblogEntry {
+            timestamp: Instant::from_millis(1_300),
+            host: "視頻.例子.cn".to_string(),
+            uri: Some("/videoplayback?itag=243&é=1".to_string()),
+            bytes: 0,
+            encrypted: false,
+            kind: EntryKind::PageLoad,
+            transport: transport([
+                0x8000_0000_0000_0000,
+                0x7ff8_0000_0000_0000,
+                0xfff0_0000_dead_beef,
+                0,
+                0x0000_0000_0000_0001,
+                0x7ff0_0000_0000_0000,
+                0x8000_0000_0000_0000,
+                0x3f50_624d_d2f1_a9fc,
+            ]),
+            ..chunk.clone()
+        },
+        WeblogEntry {
+            timestamp: Instant(u64::MAX),
+            subscriber_id: u64::MAX,
+            kind: EntryKind::StatsReport,
+            ..chunk.clone()
+        },
+        WeblogEntry {
+            host: String::new(),
+            kind: EntryKind::Noise,
+            transport: transport([0; 8]),
+            ..chunk
+        },
+    ]
+}
+
+/// An entry's fields with the floats as raw bits, so NaNs compare.
+fn entry_bits(e: &WeblogEntry) -> String {
+    let t = &e.transport;
+    let floats = [
+        t.rtt_min,
+        t.rtt_mean,
+        t.rtt_max,
+        t.bdp_mean,
+        t.bif_mean,
+        t.bif_max,
+        t.loss_frac,
+        t.retx_frac,
+    ]
+    .map(f64::to_bits);
+    format!(
+        "{} {} {:?} {:?} {} {} {floats:x?} {} {:?}",
+        e.timestamp.as_micros(),
+        e.subscriber_id,
+        e.host,
+        e.uri,
+        e.bytes,
+        e.duration.as_micros(),
+        e.encrypted,
+        e.kind
+    )
+}
+
+#[test]
+fn the_committed_fixture_pins_the_wire_format() {
+    let tap = fixture_tap();
+    assert_eq!(
+        BinaryCorpus::pack(&tap).as_bytes(),
+        FIXTURE,
+        "pack no longer reproduces tests/fixtures/binlog_v2_small.vqwl"
+    );
+    let decoded = BinaryCorpus::from_bytes(FIXTURE.to_vec())
+        .expect("the fixture adopts")
+        .decode_all()
+        .expect("the fixture decodes");
+    assert_eq!(
+        decoded.iter().map(entry_bits).collect::<Vec<_>>(),
+        tap.iter().map(entry_bits).collect::<Vec<_>>()
+    );
+    // The same bytes stamped version 1 are refused: only v2 is read.
+    let mut v1 = FIXTURE.to_vec();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert!(matches!(
+        BinaryCorpus::from_bytes(v1),
+        Err(BinlogError::UnsupportedVersion { found: 1 })
+    ));
+}
+
+#[test]
+fn a_packed_tap_is_at_most_60_percent_of_the_fixed_width_layout() {
+    let entries = multi_subscriber_tap(4, 2, 800);
+    // The fixed-width layout spent a 4-byte length, a 105-byte preamble
+    // and the host and uri bytes on every record, after a 16-byte header.
+    let fixed_width: u64 = 16
+        + entries
+            .iter()
+            .map(|e| 4 + 105 + e.variable_cost())
+            .sum::<u64>();
+    let packed = BinaryCorpus::pack(&entries).as_bytes().len() as u64;
+    assert!(
+        packed * 10 <= fixed_width * 6,
+        "packed {packed} bytes, fixed-width {fixed_width} bytes"
+    );
 }
 
 /// Engine settings every bit-identity check runs at: workers 1, 2 and 7
