@@ -1767,6 +1767,70 @@ mod tests {
         CTX.get_or_init(|| ReproContext::build(ReproScale::smoke()))
     }
 
+    /// 64-bit FNV-1a of every smoke-scale report, wall-clock cells
+    /// left out (see [`without_wall_clock`]). A change that moves any
+    /// figure of any experiment fails [`every_experiment_renders`].
+    const REPORT_FNV1A: [(&str, u64); 26] = [
+        ("tab1", 0x2b6a653691b81ae5),
+        ("fig1", 0xf3c53ad4092ed8be),
+        ("fig2", 0x38c832f600292c8e),
+        ("fig3", 0x34f0cf8242577ca7),
+        ("tab2", 0x987208741082c30e),
+        ("tab3", 0x167fc9673dc85ccc),
+        ("tab4", 0x23cb63cd1b466ead),
+        ("tab5", 0x25cfdd9569d13d34),
+        ("tab6", 0xbad7270c78da95ea),
+        ("tab7", 0x00d7356ed6502a10),
+        ("fig4", 0x3b621ceffad6c762),
+        ("fig5", 0x845ab31953cde645),
+        ("tab8", 0x833309e2a8c77eb2),
+        ("tab9", 0xdd2491d4ee5a9aa9),
+        ("tab10", 0xadec11caf43932cd),
+        ("tab11", 0x7e9be5fdf2b7a2d0),
+        ("sec56", 0xa9845de6fb775dc6),
+        ("ablation-features", 0x02105f02eeb99764),
+        ("ablation-cusum", 0x3d1eb052530e6b91),
+        ("ablation-reassembly", 0xace78488f950b503),
+        ("baseline-binary", 0x2bc6bdfae317d1d9),
+        ("generalization", 0x8fd38530103534ff),
+        ("obfuscation", 0x5df19811866988e5),
+        ("chaos-sweep", 0x01af916779e7d64d),
+        ("overload-sweep", 0x959ea35edffcead6),
+        ("subscriber-scaling", 0xf76aac3c0115fd72),
+    ];
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The part of `id`'s report that does not read the wall clock:
+    /// `setup-split` times set-up stages and has none; the
+    /// `sessions/sec` cell of each `subscriber-scaling` row reads `*`.
+    fn without_wall_clock(id: &str, report: &str) -> Option<String> {
+        match id {
+            "setup-split" => None,
+            "subscriber-scaling" => {
+                let mut rows = false;
+                let lines = report.lines().map(|line| {
+                    if line.contains("sessions/sec") {
+                        rows = true;
+                    } else if line.is_empty() {
+                        rows = false;
+                    } else if rows && !line.starts_with('-') {
+                        let mut cells: Vec<&str> = line.split_whitespace().collect();
+                        cells[3] = "*";
+                        return cells.join(" ");
+                    }
+                    line.to_string()
+                });
+                Some(lines.collect::<Vec<_>>().join("\n"))
+            }
+            _ => Some(report.to_string()),
+        }
+    }
+
     #[test]
     fn every_experiment_renders() {
         let ctx = ctx();
@@ -1784,6 +1848,7 @@ mod tests {
             "setup-split",
             "subscriber-scaling",
         ];
+        let mut got = Vec::new();
         for id in EXPERIMENTS {
             let report = run_experiment(id, ctx);
             assert!(
@@ -1797,7 +1862,18 @@ mod tests {
                     "{id} labels its own target as a paper figure:\n{report}"
                 );
             }
+            if let Some(text) = without_wall_clock(id, &report) {
+                got.push((id, fnv1a(text.as_bytes())));
+            }
         }
+        let table: String = got
+            .iter()
+            .map(|(id, h)| format!("        (\"{id}\", 0x{h:016x}),\n"))
+            .collect();
+        assert!(
+            got == REPORT_FNV1A,
+            "a smoke-scale report changed; if that is intended, re-pin REPORT_FNV1A:\n{table}"
+        );
     }
 
     #[test]

@@ -19,14 +19,17 @@
 //! # assess a subscriber's weblog stream with a trained model
 //! vqoe assess --model model.json --weblogs weblogs.jsonl --out assessments.jsonl
 //!
+//! # replay a whole capture through the sharded parallel engine
+//! vqoe replay --model model.json --weblogs weblogs.vqwl --out assessments.jsonl --workers 4
+//!
 //! # pack weblogs into the binary replay format (and back)
 //! vqoe corpus pack --weblogs weblogs.jsonl --out weblogs.vqwl
 //! vqoe corpus unpack --corpus weblogs.vqwl --out weblogs.jsonl
 //! ```
 //!
-//! `assess` sniffs its `--weblogs` input: a packed [`BinaryCorpus`]
-//! replays without serde on the hot path, a JSONL file decodes as
-//! before — the resulting report is bit-identical either way.
+//! `assess` runs the streaming assessor, `replay` the sharded engine;
+//! their assessments are bit-identical. Both sniff `--weblogs`: a packed
+//! [`BinaryCorpus`] replays without serde on the hot path.
 
 use std::path::{Path, PathBuf};
 
@@ -38,8 +41,8 @@ use vqoe_core::{
     ALERT_WINDOW_RECORDS,
 };
 use vqoe_obs::{
-    buckets, parse_rules, AlertSeverity, Clock, MetricClass, Registry, ReportLevel, Reporter,
-    StageSpan, TraceConfig,
+    buckets, parse_rules, AlertSeverity, Clock, Histogram, MetricClass, Registry, ReportLevel,
+    Reporter, StageSpan, TraceConfig,
 };
 use vqoe_player::SessionTrace;
 use vqoe_simnet::time::Instant;
@@ -78,9 +81,9 @@ impl Clock for WallClock {
 
 /// Reporter level from `--quiet` / `--verbose` (quiet wins).
 fn reporter(flags: &Flags) -> Reporter {
-    Reporter::new(if flags.flag("quiet") {
+    Reporter::new(if flags.has("quiet") {
         ReportLevel::Quiet
-    } else if flags.flag("verbose") {
+    } else if flags.has("verbose") {
         ReportLevel::Verbose
     } else {
         ReportLevel::Normal
@@ -89,33 +92,42 @@ fn reporter(flags: &Flags) -> Reporter {
 
 /// One `vqoe` command: its name as typed (a `corpus` verb included),
 /// the flags it accepts and its entry point. [`USAGE`] lists exactly
-/// these flags for each command (a unit test checks), and any other
-/// flag is a usage error.
+/// these flags for each command (a unit test checks), and
+/// [`Flags::parse`] rejects any other flag.
 struct Command {
     name: &'static str,
+    /// Flags that take a value.
     flags: &'static [&'static str],
-    run: fn(&Flags),
+    /// Flags that take none.
+    switches: &'static [&'static str],
+    /// The entry point. It types every flag value before it reads a
+    /// file, and an `Err` is a usage error.
+    run: fn(&Flags) -> Result<(), String>,
 }
 
-const COMMANDS: [Command; 8] = [
+const COMMANDS: [Command; 9] = [
     Command {
         name: "generate",
-        flags: &["kind", "sessions", "seed", "out", "quiet"],
+        flags: &["kind", "sessions", "seed", "out"],
+        switches: &["quiet"],
         run: generate,
     },
     Command {
         name: "capture",
-        flags: &["traces", "encrypted", "subscriber", "seed", "out", "quiet"],
+        flags: &["traces", "subscriber", "seed", "out"],
+        switches: &["encrypted", "quiet"],
         run: capture,
     },
     Command {
         name: "extract-gt",
-        flags: &["weblogs", "out", "quiet"],
+        flags: &["weblogs", "out"],
+        switches: &["quiet"],
         run: extract_gt,
     },
     Command {
         name: "train",
-        flags: &["cleartext", "adaptive", "seed", "workers", "out", "quiet"],
+        flags: &["cleartext", "adaptive", "seed", "workers", "out"],
+        switches: &["quiet"],
         run: train,
     },
     Command {
@@ -124,9 +136,6 @@ const COMMANDS: [Command; 8] = [
             "model",
             "weblogs",
             "out",
-            "workers",
-            "shards",
-            "verbose",
             "chaos",
             "chaos-seed",
             "chaos-profile",
@@ -138,28 +147,66 @@ const COMMANDS: [Command; 8] = [
             "checkpoint-at",
             "restore",
             "metrics",
-            "exemplars",
-            "trace",
             "alerts",
-            "quiet",
         ],
+        switches: &["verbose", "exemplars", "quiet"],
         run: assess,
     },
     Command {
+        name: "replay",
+        flags: &[
+            "model",
+            "weblogs",
+            "out",
+            "workers",
+            "shards",
+            "trace",
+            "chaos",
+            "chaos-seed",
+            "chaos-profile",
+            "metrics",
+        ],
+        switches: &["verbose", "exemplars", "quiet"],
+        run: replay,
+    },
+    Command {
         name: "metrics-doc",
-        flags: &["out", "quiet"],
+        flags: &["out"],
+        switches: &["quiet"],
         run: metrics_doc,
     },
     Command {
         name: "corpus pack",
-        flags: &["weblogs", "out", "quiet"],
+        flags: &["weblogs", "out"],
+        switches: &["quiet"],
         run: corpus_pack,
     },
     Command {
         name: "corpus unpack",
-        flags: &["corpus", "out", "quiet"],
+        flags: &["corpus", "out"],
+        switches: &["quiet"],
         run: corpus_unpack,
     },
+];
+
+/// `(flag, any_of)`: `--flag` needs at least one of `any_of`, in every
+/// command that takes it.
+const REQUIRES: [(&str, &[&str]); 4] = [
+    ("exemplars", &["metrics"]),
+    ("chaos-seed", &["chaos", "chaos-profile"]),
+    ("checkpoint-at", &["checkpoint"]),
+    // Admission acts only while the global budget is full.
+    ("admission", &["memory-budget"]),
+];
+
+/// `(a, b)`: `--a` and `--b` exclude each other.
+const CONFLICTS: [(&str, &str); 5] = [
+    ("chaos", "chaos-profile"),
+    // A restore takes its ingest config and budget from the checkpoint.
+    ("restore", "max-subscribers"),
+    ("restore", "memory-budget"),
+    ("restore", "subscriber-budget"),
+    ("restore", "admission"),
 ];
 
 fn main() {
@@ -185,14 +232,16 @@ fn main() {
     let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
         usage(&format!("unknown command '{name}'"));
     };
-    (command.run)(&Flags::parse(command, tail));
+    Flags::parse(command, tail)
+        .and_then(|flags| (command.run)(&flags))
+        .unwrap_or_else(|e| usage(&e));
 }
 
 /// `vqoe corpus pack` — convert a JSONL weblog file into the packed
 /// binary replay format.
-fn corpus_pack(flags: &Flags) {
-    let weblogs = flags.path("weblogs");
-    let out = flags.path("out");
+fn corpus_pack(flags: &Flags) -> Result<(), String> {
+    let weblogs = flags.path("weblogs")?;
+    let out = flags.path("out")?;
     let entries: Vec<WeblogEntry> = read_jsonl(&weblogs).unwrap_or_else(die(&weblogs));
     let corpus = BinaryCorpus::pack(&entries);
     corpus.write_file(&out).unwrap_or_else(die(&out));
@@ -203,13 +252,14 @@ fn corpus_pack(flags: &Flags) {
         corpus.as_bytes().len(),
         jsonl_size(&entries) as f64 / corpus.as_bytes().len().max(1) as f64,
     ));
+    Ok(())
 }
 
 /// `vqoe corpus unpack` — convert a packed corpus back to JSONL,
 /// bit-identically.
-fn corpus_unpack(flags: &Flags) {
-    let packed = flags.path("corpus");
-    let out = flags.path("out");
+fn corpus_unpack(flags: &Flags) -> Result<(), String> {
+    let packed = flags.path("corpus")?;
+    let out = flags.path("out")?;
     let corpus = BinaryCorpus::read_file(&packed).unwrap_or_else(die(&packed));
     let entries = corpus.decode_all().unwrap_or_else(die(&packed));
     write_jsonl(&out, &entries).unwrap_or_else(die(&out));
@@ -218,6 +268,7 @@ fn corpus_unpack(flags: &Flags) {
         entries.len(),
         out.display()
     ));
+    Ok(())
 }
 
 /// Serialized JSONL footprint of a weblog slice (for the pack ratio
@@ -229,9 +280,9 @@ fn jsonl_size(entries: &[WeblogEntry]) -> usize {
         .sum()
 }
 
-/// Read weblogs for `assess`, sniffing the on-disk format: a packed
-/// [`BinaryCorpus`] decodes straight from its byte buffer (no serde on
-/// the replay hot path); anything else parses as JSONL.
+/// Read weblogs for `assess` and `replay`, sniffing the on-disk format:
+/// a packed [`BinaryCorpus`] decodes straight from its byte buffer (no
+/// serde on the replay hot path); anything else parses as JSONL.
 fn read_weblogs(path: &Path) -> Vec<WeblogEntry> {
     let bytes = std::fs::read(path).unwrap_or_else(die(path));
     if BinaryCorpus::sniff(&bytes) {
@@ -242,70 +293,95 @@ fn read_weblogs(path: &Path) -> Vec<WeblogEntry> {
     }
 }
 
-struct Flags(Vec<(String, String)>);
+/// A command's parsed flags: each at most once, with its value (`None`
+/// for a switch).
+struct Flags(Vec<(String, Option<String>)>);
 
 impl Flags {
-    /// Parse `args` as `command`'s flags; a flag it does not accept is
-    /// a usage error, so a typo never runs with a default.
-    fn parse(command: &Command, args: &[String]) -> Flags {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let Some(key) = args[i].strip_prefix("--") else {
-                usage(&format!("expected a --flag, got '{}'", args[i]));
+    /// Parse `args` as `command`'s flags. A flag it does not accept, a
+    /// missing value, a repeated flag and a broken [`REQUIRES`] or
+    /// [`CONFLICTS`] row are usage errors, so no flag is ever silently
+    /// ignored.
+    fn parse(command: &Command, args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags(Vec::new());
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("expected a --flag, got '{arg}'"));
             };
-            if !command.flags.contains(&key) {
-                usage(&format!("unknown flag --{key} for {}", command.name));
-            }
-            // Boolean flags have no value (next token is another flag or
-            // the end).
-            if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-                out.push((key.to_string(), "true".to_string()));
-                i += 1;
+            let value = if command.switches.contains(&key) {
+                None
+            } else if command.flags.contains(&key) {
+                match args.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("--{key} wants a value")),
+                }
             } else {
-                out.push((key.to_string(), args[i + 1].clone()));
-                i += 2;
+                return Err(format!("unknown flag --{key} for {}", command.name));
+            };
+            if flags.has(key) {
+                return Err(format!("--{key} is given twice"));
+            }
+            flags.0.push((key.to_string(), value));
+        }
+        for (a, b) in CONFLICTS {
+            if flags.has(a) && flags.has(b) {
+                return Err(format!("--{a} conflicts with --{b}"));
             }
         }
-        Flags(out)
+        for (flag, any_of) in REQUIRES {
+            if flags.has(flag) && !any_of.iter().any(|f| flags.has(f)) {
+                return Err(format!("--{flag} requires --{}", any_of.join(" or --")));
+            }
+        }
+        Ok(flags)
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.0.iter().any(|(k, _)| k == key)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
         self.0
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .and_then(|(_, v)| v.as_deref())
     }
 
-    fn required(&self, key: &str) -> &str {
+    fn path(&self, key: &str) -> Result<PathBuf, String> {
         self.get(key)
-            .unwrap_or_else(|| usage(&format!("missing --{key}")))
+            .map(PathBuf::from)
+            .ok_or_else(|| format!("missing --{key}"))
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("--{key} wants a number, got '{v}'"))),
+    /// `--key`'s value as a number, if given.
+    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key} wants a number, got '{v}'"))
+            })
+            .transpose()
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.parsed(key)?.unwrap_or(default))
+    }
+
+    /// A byte budget: a positive count, or 0 (unlimited) when not given.
+    fn budget(&self, key: &str) -> Result<u64, String> {
+        match self.parsed(key)? {
+            Some(0) => Err(format!("--{key} wants a positive byte count, got '0'")),
+            bytes => Ok(bytes.unwrap_or(0)),
         }
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
-    fn path(&self, key: &str) -> PathBuf {
-        PathBuf::from(self.required(key))
     }
 }
 
-fn generate(flags: &Flags) {
-    let sessions = flags.num("sessions", 1000usize);
-    let seed = flags.num("seed", 2016u64);
-    let kind = flags.get("kind").unwrap_or("cleartext");
-    let out = flags.path("out");
-    let traces: Vec<SessionTrace> = match kind {
+fn generate(flags: &Flags) -> Result<(), String> {
+    let sessions = flags.num("sessions", 1000usize)?;
+    let seed = flags.num("seed", 2016u64)?;
+    let out = flags.path("out")?;
+    let traces: Vec<SessionTrace> = match flags.get("kind").unwrap_or("cleartext") {
         "cleartext" => generate_traces(
             &DatasetSpec::cleartext_default(sessions, seed),
             TrainConfig::auto(),
@@ -321,9 +397,11 @@ fn generate(flags: &Flags) {
             };
             generate_sequential_traces(&spec, 240.0)
         }
-        other => usage(&format!(
-            "--kind must be cleartext|adaptive|encrypted, got '{other}'"
-        )),
+        other => {
+            return Err(format!(
+                "--kind must be cleartext|adaptive|encrypted, got '{other}'"
+            ))
+        }
     };
     write_jsonl(&out, &traces).unwrap_or_else(die(&out));
     reporter(flags).normal(&format!(
@@ -331,36 +409,26 @@ fn generate(flags: &Flags) {
         traces.len(),
         out.display()
     ));
+    Ok(())
 }
 
-fn capture(flags: &Flags) {
-    let traces_path = flags.path("traces");
-    let out = flags.path("out");
-    let encrypted = flags.flag("encrypted");
-    let seed = flags.num("seed", 7u64);
+fn capture(flags: &Flags) -> Result<(), String> {
+    let traces_path = flags.path("traces")?;
+    let out = flags.path("out")?;
+    let encrypted = flags.has("encrypted");
+    let seed = flags.num("seed", 7u64)?;
     // A sequential (instrumented-handset) corpus belongs to one
     // subscriber; a population corpus gives each session its own.
-    let single_subscriber = flags.get("subscriber").map(|v| v.parse::<u64>());
+    let single_subscriber: Option<u64> = flags.parsed("subscriber")?;
     let traces: Vec<SessionTrace> = read_jsonl(&traces_path).unwrap_or_else(die(&traces_path));
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut entries: Vec<WeblogEntry> = Vec::new();
     for (i, t) in traces.iter().enumerate() {
-        let subscriber_id = match &single_subscriber {
-            Some(Ok(id)) => *id,
-            Some(Err(_)) => usage("--subscriber wants a number"),
-            None => i as u64,
+        let config = CaptureConfig {
+            encrypted,
+            subscriber_id: single_subscriber.unwrap_or(i as u64),
         };
-        entries.extend(
-            capture_session(
-                t,
-                &CaptureConfig {
-                    encrypted,
-                    subscriber_id,
-                },
-                &mut rng,
-            )
-            .unwrap_or_else(die(&traces_path)),
-        );
+        entries.extend(capture_session(t, &config, &mut rng).unwrap_or_else(die(&traces_path)));
     }
     entries.sort_by_key(|e| e.timestamp);
     write_jsonl(&out, &entries).unwrap_or_else(die(&out));
@@ -370,11 +438,12 @@ fn capture(flags: &Flags) {
         if encrypted { "encrypted" } else { "cleartext" },
         out.display()
     ));
+    Ok(())
 }
 
-fn extract_gt(flags: &Flags) {
-    let weblogs = flags.path("weblogs");
-    let out = flags.path("out");
+fn extract_gt(flags: &Flags) -> Result<(), String> {
+    let weblogs = flags.path("weblogs")?;
+    let out = flags.path("out")?;
     let entries: Vec<WeblogEntry> = read_jsonl(&weblogs).unwrap_or_else(die(&weblogs));
     let sessions = extract_sessions(&entries);
     write_jsonl(&out, &sessions).unwrap_or_else(die(&out));
@@ -383,19 +452,20 @@ fn extract_gt(flags: &Flags) {
         sessions.len(),
         out.display()
     ));
+    Ok(())
 }
 
-fn train(flags: &Flags) {
-    let out = flags.path("out");
+fn train(flags: &Flags) -> Result<(), String> {
+    let out = flags.path("out")?;
     // `--workers 0` (the default) auto-sizes the training fan-out; any
     // count produces the byte-identical model.
     let config = TrainingConfig::builder()
-        .cleartext_sessions(flags.num("cleartext", 4000usize))
-        .adaptive_sessions(flags.num("adaptive", 1500usize))
-        .seed(flags.num("seed", 2016u64))
-        .workers(flags.num("workers", 0usize))
+        .cleartext_sessions(flags.num("cleartext", 4000usize)?)
+        .adaptive_sessions(flags.num("adaptive", 1500usize)?)
+        .seed(flags.num("seed", 2016u64)?)
+        .workers(flags.num("workers", 0usize)?)
         .build()
-        .unwrap_or_else(|e| usage(&format!("invalid training config: {e}")));
+        .map_err(|e| format!("invalid training config: {e}"))?;
     let report = reporter(flags);
     report.normal(&format!(
         "training on {} cleartext + {} adaptive sessions (seed {}, {} workers) ...",
@@ -415,84 +485,191 @@ fn train(flags: &Flags) {
         out.display(),
         monitor.stall_model.selected_names
     ));
+    Ok(())
 }
 
-fn assess(flags: &Flags) {
+/// `vqoe assess` — the streaming assessor: the tap one record at a time
+/// under the subscriber cap and the memory budgets, with checkpoint,
+/// restore and alerts.
+fn assess(flags: &Flags) -> Result<(), String> {
+    let ingest_cfg = IngestConfig {
+        max_open_subscribers: flags.num("max-subscribers", 65_536usize)?,
+        ..IngestConfig::default()
+    };
+    let budget = BudgetConfig {
+        per_subscriber_bytes: flags.budget("subscriber-budget")?,
+        global_bytes: flags.budget("memory-budget")?,
+        admission: match flags.get("admission") {
+            None => AdmissionPolicy::default(),
+            Some(v) => AdmissionPolicy::parse(v).ok_or("--admission must be shed|refuse")?,
+        },
+    };
+    let checkpoint_at = flags.num("checkpoint-at", 0u64)?;
     let report_to = reporter(flags);
-    let model_path = flags.path("model");
-    let weblogs = flags.path("weblogs");
-    let out = flags.path("out");
-    let chaos = flags.num("chaos", 0.0f64);
-    if !(0.0..=1.0).contains(&chaos) {
-        usage(&format!("--chaos wants a rate in [0, 1], got '{chaos}'"));
+    run_tap(flags, |monitor, entries, registry, metrics| {
+        // Alert rules parse before the (potentially long) assessment
+        // runs, so a typo fails fast.
+        let alert_rules = flags.get("alerts").map(|p| {
+            let text = std::fs::read_to_string(p).unwrap_or_else(die(Path::new(p)));
+            parse_rules(&text).unwrap_or_else(fail("parse alert rules"))
+        });
+        // Restore resumes the ingest clock where the checkpointed
+        // process died: its config and budget are the checkpoint's (the
+        // flags that would set them conflict with `--restore`), and the
+        // first `records_ingested` entries are skipped.
+        let (mut online, skip) = match flags.get("restore") {
+            Some(p) => {
+                let text = std::fs::read_to_string(p).unwrap_or_else(die(Path::new(p)));
+                let ck =
+                    OnlineCheckpoint::from_json(&text).unwrap_or_else(fail("parse checkpoint"));
+                if metrics.is_some() {
+                    if let Some(snap) = &ck.metrics_snapshot {
+                        registry
+                            .absorb_snapshot(snap)
+                            .unwrap_or_else(fail("absorb checkpoint metrics"));
+                    }
+                }
+                let online = OnlineAssessor::restore(monitor, &ck)
+                    .unwrap_or_else(fail("restore checkpoint"));
+                report_to.normal(&format!(
+                    "restored checkpoint {} ({} records already ingested)",
+                    p, ck.records_ingested
+                ));
+                (online, ck.records_ingested)
+            }
+            None => (
+                OnlineAssessor::with_config(monitor, ingest_cfg).with_budget(budget),
+                0,
+            ),
+        };
+        if let Some(m) = metrics {
+            online = online.with_metrics(m.clone());
+        }
+        if let Some(rules) = alert_rules {
+            online = online.with_alerts(standard_alert_engine(rules), ALERT_WINDOW_RECORDS);
+        }
+        let write_checkpoint = |online: &OnlineAssessor, path: &str| {
+            let ck = if metrics.is_some() {
+                online.checkpoint_with_metrics(registry)
+            } else {
+                online.checkpoint()
+            };
+            let json = ck.to_json().unwrap_or_else(fail("serialize checkpoint"));
+            std::fs::write(path, json).unwrap_or_else(die(Path::new(path)));
+            report_to.normal(&format!(
+                "checkpoint written to {} at record {} ({} subscribers open)",
+                path,
+                online.records_ingested(),
+                online.open_subscribers()
+            ));
+        };
+        // Checkpoint at record `--checkpoint-at`; with no cut point (or
+        // when the stream ends first), checkpoint the final pre-drain
+        // state, still a valid resume point.
+        let mut pending = flags.get("checkpoint");
+        let mut assessments = Vec::new();
+        for e in entries.iter().skip(skip as usize) {
+            assessments.extend(online.ingest(e));
+            if online.records_ingested() == checkpoint_at {
+                if let Some(p) = pending.take() {
+                    write_checkpoint(&online, p);
+                }
+            }
+        }
+        if let Some(p) = pending {
+            write_checkpoint(&online, p);
+        }
+        let mut report = online.into_report();
+        assessments.extend(std::mem::take(&mut report.assessments));
+        report.assessments = assessments;
+        report
+    })
+}
+
+/// `vqoe replay` — the whole capture through the sharded parallel
+/// engine (see `vqoe_core::engine`), bit-identical to `assess` at any
+/// worker count.
+fn replay(flags: &Flags) -> Result<(), String> {
+    let engine = EngineConfig {
+        workers: flags.num("workers", 0usize)?,
+        shards: flags.num("shards", EngineConfig::default().shards)?,
+    };
+    let report_to = reporter(flags);
+    run_tap(flags, |monitor, entries, _, metrics| {
+        let mut pipeline = IngestPipeline::new(&monitor).with_engine(engine);
+        if let Some(m) = metrics {
+            pipeline = pipeline.with_metrics(m.clone());
+        }
+        // Tracing records the engine's spans, ingest through reduce.
+        let Some(p) = flags.get("trace") else {
+            return pipeline.assess(entries);
+        };
+        let (report, trace) = pipeline.assess_traced(entries, TraceConfig::default());
+        std::fs::write(p, trace.to_chrome_json()).unwrap_or_else(die(Path::new(p)));
+        let jsonl_path = format!("{p}.jsonl");
+        std::fs::write(&jsonl_path, trace.to_jsonl()).unwrap_or_else(die(Path::new(&jsonl_path)));
+        report_to.normal(&format!(
+            "trace written to {p} (Chrome trace events, {} spans, {} dropped) \
+             and {jsonl_path} (JSONL)",
+            trace.events().len(),
+            trace.dropped()
+        ));
+        report
+    })
+}
+
+/// The frame `assess` and `replay` share. It types the tap's flags
+/// (so an `Err` comes before any file is read), reads the model and
+/// the weblogs, puts them in tap order and injects the chaos, runs
+/// `pipeline` (handed the metrics registry and, with `--metrics`, the
+/// pipeline metrics on it), then writes the assessments and reports.
+fn run_tap(
+    flags: &Flags,
+    pipeline: impl FnOnce(
+        QoeMonitor,
+        &[WeblogEntry],
+        &Registry,
+        Option<&PipelineMetrics>,
+    ) -> IngestReport,
+) -> Result<(), String> {
+    let model_path = flags.path("model")?;
+    let weblogs = flags.path("weblogs")?;
+    let out = flags.path("out")?;
+    let rate = flags.num("chaos", 0.0f64)?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("--chaos wants a rate in [0, 1], got '{rate}'"));
     }
-    let chaos_seed = flags.num("chaos-seed", 2016u64);
-    // `--metrics PATH` (or `-` for stdout) turns on pipeline
-    // instrumentation; the wall clock feeds Runtime-class CLI stage
-    // histograms, which the stable JSON snapshot excludes by design.
-    let metrics_path = flags.get("metrics").map(str::to_string);
+    // `--chaos-profile` is the preset path (mild/harsh/flood, see the
+    // ChaosProfile table) and `--chaos RATE` the raw dial; they
+    // conflict rather than compose, so a preset means exactly its table.
+    let profile = flags
+        .get("chaos-profile")
+        .map(|name| ChaosProfile::parse(name).ok_or("--chaos-profile must be mild|harsh|flood"))
+        .transpose()?;
+    let chaos = profile
+        .map(|p| p.chaos())
+        .or_else(|| (rate > 0.0).then(|| ChaosConfig::uniform(rate)));
+    let chaos_seed = flags.num("chaos-seed", 2016u64)?;
+    // `--metrics PATH` (or `-` for the status lines) turns on pipeline
+    // instrumentation.
+    let metrics_path = flags.get("metrics");
+    if metrics_path == Some("-") && flags.has("quiet") {
+        return Err("--metrics - prints on the status lines --quiet silences; give a PATH".into());
+    }
+    let report_to = reporter(flags);
+    let registry = Registry::new();
     // `--exemplars` links the max sample of every chunk-size and
     // session-duration bucket back to the session (id + tick) that
     // produced it, in both exposition formats.
-    let exemplars = flags.flag("exemplars");
-    if exemplars && metrics_path.is_none() {
-        usage("--exemplars annotates the metrics output; add --metrics PATH|-");
-    }
-    // A flag the chosen path would never read is an error, not a no-op.
-    let engine = flags.get("workers").is_some();
-    if flags.get("shards").is_some() && !engine {
-        usage("--shards sets the parallel engine's shard count; add --workers N (0 = auto)");
-    }
-    if flags.get("max-subscribers").is_some() && engine {
-        usage("--max-subscribers caps the streaming assessor; the engine admits every subscriber, so drop --workers");
-    }
-    if flags.get("checkpoint-at").is_some() && flags.get("checkpoint").is_none() {
-        usage("--checkpoint-at picks the record to checkpoint at; add --checkpoint PATH");
-    }
-    if flags.get("chaos-seed").is_some()
-        && flags.get("chaos").is_none()
-        && flags.get("chaos-profile").is_none()
-    {
-        usage("--chaos-seed seeds the chaos tap; add --chaos RATE or --chaos-profile NAME");
-    }
-    // A restore takes its ingest config and budget from the checkpoint.
-    if flags.get("restore").is_some() {
-        for key in [
-            "max-subscribers",
-            "memory-budget",
-            "subscriber-budget",
-            "admission",
-        ] {
-            if flags.get(key).is_some() {
-                usage(&format!(
-                    "--{key} is fixed by the checkpoint --restore resumes from; drop it"
-                ));
-            }
-        }
-    } else if flags.get("admission").is_some() && flags.num("memory-budget", 0u64) == 0 {
-        usage("--admission acts only while the global budget is full; add --memory-budget BYTES (> 0)");
-    }
-    let registry = Registry::new();
-    let metrics = metrics_path.as_deref().map(|_| {
-        if exemplars {
+    let metrics = metrics_path.map(|_| {
+        if flags.has("exemplars") {
             PipelineMetrics::register_with_exemplars(&registry)
         } else {
             PipelineMetrics::register(&registry)
         }
     });
     let wall = WallClock::new();
-    let stage_hist = |stage: &str| {
-        registry.histogram(
-            &format!("vqoe_core_cli_{stage}_wall_micros"),
-            "wall-clock CLI stage latency in microseconds",
-            MetricClass::Runtime,
-            buckets::STAGE_MICROS,
-        )
-    };
-
-    let read_hist = stage_hist("read");
-    let assess_hist = stage_hist("assess");
-    let write_hist = stage_hist("write");
+    let [read_hist, assess_hist, write_hist] = stage_histograms(&registry);
 
     let read_span = StageSpan::start(&wall, &read_hist);
     let json = std::fs::read_to_string(&model_path).unwrap_or_else(die(&model_path));
@@ -502,37 +679,19 @@ fn assess(flags: &Flags) {
     // Tap arrival order: all subscribers interleaved by timestamp, as
     // the operator's proxy would deliver them.
     entries.sort_by_key(|e| e.timestamp);
-    // `--chaos-profile` is the preset path (mild/harsh/flood, see the
-    // ChaosProfile table); `--chaos RATE` stays as the raw dial. They
-    // conflict rather than compose, so a preset means exactly its table.
-    let profile = flags.get("chaos-profile").map(|name| {
-        ChaosProfile::parse(name)
-            .unwrap_or_else(|| usage("--chaos-profile must be mild|harsh|flood"))
-    });
-    if profile.is_some() && chaos > 0.0 {
-        usage("--chaos and --chaos-profile are mutually exclusive");
+    if let Some(spec) = profile.and_then(|p| p.flood()) {
+        let start = entries
+            .first()
+            .map_or(Instant::from_secs(0), |e| e.timestamp);
+        let flood = generate_subscriber_flood(&spec, start, chaos_seed);
+        report_to.normal(&format!(
+            "flood profile: injecting {} synthetic entries from {} flood subscribers",
+            flood.len(),
+            spec.subscribers
+        ));
+        entries = merge_streams(vec![entries, flood]);
     }
-    let chaos_cfg: Option<ChaosConfig> = match profile {
-        Some(p) => {
-            if let Some(spec) = p.flood() {
-                let start = entries
-                    .first()
-                    .map(|e| e.timestamp)
-                    .unwrap_or(Instant::from_secs(0));
-                let flood = generate_subscriber_flood(&spec, start, chaos_seed);
-                report_to.normal(&format!(
-                    "flood profile: injecting {} synthetic entries from {} flood subscribers",
-                    flood.len(),
-                    spec.subscribers
-                ));
-                entries = merge_streams(vec![entries, flood]);
-            }
-            Some(p.chaos())
-        }
-        None if chaos > 0.0 => Some(ChaosConfig::uniform(chaos)),
-        None => None,
-    };
-    if let Some(cfg) = chaos_cfg {
+    if let Some(cfg) = chaos {
         let (faulted, stats) = apply_chaos(&entries, &cfg, chaos_seed);
         report_to.normal(&format!(
             "chaos tap: {} -> {} entries \
@@ -548,187 +707,22 @@ fn assess(flags: &Flags) {
         entries = faulted;
     }
 
-    let ingest_cfg = IngestConfig {
-        max_open_subscribers: flags.num("max-subscribers", 65_536usize),
-        ..IngestConfig::default()
-    };
-    // Memory budgets, admission policy and checkpoint/restore belong to
-    // the streaming assessor (the batch engine never sheds, so the
-    // knobs would be moot there).
-    let budget = BudgetConfig {
-        per_subscriber_bytes: flags.num("subscriber-budget", 0u64),
-        global_bytes: flags.num("memory-budget", 0u64),
-        admission: match flags.get("admission") {
-            None => AdmissionPolicy::default(),
-            Some(v) => AdmissionPolicy::parse(v)
-                .unwrap_or_else(|| usage("--admission must be shed|refuse")),
-        },
-    };
-    let checkpoint_path = flags.get("checkpoint").map(str::to_string);
-    let checkpoint_at = flags.num("checkpoint-at", 0u64);
-    let restore_path = flags.get("restore").map(str::to_string);
-    let alerts_path = flags.get("alerts").map(str::to_string);
-    let trace_path = flags.get("trace").map(str::to_string);
-    if engine
-        && (!budget.is_unlimited()
-            || flags.get("admission").is_some()
-            || checkpoint_path.is_some()
-            || restore_path.is_some()
-            || alerts_path.is_some())
-    {
-        usage(
-            "--memory-budget/--subscriber-budget/--admission/--checkpoint/--restore/--alerts \
-             need the streaming assessor; drop --workers",
-        );
-    }
-    // Tracing records the engine's span structure (ingest through
-    // reduce), so it needs the engine.
-    if trace_path.is_some() && !engine {
-        usage("--trace records the parallel engine's spans; add --workers N (0 = auto)");
-    }
-    // Alert rules parse before the (potentially long) assessment runs,
-    // so a typo fails fast.
-    let alert_rules = alerts_path.as_deref().map(|p| {
-        let text = std::fs::read_to_string(p).unwrap_or_else(die(Path::new(p)));
-        parse_rules(&text).unwrap_or_else(fail("parse alert rules"))
-    });
-    // `--workers N` routes through the sharded parallel engine (see
-    // `vqoe_core::engine`); without it, the streaming assessor runs the
-    // tap one entry at a time. Output is bit-identical either way.
     let assess_span = StageSpan::start(&wall, &assess_hist);
-    let report: IngestReport = match flags.get("workers") {
-        Some(_) => {
-            let engine_cfg = EngineConfig {
-                workers: flags.num("workers", 0usize),
-                shards: flags.num("shards", EngineConfig::default().shards),
-            };
-            let mut pipeline = IngestPipeline::new(&monitor)
-                .with_engine(engine_cfg)
-                .with_ingest(ingest_cfg);
-            if let Some(m) = &metrics {
-                pipeline = pipeline.with_metrics(m.clone());
-            }
-            match &trace_path {
-                Some(p) => {
-                    let (report, trace) = pipeline.assess_traced(&entries, TraceConfig::default());
-                    std::fs::write(p, trace.to_chrome_json())
-                        .unwrap_or_else(die(Path::new(p.as_str())));
-                    let jsonl_path = format!("{p}.jsonl");
-                    std::fs::write(&jsonl_path, trace.to_jsonl())
-                        .unwrap_or_else(die(Path::new(&jsonl_path)));
-                    report_to.normal(&format!(
-                        "trace written to {p} (Chrome trace events, {} spans, {} dropped) \
-                         and {jsonl_path} (JSONL)",
-                        trace.events().len(),
-                        trace.dropped()
-                    ));
-                    report
-                }
-                None => pipeline.assess(&entries),
-            }
-        }
-        None => {
-            // Restore resumes the ingest clock where the checkpointed
-            // process died: its config and budget are the checkpoint's
-            // (the flags that would set them are rejected above), and
-            // the first `records_ingested` entries are skipped.
-            let (mut online, skip) = match &restore_path {
-                Some(p) => {
-                    let text =
-                        std::fs::read_to_string(p).unwrap_or_else(die(Path::new(p.as_str())));
-                    let ck =
-                        OnlineCheckpoint::from_json(&text).unwrap_or_else(fail("parse checkpoint"));
-                    if metrics.is_some() {
-                        if let Some(snap) = &ck.metrics_snapshot {
-                            registry
-                                .absorb_snapshot(snap)
-                                .unwrap_or_else(fail("absorb checkpoint metrics"));
-                        }
-                    }
-                    let online = OnlineAssessor::restore(monitor, &ck)
-                        .unwrap_or_else(fail("restore checkpoint"));
-                    report_to.normal(&format!(
-                        "restored checkpoint {} ({} records already ingested)",
-                        p, ck.records_ingested
-                    ));
-                    (online, ck.records_ingested)
-                }
-                None => (
-                    OnlineAssessor::with_config(monitor, ingest_cfg).with_budget(budget),
-                    0,
-                ),
-            };
-            if let Some(m) = &metrics {
-                online = online.with_metrics(m.clone());
-            }
-            if let Some(rules) = alert_rules {
-                online = online.with_alerts(standard_alert_engine(rules), ALERT_WINDOW_RECORDS);
-            }
-            let write_checkpoint = |online: &OnlineAssessor, path: &str| {
-                let ck = if metrics.is_some() {
-                    online.checkpoint_with_metrics(&registry)
-                } else {
-                    online.checkpoint()
-                };
-                let json = ck.to_json().unwrap_or_else(fail("serialize checkpoint"));
-                std::fs::write(path, json).unwrap_or_else(die(Path::new(path)));
-                report_to.normal(&format!(
-                    "checkpoint written to {} at record {} ({} subscribers open)",
-                    path,
-                    online.records_ingested(),
-                    online.open_subscribers()
-                ));
-            };
-            let mut assessments = Vec::new();
-            let mut checkpointed = false;
-            for e in entries.iter().skip(skip as usize) {
-                assessments.extend(online.ingest(e));
-                if checkpoint_at > 0 && online.records_ingested() == checkpoint_at {
-                    if let Some(p) = &checkpoint_path {
-                        write_checkpoint(&online, p);
-                        checkpointed = true;
-                    }
-                }
-            }
-            if !checkpointed {
-                // No cut point (or the stream ended first): checkpoint
-                // the final pre-drain state, still a valid resume point.
-                if let Some(p) = &checkpoint_path {
-                    write_checkpoint(&online, p);
-                }
-            }
-            let mut report = online.into_report();
-            assessments.extend(std::mem::take(&mut report.assessments));
-            report.assessments = assessments;
-            report
-        }
-    };
+    let report = pipeline(monitor, &entries, &registry, metrics.as_ref());
     assess_span.finish();
     let assessments = &report.assessments;
 
     let write_span = StageSpan::start(&wall, &write_hist);
     write_jsonl(&out, assessments).unwrap_or_else(die(&out));
     write_span.finish();
-    let poor = assessments.iter().filter(|a| a.qoe.is_poor()).count();
-    let sketched = assessments
-        .iter()
-        .filter(|a| a.fidelity == Fidelity::Sketched)
-        .count();
-    let partial = assessments
-        .iter()
-        .filter(|a| a.fidelity == Fidelity::Partial)
-        .count();
-    let shed_tier = assessments
-        .iter()
-        .filter(|a| a.fidelity == Fidelity::Shed)
-        .count();
+    let tier = |f: Fidelity| assessments.iter().filter(|a| a.fidelity == f).count();
     report_to.normal(&format!(
         "assessed {} sessions ({} poor-QoE, {} sketched, {} partial, {} shed) -> {}",
         assessments.len(),
-        poor,
-        sketched,
-        partial,
-        shed_tier,
+        assessments.iter().filter(|a| a.qoe.is_poor()).count(),
+        tier(Fidelity::Sketched),
+        tier(Fidelity::Partial),
+        tier(Fidelity::Shed),
         out.display()
     ));
     // Stream-health details stay off stderr unless asked for, so piped
@@ -796,7 +790,7 @@ fn assess(flags: &Flags) {
             report_to.normal(prom.trim_end());
             report_to.normal(snap.trim_end());
         } else {
-            std::fs::write(&path, &prom).unwrap_or_else(die(Path::new(&path)));
+            std::fs::write(path, &prom).unwrap_or_else(die(Path::new(path)));
             let snap_path = format!("{path}.json");
             std::fs::write(&snap_path, &snap).unwrap_or_else(die(Path::new(&snap_path)));
             report_to.normal(&format!(
@@ -804,12 +798,27 @@ fn assess(flags: &Flags) {
             ));
         }
     }
+    Ok(())
+}
+
+/// The wall-clock CLI stage histograms: read, assess, write. They are
+/// Runtime-class, so the stable JSON snapshot leaves them out.
+fn stage_histograms(registry: &Registry) -> [Histogram; 3] {
+    ["read", "assess", "write"].map(|stage| {
+        registry.histogram(
+            &format!("vqoe_core_cli_{stage}_wall_micros"),
+            "wall-clock CLI stage latency in microseconds",
+            MetricClass::Runtime,
+            buckets::STAGE_MICROS,
+        )
+    })
 }
 
 /// `vqoe metrics-doc` — render the full metric surface of `vqoe assess`
-/// as a Markdown reference (stdout, or `--out FILE`). `docs/METRICS.md`
-/// is generated from this; a test fails when the two drift apart.
-fn metrics_doc(flags: &Flags) {
+/// and `vqoe replay` as a Markdown reference (stdout, or `--out FILE`).
+/// `docs/METRICS.md` is generated from this; a test fails when the two
+/// drift apart.
+fn metrics_doc(flags: &Flags) -> Result<(), String> {
     let doc = render_metrics_doc();
     match flags.get("out") {
         Some(path) => {
@@ -822,6 +831,7 @@ fn metrics_doc(flags: &Flags) {
             let _ = std::io::stdout().lock().write_all(doc.as_bytes());
         }
     }
+    Ok(())
 }
 
 /// The generated Markdown body: every metric `vqoe assess --metrics`
@@ -830,14 +840,7 @@ fn metrics_doc(flags: &Flags) {
 fn render_metrics_doc() -> String {
     let registry = Registry::new();
     let _metrics = PipelineMetrics::register(&registry);
-    for stage in ["read", "assess", "write"] {
-        registry.histogram(
-            &format!("vqoe_core_cli_{stage}_wall_micros"),
-            "wall-clock CLI stage latency in microseconds",
-            MetricClass::Runtime,
-            buckets::STAGE_MICROS,
-        );
-    }
+    stage_histograms(&registry);
     let descs = registry.describe();
     let mut doc = String::from(
         "# Metrics reference\n\
@@ -879,7 +882,7 @@ fn die<E: std::fmt::Display, T>(path: &Path) -> impl FnOnce(E) -> T + '_ {
 }
 
 /// The help text. Each command's usage lines name exactly the flags
-/// in its [`COMMANDS`] entry.
+/// in its [`COMMANDS`] entry, a switch as `[--name]` with no value.
 const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          \n\
          commands:\n\
@@ -890,63 +893,58 @@ const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
            extract-gt --weblogs FILE --out FILE [--quiet]\n\
            train      [--cleartext N] [--adaptive N] [--seed S] [--workers N]\n\
          \x20          --out FILE [--quiet]\n\
-           assess     --model FILE --weblogs FILE --out FILE\n\
-         \x20          [--workers N] [--shards N] [--verbose]\n\
+           assess     --model FILE --weblogs FILE --out FILE [--verbose]\n\
          \x20          [--chaos RATE] [--chaos-seed S] [--chaos-profile mild|harsh|flood]\n\
          \x20          [--max-subscribers N] [--memory-budget BYTES]\n\
          \x20          [--subscriber-budget BYTES] [--admission shed|refuse]\n\
          \x20          [--checkpoint PATH] [--checkpoint-at N] [--restore PATH]\n\
-         \x20          [--metrics PATH|-] [--exemplars] [--trace PATH]\n\
-         \x20          [--alerts RULES.toml] [--quiet]\n\
+         \x20          [--metrics PATH|-] [--exemplars] [--alerts RULES.toml] [--quiet]\n\
+           replay     --model FILE --weblogs FILE --out FILE [--verbose]\n\
+         \x20          [--workers N] [--shards N] [--trace PATH]\n\
+         \x20          [--chaos RATE] [--chaos-seed S] [--chaos-profile mild|harsh|flood]\n\
+         \x20          [--metrics PATH|-] [--exemplars] [--quiet]\n\
            metrics-doc [--out FILE] [--quiet]\n\
            corpus pack   --weblogs FILE --out FILE [--quiet]\n\
            corpus unpack --corpus FILE --out FILE [--quiet]\n\
          \n\
-         corpus pack converts a JSONL weblog file into the length-\n\
-         prefixed binary replay format (magic VQWL); corpus unpack\n\
-         converts it back, bit-identically. assess sniffs --weblogs and\n\
-         accepts either format — packed corpora replay without serde on\n\
-         the hot path.\n\
-         train --workers fans tree/fold/candidate fitting out across\n\
-         threads (0 = auto); the trained model is byte-identical at any\n\
-         worker count.\n\
-         assess runs the streaming assessor by default; --workers routes\n\
-         the capture through the sharded parallel engine (0 = auto),\n\
-         with bit-identical output. --verbose adds stream-health and\n\
-         anomaly details on stderr; --quiet suppresses status lines\n\
-         (every command). A flag a command does not list is an error.\n\
+         corpus pack converts a JSONL weblog file into the binary replay\n\
+         format (magic VQWL); corpus unpack converts it back,\n\
+         bit-identically. assess and replay accept either format.\n\
+         train --workers fans fitting out across threads (0 = auto); the\n\
+         model is byte-identical at any worker count.\n\
+         assess runs the streaming assessor one record at a time; replay\n\
+         runs the sharded parallel engine (--workers 0 = auto, the\n\
+         default). Their assessments are bit-identical. --verbose adds\n\
+         stream-health and anomaly details on stderr; --quiet silences\n\
+         status lines. An unlisted flag, a repeated flag and a missing\n\
+         value are errors.\n\
          --chaos RATE, in [0, 1], scales a uniform fault mix on the tap\n\
-         (0 = clean). --chaos-profile applies a preset fault table (mild:\n\
-         5% faults, harsh: 35% faults, flood: 5% faults plus a synthetic\n\
-         subscriber flood merged into the tap); it conflicts with --chaos.\n\
+         (0 = clean). --chaos-profile applies a preset (mild: 5% faults,\n\
+         harsh: 35%, flood: 5% plus a synthetic subscriber flood); it\n\
+         conflicts with --chaos, and --chaos-seed needs one of the two.\n\
          --memory-budget / --subscriber-budget cap buffered bytes\n\
-         (record-cost units, 0 = unlimited); over budget, the coldest\n\
-         subscribers are force-finalized and assessed at the shed tier.\n\
+         (record-cost units, > 0; unlimited when left out); over budget\n\
+         the coldest subscribers are assessed at the shed tier.\n\
          --admission refuse turns new subscribers away instead while the\n\
-         global budget is full (so it needs --memory-budget > 0).\n\
-         --checkpoint writes a deterministic snapshot (at record N with\n\
-         --checkpoint-at, else at stream end); --restore resumes from\n\
-         one, skipping the records it had already consumed, and takes\n\
-         --max-subscribers, the budgets and --admission from it (so it\n\
-         rejects those flags). These knobs and --max-subscribers need\n\
-         the streaming assessor (no --workers); --shards needs the\n\
-         engine.\n\
-         --metrics PATH writes pipeline metrics as Prometheus text to\n\
-         PATH plus a deterministic JSON snapshot to PATH.json ('-'\n\
-         prints both to stderr via the status reporter, keeping stdout\n\
-         clean for data). --exemplars links each histogram bucket's max\n\
-         sample back to its session (id + tick) in both formats.\n\
-         --trace PATH records the engine's span structure (ingest,\n\
-         reassemble, fan-out, per-detector deliver, reduce) as Chrome\n\
-         trace events at PATH (load in Perfetto / chrome://tracing)\n\
-         plus compact JSONL at PATH.jsonl; byte-identical at any worker\n\
-         count (needs --workers). --alerts RULES.toml evaluates\n\
-         declarative threshold/rate/drift rules over the streaming\n\
+         global budget is full, so it needs --memory-budget.\n\
+         --checkpoint writes a deterministic snapshot at stream end, or\n\
+         at record N with --checkpoint-at; --restore resumes from one and\n\
+         takes --max-subscribers, the budgets and --admission from it,\n\
+         so it conflicts with those flags.\n\
+         --metrics PATH writes Prometheus text to PATH and a\n\
+         deterministic JSON snapshot to PATH.json; '-' prints both on the\n\
+         stderr status lines, so not with --quiet. --exemplars (needs\n\
+         --metrics) links each histogram bucket's max sample to its\n\
+         session (id + tick).\n\
+         --trace PATH writes the engine's spans (ingest, reassemble,\n\
+         fan-out, per-detector deliver, reduce) as Chrome trace events\n\
+         (Perfetto / chrome://tracing) plus JSONL at PATH.jsonl,\n\
+         byte-identical at any worker count. --alerts RULES.toml\n\
+         evaluates threshold/rate/drift rules over the streaming\n\
          assessor's per-window shed_rate / anomaly_rate / queue_depth\n\
-         series (queue_depth counts tracked subscribers; drift is\n\
-         CUSUM-backed); fired alerts print on stderr,\n\
-         critical at the default level. metrics-doc regenerates the\n\
-         docs/METRICS.md metric reference.";
+         (tracked subscribers) series; fired alerts print on stderr,\n\
+         critical ones at the default level. metrics-doc regenerates\n\
+         docs/METRICS.md.";
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
@@ -959,6 +957,7 @@ fn usage(err: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// Each command's usage lines, joined: a line that opens with a
     /// word starts a command, a line that opens with a flag continues
@@ -999,14 +998,96 @@ mod tests {
             "usage and COMMANDS disagree on the commands"
         );
         for ((name, text), command) in usage.iter().zip(&COMMANDS) {
-            let mut listed: Vec<&str> = text
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-                .filter_map(|w| w.strip_prefix("--"))
+            // `(flag, is_switch)`: a switch is written `[--name]`.
+            let mut listed: Vec<(&str, bool)> = text
+                .split_whitespace()
+                .filter_map(|w| {
+                    let flag = w.trim_start_matches('[').strip_prefix("--")?;
+                    Some((flag.trim_end_matches(']'), w.ends_with(']')))
+                })
                 .collect();
-            let mut accepted = command.flags.to_vec();
+            let mut accepted: Vec<(&str, bool)> = command
+                .flags
+                .iter()
+                .map(|f| (*f, false))
+                .chain(command.switches.iter().map(|s| (*s, true)))
+                .collect();
             listed.sort_unstable();
             accepted.sort_unstable();
             assert_eq!(listed, accepted, "{name}: usage vs accepted flags");
+        }
+    }
+
+    /// Every single flag and every flag pair of every command parses
+    /// exactly when no [`CONFLICTS`] row names two of its flags and
+    /// every [`REQUIRES`] row of its flags is met; the errors are one
+    /// per row, and the rules they state are the ones below.
+    #[test]
+    fn every_flag_pair_parses_exactly_as_the_rows_say() {
+        let stated: [(&str, &[&str]); 2] = [
+            (
+                "assess",
+                &[
+                    "--chaos conflicts with --chaos-profile",
+                    "--restore conflicts with --max-subscribers",
+                    "--restore conflicts with --memory-budget",
+                    "--restore conflicts with --subscriber-budget",
+                    "--restore conflicts with --admission",
+                    "--exemplars requires --metrics",
+                    "--chaos-seed requires --chaos or --chaos-profile",
+                    "--checkpoint-at requires --checkpoint",
+                    "--admission requires --memory-budget",
+                ],
+            ),
+            (
+                "replay",
+                &[
+                    "--chaos conflicts with --chaos-profile",
+                    "--exemplars requires --metrics",
+                    "--chaos-seed requires --chaos or --chaos-profile",
+                ],
+            ),
+        ];
+        for command in &COMMANDS {
+            let names: Vec<&str> = command
+                .flags
+                .iter()
+                .chain(command.switches)
+                .copied()
+                .collect();
+            let mut errors = BTreeSet::new();
+            for (i, a) in names.iter().enumerate() {
+                for b in &names[i..] {
+                    let set: Vec<&str> = if a == b { vec![a] } else { vec![a, b] };
+                    let args: Vec<String> = set
+                        .iter()
+                        .flat_map(|f| {
+                            let value = command.flags.contains(f).then(|| "1".to_string());
+                            std::iter::once(format!("--{f}")).chain(value)
+                        })
+                        .collect();
+                    let valid = !CONFLICTS
+                        .iter()
+                        .any(|(x, y)| set.contains(x) && set.contains(y))
+                        && REQUIRES.iter().all(|(f, any_of)| {
+                            !set.contains(f) || any_of.iter().any(|g| set.contains(g))
+                        });
+                    match Flags::parse(command, &args) {
+                        Ok(_) => assert!(valid, "{}: {args:?} parsed", command.name),
+                        Err(e) => {
+                            assert!(!valid, "{}: {args:?} rejected: {e}", command.name);
+                            errors.insert(e);
+                        }
+                    }
+                }
+            }
+            let rules = stated
+                .iter()
+                .find(|(name, _)| *name == command.name)
+                .map_or(BTreeSet::new(), |(_, rules)| {
+                    rules.iter().map(|r| r.to_string()).collect()
+                });
+            assert_eq!(errors, rules, "{}: rows vs stated rules", command.name);
         }
     }
 }

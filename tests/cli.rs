@@ -173,32 +173,76 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --out"));
 
     // A flag the command does not take is a usage error, not a silent
-    // default: a typo, a flag from another command, a removed knob.
-    let assess = ["assess", "--model", "m.json", "--weblogs", "w.jsonl"];
-    let cases: [(&[&str], &str); 3] = [
+    // default: a typo, a flag from another command, a removed knob. The
+    // engine's flags belong to `replay` and the streaming assessor's to
+    // `assess`, so a flag of the other mode is unknown too.
+    let assess = [
+        "assess",
+        "--model",
+        "missing-model.json",
+        "--weblogs",
+        "w.jsonl",
+    ];
+    let replay = [
+        "replay",
+        "--model",
+        "missing-model.json",
+        "--weblogs",
+        "w.jsonl",
+    ];
+    let generate = [
+        "generate",
+        "--kind",
+        "encrypted",
+        "--sessions",
+        "4",
+        "--seed",
+        "3",
+    ];
+    let cases: [(&[&str], &str); 10] = [
         (
             &[&assess[..], &["--out", "o.jsonl", "--wokers", "2"]].concat(),
             "--wokers for assess",
         ),
         (
-            &[
-                "generate",
-                "--kind",
-                "encrypted",
-                "--sessions",
-                "4",
-                "--seed",
-                "3",
-                "--out",
-                "x",
-                "--bogus-flag",
-                "7",
-            ],
+            &[&generate[..], &["--out", "x", "--bogus-flag", "7"]].concat(),
             "--bogus-flag for generate",
         ),
         (
             &[&assess[..], &["--out", "o.jsonl", "--queue-depth", "4"]].concat(),
             "--queue-depth for assess",
+        ),
+        (
+            &[&assess[..], &["--out", "o.jsonl", "--workers", "2"]].concat(),
+            "--workers for assess",
+        ),
+        (
+            &[&assess[..], &["--out", "o.jsonl", "--shards", "4"]].concat(),
+            "--shards for assess",
+        ),
+        (
+            &[&assess[..], &["--out", "o.jsonl", "--trace", "t.json"]].concat(),
+            "--trace for assess",
+        ),
+        (
+            &[&replay[..], &["--out", "o.jsonl", "--max-subscribers", "4"]].concat(),
+            "--max-subscribers for replay",
+        ),
+        (
+            &[&replay[..], &["--out", "o.jsonl", "--memory-budget", "5"]].concat(),
+            "--memory-budget for replay",
+        ),
+        (
+            &[
+                &replay[..],
+                &["--out", "o.jsonl", "--checkpoint", "ck.json"],
+            ]
+            .concat(),
+            "--checkpoint for replay",
+        ),
+        (
+            &[&replay[..], &["--out", "o.jsonl", "--alerts", "rules.toml"]].concat(),
+            "--alerts for replay",
         ),
     ];
     for (args, flag) in cases {
@@ -222,44 +266,81 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
         );
     }
 
-    // A flag the chosen path would never read is a usage error, also
-    // caught before the model is read. A restore takes its ingest config
-    // and budget from the checkpoint, and admission only acts while a
-    // global budget is set.
-    let cases: [(&[&str], &str); 10] = [
-        (&["--shards", "4"], "--shards sets the parallel engine's"),
-        (
-            &["--workers", "2", "--max-subscribers", "4"],
-            "--max-subscribers caps the streaming assessor",
-        ),
+    // Flags that must or must not go together, and values outside their
+    // type, are usage errors caught before any file is read (`missing-model.json`
+    // does not exist). A restore takes its ingest config and budget
+    // from the checkpoint, and admission only acts while a global
+    // budget is set.
+    let cases: [(&[&str], &str); 18] = [
         (
             &["--checkpoint-at", "10"],
-            "--checkpoint-at picks the record",
+            "--checkpoint-at requires --checkpoint",
         ),
-        (&["--chaos-seed", "9"], "--chaos-seed seeds the chaos tap"),
+        (
+            &["--chaos-seed", "9"],
+            "--chaos-seed requires --chaos or --chaos-profile",
+        ),
+        (&["--exemplars"], "--exemplars requires --metrics"),
         (
             &["--restore", "ck.json", "--max-subscribers", "1"],
-            "--max-subscribers is fixed by the checkpoint",
+            "--restore conflicts with --max-subscribers",
         ),
         (
             &["--restore", "ck.json", "--memory-budget", "1"],
-            "--memory-budget is fixed by the checkpoint",
+            "--restore conflicts with --memory-budget",
         ),
         (
             &["--restore", "ck.json", "--subscriber-budget", "1"],
-            "--subscriber-budget is fixed by the checkpoint",
+            "--restore conflicts with --subscriber-budget",
         ),
         (
             &["--restore", "ck.json", "--admission", "refuse"],
-            "--admission is fixed by the checkpoint",
+            "--restore conflicts with --admission",
         ),
         (
             &["--admission", "refuse"],
-            "--admission acts only while the global budget is full",
+            "--admission requires --memory-budget",
         ),
         (
             &["--admission", "shed", "--memory-budget", "0"],
-            "--admission acts only while the global budget is full",
+            "--memory-budget wants a positive byte count",
+        ),
+        (
+            &["--subscriber-budget", "0"],
+            "--subscriber-budget wants a positive byte count",
+        ),
+        (
+            &["--chaos-profile", "bogus"],
+            "--chaos-profile must be mild|harsh|flood",
+        ),
+        (
+            &["--chaos", "0.5", "--chaos-profile", "mild"],
+            "--chaos conflicts with --chaos-profile",
+        ),
+        (
+            &["--chaos", "0", "--chaos-profile", "mild"],
+            "--chaos conflicts with --chaos-profile",
+        ),
+        (
+            &["--admission", "bogus", "--memory-budget", "5"],
+            "--admission must be shed|refuse",
+        ),
+        // A switch takes no value, a valued flag must have one, and a
+        // flag is given once.
+        (
+            &["--metrics", "-", "--exemplars", "yes"],
+            "expected a --flag, got 'yes'",
+        ),
+        (&["--max-subscribers"], "--max-subscribers wants a value"),
+        // `--metrics -` prints on the status lines, which `--quiet`
+        // silences.
+        (
+            &["--metrics", "-", "--quiet"],
+            "--metrics - prints on the status lines",
+        ),
+        (
+            &["--checkpoint", "a.json", "--checkpoint", "b.json"],
+            "--checkpoint is given twice",
         ),
     ];
     for (extra, reason) in cases {
@@ -268,7 +349,44 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
         assert_eq!(out.status.code(), Some(2), "vqoe {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(reason), "{stderr}");
+        assert!(stderr.contains("commands:"), "no usage text: {stderr}");
     }
+    for (extra, reason) in [
+        (&["--chaos-profile", "bogus"][..], "--chaos-profile must be"),
+        (&["--workers", "two"], "--workers wants a number, got 'two'"),
+        (&["--shards"], "--shards wants a value"),
+    ] {
+        let args = [&replay[..], &["--out", "o.jsonl"], extra].concat();
+        let out = vqoe().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "vqoe {args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(reason));
+    }
+
+    // The same rules hold for every command: a trailing valued flag
+    // without its value, and a repeated flag, write nothing.
+    let dir = workdir("usage");
+    for (extra, reason) in [
+        (&["--out"][..], "--out wants a value"),
+        (
+            &["--out", "a.jsonl", "--out", "b.jsonl"],
+            "--out is given twice",
+        ),
+    ] {
+        let args = [&generate[..], extra].concat();
+        let out = vqoe()
+            .current_dir(&dir)
+            .args(&args)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "vqoe {args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(reason));
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "vqoe {args:?} wrote a file"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -381,7 +499,7 @@ fn corpus_pack_unpack_round_trips_and_assess_sniffs_both() {
         run(
             &dir,
             &[
-                "assess",
+                "replay",
                 "--model",
                 "model.json",
                 "--weblogs",

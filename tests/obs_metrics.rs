@@ -404,9 +404,9 @@ fn cli_verbose_stderr_is_stable_and_quiet_is_silent() {
 #[test]
 fn cli_metrics_flag_emits_both_formats_and_is_worker_invariant() {
     let dir = prepared_pipeline("metrics");
-    let assess_with_metrics = |target: &str, extra: &[&str]| {
+    let with_metrics = |command: &str, target: &str, extra: &[&str]| {
         let mut args = vec![
-            "assess",
+            command,
             "--model",
             "model.json",
             "--weblogs",
@@ -421,7 +421,7 @@ fn cli_metrics_flag_emits_both_formats_and_is_worker_invariant() {
     };
 
     // File target: Prometheus text at PATH, JSON snapshot at PATH.json.
-    let out = assess_with_metrics("metrics.prom", &[]);
+    let out = with_metrics("assess", "metrics.prom", &[]);
     assert!(
         out.stderr.contains("metrics written to metrics.prom"),
         "stderr: {}",
@@ -439,13 +439,13 @@ fn cli_metrics_flag_emits_both_formats_and_is_worker_invariant() {
     assert!(snap.contains("\"counters\""));
     assert!(snap.ends_with('\n'));
 
-    // The engine-path snapshot is byte-identical across worker counts.
-    // (It differs from the streaming one only in the engine-only
-    // counters — shard jobs, busy ticks — which the streaming path
+    // The `replay` snapshot is byte-identical across worker counts.
+    // (It differs from the `assess` one only in the engine-only
+    // counters — shard jobs, busy ticks — which the streaming assessor
     // legitimately never touches.)
     let mut reference: Option<String> = None;
     for workers in ["1", "2", "7"] {
-        assess_with_metrics("w.prom", &["--workers", workers]);
+        with_metrics("replay", "w.prom", &["--workers", workers]);
         let w = std::fs::read_to_string(dir.join("w.prom.json")).expect("snapshot file");
         match &reference {
             None => reference = Some(w),
@@ -456,7 +456,7 @@ fn cli_metrics_flag_emits_both_formats_and_is_worker_invariant() {
     // `--metrics -` streams both formats through the stderr reporter;
     // stdout stays reserved for data, so piping it to another tool
     // never interleaves scrape text into the data stream.
-    let dashed = assess_with_metrics("-", &[]);
+    let dashed = with_metrics("assess", "-", &[]);
     assert!(dashed.stdout.is_empty(), "stdout: {}", dashed.stdout);
     assert!(dashed.stderr.contains("# TYPE"));
     assert!(dashed.stderr.contains("\"counters\""));
