@@ -18,8 +18,7 @@ use crate::render::{
     Table,
 };
 use vqoe_core::spec::DatasetSpec;
-use vqoe_core::stall_pipeline::train_stall_detector;
-use vqoe_core::TrainConfig;
+use vqoe_core::{train_detector, StallSpace, TrainConfig};
 use vqoe_features::labels::has_switches;
 use vqoe_features::{stall_label, SessionObs, StallClass};
 use vqoe_ml::{cross_validate, Dataset, ForestConfig};
@@ -687,8 +686,8 @@ fn ablation_features(ctx: &ReproContext) -> String {
         .filter(|&i| !full.feature_names[i].starts_with("chunk size"))
         .collect();
     let without = full.select_features(&keep);
-    let report_full = train_stall_detector(full, 7, TrainConfig::auto());
-    let report_without = train_stall_detector(&without, 7, TrainConfig::auto());
+    let report_full = train_detector::<StallSpace>(full, 7, TrainConfig::auto());
+    let report_without = train_detector::<StallSpace>(&without, 7, TrainConfig::auto());
     let mut t = Table::new(vec![
         "feature set",
         "CV accuracy",

@@ -1,106 +1,45 @@
-//! The §4.2 average-representation pipeline: 210-feature construction,
-//! CFS selection to the Table-5 subset, training and evaluation.
+//! The §4.2 average-representation detector: the 210-feature
+//! representation space the [`ForestModel`] is fitted on, with the
+//! paper's 15-feature target (Table 5) as its floor.
 
-use crate::subset::{FeatureSubset, TrainingReport};
-use serde::{Deserialize, Serialize};
+use crate::forest_model::{FeatureSpace, ForestModel, TrainingReport};
 use vqoe_features::representation::{representation_feature_names, representation_features};
-use vqoe_features::{RqClass, SessionObs};
-use vqoe_ml::{ConfusionMatrix, Dataset, RandomForest, TrainConfig};
+use vqoe_features::{RqClass, SessionObs, StreamingSessionState};
 
-/// Target size of the selected subset (the paper lands on 15 features,
-/// Table 5); used as an info-gain fallback floor when CFS returns fewer.
-pub const TARGET_SUBSET_SIZE: usize = 15;
+/// The 210-dim §4.2 average-representation feature space.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RepresentationSpace;
+
+impl FeatureSpace for RepresentationSpace {
+    type Class = RqClass;
+    const CLASSES: &'static [RqClass] = &[RqClass::Ld, RqClass::Sd, RqClass::Hd];
+    /// The paper lands on 15 features (Table 5).
+    const SUBSET_FLOOR: usize = 15;
+    const NAMES: fn() -> Vec<String> = representation_feature_names;
+    const EXACT: fn(&SessionObs) -> Vec<f64> = representation_features;
+    const APPROXIMATE: fn(&StreamingSessionState) -> Vec<f64> =
+        StreamingSessionState::representation_features_approx;
+}
 
 /// A trained, deployable average-representation detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RepresentationModel {
-    /// The classifier over the selected features.
-    pub forest: RandomForest,
-    /// Indices of the selected features in the 210-dim space.
-    pub selected_indices: Vec<usize>,
-    /// Names of the selected features.
-    pub selected_names: Vec<String>,
-}
-
-impl RepresentationModel {
-    /// The fit step's second half: the deployable forest over
-    /// `subset`'s features of the 210-dim `full` dataset.
-    pub fn fit(
-        subset: &mut FeatureSubset,
-        full: &Dataset,
-        train: TrainConfig,
-    ) -> RepresentationModel {
-        let forest = subset.fit_forest(full, train);
-        let names = representation_feature_names();
-        let selected_indices = subset.indices();
-        RepresentationModel {
-            forest,
-            selected_names: selected_indices.iter().map(|&i| names[i].clone()).collect(),
-            selected_indices,
-        }
-    }
-
-    /// Project a full 210-dim feature vector onto the selected subspace.
-    pub fn project(&self, full: &[f64]) -> Vec<f64> {
-        self.selected_indices.iter().map(|&i| full[i]).collect()
-    }
-
-    /// Classify one session's average representation from its
-    /// network-visible observations.
-    pub fn predict(&self, obs: &SessionObs) -> RqClass {
-        self.predict_from_features(&representation_features(obs))
-    }
-
-    /// Classify from an already-built 210-dim feature vector — exact
-    /// ([`representation_features`]) or approximate (the streaming
-    /// `Fidelity::Sketched` path).
-    pub fn predict_from_features(&self, full: &[f64]) -> RqClass {
-        let row = self.project(full);
-        match self.forest.predict(&row) {
-            0 => RqClass::Ld,
-            1 => RqClass::Sd,
-            _ => RqClass::Hd,
-        }
-    }
-
-    /// Evaluate the frozen model on a labelled 210-dim dataset.
-    pub fn evaluate(&self, full_dataset: &Dataset) -> ConfusionMatrix {
-        let reduced = full_dataset.select_features(&self.selected_indices);
-        let preds = self.forest.predict_all(&reduced);
-        ConfusionMatrix::from_predictions(full_dataset.class_names.clone(), &full_dataset.y, &preds)
-    }
-}
+pub type RepresentationModel = ForestModel<RepresentationSpace>;
 
 /// The representation detector's report (Tables 5–7) and its model.
 pub type RepresentationTrainingReport = TrainingReport<RepresentationModel>;
 
-/// Train the average-representation detector on a built 210-dim
-/// dataset of adaptive sessions and report on it: the fit step
-/// ([`FeatureSubset::select`] with a floor of [`TARGET_SUBSET_SIZE`],
-/// then [`RepresentationModel::fit`]) plus the 10-fold CV of
-/// [`TrainingReport::cross_validate`]. Output is byte-identical at any
-/// worker count.
-pub fn train_representation_detector(
-    full: &Dataset,
-    seed: u64,
-    train: TrainConfig,
-) -> RepresentationTrainingReport {
-    let mut subset = FeatureSubset::select(full, TARGET_SUBSET_SIZE, seed, train);
-    let model = RepresentationModel::fit(&mut subset, full, train);
-    TrainingReport::cross_validate(full, subset.ranked, model, seed, train)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest_model::train_detector;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
     use vqoe_features::build_representation_dataset;
+    use vqoe_ml::TrainConfig;
     use vqoe_player::SessionTrace;
 
     fn fit_report(traces: &[SessionTrace], seed: u64) -> RepresentationTrainingReport {
         let full = build_representation_dataset(traces);
-        train_representation_detector(&full, seed, TrainConfig::auto())
+        train_detector::<RepresentationSpace>(&full, seed, TrainConfig::auto())
     }
 
     fn adaptive_corpus(n: usize, seed: u64) -> Vec<SessionTrace> {
@@ -182,9 +121,10 @@ mod tests {
     #[test]
     fn parallel_training_is_byte_identical_to_sequential() {
         let full = build_representation_dataset(&adaptive_corpus(200, 26));
-        let reference = train_representation_detector(&full, 5, TrainConfig::sequential());
+        let reference = train_detector::<RepresentationSpace>(&full, 5, TrainConfig::sequential());
         for workers in [2usize, 7] {
-            let got = train_representation_detector(&full, 5, TrainConfig::with_workers(workers));
+            let got =
+                train_detector::<RepresentationSpace>(&full, 5, TrainConfig::with_workers(workers));
             assert_eq!(reference, got, "workers {workers}");
         }
     }

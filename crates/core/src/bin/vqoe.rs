@@ -368,11 +368,15 @@ impl Flags {
         Ok(self.parsed(key)?.unwrap_or(default))
     }
 
-    /// A byte budget: a positive count, or 0 (unlimited) when not given.
-    fn budget(&self, key: &str) -> Result<u64, String> {
+    /// A positive number (`what` names it: a count, a byte count), or
+    /// `default` when not given.
+    fn positive<T>(&self, key: &str, default: T, what: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr + From<u8> + PartialEq,
+    {
         match self.parsed(key)? {
-            Some(0) => Err(format!("--{key} wants a positive byte count, got '0'")),
-            bytes => Ok(bytes.unwrap_or(0)),
+            Some(n) if n == T::from(0) => Err(format!("--{key} wants a positive {what}, got '0'")),
+            n => Ok(n.unwrap_or(default)),
         }
     }
 }
@@ -493,12 +497,13 @@ fn train(flags: &Flags) -> Result<(), String> {
 /// restore and alerts.
 fn assess(flags: &Flags) -> Result<(), String> {
     let ingest_cfg = IngestConfig {
-        max_open_subscribers: flags.num("max-subscribers", 65_536usize)?,
+        max_open_subscribers: flags.positive("max-subscribers", 65_536, "count")?,
         ..IngestConfig::default()
     };
     let budget = BudgetConfig {
-        per_subscriber_bytes: flags.budget("subscriber-budget")?,
-        global_bytes: flags.budget("memory-budget")?,
+        // A budget left out is 0: unlimited.
+        per_subscriber_bytes: flags.positive("subscriber-budget", 0, "byte count")?,
+        global_bytes: flags.positive("memory-budget", 0, "byte count")?,
         admission: match flags.get("admission") {
             None => AdmissionPolicy::default(),
             Some(v) => AdmissionPolicy::parse(v).ok_or("--admission must be shed|refuse")?,
@@ -592,7 +597,7 @@ fn assess(flags: &Flags) -> Result<(), String> {
 fn replay(flags: &Flags) -> Result<(), String> {
     let engine = EngineConfig {
         workers: flags.num("workers", 0usize)?,
-        shards: flags.num("shards", EngineConfig::default().shards)?,
+        shards: flags.positive("shards", EngineConfig::default().shards, "count")?,
     };
     let report_to = reporter(flags);
     run_tap(flags, |monitor, entries, _, metrics| {
@@ -886,26 +891,26 @@ fn die<E: std::fmt::Display, T>(path: &Path) -> impl FnOnce(E) -> T + '_ {
 const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          \n\
          commands:\n\
-           generate   --kind cleartext|adaptive|encrypted --sessions N --seed S\n\
-         \x20          --out FILE [--quiet]\n\
-           capture    --traces FILE [--encrypted] [--subscriber ID] [--seed S]\n\
-         \x20          --out FILE [--quiet]\n\
-           extract-gt --weblogs FILE --out FILE [--quiet]\n\
-           train      [--cleartext N] [--adaptive N] [--seed S] [--workers N]\n\
-         \x20          --out FILE [--quiet]\n\
-           assess     --model FILE --weblogs FILE --out FILE [--verbose]\n\
-         \x20          [--chaos RATE] [--chaos-seed S] [--chaos-profile mild|harsh|flood]\n\
-         \x20          [--max-subscribers N] [--memory-budget BYTES]\n\
-         \x20          [--subscriber-budget BYTES] [--admission shed|refuse]\n\
-         \x20          [--checkpoint PATH] [--checkpoint-at N] [--restore PATH]\n\
-         \x20          [--metrics PATH|-] [--exemplars] [--alerts RULES.toml] [--quiet]\n\
-           replay     --model FILE --weblogs FILE --out FILE [--verbose]\n\
-         \x20          [--workers N] [--shards N] [--trace PATH]\n\
-         \x20          [--chaos RATE] [--chaos-seed S] [--chaos-profile mild|harsh|flood]\n\
-         \x20          [--metrics PATH|-] [--exemplars] [--quiet]\n\
-           metrics-doc [--out FILE] [--quiet]\n\
-           corpus pack   --weblogs FILE --out FILE [--quiet]\n\
-           corpus unpack --corpus FILE --out FILE [--quiet]\n\
+         \x20 generate   --kind cleartext|adaptive|encrypted --sessions N --seed S\n\
+         \x20            --out FILE [--quiet]\n\
+         \x20 capture    --traces FILE [--encrypted] [--subscriber ID] [--seed S]\n\
+         \x20            --out FILE [--quiet]\n\
+         \x20 extract-gt --weblogs FILE --out FILE [--quiet]\n\
+         \x20 train      [--cleartext N] [--adaptive N] [--seed S] [--workers N]\n\
+         \x20            --out FILE [--quiet]\n\
+         \x20 assess     --model FILE --weblogs FILE --out FILE [--verbose]\n\
+         \x20            [--chaos RATE] [--chaos-seed S] [--chaos-profile mild|harsh|flood]\n\
+         \x20            [--max-subscribers N] [--memory-budget BYTES]\n\
+         \x20            [--subscriber-budget BYTES] [--admission shed|refuse]\n\
+         \x20            [--checkpoint PATH] [--checkpoint-at N] [--restore PATH]\n\
+         \x20            [--metrics PATH|-] [--exemplars] [--alerts RULES.toml] [--quiet]\n\
+         \x20 replay     --model FILE --weblogs FILE --out FILE [--verbose]\n\
+         \x20            [--workers N] [--shards N] [--trace PATH]\n\
+         \x20            [--chaos RATE] [--chaos-seed S] [--chaos-profile mild|harsh|flood]\n\
+         \x20            [--metrics PATH|-] [--exemplars] [--quiet]\n\
+         \x20 metrics-doc [--out FILE] [--quiet]\n\
+         \x20 corpus pack   --weblogs FILE --out FILE [--quiet]\n\
+         \x20 corpus unpack --corpus FILE --out FILE [--quiet]\n\
          \n\
          corpus pack converts a JSONL weblog file into the binary replay\n\
          format (magic VQWL); corpus unpack converts it back,\n\
@@ -914,10 +919,11 @@ const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          model is byte-identical at any worker count.\n\
          assess runs the streaming assessor one record at a time; replay\n\
          runs the sharded parallel engine (--workers 0 = auto, the\n\
-         default). Their assessments are bit-identical. --verbose adds\n\
-         stream-health and anomaly details on stderr; --quiet silences\n\
-         status lines. An unlisted flag, a repeated flag and a missing\n\
-         value are errors.\n\
+         default; --shards N > 0). Their assessments are bit-identical.\n\
+         assess --max-subscribers N caps tracked subscribers (N > 0).\n\
+         --verbose adds stream-health and anomaly details on stderr;\n\
+         --quiet silences status lines. An unlisted flag, a repeated\n\
+         flag and a missing value are errors.\n\
          --chaos RATE, in [0, 1], scales a uniform fault mix on the tap\n\
          (0 = clean). --chaos-profile applies a preset (mild: 5% faults,\n\
          harsh: 35%, flood: 5% plus a synthetic subscriber flood); it\n\
@@ -959,16 +965,21 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// The lines of the usage text's `commands:` block, as printed.
+    fn command_block() -> impl Iterator<Item = &'static str> {
+        USAGE
+            .lines()
+            .skip_while(|l| l.trim() != "commands:")
+            .skip(1)
+            .take_while(|l| !l.trim().is_empty())
+    }
+
     /// Each command's usage lines, joined: a line that opens with a
     /// word starts a command, a line that opens with a flag continues
     /// the one before.
     fn usage_lines() -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = Vec::new();
-        let lines = USAGE
-            .lines()
-            .skip_while(|l| l.trim() != "commands:")
-            .skip(1);
-        for line in lines.take_while(|l| !l.trim().is_empty()) {
+        for line in command_block() {
             let line = line.trim();
             match out.last_mut() {
                 Some((_, rest)) if line.starts_with(['-', '[']) => {
@@ -997,6 +1008,17 @@ mod tests {
             names, commands,
             "usage and COMMANDS disagree on the commands"
         );
+        // Each command name sits two spaces in, its continuation lines
+        // deeper.
+        for line in command_block() {
+            let body = line.trim_start();
+            let indent = line.len() - body.len();
+            if body.starts_with(['-', '[']) {
+                assert!(indent > 2, "continuation line not indented: {line:?}");
+            } else {
+                assert_eq!(indent, 2, "command line not indented by two: {line:?}");
+            }
+        }
         for ((name, text), command) in usage.iter().zip(&COMMANDS) {
             // `(flag, is_switch)`: a switch is written `[--name]`.
             let mut listed: Vec<(&str, bool)> = text

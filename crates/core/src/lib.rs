@@ -46,10 +46,10 @@
 //! ```
 //!
 //! Modules: [`spec`] (dataset specifications), [`generate`] (parallel
-//! trace generation), [`stall_pipeline`], [`avgrep_pipeline`],
-//! [`switch_pipeline`] (the three detectors' training/evaluation),
-//! [`subset`] (the fit step the two classifiers share and their
-//! [`TrainingReport`]), [`encrypted`] (the §5 encrypted-traffic
+//! trace generation), [`forest_model`] (the one §4 classifier type
+//! and its [`TrainingReport`]), [`stall_pipeline`], [`avgrep_pipeline`]
+//! (its two feature spaces), [`switch_pipeline`] (the switch
+//! detector), [`encrypted`] (the §5 encrypted-traffic
 //! evaluation), [`monitor`] (the deployable operator API, and
 //! [`ModelFit`], the one path that fits the three models),
 //! [`subscribe`] (the per-session
@@ -70,6 +70,7 @@ pub mod avgrep_pipeline;
 pub mod digest;
 pub mod encrypted;
 pub mod engine;
+pub mod forest_model;
 pub mod generate;
 pub mod metrics;
 pub mod monitor;
@@ -79,17 +80,17 @@ mod shard;
 pub mod spec;
 pub mod stall_pipeline;
 pub mod subscribe;
-pub mod subset;
 pub mod switch_pipeline;
 pub mod weblog_training;
 
 pub use alerting::{
     default_alert_rules, drift_backend, standard_alert_engine, ALERT_WINDOW_RECORDS,
 };
-pub use avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
+pub use avgrep_pipeline::{RepresentationModel, RepresentationSpace, RepresentationTrainingReport};
 pub use digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 pub use encrypted::{EncryptedEvalConfig, EncryptedWorld};
 pub use engine::{shard_of, EngineConfig};
+pub use forest_model::{train_detector, FeatureSpace, ForestModel, TrainingReport};
 pub use generate::{generate_sequential_traces, generate_traces};
 pub use metrics::PipelineMetrics;
 pub use monitor::{
@@ -102,9 +103,8 @@ pub use online::{
 };
 pub use qoe_score::QoeScore;
 pub use spec::{DatasetSpec, DeliveryMix, ScenarioMix};
-pub use stall_pipeline::{StallModel, StallTrainingReport};
+pub use stall_pipeline::{StallModel, StallSpace, StallTrainingReport};
 pub use subscribe::{IngestPipeline, SubscriptionSet};
-pub use subset::TrainingReport;
 pub use switch_pipeline::{SwitchCalibrationReport, SwitchEvalReport, SwitchModel};
 pub use vqoe_ml::TrainConfig;
 pub use weblog_training::{

@@ -18,20 +18,20 @@ use vqoe_simnet::time::Instant;
 use vqoe_telemetry::ReassemblyConfig;
 
 use crate::avgrep_pipeline::{
-    RepresentationModel, RepresentationTrainingReport, TARGET_SUBSET_SIZE,
+    RepresentationModel, RepresentationSpace, RepresentationTrainingReport,
 };
+use crate::forest_model::{FeatureSubset, TrainingReport};
 use crate::generate::generate_traces;
 use crate::spec::DatasetSpec;
-use crate::stall_pipeline::{StallModel, StallTrainingReport, SUBSET_FLOOR};
+use crate::stall_pipeline::{StallModel, StallSpace, StallTrainingReport};
 use crate::subscribe::IngestPipeline;
-use crate::subset::{FeatureSubset, TrainingReport};
 use crate::switch_pipeline::{SwitchCalibrationReport, SwitchModel};
 
 /// End-to-end training configuration.
 ///
 /// Construct it through [`TrainingConfig::builder`], which validates
-/// the spec and returns a typed [`ConfigError`] instead of letting a
-/// degenerate corpus panic deep inside feature selection.
+/// the spec and returns a typed [`ConfigError`]; a struct literal skips
+/// that check and may panic in training (see [`ModelFit::run`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainingConfig {
     /// Cleartext corpus size for the stall model (progressive-heavy mix).
@@ -270,6 +270,11 @@ impl ModelFit {
     /// two forests and calibrate the switch threshold, calling
     /// `on_stage` as each [`TrainStage`] completes. No cross-validation
     /// runs here.
+    ///
+    /// # Panics
+    ///
+    /// If `config.adaptive_sessions` is 0, which only a struct literal
+    /// can say: the representation forest has no session to fit on.
     pub fn run(config: &TrainingConfig, mut on_stage: impl FnMut(TrainStage)) -> ModelFit {
         let (seed, train) = (config.seed, config.train);
         let cleartext_spec = DatasetSpec::cleartext_default(config.cleartext_sessions, seed);
@@ -287,9 +292,9 @@ impl ModelFit {
         stall_corpus.extend(adaptive.iter().cloned());
         let stall_data = build_stall_dataset(&stall_corpus);
         let representation_data = build_representation_dataset(&adaptive);
-        let mut stall_subset = FeatureSubset::select(&stall_data, SUBSET_FLOOR, seed, train);
+        let mut stall_subset = FeatureSubset::select::<StallSpace>(&stall_data, seed, train);
         let mut rep_subset =
-            FeatureSubset::select(&representation_data, TARGET_SUBSET_SIZE, seed, train);
+            FeatureSubset::select::<RepresentationSpace>(&representation_data, seed, train);
         on_stage(TrainStage::Selected);
 
         let stall_model = StallModel::fit(&mut stall_subset, &stall_data, train);
@@ -348,6 +353,10 @@ impl QoeMonitor {
     /// Train the full framework on simulated cleartext corpora: the
     /// monitor of [`ModelFit::run`]. Each detector runs only its fit
     /// step; the cross-validated reports are the pipelines' business.
+    ///
+    /// # Panics
+    ///
+    /// As [`ModelFit::run`], if `config.adaptive_sessions` is 0.
     pub fn train(config: &TrainingConfig) -> QoeMonitor {
         Self::train_staged(config, |_| {})
     }

@@ -1,102 +1,44 @@
-//! The §4.1 stall-detection pipeline: feature selection, training,
-//! cross-validated evaluation, and the deployable model.
+//! The §4.1 stall detector: the 70-feature stall space the
+//! [`ForestModel`] is fitted on, with the paper's four-feature floor.
 
-use crate::subset::{FeatureSubset, TrainingReport};
-use serde::{Deserialize, Serialize};
+use crate::forest_model::{FeatureSpace, ForestModel, TrainingReport};
 use vqoe_features::stall::{stall_feature_names, stall_features};
-use vqoe_features::{SessionObs, StallClass};
-use vqoe_ml::{ConfusionMatrix, Dataset, RandomForest, TrainConfig};
+use vqoe_features::{SessionObs, StallClass, StreamingSessionState};
 
-/// A trained, deployable stall detector: the Random Forest plus the
-/// projection from the full 70-feature space onto the selected subset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StallModel {
-    /// The classifier over the selected features.
-    pub forest: RandomForest,
-    /// Indices of the selected features in the 70-dim stall space.
-    pub selected_indices: Vec<usize>,
-    /// Names of the selected features (aligned with `selected_indices`).
-    pub selected_names: Vec<String>,
+/// The 70-dim §4.1 stall feature space.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StallSpace;
+
+impl FeatureSpace for StallSpace {
+    type Class = StallClass;
+    const CLASSES: &'static [StallClass] =
+        &[StallClass::NoStalls, StallClass::Mild, StallClass::Severe];
+    /// The paper's four-feature model (Table 2).
+    const SUBSET_FLOOR: usize = 4;
+    const NAMES: fn() -> Vec<String> = stall_feature_names;
+    const EXACT: fn(&SessionObs) -> Vec<f64> = stall_features;
+    const APPROXIMATE: fn(&StreamingSessionState) -> Vec<f64> =
+        StreamingSessionState::stall_features_approx;
 }
 
-impl StallModel {
-    /// The fit step's second half: the deployable forest over
-    /// `subset`'s features of the 70-dim `full` dataset.
-    pub fn fit(subset: &mut FeatureSubset, full: &Dataset, train: TrainConfig) -> StallModel {
-        let forest = subset.fit_forest(full, train);
-        let names = stall_feature_names();
-        let selected_indices = subset.indices();
-        StallModel {
-            forest,
-            selected_names: selected_indices.iter().map(|&i| names[i].clone()).collect(),
-            selected_indices,
-        }
-    }
-
-    /// Project a full 70-dim stall feature vector onto the model's
-    /// selected subspace.
-    pub fn project(&self, full: &[f64]) -> Vec<f64> {
-        self.selected_indices.iter().map(|&i| full[i]).collect()
-    }
-
-    /// Classify one session from its network-visible observations.
-    pub fn predict(&self, obs: &SessionObs) -> StallClass {
-        self.predict_from_features(&stall_features(obs))
-    }
-
-    /// Classify from an already-built 70-dim stall feature vector —
-    /// exact ([`stall_features`]) or approximate (the streaming
-    /// `Fidelity::Sketched` path, which cannot afford the buffered
-    /// [`SessionObs`] the exact builder needs).
-    pub fn predict_from_features(&self, full: &[f64]) -> StallClass {
-        let row = self.project(full);
-        match self.forest.predict(&row) {
-            0 => StallClass::NoStalls,
-            1 => StallClass::Mild,
-            _ => StallClass::Severe,
-        }
-    }
-
-    /// Evaluate the frozen model on a labelled 70-dim dataset, returning
-    /// the confusion matrix (the §5.4 protocol: "the trained model ...
-    /// is directly tested with encrypted traffic").
-    pub fn evaluate(&self, full_dataset: &Dataset) -> ConfusionMatrix {
-        let reduced = full_dataset.select_features(&self.selected_indices);
-        let preds = self.forest.predict_all(&reduced);
-        ConfusionMatrix::from_predictions(full_dataset.class_names.clone(), &full_dataset.y, &preds)
-    }
-}
+/// A trained, deployable stall detector.
+pub type StallModel = ForestModel<StallSpace>;
 
 /// The stall detector's report (Tables 2–4) and its model.
 pub type StallTrainingReport = TrainingReport<StallModel>;
 
-/// Minimum size of the selected subset: the paper's four-feature model
-/// (Table 2), reached by info-gain padding when CFS returns fewer.
-pub const SUBSET_FLOOR: usize = 4;
-
-/// Train the stall detector on a built 70-dim dataset and report on it.
-///
-/// Per §4.1 the dataset holds *all* sessions (progressive + adaptive).
-/// The fit step is [`FeatureSubset::select`] with a floor of
-/// [`SUBSET_FLOOR`], then [`StallModel::fit`] on the whole balanced
-/// corpus; [`TrainingReport::cross_validate`] adds the 10-fold CV.
-/// Output is byte-identical at any worker count.
-pub fn train_stall_detector(full: &Dataset, seed: u64, train: TrainConfig) -> StallTrainingReport {
-    let mut subset = FeatureSubset::select(full, SUBSET_FLOOR, seed, train);
-    let model = StallModel::fit(&mut subset, full, train);
-    TrainingReport::cross_validate(full, subset.ranked, model, seed, train)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest_model::train_detector;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
     use vqoe_features::build_stall_dataset;
+    use vqoe_ml::TrainConfig;
     use vqoe_player::SessionTrace;
 
     fn fit_report(traces: &[SessionTrace], seed: u64) -> StallTrainingReport {
-        train_stall_detector(&build_stall_dataset(traces), seed, TrainConfig::auto())
+        train_detector::<StallSpace>(&build_stall_dataset(traces), seed, TrainConfig::auto())
     }
 
     fn small_corpus() -> Vec<SessionTrace> {
@@ -181,9 +123,9 @@ mod tests {
             TrainConfig::auto(),
         );
         let full = build_stall_dataset(&traces);
-        let reference = train_stall_detector(&full, 9, TrainConfig::sequential());
+        let reference = train_detector::<StallSpace>(&full, 9, TrainConfig::sequential());
         for workers in [2usize, 7] {
-            let got = train_stall_detector(&full, 9, TrainConfig::with_workers(workers));
+            let got = train_detector::<StallSpace>(&full, 9, TrainConfig::with_workers(workers));
             assert_eq!(reference, got, "workers {workers}");
         }
         assert_eq!(reference.cv_skipped_folds, 0);

@@ -26,21 +26,21 @@
 //!   methods *are* the engine: the shard routing, fan-out and reducer
 //!   in `crate::engine` are private code behind them.
 
-use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
+use vqoe_features::{SessionObs, SessionView};
 use vqoe_obs::{Trace, TraceConfig};
 use vqoe_telemetry::{
     reassemble_subscriber, BinaryCorpus, BinlogError, IngestConfig, ReassemblyConfig, WeblogEntry,
 };
 
-use crate::avgrep_pipeline::RepresentationModel;
 use crate::digest::SessionDigest;
 use crate::engine::EngineConfig;
+use crate::forest_model::{FeatureSpace, ForestModel};
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::online::IngestReport;
 use crate::qoe_score::QoeScore;
-use crate::stall_pipeline::StallModel;
 use crate::switch_pipeline::SwitchModel;
+use crate::{RepresentationModel, StallModel};
 
 /// The paper's three frozen detectors, borrowed from one trained
 /// monitor: the models every session is assessed with.
@@ -65,13 +65,7 @@ impl<'m> SubscriptionSet<'m> {
     /// predict from the full feature vectors and the switch model
     /// scores σ(CUSUM) against its frozen threshold.
     pub fn assess_session(&self, view: SessionView<'_>) -> SessionAssessment {
-        self.fold(
-            view,
-            view.obs.len(),
-            self.stall.predict(view.obs),
-            self.representation.predict(view.obs),
-            self.switch.score(view.obs),
-        )
+        self.fold(view, None)
     }
 
     /// Assess one session past the exactness cap from its
@@ -88,28 +82,18 @@ impl<'m> SubscriptionSet<'m> {
         view: SessionView<'_>,
         digest: &SessionDigest,
     ) -> SessionAssessment {
-        let features = &digest.features;
-        self.fold(
-            view,
-            digest.chunk_count() as usize,
-            self.stall
-                .predict_from_features(&features.stall_features_approx()),
-            self.representation
-                .predict_from_features(&features.representation_features_approx()),
-            digest.switch.score(),
-        )
+        self.fold(view, Some(digest))
     }
 
-    /// Build the assessment from the three models' answers: the one
-    /// place a [`SessionAssessment`] is made.
-    fn fold(
-        &self,
-        view: SessionView<'_>,
-        chunk_count: usize,
-        stall: StallClass,
-        representation: RqClass,
-        switch_score: f64,
-    ) -> SessionAssessment {
+    /// Build the assessment from the three models' answers, exact or
+    /// from `digest`: the one place a [`SessionAssessment`] is made.
+    fn fold(&self, view: SessionView<'_>, digest: Option<&SessionDigest>) -> SessionAssessment {
+        let (chunk_count, switch_score) = match digest {
+            Some(d) => (d.chunk_count() as usize, d.switch.score()),
+            None => (view.obs.len(), self.switch.score(view.obs)),
+        };
+        let stall = classify(self.stall, view.obs, digest);
+        let representation = classify(self.representation, view.obs, digest);
         let has_quality_switches = switch_score > self.switch.threshold();
         SessionAssessment {
             start: view.start,
@@ -122,6 +106,19 @@ impl<'m> SubscriptionSet<'m> {
             qoe: QoeScore::from_assessment(stall, representation, has_quality_switches),
             fidelity: Fidelity::Full,
         }
+    }
+}
+
+/// One forest's answer for a session: from its exact observations, or
+/// from the approximate vector of its digest past the exactness cap.
+fn classify<S: FeatureSpace>(
+    model: &ForestModel<S>,
+    obs: &SessionObs,
+    digest: Option<&SessionDigest>,
+) -> S::Class {
+    match digest {
+        Some(d) => model.predict_from_features(&(S::APPROXIMATE)(&d.features)),
+        None => model.predict(obs),
     }
 }
 

@@ -9,6 +9,10 @@
 //! * at fault rate zero the emitted assessments are bit-identical to
 //!   the un-wrapped batch pipeline.
 
+mod common;
+
+use common::multi_subscriber_tap;
+
 use std::sync::OnceLock;
 
 use vqoe_core::{
@@ -30,23 +34,6 @@ fn monitor() -> &'static QoeMonitor {
             ..TrainingConfig::default()
         })
     })
-}
-
-/// A tap shared by `subscribers` independent streams, interleaved by
-/// timestamp as the proxy would deliver them.
-fn multi_subscriber_tap(subscribers: u64, sessions: usize, seed: u64) -> Vec<WeblogEntry> {
-    let mut entries = Vec::new();
-    for s in 0..subscribers {
-        let mut cfg = EncryptedEvalConfig::paper_default(seed + s);
-        cfg.spec.n_sessions = sessions;
-        let mut world = EncryptedWorld::build(&cfg).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
-    entries
 }
 
 /// Each fault operation of the chaos tap, isolated.

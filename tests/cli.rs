@@ -271,7 +271,7 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
     // does not exist). A restore takes its ingest config and budget
     // from the checkpoint, and admission only acts while a global
     // budget is set.
-    let cases: [(&[&str], &str); 18] = [
+    let cases: [(&[&str], &str); 19] = [
         (
             &["--checkpoint-at", "10"],
             "--checkpoint-at requires --checkpoint",
@@ -308,6 +308,10 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
         (
             &["--subscriber-budget", "0"],
             "--subscriber-budget wants a positive byte count",
+        ),
+        (
+            &["--max-subscribers", "0"],
+            "--max-subscribers wants a positive count, got '0'",
         ),
         (
             &["--chaos-profile", "bogus"],
@@ -355,6 +359,10 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
         (&["--chaos-profile", "bogus"][..], "--chaos-profile must be"),
         (&["--workers", "two"], "--workers wants a number, got 'two'"),
         (&["--shards"], "--shards wants a value"),
+        (
+            &["--shards", "0"],
+            "--shards wants a positive count, got '0'",
+        ),
     ] {
         let args = [&replay[..], &["--out", "o.jsonl"], extra].concat();
         let out = vqoe().args(&args).output().expect("spawn");

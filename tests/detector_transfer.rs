@@ -3,9 +3,10 @@
 //! new videos) and, as in §5, across the cleartext→encrypted boundary.
 
 use vqoe_changedet::SwitchScoreConfig;
-use vqoe_core::avgrep_pipeline::train_representation_detector;
-use vqoe_core::stall_pipeline::train_stall_detector;
-use vqoe_core::{generate_traces, DatasetSpec, SwitchModel, TrainConfig};
+use vqoe_core::{
+    generate_traces, train_detector, DatasetSpec, RepresentationSpace, StallSpace, SwitchModel,
+    TrainConfig,
+};
 use vqoe_features::labels::has_switches;
 use vqoe_features::{build_representation_dataset, build_stall_dataset, SessionObs};
 
@@ -19,7 +20,8 @@ fn stall_model_transfers_across_seeds() {
         &DatasetSpec::adaptive_default(400, 42),
         TrainConfig::auto(),
     ));
-    let report = train_stall_detector(&build_stall_dataset(&train_corpus), 1, TrainConfig::auto());
+    let report =
+        train_detector::<StallSpace>(&build_stall_dataset(&train_corpus), 1, TrainConfig::auto());
 
     let fresh = generate_traces(
         &DatasetSpec::cleartext_default(600, 4242),
@@ -42,7 +44,7 @@ fn stall_model_transfers_across_seeds() {
 fn representation_model_transfers_across_seeds() {
     let train_corpus =
         generate_traces(&DatasetSpec::adaptive_default(800, 43), TrainConfig::auto());
-    let report = train_representation_detector(
+    let report = train_detector::<RepresentationSpace>(
         &build_representation_dataset(&train_corpus),
         2,
         TrainConfig::auto(),
@@ -92,7 +94,8 @@ fn detectors_never_see_ground_truth_fields() {
         &DatasetSpec::cleartext_default(400, 45),
         TrainConfig::auto(),
     );
-    let report = train_stall_detector(&build_stall_dataset(&corpus), 3, TrainConfig::auto());
+    let report =
+        train_detector::<StallSpace>(&build_stall_dataset(&corpus), 3, TrainConfig::auto());
     let mut trace = corpus[0].clone();
     let obs_before = SessionObs::from_trace(&trace);
     let pred_before = report.model.predict(&obs_before);

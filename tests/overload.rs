@@ -22,13 +22,17 @@
 //!   and a damaged spill digest, a misrouted or duplicated subscriber
 //!   and an LRU mismatch are refused.
 
+mod common;
+
+use common::multi_subscriber_tap;
+
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vqoe_core::{
-    shard_of, AdmissionPolicy, BudgetConfig, EncryptedEvalConfig, EncryptedWorld, EngineConfig,
-    Fidelity, IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor,
-    RestoreError, ShardCheckpoint, ShedReason, TrainingConfig,
+    shard_of, AdmissionPolicy, BudgetConfig, EngineConfig, Fidelity, IngestReport, OnlineAssessor,
+    OnlineCheckpoint, PipelineMetrics, QoeMonitor, RestoreError, ShardCheckpoint, ShedReason,
+    TrainingConfig,
 };
 use vqoe_features::{
     representation_feature_names, representation_features, stall_feature_names, stall_features,
@@ -53,23 +57,6 @@ fn monitor() -> &'static QoeMonitor {
             ..TrainingConfig::default()
         })
     })
-}
-
-/// A tap shared by `subscribers` independent streams, interleaved by
-/// timestamp as the proxy would deliver them.
-fn multi_subscriber_tap(subscribers: u64, sessions: usize, seed: u64) -> Vec<WeblogEntry> {
-    let mut entries = Vec::new();
-    for s in 0..subscribers {
-        let mut cfg = EncryptedEvalConfig::paper_default(seed + s);
-        cfg.spec.n_sessions = sessions;
-        let mut world = EncryptedWorld::build(&cfg).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
-    entries
 }
 
 fn media_entry(subscriber_id: u64, t: Instant, bytes: u64, rtt_min: f64) -> WeblogEntry {

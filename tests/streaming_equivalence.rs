@@ -16,6 +16,10 @@
 //! * the single-stream batch path never truncates: a session past the
 //!   cap is assessed from every chunk, exactly, at `Fidelity::Full`.
 
+mod common;
+
+use common::multi_subscriber_tap;
+
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -48,21 +52,6 @@ fn monitor_with_cap(cap: usize) -> QoeMonitor {
         ..m.reassembly
     };
     m
-}
-
-fn multi_subscriber_tap(subscribers: u64, sessions: usize, seed: u64) -> Vec<WeblogEntry> {
-    let mut entries = Vec::new();
-    for s in 0..subscribers {
-        let mut cfg = EncryptedEvalConfig::paper_default(seed + s);
-        cfg.spec.n_sessions = sessions;
-        let mut world = EncryptedWorld::build(&cfg).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
-    entries
 }
 
 /// One synthetic media chunk with fully-controlled transport metrics.

@@ -14,12 +14,15 @@
 //! * the alert engine fires deterministic CUSUM drift alerts during a
 //!   subscriber-flood overload and stays silent on a clean corpus.
 
+mod common;
+
+use common::multi_subscriber_tap;
+
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    default_alert_rules, standard_alert_engine, AdmissionPolicy, BudgetConfig, EncryptedEvalConfig,
-    EncryptedWorld, EngineConfig, IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor,
-    TrainingConfig,
+    default_alert_rules, standard_alert_engine, AdmissionPolicy, BudgetConfig, EngineConfig,
+    IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor, TrainingConfig,
 };
 use vqoe_obs::{Registry, Trace, TraceConfig};
 use vqoe_telemetry::{
@@ -37,21 +40,6 @@ fn monitor() -> &'static QoeMonitor {
             ..TrainingConfig::default()
         })
     })
-}
-
-fn multi_subscriber_tap(subscribers: u64, sessions: usize, seed: u64) -> Vec<WeblogEntry> {
-    let mut entries = Vec::new();
-    for s in 0..subscribers {
-        let mut cfg = EncryptedEvalConfig::paper_default(seed + s);
-        cfg.spec.n_sessions = sessions;
-        let mut world = EncryptedWorld::build(&cfg).expect("simulated world builds");
-        for e in &mut world.entries {
-            e.subscriber_id = s;
-        }
-        entries.extend(world.entries);
-    }
-    entries.sort_by_key(|e| e.timestamp);
-    entries
 }
 
 /// Remove the exemplar annotations from a JSON snapshot, leaving the
