@@ -6,12 +6,11 @@
 //! repro tab3 tab4                   # selected experiments
 //! repro all --sessions 20000        # bigger cleartext corpus
 //! repro all --out results/          # also write one .txt per experiment
-//! repro abr-comparison              # extension experiment
 //! ```
 
 use std::io::Write;
 use vqoe_bench::experiments::{
-    abr_comparison, run_experiment, subscriber_scaling_with, SubscriberScalingConfig, EXPERIMENTS,
+    run_experiment, subscriber_scaling_with, SubscriberScalingConfig, EXPERIMENTS,
 };
 use vqoe_bench::{ReproContext, ReproScale};
 
@@ -69,12 +68,6 @@ fn main() {
         ids = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
 
-    // The abr-comparison extension doesn't need the trained context.
-    if ids == ["abr-comparison"] {
-        println!("{}", abr_comparison(scale.seed, 600));
-        return;
-    }
-
     eprintln!(
         "building reproduction context: {} cleartext + {} adaptive sessions, seed {} ...",
         scale.cleartext_sessions, scale.adaptive_sessions, scale.seed
@@ -85,7 +78,6 @@ fn main() {
 
     for id in &ids {
         let report = match id.as_str() {
-            "abr-comparison" => abr_comparison(scale.seed, 600),
             // The full 100k-1M ladder takes minutes; --smoke runs the
             // single 10k point.
             "subscriber-scaling" => subscriber_scaling_with(
@@ -115,7 +107,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: repro [--sessions N] [--seed S] [--out DIR] [--smoke] \
          <experiment...|all>\n\
-         experiments: {}  abr-comparison",
+         experiments: {}",
         EXPERIMENTS.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

@@ -17,12 +17,13 @@ use crate::render::{
     budget_line, compare_line, render_cdf, render_cdf_pair, render_class_report, render_confusion,
     Table,
 };
-use vqoe_core::spec::DatasetSpec;
-use vqoe_core::{train_detector, StallSpace, TrainConfig};
+use vqoe_core::{train_detector, EncryptedWorld, ForestModel, SessionAssessment, TrainConfig};
 use vqoe_features::labels::has_switches;
-use vqoe_features::{stall_label, SessionObs, StallClass};
-use vqoe_ml::{cross_validate, Dataset, ForestConfig};
-use vqoe_player::{AbrKind, ContentType, SessionTrace};
+use vqoe_features::{
+    build_dataset, FeatureSpace, RepresentationSpace, SessionObs, StallClass, StallSpace,
+};
+use vqoe_ml::{cross_validate, ConfusionMatrix, Dataset, ForestConfig};
+use vqoe_player::{ContentType, SessionTrace};
 use vqoe_stats::Ecdf;
 use vqoe_telemetry::{match_sessions, SessionSpan};
 
@@ -560,9 +561,15 @@ fn fig5(ctx: &ReproContext) -> String {
 
 // ------------------------------------------------------------ tab8..11
 
+/// A frozen forest scored on an encrypted world's labelled sessions
+/// (the §5.4 protocol behind Tables 8–11).
+fn evaluate_on<S: FeatureSpace>(model: &ForestModel<S>, world: &EncryptedWorld) -> ConfusionMatrix {
+    model.evaluate(&build_dataset::<S>(world.labelled(S::label)))
+}
+
 fn tab8(ctx: &ReproContext) -> String {
     let mut out = header("tab8", "stall detection on encrypted traffic");
-    let m = ctx.stall.model.evaluate(&ctx.world.stall_eval_dataset());
+    let m = evaluate_on(&ctx.stall.model, &ctx.world);
     out.push_str(&render_class_report(&m));
     out.push('\n');
     out.push_str(&compare_line(
@@ -584,7 +591,7 @@ fn tab8(ctx: &ReproContext) -> String {
 
 fn tab9(ctx: &ReproContext) -> String {
     let mut out = header("tab9", "encrypted stall confusion matrix");
-    let m = ctx.stall.model.evaluate(&ctx.world.stall_eval_dataset());
+    let m = evaluate_on(&ctx.stall.model, &ctx.world);
     out.push_str(&render_confusion(&m));
     out.push('\n');
     let pct = m.row_percentages();
@@ -598,10 +605,7 @@ fn tab9(ctx: &ReproContext) -> String {
 
 fn tab10(ctx: &ReproContext) -> String {
     let mut out = header("tab10", "average representation on encrypted traffic");
-    let m = ctx
-        .representation
-        .model
-        .evaluate(&ctx.world.representation_eval_dataset());
+    let m = evaluate_on(&ctx.representation.model, &ctx.world);
     out.push_str(&render_class_report(&m));
     out.push('\n');
     out.push_str(&compare_line(
@@ -618,10 +622,7 @@ fn tab10(ctx: &ReproContext) -> String {
 
 fn tab11(ctx: &ReproContext) -> String {
     let mut out = header("tab11", "encrypted average-representation confusion matrix");
-    let m = ctx
-        .representation
-        .model
-        .evaluate(&ctx.world.representation_eval_dataset());
+    let m = evaluate_on(&ctx.representation.model, &ctx.world);
     out.push_str(&render_confusion(&m));
     out.push('\n');
     let pct = m.row_percentages();
@@ -643,7 +644,7 @@ fn sec56(ctx: &ReproContext) -> String {
     let switch = &ctx.fit.switch;
     let eval = switch
         .model
-        .evaluate_labelled(&ctx.world.labelled_switch_sessions());
+        .evaluate_labelled(&ctx.world.labelled(|gt, _| Some(has_switches(gt))));
     out.push_str(&format!(
         "frozen threshold {:.1} applied to {} encrypted sessions\n\n",
         switch.model.threshold(),
@@ -861,19 +862,13 @@ fn generalization(ctx: &ReproContext) -> String {
     config.spec.profile = vqoe_player::StreamingProfile::vimeo_like();
     let other = vqoe_core::EncryptedWorld::build(&config).expect("simulated world builds");
 
-    let stall_home = ctx.stall.model.evaluate(&ctx.world.stall_eval_dataset());
-    let stall_away = ctx.stall.model.evaluate(&other.stall_eval_dataset());
-    let rep_home = ctx
-        .representation
-        .model
-        .evaluate(&ctx.world.representation_eval_dataset());
-    let rep_away = ctx
-        .representation
-        .model
-        .evaluate(&other.representation_eval_dataset());
+    let stall_home = evaluate_on(&ctx.stall.model, &ctx.world);
+    let stall_away = evaluate_on(&ctx.stall.model, &other);
+    let rep_home = evaluate_on(&ctx.representation.model, &ctx.world);
+    let rep_away = evaluate_on(&ctx.representation.model, &other);
     let switch = &ctx.fit.switch.model;
-    let sw_home = switch.evaluate_labelled(&ctx.world.labelled_switch_sessions());
-    let sw_away = switch.evaluate_labelled(&other.labelled_switch_sessions());
+    let sw_home = switch.evaluate_labelled(&ctx.world.labelled(|gt, _| Some(has_switches(gt))));
+    let sw_away = switch.evaluate_labelled(&other.labelled(|gt, _| Some(has_switches(gt))));
 
     let mut t = Table::new(vec![
         "detector",
@@ -916,7 +911,6 @@ fn generalization(ctx: &ReproContext) -> String {
 /// it would take to actually hide it.
 fn obfuscation(ctx: &ReproContext) -> String {
     use rand::SeedableRng;
-    use vqoe_features::labels::{rq_label, stall_label};
     use vqoe_features::obfuscation::{inject_dummies, jitter_timing, pad_sizes};
 
     let mut out = header(
@@ -926,29 +920,23 @@ fn obfuscation(ctx: &ReproContext) -> String {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0BF5);
 
     // Collect the joined encrypted sessions once.
-    let sessions: Vec<(SessionObs, usize, usize)> = ctx
-        .world
-        .joined
-        .iter()
-        .map(|j| {
-            (
-                SessionObs::from_reassembled(&ctx.world.sessions[j.reassembled_idx]),
-                stall_label(&ctx.world.traces[j.trace_idx].ground_truth).index(),
-                rq_label(&ctx.world.traces[j.trace_idx].ground_truth).index(),
-            )
-        })
-        .collect();
+    let sessions = ctx.world.labelled(|gt, adaptive| {
+        Some((
+            StallSpace::label(gt, adaptive)?,
+            RepresentationSpace::label(gt, adaptive)?,
+        ))
+    });
 
     let eval =
         |label: String, transform: &mut dyn FnMut(&SessionObs) -> SessionObs, t: &mut Table| {
             let mut stall_ok = 0usize;
             let mut rq_ok = 0usize;
-            for (obs, stall_truth, rq_truth) in &sessions {
+            for (obs, (stall_truth, rq_truth)) in &sessions {
                 let defended = transform(obs);
-                if ctx.stall.model.predict(&defended).index() == *stall_truth {
+                if ctx.stall.model.predict(&defended) == *stall_truth {
                     stall_ok += 1;
                 }
-                if ctx.representation.model.predict(&defended).index() == *rq_truth {
+                if ctx.representation.model.predict(&defended) == *rq_truth {
                     rq_ok += 1;
                 }
             }
@@ -994,58 +982,12 @@ fn obfuscation(ctx: &ReproContext) -> String {
     out
 }
 
-/// ABR-family comparison (extension experiment; not a paper artifact but
-/// exercises the substrate's design space).
-pub fn abr_comparison(seed: u64, n: usize) -> String {
-    let mut out = header("abr-comparison", "stalls and switching across ABR families");
-    let mut t = Table::new(vec![
-        "ABR",
-        "stalled sessions",
-        "mean RR",
-        "mean switches",
-        "mean resolution",
-    ]);
-    for abr in [AbrKind::Throughput, AbrKind::BufferBased, AbrKind::Hybrid] {
-        let mut spec = DatasetSpec::adaptive_default(n, seed);
-        spec.delivery.abr = abr;
-        let traces = vqoe_core::generate_traces(&spec, vqoe_core::TrainConfig::auto());
-        let stalled = traces
-            .iter()
-            .filter(|t| t.ground_truth.stall_count() > 0)
-            .count();
-        let mean_rr: f64 = traces
-            .iter()
-            .map(|t| t.ground_truth.rebuffering_ratio())
-            .sum::<f64>()
-            / traces.len() as f64;
-        let mean_switches: f64 = traces
-            .iter()
-            .map(|t| t.ground_truth.switch_count() as f64)
-            .sum::<f64>()
-            / traces.len() as f64;
-        let mean_res: f64 = traces
-            .iter()
-            .map(|t| t.ground_truth.avg_resolution())
-            .sum::<f64>()
-            / traces.len() as f64;
-        t.row(vec![
-            format!("{abr:?}"),
-            format!("{stalled}/{}", traces.len()),
-            format!("{mean_rr:.4}"),
-            format!("{mean_switches:.2}"),
-            format!("{mean_res:.0}p"),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
 // ----------------------------------------------------------- chaos-sweep
 
 /// Match emitted assessments to ground-truth traces by the §5.2 joining
 /// rule; `(assessment index, trace index)` pairs.
 fn match_assessments(
-    assessments: &[vqoe_core::SessionAssessment],
+    assessments: &[SessionAssessment],
     traces: &[SessionTrace],
 ) -> Vec<(usize, usize)> {
     let spans: Vec<SessionSpan> = assessments
@@ -1061,6 +1003,32 @@ fn match_assessments(
         .into_iter()
         .map(|j| (j.reassembled_idx, j.trace_idx))
         .collect()
+}
+
+/// Score matched `(assessment, trace)` pairs against the world's ground
+/// truth, each trace labelled by the spaces' label rules and
+/// [`has_switches`]: the number of pairs and the stall, representation
+/// and switch agreement cells (`-` when nothing matched).
+fn agreement<'a>(
+    pairs: impl Iterator<Item = (&'a SessionAssessment, &'a SessionTrace)>,
+) -> (usize, [String; 3]) {
+    let mut n = 0usize;
+    let mut ok = [0usize; 3];
+    for (a, t) in pairs {
+        let (gt, adaptive) = (&t.ground_truth, t.config.delivery.is_adaptive());
+        n += 1;
+        ok[0] += usize::from(StallSpace::label(gt, adaptive) == Some(a.stall));
+        ok[1] += usize::from(RepresentationSpace::label(gt, adaptive) == Some(a.representation));
+        ok[2] += usize::from(has_switches(gt) == a.has_quality_switches);
+    }
+    let pct = |k: usize| {
+        if n == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}%", 100.0 * k as f64 / n as f64)
+        }
+    };
+    (n, ok.map(pct))
 }
 
 /// Degradation sweep: run the encrypted world through a seeded
@@ -1110,36 +1078,19 @@ fn chaos_sweep(ctx: &ReproContext) -> String {
             zero_identical = assessments == batch;
         }
         let matches = match_assessments(&assessments, &ctx.world.traces);
-        let mut stall_ok = 0usize;
-        let mut rep_ok = 0usize;
-        let mut switch_ok = 0usize;
-        for &(ai, ti) in &matches {
-            let gt = &ctx.world.traces[ti].ground_truth;
-            if assessments[ai].stall == stall_label(gt) {
-                stall_ok += 1;
-            }
-            if assessments[ai].representation == vqoe_features::labels::rq_label(gt) {
-                rep_ok += 1;
-            }
-            if assessments[ai].has_quality_switches == has_switches(gt) {
-                switch_ok += 1;
-            }
-        }
-        let pct = |n: usize| -> String {
-            if matches.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}%", 100.0 * n as f64 / matches.len() as f64)
-            }
-        };
+        let (matched, [stall, repr, switch]) = agreement(
+            matches
+                .iter()
+                .map(|&(ai, ti)| (&assessments[ai], &ctx.world.traces[ti])),
+        );
         let h = report.health;
         t.row(vec![
             format!("{intensity:.2}"),
             assessments.len().to_string(),
-            format!("{}/{}", matches.len(), ctx.world.traces.len()),
-            pct(stall_ok),
-            pct(rep_ok),
-            pct(switch_ok),
+            format!("{matched}/{}", ctx.world.traces.len()),
+            stall,
+            repr,
+            switch,
             h.entries_reordered.to_string(),
             h.entries_duplicated.to_string(),
             h.entries_quarantined.to_string(),
@@ -1319,40 +1270,18 @@ fn overload_sweep(ctx: &ReproContext) -> String {
     let matches = match_assessments(&shed_report.assessments, &ctx.world.traces);
     let mut tier_table = Table::new(vec!["tier", "matched", "stall", "repr", "switch"]);
     for tier in [Fidelity::Full, Fidelity::Partial, Fidelity::Shed] {
-        let mut matched = 0usize;
-        let mut stall_ok = 0usize;
-        let mut rep_ok = 0usize;
-        let mut switch_ok = 0usize;
-        for &(ai, ti) in &matches {
-            let a = &shed_report.assessments[ai];
-            if a.fidelity != tier {
-                continue;
-            }
-            matched += 1;
-            let gt = &ctx.world.traces[ti].ground_truth;
-            if a.stall == stall_label(gt) {
-                stall_ok += 1;
-            }
-            if a.representation == vqoe_features::labels::rq_label(gt) {
-                rep_ok += 1;
-            }
-            if a.has_quality_switches == has_switches(gt) {
-                switch_ok += 1;
-            }
-        }
-        let pct = |n: usize| -> String {
-            if matched == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}%", 100.0 * n as f64 / matched as f64)
-            }
-        };
+        let (matched, [stall, repr, switch]) = agreement(
+            matches
+                .iter()
+                .map(|&(ai, ti)| (&shed_report.assessments[ai], &ctx.world.traces[ti]))
+                .filter(|(a, _)| a.fidelity == tier),
+        );
         tier_table.row(vec![
             tier.label().to_string(),
             matched.to_string(),
-            pct(stall_ok),
-            pct(rep_ok),
-            pct(switch_ok),
+            stall,
+            repr,
+            switch,
         ]);
     }
     out.push_str("per-tier accuracy (budget+shed scenario, legitimate ground truth):\n");

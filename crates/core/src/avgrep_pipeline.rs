@@ -1,25 +1,9 @@
-//! The §4.2 average-representation detector: the 210-feature
-//! representation space the [`ForestModel`] is fitted on, with the
-//! paper's 15-feature target (Table 5) as its floor.
+//! The §4.2 average-representation detector: the [`ForestModel`] over
+//! the 210-feature [`RepresentationSpace`], with the paper's 15-feature
+//! target (Table 5) as its floor.
 
-use crate::forest_model::{FeatureSpace, ForestModel, TrainingReport};
-use vqoe_features::representation::{representation_feature_names, representation_features};
-use vqoe_features::{RqClass, SessionObs, StreamingSessionState};
-
-/// The 210-dim §4.2 average-representation feature space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepresentationSpace;
-
-impl FeatureSpace for RepresentationSpace {
-    type Class = RqClass;
-    const CLASSES: &'static [RqClass] = &[RqClass::Ld, RqClass::Sd, RqClass::Hd];
-    /// The paper lands on 15 features (Table 5).
-    const SUBSET_FLOOR: usize = 15;
-    const NAMES: fn() -> Vec<String> = representation_feature_names;
-    const EXACT: fn(&SessionObs) -> Vec<f64> = representation_features;
-    const APPROXIMATE: fn(&StreamingSessionState) -> Vec<f64> =
-        StreamingSessionState::representation_features_approx;
-}
+use crate::forest_model::{ForestModel, TrainingReport};
+use vqoe_features::RepresentationSpace;
 
 /// A trained, deployable average-representation detector.
 pub type RepresentationModel = ForestModel<RepresentationSpace>;
@@ -33,12 +17,16 @@ mod tests {
     use crate::forest_model::train_detector;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
-    use vqoe_features::build_representation_dataset;
-    use vqoe_ml::TrainConfig;
+    use vqoe_features::{build_dataset, labelled_traces, FeatureSpace, SessionObs};
+    use vqoe_ml::{Dataset, TrainConfig};
     use vqoe_player::SessionTrace;
 
+    fn representation_data(traces: &[SessionTrace]) -> Dataset {
+        build_dataset::<RepresentationSpace>(labelled_traces(traces, RepresentationSpace::label))
+    }
+
     fn fit_report(traces: &[SessionTrace], seed: u64) -> RepresentationTrainingReport {
-        let full = build_representation_dataset(traces);
+        let full = representation_data(traces);
         train_detector::<RepresentationSpace>(&full, seed, TrainConfig::auto())
     }
 
@@ -120,7 +108,7 @@ mod tests {
 
     #[test]
     fn parallel_training_is_byte_identical_to_sequential() {
-        let full = build_representation_dataset(&adaptive_corpus(200, 26));
+        let full = representation_data(&adaptive_corpus(200, 26));
         let reference = train_detector::<RepresentationSpace>(&full, 5, TrainConfig::sequential());
         for workers in [2usize, 7] {
             let got =

@@ -19,11 +19,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vqoe_features::labels::has_switches;
-use vqoe_features::matrix::{build_representation_dataset_from_obs, build_stall_dataset_from_obs};
-use vqoe_features::{rq_label, stall_label, RqClass, SessionObs, StallClass};
-use vqoe_ml::Dataset;
-use vqoe_player::SessionTrace;
+use vqoe_features::SessionObs;
+use vqoe_player::{GroundTruth, SessionTrace};
 use vqoe_telemetry::capture::generate_noise;
 use vqoe_telemetry::dataset::JoinedSession;
 use vqoe_telemetry::{
@@ -121,62 +118,36 @@ impl EncryptedWorld {
         self.joined.len() as f64 / self.traces.len() as f64
     }
 
-    /// Labelled sessions for the stall evaluation: network-visible
-    /// observations from the *reassembled* traffic, labels from the
-    /// joined ground truth.
-    pub fn labelled_stall_sessions(&self) -> Vec<(SessionObs, StallClass)> {
+    /// The labelled evaluation sessions, in join order: network-visible
+    /// observations from the *reassembled* traffic, each with `label` of
+    /// its joined ground truth and whether that session streamed
+    /// adaptively (such as `FeatureSpace::label`, or the switch truth).
+    /// A session labelled `None` is left out. `build_dataset` turns the
+    /// rows into the 70-dim labelled stall dataset (Tables 8–9) or the
+    /// 210-dim labelled representation dataset (Tables 10–11).
+    pub fn labelled<C>(
+        &self,
+        label: impl Fn(&GroundTruth, bool) -> Option<C>,
+    ) -> Vec<(SessionObs, C)> {
         self.joined
             .iter()
-            .map(|j| {
-                (
+            .filter_map(|j| {
+                let t = &self.traces[j.trace_idx];
+                let class = label(&t.ground_truth, t.config.delivery.is_adaptive())?;
+                Some((
                     SessionObs::from_reassembled(&self.sessions[j.reassembled_idx]),
-                    stall_label(&self.traces[j.trace_idx].ground_truth),
-                )
+                    class,
+                ))
             })
             .collect()
-    }
-
-    /// Labelled sessions for the average-representation evaluation.
-    pub fn labelled_rq_sessions(&self) -> Vec<(SessionObs, RqClass)> {
-        self.joined
-            .iter()
-            .map(|j| {
-                (
-                    SessionObs::from_reassembled(&self.sessions[j.reassembled_idx]),
-                    rq_label(&self.traces[j.trace_idx].ground_truth),
-                )
-            })
-            .collect()
-    }
-
-    /// Labelled sessions for the switch-detection evaluation.
-    pub fn labelled_switch_sessions(&self) -> Vec<(SessionObs, bool)> {
-        self.joined
-            .iter()
-            .map(|j| {
-                (
-                    SessionObs::from_reassembled(&self.sessions[j.reassembled_idx]),
-                    has_switches(&self.traces[j.trace_idx].ground_truth),
-                )
-            })
-            .collect()
-    }
-
-    /// The 70-dim labelled stall evaluation dataset (Tables 8–9 input).
-    pub fn stall_eval_dataset(&self) -> Dataset {
-        build_stall_dataset_from_obs(&self.labelled_stall_sessions())
-    }
-
-    /// The 210-dim labelled representation evaluation dataset
-    /// (Tables 10–11 input).
-    pub fn representation_eval_dataset(&self) -> Dataset {
-        build_representation_dataset_from_obs(&self.labelled_rq_sessions())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vqoe_features::labels::has_switches;
+    use vqoe_features::{build_dataset, FeatureSpace, RepresentationSpace, StallClass, StallSpace};
 
     fn small_world(n: usize, seed: u64) -> EncryptedWorld {
         let mut config = EncryptedEvalConfig::paper_default(seed);
@@ -217,8 +188,8 @@ mod tests {
     #[test]
     fn labelled_datasets_have_matching_shapes() {
         let world = small_world(20, 43);
-        let stall = world.stall_eval_dataset();
-        let rq = world.representation_eval_dataset();
+        let stall = build_dataset::<StallSpace>(world.labelled(StallSpace::label));
+        let rq = build_dataset::<RepresentationSpace>(world.labelled(RepresentationSpace::label));
         assert_eq!(stall.n_rows(), world.joined.len());
         assert_eq!(rq.n_rows(), world.joined.len());
         assert_eq!(stall.n_features(), 70);
@@ -246,12 +217,12 @@ mod tests {
         // with zero stalls or zero switches would be vacuous.
         let world = small_world(60, 45);
         let stalls = world
-            .labelled_stall_sessions()
+            .labelled(StallSpace::label)
             .iter()
             .filter(|(_, c)| *c != StallClass::NoStalls)
             .count();
         let switches = world
-            .labelled_switch_sessions()
+            .labelled(|gt, _| Some(has_switches(gt)))
             .iter()
             .filter(|(_, s)| *s)
             .count();

@@ -45,6 +45,7 @@ use std::convert::Infallible;
 use vqoe_ml::par::run_indexed;
 use vqoe_ml::TrainConfig;
 use vqoe_obs::{SimClock, StageSpan, Trace, TraceConfig, TraceEvent, TraceSink, TraceStage};
+use vqoe_stats::splitmix64;
 use vqoe_telemetry::{
     AnomalyKindCounts, AnomalyLog, BinaryCorpus, BinlogError, IngestAnomaly, ReassembledSession,
     StreamHealth, WeblogEntry,
@@ -83,11 +84,7 @@ impl Default for EngineConfig {
 /// subscriber id, reduced modulo `shards`. Stable across runs and
 /// platforms, well-mixed even for sequential ids.
 pub fn shard_of(subscriber_id: u64, shards: usize) -> usize {
-    let mut z = subscriber_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
+    (splitmix64(subscriber_id) % shards.max(1) as u64) as usize
 }
 
 /// What the engine reads a tap from: every record's subscriber id for

@@ -3,41 +3,22 @@
 //! over the selected subset, and 10-fold cross-validation.
 //!
 //! The stall and average-representation detectors differ only in their
-//! [`FeatureSpace`], so [`ForestModel`] and [`train_detector`] are
-//! written once, generic over it. A [`TrainingReport`] adds the CV on
-//! top of the fit; the CV seeds its own stream, so never changes the
-//! model.
+//! [`FeatureSpace`] (defined in `vqoe-features`, beside the builders,
+//! classes and label rules it names), so [`ForestModel`] and
+//! [`train_detector`] are written once, generic over it. A
+//! [`TrainingReport`] adds the CV on top of the fit; the CV seeds its
+//! own stream, so never changes the model.
 
 use std::marker::PhantomData;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{DeError, Deserialize, Serialize, Value};
-use vqoe_features::{SessionObs, StreamingSessionState};
+use vqoe_features::{FeatureSpace, SessionObs};
 use vqoe_ml::selection::{cfs_best_first_with, info_gain_ranking_with, RankedFeature};
 use vqoe_ml::{
     cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
 };
-
-/// What one §4 classifier is trained on and answers with: the only
-/// place the stall and representation detectors differ.
-pub trait FeatureSpace {
-    /// The class a prediction names.
-    type Class: Copy + 'static;
-    /// The classes in label order (the dataset's class indices).
-    const CLASSES: &'static [Self::Class];
-    /// Minimum size of the selected subset, reached by info-gain
-    /// padding when CFS returns fewer.
-    const SUBSET_FLOOR: usize;
-    /// The full space's feature names, in vector order.
-    const NAMES: fn() -> Vec<String>;
-    /// The exact full-space vector of one session.
-    const EXACT: fn(&SessionObs) -> Vec<f64>;
-    /// The full-space vector a whole-session digest approximates (the
-    /// streaming `Fidelity::Sketched` path, which cannot afford the
-    /// buffered [`SessionObs`] the exact builder needs).
-    const APPROXIMATE: fn(&StreamingSessionState) -> Vec<f64>;
-}
 
 /// Number of CV folds (§4: 10-fold cross-validation).
 pub const CV_FOLDS: usize = 10;

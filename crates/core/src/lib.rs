@@ -48,9 +48,12 @@
 //! Modules: [`spec`] (dataset specifications), [`generate`] (parallel
 //! trace generation), [`forest_model`] (the one §4 classifier type
 //! and its [`TrainingReport`]), [`stall_pipeline`], [`avgrep_pipeline`]
-//! (its two feature spaces), [`switch_pipeline`] (the switch
-//! detector), [`encrypted`] (the §5 encrypted-traffic
-//! evaluation), [`monitor`] (the deployable operator API, and
+//! (its aliases over the two [`FeatureSpace`]s, which `vqoe-features`
+//! defines with their label rules), [`switch_pipeline`] (the switch
+//! detector), [`weblog_training`] and [`encrypted`] (the labelled
+//! sessions of cleartext weblogs and of the §5 encrypted-traffic
+//! evaluation, rows for `vqoe_features::build_dataset`), [`monitor`]
+//! (the deployable operator API, and
 //! [`ModelFit`], the one path that fits the three models),
 //! [`subscribe`] (the per-session
 //! assessment fold and the ingest front door), [`engine`] (the sharded
@@ -86,11 +89,11 @@ pub mod weblog_training;
 pub use alerting::{
     default_alert_rules, drift_backend, standard_alert_engine, ALERT_WINDOW_RECORDS,
 };
-pub use avgrep_pipeline::{RepresentationModel, RepresentationSpace, RepresentationTrainingReport};
+pub use avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
 pub use digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 pub use encrypted::{EncryptedEvalConfig, EncryptedWorld};
 pub use engine::{shard_of, EngineConfig};
-pub use forest_model::{train_detector, FeatureSpace, ForestModel, TrainingReport};
+pub use forest_model::{train_detector, ForestModel, TrainingReport};
 pub use generate::{generate_sequential_traces, generate_traces};
 pub use metrics::PipelineMetrics;
 pub use monitor::{
@@ -103,14 +106,12 @@ pub use online::{
 };
 pub use qoe_score::QoeScore;
 pub use spec::{DatasetSpec, DeliveryMix, ScenarioMix};
-pub use stall_pipeline::{StallModel, StallSpace, StallTrainingReport};
+pub use stall_pipeline::{StallModel, StallTrainingReport};
 pub use subscribe::{IngestPipeline, SubscriptionSet};
 pub use switch_pipeline::{SwitchCalibrationReport, SwitchEvalReport, SwitchModel};
+pub use vqoe_features::{FeatureSpace, RepresentationSpace, StallSpace};
 pub use vqoe_ml::TrainConfig;
-pub use weblog_training::{
-    capture_cleartext_corpus, representation_dataset_from_weblogs, sessions_from_weblogs,
-    stall_dataset_from_weblogs,
-};
+pub use weblog_training::{capture_cleartext_corpus, labelled_weblogs, sessions_from_weblogs};
 
 /// The one-stop import for operating the monitor: train, assess
 /// (batch, parallel or streaming), inspect health.

@@ -10,20 +10,21 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use vqoe_changedet::SwitchScoreConfig;
-use vqoe_features::{build_representation_dataset, build_stall_dataset, RqClass, StallClass};
+use vqoe_features::{
+    build_dataset, labelled_traces, FeatureSpace, RepresentationSpace, RqClass, StallClass,
+    StallSpace,
+};
 use vqoe_ml::selection::RankedFeature;
 use vqoe_ml::{Dataset, TrainConfig};
 use vqoe_player::SessionTrace;
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::ReassemblyConfig;
 
-use crate::avgrep_pipeline::{
-    RepresentationModel, RepresentationSpace, RepresentationTrainingReport,
-};
+use crate::avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
 use crate::forest_model::{FeatureSubset, TrainingReport};
 use crate::generate::generate_traces;
 use crate::spec::DatasetSpec;
-use crate::stall_pipeline::{StallModel, StallSpace, StallTrainingReport};
+use crate::stall_pipeline::{StallModel, StallTrainingReport};
 use crate::subscribe::IngestPipeline;
 use crate::switch_pipeline::{SwitchCalibrationReport, SwitchModel};
 
@@ -290,8 +291,12 @@ impl ModelFit {
         // the *absolute* number of adaptive training examples meaningful
         // at simulation scale rather than preserving the 3 % share.
         stall_corpus.extend(adaptive.iter().cloned());
-        let stall_data = build_stall_dataset(&stall_corpus);
-        let representation_data = build_representation_dataset(&adaptive);
+        let stall_data =
+            build_dataset::<StallSpace>(labelled_traces(&stall_corpus, StallSpace::label));
+        let representation_data = build_dataset::<RepresentationSpace>(labelled_traces(
+            &adaptive,
+            RepresentationSpace::label,
+        ));
         let mut stall_subset = FeatureSubset::select::<StallSpace>(&stall_data, seed, train);
         let mut rep_subset =
             FeatureSubset::select::<RepresentationSpace>(&representation_data, seed, train);

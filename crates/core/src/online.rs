@@ -91,14 +91,6 @@ pub struct BudgetConfig {
     pub admission: AdmissionPolicy,
 }
 
-impl BudgetConfig {
-    /// True when neither budget is set (the assessor behaves exactly as
-    /// before this layer existed).
-    pub fn is_unlimited(&self) -> bool {
-        self.per_subscriber_bytes == 0 && self.global_bytes == 0
-    }
-}
-
 /// Why a subscriber was force-finalized (or refused) instead of
 /// reaching a natural session boundary. Every shed is typed and logged
 /// — nothing is dropped silently.

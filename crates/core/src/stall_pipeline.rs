@@ -1,25 +1,8 @@
-//! The §4.1 stall detector: the 70-feature stall space the
-//! [`ForestModel`] is fitted on, with the paper's four-feature floor.
+//! The §4.1 stall detector: the [`ForestModel`] over the 70-feature
+//! [`StallSpace`], with the paper's four-feature floor.
 
-use crate::forest_model::{FeatureSpace, ForestModel, TrainingReport};
-use vqoe_features::stall::{stall_feature_names, stall_features};
-use vqoe_features::{SessionObs, StallClass, StreamingSessionState};
-
-/// The 70-dim §4.1 stall feature space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StallSpace;
-
-impl FeatureSpace for StallSpace {
-    type Class = StallClass;
-    const CLASSES: &'static [StallClass] =
-        &[StallClass::NoStalls, StallClass::Mild, StallClass::Severe];
-    /// The paper's four-feature model (Table 2).
-    const SUBSET_FLOOR: usize = 4;
-    const NAMES: fn() -> Vec<String> = stall_feature_names;
-    const EXACT: fn(&SessionObs) -> Vec<f64> = stall_features;
-    const APPROXIMATE: fn(&StreamingSessionState) -> Vec<f64> =
-        StreamingSessionState::stall_features_approx;
-}
+use crate::forest_model::{ForestModel, TrainingReport};
+use vqoe_features::StallSpace;
 
 /// A trained, deployable stall detector.
 pub type StallModel = ForestModel<StallSpace>;
@@ -33,12 +16,16 @@ mod tests {
     use crate::forest_model::train_detector;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
-    use vqoe_features::build_stall_dataset;
-    use vqoe_ml::TrainConfig;
+    use vqoe_features::{build_dataset, labelled_traces, FeatureSpace, SessionObs};
+    use vqoe_ml::{Dataset, TrainConfig};
     use vqoe_player::SessionTrace;
 
+    fn stall_data(traces: &[SessionTrace]) -> Dataset {
+        build_dataset::<StallSpace>(labelled_traces(traces, StallSpace::label))
+    }
+
     fn fit_report(traces: &[SessionTrace], seed: u64) -> StallTrainingReport {
-        train_detector::<StallSpace>(&build_stall_dataset(traces), seed, TrainConfig::auto())
+        train_detector::<StallSpace>(&stall_data(traces), seed, TrainConfig::auto())
     }
 
     fn small_corpus() -> Vec<SessionTrace> {
@@ -122,7 +109,7 @@ mod tests {
             &DatasetSpec::cleartext_default(400, 79),
             TrainConfig::auto(),
         );
-        let full = build_stall_dataset(&traces);
+        let full = stall_data(&traces);
         let reference = train_detector::<StallSpace>(&full, 9, TrainConfig::sequential());
         for workers in [2usize, 7] {
             let got = train_detector::<StallSpace>(&full, 9, TrainConfig::with_workers(workers));
@@ -135,7 +122,7 @@ mod tests {
     fn evaluate_on_labelled_dataset_roundtrips() {
         let traces = small_corpus();
         let report = fit_report(&traces, 3);
-        let full = build_stall_dataset(&traces);
+        let full = stall_data(&traces);
         let m = report.model.evaluate(&full);
         assert_eq!(m.total() as usize, traces.len());
         // Training-set evaluation of a forest should be strong (the

@@ -26,7 +26,7 @@
 //!   methods *are* the engine: the shard routing, fan-out and reducer
 //!   in `crate::engine` are private code behind them.
 
-use vqoe_features::{SessionObs, SessionView};
+use vqoe_features::{FeatureSpace, SessionObs, SessionView};
 use vqoe_obs::{Trace, TraceConfig};
 use vqoe_telemetry::{
     reassemble_subscriber, BinaryCorpus, BinlogError, IngestConfig, ReassemblyConfig, WeblogEntry,
@@ -34,7 +34,7 @@ use vqoe_telemetry::{
 
 use crate::digest::SessionDigest;
 use crate::engine::EngineConfig;
-use crate::forest_model::{FeatureSpace, ForestModel};
+use crate::forest_model::ForestModel;
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::online::IngestReport;

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use vqoe_changedet::detector::{calibrate_threshold, session_score, SwitchDetector};
 use vqoe_changedet::SwitchScoreConfig;
 use vqoe_features::labels::has_switches;
-use vqoe_features::SessionObs;
+use vqoe_features::{labelled_traces, SessionObs};
 use vqoe_player::SessionTrace;
 
 /// A calibrated, deployable switch detector: the frozen σ(CUSUM)
@@ -55,13 +55,11 @@ impl SwitchModel {
     ) -> SwitchCalibrationReport {
         let mut scores_without = Vec::new();
         let mut scores_with = Vec::new();
-        for t in traces {
-            if !t.config.delivery.is_adaptive() {
-                continue;
-            }
-            let obs = SessionObs::from_trace(t);
+        for (obs, switching) in
+            labelled_traces(traces, |gt, adaptive| adaptive.then(|| has_switches(gt)))
+        {
             let score = session_score(&obs.chunk_points(), &config);
-            if has_switches(&t.ground_truth) {
+            if switching {
                 scores_with.push(score);
             } else {
                 scores_without.push(score);

@@ -12,10 +12,7 @@
 
 use std::collections::HashMap;
 
-use vqoe_features::labels::{RqClass, StallClass};
-use vqoe_features::matrix::{build_representation_dataset_from_obs, build_stall_dataset_from_obs};
 use vqoe_features::{ChunkObs, SessionObs};
-use vqoe_ml::Dataset;
 use vqoe_player::{ContentType, SessionTrace};
 use vqoe_telemetry::groundtruth::{extract_sessions, ExtractedSession};
 use vqoe_telemetry::weblog::EntryKind;
@@ -115,46 +112,18 @@ pub fn sessions_from_weblogs(entries: &[WeblogEntry]) -> Vec<WeblogSession> {
         .collect()
 }
 
-/// Stall label from URI-derived ground truth (the §4.1 rule applied to
-/// report totals instead of simulator internals).
-pub fn stall_label_from_extracted(ex: &ExtractedSession) -> StallClass {
-    if ex.stall_count == 0 {
-        return StallClass::NoStalls;
-    }
-    StallClass::from_rr(ex.rebuffering_ratio().max(f64::MIN_POSITIVE))
-}
-
-/// RQ label from URI-derived ground truth.
-pub fn rq_label_from_extracted(ex: &ExtractedSession) -> RqClass {
-    RqClass::from_avg_resolution(ex.avg_resolution())
-}
-
-/// The §4.1 stall dataset built purely from cleartext weblogs.
-pub fn stall_dataset_from_weblogs(entries: &[WeblogEntry]) -> Dataset {
-    let sessions = sessions_from_weblogs(entries);
-    let rows: Vec<(SessionObs, StallClass)> = sessions
+/// The labelled rows a cleartext weblog stream gives on its own, in
+/// session order: each session's network-visible observations with
+/// `label` of its URI-derived ground truth and whether it streamed
+/// adaptively (such as `FeatureSpace::label`). A session labelled
+/// `None` is left out.
+pub fn labelled_weblogs<C>(
+    entries: &[WeblogEntry],
+    label: impl Fn(&ExtractedSession, bool) -> Option<C>,
+) -> impl Iterator<Item = (SessionObs, C)> {
+    sessions_from_weblogs(entries)
         .into_iter()
-        .map(|s| {
-            let label = stall_label_from_extracted(&s.extracted);
-            (s.obs, label)
-        })
-        .collect();
-    build_stall_dataset_from_obs(&rows)
-}
-
-/// The §4.2 representation dataset (adaptive sessions only) built purely
-/// from cleartext weblogs.
-pub fn representation_dataset_from_weblogs(entries: &[WeblogEntry]) -> Dataset {
-    let sessions = sessions_from_weblogs(entries);
-    let rows: Vec<(SessionObs, RqClass)> = sessions
-        .into_iter()
-        .filter(|s| s.adaptive)
-        .map(|s| {
-            let label = rq_label_from_extracted(&s.extracted);
-            (s.obs, label)
-        })
-        .collect();
-    build_representation_dataset_from_obs(&rows)
+        .filter_map(move |s| Some((s.obs, label(&s.extracted, s.adaptive)?)))
 }
 
 #[cfg(test)]
@@ -162,7 +131,9 @@ mod tests {
     use super::*;
     use crate::generate::generate_traces;
     use crate::spec::DatasetSpec;
-    use vqoe_features::{rq_label, stall_label};
+    use vqoe_features::{
+        build_dataset, labelled_traces, rq_label, stall_label, FeatureSpace, StallSpace,
+    };
     use vqoe_ml::TrainConfig;
 
     #[test]
@@ -194,16 +165,13 @@ mod tests {
                 .find(|t| t.session_id == s.extracted.session_id)
                 .unwrap();
             assert_eq!(
-                stall_label_from_extracted(&s.extracted),
+                stall_label(&s.extracted),
                 stall_label(&t.ground_truth),
                 "stall label diverged for {}",
                 t.session_id
             );
             if s.adaptive {
-                assert_eq!(
-                    rq_label_from_extracted(&s.extracted),
-                    rq_label(&t.ground_truth)
-                );
+                assert_eq!(rq_label(&s.extracted), rq_label(&t.ground_truth));
             }
             checked += 1;
         }
@@ -214,8 +182,9 @@ mod tests {
     fn weblog_datasets_match_trace_datasets() {
         let traces = generate_traces(&DatasetSpec::cleartext_default(30, 93), TrainConfig::auto());
         let entries = capture_cleartext_corpus(&traces, 9).expect("capture");
-        let from_weblogs = stall_dataset_from_weblogs(&entries);
-        let from_traces = vqoe_features::build_stall_dataset(&traces);
+        let from_weblogs =
+            build_dataset::<StallSpace>(labelled_weblogs(&entries, StallSpace::label));
+        let from_traces = build_dataset::<StallSpace>(labelled_traces(&traces, StallSpace::label));
         assert_eq!(from_weblogs.n_rows(), from_traces.n_rows());
         // Feature rows may be ordered differently (weblog grouping order);
         // match by nearest row and compare labels via class counts.

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use vqoe_player::GroundTruth;
+use vqoe_telemetry::groundtruth::ExtractedSession;
 
 /// Rebuffering-Ratio threshold separating mild from severe stalling.
 /// §4.1, after Krishnan et al. \[14\]: "when the RR is over 0.1, the
@@ -55,14 +56,51 @@ impl StallClass {
     }
 }
 
+/// What the label rules read of one session's ground truth, whichever
+/// source recovered it: the simulator's handset log ([`GroundTruth`])
+/// or the cleartext URIs and playback reports ([`ExtractedSession`],
+/// §3.3).
+pub trait SessionTruth {
+    /// Number of stall events.
+    fn stall_count(&self) -> usize;
+    /// Rebuffering Ratio (eq. 1).
+    fn rebuffering_ratio(&self) -> f64;
+    /// Mean video resolution μ.
+    fn avg_resolution(&self) -> f64;
+}
+
+impl SessionTruth for GroundTruth {
+    fn stall_count(&self) -> usize {
+        GroundTruth::stall_count(self)
+    }
+    fn rebuffering_ratio(&self) -> f64 {
+        GroundTruth::rebuffering_ratio(self)
+    }
+    fn avg_resolution(&self) -> f64 {
+        GroundTruth::avg_resolution(self)
+    }
+}
+
+impl SessionTruth for ExtractedSession {
+    fn stall_count(&self) -> usize {
+        self.stall_count as usize
+    }
+    fn rebuffering_ratio(&self) -> f64 {
+        ExtractedSession::rebuffering_ratio(self)
+    }
+    fn avg_resolution(&self) -> f64 {
+        ExtractedSession::avg_resolution(self)
+    }
+}
+
 /// Label a session's stalling from its ground truth.
-pub fn stall_label(gt: &GroundTruth) -> StallClass {
+pub fn stall_label(truth: &impl SessionTruth) -> StallClass {
     // Guard against zero-duration stall events (possible when a stall
     // opens and closes at the same instant): the class is driven by RR,
     // but a recorded stall with RR rounding to 0 still counts as mild —
     // the user did see playback freeze.
-    let rr = gt.rebuffering_ratio();
-    if rr <= 0.0 && gt.stall_count() > 0 {
+    let rr = truth.rebuffering_ratio();
+    if rr <= 0.0 && truth.stall_count() > 0 {
         return StallClass::Mild;
     }
     StallClass::from_rr(rr)
@@ -107,8 +145,8 @@ impl RqClass {
 }
 
 /// Label a session's average representation from its ground truth.
-pub fn rq_label(gt: &GroundTruth) -> RqClass {
-    RqClass::from_avg_resolution(gt.avg_resolution())
+pub fn rq_label(truth: &impl SessionTruth) -> RqClass {
+    RqClass::from_avg_resolution(truth.avg_resolution())
 }
 
 /// Binary ground truth for the Figure-4 / §5.6 evaluation: did the
@@ -165,6 +203,51 @@ mod tests {
             stall_label(&gt_with(30.0, 150.0, &[360])),
             StallClass::Severe
         );
+    }
+
+    /// One stall of `stall_secs` (a zero-length one when 0) per
+    /// `stalls`, over `played_secs` of playback, as each ground-truth
+    /// source records it.
+    fn both_sources(
+        stalls: usize,
+        stall_secs: f64,
+        played_secs: f64,
+    ) -> (GroundTruth, ExtractedSession) {
+        let mut gt = gt_with(0.0, played_secs, &[360]);
+        gt.stalls = (0..stalls)
+            .map(|i| StallEvent {
+                start: Instant::from_secs(5 + 10 * i as u64),
+                duration: Duration::from_secs_f64(stall_secs),
+            })
+            .collect();
+        let ex = ExtractedSession {
+            session_id: "0123456789abcdef".to_string(),
+            chunks: Vec::new(),
+            stall_count: stalls as u32,
+            stall_secs: stall_secs * stalls as f64,
+            final_state: "ended".to_string(),
+            playhead_secs: played_secs,
+        };
+        (gt, ex)
+    }
+
+    #[test]
+    fn one_stall_rule_serves_both_ground_truth_sources_at_the_edges() {
+        let cases = [
+            // No stall events: no stalls.
+            ((0, 0.0, 180.0), StallClass::NoStalls),
+            // A zero-length stall: RR is 0, but the user saw a freeze.
+            ((1, 0.0, 180.0), StallClass::Mild),
+            // RR exactly at the threshold stays mild...
+            ((1, 10.0, 90.0), StallClass::Mild),
+            // ...and just above it is severe (10.01 / 100.01).
+            ((1, 10.01, 90.0), StallClass::Severe),
+        ];
+        for ((stalls, secs, played), want) in cases {
+            let (gt, ex) = both_sources(stalls, secs, played);
+            assert_eq!(stall_label(&gt), want, "ground truth {stalls} x {secs}s");
+            assert_eq!(stall_label(&ex), want, "extracted {stalls} x {secs}s");
+        }
     }
 
     #[test]

@@ -25,7 +25,13 @@
 //! * [`labels`] — the labelling rules: Rebuffering Ratio → {no, mild,
 //!   severe} stalling (threshold 0.1, after Krishnan et al.), mean
 //!   resolution → {LD, SD, HD} (360/480 lines), and the binary
-//!   has-quality-switches truth of the §4.3 switch detector.
+//!   has-quality-switches truth of the §4.3 switch detector. Each rule
+//!   reads a [`SessionTruth`], so the simulator's ground truth and the
+//!   URI-extracted one (§3.3) are labelled by the same code.
+//! * [`space`] — the two §4 feature spaces ([`StallSpace`],
+//!   [`RepresentationSpace`]) behind one [`FeatureSpace`] trait: each
+//!   names its features, exact and approximate builders, classes and
+//!   label rule (representation labels adaptive sessions only).
 //! * [`view`] — the per-session fan-out payload ([`SessionView`]): one
 //!   shared, borrowed [`SessionObs`] plus the recovered boundaries,
 //!   delivered identically to every subscribed detector.
@@ -33,8 +39,10 @@
 //!   ([`StreamingSessionState`]): running moments + deterministic
 //!   quantile sketches per series, emitted as approximate 70/210-dim
 //!   vectors for the `Fidelity::Sketched` assessment tier (ISSUE 10).
-//! * [`matrix`] — assembly of labelled [`vqoe_ml::Dataset`]s from
-//!   session collections.
+//! * [`matrix`] — the one builder of a space's labelled
+//!   [`vqoe_ml::Dataset`] ([`build_dataset`]) from `(observations,
+//!   class)` rows, and the rows simulated traces give
+//!   ([`labelled_traces`]).
 //! * [`obfuscation`] — provider-side shape countermeasures (padding,
 //!   timing jitter, cover traffic) for the robustness extension
 //!   analysis.
@@ -65,14 +73,16 @@ pub mod matrix;
 pub mod obfuscation;
 pub mod obs;
 pub mod representation;
+pub mod space;
 pub mod stall;
 pub mod streaming;
 pub mod view;
 
-pub use labels::{rq_label, stall_label, RqClass, StallClass};
-pub use matrix::{build_representation_dataset, build_stall_dataset};
+pub use labels::{rq_label, stall_label, RqClass, SessionTruth, StallClass};
+pub use matrix::{build_dataset, labelled_traces};
 pub use obs::{ChunkObs, SessionObs};
 pub use representation::{representation_feature_names, representation_features};
+pub use space::{FeatureSpace, RepresentationSpace, StallSpace};
 pub use stall::{stall_feature_names, stall_features};
 pub use streaming::{SeriesState, StreamingSessionState};
 pub use view::SessionView;

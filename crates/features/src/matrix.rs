@@ -1,81 +1,50 @@
-//! Assembly of labelled datasets from session collections.
+//! Assembly of labelled datasets.
 //!
-//! The cleartext training path: simulated traces (or parsed cleartext
-//! weblogs) supply both the network-visible [`SessionObs`] and the URI
-//! ground truth, which the labelling rules turn into class labels. The
-//! encrypted path builds the same feature matrices from reassembled
-//! sessions with labels supplied externally (instrumented-handset ground
-//! truth) — see `vqoe-core`'s pipelines.
+//! A [`FeatureSpace`]'s dataset comes from one builder,
+//! [`build_dataset`], fed `(observations, class)` rows by whichever
+//! source labelled them: simulated traces ([`labelled_traces`]),
+//! cleartext weblogs with URI-derived ground truth, or encrypted
+//! sessions joined to the handset's ground truth (`vqoe-core`'s
+//! `weblog_training::labelled_weblogs` and `EncryptedWorld::labelled`).
 
-use crate::labels::{rq_label, stall_label, RqClass, StallClass};
 use crate::obs::SessionObs;
-use crate::representation::{representation_feature_names, representation_features};
-use crate::stall::{stall_feature_names, stall_features};
+use crate::space::FeatureSpace;
 use vqoe_ml::Dataset;
-use vqoe_player::SessionTrace;
+use vqoe_player::{GroundTruth, SessionTrace};
 
-/// Build the §4.1 stall dataset (70 features) from labelled sessions.
-///
-/// The stall methodology "takes the entire dataset" (§3.1) —
-/// progressive and adaptive sessions alike.
-pub fn build_stall_dataset(traces: &[SessionTrace]) -> Dataset {
-    let mut x = Vec::with_capacity(traces.len());
-    let mut y = Vec::with_capacity(traces.len());
-    for t in traces {
-        let obs = SessionObs::from_trace(t);
-        x.push(stall_features(&obs));
-        y.push(stall_label(&t.ground_truth).index());
-    }
-    Dataset::new(stall_feature_names(), StallClass::names(), x, y)
+/// The labelled dataset of the space `S`: one row per `(observations,
+/// class)` pair, in the order given. Rows may stream in lazily; only
+/// each session's feature vector is kept.
+pub fn build_dataset<S: FeatureSpace>(
+    rows: impl IntoIterator<Item = (SessionObs, S::Class)>,
+) -> Dataset {
+    let (x, y) = rows
+        .into_iter()
+        .map(|(obs, class)| ((S::EXACT)(&obs), (S::INDEX)(class)))
+        .unzip();
+    Dataset::new((S::NAMES)(), (S::CLASS_NAMES)(), x, y)
 }
 
-/// Build a stall dataset from pre-extracted observations and labels
-/// (the encrypted-evaluation path).
-pub fn build_stall_dataset_from_obs(sessions: &[(SessionObs, StallClass)]) -> Dataset {
-    let mut x = Vec::with_capacity(sessions.len());
-    let mut y = Vec::with_capacity(sessions.len());
-    for (obs, label) in sessions {
-        x.push(stall_features(obs));
-        y.push(label.index());
-    }
-    Dataset::new(stall_feature_names(), StallClass::names(), x, y)
-}
-
-/// Build the §4.2 average-representation dataset (210 features) from
-/// labelled sessions.
-///
-/// Only adaptive sessions belong here (§3.1: "we only keep the videos
-/// that made use of adaptive streaming"); non-adaptive traces are
-/// skipped.
-pub fn build_representation_dataset(traces: &[SessionTrace]) -> Dataset {
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for t in traces {
-        if !t.config.delivery.is_adaptive() {
-            continue;
-        }
-        let obs = SessionObs::from_trace(t);
-        x.push(representation_features(&obs));
-        y.push(rq_label(&t.ground_truth).index());
-    }
-    Dataset::new(representation_feature_names(), RqClass::names(), x, y)
-}
-
-/// Build a representation dataset from pre-extracted observations and
-/// labels (the encrypted-evaluation path).
-pub fn build_representation_dataset_from_obs(sessions: &[(SessionObs, RqClass)]) -> Dataset {
-    let mut x = Vec::with_capacity(sessions.len());
-    let mut y = Vec::with_capacity(sessions.len());
-    for (obs, label) in sessions {
-        x.push(representation_features(obs));
-        y.push(label.index());
-    }
-    Dataset::new(representation_feature_names(), RqClass::names(), x, y)
+/// The labelled rows of simulated traces, lazily and in trace order:
+/// each trace's network-visible observations with `label` of its
+/// ground truth and whether it streamed adaptively (such as
+/// [`FeatureSpace::label`]). A trace labelled `None` is skipped before
+/// its observations are built.
+pub fn labelled_traces<'a, C: 'a>(
+    traces: &'a [SessionTrace],
+    label: impl Fn(&GroundTruth, bool) -> Option<C> + 'a,
+) -> impl Iterator<Item = (SessionObs, C)> + 'a {
+    traces.iter().filter_map(move |t| {
+        let class = label(&t.ground_truth, t.config.delivery.is_adaptive())?;
+        Some((SessionObs::from_trace(t), class))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labels::{stall_label, RqClass, StallClass};
+    use crate::space::{RepresentationSpace, StallSpace};
     use vqoe_player::{simulate_session, AbrKind, Delivery, SessionConfig};
     use vqoe_simnet::channel::Scenario;
     use vqoe_simnet::rng::SeedSequence;
@@ -104,10 +73,18 @@ mod tests {
             .collect()
     }
 
+    fn stall_dataset(ts: &[SessionTrace]) -> Dataset {
+        build_dataset::<StallSpace>(labelled_traces(ts, StallSpace::label))
+    }
+
+    fn representation_dataset(ts: &[SessionTrace]) -> Dataset {
+        build_dataset::<RepresentationSpace>(labelled_traces(ts, RepresentationSpace::label))
+    }
+
     #[test]
     fn stall_dataset_covers_all_sessions() {
         let ts = traces(9);
-        let d = build_stall_dataset(&ts);
+        let d = stall_dataset(&ts);
         assert_eq!(d.n_rows(), 9);
         assert_eq!(d.n_features(), 70);
         assert_eq!(d.n_classes(), 3);
@@ -120,15 +97,16 @@ mod tests {
             .iter()
             .filter(|t| t.config.delivery.is_adaptive())
             .count();
-        let d = build_representation_dataset(&ts);
+        let d = representation_dataset(&ts);
         assert_eq!(d.n_rows(), adaptive);
         assert_eq!(d.n_features(), 210);
+        assert_eq!(d.class_names, RqClass::names());
     }
 
     #[test]
     fn labels_match_ground_truth_rules() {
         let ts = traces(6);
-        let d = build_stall_dataset(&ts);
+        let d = stall_dataset(&ts);
         for (i, t) in ts.iter().enumerate() {
             assert_eq!(d.y[i], stall_label(&t.ground_truth).index());
         }
@@ -137,19 +115,17 @@ mod tests {
     #[test]
     fn obs_builders_match_trace_builders() {
         let ts = traces(6);
-        let d1 = build_stall_dataset(&ts);
         let sessions: Vec<(SessionObs, StallClass)> = ts
             .iter()
             .map(|t| (SessionObs::from_trace(t), stall_label(&t.ground_truth)))
             .collect();
-        let d2 = build_stall_dataset_from_obs(&sessions);
-        assert_eq!(d1, d2);
+        assert_eq!(stall_dataset(&ts), build_dataset::<StallSpace>(sessions));
     }
 
     #[test]
     fn feature_values_are_finite() {
         let ts = traces(6);
-        for d in [build_stall_dataset(&ts), build_representation_dataset(&ts)] {
+        for d in [stall_dataset(&ts), representation_dataset(&ts)] {
             for row in &d.x {
                 assert!(row.iter().all(|v| v.is_finite()));
             }

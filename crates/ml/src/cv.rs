@@ -18,10 +18,11 @@
 use crate::dataset::Dataset;
 use crate::forest::{ForestConfig, RandomForest};
 use crate::metrics::ConfusionMatrix;
-use crate::par::{run_indexed, splitmix64, TrainConfig, SEED_STRIDE};
+use crate::par::{run_indexed, TrainConfig, SEED_STRIDE};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use vqoe_stats::splitmix64;
 
 /// Domain-separation tag mixed into a fold's seed before deriving its
 /// balanced-downsample RNG, so the balance stream and the forest's tree

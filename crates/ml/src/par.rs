@@ -17,7 +17,7 @@
 //! Seed streams are laid out so they cannot overlap (DESIGN.md §10):
 //! trees within one forest use the affine family
 //! `seed + t · 0x9E37_79B9_7F4A_7C15`, while cross-validation folds
-//! pass the same affine walk through the [`splitmix64`] finalizer
+//! pass the same affine walk through the [`splitmix64`](vqoe_stats::splitmix64) finalizer
 //! first, scattering fold seeds across the full 64-bit space so a
 //! fold's tree family cannot rejoin another fold's.
 
@@ -76,18 +76,6 @@ impl TrainConfig {
         };
         w.max(1).min(jobs.max(1))
     }
-}
-
-/// The splitmix64 finalizer (Steele, Lea & Flood's SplitMix): a 64-bit
-/// bijection with full avalanche. Used to scatter derived seeds (e.g.
-/// per-fold streams) across the whole seed space so that affine tree
-/// families rooted at different derived seeds cannot overlap by a small
-/// integer offset.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(SEED_STRIDE);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Run `f(0), f(1), …, f(jobs - 1)` and return the results in index
@@ -174,19 +162,5 @@ mod tests {
         assert!((1..=16).contains(&auto), "auto resolved to {auto}");
         // Zero jobs still yields a sane (non-zero) worker count.
         assert_eq!(TrainConfig::with_workers(8).effective_workers(0), 1);
-    }
-
-    #[test]
-    fn splitmix64_is_a_bijection_on_a_sample_and_scatters_neighbors() {
-        let outs: Vec<u64> = (0..64u64).map(splitmix64).collect();
-        let mut dedup = outs.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 64, "collision in splitmix64 sample");
-        // Consecutive inputs land far apart (no small-offset structure
-        // for an affine tree family to rejoin).
-        for w in outs.windows(2) {
-            assert!(w[0].abs_diff(w[1]) > 1 << 32, "{} vs {}", w[0], w[1]);
-        }
     }
 }

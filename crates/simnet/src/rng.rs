@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vqoe_stats::splitmix64;
 
 /// Derives independent child RNGs from one master seed.
 ///
@@ -54,14 +55,6 @@ impl SeedSequence {
     }
 }
 
-/// SplitMix64 finalizer — a high-quality 64-bit mixing bijection.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,15 +98,6 @@ mod tests {
         let first: u64 = r.gen();
         let mut r2 = SeedSequence::new(42).child(1).stream(0);
         assert_eq!(first, r2.gen::<u64>());
-    }
-
-    #[test]
-    fn splitmix_is_bijective_on_samples() {
-        // spot-check injectivity on a small dense range
-        let mut outs: Vec<u64> = (0..10_000u64).map(splitmix64).collect();
-        outs.sort_unstable();
-        outs.dedup();
-        assert_eq!(outs.len(), 10_000);
     }
 
     proptest! {

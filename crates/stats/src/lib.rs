@@ -31,6 +31,7 @@ pub mod ecdf;
 pub mod info;
 pub mod moments;
 pub mod quantiles;
+pub mod rng;
 pub mod sketch;
 
 pub use binning::Discretizer;
@@ -38,4 +39,5 @@ pub use ecdf::Ecdf;
 pub use info::{conditional_entropy, entropy_of_labels, info_gain, symmetrical_uncertainty};
 pub use moments::{mean, population_std, variance, OnlineMoments};
 pub use quantiles::{quantile_sorted, try_quantile, try_quantile_sorted};
+pub use rng::splitmix64;
 pub use sketch::{QuantileSketch, SKETCH_CAPACITY};

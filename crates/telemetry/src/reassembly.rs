@@ -154,30 +154,6 @@ pub struct ReassembledSession {
     pub spilled_other: u64,
 }
 
-// Hand-written: the `spilled_*` counters are absent from pre-ISSUE-10
-// snapshots and default to zero (exact session).
-impl Deserialize for ReassembledSession {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let req = |f: &str| {
-            value
-                .get(f)
-                .ok_or_else(|| serde::DeError::missing_field("ReassembledSession", f))
-        };
-        let opt_u64 = |f: &str| match value.get(f) {
-            Some(v) => Deserialize::from_value(v),
-            None => Ok(0u64),
-        };
-        Ok(ReassembledSession {
-            start: Deserialize::from_value(req("start")?)?,
-            end: Deserialize::from_value(req("end")?)?,
-            chunks: Deserialize::from_value(req("chunks")?)?,
-            other: Deserialize::from_value(req("other")?)?,
-            spilled_chunks: opt_u64("spilled_chunks")?,
-            spilled_other: opt_u64("spilled_other")?,
-        })
-    }
-}
-
 impl ReassembledSession {
     /// Number of exactly buffered media chunks (the spilled tail is
     /// *not* included; see [`ReassembledSession::total_chunks`]).

@@ -8,7 +8,17 @@ use vqoe_core::{
     TrainConfig,
 };
 use vqoe_features::labels::has_switches;
-use vqoe_features::{build_representation_dataset, build_stall_dataset, SessionObs};
+use vqoe_features::{build_dataset, labelled_traces, FeatureSpace, SessionObs};
+use vqoe_ml::Dataset;
+use vqoe_player::SessionTrace;
+
+fn stall_data(traces: &[SessionTrace]) -> Dataset {
+    build_dataset::<StallSpace>(labelled_traces(traces, StallSpace::label))
+}
+
+fn representation_data(traces: &[SessionTrace]) -> Dataset {
+    build_dataset::<RepresentationSpace>(labelled_traces(traces, RepresentationSpace::label))
+}
 
 #[test]
 fn stall_model_transfers_across_seeds() {
@@ -20,14 +30,13 @@ fn stall_model_transfers_across_seeds() {
         &DatasetSpec::adaptive_default(400, 42),
         TrainConfig::auto(),
     ));
-    let report =
-        train_detector::<StallSpace>(&build_stall_dataset(&train_corpus), 1, TrainConfig::auto());
+    let report = train_detector::<StallSpace>(&stall_data(&train_corpus), 1, TrainConfig::auto());
 
     let fresh = generate_traces(
         &DatasetSpec::cleartext_default(600, 4242),
         TrainConfig::auto(),
     );
-    let eval = report.model.evaluate(&build_stall_dataset(&fresh));
+    let eval = report.model.evaluate(&stall_data(&fresh));
     assert_eq!(eval.total() as usize, fresh.len());
     assert!(
         eval.accuracy() > 0.7,
@@ -45,7 +54,7 @@ fn representation_model_transfers_across_seeds() {
     let train_corpus =
         generate_traces(&DatasetSpec::adaptive_default(800, 43), TrainConfig::auto());
     let report = train_detector::<RepresentationSpace>(
-        &build_representation_dataset(&train_corpus),
+        &representation_data(&train_corpus),
         2,
         TrainConfig::auto(),
     );
@@ -54,7 +63,7 @@ fn representation_model_transfers_across_seeds() {
         &DatasetSpec::adaptive_default(400, 4343),
         TrainConfig::auto(),
     );
-    let eval = report.model.evaluate(&build_representation_dataset(&fresh));
+    let eval = report.model.evaluate(&representation_data(&fresh));
     assert!(
         eval.accuracy() > 0.65,
         "cross-seed representation accuracy {}",
@@ -94,8 +103,7 @@ fn detectors_never_see_ground_truth_fields() {
         &DatasetSpec::cleartext_default(400, 45),
         TrainConfig::auto(),
     );
-    let report =
-        train_detector::<StallSpace>(&build_stall_dataset(&corpus), 3, TrainConfig::auto());
+    let report = train_detector::<StallSpace>(&stall_data(&corpus), 3, TrainConfig::auto());
     let mut trace = corpus[0].clone();
     let obs_before = SessionObs::from_trace(&trace);
     let pred_before = report.model.predict(&obs_before);

@@ -10,7 +10,7 @@
 //! §5 encrypted world).
 
 use vqoe_core::{EncryptedEvalConfig, EncryptedWorld, ModelFit, TrainConfig, TrainingConfig};
-use vqoe_features::StallClass;
+use vqoe_features::{build_dataset, FeatureSpace, RepresentationSpace, StallClass};
 use vqoe_ml::{cross_validate, Dataset, ForestConfig};
 
 /// One seed's measurements, each an ordering the paper reports.
@@ -44,10 +44,12 @@ fn measure(seed: u64) -> Shape {
     let (stall, representation) = fit.reports();
     let world = EncryptedWorld::build(&EncryptedEvalConfig::paper_default(seed ^ 0x5EC5))
         .expect("simulated world builds");
-    let encrypted = fit
-        .monitor
-        .representation_model
-        .evaluate(&world.representation_eval_dataset());
+    let encrypted =
+        fit.monitor
+            .representation_model
+            .evaluate(&build_dataset::<RepresentationSpace>(
+                world.labelled(RepresentationSpace::label),
+            ));
 
     let full = &fit.stall_data;
     let binary = Dataset::new(

@@ -4,11 +4,13 @@
 //! reproduction to use the direct path.
 
 use vqoe_core::weblog_training::{
-    capture_cleartext_corpus, representation_dataset_from_weblogs, sessions_from_weblogs,
-    stall_dataset_from_weblogs,
+    capture_cleartext_corpus, labelled_weblogs, sessions_from_weblogs,
 };
 use vqoe_core::{generate_traces, DatasetSpec, TrainConfig};
-use vqoe_features::{rq_label, stall_label};
+use vqoe_features::{
+    build_dataset, labelled_traces, rq_label, stall_label, FeatureSpace, RepresentationSpace,
+    StallSpace,
+};
 use vqoe_telemetry::extract_sessions;
 
 #[test]
@@ -26,16 +28,13 @@ fn every_session_is_recovered_with_its_label() {
             .find(|t| t.session_id == s.extracted.session_id)
             .expect("recovered session matches a trace");
         assert_eq!(
-            vqoe_core::weblog_training::stall_label_from_extracted(&s.extracted),
+            stall_label(&s.extracted),
             stall_label(&t.ground_truth),
             "stall label diverged for session {}",
             t.session_id
         );
         if s.adaptive {
-            assert_eq!(
-                vqoe_core::weblog_training::rq_label_from_extracted(&s.extracted),
-                rq_label(&t.ground_truth)
-            );
+            assert_eq!(rq_label(&s.extracted), rq_label(&t.ground_truth));
         }
     }
 }
@@ -48,14 +47,18 @@ fn weblog_datasets_have_identical_class_structure() {
     );
     let entries = capture_cleartext_corpus(&traces, 2).expect("capture");
 
-    let stall_w = stall_dataset_from_weblogs(&entries);
-    let stall_t = vqoe_features::build_stall_dataset(&traces);
+    let stall_w = build_dataset::<StallSpace>(labelled_weblogs(&entries, StallSpace::label));
+    let stall_t = build_dataset::<StallSpace>(labelled_traces(&traces, StallSpace::label));
     assert_eq!(stall_w.n_rows(), stall_t.n_rows());
     assert_eq!(stall_w.class_counts(), stall_t.class_counts());
     assert_eq!(stall_w.feature_names, stall_t.feature_names);
 
-    let rep_w = representation_dataset_from_weblogs(&entries);
-    let rep_t = vqoe_features::build_representation_dataset(&traces);
+    let rep_w = build_dataset::<RepresentationSpace>(labelled_weblogs(
+        &entries,
+        RepresentationSpace::label,
+    ));
+    let rep_t =
+        build_dataset::<RepresentationSpace>(labelled_traces(&traces, RepresentationSpace::label));
     assert_eq!(rep_w.n_rows(), rep_t.n_rows());
     assert_eq!(rep_w.class_counts(), rep_t.class_counts());
 }
