@@ -834,9 +834,23 @@ fn baseline_binary(ctx: &ReproContext) -> String {
         full.x.clone(),
         y_binary,
     );
-    let m = cross_validate(&binary, 10, ForestConfig::default(), true, 7);
-    out.push_str(&render_class_report(&m));
+    let cv = cross_validate(
+        &binary,
+        10,
+        ForestConfig::default(),
+        true,
+        7,
+        ctx.fit.config.train,
+    );
+    let m = &cv.matrix;
+    out.push_str(&render_class_report(m));
     out.push('\n');
+    if cv.skipped_folds > 0 {
+        out.push_str(&format!(
+            "({} of 10 folds had no usable training or test rows and are not scored)\n",
+            cv.skipped_folds
+        ));
+    }
     out.push_str(&compare_line(
         "binary baseline accuracy",
         "~84% (Prometheus [15])",
@@ -1357,7 +1371,7 @@ fn overload_sweep(ctx: &ReproContext) -> String {
 /// view.
 fn setup_split() -> String {
     use std::time::Instant;
-    use vqoe_core::{QoeMonitor, TrainStage, TrainingConfig};
+    use vqoe_core::{ModelFit, TrainStage, TrainingConfig};
 
     let (reps, workers) = (3, 2);
     let config = TrainingConfig {
@@ -1370,7 +1384,7 @@ fn setup_split() -> String {
     let mut stage_secs: [Vec<f64>; 3] = Default::default();
     for _ in 0..reps {
         let mut last = Instant::now();
-        QoeMonitor::train_staged(&config, |stage| {
+        ModelFit::run(&config, |stage| {
             let i = match stage {
                 TrainStage::Generated => 0,
                 TrainStage::Selected => 1,

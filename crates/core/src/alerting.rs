@@ -18,19 +18,11 @@ use vqoe_obs::{AlertEngine, AlertRule, AlertSeverity, RuleKind};
 /// baseline before a flood shifts the mean.
 pub const ALERT_WINDOW_RECORDS: u64 = 256;
 
-/// CUSUM-backed drift detection for [`AlertEngine`]: first index where
-/// the chart leaves the `h_sigmas`-sigma band, under the default
-/// [`vqoe_changedet::CusumConfig`]. Degenerate series (constant, empty)
-/// never alarm.
-pub fn drift_backend(series: &[f64], h_sigmas: f64) -> Option<usize> {
-    drift_alarm(series, h_sigmas)
-}
-
 /// An [`AlertEngine`] over `rules` with the CUSUM drift backend
-/// installed. Use this over `AlertEngine::new` whenever any rule is
-/// [`RuleKind::Drift`].
+/// ([`drift_alarm`]) installed. Use this over `AlertEngine::new`
+/// whenever any rule is [`RuleKind::Drift`].
 pub fn standard_alert_engine(rules: Vec<AlertRule>) -> AlertEngine {
-    AlertEngine::new(rules).with_drift(drift_backend)
+    AlertEngine::new(rules).with_drift(drift_alarm)
 }
 
 /// The built-in rule set: a critical drift rule per assessor series.
@@ -53,11 +45,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drift_backend_alarms_on_a_mean_shift() {
+    fn drift_alarm_fires_on_a_mean_shift() {
         let mut series = vec![1.0, 2.0, 1.0, 2.0, 1.5, 1.0, 2.0, 1.0, 2.0, 1.5];
         series.extend(std::iter::repeat(60.0).take(8));
-        assert!(drift_backend(&series, 4.0).is_some());
-        assert_eq!(drift_backend(&[1.0; 32], 4.0), None);
+        assert!(drift_alarm(&series, 4.0).is_some());
+        assert_eq!(drift_alarm(&[1.0; 32], 4.0), None);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! drain of subscriber `s` gets `(1, s, k)`. Sorting reproduces the
 //! sequential order exactly: mid-stream emissions in arrival order
 //! first, then drain emissions in subscriber-id order (the order
-//! `OnlineAssessor::finish` walks its subscribers).
+//! `OnlineAssessor::into_report` walks its subscribers).
 
 use std::convert::Infallible;
 

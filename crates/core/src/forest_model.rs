@@ -15,10 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{DeError, Deserialize, Serialize, Value};
 use vqoe_features::{FeatureSpace, SessionObs};
-use vqoe_ml::selection::{cfs_best_first_with, info_gain_ranking_with, RankedFeature};
-use vqoe_ml::{
-    cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
-};
+use vqoe_ml::selection::{cfs_best_first, info_gain_ranking, RankedFeature};
+use vqoe_ml::{cross_validate, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig};
 
 /// Number of CV folds (§4: 10-fold cross-validation).
 pub const CV_FOLDS: usize = 10;
@@ -42,8 +40,8 @@ impl FeatureSubset {
     pub fn select<S: FeatureSpace>(full: &Dataset, seed: u64, train: TrainConfig) -> FeatureSubset {
         let mut rng = StdRng::seed_from_u64(seed);
         let balanced = full.balanced_downsample(&mut rng);
-        let mut selected_idx = cfs_best_first_with(&balanced, 5, train);
-        let ranking = info_gain_ranking_with(&balanced, train);
+        let mut selected_idx = cfs_best_first(&balanced, 5, train);
+        let ranking = info_gain_ranking(&balanced, train);
         for r in &ranking {
             if selected_idx.len() < S::SUBSET_FLOOR && !selected_idx.contains(&r.index) {
                 selected_idx.push(r.index);
@@ -80,7 +78,7 @@ impl<S: FeatureSpace> ForestModel<S> {
         let final_train = reduced.balanced_downsample(&mut subset.rng);
         let names = (S::NAMES)();
         ForestModel {
-            forest: RandomForest::fit_with(&final_train, ForestConfig::default(), train),
+            forest: RandomForest::fit(&final_train, ForestConfig::default(), train),
             selected_names: selected_indices.iter().map(|&i| names[i].clone()).collect(),
             selected_indices,
             space: PhantomData,
@@ -127,19 +125,42 @@ impl<S> Serialize for ForestModel<S> {
     }
 }
 
-impl<S> Deserialize for ForestModel<S> {
+/// A model file is input from outside the program, so the indices
+/// `project` and the trees follow are checked here, once: every
+/// selected index is inside `S`'s space and named as `S` names it, the
+/// forest is as wide as the subset, and [`RandomForest::check`] holds.
+impl<S: FeatureSpace> Deserialize for ForestModel<S> {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let field = |name: &'static str| {
             value
                 .get(name)
                 .ok_or_else(|| DeError::missing_field("ForestModel", name))
         };
-        Ok(ForestModel {
+        let model = ForestModel {
             forest: Deserialize::from_value(field("forest")?)?,
             selected_indices: Deserialize::from_value(field("selected_indices")?)?,
             selected_names: Deserialize::from_value(field("selected_names")?)?,
             space: PhantomData,
-        })
+        };
+        let names = (S::NAMES)();
+        if let Some(i) = model.selected_indices.iter().find(|&&i| i >= names.len()) {
+            return Err(DeError::custom(format!(
+                "selected feature {i} is outside the {}-feature space",
+                names.len()
+            )));
+        }
+        let aligned = model
+            .selected_indices
+            .iter()
+            .map(|&i| &names[i])
+            .eq(&model.selected_names);
+        if !aligned || model.forest.feature_names.len() != model.selected_indices.len() {
+            return Err(DeError::custom(
+                "selected feature names and forest width do not match the selected indices",
+            ));
+        }
+        model.forest.check().map_err(DeError::custom)?;
+        Ok(model)
     }
 }
 
@@ -176,7 +197,7 @@ impl<M> TrainingReport<M> {
     ) -> Self {
         let indices: Vec<usize> = selected.iter().map(|r| r.index).collect();
         let reduced = full.select_features(&indices);
-        let cv = cross_validate_with(
+        let cv = cross_validate(
             &reduced,
             CV_FOLDS,
             ForestConfig::default(),

@@ -86,9 +86,7 @@ pub mod subscribe;
 pub mod switch_pipeline;
 pub mod weblog_training;
 
-pub use alerting::{
-    default_alert_rules, drift_backend, standard_alert_engine, ALERT_WINDOW_RECORDS,
-};
+pub use alerting::{default_alert_rules, standard_alert_engine, ALERT_WINDOW_RECORDS};
 pub use avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
 pub use digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 pub use encrypted::{EncryptedEvalConfig, EncryptedWorld};

@@ -363,14 +363,7 @@ impl QoeMonitor {
     ///
     /// As [`ModelFit::run`], if `config.adaptive_sessions` is 0.
     pub fn train(config: &TrainingConfig) -> QoeMonitor {
-        Self::train_staged(config, |_| {})
-    }
-
-    /// [`QoeMonitor::train`], calling `on_stage` as each
-    /// [`TrainStage`] completes — the hook a wall-clock profile of
-    /// training attaches to. The monitor is the same.
-    pub fn train_staged(config: &TrainingConfig, on_stage: impl FnMut(TrainStage)) -> QoeMonitor {
-        ModelFit::run(config, on_stage).monitor
+        ModelFit::run(config, |_| {}).monitor
     }
 
     /// The one front door for assessing traffic with this monitor: an

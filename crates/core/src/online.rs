@@ -568,15 +568,9 @@ impl OnlineAssessor {
         al.last_anomaly_total = anomaly_total;
     }
 
-    /// Close all open streams gracefully (end of tap / end of day) and
-    /// assess whatever qualifies. For the degradation telemetry as
-    /// well, use [`OnlineAssessor::into_report`].
-    pub fn finish(mut self) -> Vec<SessionAssessment> {
-        self.drain()
-    }
-
-    /// Close all open streams and return assessments together with the
-    /// final [`StreamHealth`] and [`AnomalyLog`].
+    /// Close all open streams gracefully (end of tap / end of day),
+    /// assess whatever qualifies, and return the assessments together
+    /// with the final [`StreamHealth`] and [`AnomalyLog`].
     pub fn into_report(mut self) -> IngestReport {
         // Close out a trailing partial alert window so sheds after the
         // last boundary still feed the rule engine.
@@ -893,7 +887,7 @@ mod tests {
         }
         let health = online.health();
         let quarantined = online.anomalies().total();
-        streamed.extend(online.finish());
+        streamed.extend(online.into_report().assessments);
         assert_eq!(batch, streamed);
         // The hardening layer must not have touched a clean stream.
         assert_eq!(health.entries_seen, world.entries.len() as u64);
@@ -913,7 +907,7 @@ mod tests {
         for e in &world.entries {
             mid_stream += online.ingest(e).len();
         }
-        let at_finish = online.finish().len();
+        let at_finish = online.into_report().assessments.len();
         // All but the final session close mid-stream (the next session's
         // page burst proves the boundary).
         assert!(mid_stream >= 5, "only {mid_stream} closed mid-stream");
@@ -945,7 +939,7 @@ mod tests {
         for e in &merged {
             total += online.ingest(e).len();
         }
-        total += online.finish().len();
+        total += online.into_report().assessments.len();
         assert_eq!(total, 6, "3 sessions per subscriber");
     }
 
@@ -964,7 +958,7 @@ mod tests {
             assert!(online.ingest(&e).is_empty());
         }
         assert_eq!(online.open_subscribers(), 0);
-        assert!(online.finish().is_empty());
+        assert!(online.into_report().assessments.is_empty());
     }
 
     #[test]
@@ -997,7 +991,7 @@ mod tests {
             assert!(online.open_subscribers() <= 1, "cap violated");
         }
         let health = online.health();
-        all.extend(online.finish());
+        all.extend(online.into_report().assessments);
         assert_eq!(health.sessions_evicted, 1, "subscriber 1 evicted once");
         assert!(health.sessions_partial >= 1);
         let partials: Vec<_> = all

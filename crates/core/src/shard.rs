@@ -30,7 +30,7 @@ use vqoe_changedet::SwitchScoreConfig;
 use vqoe_features::{SessionObs, SessionView};
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{
-    validate_entry, AnomalyLog, IngestAnomaly, IngestConfig, ReassembledSession, ReassemblyConfig,
+    validate_entry, AnomalyLog, IngestConfig, ReassembledSession, ReassemblyConfig,
     RobustReassembler, StreamHealth, WeblogEntry,
 };
 
@@ -93,12 +93,7 @@ impl Shard {
     /// subscriber.
     pub(crate) fn screen(&mut self, e: &WeblogEntry, anomalies: &mut AnomalyLog) -> bool {
         if let Some(kind) = validate_entry(e, &self.ingest) {
-            self.health.entries_quarantined += 1;
-            anomalies.record(IngestAnomaly {
-                subscriber_id: e.subscriber_id,
-                timestamp: e.timestamp,
-                kind,
-            });
+            self.health.quarantine(e, kind, anomalies);
             return false;
         }
         e.is_service_host()

@@ -67,7 +67,7 @@ pub struct WeblogSession {
 pub fn sessions_from_weblogs(entries: &[WeblogEntry]) -> Vec<WeblogSession> {
     let extracted = extract_sessions(entries);
     // Index media entries by session ID for transport annotations.
-    let mut media_by_session: HashMap<&str, Vec<&WeblogEntry>> = HashMap::new();
+    let mut media_by_session: HashMap<String, Vec<&WeblogEntry>> = HashMap::new();
     for e in entries {
         if e.kind != EntryKind::MediaChunk {
             continue;
@@ -76,25 +76,14 @@ pub fn sessions_from_weblogs(entries: &[WeblogEntry]) -> Vec<WeblogSession> {
             continue;
         };
         if let Some(p) = vqoe_telemetry::uri::parse_videoplayback(uri) {
-            // Borrow the ID from the entry's own URI string; skip URIs
-            // the codec did not emit (no cpn parameter, truncated ID).
-            let Some(pos) = uri.find("cpn=") else {
-                continue;
-            };
-            let key_start = pos + 4;
-            let Some(key) = uri.get(key_start..key_start + 16) else {
-                continue;
-            };
-            media_by_session.entry(key).or_default().push(e);
-            let _ = p;
+            media_by_session.entry(p.session_id).or_default().push(e);
         }
     }
     extracted
         .into_iter()
         .map(|ex| {
-            let mut media: Vec<&WeblogEntry> = media_by_session
-                .remove(ex.session_id.as_str())
-                .unwrap_or_default();
+            let mut media: Vec<&WeblogEntry> =
+                media_by_session.remove(&ex.session_id).unwrap_or_default();
             media.sort_by_key(|e| e.timestamp);
             let obs = SessionObs {
                 chunks: media.iter().map(|e| ChunkObs::from(*e)).collect(),
@@ -151,6 +140,25 @@ mod tests {
             assert_eq!(s.obs.len(), t.chunks.len());
             assert_eq!(s.adaptive, t.config.delivery.is_adaptive());
         }
+    }
+
+    #[test]
+    fn a_parameter_ending_in_cpn_does_not_rekey_a_chunk() {
+        let traces = generate_traces(
+            &DatasetSpec::cleartext_default(1, 94),
+            TrainConfig::sequential(),
+        );
+        let mut entries = capture_cleartext_corpus(&traces, 10).expect("capture");
+        for uri in entries.iter_mut().filter_map(|e| e.uri.as_mut()) {
+            *uri = uri.replacen(
+                "/videoplayback?",
+                "/videoplayback?xcpn=AAAAAAAAAAAAAAAA&",
+                1,
+            );
+        }
+        let sessions = sessions_from_weblogs(&entries);
+        assert_eq!(sessions.len(), 1);
+        assert_eq!(sessions[0].obs.len(), traces[0].chunks.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! restored to their original numbers for testing".
 //!
 //! Folds are mutually independent once assigned, so
-//! [`cross_validate_with`] fans them out over [`run_indexed`] and merges
+//! [`cross_validate`] fans them out over [`run_indexed`] and merges
 //! the per-fold prediction lists back in fold order: the aggregate
 //! confusion matrix is byte-identical to the sequential path at any
 //! worker count. Each fold derives its seeds through [`splitmix64`]
@@ -65,40 +65,17 @@ pub struct CvReport {
 }
 
 /// Run k-fold cross-validation of a Random Forest over `data`,
-/// aggregating one confusion matrix across folds.
+/// aggregating one confusion matrix across folds, with folds fanned out
+/// over `train.effective_workers` threads.
 ///
 /// `balance_training` applies the paper's balanced-train /
-/// natural-test protocol. Sequential reference path; see
-/// [`cross_validate_with`] for the parallel variant and the full
-/// [`CvReport`].
-pub fn cross_validate(
-    data: &Dataset,
-    k: usize,
-    forest_config: ForestConfig,
-    balance_training: bool,
-    seed: u64,
-) -> ConfusionMatrix {
-    cross_validate_with(
-        data,
-        k,
-        forest_config,
-        balance_training,
-        seed,
-        TrainConfig::sequential(),
-    )
-    .matrix
-}
-
-/// [`cross_validate`] with an explicit worker policy, returning the full
-/// [`CvReport`].
-///
-/// Fold assignment consumes the `seed` stream exactly as before; each
-/// fold then derives `fs = splitmix64(seed + fold · SEED_STRIDE)` for
-/// its forest (`cfg.seed = fs`) and
+/// natural-test protocol. Fold assignment consumes the `seed` stream;
+/// each fold then derives `fs = splitmix64(seed + fold · SEED_STRIDE)`
+/// for its forest (`cfg.seed = fs`) and
 /// `splitmix64(fs ^ BALANCE_STREAM)` for its balanced-downsample RNG,
 /// making folds self-contained jobs. The report is byte-identical for
 /// every value of `train.workers`.
-pub fn cross_validate_with(
+pub fn cross_validate(
     data: &Dataset,
     k: usize,
     forest_config: ForestConfig,
@@ -136,7 +113,7 @@ pub fn cross_validate_with(
         }
         let mut cfg = forest_config;
         cfg.seed = fs;
-        let forest = RandomForest::fit(&train_set, cfg);
+        let forest = RandomForest::fit(&train_set, cfg, TrainConfig::sequential());
         let test = data.subset(test_rows);
         let preds = forest.predict_all(&test);
         Some(test.y.iter().copied().zip(preds).collect())
@@ -211,29 +188,61 @@ mod tests {
     #[test]
     fn cross_validation_covers_every_row_once() {
         let d = dataset(120, 7);
-        let m = cross_validate(&d, 10, ForestConfig::default(), true, 42);
+        let m = cross_validate(
+            &d,
+            10,
+            ForestConfig::default(),
+            true,
+            42,
+            TrainConfig::sequential(),
+        )
+        .matrix;
         assert_eq!(m.total() as usize, d.n_rows());
     }
 
     #[test]
     fn cross_validation_learns_a_separable_problem() {
         let d = dataset(300, 8);
-        let m = cross_validate(&d, 10, ForestConfig::default(), true, 42);
+        let m = cross_validate(
+            &d,
+            10,
+            ForestConfig::default(),
+            true,
+            42,
+            TrainConfig::sequential(),
+        )
+        .matrix;
         assert!(m.accuracy() > 0.85, "accuracy {}", m.accuracy());
     }
 
     #[test]
     fn cv_is_deterministic() {
         let d = dataset(150, 9);
-        let a = cross_validate(&d, 5, ForestConfig::default(), true, 11);
-        let b = cross_validate(&d, 5, ForestConfig::default(), true, 11);
+        let a = cross_validate(
+            &d,
+            5,
+            ForestConfig::default(),
+            true,
+            11,
+            TrainConfig::sequential(),
+        )
+        .matrix;
+        let b = cross_validate(
+            &d,
+            5,
+            ForestConfig::default(),
+            true,
+            11,
+            TrainConfig::sequential(),
+        )
+        .matrix;
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_cv_is_byte_identical_to_sequential() {
         let d = dataset(140, 13);
-        let reference = cross_validate_with(
+        let reference = cross_validate(
             &d,
             10,
             ForestConfig::default(),
@@ -242,7 +251,7 @@ mod tests {
             TrainConfig::sequential(),
         );
         for workers in [2usize, 7] {
-            let got = cross_validate_with(
+            let got = cross_validate(
                 &d,
                 10,
                 ForestConfig::default(),
@@ -260,7 +269,7 @@ mod tests {
         let d = dataset(20, 10);
         // k=1: the only fold is the test fold, training side is empty →
         // nothing is recorded, but the skip is now visible.
-        let r = cross_validate_with(
+        let r = cross_validate(
             &d,
             1,
             ForestConfig::default(),
@@ -277,7 +286,7 @@ mod tests {
         // 6 rows, k=12: at least 6 folds are empty on the test side and
         // must be counted, while every row still gets scored once.
         let d = dataset(6, 14);
-        let r = cross_validate_with(
+        let r = cross_validate(
             &d,
             12,
             ForestConfig::default(),
@@ -301,7 +310,7 @@ mod tests {
             (0..n).map(|i| vec![i as f64]).collect(),
             vec![0; n],
         );
-        let r = cross_validate_with(
+        let r = cross_validate(
             &d,
             5,
             ForestConfig::default(),

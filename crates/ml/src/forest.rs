@@ -8,7 +8,7 @@
 
 use crate::dataset::Dataset;
 use crate::par::{run_indexed, TrainConfig, SEED_STRIDE};
-use crate::tree::{argmax, DecisionTree, TreeConfig};
+use crate::tree::{argmax, DecisionTree, ModelError, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -65,26 +65,17 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fit a forest to `data` on the sequential reference path.
-    ///
-    /// # Panics
-    /// Panics if `data` is empty or `n_trees == 0`.
-    pub fn fit(data: &Dataset, config: ForestConfig) -> Self {
-        Self::fit_with(data, config, TrainConfig::sequential())
-    }
-
     /// Fit a forest to `data`, fanning trees out over
     /// `train.effective_workers` threads.
     ///
-    /// Byte-identical to [`RandomForest::fit`] at any worker count:
-    /// each tree derives its own RNG stream from its index
-    /// (`seed + t ·` [`SEED_STRIDE`]), and OOB votes are accumulated
-    /// strictly in tree-index order so every float addition happens in
-    /// the sequential order.
+    /// Byte-identical at any worker count: each tree derives its own
+    /// RNG stream from its index (`seed + t ·` [`SEED_STRIDE`]), and OOB
+    /// votes are accumulated strictly in tree-index order so every float
+    /// addition happens in the sequential order.
     ///
     /// # Panics
     /// Panics if `data` is empty or `n_trees == 0`.
-    pub fn fit_with(data: &Dataset, config: ForestConfig, train: TrainConfig) -> Self {
+    pub fn fit(data: &Dataset, config: ForestConfig, train: TrainConfig) -> Self {
         assert!(data.n_rows() > 0, "cannot fit an empty dataset");
         assert!(config.n_trees > 0, "need at least one tree");
         let mut tree_config = config.tree;
@@ -196,6 +187,20 @@ impl RandomForest {
         acc
     }
 
+    /// Check a forest read from outside the program before it predicts:
+    /// every tree has a root, its splits read features inside
+    /// `feature_names` and name children after themselves and in range
+    /// (as fitting grows them, so no walk can cycle), and its leaves
+    /// hold `n_classes` probabilities. Every fitted forest passes.
+    pub fn check(&self) -> Result<(), ModelError> {
+        let width = self.feature_names.len();
+        for (tree, t) in self.trees.iter().enumerate() {
+            t.check(width, self.n_classes)
+                .map_err(|(node, fault)| ModelError { tree, node, fault })?;
+        }
+        Ok(())
+    }
+
     /// Hard prediction for one row.
     pub fn predict(&self, row: &[f64]) -> usize {
         argmax(&self.predict_proba(row))
@@ -243,7 +248,7 @@ mod tests {
     fn forest_beats_chance_clearly() {
         let train = blobs(150, 1);
         let test = blobs(100, 2);
-        let forest = RandomForest::fit(&train, ForestConfig::default());
+        let forest = RandomForest::fit(&train, ForestConfig::default(), TrainConfig::sequential());
         let preds = forest.predict_all(&test);
         let correct = preds
             .iter()
@@ -257,7 +262,7 @@ mod tests {
     #[test]
     fn probabilities_sum_to_one() {
         let d = blobs(50, 3);
-        let forest = RandomForest::fit(&d, ForestConfig::default());
+        let forest = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         let p = forest.predict_proba(&[1.0, 1.0]);
         assert_eq!(p.len(), 2);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -266,8 +271,8 @@ mod tests {
     #[test]
     fn fit_is_deterministic_under_seed() {
         let d = blobs(60, 4);
-        let f1 = RandomForest::fit(&d, ForestConfig::default());
-        let f2 = RandomForest::fit(&d, ForestConfig::default());
+        let f1 = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
+        let f2 = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         assert_eq!(f1, f2);
     }
 
@@ -278,8 +283,8 @@ mod tests {
             seed: 123,
             ..ForestConfig::default()
         };
-        let f1 = RandomForest::fit(&d, ForestConfig::default());
-        let f2 = RandomForest::fit(&d, cfg2);
+        let f1 = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
+        let f2 = RandomForest::fit(&d, cfg2, TrainConfig::sequential());
         assert_ne!(f1, f2);
     }
 
@@ -287,7 +292,7 @@ mod tests {
     #[should_panic(expected = "schema differs")]
     fn schema_mismatch_is_rejected() {
         let d = blobs(30, 6);
-        let forest = RandomForest::fit(&d, ForestConfig::default());
+        let forest = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         let other = Dataset::new(
             vec!["wrong".into(), "names".into()],
             vec!["a".into(), "b".into()],
@@ -304,7 +309,7 @@ mod tests {
             n_trees: 1,
             ..ForestConfig::default()
         };
-        let f = RandomForest::fit(&d, cfg);
+        let f = RandomForest::fit(&d, cfg, TrainConfig::sequential());
         assert_eq!(f.n_trees(), 1);
         let _ = f.predict(&[0.0, 0.0]);
     }
@@ -312,7 +317,7 @@ mod tests {
     #[test]
     fn oob_accuracy_tracks_generalization() {
         let d = blobs(150, 9);
-        let forest = RandomForest::fit(&d, ForestConfig::default());
+        let forest = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         let oob = forest.oob_accuracy.expect("60 trees cover every row OOB");
         // The blobs are ~90%+ separable; OOB should land near the
         // cross-seed test accuracy, far from both chance and 1.0.
@@ -346,7 +351,7 @@ mod tests {
                 seed,
                 ..ForestConfig::default()
             };
-            let f = RandomForest::fit(&d, cfg);
+            let f = RandomForest::fit(&d, cfg, TrainConfig::sequential());
             if f.oob_accuracy.is_none() {
                 assert_eq!(f.oob_coverage, 0.0, "None must mean zero coverage");
                 found_none = true;
@@ -367,7 +372,7 @@ mod tests {
             n_trees: 1,
             ..ForestConfig::default()
         };
-        let f = RandomForest::fit(&d, cfg);
+        let f = RandomForest::fit(&d, cfg, TrainConfig::sequential());
         assert!(
             f.oob_accuracy.is_some(),
             "partial coverage must still yield an estimate"
@@ -388,18 +393,16 @@ mod tests {
     #[test]
     fn full_forest_reaches_full_oob_coverage() {
         let d = blobs(150, 9);
-        let f = RandomForest::fit(&d, ForestConfig::default());
+        let f = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         assert_eq!(f.oob_coverage, 1.0, "60 trees must cover every row");
     }
 
     #[test]
     fn parallel_fit_is_byte_identical_to_sequential() {
-        use crate::par::TrainConfig;
         let d = blobs(80, 13);
-        let reference =
-            RandomForest::fit_with(&d, ForestConfig::default(), TrainConfig::sequential());
+        let reference = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         for workers in [2usize, 7] {
-            let parallel = RandomForest::fit_with(
+            let parallel = RandomForest::fit(
                 &d,
                 ForestConfig::default(),
                 TrainConfig::with_workers(workers),
@@ -444,7 +447,7 @@ mod tests {
             x,
             y,
         );
-        let forest = RandomForest::fit(&d, ForestConfig::default());
+        let forest = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         let imp = forest.feature_importance();
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(imp[0] > imp[1] * 2.0, "importance {imp:?}");
@@ -467,7 +470,7 @@ mod tests {
             x,
             y,
         );
-        let f = RandomForest::fit(&d, ForestConfig::default());
+        let f = RandomForest::fit(&d, ForestConfig::default(), TrainConfig::sequential());
         assert_eq!(f.predict(&[0.0]), 0);
         assert_eq!(f.predict(&[3.0]), 1);
         assert_eq!(f.predict(&[6.0]), 2);

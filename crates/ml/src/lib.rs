@@ -23,9 +23,9 @@
 //!   confusion matrices (Tables 3–4, 6–11) → [`metrics::ConfusionMatrix`]
 //!   and [`metrics::ClassReport`].
 //!
-//! Every training entry point has a `*_with` variant taking a
-//! [`par::TrainConfig`] worker policy; output is byte-identical to the
-//! sequential path at any worker count (see [`par`] and DESIGN.md §10).
+//! Every training entry point takes a [`par::TrainConfig`] worker
+//! policy; output is byte-identical at any worker count (see [`par`]
+//! and DESIGN.md §10).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,12 +38,10 @@ pub mod par;
 pub mod selection;
 pub mod tree;
 
-pub use cv::{cross_validate, cross_validate_with, stratified_kfold, CvReport};
+pub use cv::{cross_validate, stratified_kfold, CvReport};
 pub use dataset::Dataset;
 pub use forest::{ForestConfig, RandomForest};
 pub use metrics::{ClassReport, ConfusionMatrix};
 pub use par::TrainConfig;
-pub use selection::{
-    cfs_best_first, cfs_best_first_with, info_gain_ranking, info_gain_ranking_with, RankedFeature,
-};
-pub use tree::{DecisionTree, TreeConfig};
+pub use selection::{cfs_best_first, info_gain_ranking, RankedFeature};
+pub use tree::{DecisionTree, ModelError, TreeConfig};

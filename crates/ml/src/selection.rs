@@ -48,15 +48,9 @@ fn discretize_all(data: &Dataset, train: TrainConfig) -> Vec<Vec<usize>> {
 }
 
 /// Rank all features by information gain, descending (ties broken by
-/// column order for determinism). Sequential reference path; see
-/// [`info_gain_ranking_with`].
-pub fn info_gain_ranking(data: &Dataset) -> Vec<RankedFeature> {
-    info_gain_ranking_with(data, TrainConfig::sequential())
-}
-
-/// [`info_gain_ranking`] with an explicit worker policy; per-feature
-/// scores fan out, output is byte-identical at any worker count.
-pub fn info_gain_ranking_with(data: &Dataset, train: TrainConfig) -> Vec<RankedFeature> {
+/// column order for determinism). Per-feature scores fan out over
+/// `train`'s workers; output is byte-identical at any worker count.
+pub fn info_gain_ranking(data: &Dataset, train: TrainConfig) -> Vec<RankedFeature> {
     let discretized = discretize_all(data, train);
     let gains = run_indexed(discretized.len(), train, |i| {
         info_gain(&data.y, &discretized[i])
@@ -116,11 +110,6 @@ fn merit(
 /// this many consecutive expansions without improvement (Weka default 5).
 /// Returns the selected column indices, sorted by their class
 /// correlation (strongest first).
-pub fn cfs_best_first(data: &Dataset, max_stale: usize) -> Vec<usize> {
-    cfs_best_first_with(data, max_stale, TrainConfig::sequential())
-}
-
-/// [`cfs_best_first`] with an explicit worker policy.
 ///
 /// The best-first walk itself is inherently sequential (each expansion
 /// depends on the frontier the last one produced), but the expensive
@@ -129,7 +118,7 @@ pub fn cfs_best_first(data: &Dataset, max_stale: usize) -> Vec<usize> {
 /// [`run_indexed`], and the results are folded back in the same feature
 /// order, so the search trajectory (and therefore the selected subset)
 /// is byte-identical at any worker count.
-pub fn cfs_best_first_with(data: &Dataset, max_stale: usize, train: TrainConfig) -> Vec<usize> {
+pub fn cfs_best_first(data: &Dataset, max_stale: usize, train: TrainConfig) -> Vec<usize> {
     let n = data.n_features();
     if n == 0 {
         return Vec::new();
@@ -271,7 +260,7 @@ mod tests {
     #[test]
     fn info_gain_ranks_signal_above_noise() {
         let d = redundant_dataset(1);
-        let ranked = info_gain_ranking(&d);
+        let ranked = info_gain_ranking(&d, TrainConfig::sequential());
         assert_eq!(ranked.len(), 3);
         assert!(ranked[0].name == "signal" || ranked[0].name == "echo");
         assert_eq!(ranked[2].name, "noise");
@@ -286,7 +275,7 @@ mod tests {
     #[test]
     fn cfs_keeps_signal_drops_noise_and_redundancy() {
         let d = redundant_dataset(2);
-        let selected = cfs_best_first(&d, 5);
+        let selected = cfs_best_first(&d, 5, TrainConfig::sequential());
         assert!(!selected.is_empty());
         // The noise feature must not be selected.
         assert!(
@@ -334,7 +323,7 @@ mod tests {
             x,
             y,
         );
-        let selected = cfs_best_first(&d, 5);
+        let selected = cfs_best_first(&d, 5, TrainConfig::sequential());
         let names: Vec<&str> = selected
             .iter()
             .map(|&f| d.feature_names[f].as_str())
@@ -347,36 +336,31 @@ mod tests {
     #[test]
     fn empty_dataset_yields_empty_selection() {
         let d = Dataset::new(vec![], vec!["a".into()], vec![vec![]; 3], vec![0, 0, 0]);
-        assert!(cfs_best_first(&d, 5).is_empty());
-        assert!(info_gain_ranking(&d).is_empty());
+        assert!(cfs_best_first(&d, 5, TrainConfig::sequential()).is_empty());
+        assert!(info_gain_ranking(&d, TrainConfig::sequential()).is_empty());
     }
 
     #[test]
     fn selection_is_deterministic() {
         let d = redundant_dataset(4);
-        assert_eq!(cfs_best_first(&d, 5), cfs_best_first(&d, 5));
-        let r1 = info_gain_ranking(&d);
-        let r2 = info_gain_ranking(&d);
+        assert_eq!(
+            cfs_best_first(&d, 5, TrainConfig::sequential()),
+            cfs_best_first(&d, 5, TrainConfig::sequential())
+        );
+        let r1 = info_gain_ranking(&d, TrainConfig::sequential());
+        let r2 = info_gain_ranking(&d, TrainConfig::sequential());
         assert_eq!(r1, r2);
     }
 
     #[test]
     fn parallel_selection_matches_sequential_at_any_worker_count() {
         let d = redundant_dataset(6);
-        let seq_sel = cfs_best_first_with(&d, 5, TrainConfig::sequential());
-        let seq_rank = info_gain_ranking_with(&d, TrainConfig::sequential());
+        let seq_sel = cfs_best_first(&d, 5, TrainConfig::sequential());
+        let seq_rank = info_gain_ranking(&d, TrainConfig::sequential());
         for workers in [2usize, 7] {
             let cfg = TrainConfig::with_workers(workers);
-            assert_eq!(
-                cfs_best_first_with(&d, 5, cfg),
-                seq_sel,
-                "workers {workers}"
-            );
-            assert_eq!(
-                info_gain_ranking_with(&d, cfg),
-                seq_rank,
-                "workers {workers}"
-            );
+            assert_eq!(cfs_best_first(&d, 5, cfg), seq_sel, "workers {workers}");
+            assert_eq!(info_gain_ranking(&d, cfg), seq_rank, "workers {workers}");
         }
     }
 
@@ -390,7 +374,7 @@ mod tests {
                 .collect(),
             (0..40).map(|i| usize::from(i >= 20)).collect(),
         );
-        let ranked = info_gain_ranking(&d);
+        let ranked = info_gain_ranking(&d, TrainConfig::sequential());
         let const_rank = ranked.iter().find(|r| r.name == "const").unwrap();
         assert_eq!(const_rank.gain, 0.0);
         assert_eq!(ranked[0].name, "useful");

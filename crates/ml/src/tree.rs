@@ -10,6 +10,7 @@ use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+use vqoe_stats::info::entropy_of_counts;
 
 /// Tree growth limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,6 +53,26 @@ enum Node {
         right: usize,
     },
 }
+
+/// Why a tree read from outside the program cannot be walked: the
+/// first broken node found, and what is wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ModelError {
+    /// The tree's index in its forest.
+    pub tree: usize,
+    /// The node's arena index in the tree.
+    pub node: usize,
+    /// What is wrong with the node.
+    pub fault: &'static str,
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "tree {} node {}: {}", self.tree, self.node, self.fault)
+    }
+}
+
+impl std::error::Error for ModelError {}
 
 /// A trained decision tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,7 +130,7 @@ impl DecisionTree {
     ) -> usize {
         let counts = class_counts(data, rows, self.n_classes);
         let total = rows.len() as f64;
-        let node_entropy = entropy(&counts, total);
+        let node_entropy = entropy_of_counts(&counts);
 
         let stop = depth >= config.max_depth
             || rows.len() < config.min_samples_split
@@ -170,7 +191,7 @@ impl DecisionTree {
         }
 
         let total = rows.len() as f64;
-        let parent_entropy = entropy(parent_counts, total);
+        let parent_entropy = entropy_of_counts(parent_counts);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
 
         for &feature in &features {
@@ -194,8 +215,8 @@ impl DecisionTree {
                 }
                 let n_left = (i + 1) as f64;
                 let n_right = total - n_left;
-                let child_entropy = (n_left / total) * entropy(&left_counts, n_left)
-                    + (n_right / total) * entropy(&right_counts, n_right);
+                let child_entropy = (n_left / total) * entropy_of_counts(&left_counts)
+                    + (n_right / total) * entropy_of_counts(&right_counts);
                 let gain = parent_entropy - child_entropy;
                 // Zero-gain splits are allowed on impure nodes: greedy
                 // gain is blind to XOR-like interactions whose value only
@@ -251,6 +272,29 @@ impl DecisionTree {
     pub fn predict(&self, row: &[f64]) -> usize {
         argmax(self.predict_proba(row))
     }
+
+    /// The first node [`RandomForest::check`](crate::RandomForest::check)
+    /// rejects, with what is wrong with it.
+    pub(crate) fn check(&self, width: usize, classes: usize) -> Result<(), (usize, &'static str)> {
+        let len = self.nodes.len();
+        if len == 0 {
+            return Err((0, "no root"));
+        }
+        for (node, n) in self.nodes.iter().enumerate() {
+            let fault = match *n {
+                Node::Leaf { ref probs } if probs.len() != classes => "wrong class count",
+                Node::Split { feature, .. } if feature >= width => "feature out of range",
+                Node::Split { left, right, .. }
+                    if left.min(right) <= node || left.max(right) >= len =>
+                {
+                    "child not after its parent"
+                }
+                _ => continue,
+            };
+            return Err((node, fault));
+        }
+        Ok(())
+    }
 }
 
 pub(crate) fn argmax(v: &[f64]) -> usize {
@@ -269,20 +313,6 @@ fn class_counts(data: &Dataset, rows: &[usize], n_classes: usize) -> Vec<u64> {
         counts[data.y[r]] += 1;
     }
     counts
-}
-
-fn entropy(counts: &[u64], total: f64) -> f64 {
-    if total <= 0.0 {
-        return 0.0;
-    }
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / total;
-            -p * p.log2()
-        })
-        .sum()
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 //! `push_media`), so stalls emerge *mid-download* when an arrival curve
 //! is fed in round by round — not just at chunk boundaries.
 
+use crate::session::GroundTruth;
 use serde::{Deserialize, Serialize};
 use vqoe_simnet::time::{Duration, Instant};
 
@@ -192,14 +193,7 @@ impl PlayoutBuffer {
                 let enough = self.buffered >= self.config.rebuffer_threshold
                     || self.pushed >= self.total_media - 1e-9;
                 if enough {
-                    // The stall start is always recorded on entering the
-                    // Stalled phase; if-let keeps this panic-free anyway.
-                    if let Some(start) = self.current_stall_start.take() {
-                        let duration = self.clock.duration_since(start);
-                        if duration.as_secs_f64() >= self.config.min_stall_secs {
-                            self.stalls.push(StallEvent { start, duration });
-                        }
-                    }
+                    self.close_stall();
                     self.phase = PlayerPhase::Playing;
                 }
             }
@@ -217,13 +211,32 @@ impl PlayoutBuffer {
         Some(self.clock + Duration::from_secs_f64(self.buffered - target))
     }
 
+    /// Record the open stall as a [`StallEvent`] ending now, if it
+    /// lasted at least `min_stall_secs`. The stall start is always set
+    /// on entering the Stalled phase; `if let` keeps this panic-free
+    /// anyway.
+    fn close_stall(&mut self) {
+        if let Some(start) = self.current_stall_start.take() {
+            let duration = self.clock.duration_since(start);
+            if duration.as_secs_f64() >= self.config.min_stall_secs {
+                self.stalls.push(StallEvent { start, duration });
+            }
+        }
+    }
+
     /// Terminate the session: play out whatever is buffered (no further
-    /// arrivals), close any in-progress stall, and return the final
-    /// accounting.
+    /// arrivals), close any in-progress stall, and return the session's
+    /// [`GroundTruth`] with the caller's `abandoned` flag and per-segment
+    /// resolutions.
     ///
     /// `now` is when the last download activity ended (or the moment of
     /// abandonment).
-    pub fn finish(mut self, now: Instant) -> BufferOutcome {
+    pub fn finish(
+        mut self,
+        now: Instant,
+        abandoned: bool,
+        segment_resolutions: Vec<u32>,
+    ) -> GroundTruth {
         self.advance_to(now);
         let end = match self.phase {
             PlayerPhase::Playing => {
@@ -235,12 +248,7 @@ impl PlayoutBuffer {
             }
             PlayerPhase::Stalled => {
                 // Session ends inside a stall (abandonment): close it.
-                if let Some(start) = self.current_stall_start.take() {
-                    let duration = self.clock.duration_since(start);
-                    if duration.as_secs_f64() >= self.config.min_stall_secs {
-                        self.stalls.push(StallEvent { start, duration });
-                    }
-                }
+                self.close_stall();
                 self.clock
             }
             PlayerPhase::StartUp | PlayerPhase::Finished => self.clock,
@@ -249,46 +257,15 @@ impl PlayoutBuffer {
             .playback_started_at
             .map(|t| t.duration_since(self.session_start))
             .unwrap_or_else(|| end.duration_since(self.session_start));
-        BufferOutcome {
+        GroundTruth {
             stalls: self.stalls,
             startup_delay,
             playback_started: self.playback_started_at.is_some(),
             media_played: Duration::from_secs_f64(self.played),
             session_end: end,
+            abandoned,
+            segment_resolutions,
         }
-    }
-}
-
-/// Final playback accounting for one session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BufferOutcome {
-    /// All completed stall events.
-    pub stalls: Vec<StallEvent>,
-    /// Time from session start to first frame.
-    pub startup_delay: Duration,
-    /// Whether playback ever began.
-    pub playback_started: bool,
-    /// Media seconds actually played.
-    pub media_played: Duration,
-    /// Wall-clock end of the session (last frame played or abandonment).
-    pub session_end: Instant,
-}
-
-impl BufferOutcome {
-    /// Total time spent stalled.
-    pub fn total_stall_time(&self) -> Duration {
-        self.stalls.iter().map(|s| s.duration).sum()
-    }
-
-    /// Rebuffering Ratio (eq. 1): stall time over the *entire session
-    /// duration* (playback + stalls), measured from first frame to end.
-    pub fn rebuffering_ratio(&self) -> f64 {
-        let total = self.media_played + self.total_stall_time();
-        let t = total.as_secs_f64();
-        if t <= 0.0 {
-            return if self.stalls.is_empty() { 0.0 } else { 1.0 };
-        }
-        self.total_stall_time().as_secs_f64() / t
     }
 }
 
@@ -362,7 +339,7 @@ mod tests {
     fn finish_plays_out_remaining_buffer() {
         let mut b = buf(10.0);
         b.push_media(Instant::ZERO, 10.0);
-        let out = b.finish(Instant::from_secs(2));
+        let out = b.finish(Instant::from_secs(2), false, Vec::new());
         assert_eq!(out.session_end, Instant::from_secs(10));
         assert_eq!(out.media_played, Duration::from_secs(10));
         assert!(out.stalls.is_empty());
@@ -374,7 +351,7 @@ mod tests {
         let mut b = buf(100.0);
         b.push_media(Instant::ZERO, 5.0);
         b.advance_to(Instant::from_secs(20)); // stalled since t=5
-        let out = b.finish(Instant::from_secs(30));
+        let out = b.finish(Instant::from_secs(30), false, Vec::new());
         assert_eq!(out.stalls.len(), 1);
         assert_eq!(out.stalls[0].start, Instant::from_secs(5));
         assert_eq!(out.stalls[0].duration, Duration::from_secs(25));
@@ -385,7 +362,7 @@ mod tests {
     #[test]
     fn never_started_session_reports_startup_as_whole_lifetime() {
         let b = buf(100.0);
-        let out = b.finish(Instant::from_secs(12));
+        let out = b.finish(Instant::from_secs(12), false, Vec::new());
         assert!(!out.playback_started);
         assert_eq!(out.startup_delay, Duration::from_secs(12));
         assert_eq!(out.media_played, Duration::ZERO);
@@ -438,7 +415,7 @@ mod tests {
 
     #[test]
     fn rebuffering_ratio_matches_eq1() {
-        let out = BufferOutcome {
+        let out = GroundTruth {
             stalls: vec![
                 StallEvent {
                     start: Instant::from_secs(10),
@@ -453,6 +430,8 @@ mod tests {
             playback_started: true,
             media_played: Duration::from_secs(54),
             session_end: Instant::from_secs(61),
+            abandoned: false,
+            segment_resolutions: Vec::new(),
         };
         assert!((out.rebuffering_ratio() - 6.0 / 60.0).abs() < 1e-9);
     }

@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use vqoe_simnet::rng::standard_normal;
 use vqoe_simnet::time::Duration;
 
 /// Audio track bitrate (the ubiquitous itag 140 AAC stream, ~128 kbps).
@@ -193,12 +194,6 @@ impl VideoMeta {
         let jitter = rng.gen_range(0.93..1.07);
         ((AUDIO_BITRATE_BPS / 8.0 * media.as_secs_f64() * jitter).max(200.0)) as u64
     }
-}
-
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

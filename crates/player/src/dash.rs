@@ -61,14 +61,7 @@ pub fn simulate_dash(
     let mut abandoned = false;
 
     for seg in 0..n_segments {
-        let stalled_so_far: Duration = buffer.stalls().iter().map(|s| s.duration).sum();
-        if stalled_so_far > patience.max_total_stall {
-            abandoned = true;
-            break;
-        }
-        if buffer.phase() == PlayerPhase::StartUp
-            && now.duration_since(config.start_time) > patience.max_startup_wait
-        {
+        if patience.gives_up(&buffer, now.duration_since(config.start_time)) {
             abandoned = true;
             break;
         }
@@ -138,17 +131,7 @@ pub fn simulate_dash(
         now = last_end + Duration::from_secs_f64(gap);
     }
 
-    let outcome = buffer.finish(now);
-    let ground_truth = GroundTruth {
-        stalls: outcome.stalls,
-        startup_delay: outcome.startup_delay,
-        playback_started: outcome.playback_started,
-        media_played: outcome.media_played,
-        session_end: outcome.session_end,
-        abandoned,
-        segment_resolutions,
-    };
-    (chunks, ground_truth)
+    (chunks, buffer.finish(now, abandoned, segment_resolutions))
 }
 
 #[cfg(test)]

@@ -45,6 +45,6 @@ pub use buffer::{PlayerPhase, PlayoutBuffer, StallEvent};
 pub use catalog::{Itag, VideoMeta, AUDIO_BITRATE_BPS, LADDER};
 pub use profile::StreamingProfile;
 pub use session::{
-    simulate_session, ChunkRecord, ContentType, Delivery, GroundTruth, SessionConfig, SessionTrace,
-    TransportSummary,
+    rebuffering_ratio, simulate_session, ChunkRecord, ContentType, Delivery, GroundTruth,
+    SessionConfig, SessionTrace, TransportSummary,
 };

@@ -94,15 +94,7 @@ pub fn simulate_progressive(
     let mut abandoned = false;
 
     while media_pos < total_media - 1e-9 {
-        // Abandonment checks against what has already been endured.
-        let stalled_so_far: Duration = buffer.stalls().iter().map(|s| s.duration).sum();
-        if stalled_so_far > patience.max_total_stall {
-            abandoned = true;
-            break;
-        }
-        if buffer.phase() == PlayerPhase::StartUp
-            && now.duration_since(config.start_time) > patience.max_startup_wait
-        {
+        if patience.gives_up(&buffer, now.duration_since(config.start_time)) {
             abandoned = true;
             break;
         }
@@ -159,21 +151,12 @@ pub fn simulate_progressive(
         now = result.stats.end + Duration::from_secs_f64(gap);
     }
 
-    let outcome = buffer.finish(now);
-    let ground_truth = GroundTruth {
-        stalls: outcome.stalls,
-        startup_delay: outcome.startup_delay,
-        playback_started: outcome.playback_started,
-        media_played: outcome.media_played,
-        session_end: outcome.session_end,
-        abandoned,
-        segment_resolutions: chunks
-            .iter()
-            .filter(|c| c.content_type == ContentType::Video)
-            .map(|_| itag.resolution())
-            .collect(),
-    };
-    (chunks, ground_truth)
+    let segment_resolutions = chunks
+        .iter()
+        .filter(|c| c.content_type == ContentType::Video)
+        .map(|_| itag.resolution())
+        .collect();
+    (chunks, buffer.finish(now, abandoned, segment_resolutions))
 }
 
 #[cfg(test)]

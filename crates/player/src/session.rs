@@ -9,7 +9,7 @@
 //! end-to-end through the configured delivery mechanism.
 
 use crate::abr::AbrKind;
-use crate::buffer::StallEvent;
+use crate::buffer::{PlayerPhase, PlayoutBuffer, StallEvent};
 use crate::catalog::{Itag, VideoMeta};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -142,14 +142,12 @@ impl GroundTruth {
         self.stalls.iter().map(|s| s.duration).sum()
     }
 
-    /// Rebuffering Ratio (eq. 1): stall time over total session time
-    /// (playback + stalls).
+    /// Rebuffering Ratio (eq. 1) of the stall events over playback +
+    /// stalls: [`rebuffering_ratio`].
     pub fn rebuffering_ratio(&self) -> f64 {
-        let denom = (self.media_played + self.total_stall_time()).as_secs_f64();
-        if denom <= 0.0 {
-            return if self.stalls.is_empty() { 0.0 } else { 1.0 };
-        }
-        self.total_stall_time().as_secs_f64() / denom
+        let stalled = self.total_stall_time();
+        let total = (self.media_played + stalled).as_secs_f64();
+        rebuffering_ratio(stalled.as_secs_f64(), total, !self.stalls.is_empty())
     }
 
     /// Number of representation switches F (§4.3): count of consecutive
@@ -188,6 +186,16 @@ impl GroundTruth {
             .sum::<f64>()
             / self.segment_resolutions.len() as f64
     }
+}
+
+/// Rebuffering Ratio (eq. 1): `stalled` seconds over the `total`
+/// seconds of the session (playback + stalls). A session with no time
+/// at all reads 1 if it stalled (`any_stall`), else 0.
+pub fn rebuffering_ratio(stalled: f64, total: f64, any_stall: bool) -> f64 {
+    if total <= 0.0 {
+        return if any_stall { 1.0 } else { 0.0 };
+    }
+    stalled / total
 }
 
 /// Configuration of one simulated session.
@@ -250,6 +258,15 @@ impl Patience {
             max_total_stall: Duration::from_secs_f64(stall_secs),
             max_startup_wait: Duration::from_secs(35),
         }
+    }
+
+    /// Whether the viewer abandons now, `waited` into the session: after
+    /// more cumulative stalling than they tolerate, or, before the first
+    /// frame, after waiting longer than they will for it.
+    pub fn gives_up(&self, buffer: &PlayoutBuffer, waited: Duration) -> bool {
+        let stalled: Duration = buffer.stalls().iter().map(|s| s.duration).sum();
+        stalled > self.max_total_stall
+            || (buffer.phase() == PlayerPhase::StartUp && waited > self.max_startup_wait)
     }
 }
 

@@ -20,7 +20,7 @@
 //! correlated — not i.i.d. — conditions, which is what lets the paper's
 //! session-level summary features carry signal.
 
-use crate::rng::SeedSequence;
+use crate::rng::{standard_normal, SeedSequence};
 use crate::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -331,7 +331,7 @@ impl RadioChannel {
     fn draw_conditions(&mut self) {
         let p = *self.params();
         // Lognormal capacity draw centred on the state mean.
-        let z = sample_standard_normal(&mut self.rng);
+        let z = standard_normal(&mut self.rng);
         self.dwell_capacity_bps = p.mean_capacity_bps * (z * p.capacity_sigma).exp();
         // Sporadic cross-traffic loss, state-independent: the cellular
         // link layer (RLC/HARQ) hides radio loss from TCP, so the
@@ -452,13 +452,6 @@ fn sample_categorical(rng: &mut StdRng, probs: &[f64; 5], total: f64) -> RadioSt
     ALL_STATES[hits.trailing_zeros() as usize]
 }
 
-/// Box–Muller standard normal.
-fn sample_standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,7 +519,7 @@ mod tests {
             let dwell = p.mean_dwell.mul_f64(-u.ln());
             let dwell_us = dwell.as_micros().clamp(500_000, 600_000_000);
             self.dwell_until = self.now + Duration(dwell_us);
-            let z = sample_standard_normal(&mut self.rng);
+            let z = standard_normal(&mut self.rng);
             self.dwell_capacity_bps = p.mean_capacity_bps * (z * p.capacity_sigma).exp();
             self.dwell_extra_loss = if self.rng.gen_bool(0.3) {
                 let u: f64 = self.rng.gen_range(1e-9..1.0);

@@ -8,7 +8,7 @@
 //! can never collide into identical child streams.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use vqoe_stats::splitmix64;
 
 /// Derives independent child RNGs from one master seed.
@@ -53,6 +53,14 @@ impl SeedSequence {
         );
         StdRng::seed_from_u64(seed)
     }
+}
+
+/// One standard normal draw (Box–Muller), consuming two uniforms from
+/// `rng`: the normal sampler every simulator stream shares.
+pub fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(1e-12..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

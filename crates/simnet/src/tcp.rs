@@ -33,6 +33,7 @@
 //! shows after a stall).
 
 use crate::channel::RadioChannel;
+use crate::rng::standard_normal;
 use crate::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -370,12 +371,7 @@ impl TcpConnection {
         // instead of the chunk-size dynamics the paper found dominant
         // (§4.1, Table 2). One lognormal factor per quantity family
         // keeps each family internally consistent (min ≤ mean ≤ max).
-        let mut measure = |sigma: f64| {
-            let u1: f64 = rng.gen_range(1e-12..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            (z * sigma).exp()
-        };
+        let mut measure = |sigma: f64| (standard_normal(rng) * sigma).exp();
         let rtt_factor = measure(0.30);
         stats.rtt_min *= rtt_factor;
         stats.rtt_mean *= rtt_factor;

@@ -6,7 +6,7 @@
 //! rate r) and tell me when the bytes arrived and what the transport saw"*.
 
 use crate::channel::{RadioChannel, Scenario};
-use crate::rng::SeedSequence;
+use crate::rng::{standard_normal, SeedSequence};
 use crate::tcp::{TcpConfig, TcpConnection, TransferStats};
 use crate::time::{Duration, Instant};
 use rand::rngs::StdRng;
@@ -60,12 +60,7 @@ impl TransferEngine {
         use rand::Rng;
         config.server_delay_mean = Duration::from_millis(rng.gen_range(8..80));
         let first_fetch_extra = Duration::from_millis(rng.gen_range(20..600));
-        let mut lognormal = |sigma: f64| {
-            let u1: f64 = rng.gen_range(1e-12..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            (z * sigma).exp()
-        };
+        let mut lognormal = |sigma: f64| (standard_normal(&mut rng) * sigma).exp();
         let bias_rtt = lognormal(0.25);
         let bias_bdp = lognormal(0.45);
         let bias_bif = lognormal(0.35);

@@ -76,14 +76,11 @@ impl ExtractedSession {
         seq.iter().map(|&r| r as f64).sum::<f64>() / seq.len() as f64
     }
 
-    /// Rebuffering Ratio from the report totals (eq. 1): stalled time
-    /// over played + stalled time.
+    /// Rebuffering Ratio (eq. 1) of the report totals, stalled over
+    /// played + stalled time: [`vqoe_player::rebuffering_ratio`].
     pub fn rebuffering_ratio(&self) -> f64 {
-        let denom = self.playhead_secs + self.stall_secs;
-        if denom <= 0.0 {
-            return if self.stall_count > 0 { 1.0 } else { 0.0 };
-        }
-        self.stall_secs / denom
+        let total = self.playhead_secs + self.stall_secs;
+        vqoe_player::rebuffering_ratio(self.stall_secs, total, self.stall_count > 0)
     }
 
     /// Whether the viewer abandoned the video (final state not "ended").
@@ -104,18 +101,24 @@ pub fn extract_sessions(entries: &[WeblogEntry]) -> Vec<ExtractedSession> {
         let Some(uri_str) = e.uri.as_deref() else {
             continue;
         };
-        if let Some(p) = uri::parse_videoplayback(uri_str) {
-            let session = sessions.entry(p.session_id.clone()).or_insert_with(|| {
-                order.push(p.session_id.clone());
-                ExtractedSession {
-                    session_id: p.session_id.clone(),
-                    chunks: Vec::new(),
-                    stall_count: 0,
-                    stall_secs: 0.0,
-                    final_state: String::new(),
-                    playhead_secs: 0.0,
-                }
-            });
+        let chunk = uri::parse_videoplayback(uri_str);
+        let report = uri::parse_stats_report(uri_str);
+        let id = chunk.as_ref().map(|p| &p.session_id);
+        let Some(id) = id.or(report.as_ref().map(|r| &r.session_id)) else {
+            continue;
+        };
+        let session = sessions.entry(id.clone()).or_insert_with(|| {
+            order.push(id.clone());
+            ExtractedSession {
+                session_id: id.clone(),
+                chunks: Vec::new(),
+                stall_count: 0,
+                stall_secs: 0.0,
+                final_state: String::new(),
+                playhead_secs: 0.0,
+            }
+        });
+        if let Some(p) = chunk {
             session.chunks.push(ExtractedChunk {
                 timestamp: e.timestamp,
                 arrival: e.arrival_time(),
@@ -128,18 +131,8 @@ pub fn extract_sessions(entries: &[WeblogEntry]) -> Vec<ExtractedSession> {
                 itag: Itag::from_itag_code(p.itag_code),
                 sq: p.sq,
             });
-        } else if let Some(r) = uri::parse_stats_report(uri_str) {
-            let session = sessions.entry(r.session_id.clone()).or_insert_with(|| {
-                order.push(r.session_id.clone());
-                ExtractedSession {
-                    session_id: r.session_id.clone(),
-                    chunks: Vec::new(),
-                    stall_count: 0,
-                    stall_secs: 0.0,
-                    final_state: String::new(),
-                    playhead_secs: 0.0,
-                }
-            });
+        }
+        if let Some(r) = report {
             // Reports are cumulative: keep the latest by timestamp.
             let is_newer = last_report_ts
                 .get(&r.session_id)
@@ -174,6 +167,7 @@ mod tests {
     use vqoe_player::{simulate_session, AbrKind, Delivery, SessionConfig};
     use vqoe_simnet::channel::Scenario;
     use vqoe_simnet::rng::SeedSequence;
+    use vqoe_simnet::time::Duration;
 
     fn captured(idx: u64, scenario: Scenario) -> (vqoe_player::SessionTrace, Vec<WeblogEntry>) {
         let seeds = SeedSequence::new(808);
@@ -237,6 +231,23 @@ mod tests {
             }
         }
         panic!("no stalled commuting session in 40 tries");
+    }
+
+    #[test]
+    fn a_malformed_later_report_keeps_the_last_valid_one() {
+        let (_, mut entries) = captured(2, Scenario::StaticHome);
+        let valid = extract_sessions(&entries);
+        let mut bad = entries
+            .iter()
+            .rfind(|e| uri::parse_stats_report(e.uri.as_deref().unwrap_or("")).is_some())
+            .expect("cleartext sessions carry playback reports")
+            .clone();
+        let mut report = uri::parse_stats_report(bad.uri.as_deref().unwrap_or("")).unwrap();
+        report.stall_secs = f64::NAN;
+        bad.uri = Some(uri::encode_stats_report(&report));
+        bad.timestamp += Duration::from_secs(1);
+        entries.push(bad);
+        assert_eq!(extract_sessions(&entries), valid);
     }
 
     #[test]

@@ -246,6 +246,16 @@ pub struct StreamHealth {
 }
 
 impl StreamHealth {
+    /// Quarantine `e` for `kind`: count it and record the anomaly.
+    pub fn quarantine(&mut self, e: &WeblogEntry, kind: AnomalyKind, log: &mut AnomalyLog) {
+        self.entries_quarantined += 1;
+        log.record(IngestAnomaly {
+            subscriber_id: e.subscriber_id,
+            timestamp: e.timestamp,
+            kind,
+        });
+    }
+
     /// Fold another counter set into this one. Every counter is a
     /// monotone sum, so per-shard healths merge into exactly the
     /// numbers a sequential run over the union stream would report.
@@ -408,12 +418,7 @@ impl RobustReassembler {
         anomalies: &mut AnomalyLog,
     ) -> Vec<ReassembledSession> {
         if let Some(kind) = validate_entry(e, &self.cfg) {
-            health.entries_quarantined += 1;
-            anomalies.record(IngestAnomaly {
-                subscriber_id: e.subscriber_id,
-                timestamp: e.timestamp,
-                kind,
-            });
+            health.quarantine(e, kind, anomalies);
             return Vec::new();
         }
         if !e.is_service_host() {
@@ -426,12 +431,7 @@ impl RobustReassembler {
         }
         if let Some(w) = self.watermark {
             if w.duration_since(e.timestamp) > self.cfg.reorder_window {
-                health.entries_quarantined += 1;
-                anomalies.record(IngestAnomaly {
-                    subscriber_id: e.subscriber_id,
-                    timestamp: e.timestamp,
-                    kind: AnomalyKind::LateArrival,
-                });
+                health.quarantine(e, AnomalyKind::LateArrival, anomalies);
                 return Vec::new();
             }
         }

@@ -107,11 +107,17 @@ pub fn parse_stats_report(uri: &str) -> Option<PlaybackReport> {
     let kv = parse_query(query);
     Some(PlaybackReport {
         session_id: kv.get("cpn")?.to_string(),
-        playhead_secs: kv.get("cmt")?.parse().ok()?,
+        playhead_secs: parse_secs(kv.get("cmt")?)?,
         stall_count: kv.get("bc")?.parse().ok()?,
-        stall_secs: kv.get("bt")?.parse().ok()?,
+        stall_secs: parse_secs(kv.get("bt")?)?,
         state: kv.get("state")?.to_string(),
     })
+}
+
+/// A report's seconds value: finite and non-negative, or the report is
+/// malformed (a NaN or negative stall time would poison eq. 1).
+fn parse_secs(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v: &f64| v.is_finite() && *v >= 0.0)
 }
 
 fn parse_query(query: &str) -> std::collections::HashMap<&str, &str> {
@@ -208,6 +214,25 @@ mod tests {
         assert!((back.stall_secs - 7.5).abs() < 1e-9);
         assert!((back.playhead_secs - 63.25).abs() < 1e-9);
         assert_eq!(back.state, "playing");
+    }
+
+    #[test]
+    fn stats_report_rejects_non_finite_or_negative_seconds() {
+        for (cmt, bt) in [
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+            (1.0, -1.0),
+            (f64::NAN, 0.0),
+        ] {
+            let uri = encode_stats_report(&PlaybackReport {
+                session_id: "AbCdEfGhIjKlMnOp".to_string(),
+                playhead_secs: cmt,
+                stall_count: 1,
+                stall_secs: bt,
+                state: "playing".to_string(),
+            });
+            assert_eq!(parse_stats_report(&uri), None, "{uri}");
+        }
     }
 
     #[test]

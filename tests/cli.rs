@@ -116,6 +116,98 @@ fn full_pipeline_runs_and_produces_consistent_files() {
 }
 
 #[test]
+fn damaged_model_files_are_rejected() {
+    use vqoe_core::QoeMonitor;
+    let dir = workdir("damaged");
+    run(
+        &dir,
+        &[
+            "generate",
+            "--kind",
+            "encrypted",
+            "--sessions",
+            "2",
+            "--seed",
+            "4",
+            "--out",
+            "traces.jsonl",
+        ],
+    );
+    run(
+        &dir,
+        &[
+            "capture",
+            "--traces",
+            "traces.jsonl",
+            "--encrypted",
+            "--out",
+            "weblogs.jsonl",
+        ],
+    );
+    run(
+        &dir,
+        &[
+            "train",
+            "--cleartext",
+            "60",
+            "--adaptive",
+            "40",
+            "--seed",
+            "5",
+            "--out",
+            "model.json",
+        ],
+    );
+    let json = std::fs::read_to_string(dir.join("model.json")).unwrap();
+    let trained = QoeMonitor::from_json(&json).expect("a trained model loads");
+    assert_eq!(trained.to_json().unwrap(), json);
+
+    // The first leaf with its first class probability cut out.
+    let probs = json.find("\"probs\":[").unwrap() + "\"probs\":[".len();
+    let comma = probs + json[probs..].find(',').unwrap();
+    let mut short_leaf = json.clone();
+    short_leaf.replace_range(probs..=comma, "");
+    let damaged = [
+        (
+            "selected index 999",
+            json.replacen("\"selected_indices\":[", "\"selected_indices\":[999,", 1),
+        ),
+        // Every root's left child is node 1; 0 is the root itself.
+        (
+            "root's left child 0",
+            json.replacen("\"left\":1,", "\"left\":0,", 1),
+        ),
+        ("short leaf", short_leaf),
+    ];
+    for (what, text) in damaged {
+        assert_ne!(text, json, "{what}: the damage must apply");
+        assert!(QoeMonitor::from_json(&text).is_err(), "{what} loads");
+        std::fs::write(dir.join("damaged.json"), &text).unwrap();
+        for command in ["assess", "replay"] {
+            let out = vqoe()
+                .current_dir(&dir)
+                .args([
+                    command,
+                    "--model",
+                    "damaged.json",
+                    "--weblogs",
+                    "weblogs.jsonl",
+                ])
+                .args(["--out", "out.jsonl"])
+                .output()
+                .expect("spawn vqoe");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{what}, {command}: {stderr}");
+            assert!(
+                stderr.contains("parse model JSON"),
+                "{what}, {command}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cleartext_ground_truth_extraction_via_cli() {
     let dir = workdir("gt");
     run(

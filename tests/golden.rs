@@ -135,7 +135,7 @@ fn ingest_report_matches_the_golden_fingerprint() {
     for e in &tap {
         assessments.extend(online.ingest(e));
     }
-    assessments.extend(online.finish());
+    assessments.extend(online.into_report().assessments);
 
     for tier in [
         Fidelity::Full,

@@ -61,13 +61,20 @@ fn measure(seed: u64) -> Shape {
             .map(|&y| usize::from(y != StallClass::NoStalls.index()))
             .collect(),
     );
-    let binary_cv = cross_validate(&binary, 10, ForestConfig::default(), true, 7);
+    let binary_cv = cross_validate(
+        &binary,
+        10,
+        ForestConfig::default(),
+        true,
+        7,
+        TrainConfig::sequential(),
+    );
 
     let selected = &representation.selected;
     Shape {
         stall_recall: [0, 1, 2].map(|c| stall.cv_matrix.tp_rate(c)),
         stall_accuracy: stall.cv_matrix.accuracy(),
-        binary_accuracy: binary_cv.accuracy(),
+        binary_accuracy: binary_cv.matrix.accuracy(),
         size_derived: (
             selected.iter().filter(|r| r.name.contains("size")).count(),
             selected.len(),
