@@ -1,16 +1,19 @@
 //! Alerting glue: wire the std-only [`vqoe_obs::AlertEngine`] to the
-//! CUSUM drift backend in `vqoe-changedet`, and provide the default
-//! rule set for the online assessor's built-in series.
+//! CUSUM drift backend in `vqoe-changedet`, provide the default rule
+//! set, and sample the streaming assessor's built-in series.
 //!
 //! The obs crate stays dependency-free by accepting drift detection as
 //! an injected function pointer ([`vqoe_obs::DriftFn`]); this module is
-//! where the injection happens. The three series the assessor samples —
-//! `shed_rate`, `anomaly_rate`, `queue_depth` (the number of tracked
-//! subscribers) — are documented on
-//! [`crate::OnlineAssessor::with_alerts`].
+//! where the injection happens. [`AlertSampler`] rides beside an
+//! [`OnlineAssessor`] and turns its monotone tallies into the three
+//! per-window series — `shed_rate`, `anomaly_rate`, `queue_depth` (the
+//! number of tracked subscribers) — so the assessor itself holds no
+//! alert state.
 
 use vqoe_changedet::drift_alarm;
-use vqoe_obs::{AlertEngine, AlertRule, AlertSeverity, RuleKind};
+use vqoe_obs::{Alert, AlertEngine, AlertRule, AlertSeverity, RuleKind};
+
+use crate::online::OnlineAssessor;
 
 /// Default sampling cadence for the alert series: one sample per this
 /// many ingested records. Chosen so the overload-sweep corpora produce
@@ -38,6 +41,78 @@ pub fn default_alert_rules() -> Vec<AlertRule> {
             kind: RuleKind::Drift { h_sigmas: 4.0 },
         })
         .collect()
+}
+
+/// Samples an [`OnlineAssessor`]'s built-in series into an
+/// [`AlertEngine`] once per `window_records` ingested records:
+/// `shed_rate` (shed events this window), `anomaly_rate` (quarantines
+/// this window) and `queue_depth` (the subscribers tracked at the
+/// boundary; the name stays because rule files use it). Windows are
+/// measured on the assessor's record clock, so the samples, and thus
+/// the alerts, are deterministic; every window gets its sample, also
+/// when the record that closes it is screened out or refused.
+///
+/// Call [`AlertSampler::observe`] after every
+/// [`OnlineAssessor::ingest`] and [`AlertSampler::finish`] before
+/// [`OnlineAssessor::into_report`]. The assessor is only read, so its
+/// assessments are bit-identical with or without a sampler.
+#[derive(Debug, Clone)]
+pub struct AlertSampler {
+    engine: AlertEngine,
+    window_records: u64,
+    /// Shed-log total at the last window boundary.
+    last_shed_total: u64,
+    /// Anomaly-log total at the last window boundary.
+    last_anomaly_total: u64,
+}
+
+impl AlertSampler {
+    /// A sampler for `online`, whose first window counts from the
+    /// tallies `online` holds now: a restored assessor's sheds and
+    /// quarantines from before the cut stay out of it.
+    pub fn new(engine: AlertEngine, window_records: u64, online: &OnlineAssessor) -> Self {
+        AlertSampler {
+            engine,
+            window_records: window_records.max(1),
+            last_shed_total: online.shed_log().total(),
+            last_anomaly_total: online.anomalies().total(),
+        }
+    }
+
+    /// Sample the window that `online`'s last ingested record closed,
+    /// if it closed one.
+    pub fn observe(&mut self, online: &OnlineAssessor) {
+        if online.records_ingested() % self.window_records == 0 {
+            self.sample(online);
+        }
+    }
+
+    /// Sample the trailing partial window, so sheds after the last
+    /// boundary still feed the rules, and evaluate the rules over the
+    /// completed series.
+    pub fn finish(mut self, online: &OnlineAssessor) -> Vec<Alert> {
+        if online.records_ingested() % self.window_records != 0 {
+            self.sample(online);
+        }
+        self.engine.finish()
+    }
+
+    fn sample(&mut self, online: &OnlineAssessor) {
+        let shed_total = online.shed_log().total();
+        let anomaly_total = online.anomalies().total();
+        self.engine.push_sample(
+            "shed_rate",
+            shed_total.saturating_sub(self.last_shed_total) as f64,
+        );
+        self.engine.push_sample(
+            "anomaly_rate",
+            anomaly_total.saturating_sub(self.last_anomaly_total) as f64,
+        );
+        self.engine
+            .push_sample("queue_depth", online.tracked_subscribers() as f64);
+        self.last_shed_total = shed_total;
+        self.last_anomaly_total = anomaly_total;
+    }
 }
 
 #[cfg(test)]

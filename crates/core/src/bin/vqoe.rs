@@ -28,21 +28,22 @@
 //! ```
 //!
 //! `assess` runs the streaming assessor, `replay` the sharded engine;
-//! their assessments are bit-identical. Both sniff `--weblogs`: a packed
-//! [`BinaryCorpus`] replays without serde on the hot path.
+//! their assessments are bit-identical. Both sniff `--weblogs` and
+//! accept JSONL or a packed [`BinaryCorpus`]; either way the whole file
+//! is decoded into memory and re-sorted into tap order before the run.
 
 use std::path::{Path, PathBuf};
 
 use rand::SeedableRng;
 use vqoe_core::{
     generate_sequential_traces, generate_traces, standard_alert_engine, AdmissionPolicy,
-    BudgetConfig, DatasetSpec, EngineConfig, Fidelity, IngestPipeline, IngestReport,
+    AlertSampler, BudgetConfig, DatasetSpec, EngineConfig, Fidelity, IngestPipeline, IngestReport,
     OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, TrainConfig, TrainingConfig,
     ALERT_WINDOW_RECORDS,
 };
 use vqoe_obs::{
-    buckets, parse_rules, AlertSeverity, Clock, Histogram, MetricClass, Registry, ReportLevel,
-    Reporter, StageSpan, TraceConfig,
+    buckets, parse_rules, Alert, AlertSeverity, Clock, Histogram, MetricClass, Registry,
+    ReportLevel, Reporter, StageSpan, TraceConfig,
 };
 use vqoe_player::SessionTrace;
 use vqoe_simnet::time::Instant;
@@ -281,8 +282,9 @@ fn jsonl_size(entries: &[WeblogEntry]) -> usize {
 }
 
 /// Read weblogs for `assess` and `replay`, sniffing the on-disk format:
-/// a packed [`BinaryCorpus`] decodes straight from its byte buffer (no
-/// serde on the replay hot path); anything else parses as JSONL.
+/// a packed [`BinaryCorpus`] decodes from its byte buffer without JSON
+/// parsing; anything else parses as JSONL. Both yield every entry at
+/// once, which [`run_tap`] then sorts.
 fn read_weblogs(path: &Path) -> Vec<WeblogEntry> {
     let bytes = std::fs::read(path).unwrap_or_else(die(path));
     if BinaryCorpus::sniff(&bytes) {
@@ -463,13 +465,13 @@ fn train(flags: &Flags) -> Result<(), String> {
     let out = flags.path("out")?;
     // `--workers 0` (the default) auto-sizes the training fan-out; any
     // count produces the byte-identical model.
-    let config = TrainingConfig::builder()
-        .cleartext_sessions(flags.num("cleartext", 4000usize)?)
-        .adaptive_sessions(flags.num("adaptive", 1500usize)?)
-        .seed(flags.num("seed", 2016u64)?)
-        .workers(flags.num("workers", 0usize)?)
-        .build()
-        .map_err(|e| format!("invalid training config: {e}"))?;
+    let config = TrainingConfig {
+        cleartext_sessions: flags.positive("cleartext", 4000, "count")?,
+        adaptive_sessions: flags.positive("adaptive", 1500, "count")?,
+        seed: flags.num("seed", 2016)?,
+        train: TrainConfig::with_workers(flags.num("workers", 0)?),
+        ..TrainingConfig::default()
+    };
     let report = reporter(flags);
     report.normal(&format!(
         "training on {} cleartext + {} adaptive sessions (seed {}, {} workers) ...",
@@ -550,9 +552,9 @@ fn assess(flags: &Flags) -> Result<(), String> {
         if let Some(m) = metrics {
             online = online.with_metrics(m.clone());
         }
-        if let Some(rules) = alert_rules {
-            online = online.with_alerts(standard_alert_engine(rules), ALERT_WINDOW_RECORDS);
-        }
+        let mut sampler = alert_rules.map(|rules| {
+            AlertSampler::new(standard_alert_engine(rules), ALERT_WINDOW_RECORDS, &online)
+        });
         let write_checkpoint = |online: &OnlineAssessor, path: &str| {
             let ck = if metrics.is_some() {
                 online.checkpoint_with_metrics(registry)
@@ -575,6 +577,9 @@ fn assess(flags: &Flags) -> Result<(), String> {
         let mut assessments = Vec::new();
         for e in entries.iter().skip(skip as usize) {
             assessments.extend(online.ingest(e));
+            if let Some(s) = &mut sampler {
+                s.observe(&online);
+            }
             if online.records_ingested() == checkpoint_at {
                 if let Some(p) = pending.take() {
                     write_checkpoint(&online, p);
@@ -584,10 +589,11 @@ fn assess(flags: &Flags) -> Result<(), String> {
         if let Some(p) = pending {
             write_checkpoint(&online, p);
         }
+        let alerts = sampler.map_or_else(Vec::new, |s| s.finish(&online));
         let mut report = online.into_report();
         assessments.extend(std::mem::take(&mut report.assessments));
         report.assessments = assessments;
-        report
+        (report, alerts)
     })
 }
 
@@ -607,7 +613,7 @@ fn replay(flags: &Flags) -> Result<(), String> {
         }
         // Tracing records the engine's spans, ingest through reduce.
         let Some(p) = flags.get("trace") else {
-            return pipeline.assess(entries);
+            return (pipeline.assess(entries), Vec::new());
         };
         let (report, trace) = pipeline.assess_traced(entries, TraceConfig::default());
         std::fs::write(p, trace.to_chrome_json()).unwrap_or_else(die(Path::new(p)));
@@ -619,7 +625,7 @@ fn replay(flags: &Flags) -> Result<(), String> {
             trace.events().len(),
             trace.dropped()
         ));
-        report
+        (report, Vec::new())
     })
 }
 
@@ -627,7 +633,8 @@ fn replay(flags: &Flags) -> Result<(), String> {
 /// (so an `Err` comes before any file is read), reads the model and
 /// the weblogs, puts them in tap order and injects the chaos, runs
 /// `pipeline` (handed the metrics registry and, with `--metrics`, the
-/// pipeline metrics on it), then writes the assessments and reports.
+/// pipeline metrics on it), then writes the assessments and reports,
+/// with the alerts `pipeline` raised.
 fn run_tap(
     flags: &Flags,
     pipeline: impl FnOnce(
@@ -635,7 +642,7 @@ fn run_tap(
         &[WeblogEntry],
         &Registry,
         Option<&PipelineMetrics>,
-    ) -> IngestReport,
+    ) -> (IngestReport, Vec<Alert>),
 ) -> Result<(), String> {
     let model_path = flags.path("model")?;
     let weblogs = flags.path("weblogs")?;
@@ -713,7 +720,7 @@ fn run_tap(
     }
 
     let assess_span = StageSpan::start(&wall, &assess_hist);
-    let report = pipeline(monitor, &entries, &registry, metrics.as_ref());
+    let (report, alerts) = pipeline(monitor, &entries, &registry, metrics.as_ref());
     assess_span.finish();
     let assessments = &report.assessments;
 
@@ -773,7 +780,7 @@ fn run_tap(
     }
     // Fired alerts: critical ones are summary-level (an operator
     // running with defaults must see them), warnings are detail.
-    for alert in &report.alerts {
+    for alert in &alerts {
         let line = format!("alert: {}", alert.message);
         match alert.severity {
             AlertSeverity::Critical => report_to.normal(&line),

@@ -342,7 +342,6 @@ fn reduce(
         // concern. An empty log with the same cap keeps engine reports
         // comparable (and equal, unbudgeted) to streaming reports.
         shed: ShedLog::new(cap),
-        alerts: Vec::new(),
     };
     // The run's one publication, from the reduced report's tallies.
     if let Some(m) = &pipeline.metrics {

@@ -60,10 +60,11 @@
 //! parallel driver behind [`IngestPipeline::assess`]), [`online`] (the
 //! streaming driver), [`digest`] (bounded-memory per-session digests
 //! behind the sketched tier). Both drivers run one private subscriber
-//! machine, so they cannot drift apart.
+//! machine, so they cannot drift apart. [`alerting`] samples the
+//! streaming driver's load series into the alert rules from outside it.
 //!
-//! Downstream code that just wants "the monitor and friends" can
-//! `use vqoe_core::prelude::*;`.
+//! The operator API is re-exported at the crate root; weblog records
+//! and session views come from `vqoe-telemetry` and `vqoe-features`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,7 +87,9 @@ pub mod subscribe;
 pub mod switch_pipeline;
 pub mod weblog_training;
 
-pub use alerting::{default_alert_rules, standard_alert_engine, ALERT_WINDOW_RECORDS};
+pub use alerting::{
+    default_alert_rules, standard_alert_engine, AlertSampler, ALERT_WINDOW_RECORDS,
+};
 pub use avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
 pub use digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 pub use encrypted::{EncryptedEvalConfig, EncryptedWorld};
@@ -94,10 +97,7 @@ pub use engine::{shard_of, EngineConfig};
 pub use forest_model::{train_detector, ForestModel, TrainingReport};
 pub use generate::{generate_sequential_traces, generate_traces};
 pub use metrics::PipelineMetrics;
-pub use monitor::{
-    ConfigError, Fidelity, ModelFit, QoeMonitor, SessionAssessment, TrainStage, TrainingConfig,
-    TrainingConfigBuilder,
-};
+pub use monitor::{Fidelity, ModelFit, QoeMonitor, SessionAssessment, TrainStage, TrainingConfig};
 pub use online::{
     AdmissionPolicy, BudgetConfig, IngestReport, OnlineAssessor, OnlineCheckpoint, RestoreError,
     ShardCheckpoint, ShedEvent, ShedLog, ShedReason, ShedReasonCounts, CHECKPOINT_VERSION,
@@ -110,23 +110,3 @@ pub use switch_pipeline::{SwitchCalibrationReport, SwitchEvalReport, SwitchModel
 pub use vqoe_features::{FeatureSpace, RepresentationSpace, StallSpace};
 pub use vqoe_ml::TrainConfig;
 pub use weblog_training::{capture_cleartext_corpus, labelled_weblogs, sessions_from_weblogs};
-
-/// The one-stop import for operating the monitor: train, assess
-/// (batch, parallel or streaming), inspect health.
-pub mod prelude {
-    pub use crate::engine::EngineConfig;
-    pub use crate::metrics::PipelineMetrics;
-    pub use crate::monitor::{
-        ConfigError, Fidelity, QoeMonitor, SessionAssessment, TrainingConfig, TrainingConfigBuilder,
-    };
-    pub use crate::online::{
-        AdmissionPolicy, BudgetConfig, IngestReport, OnlineAssessor, OnlineCheckpoint,
-        RestoreError, ShedLog, ShedReason,
-    };
-    pub use crate::qoe_score::QoeScore;
-    pub use crate::subscribe::{IngestPipeline, SubscriptionSet};
-    pub use crate::{RepresentationModel, StallModel, SwitchModel};
-    pub use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
-    pub use vqoe_ml::TrainConfig;
-    pub use vqoe_telemetry::{BinaryCorpus, BinlogError, IngestConfig, StreamHealth, WeblogEntry};
-}

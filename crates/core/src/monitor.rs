@@ -6,8 +6,6 @@
 //! issues in real time" (§8) — no client instrumentation, a single
 //! vantage point, encryption-proof.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use vqoe_changedet::SwitchScoreConfig;
 use vqoe_features::{
@@ -30,9 +28,9 @@ use crate::switch_pipeline::{SwitchCalibrationReport, SwitchModel};
 
 /// End-to-end training configuration.
 ///
-/// Construct it through [`TrainingConfig::builder`], which validates
-/// the spec and returns a typed [`ConfigError`]; a struct literal skips
-/// that check and may panic in training (see [`ModelFit::run`]).
+/// Build it as a struct literal over [`TrainingConfig::default`].
+/// Training panics on an empty adaptive corpus (see [`ModelFit::run`]);
+/// `vqoe train` rejects a zero corpus size before it trains.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainingConfig {
     /// Cleartext corpus size for the stall model (progressive-heavy mix).
@@ -58,87 +56,6 @@ impl Default for TrainingConfig {
             switch_scoring: SwitchScoreConfig::default(),
             train: TrainConfig::sequential(),
         }
-    }
-}
-
-impl TrainingConfig {
-    /// Start building a validated training configuration.
-    pub fn builder() -> TrainingConfigBuilder {
-        TrainingConfigBuilder {
-            config: TrainingConfig::default(),
-        }
-    }
-}
-
-/// Why a [`TrainingConfigBuilder`] rejected its spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The cleartext corpus would be empty — nothing to train the
-    /// stall model on.
-    ZeroCleartextSessions,
-    /// The adaptive corpus would be empty — nothing to train the
-    /// representation model on or calibrate the switch threshold with.
-    ZeroAdaptiveSessions,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::ZeroCleartextSessions => {
-                write!(f, "cleartext_sessions must be at least 1")
-            }
-            ConfigError::ZeroAdaptiveSessions => {
-                write!(f, "adaptive_sessions must be at least 1")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Validating builder for [`TrainingConfig`]; see
-/// [`TrainingConfig::builder`].
-#[derive(Debug, Clone, Copy)]
-pub struct TrainingConfigBuilder {
-    config: TrainingConfig,
-}
-
-impl TrainingConfigBuilder {
-    /// Cleartext corpus size for the stall model.
-    pub fn cleartext_sessions(mut self, n: usize) -> Self {
-        self.config.cleartext_sessions = n;
-        self
-    }
-
-    /// Adaptive corpus size for the representation and switch models.
-    pub fn adaptive_sessions(mut self, n: usize) -> Self {
-        self.config.adaptive_sessions = n;
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Worker threads for the training fan-out (`0` = auto, `1` =
-    /// sequential). The trained models are byte-identical either way.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.train = TrainConfig::with_workers(workers);
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<TrainingConfig, ConfigError> {
-        let c = &self.config;
-        if c.cleartext_sessions == 0 {
-            return Err(ConfigError::ZeroCleartextSessions);
-        }
-        if c.adaptive_sessions == 0 {
-            return Err(ConfigError::ZeroAdaptiveSessions);
-        }
-        Ok(self.config)
     }
 }
 
@@ -274,8 +191,8 @@ impl ModelFit {
     ///
     /// # Panics
     ///
-    /// If `config.adaptive_sessions` is 0, which only a struct literal
-    /// can say: the representation forest has no session to fit on.
+    /// If `config.adaptive_sessions` is 0: the representation forest
+    /// has no session to fit on.
     pub fn run(config: &TrainingConfig, mut on_stage: impl FnMut(TrainStage)) -> ModelFit {
         let (seed, train) = (config.seed, config.train);
         let cleartext_spec = DatasetSpec::cleartext_default(config.cleartext_sessions, seed);
@@ -490,32 +407,6 @@ mod tests {
                 a.switch_score > monitor.switch_model.threshold()
             );
         }
-    }
-
-    #[test]
-    fn builder_round_trips_the_field_poking_construction() {
-        let poked = tiny_config();
-        let built = TrainingConfig::builder()
-            .cleartext_sessions(250)
-            .adaptive_sessions(150)
-            .seed(51)
-            .build()
-            .expect("valid config");
-        assert_eq!(poked, built);
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_specs_with_typed_errors() {
-        assert_eq!(
-            TrainingConfig::builder().cleartext_sessions(0).build(),
-            Err(ConfigError::ZeroCleartextSessions)
-        );
-        let err = TrainingConfig::builder()
-            .adaptive_sessions(0)
-            .build()
-            .expect_err("an empty adaptive corpus must be rejected");
-        assert_eq!(err, ConfigError::ZeroAdaptiveSessions);
-        assert!(err.to_string().contains("adaptive_sessions"));
     }
 
     #[test]

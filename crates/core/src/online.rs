@@ -25,8 +25,9 @@
 //! (`crate::shard`): it keeps every subscriber in one such table for
 //! its whole life, where the parallel engine gives each shard job a
 //! fresh one. What the assessor adds on top is what only a long-running
-//! loop needs: the LRU, memory budgets and admission, the shed log,
-//! alerts and checkpoints. Unbudgeted, it is the single-threaded
+//! loop needs: the LRU, memory budgets and admission, the shed log and
+//! checkpoints; an [`AlertSampler`](crate::AlertSampler) reads its
+//! tallies from outside. Unbudgeted, it is the single-threaded
 //! projection of the engine:
 //! [`IngestPipeline::assess`](crate::IngestPipeline::assess) over a
 //! capture produces a bit-identical [`IngestReport`] at any engine
@@ -36,7 +37,6 @@
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
-use vqoe_obs::{Alert, AlertEngine};
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{AnomalyLog, IngestConfig, ReassemblerState, StreamHealth, WeblogEntry};
 
@@ -220,10 +220,7 @@ impl ShedLog {
 
 /// Everything a closed tap run produced: the assessments plus the
 /// degradation telemetry accumulated along the way.
-///
-/// Serialization is hand-written (not derived) so the `alerts` field
-/// stays out of the wire format — see its doc comment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IngestReport {
     /// All emitted assessments, in emission order.
     pub assessments: Vec<SessionAssessment>,
@@ -238,40 +235,6 @@ pub struct IngestReport {
     /// unbudgeted streaming run stays bit-identical to the engine at any
     /// worker count.
     pub shed: ShedLog,
-    /// Alerts the attached [`AlertEngine`] raised over the run's
-    /// per-window sample series (empty without
-    /// [`OnlineAssessor::with_alerts`]). Derived telemetry, not state:
-    /// excluded from serialization and checkpoints — a restored run
-    /// re-derives its own alerts from the replayed records.
-    pub alerts: Vec<Alert>,
-}
-
-impl Serialize for IngestReport {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(Vec::from([
-            ("assessments".to_string(), self.assessments.to_value()),
-            ("health".to_string(), self.health.to_value()),
-            ("anomalies".to_string(), self.anomalies.to_value()),
-            ("shed".to_string(), self.shed.to_value()),
-        ]))
-    }
-}
-
-impl Deserialize for IngestReport {
-    fn from_value(value: &serde::Value) -> Result<IngestReport, serde::DeError> {
-        let field = |name: &'static str| {
-            value
-                .get(name)
-                .ok_or_else(|| serde::DeError::missing_field("IngestReport", name))
-        };
-        Ok(IngestReport {
-            assessments: Deserialize::from_value(field("assessments")?)?,
-            health: Deserialize::from_value(field("health")?)?,
-            anomalies: Deserialize::from_value(field("anomalies")?)?,
-            shed: Deserialize::from_value(field("shed")?)?,
-            alerts: Vec::new(),
-        })
-    }
 }
 
 /// A streaming wrapper over a trained [`QoeMonitor`].
@@ -305,22 +268,6 @@ pub struct OnlineAssessor {
     metrics: Option<PipelineMetrics>,
     /// The tallies `metrics` was last brought up to.
     published: Published,
-    alerts: Option<AlertState>,
-}
-
-/// Alerting state riding along the assessor: the rule engine plus the
-/// window bookkeeping that turns monotone totals into per-window
-/// deltas.
-#[derive(Debug, Clone)]
-struct AlertState {
-    engine: AlertEngine,
-    /// Records per sample window (the deterministic tick window — the
-    /// assessor's record clock, never wall time).
-    window_records: u64,
-    /// Shed-log total at the last window boundary.
-    last_shed_total: u64,
-    /// Anomaly-log total at the last window boundary.
-    last_anomaly_total: u64,
 }
 
 impl OnlineAssessor {
@@ -344,7 +291,6 @@ impl OnlineAssessor {
             records_ingested: 0,
             metrics: None,
             published: Published::default(),
-            alerts: None,
         }
     }
 
@@ -365,26 +311,6 @@ impl OnlineAssessor {
     pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
         self.published = self.tallies();
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Attach an [`AlertEngine`]: every `window_records` ingested
-    /// records the assessor pushes one sample per built-in series —
-    /// `shed_rate` (shed events this window), `anomaly_rate`
-    /// (quarantines this window), `queue_depth` (the number of
-    /// subscribers tracked at the boundary; the name stays because rule
-    /// files use it) — and [`OnlineAssessor::into_report`] evaluates
-    /// the rules over the completed series into
-    /// [`IngestReport::alerts`]. The window is measured on the record
-    /// clock, so the samples (and thus the alerts) are deterministic.
-    /// Assessments stay bit-identical with or without alerting.
-    pub fn with_alerts(mut self, engine: AlertEngine, window_records: u64) -> Self {
-        self.alerts = Some(AlertState {
-            engine,
-            window_records: window_records.max(1),
-            last_shed_total: 0,
-            last_anomaly_total: 0,
-        });
         self
     }
 
@@ -533,66 +459,18 @@ impl OnlineAssessor {
                 }
             }
         }
-        // Alert sampling at window boundaries of the record clock —
-        // after the entry's sheds/quarantines, so the window that
-        // caused an event also reports it.
-        if self
-            .alerts
-            .as_ref()
-            .is_some_and(|a| self.records_ingested % a.window_records == 0)
-        {
-            self.sample_alert_window();
-        }
         out
-    }
-
-    /// Push one sample per built-in alert series for the window that
-    /// just closed.
-    fn sample_alert_window(&mut self) {
-        let shed_total = self.shed.total();
-        let anomaly_total = self.anomalies.total();
-        let depth = self.table.len() as f64;
-        let Some(al) = &mut self.alerts else {
-            return;
-        };
-        al.engine.push_sample(
-            "shed_rate",
-            shed_total.saturating_sub(al.last_shed_total) as f64,
-        );
-        al.engine.push_sample(
-            "anomaly_rate",
-            anomaly_total.saturating_sub(al.last_anomaly_total) as f64,
-        );
-        al.engine.push_sample("queue_depth", depth);
-        al.last_shed_total = shed_total;
-        al.last_anomaly_total = anomaly_total;
     }
 
     /// Close all open streams gracefully (end of tap / end of day),
     /// assess whatever qualifies, and return the assessments together
     /// with the final [`StreamHealth`] and [`AnomalyLog`].
     pub fn into_report(mut self) -> IngestReport {
-        // Close out a trailing partial alert window so sheds after the
-        // last boundary still feed the rule engine.
-        if self
-            .alerts
-            .as_ref()
-            .is_some_and(|a| self.records_ingested % a.window_records != 0)
-        {
-            self.sample_alert_window();
-        }
-        let assessments = self.drain();
-        let alerts = self
-            .alerts
-            .take()
-            .map(|mut a| a.engine.finish())
-            .unwrap_or_default();
         IngestReport {
-            assessments,
+            assessments: self.drain(),
             health: self.table.health,
             anomalies: self.anomalies,
             shed: self.shed,
-            alerts,
         }
     }
 
@@ -600,6 +478,12 @@ impl OnlineAssessor {
     /// entries. Bounded by [`IngestConfig::max_open_subscribers`].
     pub fn open_subscribers(&self) -> usize {
         self.table.open_subscribers()
+    }
+
+    /// Number of subscribers holding a tracking slot, open group or
+    /// not: what the cap and the LRU count.
+    pub fn tracked_subscribers(&self) -> usize {
+        self.table.len()
     }
 
     /// Force-close the least-recently-active subscriber and assess its
@@ -752,7 +636,6 @@ impl OnlineAssessor {
             shed: ck.shed.clone(),
             metrics: None,
             published: Published::default(),
-            alerts: None,
         })
     }
 }

@@ -18,7 +18,7 @@
 //! * the streaming [`OnlineAssessor`](crate::OnlineAssessor) keeps one
 //!   machine holding every subscriber for its whole life and adds what
 //!   only a long-running assessor has: the LRU, memory budgets and
-//!   admission, the shed log, alerts and checkpoints.
+//!   admission, the shed log and checkpoints.
 //!
 //! Both push the same entries through the same machine and assess
 //! through the same function, so an unbudgeted online run and the

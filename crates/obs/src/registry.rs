@@ -892,9 +892,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Minimal JSON string escaping (metric names are `[a-z0-9_]` by
-/// convention, but stay safe anyway).
-fn json_string(s: &str) -> String {
+/// A quoted JSON string: the one escaper of the snapshot and the trace
+/// exports, and the form [`Cursor::string`] reads back. Metric names
+/// and trace details are plain ASCII, but any input stays valid JSON.
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

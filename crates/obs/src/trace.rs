@@ -18,6 +18,8 @@
 
 use std::fmt::Write as _;
 
+use crate::registry::json_string;
+
 /// Format version stamped into every Chrome trace export (the
 /// `otherData.formatVersion` field) and the JSONL header line.
 pub const TRACE_FORMAT_VERSION: u32 = 1;
@@ -194,7 +196,7 @@ impl Trace {
                 out,
                 "    {{\"name\": \"{}\", \"cat\": \"vqoe\", \"ph\": \"X\", \
                  \"ts\": {}, \"dur\": {}, \"pid\": {}, \"tid\": {}, \
-                 \"args\": {{\"key\": \"{}/{}/{}\", \"seq\": {}, \"detail\": \"{}\"}}}}{comma}",
+                 \"args\": {{\"key\": \"{}/{}/{}\", \"seq\": {}, \"detail\": {}}}}}{comma}",
                 e.stage.label(),
                 e.start_tick,
                 e.dur_ticks,
@@ -204,7 +206,7 @@ impl Trace {
                 e.key.1,
                 e.key.2,
                 e.seq,
-                escape(e.detail),
+                json_string(e.detail),
             );
         }
         out.push_str("  ]\n}\n");
@@ -227,7 +229,7 @@ impl Trace {
                 out,
                 "{{\"key\": [{}, {}, {}], \"seq\": {}, \"stage\": \"{}\", \
                  \"subscriber\": {}, \"session\": {}, \"ts\": {}, \"dur\": {}, \
-                 \"detail\": \"{}\"}}",
+                 \"detail\": {}}}",
                 e.key.0,
                 e.key.1,
                 e.key.2,
@@ -237,31 +239,11 @@ impl Trace {
                 e.session,
                 e.start_tick,
                 e.dur_ticks,
-                escape(e.detail),
+                json_string(e.detail),
             );
         }
         out
     }
-}
-
-/// Minimal JSON string escaping for event details (detector names are
-/// plain ASCII, but the format must stay valid for any input).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -357,7 +339,7 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -454,21 +454,13 @@ impl StreamReassembler {
         let min_chunks = self.config.min_chunks;
         let session = (|| {
             let start = batch.first()?.timestamp;
-            let chunks: Vec<WeblogEntry> = batch
-                .iter()
-                .filter(|e| e.is_media_host())
-                .cloned()
-                .collect();
+            let end = batch.iter().map(|e| e.arrival_time()).max()?;
+            let end = spilled_end.map_or(end, |t| t.max(end));
+            let (chunks, other): (Vec<WeblogEntry>, Vec<WeblogEntry>) =
+                batch.into_iter().partition(|e| e.is_media_host());
             if (chunks.len() as u64 + spilled_chunks) < min_chunks as u64 {
                 return None;
             }
-            let end = batch.iter().map(|e| e.arrival_time()).max()?;
-            let end = spilled_end.map_or(end, |t| t.max(end));
-            let other: Vec<WeblogEntry> = batch
-                .iter()
-                .filter(|e| !e.is_media_host())
-                .cloned()
-                .collect();
             Some(ReassembledSession {
                 start,
                 end,

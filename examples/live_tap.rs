@@ -13,11 +13,11 @@ use vqoe_core::{EncryptedEvalConfig, EncryptedWorld, OnlineAssessor, QoeMonitor,
 
 fn main() {
     println!("training the monitor ...");
-    let config = TrainingConfig::builder()
-        .cleartext_sessions(1_200)
-        .adaptive_sessions(500)
-        .build()
-        .expect("valid training config");
+    let config = TrainingConfig {
+        cleartext_sessions: 1_200,
+        adaptive_sessions: 500,
+        ..TrainingConfig::default()
+    };
     let monitor = QoeMonitor::train(&config);
 
     // Two subscribers streaming videos over the same tap.

@@ -12,11 +12,11 @@ use vqoe_features::{rq_label, stall_label, SessionObs, SessionView};
 
 fn main() {
     println!("training the monitor ...");
-    let config = TrainingConfig::builder()
-        .cleartext_sessions(3_000)
-        .adaptive_sessions(1_200)
-        .build()
-        .expect("valid training config");
+    let config = TrainingConfig {
+        cleartext_sessions: 3_000,
+        adaptive_sessions: 1_200,
+        ..TrainingConfig::default()
+    };
     let monitor = QoeMonitor::train(&config);
     let subs = SubscriptionSet::standard(&monitor);
 

@@ -10,13 +10,12 @@ use vqoe_core::{EncryptedEvalConfig, EncryptedWorld, QoeMonitor, TrainingConfig}
 
 fn main() {
     // 1. Train on cleartext corpora (the §3/§4 phase). Small sizes keep
-    //    the example fast; scale up for accuracy. The builder validates
-    //    the spec up front instead of panicking mid-training.
-    let config = TrainingConfig::builder()
-        .cleartext_sessions(1_500)
-        .adaptive_sessions(600)
-        .build()
-        .expect("valid training config");
+    //    the example fast; scale up for accuracy.
+    let config = TrainingConfig {
+        cleartext_sessions: 1_500,
+        adaptive_sessions: 600,
+        ..TrainingConfig::default()
+    };
     println!("training the QoE monitor on simulated cleartext traffic ...");
     let monitor = QoeMonitor::train(&config);
     println!(

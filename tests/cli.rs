@@ -490,6 +490,100 @@ fn unknown_commands_and_missing_flags_fail_cleanly() {
 }
 
 #[test]
+fn train_rejects_an_empty_corpus_before_training() {
+    let dir = workdir("train_zero");
+    for flag in ["--cleartext", "--adaptive"] {
+        let out = vqoe()
+            .current_dir(&dir)
+            .args(["train", flag, "0", "--out", "model.json"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "vqoe train {flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} wants a positive count, got '0'")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("training on"), "{stderr}");
+        assert!(!dir.join("model.json").exists(), "vqoe train {flag} 0");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn assess_prints_the_alerts_its_rules_raise() {
+    let dir = workdir("alerts");
+    run(
+        &dir,
+        &[
+            "generate",
+            "--kind",
+            "encrypted",
+            "--sessions",
+            "6",
+            "--seed",
+            "11",
+            "--out",
+            "traces.jsonl",
+        ],
+    );
+    // One subscriber per trace, so a global budget has several to shed.
+    run(
+        &dir,
+        &[
+            "capture",
+            "--traces",
+            "traces.jsonl",
+            "--encrypted",
+            "--seed",
+            "3",
+            "--out",
+            "weblogs.jsonl",
+        ],
+    );
+    run(
+        &dir,
+        &[
+            "train",
+            "--cleartext",
+            "120",
+            "--adaptive",
+            "60",
+            "--seed",
+            "3",
+            "--out",
+            "model.json",
+        ],
+    );
+    std::fs::write(
+        dir.join("rules.toml"),
+        "[[rule]]\nname = \"shed-cap\"\nseries = \"shed_rate\"\n\
+         kind = \"threshold\"\nmax = 0\nseverity = \"critical\"\n",
+    )
+    .expect("write rules");
+    let assess = [
+        "assess",
+        "--model",
+        "model.json",
+        "--weblogs",
+        "weblogs.jsonl",
+        "--out",
+        "assessments.jsonl",
+        "--alerts",
+        "rules.toml",
+    ];
+    let log = run(&dir, &[&assess[..], &["--memory-budget", "20000"]].concat());
+    assert!(
+        log.contains("alert: shed-cap [critical]: threshold condition met on series shed_rate"),
+        "log: {log}"
+    );
+    // Unbudgeted, nothing sheds and the rule stays silent.
+    let log = run(&dir, &assess);
+    assert!(!log.contains("alert:"), "log: {log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_exits_zero() {
     let out = vqoe().arg("--help").output().expect("spawn");
     assert!(out.status.success());

@@ -11,20 +11,22 @@
 
 use std::sync::OnceLock;
 
-use vqoe_core::prelude::*;
-use vqoe_core::{generate_traces, DatasetSpec, EncryptedEvalConfig, EncryptedWorld};
-use vqoe_features::{representation_features, stall_features};
-use vqoe_telemetry::{apply_chaos, ChaosConfig};
+use vqoe_core::{
+    generate_traces, DatasetSpec, EncryptedEvalConfig, EncryptedWorld, EngineConfig, IngestReport,
+    OnlineAssessor, QoeMonitor, TrainConfig, TrainingConfig,
+};
+use vqoe_features::{representation_features, stall_features, SessionObs};
+use vqoe_telemetry::{apply_chaos, ChaosConfig, IngestConfig, WeblogEntry};
 
 fn monitor() -> &'static QoeMonitor {
     static MONITOR: OnceLock<QoeMonitor> = OnceLock::new();
     MONITOR.get_or_init(|| {
-        let config = TrainingConfig::builder()
-            .cleartext_sessions(250)
-            .adaptive_sessions(150)
-            .seed(83)
-            .build()
-            .expect("valid training config");
+        let config = TrainingConfig {
+            cleartext_sessions: 250,
+            adaptive_sessions: 150,
+            seed: 83,
+            ..TrainingConfig::default()
+        };
         QoeMonitor::train(&config)
     })
 }

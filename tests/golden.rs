@@ -13,7 +13,7 @@
 
 use vqoe_core::{
     generate_traces, BudgetConfig, DatasetSpec, EncryptedEvalConfig, EncryptedWorld, Fidelity,
-    OnlineAssessor, QoeMonitor, SessionAssessment, TrainConfig, TrainingConfig,
+    IngestReport, OnlineAssessor, QoeMonitor, SessionAssessment, TrainConfig, TrainingConfig,
 };
 use vqoe_features::{
     representation_features, stall_features, ChunkObs, SessionObs, StreamingSessionState,
@@ -89,13 +89,13 @@ fn fold_assessment(h: u64, a: &SessionAssessment) -> u64 {
     words.iter().fold(h, |h, w| fnv1a_from(h, &w.to_le_bytes()))
 }
 
-/// The assessments of a small tap that reaches every tier: three
-/// ordinary subscribers, and one whose session never pauses and runs
-/// past the exactness cap (sketched). The assessor tracks fewer
-/// subscribers than the tap opens, so some are evicted mid-session
-/// (partial), and its global budget sheds one more (shed).
-#[test]
-fn ingest_report_matches_the_golden_fingerprint() {
+/// The report of a small tap that reaches every tier: three ordinary
+/// subscribers, and one whose session never pauses and runs past the
+/// exactness cap (sketched). The assessor tracks fewer subscribers than
+/// the tap opens, so some are evicted mid-session (partial), and its
+/// global budget sheds one more (shed). Its assessments are in emission
+/// order: mid-stream first, then the drain.
+fn tiered_report() -> IngestReport {
     let monitor = QoeMonitor::train(&TrainingConfig {
         cleartext_sessions: 120,
         adaptive_sessions: 60,
@@ -135,8 +135,16 @@ fn ingest_report_matches_the_golden_fingerprint() {
     for e in &tap {
         assessments.extend(online.ingest(e));
     }
-    assessments.extend(online.into_report().assessments);
+    let mut report = online.into_report();
+    assessments.append(&mut report.assessments);
+    report.assessments = assessments;
+    report
+}
 
+/// The assessments of [`tiered_report`], field by field.
+#[test]
+fn ingest_report_matches_the_golden_fingerprint() {
+    let assessments = tiered_report().assessments;
     for tier in [
         Fidelity::Full,
         Fidelity::Sketched,
@@ -150,6 +158,18 @@ fn ingest_report_matches_the_golden_fingerprint() {
     }
     let got = assessments.iter().fold(FNV_OFFSET, fold_assessment);
     assert_eq!(got, 0x6551_6b85_39cd_61b3, "report fingerprint {got:#018x}");
+}
+
+/// The whole serialized [`tiered_report`]: assessments, health, the
+/// anomaly log and the shed log, byte for byte.
+#[test]
+fn serialized_ingest_report_matches_the_golden_fingerprint() {
+    let json = serde_json::to_string(&tiered_report()).expect("report serializes");
+    let got = fnv1a(json.as_bytes());
+    assert_eq!(
+        got, 0xd44c_cd5d_21fe_2a32,
+        "serialized report fingerprint {got:#018x}"
+    );
 }
 
 /// One chunk of the feature fixtures. Every metric varies with `i`, the

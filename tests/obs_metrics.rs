@@ -16,20 +16,22 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 
-use vqoe_core::prelude::*;
-use vqoe_core::{EncryptedEvalConfig, EncryptedWorld};
+use vqoe_core::{
+    AdmissionPolicy, BudgetConfig, EncryptedEvalConfig, EncryptedWorld, EngineConfig, IngestReport,
+    OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, TrainingConfig,
+};
 use vqoe_obs::Registry;
-use vqoe_telemetry::{apply_chaos, AnomalyKindCounts, ChaosProfile};
+use vqoe_telemetry::{apply_chaos, AnomalyKindCounts, ChaosProfile, IngestConfig, WeblogEntry};
 
 fn monitor() -> &'static QoeMonitor {
     static MONITOR: OnceLock<QoeMonitor> = OnceLock::new();
     MONITOR.get_or_init(|| {
-        let config = TrainingConfig::builder()
-            .cleartext_sessions(250)
-            .adaptive_sessions(150)
-            .seed(83)
-            .build()
-            .expect("valid training config");
+        let config = TrainingConfig {
+            cleartext_sessions: 250,
+            adaptive_sessions: 150,
+            seed: 83,
+            ..TrainingConfig::default()
+        };
         QoeMonitor::train(&config)
     })
 }

@@ -23,12 +23,15 @@ use common::multi_subscriber_tap;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use vqoe_core::prelude::*;
-use vqoe_core::{EncryptedEvalConfig, EncryptedWorld};
+use vqoe_core::{
+    EncryptedEvalConfig, EncryptedWorld, EngineConfig, Fidelity, IngestReport, OnlineAssessor,
+    QoeMonitor, SessionAssessment, TrainingConfig,
+};
 use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration as SimDuration, Instant as SimInstant};
 use vqoe_telemetry::{
-    apply_chaos, generate_pathological_session, ChaosConfig, EntryKind, ReassemblyConfig,
+    apply_chaos, generate_pathological_session, ChaosConfig, EntryKind, IngestConfig,
+    ReassemblyConfig, WeblogEntry,
 };
 
 fn monitor() -> &'static QoeMonitor {

@@ -15,25 +15,28 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use vqoe_core::prelude::*;
-use vqoe_core::{EncryptedEvalConfig, EncryptedWorld};
+use vqoe_core::{
+    EncryptedEvalConfig, EncryptedWorld, EngineConfig, Fidelity, IngestPipeline, IngestReport,
+    PipelineMetrics, QoeMonitor, TrainingConfig,
+};
 use vqoe_obs::Registry;
 use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration, Instant};
 use vqoe_telemetry::{
     apply_chaos, generate_pathological_session, merge_streams, read_jsonl, write_jsonl,
-    ChaosConfig, ChaosProfile, EntryKind, BINLOG_MAGIC, EXACT_ENTRY_CAP,
+    BinaryCorpus, BinlogError, ChaosConfig, ChaosProfile, EntryKind, WeblogEntry, BINLOG_MAGIC,
+    EXACT_ENTRY_CAP,
 };
 
 fn monitor() -> &'static QoeMonitor {
     static MONITOR: OnceLock<QoeMonitor> = OnceLock::new();
     MONITOR.get_or_init(|| {
-        let config = TrainingConfig::builder()
-            .cleartext_sessions(250)
-            .adaptive_sessions(150)
-            .seed(88)
-            .build()
-            .expect("valid training config");
+        let config = TrainingConfig {
+            cleartext_sessions: 250,
+            adaptive_sessions: 150,
+            seed: 88,
+            ..TrainingConfig::default()
+        };
         QoeMonitor::train(&config)
     })
 }

@@ -21,10 +21,12 @@ use common::multi_subscriber_tap;
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    default_alert_rules, standard_alert_engine, AdmissionPolicy, BudgetConfig, EngineConfig,
-    IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor, TrainingConfig,
+    default_alert_rules, standard_alert_engine, AdmissionPolicy, AlertSampler, BudgetConfig,
+    EngineConfig, IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor, TrainingConfig,
 };
-use vqoe_obs::{Registry, Trace, TraceConfig};
+use vqoe_obs::{Alert, AlertRule, AlertSeverity, Registry, RuleKind, Trace, TraceConfig};
+use vqoe_simnet::time::Instant;
+use vqoe_telemetry::capture::generate_noise;
 use vqoe_telemetry::{
     apply_chaos, generate_subscriber_flood, merge_streams, ChaosConfig, FloodSpec, IngestConfig,
     WeblogEntry,
@@ -193,9 +195,9 @@ fn chrome_trace_export_is_byte_stable_and_loads_as_json() {
     }
 }
 
-/// Clean tap followed by a budgeted subscriber flood: the streaming
-/// assessor with the default CUSUM drift rules.
-fn flooded_run(window: u64) -> IngestReport {
+/// Clean tap followed by a subscriber flood, and the budget the flood
+/// overruns.
+fn flooded_tap() -> (Vec<WeblogEntry>, BudgetConfig) {
     let legit = multi_subscriber_tap(2, 2, 5500);
     let start = legit.first().map(|e| e.timestamp).expect("entries");
     let flood = generate_subscriber_flood(
@@ -217,13 +219,43 @@ fn flooded_run(window: u64) -> IngestReport {
         global_bytes: 48 * per_record,
         admission: AdmissionPolicy::ShedColdest,
     };
-    let mut online = OnlineAssessor::with_config(monitor().clone(), IngestConfig::default())
-        .with_budget(budget)
-        .with_alerts(standard_alert_engine(default_alert_rules()), window);
-    for e in &entries {
+    (entries, budget)
+}
+
+/// The budgeted streaming assessor over `entries`, sampled every
+/// `window` records into `rules`: the report and the alerts.
+fn sampled_run(
+    entries: &[WeblogEntry],
+    budget: BudgetConfig,
+    rules: Vec<AlertRule>,
+    window: u64,
+) -> (IngestReport, Vec<Alert>) {
+    let mut online =
+        OnlineAssessor::with_config(monitor().clone(), IngestConfig::default()).with_budget(budget);
+    let mut sampler = AlertSampler::new(standard_alert_engine(rules), window, &online);
+    for e in entries {
         online.ingest(e);
+        sampler.observe(&online);
     }
-    online.into_report()
+    let alerts = sampler.finish(&online);
+    (online.into_report(), alerts)
+}
+
+/// The flood with the default CUSUM drift rules.
+fn flooded_run(window: u64) -> (IngestReport, Vec<Alert>) {
+    let (entries, budget) = flooded_tap();
+    sampled_run(&entries, budget, default_alert_rules(), window)
+}
+
+/// A critical rule that fires on the first window shedding more than
+/// `max` subscribers.
+fn shed_cap(max: f64) -> AlertRule {
+    AlertRule {
+        name: "shed-cap".to_string(),
+        series: "shed_rate".to_string(),
+        severity: AlertSeverity::Critical,
+        kind: RuleKind::Threshold { max },
+    }
 }
 
 #[test]
@@ -231,45 +263,76 @@ fn drift_alerts_fire_on_the_flood_and_stay_silent_on_a_clean_corpus() {
     // The flood shifts the per-window shed rate from a flat zero
     // baseline to a sustained plateau: exactly the mean shift CUSUM
     // exists to catch.
-    let report = flooded_run(16);
+    let (report, alerts) = flooded_run(16);
     assert!(
         report.shed.total() > 0,
         "the flood must force shedding for the drift rule to see"
     );
     assert!(
-        report.alerts.iter().any(|a| a.rule == "shed_rate-drift"),
-        "no shed-rate drift alert fired; got {:?}",
-        report.alerts
+        alerts.iter().any(|a| a.rule == "shed_rate-drift"),
+        "no shed-rate drift alert fired; got {alerts:?}"
     );
     // Deterministic: the identical run fires the identical alerts.
-    assert_eq!(report.alerts, flooded_run(16).alerts);
+    assert_eq!(alerts, flooded_run(16).1);
 
     // A clean, unbudgeted corpus never sheds and never drifts.
     let entries = multi_subscriber_tap(3, 2, 5700);
-    let mut online = OnlineAssessor::with_config(monitor().clone(), IngestConfig::default())
-        .with_alerts(standard_alert_engine(default_alert_rules()), 16);
-    for e in &entries {
+    let (_, clean) = sampled_run(&entries, BudgetConfig::default(), default_alert_rules(), 16);
+    assert!(clean.is_empty(), "clean corpus raised alerts: {clean:?}");
+}
+
+#[test]
+fn a_restored_run_counts_its_first_alert_window_from_the_cut() {
+    // Cut the flood on a window boundary: the resumed sampler's windows
+    // are the uninterrupted run's last ones, so a cap no window of the
+    // uninterrupted run exceeds stays silent after the restore too.
+    let (window, cut) = (16, 464);
+    let (entries, budget) = flooded_tap();
+    let max = 11.0;
+    let (_, whole) = sampled_run(&entries, budget, vec![shed_cap(max)], window);
+    assert!(
+        whole.is_empty(),
+        "no window sheds more than {max}: {whole:?}"
+    );
+
+    let mut online =
+        OnlineAssessor::with_config(monitor().clone(), IngestConfig::default()).with_budget(budget);
+    for e in &entries[..cut] {
         online.ingest(e);
     }
-    let clean = online.into_report();
+    let ck = online.checkpoint();
+    assert!(ck.shed.total() as f64 > max, "the cut must follow a shed");
+    let mut online = OnlineAssessor::restore(monitor().clone(), &ck).expect("restore");
+    let mut sampler =
+        AlertSampler::new(standard_alert_engine(vec![shed_cap(max)]), window, &online);
+    for e in &entries[cut..] {
+        online.ingest(e);
+        sampler.observe(&online);
+    }
+    let resumed = sampler.finish(&online);
     assert!(
-        clean.alerts.is_empty(),
-        "clean corpus raised alerts: {:?}",
-        clean.alerts
+        resumed.is_empty(),
+        "sheds from before the cut leaked into the first window: {resumed:?}"
     );
 }
 
 #[test]
-fn alerts_stay_out_of_the_serialized_report() {
-    let report = flooded_run(16);
-    assert!(!report.alerts.is_empty(), "flood run must alert");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    assert!(
-        !json.contains("alerts"),
-        "derived alerts leaked into the wire format"
-    );
-    let back: IngestReport = serde_json::from_str(&json).expect("report round-trips");
-    assert!(back.alerts.is_empty());
-    assert_eq!(back.health, report.health);
-    assert_eq!(back.shed, report.shed);
+fn a_window_closed_by_a_record_dropped_at_the_door_keeps_its_sample() {
+    // Noise from an untracked subscriber is screened out before any
+    // machine sees it. The windows it closes are still windows, so the
+    // first shedding window is the one that holds the first shed.
+    let (flood, budget) = flooded_tap();
+    let mut rng = rand::SeedableRng::seed_from_u64(5502);
+    let noise = generate_noise(9_999, Instant::ZERO, Instant::from_secs(60), 40, &mut rng);
+    let entries = [noise, flood].concat();
+    let window = 16;
+    let (report, alerts) = sampled_run(&entries, budget, vec![shed_cap(0.0)], window);
+    let first_shed = report
+        .shed
+        .kept()
+        .first()
+        .expect("the flood sheds")
+        .at_record;
+    assert_eq!(alerts.len(), 1, "{alerts:?}");
+    assert_eq!(alerts[0].window, (first_shed - 1) / window);
 }
