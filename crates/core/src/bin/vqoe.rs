@@ -36,10 +36,10 @@ use std::path::{Path, PathBuf};
 
 use rand::SeedableRng;
 use vqoe_core::{
-    generate_sequential_traces, generate_traces, standard_alert_engine, AdmissionPolicy,
-    AlertSampler, BudgetConfig, DatasetSpec, EngineConfig, Fidelity, IngestPipeline, IngestReport,
-    OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, TrainConfig, TrainingConfig,
-    ALERT_WINDOW_RECORDS,
+    encode_snapshot, generate_sequential_traces, generate_traces, standard_alert_engine,
+    AdmissionPolicy, AlertSampler, BudgetConfig, DatasetSpec, EngineConfig, Fidelity,
+    IngestPipeline, IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor,
+    TrainConfig, TrainingConfig, ALERT_WINDOW_RECORDS,
 };
 use vqoe_obs::{
     buckets, parse_rules, Alert, AlertSeverity, Clock, Histogram, MetricClass, Registry,
@@ -529,12 +529,12 @@ fn assess(flags: &Flags) -> Result<(), String> {
                 let text = std::fs::read_to_string(p).unwrap_or_else(die(Path::new(p)));
                 let ck =
                     OnlineCheckpoint::from_json(&text).unwrap_or_else(fail("parse checkpoint"));
-                if metrics.is_some() {
-                    if let Some(snap) = &ck.metrics_snapshot {
-                        registry
-                            .absorb_snapshot(snap)
-                            .unwrap_or_else(fail("absorb checkpoint metrics"));
-                    }
+                if ck.records_ingested > entries.len() as u64 {
+                    fail("restore checkpoint")(format!(
+                        "{p} was cut at record {}, but the tap has only {} records",
+                        ck.records_ingested,
+                        entries.len()
+                    ))
                 }
                 let online = OnlineAssessor::restore(monitor, &ck)
                     .unwrap_or_else(fail("restore checkpoint"));
@@ -542,6 +542,17 @@ fn assess(flags: &Flags) -> Result<(), String> {
                     "restored checkpoint {} ({} records already ingested)",
                     p, ck.records_ingested
                 ));
+                if metrics.is_some() {
+                    ck.absorb_metrics(registry)
+                        .unwrap_or_else(fail("absorb checkpoint metrics"));
+                    if ck.metrics_snapshot.is_none() {
+                        report_to.normal(&format!(
+                            "checkpoint {p} carries no metrics: the stable counters \
+                             count from record {}, not from the start of the tap",
+                            ck.records_ingested
+                        ));
+                    }
+                }
                 (online, ck.records_ingested)
             }
             None => (
@@ -793,7 +804,7 @@ fn run_tap(
     // snapshot (byte-identical across runs and worker counts).
     if let Some(path) = metrics_path {
         let prom = registry.render_prometheus();
-        let snap = registry.snapshot_json();
+        let snap = encode_snapshot(&registry.snapshot());
         if path == "-" {
             // Through the Reporter, onto stderr: stdout stays reserved
             // for data, so `vqoe ... --metrics - | tool` never sees

@@ -21,10 +21,20 @@
 //! signals (the `vqoe` CLI's wall-clock stage times) are registered by
 //! their caller as `Runtime` class and excluded from the snapshot.
 //!
+//! The snapshot's JSON form lives here too, writer and reader together:
+//! [`encode_snapshot`] renders a [`Snapshot`] for `--metrics PATH.json`,
+//! `--metrics -` and the copy a checkpoint embeds, and
+//! [`decode_snapshot`] reads that copy back on restore.
+//!
 //! [`AnomalyLog::kinds`]: vqoe_telemetry::AnomalyLog::kinds
 //! [`ShedLog::reasons`]: crate::online::ShedLog::reasons
 
-use vqoe_obs::{buckets, Counter, Gauge, Histogram, MetricClass, Registry};
+use serde::{DeError, Deserialize};
+use serde_json::Value;
+use vqoe_obs::{
+    buckets, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricClass, Registry,
+    Snapshot, SnapshotError,
+};
 use vqoe_telemetry::{AnomalyKindCounts, ReassembledSession, StreamHealth};
 
 use crate::monitor::SessionAssessment;
@@ -417,6 +427,155 @@ impl PipelineMetrics {
     }
 }
 
+/// Render a [`Snapshot`] as the stable-ordered JSON snapshot: one object
+/// with `counters` / `gauges` / `histograms` sections in the snapshot's
+/// (name) order, integer values only, one metric per line. Equal
+/// snapshots render byte-identically, so the file is identical across
+/// runs and worker counts for the same input.
+pub fn encode_snapshot(snapshot: &Snapshot) -> String {
+    fn lines<T>(section: &[(String, T)], value: impl Fn(&T) -> String) -> String {
+        let name = |n: &str| serde_json::to_string(n).unwrap_or_default();
+        let lines: Vec<String> = section
+            .iter()
+            .map(|(n, v)| format!("    {}: {}", name(n), value(v)))
+            .collect();
+        lines.join(",\n")
+    }
+    let histogram = |h: &HistogramSnapshot| {
+        let buckets: Vec<String> = h
+            .buckets
+            .iter()
+            .map(|(b, c)| format!("[{b}, {c}]"))
+            .collect();
+        // Exemplar-enabled histograms append their retained exemplars;
+        // plain histograms keep the exemplar-free shape.
+        let exemplars = h.exemplars.as_ref().map_or_else(String::new, |kept| {
+            let kept: Vec<String> = kept
+                .iter()
+                .map(|(i, e)| format!("[{i}, {}, {}, {}]", e.value, e.session, e.tick))
+                .collect();
+            format!(", \"exemplars\": [{}]", kept.join(", "))
+        });
+        let (inf, sum, count) = (h.inf, h.sum, h.count);
+        let buckets = buckets.join(", ");
+        format!("{{ \"buckets\": [{buckets}], \"inf\": {inf}, \"sum\": {sum}, \"count\": {count}{exemplars} }}")
+    };
+    format!(
+        "{{\n  \"counters\": {{\n{}\n  }},\n  \"gauges\": {{\n{}\n  }},\n  \"histograms\": {{\n{}\n  }}\n}}\n",
+        lines(&snapshot.counters, u64::to_string),
+        lines(&snapshot.gauges, i64::to_string),
+        lines(&snapshot.histograms, histogram),
+    )
+}
+
+/// Read a snapshot [`encode_snapshot`] wrote. The three sections and
+/// each histogram's keys must appear exactly as written (`exemplars`
+/// optional), and every value must be an integer of its field's type;
+/// anything else is [`MetricsSnapshotError::Malformed`], never a panic.
+pub fn decode_snapshot(text: &str) -> Result<Snapshot, MetricsSnapshotError> {
+    let malformed = |e: &dyn std::fmt::Display| MetricsSnapshotError::Malformed(e.to_string());
+    let value: Value = serde_json::from_str(text).map_err(|e| malformed(&e))?;
+    expect_keys(&value, &["counters", "gauges", "histograms"])
+        .and_then(|()| {
+            Ok(Snapshot {
+                counters: section(&value["counters"], u64::from_value)?,
+                gauges: section(&value["gauges"], i64::from_value)?,
+                histograms: section(&value["histograms"], histogram)?,
+            })
+        })
+        .map_err(|e| malformed(&e))
+}
+
+/// A section's `(name, value)` pairs, each value read by `item`. The
+/// names must ascend strictly, as the registry writes them: a name
+/// given twice would otherwise be absorbed twice.
+fn section<T>(
+    value: &Value,
+    item: fn(&Value) -> Result<T, DeError>,
+) -> Result<Vec<(String, T)>, DeError> {
+    let Value::Map(entries) = value else {
+        return Err(DeError::mismatch("object", value));
+    };
+    if let Some(pair) = entries.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+        let name = &pair[1].0;
+        return Err(DeError::custom(format!("{name}: out of name order")));
+    }
+    entries
+        .iter()
+        .map(|(name, v)| match item(v) {
+            Ok(parsed) => Ok((name.clone(), parsed)),
+            Err(e) => Err(DeError::custom(format!("{name}: {e}"))),
+        })
+        .collect()
+}
+
+/// One histogram object of a snapshot.
+fn histogram(value: &Value) -> Result<HistogramSnapshot, DeError> {
+    const KEYS: [&str; 5] = ["buckets", "inf", "sum", "count", "exemplars"];
+    expect_keys(value, &KEYS[..4]).or_else(|_| expect_keys(value, &KEYS))?;
+    let exemplars: Option<Vec<(usize, u64, u64, u64)>> =
+        value.get("exemplars").map(Vec::from_value).transpose()?;
+    let exemplar = |(i, value, session, tick)| {
+        let kept = Exemplar {
+            value,
+            session,
+            tick,
+        };
+        (i, kept)
+    };
+    Ok(HistogramSnapshot {
+        buckets: Vec::from_value(&value["buckets"])?,
+        inf: u64::from_value(&value["inf"])?,
+        sum: u64::from_value(&value["sum"])?,
+        count: u64::from_value(&value["count"])?,
+        exemplars: exemplars.map(|kept| kept.into_iter().map(exemplar).collect()),
+    })
+}
+
+/// `value` must be an object with exactly `keys`, in that order.
+fn expect_keys(value: &Value, keys: &[&str]) -> Result<(), DeError> {
+    let exact = match value {
+        Value::Map(entries) => entries
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .eq(keys.iter().copied()),
+        _ => false,
+    };
+    if exact {
+        Ok(())
+    } else {
+        let want = keys.join(", ");
+        Err(DeError::custom(format!("expected an object keyed {want}")))
+    }
+}
+
+/// Why a metrics snapshot could not be read or absorbed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MetricsSnapshotError {
+    /// The text is not a snapshot [`encode_snapshot`] wrote (with the
+    /// reason).
+    Malformed(String),
+    /// The snapshot does not fit the registry it was absorbed into.
+    Mismatch(SnapshotError),
+}
+
+impl From<SnapshotError> for MetricsSnapshotError {
+    fn from(e: SnapshotError) -> Self {
+        MetricsSnapshotError::Mismatch(e)
+    }
+}
+
+impl std::fmt::Display for MetricsSnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MetricsSnapshotError::Malformed(why) => write!(f, "malformed metrics snapshot: {why}"),
+            MetricsSnapshotError::Mismatch(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for MetricsSnapshotError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,5 +660,134 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("vqoe_telemetry_ingest_anomaly_late_arrival_total 2"));
         assert!(text.contains("vqoe_telemetry_ingest_anomaly_empty_host_total 1"));
+    }
+
+    /// Every shape a snapshot writes: a counter, a negative gauge, a
+    /// plain histogram with an overflow sample, and an exemplar-enabled
+    /// histogram.
+    fn populated() -> Registry {
+        let s = MetricClass::Stable;
+        let reg = Registry::new();
+        reg.counter("vqoe_test_events_total", "e", s).add(17);
+        reg.gauge("vqoe_test_open", "o", s).set(-4);
+        let h = reg.histogram("vqoe_test_sizes", "s", s, &[10, 100]);
+        h.observe(5);
+        h.observe(50);
+        h.observe(5_000);
+        let marked = reg.histogram("vqoe_test_marked", "m", s, &[10]);
+        marked.enable_exemplars();
+        marked.observe_exemplar(5, 11, 100);
+        marked.observe_exemplar(5_000, 12, 200);
+        reg.counter("vqoe_test_runtime_total", "r", MetricClass::Runtime)
+            .inc();
+        reg
+    }
+
+    #[test]
+    fn encode_writes_one_metric_per_line_in_name_order() {
+        assert_eq!(
+            encode_snapshot(&populated().snapshot()),
+            "{\n  \"counters\": {\n    \"vqoe_test_events_total\": 17\n  },\n  \
+             \"gauges\": {\n    \"vqoe_test_open\": -4\n  },\n  \"histograms\": {\n    \
+             \"vqoe_test_marked\": { \"buckets\": [[10, 1]], \"inf\": 1, \"sum\": 5005, \
+             \"count\": 2, \"exemplars\": [[0, 5, 11, 100], [1, 5000, 12, 200]] },\n    \
+             \"vqoe_test_sizes\": { \"buckets\": [[10, 1], [100, 1]], \"inf\": 1, \
+             \"sum\": 5055, \"count\": 3 }\n  }\n}\n"
+        );
+        assert_eq!(
+            encode_snapshot(&Snapshot::default()),
+            "{\n  \"counters\": {\n\n  },\n  \"gauges\": {\n\n  },\n  \"histograms\": {\n\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn decode_reads_back_what_encode_writes() {
+        let mut saved = populated().snapshot();
+        for snapshot in [Snapshot::default(), saved.clone()] {
+            assert_eq!(decode_snapshot(&encode_snapshot(&snapshot)), Ok(snapshot));
+        }
+        // An empty exemplar list stays `Some`: it re-enables capture.
+        saved.histograms[0].1.exemplars = Some(Vec::new());
+        let text = encode_snapshot(&saved);
+        assert!(text.contains("\"exemplars\": [] }"));
+        assert_eq!(decode_snapshot(&text), Ok(saved));
+    }
+
+    #[test]
+    fn decode_rejects_malformed_snapshots() {
+        let saved = encode_snapshot(&populated().snapshot());
+        for bad in [
+            "",
+            "{",
+            "not json",
+            "{\n  \"counters\": {\n    \"x\": notanumber\n  },\n",
+            &saved.replace("17", "1.5"),
+            &saved.replace("counters", "cnt"),
+            &saved.replace("17", "-17"),
+            &saved.replace("\"inf\"", "\"overflow\""),
+            &saved.replace("[[10, 1]]", "[[10, 1, 2]]"),
+            &(saved.clone() + "{}"),
+            &saved.replace(
+                "    \"vqoe_test_open\": -4",
+                "    \"vqoe_test_open\": -4,\n    \"vqoe_test_open\": -4",
+            ),
+            &saved.replace("\"vqoe_test_sizes\"", "\"vqoe_test_a\""),
+        ] {
+            assert!(
+                matches!(
+                    decode_snapshot(bad),
+                    Err(MetricsSnapshotError::Malformed(_))
+                ),
+                "accepted {bad:?}"
+            );
+        }
+    }
+
+    /// [`populated`]'s stable metrics, registered empty: the registry a
+    /// restoring process absorbs a snapshot into.
+    fn restore_target() -> Registry {
+        let s = MetricClass::Stable;
+        let reg = Registry::new();
+        reg.counter("vqoe_test_events_total", "e", s);
+        reg.gauge("vqoe_test_open", "o", s);
+        reg.histogram("vqoe_test_sizes", "s", s, &[10, 100]);
+        reg.histogram("vqoe_test_marked", "m", s, &[10]);
+        reg
+    }
+
+    /// Bytes the snapshot grammar gives meaning to, so spliced junk
+    /// reaches past the first token.
+    const SNAPSHOT_TOKENS: &[u8] = b"{}[],:\"\\-0123456789unx ";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Reading is total over damaged snapshots: truncated,
+        /// bit-flipped or junk-spliced `encode_snapshot` output decodes
+        /// and absorbs, or is rejected with a typed error, never a panic.
+        #[test]
+        fn damaged_snapshots_never_panic(
+            mode in 0u8..3,
+            at in 0usize..usize::MAX,
+            bit in 0u8..8,
+            junk in proptest::collection::vec(0usize..SNAPSHOT_TOKENS.len(), 0..24),
+        ) {
+            let junk: Vec<u8> = junk.into_iter().map(|i| SNAPSHOT_TOKENS[i]).collect();
+            let mut bytes = encode_snapshot(&populated().snapshot()).into_bytes();
+            let pos = at % bytes.len();
+            match mode {
+                0 => bytes.truncate(pos),
+                1 => bytes[pos] ^= 1 << bit,
+                _ => {
+                    bytes.splice(pos..pos, junk);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let read = decode_snapshot(&text)
+                .and_then(|snapshot| Ok(restore_target().absorb(&snapshot)?));
+            if let Err(e) = read {
+                proptest::prop_assert!(!e.to_string().is_empty());
+            }
+        }
     }
 }

@@ -37,10 +37,13 @@
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
+use vqoe_obs::Registry;
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{AnomalyLog, IngestConfig, ReassemblerState, StreamHealth, WeblogEntry};
 
-use crate::metrics::{PipelineMetrics, Published};
+use crate::metrics::{
+    decode_snapshot, encode_snapshot, MetricsSnapshotError, PipelineMetrics, Published,
+};
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::shard::{assess, close, Closed, Shard};
 use crate::subscribe::SubscriptionSet;
@@ -578,12 +581,10 @@ impl OnlineAssessor {
     /// Like [`OnlineAssessor::checkpoint`], but also embeds the
     /// `Stable`-class metrics snapshot of `registry`, so a restored
     /// process resumes counting where the dead one stopped (via
-    /// [`Registry::absorb_snapshot`]).
-    ///
-    /// [`Registry::absorb_snapshot`]: vqoe_obs::Registry::absorb_snapshot
-    pub fn checkpoint_with_metrics(&self, registry: &vqoe_obs::Registry) -> OnlineCheckpoint {
+    /// [`OnlineCheckpoint::absorb_metrics`]).
+    pub fn checkpoint_with_metrics(&self, registry: &Registry) -> OnlineCheckpoint {
         let mut ck = self.checkpoint();
-        ck.metrics_snapshot = Some(registry.snapshot_json());
+        ck.metrics_snapshot = Some(encode_snapshot(&registry.snapshot()));
         ck
     }
 
@@ -688,11 +689,8 @@ pub struct OnlineCheckpoint {
     pub anomalies: AnomalyLog,
     /// The shed log at the cut point.
     pub shed: ShedLog,
-    /// Optional `Stable`-class metrics snapshot
-    /// ([`Registry::snapshot_json`] output) for counter continuity
-    /// across the restore.
-    ///
-    /// [`Registry::snapshot_json`]: vqoe_obs::Registry::snapshot_json
+    /// Optional `Stable`-class metrics snapshot ([`encode_snapshot`]
+    /// output) for counter continuity across the restore.
     pub metrics_snapshot: Option<String>,
 }
 
@@ -707,6 +705,19 @@ impl OnlineCheckpoint {
     /// [`OnlineCheckpoint::to_json`].
     pub fn from_json(s: &str) -> Result<OnlineCheckpoint, serde_json::Error> {
         serde_json::from_str(s)
+    }
+
+    /// Fold the embedded metrics snapshot, if any, into `registry`: the
+    /// reading half of [`OnlineAssessor::checkpoint_with_metrics`].
+    /// Absorb into a freshly registered registry, then attach its
+    /// metrics to the restored assessor, and the counters continue from
+    /// the cut. A checkpoint without a snapshot leaves `registry` as it
+    /// is.
+    pub fn absorb_metrics(&self, registry: &Registry) -> Result<(), MetricsSnapshotError> {
+        if let Some(text) = &self.metrics_snapshot {
+            registry.absorb(&decode_snapshot(text)?)?;
+        }
+        Ok(())
     }
 }
 

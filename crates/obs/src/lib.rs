@@ -10,9 +10,14 @@
 //!   registry lock.
 //! - [`MetricClass`] — every metric is either `Stable` (derived purely
 //!   from the input data, identical across runs and worker counts) or
-//!   `Runtime` (scheduling/wall-clock dependent). The JSON snapshot sink
-//!   renders only `Stable` metrics and is therefore byte-identical for
-//!   identical input; the Prometheus text sink renders everything.
+//!   `Runtime` (scheduling/wall-clock dependent). The Prometheus text
+//!   sink renders everything.
+//! - [`Snapshot`] — the `Stable` metrics as typed state:
+//!   [`Registry::snapshot`] exports it, identical for identical input,
+//!   and [`Registry::absorb`] folds a saved one back in on restore. This
+//!   crate hands the state over and takes it back; `vqoe-core` owns its
+//!   JSON form (the `--metrics PATH.json` file and the copy a
+//!   checkpoint embeds).
 //! - [`Clock`] / [`SimClock`] / [`StageSpan`] — span-style stage timing
 //!   behind a trait. The deterministic crates only ever see `SimClock`,
 //!   a tick counter advanced by work units (entries processed), so the
@@ -50,8 +55,8 @@ pub use alerts::{
 };
 pub use clock::{Clock, SimClock, StageSpan};
 pub use registry::{
-    Counter, Exemplar, Gauge, Histogram, MetricClass, MetricDesc, Registry, SnapshotError,
-    EXEMPLARS_PER_BUCKET,
+    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricClass, MetricDesc, Registry,
+    Snapshot, SnapshotError, EXEMPLARS_PER_BUCKET,
 };
 pub use reporter::{ReportLevel, Reporter};
 pub use trace::{Trace, TraceConfig, TraceEvent, TraceSink, TraceStage, TRACE_FORMAT_VERSION};

@@ -18,8 +18,6 @@
 
 use std::fmt::Write as _;
 
-use crate::registry::json_string;
-
 /// Format version stamped into every Chrome trace export (the
 /// `otherData.formatVersion` field) and the JSONL header line.
 pub const TRACE_FORMAT_VERSION: u32 = 1;
@@ -244,6 +242,24 @@ impl Trace {
         }
         out
     }
+}
+
+/// A quoted JSON string, as both exports print a detail. Trace details
+/// are plain ASCII, but any input stays valid JSON.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]

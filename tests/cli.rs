@@ -754,3 +754,153 @@ fn corpus_pack_unpack_round_trips_and_assess_sniffs_both() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("pack|unpack"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A workdir holding a 12-session encrypted capture (1,096 records, one
+/// subscriber per trace) and a small model: the tap the checkpoint
+/// tests cut at record 500.
+fn restore_workdir(tag: &str) -> PathBuf {
+    let dir = workdir(tag);
+    for args in [
+        &[
+            "generate",
+            "--kind",
+            "encrypted",
+            "--sessions",
+            "12",
+            "--seed",
+            "11",
+            "--out",
+            "traces.jsonl",
+        ][..],
+        &[
+            "capture",
+            "--traces",
+            "traces.jsonl",
+            "--encrypted",
+            "--seed",
+            "3",
+            "--out",
+            "weblogs.jsonl",
+        ],
+        &[
+            "train",
+            "--cleartext",
+            "120",
+            "--adaptive",
+            "60",
+            "--seed",
+            "3",
+            "--out",
+            "model.json",
+        ],
+    ] {
+        run(&dir, args);
+    }
+    assert_eq!(line_count(&dir.join("weblogs.jsonl")), 1096);
+    dir
+}
+
+/// `vqoe assess` on the restore workdir's tap, plus `extra` flags.
+fn assess_tap(dir: &Path, out: &str, extra: &[&str]) -> String {
+    let base = [
+        "assess",
+        "--model",
+        "model.json",
+        "--weblogs",
+        "weblogs.jsonl",
+        "--out",
+        out,
+    ];
+    run(dir, &[&base[..], extra].concat())
+}
+
+#[test]
+fn kill_and_restore_resume_the_assessments_and_the_metrics() {
+    let dir = restore_workdir("restore_metrics");
+    let read = |name: &str| std::fs::read(dir.join(name)).expect("read output");
+    for extra in [&[][..], &["--exemplars"]] {
+        let cut = [
+            &["--checkpoint", "ck.json", "--checkpoint-at", "500"][..],
+            extra,
+        ]
+        .concat();
+        assess_tap(
+            &dir,
+            "whole.jsonl",
+            &[&cut[..], &["--metrics", "m"]].concat(),
+        );
+        let log = assess_tap(
+            &dir,
+            "resumed.jsonl",
+            &[&["--restore", "ck.json", "--metrics", "m2"][..], extra].concat(),
+        );
+        assert!(!log.contains("carries no metrics"), "{log}");
+        assert_eq!(
+            read("m.json"),
+            read("m2.json"),
+            "snapshots differ {extra:?}"
+        );
+        assert!(line_count(&dir.join("resumed.jsonl")) > 0);
+        assert_eq!(read("whole.jsonl"), read("resumed.jsonl"), "{extra:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restoring_a_checkpoint_without_metrics_says_where_the_counters_start() {
+    let dir = restore_workdir("restore_no_metrics");
+    let cut = ["--checkpoint", "ck.json", "--checkpoint-at", "500"];
+    assess_tap(&dir, "whole.jsonl", &cut);
+    let restore = ["--restore", "ck.json"];
+    let log = assess_tap(
+        &dir,
+        "resumed.jsonl",
+        &[&restore[..], &["--metrics", "m"]].concat(),
+    );
+    assert!(
+        log.contains(
+            "checkpoint ck.json carries no metrics: the stable counters count from \
+             record 500, not from the start of the tap"
+        ),
+        "{log}"
+    );
+    // Without --metrics there are no counters to speak of.
+    let log = assess_tap(&dir, "resumed.jsonl", &restore);
+    assert!(!log.contains("carries no metrics"), "{log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restoring_onto_a_tap_shorter_than_the_cut_fails() {
+    let dir = restore_workdir("restore_short");
+    let cut = ["--checkpoint", "ck.json", "--checkpoint-at", "500"];
+    assess_tap(&dir, "whole.jsonl", &cut);
+    // A tap shorter than the cut cannot be the one the checkpoint came
+    // from: the restore fails and names both counts.
+    let tap = std::fs::read_to_string(dir.join("weblogs.jsonl")).expect("read tap");
+    let head: String = tap.lines().take(300).map(|l| format!("{l}\n")).collect();
+    std::fs::write(dir.join("short.jsonl"), head).expect("write short tap");
+    let out = vqoe()
+        .current_dir(&dir)
+        .args([
+            "assess",
+            "--model",
+            "model.json",
+            "--weblogs",
+            "short.jsonl",
+            "--out",
+            "short_out.jsonl",
+            "--restore",
+            "ck.json",
+        ])
+        .output()
+        .expect("spawn vqoe");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("ck.json was cut at record 500, but the tap has only 300 records"),
+        "{stderr}"
+    );
+    assert!(!dir.join("short_out.jsonl").exists(), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -17,8 +17,9 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    AdmissionPolicy, BudgetConfig, EncryptedEvalConfig, EncryptedWorld, EngineConfig, IngestReport,
-    OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, TrainingConfig,
+    decode_snapshot, encode_snapshot, AdmissionPolicy, BudgetConfig, EncryptedEvalConfig,
+    EncryptedWorld, EngineConfig, IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics,
+    QoeMonitor, TrainingConfig,
 };
 use vqoe_obs::Registry;
 use vqoe_telemetry::{apply_chaos, AnomalyKindCounts, ChaosProfile, IngestConfig, WeblogEntry};
@@ -68,7 +69,7 @@ fn instrumented_run(
         .with_engine(cfg)
         .with_metrics(metrics.clone())
         .assess(entries);
-    (report, registry.snapshot_json(), metrics)
+    (report, encode_snapshot(&registry.snapshot()), metrics)
 }
 
 #[test]
@@ -205,9 +206,8 @@ fn registry_mirrors_the_tallies_after_every_ingest_call() {
         let ck = OnlineCheckpoint::from_json(&json).expect("checkpoint parses");
         let registry = Registry::new();
         let metrics = PipelineMetrics::register(&registry);
-        registry
-            .absorb_snapshot(ck.metrics_snapshot.as_deref().expect("snapshot embedded"))
-            .expect("snapshot absorbs");
+        assert!(ck.metrics_snapshot.is_some(), "snapshot embedded");
+        ck.absorb_metrics(&registry).expect("snapshot absorbs");
         let mut online = OnlineAssessor::restore(monitor().clone(), &ck)
             .expect("checkpoint restores")
             .with_metrics(metrics.clone());
@@ -249,7 +249,7 @@ fn anomaly_kind_counts_merge_by_summation() {
 }
 
 #[test]
-fn absorb_snapshot_restores_stable_metrics_and_resets_runtime_ones() {
+fn absorb_restores_stable_metrics_and_resets_runtime_ones() {
     use vqoe_obs::MetricClass;
     // A checkpointed process had both classes populated ...
     let registry = Registry::new();
@@ -257,7 +257,7 @@ fn absorb_snapshot_restores_stable_metrics_and_resets_runtime_ones() {
     let runtime = registry.counter("it_runtime_total", "runtime counter", MetricClass::Runtime);
     stable.add(42);
     runtime.add(7);
-    let snapshot = registry.snapshot_json();
+    let snapshot = encode_snapshot(&registry.snapshot());
 
     // ... but the snapshot carries Stable state only, so a restoring
     // process gets its Stable counters back and its Runtime counters
@@ -266,13 +266,12 @@ fn absorb_snapshot_restores_stable_metrics_and_resets_runtime_ones() {
     let stable2 = restored.counter("it_stable_total", "stable counter", MetricClass::Stable);
     let runtime2 = restored.counter("it_runtime_total", "runtime counter", MetricClass::Runtime);
     runtime2.add(3);
-    restored
-        .absorb_snapshot(&snapshot)
-        .expect("snapshot absorbs");
+    let decoded = decode_snapshot(&snapshot).expect("snapshot decodes");
+    restored.absorb(&decoded).expect("snapshot absorbs");
     assert_eq!(stable2.get(), 42, "stable counter not restored");
     assert_eq!(runtime2.get(), 3, "absorb touched a runtime-class counter");
     // Round-trip check: the restored registry snapshots byte-identically.
-    assert_eq!(restored.snapshot_json(), snapshot);
+    assert_eq!(encode_snapshot(&restored.snapshot()), snapshot);
 }
 
 // ------------------------------------------------------------ CLI side

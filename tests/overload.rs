@@ -30,9 +30,9 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vqoe_core::{
-    shard_of, AdmissionPolicy, BudgetConfig, EngineConfig, Fidelity, IngestReport, OnlineAssessor,
-    OnlineCheckpoint, PipelineMetrics, QoeMonitor, RestoreError, ShardCheckpoint, ShedReason,
-    TrainingConfig,
+    encode_snapshot, shard_of, AdmissionPolicy, BudgetConfig, EngineConfig, Fidelity, IngestReport,
+    OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor, RestoreError, ShardCheckpoint,
+    ShedReason, TrainingConfig,
 };
 use vqoe_features::{
     representation_feature_names, representation_features, stall_feature_names, stall_features,
@@ -97,7 +97,7 @@ fn run_streaming(entries: &[WeblogEntry], budget: BudgetConfig) -> (IngestReport
     let mut report = online.into_report();
     assessments.extend(std::mem::take(&mut report.assessments));
     report.assessments = assessments;
-    (report, registry.snapshot_json())
+    (report, encode_snapshot(&registry.snapshot()))
 }
 
 /// Same stream, but killed at `cut`: checkpoint (with metrics), round
@@ -131,9 +131,8 @@ fn run_interrupted(
     );
     let registry2 = Registry::new();
     let metrics2 = PipelineMetrics::register(&registry2);
-    registry2
-        .absorb_snapshot(ck.metrics_snapshot.as_deref().expect("snapshot embedded"))
-        .expect("snapshot absorbs");
+    assert!(ck.metrics_snapshot.is_some(), "snapshot embedded");
+    ck.absorb_metrics(&registry2).expect("snapshot absorbs");
     let mut second = OnlineAssessor::restore(monitor().clone(), &ck)
         .expect("checkpoint restores")
         .with_metrics(metrics2);
@@ -143,7 +142,7 @@ fn run_interrupted(
     let mut report = second.into_report();
     assessments.extend(std::mem::take(&mut report.assessments));
     report.assessments = assessments;
-    (report, registry2.snapshot_json())
+    (report, encode_snapshot(&registry2.snapshot()))
 }
 
 #[test]
@@ -163,7 +162,8 @@ fn kill_restore_replay_is_bit_identical() {
             uninterrupted.shed.total() > 0,
             "the budget must actually shed for this test to bite"
         );
-        for cut in [entries.len() / 3, entries.len() / 2, 2 * entries.len() / 3] {
+        let len = entries.len();
+        for cut in [0, 1, len / 3, len / 2, 2 * len / 3, len - 1, len] {
             let (resumed, snap_b) = run_interrupted(entries, budget, cut);
             assert_eq!(
                 uninterrupted, resumed,
@@ -653,6 +653,50 @@ fn a_32_shard_checkpoint_resumes_from_one_table() {
     }
 }
 
+/// A checkpoint an earlier build wrote at record 145 of
+/// `multi_subscriber_tap(3, 1, 940)` under a cap of two open
+/// subscribers, with its metrics snapshot embedded and exemplar
+/// capture on: the evictions had already assessed 16 sessions, so both
+/// exemplar histograms hold samples.
+const CHECKPOINT_WITH_METRICS: &str = include_str!("fixtures/checkpoint_with_metrics.json");
+
+#[test]
+fn a_checkpoint_with_metrics_restores_its_snapshot_byte_for_byte() {
+    let ck = OnlineCheckpoint::from_json(CHECKPOINT_WITH_METRICS).expect("fixture parses");
+    let embedded = ck.metrics_snapshot.clone().expect("snapshot embedded");
+    assert!(embedded.contains("\"exemplars\": [["), "{embedded}");
+    // Registered without exemplars: the snapshot turns capture back on.
+    let registry = Registry::new();
+    let metrics = PipelineMetrics::register(&registry);
+    ck.absorb_metrics(&registry).expect("snapshot absorbs");
+    assert_eq!(encode_snapshot(&registry.snapshot()), embedded);
+
+    // Resumed, the tail brings the registry to the uninterrupted run's.
+    let entries = multi_subscriber_tap(3, 1, 940);
+    let mut resumed = OnlineAssessor::restore(monitor().clone(), &ck)
+        .expect("fixture restores")
+        .with_metrics(metrics);
+    for e in entries.iter().skip(ck.records_ingested as usize) {
+        resumed.ingest(e);
+    }
+    resumed.into_report();
+    let whole = Registry::new();
+    let cap = IngestConfig {
+        max_open_subscribers: 2,
+        ..IngestConfig::default()
+    };
+    let mut uninterrupted = OnlineAssessor::with_config(monitor().clone(), cap)
+        .with_metrics(PipelineMetrics::register_with_exemplars(&whole));
+    for e in &entries {
+        uninterrupted.ingest(e);
+    }
+    uninterrupted.into_report();
+    assert_eq!(
+        encode_snapshot(&registry.snapshot()),
+        encode_snapshot(&whole.snapshot())
+    );
+}
+
 #[test]
 fn restore_rejects_an_unreadable_spill_digest() {
     let good = spilled_checkpoint();
@@ -827,11 +871,9 @@ proptest! {
         if let Ok(ck) = OnlineCheckpoint::from_json(&text) {
             // As `vqoe assess --restore` does: absorb the embedded
             // metrics into a freshly registered registry, then restore.
-            if let Some(snapshot) = &ck.metrics_snapshot {
-                let registry = Registry::new();
-                let _metrics = PipelineMetrics::register(&registry);
-                let _ = registry.absorb_snapshot(snapshot);
-            }
+            let registry = Registry::new();
+            let _metrics = PipelineMetrics::register(&registry);
+            let _ = ck.absorb_metrics(&registry);
             let _ = OnlineAssessor::restore(spilling_monitor(), &ck);
         }
     }

@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vqoe_core::{
-    EncryptedEvalConfig, EncryptedWorld, EngineConfig, Fidelity, IngestPipeline, IngestReport,
-    PipelineMetrics, QoeMonitor, TrainingConfig,
+    encode_snapshot, EncryptedEvalConfig, EncryptedWorld, EngineConfig, Fidelity, IngestPipeline,
+    IngestReport, PipelineMetrics, QoeMonitor, TrainingConfig,
 };
 use vqoe_obs::Registry;
 use vqoe_player::TransportSummary;
@@ -249,7 +249,7 @@ fn assert_binary_replay_matches_decoded(cfg: EngineConfig, corpus: &BinaryCorpus
         } else {
             pipeline.assess(&entries)
         };
-        (report, registry.snapshot_json())
+        (report, encode_snapshot(&registry.snapshot()))
     };
     let (binary, binary_snapshot) = replay(true);
     let (decoded, decoded_snapshot) = replay(false);

@@ -21,8 +21,9 @@ use common::multi_subscriber_tap;
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    default_alert_rules, standard_alert_engine, AdmissionPolicy, AlertSampler, BudgetConfig,
-    EngineConfig, IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor, TrainingConfig,
+    default_alert_rules, encode_snapshot, standard_alert_engine, AdmissionPolicy, AlertSampler,
+    BudgetConfig, EngineConfig, IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor,
+    TrainingConfig,
 };
 use vqoe_obs::{Alert, AlertRule, AlertSeverity, Registry, RuleKind, Trace, TraceConfig};
 use vqoe_simnet::time::Instant;
@@ -99,7 +100,7 @@ fn engine_run(
     } else {
         (engine.assess(entries), None)
     };
-    (report, registry.snapshot_json(), trace)
+    (report, encode_snapshot(&registry.snapshot()), trace)
 }
 
 #[test]
