@@ -32,25 +32,25 @@
 //! accept JSONL or a packed [`BinaryCorpus`]; either way the whole file
 //! is decoded into memory and re-sorted into tap order before the run.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use rand::SeedableRng;
 use vqoe_core::{
-    encode_snapshot, generate_sequential_traces, generate_traces, standard_alert_engine,
-    AdmissionPolicy, AlertSampler, BudgetConfig, DatasetSpec, EngineConfig, Fidelity,
+    encode_snapshot, generate_sequential_traces, generate_traces, parse_rules, AdmissionPolicy,
+    Alert, AlertSampler, AlertSeverity, BudgetConfig, DatasetSpec, EngineConfig, Fidelity,
     IngestPipeline, IngestReport, OnlineAssessor, OnlineCheckpoint, PipelineMetrics, QoeMonitor,
     TrainConfig, TrainingConfig, ALERT_WINDOW_RECORDS,
 };
 use vqoe_obs::{
-    buckets, parse_rules, Alert, AlertSeverity, Clock, Histogram, MetricClass, Registry,
-    ReportLevel, Reporter, StageSpan, TraceConfig,
+    buckets, Clock, Histogram, MetricClass, Registry, ReportLevel, Reporter, StageSpan, TraceConfig,
 };
 use vqoe_player::SessionTrace;
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{
     apply_chaos, capture_session, extract_sessions, generate_subscriber_flood, merge_streams,
     read_jsonl, write_jsonl, BinaryCorpus, CaptureConfig, ChaosConfig, ChaosProfile, IngestConfig,
-    WeblogEntry,
+    WeblogEntry, BINLOG_MAGIC,
 };
 
 /// Wall-clock [`Clock`] for CLI stage timing. The `vqoe` binary is an
@@ -281,13 +281,18 @@ fn jsonl_size(entries: &[WeblogEntry]) -> usize {
         .sum()
 }
 
-/// Read weblogs for `assess` and `replay`, sniffing the on-disk format:
-/// a packed [`BinaryCorpus`] decodes from its byte buffer without JSON
-/// parsing; anything else parses as JSONL. Both yield every entry at
-/// once, which [`run_tap`] then sorts.
+/// Read weblogs for `assess` and `replay`, sniffing the on-disk format
+/// from the file's first bytes: a packed [`BinaryCorpus`] decodes from
+/// its byte buffer without JSON parsing; anything else parses as JSONL
+/// straight from the file. Both yield every entry at once, which
+/// [`run_tap`] then sorts.
 fn read_weblogs(path: &Path) -> Vec<WeblogEntry> {
-    let bytes = std::fs::read(path).unwrap_or_else(die(path));
-    if BinaryCorpus::sniff(&bytes) {
+    let mut magic = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(BINLOG_MAGIC.len() as u64).read_to_end(&mut magic))
+        .unwrap_or_else(die(path));
+    if BinaryCorpus::sniff(&magic) {
+        let bytes = std::fs::read(path).unwrap_or_else(die(path));
         let corpus = BinaryCorpus::from_bytes(bytes).unwrap_or_else(die(path));
         corpus.decode_all().unwrap_or_else(die(path))
     } else {
@@ -563,9 +568,8 @@ fn assess(flags: &Flags) -> Result<(), String> {
         if let Some(m) = metrics {
             online = online.with_metrics(m.clone());
         }
-        let mut sampler = alert_rules.map(|rules| {
-            AlertSampler::new(standard_alert_engine(rules), ALERT_WINDOW_RECORDS, &online)
-        });
+        let mut sampler =
+            alert_rules.map(|rules| AlertSampler::new(rules, ALERT_WINDOW_RECORDS, &online));
         let write_checkpoint = |online: &OnlineAssessor, path: &str| {
             let ck = if metrics.is_some() {
                 online.checkpoint_with_metrics(registry)

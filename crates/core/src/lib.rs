@@ -61,7 +61,8 @@
 //! streaming driver), [`digest`] (bounded-memory per-session digests
 //! behind the sketched tier). Both drivers run one private subscriber
 //! machine, so they cannot drift apart. [`alerting`] samples the
-//! streaming driver's load series into the alert rules from outside it.
+//! streaming driver's load series from outside it and evaluates the
+//! alert rules (threshold, rate and CUSUM drift) over them.
 //!
 //! The operator API is re-exported at the crate root; weblog records
 //! and session views come from `vqoe-telemetry` and `vqoe-features`.
@@ -88,7 +89,8 @@ pub mod switch_pipeline;
 pub mod weblog_training;
 
 pub use alerting::{
-    default_alert_rules, standard_alert_engine, AlertSampler, ALERT_WINDOW_RECORDS,
+    default_alert_rules, parse_rules, Alert, AlertRule, AlertSampler, AlertSeries, AlertSeverity,
+    RuleKind, RuleParseError, ALERT_WINDOW_RECORDS,
 };
 pub use avgrep_pipeline::{RepresentationModel, RepresentationTrainingReport};
 pub use digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};

@@ -29,10 +29,6 @@
 //!   span events (ingest → reassemble → fan-out → deliver → reduce)
 //!   recorded per shard job without locks, merged in emission-key
 //!   order, exported as Chrome trace-event JSON and compact JSONL.
-//! - [`AlertEngine`] — declarative alerting (threshold, rate-over-
-//!   window, injected change-detector drift) over per-window metric
-//!   sample series, with rules parsed from a TOML subset
-//!   ([`parse_rules`]).
 //!
 //! Metric names follow `vqoe_<crate>_<subsystem>_<name>`, with the usual
 //! Prometheus `_total` suffix on counters. Bucket boundaries tuned for
@@ -42,17 +38,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod alerts;
 pub mod buckets;
 mod clock;
 mod registry;
 mod reporter;
 mod trace;
 
-pub use alerts::{
-    parse_rules, Alert, AlertEngine, AlertRule, AlertSeverity, DriftFn, RuleKind, RuleParseError,
-    MAX_SAMPLES_PER_SERIES,
-};
 pub use clock::{Clock, SimClock, StageSpan};
 pub use registry::{
     Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricClass, MetricDesc, Registry,

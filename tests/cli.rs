@@ -558,7 +558,9 @@ fn assess_prints_the_alerts_its_rules_raise() {
     std::fs::write(
         dir.join("rules.toml"),
         "[[rule]]\nname = \"shed-cap\"\nseries = \"shed_rate\"\n\
-         kind = \"threshold\"\nmax = 0\nseverity = \"critical\"\n",
+         kind = \"threshold\"\nmax = 0\nseverity = \"critical\"\n\
+         [[rule]]\nname = \"shed-surge\"\nseries = \"shed_rate\"\n\
+         kind = \"rate\"\nmax_delta = 0\n",
     )
     .expect("write rules");
     let assess = [
@@ -572,14 +574,41 @@ fn assess_prints_the_alerts_its_rules_raise() {
         "--alerts",
         "rules.toml",
     ];
-    let log = run(&dir, &[&assess[..], &["--memory-budget", "20000"]].concat());
-    assert!(
-        log.contains("alert: shed-cap [critical]: threshold condition met on series shed_rate"),
-        "log: {log}"
-    );
-    // Unbudgeted, nothing sheds and the rule stays silent.
+    let budgeted = [&assess[..], &["--memory-budget", "20000"]].concat();
+    // The full lines, as the alerting code printed them before it moved
+    // into vqoe-core: a critical alert at the default level...
+    let cap = "alert: shed-cap [critical]: threshold condition met on series shed_rate \
+               at window 0 (value 4.000)\n";
+    let surge = "alert: shed-surge [warning]: rate condition met on series shed_rate \
+                 at window 1 (value 1.000)\n";
+    let log = run(&dir, &budgeted);
+    assert!(log.contains(cap), "log: {log}");
+    assert!(!log.contains("shed-surge"), "log: {log}");
+    // ...and a warning only under --verbose.
+    let log = run(&dir, &[&budgeted[..], &["--verbose"]].concat());
+    assert!(log.contains(cap) && log.contains(surge), "log: {log}");
+    // Unbudgeted, nothing sheds and the rules stay silent.
     let log = run(&dir, &assess);
     assert!(!log.contains("alert:"), "log: {log}");
+    // A series nothing samples is a rules-file error, not a rule that
+    // can never fire.
+    std::fs::write(
+        dir.join("rules.toml"),
+        "[[rule]]\nname = \"shed-cap\"\nseries = \"shed_rat\"\n\
+         kind = \"threshold\"\nmax = 0\n",
+    )
+    .expect("write rules");
+    let out = vqoe()
+        .current_dir(&dir)
+        .args(&budgeted)
+        .output()
+        .expect("spawn vqoe");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("parse alert rules: rules line 3: `series` must be"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

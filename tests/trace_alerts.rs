@@ -21,11 +21,11 @@ use common::multi_subscriber_tap;
 use std::sync::OnceLock;
 
 use vqoe_core::{
-    default_alert_rules, encode_snapshot, standard_alert_engine, AdmissionPolicy, AlertSampler,
-    BudgetConfig, EngineConfig, IngestReport, OnlineAssessor, PipelineMetrics, QoeMonitor,
-    TrainingConfig,
+    default_alert_rules, encode_snapshot, AdmissionPolicy, Alert, AlertRule, AlertSampler,
+    AlertSeries, AlertSeverity, BudgetConfig, EngineConfig, IngestReport, OnlineAssessor,
+    PipelineMetrics, QoeMonitor, RuleKind, TrainingConfig,
 };
-use vqoe_obs::{Alert, AlertRule, AlertSeverity, Registry, RuleKind, Trace, TraceConfig};
+use vqoe_obs::{Registry, Trace, TraceConfig};
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::capture::generate_noise;
 use vqoe_telemetry::{
@@ -233,7 +233,7 @@ fn sampled_run(
 ) -> (IngestReport, Vec<Alert>) {
     let mut online =
         OnlineAssessor::with_config(monitor().clone(), IngestConfig::default()).with_budget(budget);
-    let mut sampler = AlertSampler::new(standard_alert_engine(rules), window, &online);
+    let mut sampler = AlertSampler::new(rules, window, &online);
     for e in entries {
         online.ingest(e);
         sampler.observe(&online);
@@ -253,7 +253,7 @@ fn flooded_run(window: u64) -> (IngestReport, Vec<Alert>) {
 fn shed_cap(max: f64) -> AlertRule {
     AlertRule {
         name: "shed-cap".to_string(),
-        series: "shed_rate".to_string(),
+        series: AlertSeries::ShedRate,
         severity: AlertSeverity::Critical,
         kind: RuleKind::Threshold { max },
     }
@@ -304,8 +304,7 @@ fn a_restored_run_counts_its_first_alert_window_from_the_cut() {
     let ck = online.checkpoint();
     assert!(ck.shed.total() as f64 > max, "the cut must follow a shed");
     let mut online = OnlineAssessor::restore(monitor().clone(), &ck).expect("restore");
-    let mut sampler =
-        AlertSampler::new(standard_alert_engine(vec![shed_cap(max)]), window, &online);
+    let mut sampler = AlertSampler::new(vec![shed_cap(max)], window, &online);
     for e in &entries[cut..] {
         online.ingest(e);
         sampler.observe(&online);
@@ -315,6 +314,33 @@ fn a_restored_run_counts_its_first_alert_window_from_the_cut() {
         resumed.is_empty(),
         "sheds from before the cut leaked into the first window: {resumed:?}"
     );
+}
+
+#[test]
+fn a_restored_run_numbers_its_windows_on_the_record_clock() {
+    // Cut the flood on a window boundary before the one window that
+    // sheds more than `max`: the resumed run raises the uninterrupted
+    // run's alert, window included.
+    let (window, cut) = (16, 256);
+    let (entries, budget) = flooded_tap();
+    let max = 10.0;
+    let (_, whole) = sampled_run(&entries, budget, vec![shed_cap(max)], window);
+    assert_eq!(whole.len(), 1, "{whole:?}");
+    assert!(whole[0].window > cut / window, "{whole:?}");
+
+    let mut online =
+        OnlineAssessor::with_config(monitor().clone(), IngestConfig::default()).with_budget(budget);
+    for e in &entries[..cut as usize] {
+        online.ingest(e);
+    }
+    let mut online =
+        OnlineAssessor::restore(monitor().clone(), &online.checkpoint()).expect("restore");
+    let mut sampler = AlertSampler::new(vec![shed_cap(max)], window, &online);
+    for e in &entries[cut as usize..] {
+        online.ingest(e);
+        sampler.observe(&online);
+    }
+    assert_eq!(sampler.finish(&online), whole);
 }
 
 #[test]
