@@ -1714,30 +1714,30 @@ mod tests {
     /// figure of any experiment fails [`every_experiment_renders`].
     const REPORT_FNV1A: [(&str, u64); 26] = [
         ("tab1", 0x2b6a653691b81ae5),
-        ("fig1", 0xf3c53ad4092ed8be),
-        ("fig2", 0x38c832f600292c8e),
-        ("fig3", 0x34f0cf8242577ca7),
-        ("tab2", 0x987208741082c30e),
-        ("tab3", 0x167fc9673dc85ccc),
-        ("tab4", 0x23cb63cd1b466ead),
-        ("tab5", 0x25cfdd9569d13d34),
-        ("tab6", 0xbad7270c78da95ea),
-        ("tab7", 0x00d7356ed6502a10),
-        ("fig4", 0x3b621ceffad6c762),
-        ("fig5", 0x845ab31953cde645),
-        ("tab8", 0x833309e2a8c77eb2),
-        ("tab9", 0xdd2491d4ee5a9aa9),
-        ("tab10", 0xadec11caf43932cd),
-        ("tab11", 0x7e9be5fdf2b7a2d0),
-        ("sec56", 0xa9845de6fb775dc6),
-        ("ablation-features", 0x02105f02eeb99764),
-        ("ablation-cusum", 0x3d1eb052530e6b91),
-        ("ablation-reassembly", 0xace78488f950b503),
-        ("baseline-binary", 0x2bc6bdfae317d1d9),
-        ("generalization", 0x8fd38530103534ff),
-        ("obfuscation", 0x5df19811866988e5),
-        ("chaos-sweep", 0x01af916779e7d64d),
-        ("overload-sweep", 0x959ea35edffcead6),
+        ("fig1", 0xa62e86aa6719977f),
+        ("fig2", 0x0dfd39ae6e48e810),
+        ("fig3", 0xe334dee541c55f81),
+        ("tab2", 0xce7fbef171de333e),
+        ("tab3", 0xe2fc0dd158017354),
+        ("tab4", 0x8cf8208b30199d6a),
+        ("tab5", 0x74ce515487bcc415),
+        ("tab6", 0xa3af8abdb84a0ec3),
+        ("tab7", 0x11136a59068461be),
+        ("fig4", 0xe032a75a0e023b80),
+        ("fig5", 0x7adeae74005162c9),
+        ("tab8", 0xcc251cbee6c514c7),
+        ("tab9", 0x17cf11dd5a712c75),
+        ("tab10", 0x4d955fb5bf6c4de5),
+        ("tab11", 0xc7b74b26f8693311),
+        ("sec56", 0x1db27c9aa8f9f2a0),
+        ("ablation-features", 0xa968b52605a2b8ca),
+        ("ablation-cusum", 0x8bcf8e011d7f1520),
+        ("ablation-reassembly", 0xab0473f5f3a8c8d5),
+        ("baseline-binary", 0x42405c369a4971a0),
+        ("generalization", 0x37741ee6ea1cb5ce),
+        ("obfuscation", 0x946a0e6665b3df93),
+        ("chaos-sweep", 0x3f857303cee11a03),
+        ("overload-sweep", 0x974fd6c1d62393ed),
         ("subscriber-scaling", 0xf76aac3c0115fd72),
     ];
 

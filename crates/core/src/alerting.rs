@@ -587,13 +587,19 @@ mod tests {
     fn drift_rule_fires_where_the_cusum_chart_alarms() {
         let series = flood_series();
         let alerts = shed_alerts(
-            vec![rule(AlertSeries::ShedRate, RuleKind::Drift { h_sigmas: 2.0 })],
+            vec![rule(
+                AlertSeries::ShedRate,
+                RuleKind::Drift { h_sigmas: 2.0 },
+            )],
             series.iter().copied(),
         );
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "shed_rate-drift");
         let window = drift_alarm(&series, 2.0).expect("the chart alarms on the flood");
-        assert_eq!(alerts[0].window as usize, window, "the window the chart names");
+        assert_eq!(
+            alerts[0].window as usize, window,
+            "the window the chart names"
+        );
     }
 
     #[test]

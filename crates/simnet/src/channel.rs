@@ -18,13 +18,30 @@
 //! RTT and loss rate. Within one dwell period the capacity is a fixed
 //! lognormal draw around the state mean, so consecutive chunks see
 //! correlated — not i.i.d. — conditions, which is what lets the paper's
-//! session-level summary features carry signal.
+//! session-level summary features carry signal. An advance longer than
+//! [`MIXING_HORIZON`] does not walk the dwells nobody observes: it draws
+//! the channel's state from the chain's time-stationary law.
 
 use crate::rng::{standard_normal, SeedSequence};
 use crate::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+/// Shortest dwell: exponential dwell draws are clamped up to it, which
+/// also guarantees the walk makes forward progress.
+const MIN_DWELL: Duration = Duration(500_000);
+
+/// Longest dwell: exponential dwell draws are clamped down to it.
+const MAX_DWELL: Duration = Duration(600_000_000);
+
+/// An advance longer than this draws the channel's state instead of
+/// walking to it (see [`RadioChannel::advance_to`]). No dwell lasts more
+/// than 10 minutes, so at least 144 dwells fit in it, and after 144
+/// steps every scenario's transition matrix has forgotten its starting
+/// state to within 1e-14 in total variation: the walk's state at the
+/// target follows the stationary law to float precision.
+pub const MIXING_HORIZON: Duration = Duration(24 * 3600 * 1_000_000);
 
 /// Discrete radio quality states, ordered best to worst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -183,7 +200,10 @@ impl Scenario {
         p
     }
 
-    /// Initial state distribution (probability per state, summing to 1).
+    /// Initial state distribution (probability per state, summing to 1)
+    /// of a channel at t = 0. It governs only channels whose first
+    /// advance is at most [`MIXING_HORIZON`]; a channel first advanced
+    /// further starts from the chain's time-stationary law instead.
     pub fn initial_distribution(self) -> [f64; 5] {
         match self {
             Scenario::StaticHome => [0.40, 0.40, 0.15, 0.05, 0.00],
@@ -242,16 +262,63 @@ struct Chain {
     /// Each row's `iter().sum()`: the exact float `sample_categorical`
     /// scales its draw by.
     row_sums: [f64; 5],
+    /// Mean clamped dwell per state in seconds:
+    /// m = a + μ(e^(−a/μ) − e^(−b/μ)) for mean dwell μ and clamp
+    /// [a, b] = [`MIN_DWELL`, `MAX_DWELL`].
+    clamped_mean_secs: [f64; 5],
+    /// The time-stationary law, unnormalised: ν_i·m_i, where ν is the
+    /// stationary vector of `rows` (the share of dwells spent in each
+    /// state) and m_i is `clamped_mean_secs` (how long each lasts).
+    stationary: [f64; 5],
+    /// `stationary.iter().sum()`.
+    stationary_sum: f64,
 }
 
 impl Chain {
     fn new(scenario: Scenario) -> Self {
         let rows = ALL_STATES.map(|s| scenario.transition_row(s));
+        let params = ALL_STATES.map(|s| scenario.params(s));
+        let (a, b) = (MIN_DWELL.as_secs_f64(), MAX_DWELL.as_secs_f64());
+        let clamped_mean_secs = params.map(|p| {
+            let mu = p.mean_dwell.as_secs_f64();
+            a + mu * ((-a / mu).exp() - (-b / mu).exp())
+        });
+        // ν is any row of P^256 (eight squarings): 256 steps are past
+        // the 144 that bring every row within 1e-14 of ν.
+        let mut power = rows;
+        for _ in 0..8 {
+            power = std::array::from_fn(|i| {
+                std::array::from_fn(|j| (0..5).map(|k| power[i][k] * power[k][j]).sum())
+            });
+        }
+        let stationary: [f64; 5] = std::array::from_fn(|i| power[0][i] * clamped_mean_secs[i]);
         Chain {
-            params: ALL_STATES.map(|s| scenario.params(s)),
+            params,
             row_sums: rows.map(|row| row.iter().sum()),
             rows,
+            clamped_mean_secs,
+            stationary_sum: stationary.iter().sum(),
+            stationary,
         }
+    }
+
+    /// The rest of a dwell in `state` seen at a time-stationary instant,
+    /// by inverting its residual-life law at `u` in [0, 1). With
+    /// probability a/m it is uniform on [0, a); otherwise it is a plus
+    /// an exponential of mean μ truncated below b − a (notation of
+    /// `clamped_mean_secs`).
+    fn residual_dwell(&self, state: usize, u: f64) -> Duration {
+        let (a, b) = (MIN_DWELL.as_secs_f64(), MAX_DWELL.as_secs_f64());
+        let m = self.clamped_mean_secs[state];
+        let mu = self.params[state].mean_dwell.as_secs_f64();
+        let v = u * m;
+        let secs = if v < a {
+            v
+        } else {
+            let x = (v - a) / (m - a);
+            a - mu * (1.0 - x * (1.0 - (-(b - a) / mu).exp())).ln()
+        };
+        Duration::from_secs_f64(secs)
     }
 }
 
@@ -270,6 +337,11 @@ impl Chain {
 /// walks, but only computes capacity and extra loss for the dwell that
 /// covers its target: dwells that expire before it consume steps 3 and
 /// 4 without the maths, since no one can observe their conditions.
+///
+/// An advance longer than [`MIXING_HORIZON`] walks no dwell. It draws
+/// the state from the time-stationary law (one categorical draw), the
+/// rest of its dwell from the residual-life law (one uniform draw), and
+/// then the dwell's conditions as steps 3–4.
 #[derive(Debug, Clone)]
 pub struct RadioChannel {
     scenario: Scenario,
@@ -321,10 +393,9 @@ impl RadioChannel {
         // Exponential dwell with the scenario's mean.
         let u: f64 = self.rng.gen_range(1e-9..1.0);
         let dwell = self.params().mean_dwell.mul_f64(-u.ln());
-        // Clamp dwells into [0.5 s, 10 min] to keep traces well-behaved;
-        // the floor also guarantees the walk makes forward progress.
-        let dwell_us = dwell.as_micros().clamp(500_000, 600_000_000);
-        self.dwell_until = start + Duration(dwell_us);
+        // Clamp dwells into [0.5 s, 10 min] to keep traces well-behaved.
+        let dwell = dwell.clamp(MIN_DWELL, MAX_DWELL);
+        self.dwell_until = start + dwell;
     }
 
     /// Draw the current dwell's capacity and extra loss (steps 3–4).
@@ -362,11 +433,21 @@ impl RadioChannel {
     /// Advance simulated time to `t`, stepping the Markov chain through
     /// however many dwell expirations fall in the interval. Time never
     /// moves backwards; stale calls are no-ops.
+    ///
+    /// An advance longer than [`MIXING_HORIZON`] does not walk: the
+    /// state at `t`, the rest of its dwell and its conditions are drawn
+    /// from the chain's time-stationary law, which the walk would have
+    /// reached to float precision.
     pub fn advance_to(&mut self, t: Instant) {
         if t <= self.now {
             return;
         }
+        let elapsed = t.duration_since(self.now);
         self.now = t;
+        if elapsed > MIXING_HORIZON {
+            self.enter_stationary(t);
+            return;
+        }
         while t >= self.dwell_until {
             let from = self.state.index();
             let next = sample_categorical(
@@ -383,6 +464,21 @@ impl RadioChannel {
                 self.skip_conditions();
             }
         }
+    }
+
+    /// Draw the state at `t` from the time-stationary law and the rest
+    /// of its dwell from the residual-life law (at least 1 µs, so the
+    /// dwell covers `t`), then the dwell's conditions.
+    fn enter_stationary(&mut self, t: Instant) {
+        self.state = sample_categorical(
+            &mut self.rng,
+            &self.chain.stationary,
+            self.chain.stationary_sum,
+        );
+        let u: f64 = self.rng.gen_range(0.0..1.0);
+        let residual = self.chain.residual_dwell(self.state.index(), u);
+        self.dwell_until = t + residual.max(Duration(1));
+        self.draw_conditions();
     }
 
     /// Current simulated time.
@@ -691,6 +787,92 @@ mod tests {
         ch.advance_to(Instant::from_secs(1));
         let expected = ch.capacity_bps() * ch.base_rtt().as_secs_f64() / 8.0;
         assert!((ch.bdp_bytes() - expected).abs() < 1e-6);
+    }
+
+    /// Occupancy per state and mean residual dwell of `n` channels of
+    /// `scenario` (streams `first..first + n`) advanced to `t` through
+    /// the targets of `steps`.
+    fn census(scenario: Scenario, first: u64, n: u64, steps: &[Instant]) -> ([f64; 5], f64) {
+        let seeds = SeedSequence::new(2016);
+        let mut occupancy = [0.0; 5];
+        let mut residual = 0.0;
+        for idx in first..first + n {
+            let mut ch = RadioChannel::new(scenario, &seeds, idx);
+            for &t in steps {
+                ch.advance_to(t);
+            }
+            occupancy[ch.state().index()] += 1.0 / n as f64;
+            residual += ch.dwell_until.duration_since(ch.now).as_secs_f64() / n as f64;
+        }
+        (occupancy, residual)
+    }
+
+    /// A channel that jumps the horizon lands in the law the walk
+    /// reaches: per-state occupancy within 0.03 and mean residual dwell
+    /// within 10% of channels walked to the same time in steps of half
+    /// the target, at 4,000 channels a side.
+    #[test]
+    fn jump_past_the_horizon_matches_the_walk_in_law() {
+        const N: u64 = 4_000;
+        let t = Instant::ZERO + MIXING_HORIZON + Duration::from_secs(3600);
+        let half = Instant(t.as_micros() / 2);
+        for scenario in SCENARIOS {
+            let (jumped, jumped_residual) = census(scenario, 0, N, &[t]);
+            let (walked, walked_residual) = census(scenario, N, N, &[half, t]);
+            for i in 0..5 {
+                assert!(
+                    (jumped[i] - walked[i]).abs() <= 0.03,
+                    "{scenario:?}: occupancy jumped {jumped:.3?} vs walked {walked:.3?}"
+                );
+            }
+            assert!(
+                (jumped_residual / walked_residual - 1.0).abs() <= 0.10,
+                "{scenario:?}: mean residual dwell jumped {jumped_residual:.2} s vs \
+                 walked {walked_residual:.2} s"
+            );
+        }
+    }
+
+    /// A first advance of exactly the horizon still walks, bit for bit
+    /// as the full stepper does; one microsecond more takes the jump.
+    #[test]
+    fn the_horizon_itself_walks_and_one_microsecond_more_jumps() {
+        let seeds = SeedSequence::new(2016);
+        let horizon = Instant::ZERO + MIXING_HORIZON;
+        let past = horizon + Duration(1);
+        for scenario in SCENARIOS {
+            for idx in 0..20 {
+                let mut walked = RadioChannel::new(scenario, &seeds, idx);
+                let mut reference = ReferenceChannel::new(scenario, &seeds, idx);
+                walked.advance_to(horizon);
+                reference.advance_to(horizon);
+                assert_eq!(walked.state(), reference.state);
+                assert_eq!(
+                    walked.capacity_bps().to_bits(),
+                    reference.dwell_capacity_bps.to_bits()
+                );
+                assert_eq!(
+                    walked.loss_rate().to_bits(),
+                    reference.loss_rate().to_bits()
+                );
+                assert_eq!(walked.dwell_until, reference.dwell_until);
+                assert_eq!(walked.sample_rtt_jitter(), reference.sample_rtt_jitter());
+
+                let mut jumped = RadioChannel::new(scenario, &seeds, idx);
+                jumped.advance_to(past);
+                let mut expected = RadioChannel::new(scenario, &seeds, idx);
+                expected.now = past;
+                expected.enter_stationary(past);
+                assert_eq!(jumped.state(), expected.state());
+                assert_eq!(
+                    jumped.capacity_bps().to_bits(),
+                    expected.capacity_bps().to_bits()
+                );
+                assert_eq!(jumped.dwell_until, expected.dwell_until);
+                assert!(jumped.dwell_until > past);
+                assert_eq!(jumped.sample_rtt_jitter(), expected.sample_rtt_jitter());
+            }
+        }
     }
 
     proptest! {
