@@ -102,10 +102,10 @@ pub fn alarms(series: &[f64], config: CusumConfig, h_sigmas: f64) -> Vec<usize> 
 /// units — or `None` when the chart never crosses it (including the
 /// degenerate zero-variance cases [`alarms`] refuses to alarm on).
 ///
-/// This is the drift backend the observability layer's alert engine
-/// injects (a plain `fn` pointer, keeping `vqoe-obs` dependency-free):
-/// shed-rate / anomaly-rate / queue-depth series go in, the first
-/// drifting window index comes out.
+/// The streaming assessor's `drift` alert rules call it directly
+/// (`vqoe_core::AlertSampler`): a per-window shed-rate, anomaly-rate or
+/// queue-depth series goes in, the first drifting window index comes
+/// out.
 pub fn drift_alarm(series: &[f64], h_sigmas: f64) -> Option<usize> {
     alarms(series, CusumConfig::default(), h_sigmas)
         .first()

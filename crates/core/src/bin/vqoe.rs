@@ -28,10 +28,14 @@
 //! ```
 //!
 //! `assess` runs the streaming assessor, `replay` the sharded engine;
-//! their assessments are bit-identical. Both sniff `--weblogs` and
-//! accept JSONL or a packed [`BinaryCorpus`]; either way the whole file
-//! is decoded into memory and re-sorted into tap order before the run.
+//! their assessments are bit-identical. Both sniff `--weblogs`, accept
+//! JSONL or a packed [`BinaryCorpus`], and read it one record at a time
+//! in file order, which must be tap order: a record earlier than the
+//! one before it is an error ([`OutOfOrder`]), never re-sorted. `replay`
+//! runs a packed corpus in place unless chaos or `--trace` needs its
+//! records as entries.
 
+use std::fmt;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
@@ -48,8 +52,8 @@ use vqoe_obs::{
 use vqoe_player::SessionTrace;
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{
-    apply_chaos, capture_session, extract_sessions, generate_subscriber_flood, merge_streams,
-    read_jsonl, write_jsonl, BinaryCorpus, CaptureConfig, ChaosConfig, ChaosProfile, IngestConfig,
+    capture_session, extract_sessions, generate_subscriber_flood, jsonl_items, read_jsonl,
+    write_jsonl, BinaryCorpus, CaptureConfig, ChaosConfig, ChaosProfile, ChaosTap, IngestConfig,
     WeblogEntry, BINLOG_MAGIC,
 };
 
@@ -246,12 +250,16 @@ fn corpus_pack(flags: &Flags) -> Result<(), String> {
     let entries: Vec<WeblogEntry> = read_jsonl(&weblogs).unwrap_or_else(die(&weblogs));
     let corpus = BinaryCorpus::pack(&entries);
     corpus.write_file(&out).unwrap_or_else(die(&out));
+    // The input's size is what `write_jsonl` writes for these entries.
+    let jsonl_bytes = std::fs::metadata(&weblogs)
+        .unwrap_or_else(die(&weblogs))
+        .len();
     reporter(flags).normal(&format!(
         "packed {} weblog entries into {} ({} bytes, {:.2}x vs JSONL)",
         corpus.len(),
         out.display(),
         corpus.as_bytes().len(),
-        jsonl_size(&entries) as f64 / corpus.as_bytes().len().max(1) as f64,
+        jsonl_bytes as f64 / corpus.as_bytes().len().max(1) as f64,
     ));
     Ok(())
 }
@@ -272,31 +280,81 @@ fn corpus_unpack(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Serialized JSONL footprint of a weblog slice (for the pack ratio
-/// status line only).
-fn jsonl_size(entries: &[WeblogEntry]) -> usize {
-    entries
-        .iter()
-        .map(|e| serde_json::to_string(e).map(|s| s.len() + 1).unwrap_or(0))
-        .sum()
-}
+/// A tap's records, one at a time.
+type Tap<'a> = Box<dyn Iterator<Item = WeblogEntry> + 'a>;
 
-/// Read weblogs for `assess` and `replay`, sniffing the on-disk format
-/// from the file's first bytes: a packed [`BinaryCorpus`] decodes from
-/// its byte buffer without JSON parsing; anything else parses as JSONL
-/// straight from the file. Both yield every entry at once, which
-/// [`run_tap`] then sorts.
-fn read_weblogs(path: &Path) -> Vec<WeblogEntry> {
+/// Open `--weblogs`, its format sniffed from its first bytes: a packed
+/// corpus comes back in memory, to be read in place; `None` is JSONL,
+/// read from disk a line at a time.
+fn open_weblogs(path: &Path) -> Option<BinaryCorpus> {
     let mut magic = Vec::new();
     std::fs::File::open(path)
         .and_then(|f| f.take(BINLOG_MAGIC.len() as u64).read_to_end(&mut magic))
         .unwrap_or_else(die(path));
-    if BinaryCorpus::sniff(&magic) {
-        let bytes = std::fs::read(path).unwrap_or_else(die(path));
-        let corpus = BinaryCorpus::from_bytes(bytes).unwrap_or_else(die(path));
-        corpus.decode_all().unwrap_or_else(die(path))
-    } else {
-        read_jsonl(path).unwrap_or_else(die(path))
+    BinaryCorpus::sniff(&magic).then(|| BinaryCorpus::read_file(path).unwrap_or_else(die(path)))
+}
+
+/// The records of `--weblogs` (`packed`, or JSONL when `None`) as
+/// entries, one at a time, in file order. A record that does not
+/// decode, or is [`OutOfOrder`], exits 1 naming it.
+fn weblog_records<'a>(packed: Option<&'a BinaryCorpus>, path: &'a Path) -> Tap<'a> {
+    let records: Tap<'a> = match packed {
+        Some(corpus) => Box::new(
+            corpus
+                .records()
+                .map(move |r| r.unwrap_or_else(die(path)).to_entry()),
+        ),
+        None => Box::new(
+            jsonl_items(path)
+                .unwrap_or_else(die(path))
+                .map(move |r| r.unwrap_or_else(die(path))),
+        ),
+    };
+    Box::new(in_tap_order(records, |e| e.timestamp, path))
+}
+
+/// `records` as they come, checked for tap order: the first one earlier
+/// than the one before it exits 1 as [`OutOfOrder`].
+fn in_tap_order<'a, R: 'a>(
+    records: impl Iterator<Item = R> + 'a,
+    timestamp: fn(&R) -> Instant,
+    path: &'a Path,
+) -> impl Iterator<Item = R> + 'a {
+    let mut last = Instant(0);
+    records.enumerate().map(move |(index, record)| {
+        let previous = std::mem::replace(&mut last, timestamp(&record));
+        if last < previous {
+            die(path)(OutOfOrder {
+                index,
+                timestamp: last,
+                previous,
+            })
+        }
+        record
+    })
+}
+
+/// A `--weblogs` record earlier than the one before it. `assess` and
+/// `replay` take the tap in file order, which must be timestamp order,
+/// as `vqoe capture` writes it: they never re-sort.
+struct OutOfOrder {
+    /// The record's index in the file, from 0.
+    index: usize,
+    timestamp: Instant,
+    previous: Instant,
+}
+
+impl fmt::Display for OutOfOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "record {} at {}us is earlier than record {} at {}us; \
+             assess and replay need the tap in timestamp order",
+            self.index,
+            self.timestamp.as_micros(),
+            self.index - 1,
+            self.previous.as_micros()
+        )
     }
 }
 
@@ -441,6 +499,7 @@ fn capture(flags: &Flags) -> Result<(), String> {
         };
         entries.extend(capture_session(t, &config, &mut rng).unwrap_or_else(die(&traces_path)));
     }
+    // Tap order, which `assess` and `replay` require.
     entries.sort_by_key(|e| e.timestamp);
     write_jsonl(&out, &entries).unwrap_or_else(die(&out));
     reporter(flags).normal(&format!(
@@ -518,7 +577,7 @@ fn assess(flags: &Flags) -> Result<(), String> {
     };
     let checkpoint_at = flags.num("checkpoint-at", 0u64)?;
     let report_to = reporter(flags);
-    run_tap(flags, |monitor, entries, registry, metrics| {
+    run_tap(flags, |monitor, mut records, _, registry, metrics| {
         // Alert rules parse before the (potentially long) assessment
         // runs, so a typo fails fast.
         let alert_rules = flags.get("alerts").map(|p| {
@@ -528,17 +587,18 @@ fn assess(flags: &Flags) -> Result<(), String> {
         // Restore resumes the ingest clock where the checkpointed
         // process died: its config and budget are the checkpoint's (the
         // flags that would set them conflict with `--restore`), and the
-        // first `records_ingested` entries are skipped.
-        let (mut online, skip) = match flags.get("restore") {
+        // first `records_ingested` records are skipped.
+        let mut online = match flags.get("restore") {
             Some(p) => {
                 let text = std::fs::read_to_string(p).unwrap_or_else(die(Path::new(p)));
                 let ck =
                     OnlineCheckpoint::from_json(&text).unwrap_or_else(fail("parse checkpoint"));
-                if ck.records_ingested > entries.len() as u64 {
+                let cut = usize::try_from(ck.records_ingested).unwrap_or(usize::MAX);
+                let skipped = records.by_ref().take(cut).count();
+                if (skipped as u64) < ck.records_ingested {
                     fail("restore checkpoint")(format!(
-                        "{p} was cut at record {}, but the tap has only {} records",
+                        "{p} was cut at record {}, but the tap has only {skipped} records",
                         ck.records_ingested,
-                        entries.len()
                     ))
                 }
                 let online = OnlineAssessor::restore(monitor, &ck)
@@ -558,12 +618,9 @@ fn assess(flags: &Flags) -> Result<(), String> {
                         ));
                     }
                 }
-                (online, ck.records_ingested)
+                online
             }
-            None => (
-                OnlineAssessor::with_config(monitor, ingest_cfg).with_budget(budget),
-                0,
-            ),
+            None => OnlineAssessor::with_config(monitor, ingest_cfg).with_budget(budget),
         };
         if let Some(m) = metrics {
             online = online.with_metrics(m.clone());
@@ -590,8 +647,8 @@ fn assess(flags: &Flags) -> Result<(), String> {
         // state, still a valid resume point.
         let mut pending = flags.get("checkpoint");
         let mut assessments = Vec::new();
-        for e in entries.iter().skip(skip as usize) {
-            assessments.extend(online.ingest(e));
+        for e in records {
+            assessments.extend(online.ingest(&e));
             if let Some(s) = &mut sampler {
                 s.observe(&online);
             }
@@ -620,17 +677,29 @@ fn replay(flags: &Flags) -> Result<(), String> {
         workers: flags.num("workers", 0usize)?,
         shards: flags.positive("shards", EngineConfig::default().shards, "count")?,
     };
+    let weblogs = flags.path("weblogs")?;
     let report_to = reporter(flags);
-    run_tap(flags, |monitor, entries, _, metrics| {
+    run_tap(flags, |monitor, records, packed, _, metrics| {
         let mut pipeline = IngestPipeline::new(&monitor).with_engine(engine);
         if let Some(m) = metrics {
             pipeline = pipeline.with_metrics(m.clone());
         }
+        let trace_path = flags.get("trace");
+        // A packed file replays in place: one zero-copy pass checks it
+        // for `OutOfOrder` records, then the engine routes the records
+        // by offset and decodes each on the worker that runs its shard.
+        if let (Some(corpus), None) = (packed, trace_path) {
+            let records = corpus.records().map(|r| r.unwrap_or_else(die(&weblogs)));
+            in_tap_order(records, |r| r.timestamp, &weblogs).for_each(drop);
+            let report = pipeline.assess_binary(corpus).unwrap_or_else(die(&weblogs));
+            return (report, Vec::new());
+        }
+        let entries: Vec<WeblogEntry> = records.collect();
         // Tracing records the engine's spans, ingest through reduce.
-        let Some(p) = flags.get("trace") else {
-            return (pipeline.assess(entries), Vec::new());
+        let Some(p) = trace_path else {
+            return (pipeline.assess(&entries), Vec::new());
         };
-        let (report, trace) = pipeline.assess_traced(entries, TraceConfig::default());
+        let (report, trace) = pipeline.assess_traced(&entries, TraceConfig::default());
         std::fs::write(p, trace.to_chrome_json()).unwrap_or_else(die(Path::new(p)));
         let jsonl_path = format!("{p}.jsonl");
         std::fs::write(&jsonl_path, trace.to_jsonl()).unwrap_or_else(die(Path::new(&jsonl_path)));
@@ -645,16 +714,19 @@ fn replay(flags: &Flags) -> Result<(), String> {
 }
 
 /// The frame `assess` and `replay` share. It types the tap's flags
-/// (so an `Err` comes before any file is read), reads the model and
-/// the weblogs, puts them in tap order and injects the chaos, runs
-/// `pipeline` (handed the metrics registry and, with `--metrics`, the
-/// pipeline metrics on it), then writes the assessments and reports,
-/// with the alerts `pipeline` raised.
+/// (so an `Err` comes before any file is read), reads the model, opens
+/// the weblogs as a stream of records that merges the flood and injects
+/// the chaos as it is read, runs `pipeline` on that stream (handed the
+/// packed corpus too when the stream is that file unchanged, the
+/// metrics registry and, with `--metrics`, the pipeline metrics on it),
+/// then writes the assessments and reports, with the alerts `pipeline`
+/// raised.
 fn run_tap(
     flags: &Flags,
     pipeline: impl FnOnce(
         QoeMonitor,
-        &[WeblogEntry],
+        Tap<'_>,
+        Option<&BinaryCorpus>,
         &Registry,
         Option<&PipelineMetrics>,
     ) -> (IngestReport, Vec<Alert>),
@@ -701,41 +773,56 @@ fn run_tap(
     let read_span = StageSpan::start(&wall, &read_hist);
     let json = std::fs::read_to_string(&model_path).unwrap_or_else(die(&model_path));
     let monitor = QoeMonitor::from_json(&json).unwrap_or_else(fail("parse model JSON"));
-    let mut entries: Vec<WeblogEntry> = read_weblogs(&weblogs);
+    let packed = open_weblogs(&weblogs);
     read_span.finish();
-    // Tap arrival order: all subscribers interleaved by timestamp, as
-    // the operator's proxy would deliver them.
-    entries.sort_by_key(|e| e.timestamp);
+    let mut records = weblog_records(packed.as_ref(), &weblogs);
     if let Some(spec) = profile.and_then(|p| p.flood()) {
-        let start = entries
-            .first()
-            .map_or(Instant::from_secs(0), |e| e.timestamp);
-        let flood = generate_subscriber_flood(&spec, start, chaos_seed);
+        let mut file = records.peekable();
+        let start = file.peek().map_or(Instant::from_secs(0), |e| e.timestamp);
+        let mut flood = generate_subscriber_flood(&spec, start, chaos_seed)
+            .into_iter()
+            .peekable();
         report_to.normal(&format!(
             "flood profile: injecting {} synthetic entries from {} flood subscribers",
             flood.len(),
             spec.subscribers
         ));
-        entries = merge_streams(vec![entries, flood]);
+        // `merge_streams`' rule, lazily: the earlier timestamp first, a
+        // tie to the file.
+        records = Box::new(std::iter::from_fn(move || {
+            match (file.peek(), flood.peek()) {
+                (Some(e), Some(f)) if f.timestamp < e.timestamp => flood.next(),
+                (Some(_), _) => file.next(),
+                (None, _) => flood.next(),
+            }
+        }));
     }
     if let Some(cfg) = chaos {
-        let (faulted, stats) = apply_chaos(&entries, &cfg, chaos_seed);
-        report_to.normal(&format!(
-            "chaos tap: {} -> {} entries \
-             ({} dropped, {} duplicated, {} reordered, {} corrupted, {} streams cut)",
-            stats.consumed,
-            stats.emitted,
-            stats.dropped,
-            stats.duplicated,
-            stats.reordered,
-            stats.corrupted,
-            stats.streams_cut
-        ));
-        entries = faulted;
+        let mut tap = ChaosTap::new(records, cfg, chaos_seed);
+        let mut reported = false;
+        records = Box::new(std::iter::from_fn(move || {
+            let e = tap.next();
+            if e.is_none() && !std::mem::replace(&mut reported, true) {
+                let stats = tap.stats();
+                report_to.normal(&format!(
+                    "chaos tap: {} -> {} entries \
+                     ({} dropped, {} duplicated, {} reordered, {} corrupted, {} streams cut)",
+                    stats.consumed,
+                    stats.emitted,
+                    stats.dropped,
+                    stats.duplicated,
+                    stats.reordered,
+                    stats.corrupted,
+                    stats.streams_cut
+                ));
+            }
+            e
+        }));
     }
+    let packed = packed.as_ref().filter(|_| chaos.is_none());
 
     let assess_span = StageSpan::start(&wall, &assess_hist);
-    let (report, alerts) = pipeline(monitor, &entries, &registry, metrics.as_ref());
+    let (report, alerts) = pipeline(monitor, records, packed, &registry, metrics.as_ref());
     assess_span.finish();
     let assessments = &report.assessments;
 
@@ -936,7 +1023,10 @@ const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          \n\
          corpus pack converts a JSONL weblog file into the binary replay\n\
          format (magic VQWL); corpus unpack converts it back,\n\
-         bit-identically. assess and replay accept either format.\n\
+         bit-identically. assess and replay accept either format and\n\
+         read it one record at a time in file order, which must be\n\
+         timestamp order, as capture writes it: a record earlier than\n\
+         the one before it is an error.\n\
          train --workers fans fitting out across threads (0 = auto); the\n\
          model is byte-identical at any worker count.\n\
          assess runs the streaming assessor one record at a time; replay\n\

@@ -47,8 +47,8 @@ use vqoe_ml::TrainConfig;
 use vqoe_obs::{SimClock, StageSpan, Trace, TraceConfig, TraceEvent, TraceSink, TraceStage};
 use vqoe_stats::splitmix64;
 use vqoe_telemetry::{
-    AnomalyKindCounts, AnomalyLog, BinaryCorpus, BinlogError, IngestAnomaly, ReassembledSession,
-    StreamHealth, WeblogEntry,
+    AnomalyKindCounts, AnomalyLog, BinaryCorpus, BinlogError, IngestAnomaly, IngestConfig,
+    ReassembledSession, StreamHealth, WeblogEntry,
 };
 
 use crate::metrics::Published;
@@ -229,11 +229,11 @@ fn run_job<S: RecordSource + ?Sized>(
     trace_cfg: Option<TraceConfig>,
 ) -> Result<ShardOutput, S::Error> {
     let metrics = pipeline.metrics.as_ref();
-    let mut shard = Shard::new(pipeline.monitor, pipeline.ingest);
+    let mut shard = Shard::new(pipeline.monitor, IngestConfig::default());
     // The job's own anomaly log: its entries arrive in global order, so
     // its first `cap` records are exactly this shard's candidates for
     // the global first-`cap` set.
-    let mut log = AnomalyLog::new(pipeline.ingest.max_anomalies_kept);
+    let mut log = AnomalyLog::new(IngestConfig::default().max_anomalies_kept);
     let mut kept_at: Vec<u64> = Vec::new();
     let mut emissions: Vec<(EmissionKey, SessionAssessment)> = Vec::new();
     // This job's private trace sink: recorded into without locks,
@@ -328,7 +328,7 @@ fn reduce(
         });
         Trace::from_parts(trace_events, trace_dropped)
     });
-    let cap = pipeline.ingest.max_anomalies_kept;
+    let cap = IngestConfig::default().max_anomalies_kept;
     let report = IngestReport {
         assessments: emissions.into_iter().map(|(_, a)| a).collect(),
         health,

@@ -285,7 +285,7 @@ impl QoeMonitor {
 
     /// The one front door for assessing traffic with this monitor: an
     /// [`IngestPipeline`] with default engine and hardening parameters
-    /// (compose `with_engine` / `with_ingest` / `with_metrics` on it).
+    /// (compose `with_engine` / `with_metrics` on it).
     pub fn pipeline(&self) -> IngestPipeline<'_> {
         IngestPipeline::new(self)
     }

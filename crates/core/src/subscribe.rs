@@ -29,7 +29,7 @@
 use vqoe_features::{FeatureSpace, SessionObs, SessionView};
 use vqoe_obs::{Trace, TraceConfig};
 use vqoe_telemetry::{
-    reassemble_subscriber, BinaryCorpus, BinlogError, IngestConfig, ReassemblyConfig, WeblogEntry,
+    reassemble_subscriber, BinaryCorpus, BinlogError, ReassemblyConfig, WeblogEntry,
 };
 
 use crate::digest::SessionDigest;
@@ -143,7 +143,6 @@ fn classify<S: FeatureSpace>(
 pub struct IngestPipeline<'m> {
     pub(crate) monitor: &'m QoeMonitor,
     pub(crate) engine: EngineConfig,
-    pub(crate) ingest: IngestConfig,
     pub(crate) metrics: Option<PipelineMetrics>,
 }
 
@@ -154,7 +153,6 @@ impl<'m> IngestPipeline<'m> {
         IngestPipeline {
             monitor,
             engine: EngineConfig::default(),
-            ingest: IngestConfig::default(),
             metrics: None,
         }
     }
@@ -163,12 +161,6 @@ impl<'m> IngestPipeline<'m> {
     /// Never changes the output, only wall-clock.
     pub fn with_engine(mut self, config: EngineConfig) -> Self {
         self.engine = config;
-        self
-    }
-
-    /// Set the ingest-hardening knobs (anomaly caps, reorder windows).
-    pub fn with_ingest(mut self, config: IngestConfig) -> Self {
-        self.ingest = config;
         self
     }
 

@@ -530,7 +530,9 @@ impl BinaryCorpus {
     }
 
     /// Iterate the records in place. Each item is a zero-copy
-    /// [`RecordRef`] or the typed decode error at that point; iteration
+    /// [`RecordRef`] or the typed decode error at that point, and a
+    /// buffer that ends cleanly after other than the header's count of
+    /// records yields [`BinlogError::CountMismatch`] last; iteration
     /// ends after the first error.
     pub fn records(&self) -> Records<'_> {
         self.records_from(self.records_start, 0)
@@ -540,6 +542,7 @@ impl BinaryCorpus {
         Records {
             buf: &self.buf,
             hosts: &self.hosts,
+            count: self.count,
             offset,
             index,
             failed: false,
@@ -547,9 +550,9 @@ impl BinaryCorpus {
     }
 
     /// The one validating pass over the records: visit each record in
-    /// order with the byte offset it starts at, then check the header's
-    /// count. Returns the first decode error (or the count mismatch),
-    /// after visiting every record before it.
+    /// order with the byte offset it starts at. Returns the first error
+    /// of [`BinaryCorpus::records`] (the count mismatch included), after
+    /// visiting every record before it.
     pub fn for_each_record<'a>(
         &'a self,
         mut visit: impl FnMut(usize, RecordRef<'a>),
@@ -558,17 +561,10 @@ impl BinaryCorpus {
         loop {
             let offset = records.offset;
             let Some(record) = records.next() else {
-                break;
+                return Ok(());
             };
             visit(offset, record?);
         }
-        if records.index != self.count {
-            return Err(BinlogError::CountMismatch {
-                header: self.count,
-                actual: records.index,
-            });
-        }
-        Ok(())
     }
 
     /// Parse the one record starting at byte `offset`, labelling errors
@@ -712,6 +708,8 @@ impl<'a> Cursor<'a> {
 pub struct Records<'a> {
     buf: &'a [u8],
     hosts: &'a [Box<str>],
+    /// The header's record count, checked at the end of the buffer.
+    count: u64,
     offset: usize,
     index: u64,
     failed: bool,
@@ -836,7 +834,12 @@ impl<'a> Iterator for Records<'a> {
         if self.failed {
             return None;
         }
-        let item = self.parse_next();
+        let item = self.parse_next().or_else(|| {
+            (self.index != self.count).then_some(Err(BinlogError::CountMismatch {
+                header: self.count,
+                actual: self.index,
+            }))
+        });
         if matches!(item, Some(Err(_))) {
             self.failed = true;
         }
@@ -1274,6 +1277,17 @@ mod tests {
         let corpus = BinaryCorpus::from_bytes(bytes).expect("header intact");
         assert!(matches!(
             corpus.decode_all(),
+            Err(BinlogError::CountMismatch {
+                header: u64::MAX,
+                actual: 4,
+            })
+        ));
+        // Iteration yields every record, then the mismatch, then ends.
+        let items: Vec<_> = corpus.records().collect();
+        assert_eq!(items.len(), 5);
+        assert!(items[..4].iter().all(Result::is_ok));
+        assert!(matches!(
+            items[4],
             Err(BinlogError::CountMismatch {
                 header: u64::MAX,
                 actual: 4,

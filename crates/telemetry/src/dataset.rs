@@ -12,7 +12,8 @@ use crate::error::TelemetryError;
 use crate::reassembly::ReassembledSession;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::io::{BufRead, BufWriter, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use vqoe_player::SessionTrace;
 use vqoe_simnet::time::Instant;
@@ -144,25 +145,31 @@ pub fn write_jsonl<T: Serialize>(path: &Path, items: &[T]) -> Result<(), Telemet
     Ok(())
 }
 
-/// Read a JSON Lines file written by [`write_jsonl`]. Blank lines are
-/// skipped; a malformed line is an error (corrupt dataset files should
-/// fail loudly, not silently shrink).
+/// Read a JSON Lines file written by [`write_jsonl`]: every item of
+/// [`jsonl_items`], collected. Blank lines are skipped; a malformed line
+/// is an error (corrupt dataset files should fail loudly, not silently
+/// shrink).
 pub fn read_jsonl<T: DeserializeOwned>(path: &Path) -> Result<Vec<T>, TelemetryError> {
-    let file = std::fs::File::open(path)?;
-    let reader = std::io::BufReader::new(file);
-    let mut out = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let item: T = serde_json::from_str(&line).map_err(|source| TelemetryError::Parse {
-            line: lineno + 1,
-            source,
-        })?;
-        out.push(item);
-    }
-    Ok(out)
+    jsonl_items(path)?.collect()
+}
+
+/// Read a JSON Lines file one item at a time, in file order, so a reader
+/// holds one line, not the file. Blank lines are skipped; a line that
+/// does not read or parse yields its error, numbered from 1.
+pub fn jsonl_items<T: DeserializeOwned>(
+    path: &Path,
+) -> Result<impl Iterator<Item = Result<T, TelemetryError>>, TelemetryError> {
+    let lines = BufReader::new(File::open(path)?).lines();
+    Ok(lines.enumerate().filter_map(|(i, line)| match line {
+        Ok(line) if line.trim().is_empty() => None,
+        Ok(line) => Some(
+            serde_json::from_str(&line).map_err(|source| TelemetryError::Parse {
+                line: i + 1,
+                source,
+            }),
+        ),
+        Err(e) => Some(Err(e.into())),
+    }))
 }
 
 #[cfg(test)]
@@ -272,6 +279,21 @@ mod tests {
             res,
             Err(crate::error::TelemetryError::Parse { line: 1, .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn jsonl_items_come_in_file_order_and_number_the_bad_line() {
+        let path = scratch("reader.jsonl");
+        std::fs::write(&path, "1\n\n2\n  \nthree\n4\n").unwrap();
+        let items: Vec<_> = jsonl_items::<u64>(&path).unwrap().collect();
+        assert!(matches!(items[..2], [Ok(1), Ok(2)]), "{items:?}");
+        // Blank lines count toward the line number.
+        assert!(
+            matches!(items[2], Err(TelemetryError::Parse { line: 5, .. })),
+            "{items:?}"
+        );
+        assert!(matches!(items[3..], [Ok(4)]), "{items:?}");
         std::fs::remove_file(&path).ok();
     }
 

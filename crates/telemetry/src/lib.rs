@@ -67,7 +67,7 @@ pub use chaos::{
     ChaosConfig, ChaosProfile, ChaosStats, ChaosTap, FloodSpec,
 };
 pub use dataset::{
-    join_sessions, match_sessions, read_jsonl, write_jsonl, JoinedSession, SessionSpan,
+    join_sessions, jsonl_items, match_sessions, read_jsonl, write_jsonl, JoinedSession, SessionSpan,
 };
 pub use error::TelemetryError;
 pub use groundtruth::{extract_sessions, ExtractedChunk, ExtractedSession};

@@ -933,3 +933,230 @@ fn restoring_onto_a_tap_shorter_than_the_cut_fails() {
     assert!(!dir.join("short_out.jsonl").exists(), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A workdir with a small model and three damaged copies of a 4-session
+/// encrypted capture: two records swapped (`unsorted.jsonl` and
+/// `.vqwl`), line 7 garbled (`garbled.jsonl`) and a packed corpus cut
+/// mid-record (`cut.vqwl`). Returns the message each must fail with.
+fn damaged_tap_workdir(tag: &str) -> (PathBuf, [(&'static str, String); 4]) {
+    use vqoe_telemetry::{read_jsonl, write_jsonl, BinaryCorpus, WeblogEntry};
+    let dir = workdir(tag);
+    for args in [
+        &[
+            "generate",
+            "--kind",
+            "encrypted",
+            "--sessions",
+            "4",
+            "--seed",
+            "21",
+            "--out",
+            "traces.jsonl",
+        ][..],
+        &[
+            "capture",
+            "--traces",
+            "traces.jsonl",
+            "--encrypted",
+            "--seed",
+            "3",
+            "--out",
+            "weblogs.jsonl",
+        ],
+        &[
+            "train",
+            "--cleartext",
+            "60",
+            "--adaptive",
+            "40",
+            "--seed",
+            "5",
+            "--out",
+            "model.json",
+        ],
+    ] {
+        run(&dir, args);
+    }
+    let mut entries: Vec<WeblogEntry> = read_jsonl(&dir.join("weblogs.jsonl")).expect("read tap");
+    // The first strictly rising pair from record 20 on, swapped.
+    let i = (20..entries.len() - 1)
+        .find(|&i| entries[i].timestamp < entries[i + 1].timestamp)
+        .expect("a rising pair");
+    let (earlier, later) = (entries[i].timestamp, entries[i + 1].timestamp);
+    let cut = BinaryCorpus::pack(&entries).as_bytes().to_vec();
+    let cut = &cut[..cut.len() - 3];
+    std::fs::write(dir.join("cut.vqwl"), cut).expect("write cut corpus");
+    let truncated = BinaryCorpus::from_bytes(cut.to_vec())
+        .expect("header intact")
+        .decode_all()
+        .expect_err("a cut corpus fails");
+    entries.swap(i, i + 1);
+    write_jsonl(&dir.join("unsorted.jsonl"), &entries).expect("write unsorted tap");
+    BinaryCorpus::pack(&entries)
+        .write_file(&dir.join("unsorted.vqwl"))
+        .expect("write unsorted corpus");
+    let tap = std::fs::read_to_string(dir.join("weblogs.jsonl")).expect("read tap");
+    let garbled: String = tap
+        .lines()
+        .enumerate()
+        .map(|(n, l)| format!("{}\n", if n == 6 { "{\"timestamp\":" } else { l }))
+        .collect();
+    std::fs::write(dir.join("garbled.jsonl"), garbled).expect("write garbled tap");
+    let inversion = format!(
+        "record {} at {}us is earlier than record {i} at {}us",
+        i + 1,
+        earlier.as_micros(),
+        later.as_micros()
+    );
+    let expected = [
+        ("unsorted.jsonl", format!("unsorted.jsonl: {inversion}")),
+        ("unsorted.vqwl", format!("unsorted.vqwl: {inversion}")),
+        ("garbled.jsonl", "garbled.jsonl: line 7: ".to_string()),
+        ("cut.vqwl", format!("cut.vqwl: {truncated}")),
+    ];
+    (dir, expected)
+}
+
+#[test]
+fn assess_and_replay_reject_a_damaged_tap_and_write_no_output() {
+    let (dir, expected) = damaged_tap_workdir("damaged_tap");
+    for (weblogs, message) in &expected {
+        for mode in [&["assess"][..], &["replay", "--workers", "2"]] {
+            let out = vqoe()
+                .current_dir(&dir)
+                .args(mode)
+                .args(["--model", "model.json", "--weblogs", weblogs])
+                .args(["--out", "out.jsonl"])
+                .output()
+                .expect("spawn vqoe");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{mode:?} {weblogs}: {stderr}");
+            assert!(
+                stderr.contains(&format!("error: {message}")),
+                "{mode:?} {weblogs}: want {message:?}, got {stderr}"
+            );
+            assert!(!dir.join("out.jsonl").exists(), "{mode:?} {weblogs}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Peak resident memory (VmHWM, in bytes) of one `vqoe` run, read only
+/// from the child's own `/proc/<pid>/status`, polled every 5 ms until
+/// it exits.
+fn peak_rss(dir: &Path, args: &[&str]) -> u64 {
+    let mut child = vqoe()
+        .current_dir(dir)
+        .args(args)
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn vqoe");
+    let status = format!("/proc/{}/status", child.id());
+    let mut peak_kb = 0u64;
+    loop {
+        if let Ok(text) = std::fs::read_to_string(&status) {
+            let hwm = text
+                .lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok());
+            peak_kb = peak_kb.max(hwm.unwrap_or(0));
+        }
+        if let Some(exit) = child.try_wait().expect("wait for vqoe") {
+            assert!(exit.success(), "vqoe {args:?} failed");
+            return peak_kb * 1024;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+/// Memory soak (run by `scripts/soak.sh`): `assess` and packed `replay`
+/// on a 1× and a 4× one-subscriber capture, where sessions close as
+/// they end, so the open state stays small whatever the file size. The
+/// peak may grow by at most the stated bytes per extra record: about
+/// nothing for JSONL, read a line at a time; the packed bytes
+/// (~70 B a record) and little more for VQWL, read in place.
+#[test]
+#[ignore]
+fn cli_memory_follows_open_state_not_file_size() {
+    let dir = workdir("memory_soak");
+    run(
+        &dir,
+        &[
+            "train",
+            "--cleartext",
+            "300",
+            "--adaptive",
+            "200",
+            "--seed",
+            "7",
+            "--out",
+            "model.json",
+        ],
+    );
+    let mut records = Vec::new();
+    for (tag, sessions) in [("1x", "250"), ("4x", "1000")] {
+        let traces = format!("traces_{tag}.jsonl");
+        let jsonl = format!("tap_{tag}.jsonl");
+        run(
+            &dir,
+            &[
+                "generate",
+                "--kind",
+                "encrypted",
+                "--sessions",
+                sessions,
+                "--seed",
+                "21",
+                "--out",
+                &traces,
+            ],
+        );
+        run(
+            &dir,
+            &[
+                "capture",
+                "--traces",
+                &traces,
+                "--encrypted",
+                "--subscriber",
+                "1",
+                "--seed",
+                "5",
+                "--out",
+                &jsonl,
+            ],
+        );
+        let vqwl = format!("tap_{tag}.vqwl");
+        run(
+            &dir,
+            &["corpus", "pack", "--weblogs", &jsonl, "--out", &vqwl],
+        );
+        records.push(line_count(&dir.join(&jsonl)) as f64);
+    }
+    let cases: [(&[&str], &str, f64); 3] = [
+        (&["assess"], "jsonl", 40.0),
+        (&["assess"], "vqwl", 100.0),
+        (&["replay", "--workers", "2"], "vqwl", 150.0),
+    ];
+    let mut readings = Vec::new();
+    for (mode, ext, bound) in cases {
+        let peaks: Vec<f64> = ["1x", "4x"]
+            .iter()
+            .map(|tag| {
+                let weblogs = format!("tap_{tag}.{ext}");
+                let args = [mode, &["--model", "model.json", "--weblogs", &weblogs]].concat();
+                peak_rss(&dir, &[&args[..], &["--out", "out.jsonl"]].concat()) as f64
+            })
+            .collect();
+        let growth = (peaks[1] - peaks[0]) / (records[1] - records[0]);
+        let reading = format!(
+            "{mode:?} {ext}: {:.1} -> {:.1} MB, {growth:.0} B a record (bound {bound})",
+            peaks[0] / 1e6,
+            peaks[1] / 1e6
+        );
+        eprintln!("{reading}");
+        readings.push((growth <= bound, reading));
+    }
+    assert!(readings.iter().all(|(ok, _)| *ok), "{readings:#?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

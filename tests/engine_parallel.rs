@@ -63,16 +63,8 @@ fn sequential_report(ingest: IngestConfig, entries: &[WeblogEntry]) -> IngestRep
     report
 }
 
-fn engine_report(
-    ingest: IngestConfig,
-    engine: EngineConfig,
-    entries: &[WeblogEntry],
-) -> IngestReport {
-    monitor()
-        .pipeline()
-        .with_engine(engine)
-        .with_ingest(ingest)
-        .assess(entries)
+fn engine_report(engine: EngineConfig, entries: &[WeblogEntry]) -> IngestReport {
+    monitor().pipeline().with_engine(engine).assess(entries)
 }
 
 #[test]
@@ -86,7 +78,7 @@ fn engine_is_bit_identical_to_the_streaming_path_at_every_worker_count() {
     );
     for workers in [1usize, 2, 7] {
         for shards in [1usize, 8, 32] {
-            let parallel = engine_report(ingest, EngineConfig { workers, shards }, &entries);
+            let parallel = engine_report(EngineConfig { workers, shards }, &entries);
             assert_eq!(
                 parallel, sequential,
                 "engine at {workers} workers, {shards} shards diverged from the sequential path"
@@ -98,14 +90,13 @@ fn engine_is_bit_identical_to_the_streaming_path_at_every_worker_count() {
 #[test]
 fn worker_count_never_changes_the_report() {
     let entries = multi_subscriber_tap(5, 2, 1400);
-    let ingest = IngestConfig::default();
     let base = EngineConfig {
         workers: 1,
         shards: 8,
     };
-    let reference = engine_report(ingest, base, &entries);
+    let reference = engine_report(base, &entries);
     for workers in [2usize, 7] {
-        let report = engine_report(ingest, EngineConfig { workers, ..base }, &entries);
+        let report = engine_report(EngineConfig { workers, ..base }, &entries);
         assert_eq!(report, reference, "{workers} workers diverged from 1");
     }
 }
@@ -120,7 +111,7 @@ fn bit_identity_survives_a_hostile_tap() {
         assert_eq!(sequential.health.entries_seen, faulted.len() as u64);
         for workers in [1usize, 7] {
             for shards in [1usize, 8, 32] {
-                let parallel = engine_report(ingest, EngineConfig { workers, shards }, &faulted);
+                let parallel = engine_report(EngineConfig { workers, shards }, &faulted);
                 assert_eq!(
                     parallel, sequential,
                     "chaos seed {seed}, {workers} workers, {shards} shards: engine diverged"

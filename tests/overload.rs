@@ -657,8 +657,38 @@ fn a_32_shard_checkpoint_resumes_from_one_table() {
 /// `multi_subscriber_tap(3, 1, 940)` under a cap of two open
 /// subscribers, with its metrics snapshot embedded and exemplar
 /// capture on: the evictions had already assessed 16 sessions, so both
-/// exemplar histograms hold samples.
+/// exemplar histograms hold samples. It embeds the detector counters of
+/// the test monitor, so a deliberate model change rewrites it with
+/// [`write_checkpoint_with_metrics_fixture`].
 const CHECKPOINT_WITH_METRICS: &str = include_str!("fixtures/checkpoint_with_metrics.json");
+
+/// Rewrites `fixtures/checkpoint_with_metrics.json` by the procedure
+/// above: `cargo test -p vqoe-core --test overload -- --ignored --exact
+/// write_checkpoint_with_metrics_fixture`. On an unchanged model the
+/// file comes out byte for byte as committed. `scripts/soak.sh` skips it.
+#[test]
+#[ignore]
+fn write_checkpoint_with_metrics_fixture() {
+    let cap = IngestConfig {
+        max_open_subscribers: 2,
+        ..IngestConfig::default()
+    };
+    let registry = Registry::new();
+    let mut online = OnlineAssessor::with_config(monitor().clone(), cap)
+        .with_metrics(PipelineMetrics::register_with_exemplars(&registry));
+    for e in multi_subscriber_tap(3, 1, 940).iter().take(145) {
+        online.ingest(e);
+    }
+    let json = online
+        .checkpoint_with_metrics(&registry)
+        .to_json()
+        .expect("checkpoint serializes");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/checkpoint_with_metrics.json"
+    );
+    std::fs::write(path, json).expect("write the fixture");
+}
 
 #[test]
 fn a_checkpoint_with_metrics_restores_its_snapshot_byte_for_byte() {

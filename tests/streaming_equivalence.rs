@@ -30,8 +30,8 @@ use vqoe_core::{
 use vqoe_player::TransportSummary;
 use vqoe_simnet::time::{Duration as SimDuration, Instant as SimInstant};
 use vqoe_telemetry::{
-    apply_chaos, generate_pathological_session, ChaosConfig, EntryKind, IngestConfig,
-    ReassemblyConfig, WeblogEntry,
+    apply_chaos, generate_pathological_session, ChaosConfig, EntryKind, ReassemblyConfig,
+    WeblogEntry,
 };
 
 fn monitor() -> &'static QoeMonitor {
@@ -120,11 +120,7 @@ fn synthetic_sessions(
 
 fn engine_report(monitor: &QoeMonitor, workers: usize, entries: &[WeblogEntry]) -> IngestReport {
     let cfg = EngineConfig { workers, shards: 8 };
-    monitor
-        .pipeline()
-        .with_engine(cfg)
-        .with_ingest(IngestConfig::default())
-        .assess(entries)
+    monitor.pipeline().with_engine(cfg).assess(entries)
 }
 
 fn streamed(monitor: &QoeMonitor, entries: &[WeblogEntry]) -> Vec<SessionAssessment> {
