@@ -1,5 +1,5 @@
-//! Golden fingerprints of simulator, training, feature and checkpoint
-//! output.
+//! Golden fingerprints of simulator, training, feature, checkpoint and
+//! metrics output.
 //!
 //! The bit-identity suites elsewhere compare two runs of the *current*
 //! code against each other (worker counts, chaos, kill/restore). These
@@ -7,19 +7,25 @@
 //! random draw or float rounding anywhere in the simulator, the feature
 //! builders or the training stack fails here. The fingerprints are
 //! 64-bit FNV-1a hashes: of the JSON that traces, models and
-//! checkpoints serialize to, of feature vectors value by value, and of
+//! checkpoints serialize to, of the metrics registry's Prometheus text
+//! and JSON snapshot, of feature vectors value by value, and of
 //! assessments field by field, so a change to the report's JSON shape
 //! alone does not move the assessment fingerprint.
 
 use vqoe_core::{
-    generate_traces, BudgetConfig, DatasetSpec, EncryptedEvalConfig, EncryptedWorld, Fidelity,
-    IngestReport, OnlineAssessor, QoeMonitor, SessionAssessment, TrainConfig, TrainingConfig,
+    encode_snapshot, generate_traces, AdmissionPolicy, BudgetConfig, DatasetSpec,
+    EncryptedEvalConfig, EncryptedWorld, Fidelity, IngestReport, OnlineAssessor, PipelineMetrics,
+    QoeMonitor, SessionAssessment, TrainConfig, TrainingConfig,
 };
 use vqoe_features::{
     representation_features, stall_features, ChunkObs, SessionObs, StreamingSessionState,
 };
+use vqoe_obs::Registry;
 use vqoe_simnet::time::{Duration, Instant};
-use vqoe_telemetry::{generate_pathological_session, merge_streams, IngestConfig, EXACT_ENTRY_CAP};
+use vqoe_telemetry::{
+    generate_pathological_session, merge_streams, ChaosProfile, ChaosTap, IngestConfig,
+    WeblogEntry, EXACT_ENTRY_CAP,
+};
 
 /// The 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -90,13 +96,10 @@ fn fold_assessment(h: u64, a: &SessionAssessment) -> u64 {
     words.iter().fold(h, |h, w| fnv1a_from(h, &w.to_le_bytes()))
 }
 
-/// The report of a small tap that reaches every tier: three ordinary
-/// subscribers, and one whose session never pauses and runs past the
-/// exactness cap (sketched). The assessor tracks fewer subscribers than
-/// the tap opens, so some are evicted mid-session (partial), and its
-/// global budget sheds one more (shed). Its assessments are in emission
-/// order: mid-stream first, then the drain.
-fn tiered_report() -> IngestReport {
+/// A small tap that reaches every tier, and the monitor that assesses
+/// it: three ordinary subscribers, and one whose session never pauses
+/// and runs past the exactness cap (sketched).
+fn tiered_tap() -> (QoeMonitor, Vec<WeblogEntry>) {
     let monitor = QoeMonitor::train(&TrainingConfig {
         cleartext_sessions: 120,
         adaptive_sessions: 60,
@@ -121,7 +124,15 @@ fn tiered_report() -> IngestReport {
         Duration::from_secs(1),
         2016,
     ));
-    let tap = merge_streams(streams);
+    (monitor, merge_streams(streams))
+}
+
+/// The report of [`tiered_tap`]. The assessor tracks fewer subscribers
+/// than the tap opens, so some are evicted mid-session (partial), and
+/// its global budget sheds one more (shed). Its assessments are in
+/// emission order: mid-stream first, then the drain.
+fn tiered_report() -> IngestReport {
+    let (monitor, tap) = tiered_tap();
     let ingest = IngestConfig {
         max_open_subscribers: 3,
         ..IngestConfig::default()
@@ -171,6 +182,95 @@ fn serialized_ingest_report_matches_the_golden_fingerprint() {
         got, 0x8518_c8f1_597e_8f0a,
         "serialized report fingerprint {got:#018x}"
     );
+}
+
+/// The registry counters that project the report's tallies: its stream
+/// health, anomaly kinds and shed reasons.
+const TALLY_COUNTERS: [&str; 17] = [
+    "vqoe_telemetry_ingest_entries_seen_total",
+    "vqoe_telemetry_ingest_entries_reordered_total",
+    "vqoe_telemetry_ingest_entries_duplicated_total",
+    "vqoe_telemetry_ingest_entries_quarantined_total",
+    "vqoe_telemetry_ingest_sessions_evicted_total",
+    "vqoe_telemetry_ingest_sessions_shed_total",
+    "vqoe_telemetry_ingest_subscribers_refused_total",
+    "vqoe_telemetry_ingest_sessions_partial_total",
+    "vqoe_telemetry_ingest_anomaly_empty_host_total",
+    "vqoe_telemetry_ingest_anomaly_oversized_object_total",
+    "vqoe_telemetry_ingest_anomaly_zero_sized_object_total",
+    "vqoe_telemetry_ingest_anomaly_overlong_transaction_total",
+    "vqoe_telemetry_ingest_anomaly_late_arrival_total",
+    "vqoe_core_online_shed_lru_capacity_total",
+    "vqoe_core_online_shed_subscriber_budget_total",
+    "vqoe_core_online_shed_global_budget_total",
+    "vqoe_core_online_shed_admission_refused_total",
+];
+
+/// [`tiered_tap`] through a harsh, fixed-seed [`ChaosTap`] into an
+/// assessor tracking three subscribers under `admission`, with
+/// exemplar-capturing metrics attached. Returns the registry.
+fn metered_run(admission: AdmissionPolicy) -> Registry {
+    let (monitor, tap) = tiered_tap();
+    let per_record = tap.iter().map(|e| e.tracked_cost()).max().unwrap_or(256);
+    let budget = match admission {
+        AdmissionPolicy::ShedColdest => BudgetConfig {
+            per_subscriber_bytes: 64 * per_record,
+            global_bytes: 160 * per_record,
+            admission,
+        },
+        AdmissionPolicy::Refuse => BudgetConfig {
+            per_subscriber_bytes: 0,
+            global_bytes: 96 * per_record,
+            admission,
+        },
+    };
+    let ingest = IngestConfig {
+        max_open_subscribers: 3,
+        ..IngestConfig::default()
+    };
+    let registry = Registry::new();
+    let mut online = OnlineAssessor::with_config(monitor, ingest)
+        .with_budget(budget)
+        .with_metrics(PipelineMetrics::register_with_exemplars(&registry));
+    for e in ChaosTap::new(tap.into_iter(), ChaosProfile::Harsh.chaos(), 2016) {
+        online.ingest(&e);
+    }
+    online.into_report();
+    registry
+}
+
+/// The metrics exposition of [`metered_run`] under both admission
+/// policies: between them every tally counter moves, and the
+/// Prometheus text and the JSON snapshot are pinned byte for byte.
+#[test]
+fn metrics_exposition_matches_the_golden_fingerprints() {
+    let runs = [AdmissionPolicy::ShedColdest, AdmissionPolicy::Refuse].map(metered_run);
+    let snapshots = runs.each_ref().map(Registry::snapshot);
+    for name in TALLY_COUNTERS {
+        let moved = snapshots.iter().any(|s| {
+            s.counters
+                .iter()
+                .any(|(counter, value)| counter == name && *value > 0)
+        });
+        assert!(moved, "{name} stayed 0 in both runs");
+    }
+    let got: Vec<u64> = runs
+        .iter()
+        .zip(&snapshots)
+        .flat_map(|(registry, snapshot)| {
+            [
+                fnv1a(registry.render_prometheus().as_bytes()),
+                fnv1a(encode_snapshot(snapshot).as_bytes()),
+            ]
+        })
+        .collect();
+    let want: [u64; 4] = [
+        0x18a7_bde3_324f_5d9b,
+        0x1618_bc86_f708_3cdd,
+        0xcd98_9743_92de_b5c9,
+        0x2962_4ed9_e3ca_bc4a,
+    ];
+    assert_eq!(got, want, "metrics fingerprints {got:#018x?}");
 }
 
 /// One chunk of the feature fixtures. Every metric varies with `i`, the
