@@ -7,6 +7,9 @@
 //! repro all --sessions 20000        # bigger cleartext corpus
 //! repro all --out results/          # also write one .txt per experiment
 //! ```
+//!
+//! An unknown flag or experiment id exits 2 with the usage before any
+//! work is done.
 
 use std::io::Write;
 use vqoe_bench::experiments::{
@@ -57,7 +60,9 @@ fn main() {
             "--help" | "-h" => {
                 usage("");
             }
-            other => ids.push(other.to_string()),
+            id if id == "all" || EXPERIMENTS.contains(&id) => ids.push(id.to_string()),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag {flag}")),
+            other => usage(&format!("unknown experiment {other}")),
         }
         i += 1;
     }

@@ -51,7 +51,7 @@ use vqoe_telemetry::{
     ReassembledSession, StreamHealth, WeblogEntry,
 };
 
-use crate::metrics::Published;
+use crate::metrics::Tallies;
 use crate::monitor::{Fidelity, SessionAssessment};
 use crate::online::{IngestReport, ShedLog};
 use crate::shard::{assess, close, Closed, Shard};
@@ -345,12 +345,8 @@ fn reduce(
     };
     // The run's one publication, from the reduced report's tallies.
     if let Some(m) = &pipeline.metrics {
-        let now = Published {
-            health: report.health,
-            kinds: report.anomalies.kinds(),
-            reasons: report.shed.reasons(),
-        };
-        m.publish(&mut Published::default(), now, None);
+        let now = Tallies::new(report.health, &report.anomalies, &report.shed);
+        m.publish(&mut Tallies::default(), now, None);
     }
     (report, trace)
 }

@@ -98,7 +98,9 @@ pub use encrypted::{EncryptedEvalConfig, EncryptedWorld};
 pub use engine::{shard_of, EngineConfig};
 pub use forest_model::{train_detector, ForestModel, TrainingReport};
 pub use generate::{generate_sequential_traces, generate_traces};
-pub use metrics::{decode_snapshot, encode_snapshot, MetricsSnapshotError, PipelineMetrics};
+pub use metrics::{
+    decode_snapshot, encode_snapshot, MetricsSnapshotError, PipelineMetrics, Tallies,
+};
 pub use monitor::{Fidelity, ModelFit, QoeMonitor, SessionAssessment, TrainStage, TrainingConfig};
 pub use online::{
     AdmissionPolicy, BudgetConfig, IngestReport, OnlineAssessor, OnlineCheckpoint, RestoreError,

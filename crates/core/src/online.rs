@@ -42,7 +42,7 @@ use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{AnomalyLog, IngestConfig, ReassemblerState, StreamHealth, WeblogEntry};
 
 use crate::metrics::{
-    decode_snapshot, encode_snapshot, MetricsSnapshotError, PipelineMetrics, Published,
+    decode_snapshot, encode_snapshot, MetricsSnapshotError, PipelineMetrics, Tallies,
 };
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::shard::{assess, close, Closed, Shard};
@@ -111,18 +111,6 @@ pub enum ShedReason {
     /// A new subscriber was refused admission under
     /// [`AdmissionPolicy::Refuse`] while the global budget was full.
     AdmissionRefused,
-}
-
-impl ShedReason {
-    /// Stable lowercase label (report tables, log lines).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShedReason::LruCapacity => "lru_capacity",
-            ShedReason::SubscriberBudget => "subscriber_budget",
-            ShedReason::GlobalBudget => "global_budget",
-            ShedReason::AdmissionRefused => "admission_refused",
-        }
-    }
 }
 
 /// One load-shedding event: who, at which ingested record, why.
@@ -200,11 +188,6 @@ impl ShedLog {
         }
     }
 
-    /// The retention cap this log was built with.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// The retained events, oldest first.
     pub fn kept(&self) -> &[ShedEvent] {
         &self.kept
@@ -270,7 +253,7 @@ pub struct OnlineAssessor {
     shed: ShedLog,
     metrics: Option<PipelineMetrics>,
     /// The tallies `metrics` was last brought up to.
-    published: Published,
+    published: Tallies,
 }
 
 impl OnlineAssessor {
@@ -293,7 +276,7 @@ impl OnlineAssessor {
             peak_tracked_bytes: 0,
             records_ingested: 0,
             metrics: None,
-            published: Published::default(),
+            published: Tallies::default(),
         }
     }
 
@@ -369,12 +352,8 @@ impl OnlineAssessor {
     }
 
     /// The tallies the metrics registry projects.
-    fn tallies(&self) -> Published {
-        Published {
-            health: self.table.health,
-            kinds: self.anomalies.kinds(),
-            reasons: self.shed.reasons(),
-        }
+    fn tallies(&self) -> Tallies {
+        Tallies::new(self.table.health, &self.anomalies, &self.shed)
     }
 
     /// Publish the tallies to the attached metrics, if any.
@@ -636,7 +615,7 @@ impl OnlineAssessor {
             anomalies: ck.anomalies.clone(),
             shed: ck.shed.clone(),
             metrics: None,
-            published: Published::default(),
+            published: Tallies::default(),
         })
     }
 }

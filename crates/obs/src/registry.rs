@@ -285,9 +285,10 @@ struct Entry {
 ///
 /// Registration takes the registry lock; returned handles are
 /// `Arc`-backed and lock-free, so the hot path never contends on the
-/// registry. Registering the same name twice with the same kind returns
-/// a handle to the same value; a kind mismatch returns a detached
-/// (unregistered) handle rather than panicking.
+/// registry. Registering the same name twice with the same kind (and,
+/// for a histogram, the same bucket bounds) returns a handle to the
+/// same value; a mismatch returns a detached (unregistered) handle
+/// rather than panicking.
 #[derive(Debug, Default)]
 pub struct Registry {
     entries: Mutex<BTreeMap<String, Entry>>,
@@ -303,49 +304,52 @@ impl Registry {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Register (or look up) a monotonic counter.
-    pub fn counter(&self, name: &str, help: &str, class: MetricClass) -> Counter {
+    /// Look `name` up, or register `fresh` under it. A metric already
+    /// registered there that `same` does not accept (another kind, or
+    /// other bucket bounds) stays as it is, and the caller gets `fresh`
+    /// detached.
+    fn register<T: Clone>(
+        &self,
+        name: &str,
+        help: &str,
+        class: MetricClass,
+        fresh: T,
+        wrap: fn(T) -> Metric,
+        same: impl Fn(&Metric) -> Option<T>,
+    ) -> T {
         let mut entries = self.lock();
         if let Some(existing) = entries.get(name) {
-            if let Metric::Counter(c) = &existing.metric {
-                return c.clone();
-            }
-            return Counter::default();
+            return same(&existing.metric).unwrap_or(fresh);
         }
-        let handle = Counter::default();
-        entries.insert(
-            name.to_string(),
-            Entry {
-                help: help.to_string(),
-                class,
-                metric: Metric::Counter(handle.clone()),
-            },
-        );
-        handle
+        let entry = Entry {
+            help: help.to_string(),
+            class,
+            metric: wrap(fresh.clone()),
+        };
+        entries.insert(name.to_string(), entry);
+        fresh
+    }
+
+    /// Register (or look up) a monotonic counter.
+    pub fn counter(&self, name: &str, help: &str, class: MetricClass) -> Counter {
+        let same = |m: &Metric| match m {
+            Metric::Counter(c) => Some(c.clone()),
+            _ => None,
+        };
+        self.register(name, help, class, Counter::default(), Metric::Counter, same)
     }
 
     /// Register (or look up) a gauge.
     pub fn gauge(&self, name: &str, help: &str, class: MetricClass) -> Gauge {
-        let mut entries = self.lock();
-        if let Some(existing) = entries.get(name) {
-            if let Metric::Gauge(g) = &existing.metric {
-                return g.clone();
-            }
-            return Gauge::default();
-        }
-        let handle = Gauge::default();
-        entries.insert(
-            name.to_string(),
-            Entry {
-                help: help.to_string(),
-                class,
-                metric: Metric::Gauge(handle.clone()),
-            },
-        );
-        handle
+        let same = |m: &Metric| match m {
+            Metric::Gauge(g) => Some(g.clone()),
+            _ => None,
+        };
+        self.register(name, help, class, Gauge::default(), Metric::Gauge, same)
     }
 
-    /// Register (or look up) a fixed-boundary histogram.
+    /// Register (or look up) a fixed-boundary histogram. Bounds are
+    /// compared sorted and deduplicated, as the histogram keeps them.
     pub fn histogram(
         &self,
         name: &str,
@@ -353,25 +357,13 @@ impl Registry {
         class: MetricClass,
         bounds: &[u64],
     ) -> Histogram {
-        let mut entries = self.lock();
-        if let Some(existing) = entries.get(name) {
-            if let Metric::Histogram(h) = &existing.metric {
-                if h.bounds() == bounds {
-                    return h.clone();
-                }
-            }
-            return Histogram::with_bounds(bounds);
-        }
-        let handle = Histogram::with_bounds(bounds);
-        entries.insert(
-            name.to_string(),
-            Entry {
-                help: help.to_string(),
-                class,
-                metric: Metric::Histogram(handle.clone()),
-            },
-        );
-        handle
+        let fresh = Histogram::with_bounds(bounds);
+        let bounds = Arc::clone(&fresh.bounds);
+        let same = |m: &Metric| match m {
+            Metric::Histogram(h) if h.bounds == bounds => Some(h.clone()),
+            _ => None,
+        };
+        self.register(name, help, class, fresh, Metric::Histogram, same)
     }
 
     /// Describe every registered metric — name, kind, class, help — in
@@ -660,6 +652,21 @@ mod tests {
         g.set(99);
         assert_eq!(c.get(), 1);
         assert!(reg.render_prometheus().contains("vqoe_test_x 1"));
+    }
+
+    #[test]
+    fn histogram_reregistration_compares_normalized_bounds() {
+        let reg = Registry::new();
+        let s = MetricClass::Stable;
+        let h = reg.histogram("vqoe_test_sizes", "s", s, &[10, 100]);
+        // The same bounds, unsorted and repeated: the same histogram.
+        reg.histogram("vqoe_test_sizes", "s", s, &[100, 10, 100])
+            .observe(5);
+        assert_eq!(h.count(), 1);
+        // Other bounds: a detached histogram; the registered one stays.
+        let other = reg.histogram("vqoe_test_sizes", "s", s, &[10]);
+        other.observe(5);
+        assert_eq!((h.count(), h.bounds()), (1, &[10, 100][..]));
     }
 
     #[test]

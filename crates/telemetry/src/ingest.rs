@@ -201,11 +201,6 @@ impl AnomalyLog {
         }
     }
 
-    /// The retention cap this log was built with.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// The retained anomaly records, oldest first.
     pub fn kept(&self) -> &[IngestAnomaly] {
         &self.kept

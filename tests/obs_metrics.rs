@@ -122,8 +122,8 @@ fn snapshot_is_byte_identical_across_runs_and_worker_counts() {
 fn stream_health_and_anomaly_kinds_reconstruct_from_the_registry() {
     let entries = multi_subscriber_tap(3, 2, 4200);
     let (report, _, metrics) = instrumented_run(2, &entries);
-    assert_eq!(metrics.health_view(), report.health);
-    assert_eq!(metrics.anomaly_kinds_view(), report.anomalies.kinds());
+    assert_eq!(metrics.tallies().health, report.health);
+    assert_eq!(metrics.tallies().kinds, report.anomalies.kinds());
     // The kind counts decompose the log's running total.
     assert_eq!(report.anomalies.kinds().total(), report.anomalies.total());
     // And the same identities hold on the streaming path.
@@ -137,24 +137,24 @@ fn stream_health_and_anomaly_kinds_reconstruct_from_the_registry() {
     let mut online_report = online.into_report();
     assessments.append(&mut online_report.assessments);
     online_report.assessments = assessments;
-    assert_eq!(online_metrics.health_view(), online_report.health);
+    assert_eq!(online_metrics.tallies().health, online_report.health);
     assert_eq!(
-        online_metrics.anomaly_kinds_view(),
+        online_metrics.tallies().kinds,
         online_report.anomalies.kinds()
     );
-    assert_ne!(online_metrics.health_view().entries_seen, 0);
+    assert_ne!(online_metrics.tallies().health.entries_seen, 0);
 }
 
-/// The registry's views agree with the assessor's own tallies.
+/// The tallies read back from the registry agree with the assessor's own.
 fn assert_mirrors(metrics: &PipelineMetrics, online: &OnlineAssessor, at: &str) {
-    assert_eq!(metrics.health_view(), online.health(), "health {at}");
+    assert_eq!(metrics.tallies().health, online.health(), "health {at}");
     assert_eq!(
-        metrics.anomaly_kinds_view(),
+        metrics.tallies().kinds,
         online.anomalies().kinds(),
         "anomaly kinds {at}"
     );
     assert_eq!(
-        metrics.shed_reasons_view(),
+        metrics.tallies().reasons,
         online.shed_log().reasons(),
         "shed reasons {at}"
     );
@@ -218,7 +218,7 @@ fn registry_mirrors_the_tallies_after_every_ingest_call() {
         }
         let reasons = online.shed_log().reasons();
         let report = online.into_report();
-        assert_eq!(metrics.health_view(), report.health);
+        assert_eq!(metrics.tallies().health, report.health);
         // Each budget must actually exercise the paths it names.
         match budget.admission {
             AdmissionPolicy::ShedColdest => {

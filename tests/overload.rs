@@ -433,7 +433,7 @@ fn shed_reason_counts_round_trip_through_the_metrics_registry() {
     for e in &entries {
         online.ingest(e);
     }
-    let reasons_from_metrics = metrics.shed_reasons_view();
+    let reasons_from_metrics = metrics.tallies().reasons;
     let report = online.into_report();
     assert!(report.shed.total() > 0, "the flood must force shedding");
     assert_eq!(
