@@ -1,4 +1,4 @@
-//! Pass 5 — bounded-collections lint.
+//! Pass 4 — bounded-collections lint.
 //!
 //! The online assessor keys long-lived state by subscriber id; on a
 //! hostile tap (spoofed or colliding ids, mid-session cuts) any map

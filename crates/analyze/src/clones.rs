@@ -1,4 +1,4 @@
-//! Pass 9 — clone-heavy-handoff lint (severity `warn`).
+//! Pass 7 — clone-heavy-handoff lint (severity `warn`).
 //!
 //! The ROADMAP names per-job clone overhead as the prime suspect for
 //! the engine's compute-regime scaling tax: cloning a session's chunk

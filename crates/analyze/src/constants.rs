@@ -1,4 +1,4 @@
-//! Pass 3 — paper-constant consistency.
+//! Pass 2 — paper-constant consistency.
 //!
 //! The headline numbers of the paper appear in many places: the feature
 //! builders, the labelling rules, the change detector, crate docs,

@@ -2,19 +2,18 @@
 //!
 //! The paper's pipeline is evaluated end-to-end on *simulated* sessions,
 //! so every number in the reproduction must be a pure function of the
-//! configured seeds. Three things silently break that:
+//! configured seeds. Iterating a `HashMap` silently breaks that:
+//! iteration order varies per process because of `RandomState` hashing
+//! (rule `hashmap-iter`). Keyed access is fine; ordered walks need a
+//! `BTreeMap` or a sorted key vector. This rule skips `#[cfg(test)]`
+//! code: the map-name tracking is file-global and tests legitimately
+//! shadow library binding names. Clippy's `iter_over_hash_type` sees
+//! only `for` loops, so this pass also catches `.values()`-style walks.
 //!
-//! * `rand::thread_rng` — an OS-seeded generator (rule `thread-rng`);
-//! * wall-clock reads — `SystemTime::now` / `Instant::now` (rule
-//!   `wall-clock`); simulated time lives in `vqoe_simnet::time`;
-//! * iterating a `HashMap` — iteration order varies per process because
-//!   of `RandomState` hashing (rule `hashmap-iter`); keyed access is
-//!   fine, ordered walks need a `BTreeMap` or a sorted key vector. This
-//!   rule skips `#[cfg(test)]` code: the map-name tracking is file-global
-//!   and tests legitimately shadow library binding names.
-//!
-//! `crates/bench` is deliberately *not* in [`crate::DETERMINISM_CRATES`]:
-//! measuring wall-clock time is its whole job.
+//! Wall-clock reads are clippy's `disallowed_methods` /
+//! `disallowed_types` (see the root `clippy.toml`). `crates/bench` is
+//! deliberately *not* in [`crate::DETERMINISM_CRATES`]: measuring
+//! wall-clock time is its whole job.
 
 use crate::lexer::Line;
 use crate::tree::{contains_token, leading_ident, trailing_ident};
@@ -39,41 +38,20 @@ pub(crate) fn raw_findings(file: &str, lines: &[Line]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let maps = hashmap_names(lines);
     for (idx, line) in lines.iter().enumerate() {
-        let lineno = idx + 1;
-        let mut push = |rule: &str, message: String| {
-            findings.push(Finding::new(file, lineno, rule, message));
-        };
-        if contains_token(&line.code, "thread_rng") {
-            push(
-                "thread-rng",
-                "OS-seeded `thread_rng` breaks reproducibility; take an explicit \
-                 seeded Rng instead"
-                    .to_string(),
-            );
-        }
-        for clock in ["SystemTime::now", "Instant::now"] {
-            if contains_token(&line.code, clock) {
-                push(
-                    "wall-clock",
-                    format!(
-                        "wall-clock read `{clock}` in deterministic code; use \
-                         `vqoe_simnet::time` (bench code is exempt by crate)"
-                    ),
-                );
-            }
-        }
         // The map-name heuristic is file-global, so a test that reuses a
         // library binding's name for a Vec would false-positive; test
         // code is exempt (an order-dependent test fails loudly anyway).
         for map in maps.iter().filter(|_| !line.in_test) {
             if let Some(how) = iterates(&line.code, map) {
-                push(
+                findings.push(Finding::new(
+                    file,
+                    idx + 1,
                     "hashmap-iter",
                     format!(
                         "`{map}` is a HashMap and `{how}` walks it in random \
                          RandomState order; use a BTreeMap or sort the keys first"
                     ),
-                );
+                ));
             }
         }
     }
@@ -145,22 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_rng_is_flagged_with_boundaries() {
-        let f = findings_in("let mut rng = rand::thread_rng();\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "thread-rng");
-        assert!(findings_in("fn not_a_thread_rng_thing() {}\n").is_empty());
-    }
-
-    #[test]
-    fn wall_clock_reads_are_flagged() {
-        let f = findings_in("let t = std::time::Instant::now();\n");
-        assert_eq!(f[0].rule, "wall-clock");
-        let f = findings_in("let t = SystemTime::now();\n");
-        assert_eq!(f[0].rule, "wall-clock");
-    }
-
-    #[test]
     fn hashmap_iteration_is_flagged_but_keyed_access_is_not() {
         let src = "let mut m: HashMap<u64, u32> = HashMap::new();\n\
                    for (k, v) in &m {\n}\n\
@@ -184,13 +146,16 @@ mod tests {
 
     #[test]
     fn allow_marker_suppresses() {
-        let src = "// analyze:allow(wall-clock)\nlet t = Instant::now();\n";
+        let src = "let m: HashMap<u64, u32> = HashMap::new();\n\
+                   // summed, order-free. analyze:allow(hashmap-iter)\n\
+                   let n: u32 = m.values().sum();\n";
         assert!(findings_in(src).is_empty());
     }
 
     #[test]
     fn comments_and_strings_do_not_fire() {
-        let src = "// uses Instant::now() internally\nlet s = \"thread_rng\";\n";
+        let src = "let m: HashMap<u64, u32> = HashMap::new();\n\
+                   // then m.iter() walks it\nlet s = \"m.values()\";\n";
         assert!(findings_in(src).is_empty());
     }
 

@@ -1,4 +1,4 @@
-//! Pass 8 — float-reduction-order lint.
+//! Pass 6 — float-reduction-order lint.
 //!
 //! Float addition is not associative: summing the same `f64` values in
 //! two different orders can differ in the last bits, and those bits are

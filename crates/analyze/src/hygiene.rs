@@ -1,4 +1,4 @@
-//! Pass 4 — workspace hygiene.
+//! Pass 3 — workspace hygiene.
 //!
 //! Uniformity rules that keep the workspace's lint policy and
 //! dependency graph centralised, checked for every member crate:

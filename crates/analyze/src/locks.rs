@@ -1,4 +1,4 @@
-//! Pass 7 — lock-across-handoff lint.
+//! Pass 5 — lock-across-handoff lint.
 //!
 //! The byte-identity contract (DESIGN.md §9/§10) keeps the sharded
 //! engine and the training fan-out bit-identical at any worker count by

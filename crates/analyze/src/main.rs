@@ -1,8 +1,9 @@
-//! `vqoe-analyze` — run the ten static-analysis gates over the
-//! workspace and exit nonzero on any deny-severity violation.
+//! `vqoe-analyze` — run the static-analysis passes that clippy cannot
+//! express over the workspace and exit nonzero on any deny-severity
+//! violation.
 //!
 //! ```text
-//! vqoe-analyze [--root <dir>] [--format text|sarif]
+//! vqoe-analyze [--root <dir>]
 //! ```
 //!
 //! Without `--root`, the workspace root is found by walking up from the
@@ -13,29 +14,21 @@
 //! printed but pass), 1 when one does, 2 on a usage error. An
 //! `analyze:allow(<rule>)` marker is the one way to suppress a finding.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vqoe_analyze::{gate_fails, report, run_all, sarif};
+use vqoe_analyze::{gate_fails, report, run_all};
 
-enum Format {
-    Text,
-    Sarif,
-}
-
-const USAGE: &str = "usage: vqoe-analyze [--root <dir>] [--format text|sarif]";
+const USAGE: &str = "usage: vqoe-analyze [--root <dir>]";
 
 fn main() -> ExitCode {
-    let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
-                other => return usage(&format!("--format expects text|sarif, got {other:?}")),
-            },
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root expects a directory"),
@@ -53,10 +46,7 @@ fn main() -> ExitCode {
     };
 
     let findings = run_all(&root);
-    match format {
-        Format::Text => print!("{}", report::render_text(&findings)),
-        Format::Sarif => print!("{}", sarif::render(&findings)),
-    }
+    print!("{}", report::render_text(&findings));
     if gate_fails(&findings) {
         ExitCode::FAILURE
     } else {

@@ -1,6 +1,5 @@
 //! Human-readable diagnostic rendering: one `file:line: [rule]
-//! message` line per finding plus a summary. The machine-readable
-//! format is SARIF (see [`crate::sarif`]).
+//! message` line per finding plus a summary.
 
 use crate::{severity_of, Finding, Severity};
 

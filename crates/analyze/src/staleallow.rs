@@ -1,4 +1,4 @@
-//! Pass 10 — stale-allow lint.
+//! Stale-allow check: the suppression markers stay honest.
 //!
 //! `analyze:allow(rule)` markers are the escape hatch for every
 //! line-level rule, and escape hatches rot: the flagged code gets
@@ -15,7 +15,10 @@
 //!   `lib-doc`, …) are left alone, since their liveness is not a
 //!   property of one line;
 //! * markers naming a rule this analyzer has never heard of are always
-//!   reported (typos rot fastest);
+//!   reported (typos rot fastest), and so are markers naming the
+//!   panic-path and wall-clock rules (`unwrap`, `expect`, `panic`,
+//!   `wall-clock`, `raw-wall-clock`, `thread-rng`): clippy gates those,
+//!   and `#[expect(...)]` is their escape hatch;
 //! * doc comments (`///`, `//!`) that merely *mention* the marker
 //!   syntax are ignored — they document the hatch, they do not open it;
 //! * `analyze:allow(stale-allow)` markers are exempt from their own
@@ -104,40 +107,53 @@ mod tests {
     use crate::lexer::lex_file;
 
     /// Run the pass the way the driver does: raw line findings from the
-    /// panic pass feed the staleness check, then allow filtering.
+    /// determinism pass feed the staleness check, then allow filtering.
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);
-        let raw = crate::panics::raw_findings("x.rs", &lines);
+        let raw = crate::determinism::raw_findings("x.rs", &lines);
         crate::filter_allows(raw_findings("x.rs", &lines, &raw), &lines)
     }
 
     #[test]
     fn live_marker_is_fine() {
-        let src = "// checked by caller. analyze:allow(unwrap)\nlet x = v.first().unwrap();\n";
+        let src = "let m: HashMap<u64, u32> = HashMap::new();\n\
+                   // an integer sum. analyze:allow(hashmap-iter)\n\
+                   let n: u32 = m.values().sum();\n";
         assert!(findings_in(src).is_empty());
     }
 
     #[test]
     fn dead_marker_is_flagged() {
-        let src = "// analyze:allow(unwrap)\nlet x = 42;\n";
+        let src = "// analyze:allow(hashmap-iter)\nlet x = 42;\n";
         let f = findings_in(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "stale-allow");
         assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("unwrap"));
+        assert!(f[0].message.contains("hashmap-iter"));
     }
 
     #[test]
     fn unknown_rule_is_flagged() {
-        let src = "// analyze:allow(no-such-rule)\nlet x = 1;\n";
-        let f = findings_in(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("no-such-rule"));
+        // A typo, and the rules clippy carries instead of this analyzer.
+        for rule in [
+            "no-such-rule",
+            "unwrap",
+            "expect",
+            "panic",
+            "wall-clock",
+            "raw-wall-clock",
+            "thread-rng",
+        ] {
+            let src = format!("// analyze:allow({rule})\nlet x = v.first().unwrap();\n");
+            let f = findings_in(&src);
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert!(f[0].message.contains("does not have"), "{f:?}");
+        }
     }
 
     #[test]
     fn doc_comment_mentions_are_ignored() {
-        let src = "//! Use `analyze:allow(unwrap)` markers sparingly.\n/// See analyze:allow(panic).\nlet x = 1;\n";
+        let src = "//! Use `analyze:allow(hashmap-iter)` markers sparingly.\n/// See analyze:allow(unbounded-map).\nlet x = 1;\n";
         assert!(findings_in(src).is_empty());
     }
 
@@ -149,7 +165,7 @@ mod tests {
 
     #[test]
     fn stale_allow_marker_can_suppress_itself() {
-        let src = "// analyze:allow(stale-allow) analyze:allow(unwrap)\nlet x = 1;\n";
+        let src = "// analyze:allow(stale-allow) analyze:allow(hashmap-iter)\nlet x = 1;\n";
         assert!(findings_in(src).is_empty());
     }
 }

@@ -306,7 +306,7 @@ pub(crate) fn trailing_ident(s: &str) -> Option<String> {
 }
 
 /// Substring match with identifier boundaries on both sides, so
-/// `thread_rng` does not fire on `my_thread_rng_like`.
+/// `m.iter()` does not fire on `hm.iter()`.
 pub(crate) fn contains_token(code: &str, pat: &str) -> bool {
     let mut start = 0;
     while let Some(pos) = code[start..].find(pat) {

@@ -1,20 +1,13 @@
-//! Fixture: one seeded violation per determinism rule.
+//! Fixture: one seeded `HashMap` walk in a deterministic crate.
 
 use std::collections::HashMap;
 
-pub fn entropy_everywhere() -> u64 {
-    let mut rng = rand::thread_rng();
-    let t = std::time::Instant::now();
+pub fn order_dependent_total() -> u64 {
     let mut counts: HashMap<u64, u64> = HashMap::new();
     counts.insert(1, 2);
     let mut total = 0;
     for (_, v) in counts.iter() {
         total += v;
     }
-    total + t.elapsed().as_secs() + rng.next_u64()
-}
-
-pub fn allowed_wall_clock() -> std::time::Instant {
-    // fixture exercises the escape hatch. analyze:allow(wall-clock)
-    std::time::Instant::now()
+    total
 }

@@ -2,20 +2,22 @@
 //! a typo'd rule name (flagged), a manifest-level rule (skipped), and a
 //! self-suppressed dead marker (skipped).
 //!
-//! Doc-comment mentions of `analyze:allow(unwrap)` are not markers.
+//! Doc-comment mentions of `analyze:allow(hashmap-iter)` are not markers.
 
-fn live(v: &[u64]) -> u64 {
-    // first element guaranteed by the caller. analyze:allow(unwrap)
-    *v.first().unwrap()
+use std::collections::HashMap;
+
+fn live(counts: HashMap<u64, u64>) -> u64 {
+    // an integer sum, whatever the order. analyze:allow(hashmap-iter)
+    counts.values().sum()
 }
 
 fn dead() -> u64 {
-    // analyze:allow(unwrap)
+    // analyze:allow(hashmap-iter)
     42
 }
 
 fn typo() -> u64 {
-    // analyze:allow(unwarp)
+    // analyze:allow(hashmap-itre)
     7
 }
 
@@ -25,6 +27,6 @@ fn manifest_rule_is_skipped() -> u64 {
 }
 
 fn self_suppressed() -> u64 {
-    // analyze:allow(stale-allow) analyze:allow(panic)
+    // analyze:allow(stale-allow) analyze:allow(hashmap-iter)
     9
 }

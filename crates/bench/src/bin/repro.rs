@@ -20,7 +20,8 @@ use vqoe_bench::{ReproContext, ReproScale};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ids: Vec<String> = Vec::new();
-    let mut scale = ReproScale::default();
+    let mut sessions: Option<usize> = None;
+    let mut seed: Option<u64> = None;
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut smoke = false;
 
@@ -29,18 +30,19 @@ fn main() {
         match args[i].as_str() {
             "--sessions" => {
                 i += 1;
-                scale.cleartext_sessions = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--sessions needs a number"));
-                scale.adaptive_sessions = (scale.cleartext_sessions * 3 / 8).max(200);
+                sessions = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage("--sessions needs a number")),
+                );
             }
             "--seed" => {
                 i += 1;
-                scale.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
+                seed = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage("--seed needs a number")),
+                );
             }
             "--out" => {
                 i += 1;
@@ -50,13 +52,7 @@ fn main() {
                         .unwrap_or_else(|| usage("--out needs a directory")),
                 );
             }
-            "--smoke" => {
-                smoke = true;
-                scale = ReproScale {
-                    seed: scale.seed,
-                    ..ReproScale::smoke()
-                };
-            }
+            "--smoke" => smoke = true,
             "--help" | "-h" => {
                 usage("");
             }
@@ -65,6 +61,20 @@ fn main() {
             other => usage(&format!("unknown experiment {other}")),
         }
         i += 1;
+    }
+    // `--smoke` picks the base scale wherever it stands; explicit
+    // `--sessions` and `--seed` override it.
+    let mut scale = if smoke {
+        ReproScale::smoke()
+    } else {
+        ReproScale::default()
+    };
+    if let Some(n) = sessions {
+        scale.cleartext_sessions = n;
+        scale.adaptive_sessions = (n * 3 / 8).max(200);
+    }
+    if let Some(seed) = seed {
+        scale.seed = seed;
     }
     if ids.is_empty() {
         usage("no experiment given");

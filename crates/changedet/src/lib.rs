@@ -21,6 +21,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod cusum;
 pub mod detector;

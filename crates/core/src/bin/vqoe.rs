@@ -35,6 +35,9 @@
 //! runs a packed corpus in place unless chaos or `--trace` needs its
 //! records as entries.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::fmt;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -61,14 +64,22 @@ use vqoe_telemetry::{
 /// allowlisted non-deterministic surface: its readings feed
 /// `Runtime`-class histograms only, never the stable JSON snapshot.
 /// The deterministic crates must use `vqoe_obs::SimClock` instead.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the CLI times its stages on the OS clock"
+)]
 struct WallClock {
-    origin: std::time::Instant, // analyze:allow(raw-wall-clock)
+    origin: std::time::Instant,
 }
 
 impl WallClock {
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the CLI times its stages on the OS clock"
+    )]
     fn new() -> WallClock {
         WallClock {
-            // analyze:allow(wall-clock) analyze:allow(raw-wall-clock)
             origin: std::time::Instant::now(),
         }
     }
@@ -265,16 +276,23 @@ fn corpus_pack(flags: &Flags) -> Result<(), String> {
 }
 
 /// `vqoe corpus unpack` — convert a packed corpus back to JSONL,
-/// bit-identically.
+/// bit-identically, decoding one record at a time. A record that does
+/// not decode exits 1 naming the corpus, before `--out` is created.
 fn corpus_unpack(flags: &Flags) -> Result<(), String> {
     let packed = flags.path("corpus")?;
     let out = flags.path("out")?;
     let corpus = BinaryCorpus::read_file(&packed).unwrap_or_else(die(&packed));
-    let entries = corpus.decode_all().unwrap_or_else(die(&packed));
-    write_jsonl(&out, &entries).unwrap_or_else(die(&out));
+    corpus
+        .for_each_record(|_, _| {})
+        .unwrap_or_else(die(&packed));
+    let entries = corpus
+        .records()
+        .map(|record| record.unwrap_or_else(die(&packed)).to_entry());
+    write_jsonl(&out, entries).unwrap_or_else(die(&out));
+    // Every record decoded, so the header's count is the number written.
     reporter(flags).normal(&format!(
         "unpacked {} weblog entries to {}",
-        entries.len(),
+        corpus.len(),
         out.display()
     ));
     Ok(())

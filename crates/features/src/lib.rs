@@ -49,6 +49,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 /// Sentinel written into a feature slot whose summary statistic is
 /// *undefined*: the session has chunks, but every sample of that metric

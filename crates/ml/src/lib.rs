@@ -29,6 +29,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod cv;
 pub mod dataset;

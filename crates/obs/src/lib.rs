@@ -20,9 +20,11 @@
 //!   checkpoint embeds).
 //! - [`Clock`] / [`SimClock`] / [`StageSpan`] — span-style stage timing
 //!   behind a trait. The deterministic crates only ever see `SimClock`,
-//!   a tick counter advanced by work units (entries processed), so the
-//!   `vqoe-analyze` determinism gates stay green. Wall-clock `Clock`
-//!   implementations live in `vqoe-bench` and the `vqoe` CLI only.
+//!   a tick counter advanced by work units (entries processed), so
+//!   clippy's wall-clock gate (`disallowed_types` /
+//!   `disallowed_methods`, see the root `clippy.toml`) stays green.
+//!   Wall-clock `Clock` implementations live in `vqoe-bench` and the
+//!   `vqoe` CLI only.
 //! - [`Reporter`] — a levelled (quiet/normal/verbose) stderr reporter
 //!   replacing ad-hoc `eprintln!` health reporting in the CLI.
 //! - [`TraceSink`] / [`Trace`] — deterministic session tracing: typed
@@ -37,6 +39,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod buckets;
 mod clock;

@@ -132,12 +132,17 @@ fn match_score(r: &SessionSpan, t: &SessionSpan) -> f64 {
     temporal * count_agreement.max(0.0)
 }
 
-/// Write `items` to `path` as JSON Lines.
-pub fn write_jsonl<T: Serialize>(path: &Path, items: &[T]) -> Result<(), TelemetryError> {
+/// Write `items` to `path` as JSON Lines, one item at a time, so an
+/// iterator that builds each item holds one, not the file.
+pub fn write_jsonl<I>(path: &Path, items: I) -> Result<(), TelemetryError>
+where
+    I: IntoIterator,
+    I::Item: Serialize,
+{
     let file = std::fs::File::create(path)?;
     let mut w = BufWriter::new(file);
-    for (index, item) in items.iter().enumerate() {
-        serde_json::to_writer(&mut w, item)
+    for (index, item) in items.into_iter().enumerate() {
+        serde_json::to_writer(&mut w, &item)
             .map_err(|source| TelemetryError::Serialize { index, source })?;
         w.write_all(b"\n")?;
     }

@@ -12,13 +12,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+# Clippy also carries the panic-path and wall-clock gates: each gated
+# crate root turns on unwrap_used / expect_used / panic and
+# disallowed_methods / disallowed_types (the paths are in clippy.toml).
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings (with the panic-path and wall-clock gates)"
 cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --locked --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline
 
-echo "==> vqoe-analyze (ten passes: determinism / panic-path / constants / hygiene / bounded / clock / locks / floatord / clones / stale-allow)"
+echo "==> vqoe-analyze (determinism / constants / hygiene / bounded / locks / floatord / clones, and stale-allow markers)"
 cargo build -q --locked -p vqoe-analyze
 target/debug/vqoe-analyze
 
