@@ -22,7 +22,10 @@ mod tests {
     use vqoe_player::SessionTrace;
 
     fn representation_data(traces: &[SessionTrace]) -> Dataset {
-        build_dataset::<RepresentationSpace>(labelled_traces(traces, RepresentationSpace::label))
+        build_dataset::<RepresentationSpace>(
+            labelled_traces(traces, RepresentationSpace::label),
+            TrainConfig::auto(),
+        )
     }
 
     fn fit_report(traces: &[SessionTrace], seed: u64) -> RepresentationTrainingReport {

@@ -1045,11 +1045,12 @@ const USAGE: &str = "vqoe — video QoE monitoring from (encrypted) traffic\n\
          read it one record at a time in file order, which must be\n\
          timestamp order, as capture writes it: a record earlier than\n\
          the one before it is an error.\n\
-         train --workers fans fitting out across threads (0 = auto); the\n\
-         model is byte-identical at any worker count.\n\
+         train --workers fans fitting out across threads (0 = auto, at\n\
+         most 64); the model is byte-identical at any worker count.\n\
          assess runs the streaming assessor one record at a time; replay\n\
          runs the sharded parallel engine (--workers 0 = auto, the\n\
-         default; --shards N > 0). Their assessments are bit-identical.\n\
+         default, at most 64; --shards N > 0). Their assessments are\n\
+         bit-identical.\n\
          assess --max-subscribers N caps tracked subscribers (N > 0).\n\
          --verbose adds stream-health and anomaly details on stderr;\n\
          --quiet silences status lines. An unlisted flag, a repeated\n\

@@ -148,6 +148,7 @@ mod tests {
     use super::*;
     use vqoe_features::labels::has_switches;
     use vqoe_features::{build_dataset, FeatureSpace, RepresentationSpace, StallClass, StallSpace};
+    use vqoe_ml::TrainConfig;
 
     fn small_world(n: usize, seed: u64) -> EncryptedWorld {
         let mut config = EncryptedEvalConfig::paper_default(seed);
@@ -188,8 +189,12 @@ mod tests {
     #[test]
     fn labelled_datasets_have_matching_shapes() {
         let world = small_world(20, 43);
-        let stall = build_dataset::<StallSpace>(world.labelled(StallSpace::label));
-        let rq = build_dataset::<RepresentationSpace>(world.labelled(RepresentationSpace::label));
+        let stall =
+            build_dataset::<StallSpace>(world.labelled(StallSpace::label), TrainConfig::auto());
+        let rq = build_dataset::<RepresentationSpace>(
+            world.labelled(RepresentationSpace::label),
+            TrainConfig::auto(),
+        );
         assert_eq!(stall.n_rows(), world.joined.len());
         assert_eq!(rq.n_rows(), world.joined.len());
         assert_eq!(stall.n_features(), 70);

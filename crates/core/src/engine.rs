@@ -62,8 +62,8 @@ use crate::subscribe::{IngestPipeline, SubscriptionSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads. `0` means auto: `available_parallelism`, capped
-    /// at 16, and never more than the shard count — the
-    /// [`TrainConfig`] policy.
+    /// at 16; any count is clamped to `vqoe_ml::par::MAX_WORKERS` and
+    /// never exceeds the shard count — the [`TrainConfig`] policy.
     pub workers: usize,
     /// Number of shards the subscriber space is hashed onto. More
     /// shards than workers keeps every worker busy when shard sizes are

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{DeError, Deserialize, Serialize, Value};
 use vqoe_features::{FeatureSpace, SessionObs};
-use vqoe_ml::selection::{cfs_best_first, info_gain_ranking, RankedFeature};
+use vqoe_ml::selection::{Discretized, RankedFeature};
 use vqoe_ml::{cross_validate, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig};
 
 /// Number of CV folds (§4: 10-fold cross-validation).
@@ -40,8 +40,9 @@ impl FeatureSubset {
     pub fn select<S: FeatureSpace>(full: &Dataset, seed: u64, train: TrainConfig) -> FeatureSubset {
         let mut rng = StdRng::seed_from_u64(seed);
         let balanced = full.balanced_downsample(&mut rng);
-        let mut selected_idx = cfs_best_first(&balanced, 5, train);
-        let ranking = info_gain_ranking(&balanced, train);
+        let discretized = Discretized::new(&balanced, train);
+        let mut selected_idx = discretized.cfs_best_first(5);
+        let ranking = discretized.info_gain_ranking();
         for r in &ranking {
             if selected_idx.len() < S::SUBSET_FLOOR && !selected_idx.contains(&r.index) {
                 selected_idx.push(r.index);

@@ -42,8 +42,8 @@ pub struct TrainingConfig {
     /// Switch-detector scoring parameters (§4.3).
     pub switch_scoring: SwitchScoreConfig,
     /// Worker policy for the training fan-out (corpus simulation,
-    /// trees, CV folds, CFS candidates). Never changes the trained
-    /// models — only wall-clock.
+    /// dataset rows, feature discretization, trees, CV folds). Never
+    /// changes the trained models — only wall-clock.
     pub train: TrainConfig,
 }
 
@@ -209,11 +209,11 @@ impl ModelFit {
         // at simulation scale rather than preserving the 3 % share.
         stall_corpus.extend(adaptive.iter().cloned());
         let stall_data =
-            build_dataset::<StallSpace>(labelled_traces(&stall_corpus, StallSpace::label));
-        let representation_data = build_dataset::<RepresentationSpace>(labelled_traces(
-            &adaptive,
-            RepresentationSpace::label,
-        ));
+            build_dataset::<StallSpace>(labelled_traces(&stall_corpus, StallSpace::label), train);
+        let representation_data = build_dataset::<RepresentationSpace>(
+            labelled_traces(&adaptive, RepresentationSpace::label),
+            train,
+        );
         let mut stall_subset = FeatureSubset::select::<StallSpace>(&stall_data, seed, train);
         let mut rep_subset =
             FeatureSubset::select::<RepresentationSpace>(&representation_data, seed, train);

@@ -21,7 +21,10 @@ mod tests {
     use vqoe_player::SessionTrace;
 
     fn stall_data(traces: &[SessionTrace]) -> Dataset {
-        build_dataset::<StallSpace>(labelled_traces(traces, StallSpace::label))
+        build_dataset::<StallSpace>(
+            labelled_traces(traces, StallSpace::label),
+            TrainConfig::auto(),
+        )
     }
 
     fn fit_report(traces: &[SessionTrace], seed: u64) -> StallTrainingReport {

@@ -190,9 +190,14 @@ mod tests {
     fn weblog_datasets_match_trace_datasets() {
         let traces = generate_traces(&DatasetSpec::cleartext_default(30, 93), TrainConfig::auto());
         let entries = capture_cleartext_corpus(&traces, 9).expect("capture");
-        let from_weblogs =
-            build_dataset::<StallSpace>(labelled_weblogs(&entries, StallSpace::label));
-        let from_traces = build_dataset::<StallSpace>(labelled_traces(&traces, StallSpace::label));
+        let from_weblogs = build_dataset::<StallSpace>(
+            labelled_weblogs(&entries, StallSpace::label),
+            TrainConfig::auto(),
+        );
+        let from_traces = build_dataset::<StallSpace>(
+            labelled_traces(&traces, StallSpace::label),
+            TrainConfig::auto(),
+        );
         assert_eq!(from_weblogs.n_rows(), from_traces.n_rows());
         // Feature rows may be ordered differently (weblog grouping order);
         // match by nearest row and compare labels via class counts.

@@ -9,20 +9,38 @@
 
 use crate::obs::SessionObs;
 use crate::space::FeatureSpace;
-use vqoe_ml::Dataset;
+use vqoe_ml::par::run_indexed;
+use vqoe_ml::{Dataset, TrainConfig};
 use vqoe_player::{GroundTruth, SessionTrace};
 
+/// Rows whose observations [`build_dataset`] holds at once: enough
+/// jobs to keep every worker busy, few enough that a long corpus never
+/// has all its sessions' observations in memory.
+const ROW_BATCH: usize = 256;
+
 /// The labelled dataset of the space `S`: one row per `(observations,
-/// class)` pair, in the order given. Rows may stream in lazily; only
-/// each session's feature vector is kept.
+/// class)` pair, in the order given. Rows may stream in lazily; they
+/// are taken 256 at a time (`ROW_BATCH`), each batch's feature vectors are
+/// built over `train`'s workers in row order, and only the vectors are
+/// kept, so the dataset is the same at any worker count.
 pub fn build_dataset<S: FeatureSpace>(
     rows: impl IntoIterator<Item = (SessionObs, S::Class)>,
+    train: TrainConfig,
 ) -> Dataset {
-    let (x, y) = rows
-        .into_iter()
-        .map(|(obs, class)| ((S::EXACT)(&obs), (S::INDEX)(class)))
-        .unzip();
-    Dataset::new((S::NAMES)(), (S::CLASS_NAMES)(), x, y)
+    let mut rows = rows.into_iter();
+    let (mut x, mut y) = (Vec::new(), Vec::new());
+    loop {
+        let batch: Vec<SessionObs> = (rows.by_ref().take(ROW_BATCH))
+            .map(|(obs, class)| {
+                y.push((S::INDEX)(class));
+                obs
+            })
+            .collect();
+        if batch.is_empty() {
+            return Dataset::new((S::NAMES)(), (S::CLASS_NAMES)(), x, y);
+        }
+        x.extend(run_indexed(batch.len(), train, |i| (S::EXACT)(&batch[i])));
+    }
 }
 
 /// The labelled rows of simulated traces, lazily and in trace order:
@@ -74,11 +92,17 @@ mod tests {
     }
 
     fn stall_dataset(ts: &[SessionTrace]) -> Dataset {
-        build_dataset::<StallSpace>(labelled_traces(ts, StallSpace::label))
+        build_dataset::<StallSpace>(
+            labelled_traces(ts, StallSpace::label),
+            TrainConfig::sequential(),
+        )
     }
 
     fn representation_dataset(ts: &[SessionTrace]) -> Dataset {
-        build_dataset::<RepresentationSpace>(labelled_traces(ts, RepresentationSpace::label))
+        build_dataset::<RepresentationSpace>(
+            labelled_traces(ts, RepresentationSpace::label),
+            TrainConfig::sequential(),
+        )
     }
 
     #[test]
@@ -119,7 +143,31 @@ mod tests {
             .iter()
             .map(|t| (SessionObs::from_trace(t), stall_label(&t.ground_truth)))
             .collect();
-        assert_eq!(stall_dataset(&ts), build_dataset::<StallSpace>(sessions));
+        assert_eq!(
+            stall_dataset(&ts),
+            build_dataset::<StallSpace>(sessions, TrainConfig::sequential())
+        );
+    }
+
+    #[test]
+    fn rows_built_on_workers_keep_row_order() {
+        // 600 rows: three batches, the last one short.
+        let ts = traces(9);
+        let rows = || {
+            (0..600).map(|i| {
+                let t = &ts[i % ts.len()];
+                (SessionObs::from_trace(t), stall_label(&t.ground_truth))
+            })
+        };
+        let want = build_dataset::<StallSpace>(rows(), TrainConfig::sequential());
+        for (i, (obs, class)) in rows().enumerate() {
+            assert_eq!(want.x[i], (StallSpace::EXACT)(&obs), "row {i}");
+            assert_eq!(want.y[i], class.index(), "row {i}");
+        }
+        for workers in [2usize, 7] {
+            let got = build_dataset::<StallSpace>(rows(), TrainConfig::with_workers(workers));
+            assert_eq!(got, want, "workers {workers}");
+        }
     }
 
     #[test]

@@ -45,5 +45,5 @@ pub use dataset::Dataset;
 pub use forest::{ForestConfig, RandomForest};
 pub use metrics::{ClassReport, ConfusionMatrix};
 pub use par::TrainConfig;
-pub use selection::{cfs_best_first, info_gain_ranking, RankedFeature};
+pub use selection::{cfs_best_first, info_gain_ranking, Discretized, RankedFeature};
 pub use tree::{DecisionTree, ModelError, TreeConfig};

@@ -1,18 +1,20 @@
 //! Deterministic parallel fan-out for the training pipeline.
 //!
-//! Everything the training stack parallelizes — trees within a forest,
-//! folds within a cross-validation, candidate features within a CFS
-//! sweep — is an *indexed* job list whose jobs are mutually independent
-//! once each derives its own RNG stream. [`run_indexed`] fans such a
-//! list out over a `crossbeam` scope and returns the results **in job
-//! index order**, so every reduction downstream (OOB vote accumulation,
-//! confusion-matrix merges, merit comparisons) happens in exactly the
-//! order the sequential path used. Float addition is not associative;
-//! fixing the reduction order is what makes the parallel output
-//! *byte-identical* to the sequential one at any worker count — the
-//! same discipline `vqoe_core::engine` established for assessment.
-//! Trace generation and the engine's shard jobs fan out through
-//! [`run_indexed`] too.
+//! Everything the training stack parallelizes — traces, dataset rows,
+//! the discretization of each feature, trees within a forest, folds
+//! within a cross-validation — is an *indexed* job list whose jobs are
+//! mutually independent once each derives its own RNG stream.
+//! [`run_indexed`] fans such a list out over a `crossbeam` scope and
+//! returns the results **in job index order**, so every reduction
+//! downstream (OOB vote accumulation, confusion-matrix merges) happens
+//! in exactly the order the sequential path used. Float addition is
+//! not associative; fixing the reduction order is what makes the
+//! parallel output *byte-identical* to the sequential one at any
+//! worker count — the same discipline `vqoe_core::engine` established
+//! for assessment.
+//! The engine's shard jobs fan out through [`run_indexed`] too. Work
+//! finer than a thread start stays on the caller's thread: the CFS
+//! best-first walk scores its candidates sequentially.
 //!
 //! Seed streams are laid out so they cannot overlap (DESIGN.md §10):
 //! trees within one forest use the affine family
@@ -27,15 +29,21 @@ use serde::{Deserialize, Serialize};
 /// in the training stack.
 pub const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The most threads one fan-out starts, whatever count was asked for:
+/// an explicit `workers` above it is clamped. Outputs are identical at
+/// any worker count, so the clamp changes only how many threads run.
+pub const MAX_WORKERS: usize = 64;
+
 /// Worker policy for the deterministic training fan-out.
 ///
 /// The output of every training entry point is byte-identical for every
 /// value of `workers`; the knob only trades wall-clock for threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrainConfig {
-    /// Worker threads for tree / fold / candidate fan-out. `0` means
-    /// auto (`available_parallelism`, capped at 16 — the same policy as
-    /// the assessment engine); `1` runs the plain sequential loop.
+    /// Worker threads for the training fan-out. `0` means auto
+    /// (`available_parallelism`, capped at 16 — the same policy as the
+    /// assessment engine); `1` runs the plain sequential loop; any count
+    /// is clamped to [`MAX_WORKERS`].
     pub workers: usize,
 }
 
@@ -63,7 +71,8 @@ impl TrainConfig {
 
     /// The worker count actually used for a list of `jobs`: `workers`
     /// with `0` resolved to the machine's available parallelism (capped
-    /// at 16), and never more than the job count.
+    /// at 16), never more than [`MAX_WORKERS`] and never more than the
+    /// job count.
     pub fn effective_workers(&self, jobs: usize) -> usize {
         let auto = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -74,7 +83,7 @@ impl TrainConfig {
         } else {
             self.workers
         };
-        w.max(1).min(jobs.max(1))
+        w.clamp(1, MAX_WORKERS).min(jobs.max(1))
     }
 }
 
@@ -84,8 +93,10 @@ impl TrainConfig {
 /// Each job must be self-contained (derive its own RNG stream from its
 /// index); under that contract the result vector is byte-identical to
 /// the sequential loop at any worker count. Jobs are claimed one at a
-/// time from a shared atomic cursor — training jobs are coarse (a whole
-/// tree, fold or candidate subset), so per-job claim overhead is noise.
+/// time from a shared atomic cursor — jobs are coarse (a whole tree,
+/// fold, trace, dataset row or feature column), so per-job claim
+/// overhead is noise; each call starts its threads afresh, so a job
+/// list must outweigh a thread start.
 pub fn run_indexed<T, F>(jobs: usize, config: TrainConfig, f: F) -> Vec<T>
 where
     T: Send,
@@ -162,5 +173,14 @@ mod tests {
         assert!((1..=16).contains(&auto), "auto resolved to {auto}");
         // Zero jobs still yields a sane (non-zero) worker count.
         assert_eq!(TrainConfig::with_workers(8).effective_workers(0), 1);
+    }
+
+    #[test]
+    fn explicit_worker_counts_are_clamped() {
+        let huge = TrainConfig::with_workers(1_000_000);
+        assert_eq!(huge.effective_workers(1_000_000), MAX_WORKERS);
+        assert_eq!(huge.effective_workers(3), 3);
+        let at_cap = TrainConfig::with_workers(MAX_WORKERS);
+        assert_eq!(at_cap.effective_workers(usize::MAX), MAX_WORKERS);
     }
 }

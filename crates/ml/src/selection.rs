@@ -18,8 +18,9 @@
 use crate::dataset::Dataset;
 use crate::par::{run_indexed, TrainConfig};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use vqoe_stats::binning::Discretizer;
-use vqoe_stats::info::{info_gain, symmetrical_uncertainty};
+use vqoe_stats::info::{entropy_of_labels, info_gain, symmetrical_uncertainty_in};
 
 /// Bins used when discretizing continuous features for the
 /// information-theoretic scores.
@@ -36,195 +37,191 @@ pub struct RankedFeature {
     pub gain: f64,
 }
 
-/// Discretize every feature column (equal-frequency bins) for the
-/// information-theoretic machinery. Columns are independent, so this
-/// fans out per feature.
-fn discretize_all(data: &Dataset, train: TrainConfig) -> Vec<Vec<usize>> {
-    run_indexed(data.n_features(), train, |f| {
-        let col = data.column(f);
-        let disc = Discretizer::fit(&col, DISCRETIZATION_BINS);
-        disc.transform(&col)
-    })
+/// Every feature column of a dataset discretized (equal-frequency bins)
+/// for the information-theoretic scores, with each column's entropy:
+/// built once, read by both selection tools.
+#[derive(Debug, Clone)]
+pub struct Discretized<'a> {
+    data: &'a Dataset,
+    columns: Vec<Vec<usize>>,
+    entropies: Vec<f64>,
 }
 
-/// Rank all features by information gain, descending (ties broken by
-/// column order for determinism). Per-feature scores fan out over
-/// `train`'s workers; output is byte-identical at any worker count.
-pub fn info_gain_ranking(data: &Dataset, train: TrainConfig) -> Vec<RankedFeature> {
-    let discretized = discretize_all(data, train);
-    let gains = run_indexed(discretized.len(), train, |i| {
-        info_gain(&data.y, &discretized[i])
-    });
-    let mut ranked: Vec<RankedFeature> = gains
+impl<'a> Discretized<'a> {
+    /// Discretize `data`'s columns. Columns are independent, so this
+    /// fans out per feature over `train`'s workers; the columns are the
+    /// same at any worker count.
+    pub fn new(data: &'a Dataset, train: TrainConfig) -> Self {
+        let (entropies, columns) = run_indexed(data.n_features(), train, |f| {
+            let col = data.column(f);
+            let bins = Discretizer::fit(&col, DISCRETIZATION_BINS).transform(&col);
+            (entropy_of_labels(&bins), bins)
+        })
         .into_iter()
-        .enumerate()
-        .map(|(i, gain)| RankedFeature {
-            index: i,
-            name: data.feature_names[i].clone(),
-            gain,
-        })
-        .collect();
-    ranked.sort_by(|a, b| {
-        b.gain
-            .partial_cmp(&a.gain)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.index.cmp(&b.index))
-    });
-    ranked
-}
-
-/// CFS merit of a feature subset given precomputed correlations. Every
-/// feature pair of `subset` must already be present in `pair_su`
-/// (normalized `(min, max)` keys); the caller precomputes them before
-/// fanning merits out, so merit jobs stay lock-free.
-fn merit(
-    subset: &[usize],
-    class_corr: &[f64],
-    pair_su: &std::collections::BTreeMap<(usize, usize), f64>,
-) -> f64 {
-    let k = subset.len() as f64;
-    if subset.is_empty() {
-        return 0.0;
-    }
-    let mean_cf: f64 = subset.iter().map(|&f| class_corr[f]).sum::<f64>() / k;
-    let mut sum_ff = 0.0;
-    let mut pairs = 0.0;
-    for (i, &a) in subset.iter().enumerate() {
-        for &b in subset.iter().skip(i + 1) {
-            let key = if a < b { (a, b) } else { (b, a) };
-            sum_ff += pair_su.get(&key).copied().unwrap_or(0.0);
-            pairs += 1.0;
+        .unzip();
+        Discretized {
+            data,
+            columns,
+            entropies,
         }
     }
-    let mean_ff = if pairs > 0.0 { sum_ff / pairs } else { 0.0 };
-    let denom = (k + k * (k - 1.0) * mean_ff).sqrt();
-    if denom <= 0.0 {
-        return 0.0;
+
+    /// Rank all features by information gain, descending (ties broken
+    /// by column order for determinism).
+    pub fn info_gain_ranking(&self) -> Vec<RankedFeature> {
+        let mut ranked: Vec<RankedFeature> = (self.columns.iter().enumerate())
+            .map(|(i, col)| RankedFeature {
+                index: i,
+                name: self.data.feature_names[i].clone(),
+                gain: info_gain(&self.data.y, col),
+            })
+            .collect();
+        ranked.sort_by(|a, b| {
+            b.gain
+                .partial_cmp(&a.gain)
+                .unwrap_or(Ordering::Equal)
+                .then(a.index.cmp(&b.index))
+        });
+        ranked
     }
-    k * mean_cf / denom
-}
 
-/// CfsSubsetEval with best-first forward search.
-///
-/// `max_stale` is the Weka stopping criterion: abandon the search after
-/// this many consecutive expansions without improvement (Weka default 5).
-/// Returns the selected column indices, sorted by their class
-/// correlation (strongest first).
-///
-/// The best-first walk itself is inherently sequential (each expansion
-/// depends on the frontier the last one produced), but the expensive
-/// part of one expansion — scoring every candidate subset — is not:
-/// candidates are generated in feature order, their merits fan out over
-/// [`run_indexed`], and the results are folded back in the same feature
-/// order, so the search trajectory (and therefore the selected subset)
-/// is byte-identical at any worker count.
-pub fn cfs_best_first(data: &Dataset, max_stale: usize, train: TrainConfig) -> Vec<usize> {
-    let n = data.n_features();
-    if n == 0 {
-        return Vec::new();
-    }
-    let discretized = discretize_all(data, train);
-    let class_corr: Vec<f64> = run_indexed(n, train, |f| {
-        symmetrical_uncertainty(&discretized[f], &data.y)
-    });
+    /// CfsSubsetEval with best-first forward search.
+    ///
+    /// `max_stale` is the Weka stopping criterion: abandon the search
+    /// after this many consecutive expansions without improvement (Weka
+    /// default 5). Returns the selected column indices, sorted by their
+    /// class correlation (strongest first).
+    ///
+    /// The walk is sequential and starts no thread: each expansion
+    /// scores its candidates (the open subset plus one unused feature)
+    /// in feature order, against a dense feature–feature SU memo filled
+    /// on first use through one reused contingency table, so a
+    /// candidate costs no allocation and every SU is computed once.
+    pub fn cfs_best_first(&self, max_stale: usize) -> Vec<usize> {
+        let n = self.columns.len();
+        let y = &self.data.y;
+        let class_entropy = entropy_of_labels(y);
+        let mut table = Vec::new();
+        let class_corr: Vec<f64> = (self.columns.iter().zip(&self.entropies))
+            .map(|(col, &h)| symmetrical_uncertainty_in(col, h, y, class_entropy, &mut table))
+            .collect();
+        // SU is finite, so NaN marks a pair not computed yet; pairs are
+        // keyed `a * n + b` with `a < b`.
+        let mut pair_su = vec![f64::NAN; n * n];
 
-    // Feature–feature SU is computed on demand and memoized: the search
-    // touches only a small corner of the O(n²) matrix. Each expansion
-    // first collects the pairs its candidates need but the memo lacks,
-    // computes those in their own deterministic fan-out (SU is a pure
-    // function of the pair), and inserts them sequentially — so the
-    // merit fan-out below reads a plain `&BTreeMap` without ever taking
-    // a lock inside a job.
-    let mut pair_su = std::collections::BTreeMap::<(usize, usize), f64>::new();
+        // Every expanded subset, sorted, in expansion order. A frontier
+        // node is an expanded subset plus one feature, or the empty root.
+        let mut expanded: Vec<Vec<usize>> = Vec::new();
+        let mut frontier: Vec<(f64, Option<(usize, usize)>)> = vec![(0.0, None)];
+        let mut best: (f64, Option<(usize, usize)>) = (0.0, None);
+        let mut stale = 0usize;
+        let mut skip = vec![false; n];
+        let mut candidate: Vec<usize> = Vec::new();
 
-    // Best-first: frontier ordered by merit; expand the best open node by
-    // adding each unused feature.
-    let mut best_subset: Vec<usize> = Vec::new();
-    let mut best_merit = 0.0f64;
-    let mut frontier: Vec<(f64, Vec<usize>)> = vec![(0.0, Vec::new())];
-    let mut visited = std::collections::HashSet::<Vec<usize>>::new();
-    let mut stale = 0usize;
-
-    while let Some(pos) = frontier
-        .iter()
-        .enumerate()
-        .max_by(|a, b| {
-            a.1 .0
-                .partial_cmp(&b.1 .0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)
-    {
-        let (_, subset) = frontier.swap_remove(pos);
-        // Generate the expansion's candidate subsets in feature order
-        // (dedup against `visited` sequentially), then score them in a
-        // single fan-out.
-        let mut candidates: Vec<Vec<usize>> = Vec::new();
-        for f in 0..n {
-            if subset.contains(&f) {
-                continue;
-            }
-            let mut candidate = subset.clone();
-            candidate.push(f);
-            candidate.sort_unstable();
-            if visited.insert(candidate.clone()) {
-                candidates.push(candidate);
-            }
-        }
-        let mut missing: Vec<(usize, usize)> = Vec::new();
-        for candidate in &candidates {
-            for (i, &a) in candidate.iter().enumerate() {
-                for &b in candidate.iter().skip(i + 1) {
-                    // Candidates are sorted, so (a, b) is normalized.
-                    if !pair_su.contains_key(&(a, b)) {
-                        missing.push((a, b));
-                    }
+        let by_merit =
+            |a: &(f64, _), b: &(f64, _)| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal);
+        while let Some(pos) =
+            (0..frontier.len()).max_by(|&a, &b| by_merit(&frontier[a], &frontier[b]))
+        {
+            let (_, node) = frontier.swap_remove(pos);
+            let subset = node.map_or_else(Vec::new, |(p, f)| with_feature(&expanded[p], f));
+            // Skip each feature whose candidate an earlier expansion
+            // scored: a subset of the same size that differs from this
+            // one in that feature alone.
+            skip.fill(false);
+            for earlier in expanded.iter().filter(|e| e.len() == subset.len()) {
+                let mut extra = earlier.iter().filter(|f| subset.binary_search(f).is_err());
+                if let (Some(&f), None) = (extra.next(), extra.next()) {
+                    skip[f] = true;
                 }
             }
-        }
-        missing.sort_unstable();
-        missing.dedup();
-        let su_vals = run_indexed(missing.len(), train, |i| {
-            let (a, b) = missing[i];
-            symmetrical_uncertainty(&discretized[a], &discretized[b])
-        });
-        for (&key, v) in missing.iter().zip(su_vals) {
-            pair_su.insert(key, v);
-        }
-        let merits = run_indexed(candidates.len(), train, |i| {
-            merit(&candidates[i], &class_corr, &pair_su)
-        });
-        let mut improved = false;
-        for (candidate, m) in candidates.into_iter().zip(merits) {
-            if m > best_merit + 1e-9 {
-                best_merit = m;
-                best_subset = candidate.clone();
-                improved = true;
+            let id = expanded.len();
+            expanded.push(subset);
+            let subset = &expanded[id];
+
+            let mut improved = false;
+            for f in (0..n).filter(|&f| !skip[f] && subset.binary_search(&f).is_err()) {
+                candidate.clear();
+                candidate.extend_from_slice(subset);
+                candidate.insert(subset.partition_point(|&g| g < f), f);
+                let m = self.merit(&candidate, &class_corr, &mut pair_su, &mut table);
+                if m > best.0 + 1e-9 {
+                    best = (m, Some((id, f)));
+                    improved = true;
+                }
+                frontier.push((m, Some((id, f))));
             }
-            frontier.push((m, candidate));
-        }
-        if improved {
-            stale = 0;
-        } else {
-            stale += 1;
-            if stale >= max_stale {
-                break;
+            if improved {
+                stale = 0;
+            } else {
+                stale += 1;
+                if stale >= max_stale {
+                    break;
+                }
+            }
+            // Safety valve on pathological frontiers.
+            if frontier.len() > 20_000 {
+                frontier.sort_by(|a, b| by_merit(b, a));
+                frontier.truncate(5_000);
             }
         }
-        // Safety valve on pathological frontiers.
-        if frontier.len() > 20_000 {
-            frontier.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-            frontier.truncate(5_000);
-        }
+
+        let mut best_subset = best
+            .1
+            .map_or_else(Vec::new, |(p, f)| with_feature(&expanded[p], f));
+        best_subset.sort_by(|&a, &b| {
+            class_corr[b]
+                .partial_cmp(&class_corr[a])
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        best_subset
     }
 
-    best_subset.sort_by(|&a, &b| {
-        class_corr[b]
-            .partial_cmp(&class_corr[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    best_subset
+    /// CFS merit of a non-empty, sorted `subset` given each feature's
+    /// class SU `corr`, summed in subset order, reading feature–feature
+    /// SU from `memo` and filling the pairs it lacks.
+    fn merit(&self, subset: &[usize], corr: &[f64], memo: &mut [f64], table: &mut Vec<u64>) -> f64 {
+        let n = self.columns.len();
+        let k = subset.len() as f64;
+        let mean_cf: f64 = subset.iter().map(|&f| corr[f]).sum::<f64>() / k;
+        let mut sum_ff = 0.0;
+        let mut pairs = 0.0;
+        for (i, &a) in subset.iter().enumerate() {
+            for &b in &subset[i + 1..] {
+                let su = &mut memo[a * n + b];
+                if su.is_nan() {
+                    let (cols, hs) = (&self.columns, &self.entropies);
+                    *su = symmetrical_uncertainty_in(&cols[a], hs[a], &cols[b], hs[b], table);
+                }
+                sum_ff += *su;
+                pairs += 1.0;
+            }
+        }
+        let mean_ff = if pairs > 0.0 { sum_ff / pairs } else { 0.0 };
+        let denom = (k + k * (k - 1.0) * mean_ff).sqrt();
+        if denom <= 0.0 {
+            return 0.0;
+        }
+        k * mean_cf / denom
+    }
+}
+
+/// The sorted `subset` with `f` inserted in order.
+fn with_feature(subset: &[usize], f: usize) -> Vec<usize> {
+    let mut out = subset.to_vec();
+    out.insert(subset.partition_point(|&g| g < f), f);
+    out
+}
+
+/// [`Discretized::info_gain_ranking`] of `data`.
+pub fn info_gain_ranking(data: &Dataset, train: TrainConfig) -> Vec<RankedFeature> {
+    Discretized::new(data, train).info_gain_ranking()
+}
+
+/// [`Discretized::cfs_best_first`] of `data`.
+pub fn cfs_best_first(data: &Dataset, max_stale: usize, train: TrainConfig) -> Vec<usize> {
+    Discretized::new(data, train).cfs_best_first(max_stale)
 }
 
 #[cfg(test)]

@@ -51,26 +51,38 @@ pub fn entropy_of_counts(counts: &[u64]) -> f64 {
 /// # Panics
 /// Panics if the sequences differ in length.
 pub fn conditional_entropy(y: &[usize], x: &[usize]) -> f64 {
+    conditional_entropy_in(y, x, &mut Vec::new())
+}
+
+/// The contingency kernel behind [`conditional_entropy`] and
+/// [`symmetrical_uncertainty`]: `H(Y | X)` counted in `table`, a
+/// caller-owned `(max x + 1) × (max y + 1)` joint-count buffer that is
+/// zeroed here and grown only when too small, so a caller that keeps
+/// it across calls allocates nothing per call. Rows (one per `x`
+/// value) are summed in `x` order, each row's entropy in `y` order.
+///
+/// # Panics
+/// Panics if the sequences differ in length.
+fn conditional_entropy_in(y: &[usize], x: &[usize], table: &mut Vec<u64>) -> f64 {
     assert_eq!(y.len(), x.len(), "label/attribute length mismatch");
     if y.is_empty() {
         return 0.0;
     }
     let n = y.len() as f64;
-    // joint counts keyed by x value
-    let x_max = x.iter().copied().max().unwrap_or(0);
-    let y_max = y.iter().copied().max().unwrap_or(0);
-    let mut joint = vec![vec![0u64; y_max + 1]; x_max + 1];
-    let mut x_counts = vec![0u64; x_max + 1];
+    let width = y.iter().copied().max().unwrap_or(0) + 1;
+    let cells = (x.iter().copied().max().unwrap_or(0) + 1) * width;
+    table.clear();
+    table.resize(cells, 0);
     for (&yi, &xi) in y.iter().zip(x.iter()) {
-        joint[xi][yi] += 1;
-        x_counts[xi] += 1;
+        table[xi * width + yi] += 1;
     }
     let mut h = 0.0;
-    for (xi, row) in joint.iter().enumerate() {
-        if x_counts[xi] == 0 {
+    for row in table.chunks_exact(width) {
+        let count: u64 = row.iter().sum();
+        if count == 0 {
             continue;
         }
-        let px = x_counts[xi] as f64 / n;
+        let px = count as f64 / n;
         h += px * entropy_of_counts(row);
     }
     h
@@ -88,13 +100,29 @@ pub fn info_gain(y: &[usize], x: &[usize]) -> f64 {
 /// feature–feature relations; unlike raw information gain it does not favor
 /// attributes with many distinct values.
 pub fn symmetrical_uncertainty(x: &[usize], y: &[usize]) -> f64 {
-    let hx = entropy_of_labels(x);
-    let hy = entropy_of_labels(y);
+    let (hx, hy) = (entropy_of_labels(x), entropy_of_labels(y));
+    symmetrical_uncertainty_in(x, hx, y, hy, &mut Vec::new())
+}
+
+/// [`symmetrical_uncertainty`] from the marginal entropies `hx = H(x)`
+/// and `hy = H(y)` (as [`entropy_of_labels`] gives them), counting the
+/// joint values in the caller's `table`, which is cleared and grown as
+/// needed. A search that scores many pairs computes each attribute's
+/// entropy once and keeps one table, so a pair costs one pass over the
+/// rows and no allocation.
+pub fn symmetrical_uncertainty_in(
+    x: &[usize],
+    hx: f64,
+    y: &[usize],
+    hy: f64,
+    table: &mut Vec<u64>,
+) -> f64 {
     let denom = hx + hy;
     if denom <= 0.0 {
         return 0.0;
     }
-    (2.0 * info_gain(y, x) / denom).clamp(0.0, 1.0)
+    let gain = (hy - conditional_entropy_in(y, x, table)).max(0.0);
+    (2.0 * gain / denom).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -161,6 +189,63 @@ mod tests {
         let play = [0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0];
         let ig = info_gain(&play, &outlook);
         assert!((ig - 0.2467).abs() < 1e-3, "ig = {ig}");
+    }
+
+    /// The symmetrical uncertainty as it was computed before the
+    /// contingency kernel: both entropies recomputed and a nested joint
+    /// table allocated per call. The kernel must match it bit for bit.
+    fn reference_su(x: &[usize], y: &[usize]) -> f64 {
+        let denom = entropy_of_labels(x) + entropy_of_labels(y);
+        if denom <= 0.0 {
+            return 0.0;
+        }
+        let n = y.len() as f64;
+        let x_max = x.iter().copied().max().unwrap_or(0);
+        let y_max = y.iter().copied().max().unwrap_or(0);
+        let mut joint = vec![vec![0u64; y_max + 1]; x_max + 1];
+        let mut x_counts = vec![0u64; x_max + 1];
+        for (&yi, &xi) in y.iter().zip(x.iter()) {
+            joint[xi][yi] += 1;
+            x_counts[xi] += 1;
+        }
+        let mut h_y_given_x = 0.0;
+        for (xi, row) in joint.iter().enumerate() {
+            if x_counts[xi] == 0 {
+                continue;
+            }
+            h_y_given_x += x_counts[xi] as f64 / n * entropy_of_counts(row);
+        }
+        let gain = (entropy_of_labels(y) - h_y_given_x).max(0.0);
+        (2.0 * gain / denom).clamp(0.0, 1.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_kernel_matches_the_reference_bit_for_bit(
+            draws in proptest::collection::vec((0usize..1000, 0usize..1000), 0..200),
+            rows in 0usize..4,
+            bins in (1usize..12, 1usize..12),
+            offsets in (0usize..4, 0usize..4),
+        ) {
+            // The first `rows × 70` draws (none a quarter of the time) as
+            // columns of `bins` values each, shifted up by `offsets` so low
+            // labels (whole table rows) can be missing: empty columns,
+            // single-bin columns and unequal label ranges all occur.
+            let draws = &draws[..draws.len().min(rows * 70)];
+            let x: Vec<usize> = draws.iter().map(|&(a, _)| offsets.0 + a % bins.0).collect();
+            let y: Vec<usize> = draws.iter().map(|&(_, b)| offsets.1 + b % bins.1).collect();
+            // The table starts dirty and, for the second pair, holds the
+            // counts of the first: neither may leak into the result.
+            let mut table = vec![9u64; 3];
+            let (hx, hy) = (entropy_of_labels(&x), entropy_of_labels(&y));
+            let swapped = symmetrical_uncertainty_in(&y, hy, &x, hx, &mut table);
+            prop_assert_eq!(swapped.to_bits(), reference_su(&y, &x).to_bits());
+            let want = reference_su(&x, &y).to_bits();
+            prop_assert_eq!(symmetrical_uncertainty_in(&x, hx, &y, hy, &mut table).to_bits(), want);
+            prop_assert_eq!(symmetrical_uncertainty(&x, &y).to_bits(), want);
+        }
     }
 
     proptest! {

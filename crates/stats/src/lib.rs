@@ -38,7 +38,10 @@ pub mod sketch;
 
 pub use binning::Discretizer;
 pub use ecdf::Ecdf;
-pub use info::{conditional_entropy, entropy_of_labels, info_gain, symmetrical_uncertainty};
+pub use info::{
+    conditional_entropy, entropy_of_labels, info_gain, symmetrical_uncertainty,
+    symmetrical_uncertainty_in,
+};
 pub use moments::{mean, population_std, variance, OnlineMoments};
 pub use quantiles::{quantile_sorted, try_quantile, try_quantile_sorted};
 pub use rng::splitmix64;

@@ -13,11 +13,17 @@ use vqoe_ml::Dataset;
 use vqoe_player::SessionTrace;
 
 fn stall_data(traces: &[SessionTrace]) -> Dataset {
-    build_dataset::<StallSpace>(labelled_traces(traces, StallSpace::label))
+    build_dataset::<StallSpace>(
+        labelled_traces(traces, StallSpace::label),
+        TrainConfig::auto(),
+    )
 }
 
 fn representation_data(traces: &[SessionTrace]) -> Dataset {
-    build_dataset::<RepresentationSpace>(labelled_traces(traces, RepresentationSpace::label))
+    build_dataset::<RepresentationSpace>(
+        labelled_traces(traces, RepresentationSpace::label),
+        TrainConfig::auto(),
+    )
 }
 
 #[test]

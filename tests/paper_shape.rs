@@ -57,6 +57,7 @@ fn measure(seed: u64) -> Shape {
             .representation_model
             .evaluate(&build_dataset::<RepresentationSpace>(
                 world.labelled(RepresentationSpace::label),
+                TrainConfig::auto(),
             ));
 
     let full = &fit.stall_data;

@@ -47,18 +47,26 @@ fn weblog_datasets_have_identical_class_structure() {
     );
     let entries = capture_cleartext_corpus(&traces, 2).expect("capture");
 
-    let stall_w = build_dataset::<StallSpace>(labelled_weblogs(&entries, StallSpace::label));
-    let stall_t = build_dataset::<StallSpace>(labelled_traces(&traces, StallSpace::label));
+    let stall_w = build_dataset::<StallSpace>(
+        labelled_weblogs(&entries, StallSpace::label),
+        TrainConfig::auto(),
+    );
+    let stall_t = build_dataset::<StallSpace>(
+        labelled_traces(&traces, StallSpace::label),
+        TrainConfig::auto(),
+    );
     assert_eq!(stall_w.n_rows(), stall_t.n_rows());
     assert_eq!(stall_w.class_counts(), stall_t.class_counts());
     assert_eq!(stall_w.feature_names, stall_t.feature_names);
 
-    let rep_w = build_dataset::<RepresentationSpace>(labelled_weblogs(
-        &entries,
-        RepresentationSpace::label,
-    ));
-    let rep_t =
-        build_dataset::<RepresentationSpace>(labelled_traces(&traces, RepresentationSpace::label));
+    let rep_w = build_dataset::<RepresentationSpace>(
+        labelled_weblogs(&entries, RepresentationSpace::label),
+        TrainConfig::auto(),
+    );
+    let rep_t = build_dataset::<RepresentationSpace>(
+        labelled_traces(&traces, RepresentationSpace::label),
+        TrainConfig::auto(),
+    );
     assert_eq!(rep_w.n_rows(), rep_t.n_rows());
     assert_eq!(rep_w.class_counts(), rep_t.class_counts());
 }
