@@ -1,4 +1,4 @@
-//! Pass 4 — bounded-collections lint.
+//! Pass 3 — bounded-collections lint.
 //!
 //! The online assessor keys long-lived state by subscriber id; on a
 //! hostile tap (spoofed or colliding ids, mid-session cuts) any map
@@ -12,12 +12,11 @@
 //!
 //! Local `let` bindings and function parameters are deliberately out of
 //! scope: a map that dies with its stack frame cannot leak across
-//! entries. The heuristic is line-based like the other passes, so
+//! entries. The heuristic is line-based, so
 //! genuinely bounded designs it cannot see (e.g. eviction hidden behind
 //! a helper type) use `// analyze:allow(unbounded-map)` on the field.
 
 use crate::lexer::Line;
-use crate::tree::{contains_token, trailing_ident};
 use crate::Finding;
 
 /// Method calls on a map that shrink or empty it.
@@ -93,6 +92,42 @@ fn has_eviction(lines: &[Line], name: &str) -> bool {
             || ((code.contains("mem::take") || code.contains("mem::replace"))
                 && contains_token(code, name))
     })
+}
+
+/// The identifier `s` ends with (trailing whitespace ignored), if any.
+fn trailing_ident(s: &str) -> Option<String> {
+    let trimmed = s.trim_end();
+    let start = trimmed
+        .char_indices()
+        .rev()
+        .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
+        .map_or(0, |(i, c)| i + c.len_utf8());
+    if start == trimmed.len() {
+        None
+    } else {
+        Some(trimmed[start..].to_string())
+    }
+}
+
+/// Substring match with identifier boundaries on both sides, so
+/// `open.remove(` does not fire on `reopen.remove(`.
+fn contains_token(code: &str, pat: &str) -> bool {
+    let mut start = 0;
+    while let Some(pos) = code[start..].find(pat) {
+        let at = start + pos;
+        let before_ok = at == 0 || !is_ident_char(code.as_bytes()[at - 1]);
+        let end = at + pat.len();
+        let after_ok = end >= code.len() || !is_ident_char(code.as_bytes()[end]);
+        if before_ok && after_ok {
+            return true;
+        }
+        start = at + pat.len();
+    }
+    false
+}
+
+fn is_ident_char(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 #[cfg(test)]

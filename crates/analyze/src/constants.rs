@@ -1,4 +1,4 @@
-//! Pass 2 — paper-constant consistency.
+//! Pass 1 — paper-constant consistency.
 //!
 //! The headline numbers of the paper appear in many places: the feature
 //! builders, the labelling rules, the change detector, crate docs,

@@ -1,17 +1,19 @@
-//! Pass 3 — workspace hygiene.
+//! Pass 2 — workspace hygiene.
 //!
 //! Uniformity rules that keep the workspace's lint policy and
-//! dependency graph centralised, checked for every member crate:
+//! dependency graph centralised, checked for every member crate's
+//! manifest:
 //!
-//! * `lib-doc` — `src/lib.rs` opens with a `//!` crate doc comment;
-//! * `missing-docs-attr` — `src/lib.rs` carries `#![warn(missing_docs)]`;
-//! * `forbid-unsafe` — `src/lib.rs` carries `#![forbid(unsafe_code)]`;
 //! * `workspace-lints` — `Cargo.toml` has a `[lints]` section with
 //!   `workspace = true`;
 //! * `workspace-dep` — every `[dependencies]`/`[dev-dependencies]`
 //!   entry inherits from `[workspace.dependencies]` (`workspace =
 //!   true`), so versions and vendor substitutions live in exactly one
 //!   place.
+//!
+//! The lint policy itself (`missing_docs`, `unsafe_code = "forbid"`)
+//! lives in the root manifest's `[workspace.lints]`, so the compiler
+//! enforces it on every crate that opts in.
 
 use std::fs;
 use std::path::Path;
@@ -28,7 +30,6 @@ pub fn check(root: &Path) -> Vec<Finding> {
             continue;
         }
         check_manifest(&name, &dir, &mut findings);
-        check_lib(&name, &dir, &mut findings);
     }
     findings
 }
@@ -95,39 +96,6 @@ fn section_lines<'a>(
             None
         }
     })
-}
-
-fn check_lib(name: &str, dir: &Path, findings: &mut Vec<Finding>) {
-    let lib = dir.join("src/lib.rs");
-    let Ok(text) = fs::read_to_string(&lib) else {
-        return; // bin-only crates have no library to check
-    };
-    let rel = format!("crates/{name}/src/lib.rs");
-    if !text
-        .lines()
-        .find(|l| !l.trim().is_empty())
-        .is_some_and(|l| l.trim_start().starts_with("//!"))
-    {
-        findings.push(Finding::new(
-            &rel,
-            1,
-            "lib-doc",
-            "lib.rs must open with a `//!` crate-level doc comment".to_string(),
-        ));
-    }
-    for (attr, rule) in [
-        ("#![warn(missing_docs)]", "missing-docs-attr"),
-        ("#![forbid(unsafe_code)]", "forbid-unsafe"),
-    ] {
-        if !text.contains(attr) {
-            findings.push(Finding::new(
-                &rel,
-                1,
-                rule,
-                format!("lib.rs must carry `{attr}`"),
-            ));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! passes actually require is:
 //!
 //! * **code vs. comment vs. string** — a rule must not fire on the word
-//!   `HashMap` inside a doc comment or a string literal;
+//!   `BTreeMap` inside a doc comment or a string literal;
 //! * **test regions** — most passes exempt `#[cfg(test)]` items;
 //! * **escape hatches** — `// analyze:allow(<rule>)` on a line (or the
 //!   line above) suppresses that rule there.

@@ -9,73 +9,56 @@
 //!
 //! Clippy carries the type-checked gates: `unwrap_used`, `expect_used`
 //! and `panic` keep library code panic-free, and `disallowed_methods` /
-//! `disallowed_types` (the root `clippy.toml`) keep the OS clock out.
-//! Each gated crate root switches them on with a `#![warn(...)]`.
+//! `disallowed_types` (the root `clippy.toml`) keep out the OS clock,
+//! the hash-ordered `HashMap` / `HashSet` and the shared-state `Mutex` /
+//! `RwLock`. Each gated crate root switches them on with a
+//! `#![warn(...)]`; a type ban flags the type wherever it is named, so
+//! no text rule has to guess at its uses.
 //!
-//! Seven passes, each a module, cover what clippy cannot see:
+//! Three passes, each a module, cover what no compiler can see:
 //!
-//! 1. [`determinism`] — no `HashMap` iteration in the deterministic
-//!    crates;
-//! 2. [`constants`] — the paper's headline numbers (70 / 210 features,
+//! 1. [`constants`] — the paper's headline numbers (70 / 210 features,
 //!    RR 0.1, CUSUM 500, class names) agree everywhere they are stated;
-//! 3. [`hygiene`] — every member crate opts into the workspace lint
-//!    policy, inherits workspace dependencies, and documents itself;
-//! 4. [`bounded`] — every struct-field session table (`BTreeMap` /
-//!    `HashMap`) in the deterministic crates evicts somewhere, so a
-//!    hostile tap cannot grow resident state without bound;
-//! 5. [`locks`] — no `Mutex`/`RwLock` guard live across a channel
-//!    send / scope spawn / `run_indexed` handoff, and no locking inside
-//!    a parallel fan-out job (the byte-identity contract's deadlock and
-//!    convoy hazards);
-//! 6. [`floatord`] — no order-sensitive `f64`/`f32` accumulation
-//!    sourced from a `HashMap`/`HashSet` walk (the bits the
-//!    byte-identity contract promises never change);
-//! 7. [`clones`] — no `.clone()`/`.to_vec()` of heavy session data
-//!    inside shard-handoff or per-job fan-out loops (severity `warn`:
-//!    a cost, not a bug).
+//! 2. [`hygiene`] — every member crate opts into the workspace lint
+//!    policy and inherits workspace dependencies;
+//! 3. [`bounded`] — every struct-field session table (`BTreeMap`) in
+//!    the deterministic crates evicts somewhere, so a hostile tap
+//!    cannot grow resident state without bound.
 //!
 //! [`staleallow`] keeps the suppression markers honest: every
 //! `analyze:allow(rule)` marker must still suppress something, and one
 //! naming a rule the analyzer does not have fails the gate.
 //!
 //! [`run_all`] is the one walk: it lexes each source file once, and
-//! [`analyze_file`] runs the line-level passes that apply to the
-//! file's crate; [`constants::check`] and [`hygiene::check`] read the
-//! workspace as a whole. The scope-aware passes (5–7) run on the
-//! [`tree`] token-tree layer built over the [`lexer`]. Violations carry `file:line`, a rule id,
-//! a severity ([`Severity::Deny`] fails the gate, [`Severity::Warn`]
-//! reports), and a message; [`gate_fails`] turns the findings into
-//! the exit verdict. A `// analyze:allow(<rule>)` comment on (or
-//! directly above) a line is the one way to suppress a finding.
+//! [`analyze_file`] runs the line-level pass on files of the
+//! deterministic crates; [`constants::check`] and [`hygiene::check`]
+//! read the workspace as a whole. Violations carry `file:line`, a rule
+//! id and a message, and any finding fails the gate ([`gate_fails`]).
+//! A `// analyze:allow(<rule>)` comment on (or directly above) a line
+//! is the one way to suppress a finding.
 //!
 //! The crate deliberately depends on nothing but `std` — it is the gate
 //! for the rest of the workspace and must keep building when everything
 //! else is broken.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod bounded;
-pub mod clones;
 pub mod constants;
-pub mod determinism;
-pub mod floatord;
 pub mod hygiene;
 pub mod lexer;
-pub mod locks;
 pub mod report;
 pub mod staleallow;
-pub mod tree;
 pub mod walk;
 
 use std::path::Path;
 
 use lexer::Line;
 
-/// Crates whose library code must be a pure function of seeds.
-/// `crates/bench` is exempt: timing wall-clock is its purpose.
+/// Crates whose library code must be a pure function of seeds: the
+/// scope of the `bounded` pass. `crates/bench` and `crates/analyze`
+/// run once and exit, so they keep no long-lived session tables.
 pub const DETERMINISM_CRATES: &[&str] = &[
     "changedet",
     "core",
@@ -88,22 +71,11 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "telemetry",
 ];
 
-/// How a rule's findings affect the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Findings fail the gate (exit nonzero).
-    Deny,
-    /// Findings are reported but never fail the gate on their own.
-    Warn,
-}
-
 /// Static metadata for one rule id.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
     /// Stable rule id (the token accepted by `analyze:allow(...)`).
     pub id: &'static str,
-    /// Gate behaviour of the rule's findings.
-    pub severity: Severity,
     /// True when the rule fires on specific lines, which is what makes
     /// its `analyze:allow` markers staleness-checkable.
     pub line_rule: bool,
@@ -112,79 +84,30 @@ pub struct Rule {
 /// Every rule the passes can emit, in stable order.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "hashmap-iter",
-        severity: Severity::Deny,
-        line_rule: true,
-    },
-    Rule {
         id: "const-missing",
-        severity: Severity::Deny,
         line_rule: false,
     },
     Rule {
         id: "const-mismatch",
-        severity: Severity::Deny,
         line_rule: false,
     },
     Rule {
         id: "workspace-lints",
-        severity: Severity::Deny,
         line_rule: false,
     },
     Rule {
         id: "workspace-dep",
-        severity: Severity::Deny,
-        line_rule: false,
-    },
-    Rule {
-        id: "lib-doc",
-        severity: Severity::Deny,
-        line_rule: false,
-    },
-    Rule {
-        id: "missing-docs-attr",
-        severity: Severity::Deny,
-        line_rule: false,
-    },
-    Rule {
-        id: "forbid-unsafe",
-        severity: Severity::Deny,
         line_rule: false,
     },
     Rule {
         id: "unbounded-map",
-        severity: Severity::Deny,
-        line_rule: true,
-    },
-    Rule {
-        id: "lock-across-handoff",
-        severity: Severity::Deny,
-        line_rule: true,
-    },
-    Rule {
-        id: "float-reduce-order",
-        severity: Severity::Deny,
-        line_rule: true,
-    },
-    Rule {
-        id: "clone-heavy-handoff",
-        severity: Severity::Warn,
         line_rule: true,
     },
     Rule {
         id: "stale-allow",
-        severity: Severity::Deny,
         line_rule: false,
     },
 ];
-
-/// The severity of `rule` (unknown rules gate as deny — fail safe).
-pub fn severity_of(rule: &str) -> Severity {
-    RULES
-        .iter()
-        .find(|r| r.id == rule)
-        .map_or(Severity::Deny, |r| r.severity)
-}
 
 /// Is `rule` one of the ids in [`RULES`]?
 pub fn is_known_rule(rule: &str) -> bool {
@@ -237,20 +160,14 @@ fn crate_of(rel: &str) -> Option<&str> {
     rel.strip_prefix("crates/")?.split('/').next()
 }
 
-/// Run every line-level pass on one file: a pure function of the
-/// relative path (crate scoping) and content.
+/// Run the line-level pass and the stale-allow check on one file: a
+/// pure function of the relative path (crate scoping) and content.
 pub fn analyze_file(rel: &str, text: &str) -> Vec<Finding> {
     let lines = lexer::lex_file(text);
-    let tree = tree::TokenTree::build(&lines);
-    let krate = crate_of(rel);
-    let mut raw: Vec<Finding> = Vec::new();
-    if krate.is_some_and(|c| DETERMINISM_CRATES.contains(&c)) {
-        raw.extend(determinism::raw_findings(rel, &lines));
-        raw.extend(bounded::raw_findings(rel, &lines));
-    }
-    raw.extend(locks::raw_findings(rel, &lines, &tree));
-    raw.extend(floatord::raw_findings(rel, &lines, &tree));
-    raw.extend(clones::raw_findings(rel, &lines, &tree));
+    let raw = match crate_of(rel) {
+        Some(c) if DETERMINISM_CRATES.contains(&c) => bounded::raw_findings(rel, &lines),
+        _ => Vec::new(),
+    };
 
     let mut findings = filter_allows(raw.clone(), &lines);
     findings.extend(filter_allows(
@@ -280,10 +197,7 @@ pub fn run_all(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// The gate's verdict: true when any finding has [`Severity::Deny`].
-/// Warn-severity findings are reported but never fail the gate.
+/// The gate's verdict: true when there is any finding.
 pub fn gate_fails(findings: &[Finding]) -> bool {
-    findings
-        .iter()
-        .any(|f| severity_of(&f.rule) == Severity::Deny)
+    !findings.is_empty()
 }

@@ -1,6 +1,5 @@
 //! `vqoe-analyze` — run the static-analysis passes that clippy cannot
-//! express over the workspace and exit nonzero on any deny-severity
-//! violation.
+//! express over the workspace and exit nonzero on any violation.
 //!
 //! ```text
 //! vqoe-analyze [--root <dir>]
@@ -10,8 +9,8 @@
 //! current directory to the first `Cargo.toml` declaring `[workspace]`,
 //! so the gate works from any crate directory.
 //!
-//! Exit codes: 0 when no deny-severity finding remains (warnings are
-//! printed but pass), 1 when one does, 2 on a usage error. An
+//! Exit codes: 0 when no finding remains, 1 when one does, 2 on a
+//! usage error. An
 //! `analyze:allow(<rule>)` marker is the one way to suppress a finding.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

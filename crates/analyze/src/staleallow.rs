@@ -11,14 +11,14 @@
 //! Scope of the staleness check:
 //!
 //! * only *line-verifiable* rules are checked — markers naming
-//!   manifest/workspace-level rules (`const-*`, `workspace-*`,
-//!   `lib-doc`, …) are left alone, since their liveness is not a
-//!   property of one line;
+//!   manifest/workspace-level rules (`const-*`, `workspace-*`) are left
+//!   alone, since their liveness is not a property of one line;
 //! * markers naming a rule this analyzer has never heard of are always
-//!   reported (typos rot fastest), and so are markers naming the
-//!   panic-path and wall-clock rules (`unwrap`, `expect`, `panic`,
-//!   `wall-clock`, `raw-wall-clock`, `thread-rng`): clippy gates those,
-//!   and `#[expect(...)]` is their escape hatch;
+//!   reported (typos rot fastest), and so are markers naming a retired
+//!   rule (`unwrap`, `wall-clock`, `hashmap-iter`,
+//!   `lock-across-handoff`, `lib-doc` and the like): clippy or the
+//!   compiler gates those now, and `#[expect(...)]` is their escape
+//!   hatch;
 //! * doc comments (`///`, `//!`) that merely *mention* the marker
 //!   syntax are ignored — they document the hatch, they do not open it;
 //! * `analyze:allow(stale-allow)` markers are exempt from their own
@@ -107,34 +107,35 @@ mod tests {
     use crate::lexer::lex_file;
 
     /// Run the pass the way the driver does: raw line findings from the
-    /// determinism pass feed the staleness check, then allow filtering.
+    /// bounded pass feed the staleness check, then allow filtering.
     fn findings_in(src: &str) -> Vec<Finding> {
         let lines = lex_file(src);
-        let raw = crate::determinism::raw_findings("x.rs", &lines);
+        let raw = crate::bounded::raw_findings("x.rs", &lines);
         crate::filter_allows(raw_findings("x.rs", &lines, &raw), &lines)
     }
 
     #[test]
     fn live_marker_is_fine() {
-        let src = "let m: HashMap<u64, u32> = HashMap::new();\n\
-                   // an integer sum. analyze:allow(hashmap-iter)\n\
-                   let n: u32 = m.values().sum();\n";
+        let src = "struct S {\n\
+                   // a helper evicts. analyze:allow(unbounded-map)\n\
+                   open: BTreeMap<u64, u32>,\n}\n";
         assert!(findings_in(src).is_empty());
     }
 
     #[test]
     fn dead_marker_is_flagged() {
-        let src = "// analyze:allow(hashmap-iter)\nlet x = 42;\n";
+        let src = "// analyze:allow(unbounded-map)\nlet x = 42;\n";
         let f = findings_in(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "stale-allow");
         assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("hashmap-iter"));
+        assert!(f[0].message.contains("unbounded-map"));
     }
 
     #[test]
     fn unknown_rule_is_flagged() {
-        // A typo, and the rules clippy carries instead of this analyzer.
+        // A typo, and the retired rules that clippy or the compiler
+        // carries instead of this analyzer.
         for rule in [
             "no-such-rule",
             "unwrap",
@@ -143,6 +144,13 @@ mod tests {
             "wall-clock",
             "raw-wall-clock",
             "thread-rng",
+            "hashmap-iter",
+            "float-reduce-order",
+            "lock-across-handoff",
+            "clone-heavy-handoff",
+            "lib-doc",
+            "missing-docs-attr",
+            "forbid-unsafe",
         ] {
             let src = format!("// analyze:allow({rule})\nlet x = v.first().unwrap();\n");
             let f = findings_in(&src);
@@ -153,7 +161,7 @@ mod tests {
 
     #[test]
     fn doc_comment_mentions_are_ignored() {
-        let src = "//! Use `analyze:allow(hashmap-iter)` markers sparingly.\n/// See analyze:allow(unbounded-map).\nlet x = 1;\n";
+        let src = "//! Use `analyze:allow(unbounded-map)` markers sparingly.\n/// See analyze:allow(unbounded-map).\nlet x = 1;\n";
         assert!(findings_in(src).is_empty());
     }
 
@@ -165,7 +173,7 @@ mod tests {
 
     #[test]
     fn stale_allow_marker_can_suppress_itself() {
-        let src = "// analyze:allow(stale-allow) analyze:allow(hashmap-iter)\nlet x = 1;\n";
+        let src = "// analyze:allow(stale-allow) analyze:allow(unbounded-map)\nlet x = 1;\n";
         assert!(findings_in(src).is_empty());
     }
 }

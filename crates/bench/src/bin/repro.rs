@@ -11,6 +11,8 @@
 //! An unknown flag or experiment id exits 2 with the usage before any
 //! work is done.
 
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::io::Write;
 use vqoe_bench::experiments::{
     run_experiment, subscriber_scaling_with, SubscriberScalingConfig, EXPERIMENTS,
@@ -87,9 +89,7 @@ fn main() {
         "building reproduction context: {} cleartext + {} adaptive sessions, seed {} ...",
         scale.cleartext_sessions, scale.adaptive_sessions, scale.seed
     );
-    let t0 = std::time::Instant::now();
-    let ctx = ReproContext::build(scale);
-    eprintln!("context ready in {:.1}s\n", t0.elapsed().as_secs_f64());
+    let ctx = build_context(scale);
 
     for id in &ids {
         let report = match id.as_str() {
@@ -113,6 +113,19 @@ fn main() {
             f.write_all(report.as_bytes()).expect("write report");
         }
     }
+}
+
+/// Build the context and report its wall-clock build time.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "repro reports how long the context took to build"
+)]
+fn build_context(scale: ReproScale) -> ReproContext {
+    let t0 = std::time::Instant::now();
+    let ctx = ReproContext::build(scale);
+    eprintln!("context ready in {:.1}s\n", t0.elapsed().as_secs_f64());
+    ctx
 }
 
 fn usage(err: &str) -> ! {

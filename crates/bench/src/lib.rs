@@ -23,8 +23,7 @@
 //! assessment path: its own package in `src/bin/qoebench/`, declared in
 //! the root `BENCHMARK.json`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod context;
 pub mod experiments;

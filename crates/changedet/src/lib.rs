@@ -19,8 +19,6 @@
 //! bounded-memory one-pass variant of the session score used by the
 //! `Fidelity::Sketched` assessment tier (ISSUE 10).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

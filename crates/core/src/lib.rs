@@ -67,8 +67,6 @@
 //! The operator API is re-exported at the crate root; weblog records
 //! and session views come from `vqoe-telemetry` and `vqoe-features`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

@@ -202,6 +202,14 @@ impl ShedLog {
     pub fn reasons(&self) -> ShedReasonCounts {
         self.reasons
     }
+
+    /// Whether recording could have built this log, as
+    /// [`AnomalyLog::is_consistent`] checks a quarantine log.
+    fn is_consistent(&self) -> bool {
+        self.kept.len() <= self.cap
+            && self.kept.len() as u64 <= self.total
+            && self.reasons.total() == self.total
+    }
 }
 
 /// Everything a closed tap run produced: the assessments plus the
@@ -572,7 +580,8 @@ impl OnlineAssessor {
     /// costs, the global tracked-byte counter, the tracked-subscriber
     /// count — is recomputed from the records themselves, so a snapshot
     /// can never disagree with its own records; the LRU index is
-    /// validated against the subscriber set. A checkpoint of several
+    /// validated against the subscriber set, and the anomaly and shed
+    /// logs against their caps and totals. A checkpoint of several
     /// shards (as earlier builds wrote) is merged into the one table
     /// after each shard's routing is checked.
     pub fn restore(
@@ -584,6 +593,16 @@ impl OnlineAssessor {
         }
         if ck.shards.is_empty() {
             return Err(RestoreError::Corrupt("checkpoint has no shards"));
+        }
+        if !ck.anomalies.is_consistent() {
+            return Err(RestoreError::Corrupt(
+                "anomaly log disagrees with its cap or its total",
+            ));
+        }
+        if !ck.shed.is_consistent() {
+            return Err(RestoreError::Corrupt(
+                "shed log disagrees with its cap or its total",
+            ));
         }
         let mut table = Shard::new(&monitor, ck.ingest_cfg);
         for (i, sc) in ck.shards.iter().enumerate() {

@@ -10,7 +10,7 @@
 //! weblogs and training from simulator ground truth agree — the
 //! `weblog_equivalence` integration test pins it.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use vqoe_features::{ChunkObs, SessionObs};
 use vqoe_player::{ContentType, SessionTrace};
@@ -67,7 +67,7 @@ pub struct WeblogSession {
 pub fn sessions_from_weblogs(entries: &[WeblogEntry]) -> Vec<WeblogSession> {
     let extracted = extract_sessions(entries);
     // Index media entries by session ID for transport annotations.
-    let mut media_by_session: HashMap<String, Vec<&WeblogEntry>> = HashMap::new();
+    let mut media_by_session: BTreeMap<String, Vec<&WeblogEntry>> = BTreeMap::new();
     for e in entries {
         if e.kind != EntryKind::MediaChunk {
             continue;

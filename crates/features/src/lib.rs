@@ -47,8 +47,6 @@
 //!   timing jitter, cover traffic) for the robustness extension
 //!   analysis.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

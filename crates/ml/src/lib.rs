@@ -27,8 +27,6 @@
 //! policy; output is byte-identical at any worker count (see [`par`]
 //! and DESIGN.md §10).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

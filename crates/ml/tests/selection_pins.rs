@@ -92,3 +92,18 @@ fn stall_shaped_selection_is_pinned() {
         0x8edcc3979d5c41df,
     );
 }
+
+/// A walk that pops subsets whose candidates an earlier expansion has
+/// already scored. The search skips those candidates; a walk that
+/// pushed them again would expand the same subsets twice, spend its
+/// stale budget on expansions that cannot improve, and stop at another,
+/// 13-feature subset (`[6, 9, 15, 12, 3, 21, 18, 24, 27, 13, 55, 40,
+/// 34]`).
+#[test]
+fn scored_candidates_are_not_expanded_twice() {
+    let data = synthetic(40, 200, 70, 3);
+    assert_eq!(
+        cfs_best_first(&data, 5, TrainConfig::sequential()),
+        [6, 9, 15, 12, 2, 3, 21, 18, 24, 27, 13, 55, 37, 40, 34, 19]
+    );
+}

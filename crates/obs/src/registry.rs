@@ -4,7 +4,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use lock::Locked;
 
 /// How many exemplars a histogram bucket retains when exemplar capture
 /// is enabled: the top samples by value, ties broken toward the
@@ -133,9 +135,9 @@ struct HistogramState {
     exemplars_enabled: AtomicBool,
     /// Per-bucket exemplar slots (same indexing as `counts`), each
     /// holding at most [`EXEMPLARS_PER_BUCKET`] entries. Guarded by a
-    /// mutex: exemplar capture is opt-in and off the per-entry fast
+    /// lock: exemplar capture is opt-in and off the per-entry fast
     /// path (counts stay lock-free).
-    exemplars: Mutex<Vec<Vec<Exemplar>>>,
+    exemplars: Locked<Vec<Vec<Exemplar>>>,
 }
 
 /// Fixed-boundary histogram handle.
@@ -160,7 +162,7 @@ impl Histogram {
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
             exemplars_enabled: AtomicBool::new(false),
-            exemplars: Mutex::new((0..=sorted.len()).map(|_| Vec::new()).collect()),
+            exemplars: Locked::new((0..=sorted.len()).map(|_| Vec::new()).collect()),
         };
         Histogram {
             bounds: Arc::new(sorted),
@@ -214,13 +216,6 @@ impl Histogram {
         self.state.exemplars_enabled.load(Ordering::Relaxed)
     }
 
-    fn exemplar_lock(&self) -> std::sync::MutexGuard<'_, Vec<Vec<Exemplar>>> {
-        self.state
-            .exemplars
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Record one sample together with its session linkage. Counts as a
     /// plain [`Histogram::observe`]; when exemplar capture is enabled
     /// the bucket additionally retains the top
@@ -233,7 +228,7 @@ impl Histogram {
             return;
         }
         let idx = self.bounds.partition_point(|b| v > *b);
-        let mut slots = self.exemplar_lock();
+        let mut slots = self.state.exemplars.lock();
         if let Some(bucket) = slots.get_mut(idx) {
             merge_exemplar(
                 bucket,
@@ -253,7 +248,9 @@ impl Histogram {
         if !self.exemplars_enabled() {
             return Vec::new();
         }
-        self.exemplar_lock()
+        self.state
+            .exemplars
+            .lock()
             .iter()
             .enumerate()
             .flat_map(|(i, bucket)| bucket.iter().map(move |&e| (i, e)))
@@ -291,17 +288,13 @@ struct Entry {
 /// rather than panicking.
 #[derive(Debug, Default)]
 pub struct Registry {
-    entries: Mutex<BTreeMap<String, Entry>>,
+    entries: Locked<BTreeMap<String, Entry>>,
 }
 
 impl Registry {
     /// Empty registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Entry>> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Look `name` up, or register `fresh` under it. A metric already
@@ -317,7 +310,7 @@ impl Registry {
         wrap: fn(T) -> Metric,
         same: impl Fn(&Metric) -> Option<T>,
     ) -> T {
-        let mut entries = self.lock();
+        let mut entries = self.entries.lock();
         if let Some(existing) = entries.get(name) {
             return same(&existing.metric).unwrap_or(fresh);
         }
@@ -370,7 +363,7 @@ impl Registry {
     /// name (lexicographic) order. The reference the `vqoe metrics-doc`
     /// subcommand renders.
     pub fn describe(&self) -> Vec<MetricDesc> {
-        let entries = self.lock();
+        let entries = self.entries.lock();
         entries
             .iter()
             .map(|(name, entry)| MetricDesc {
@@ -391,7 +384,7 @@ impl Registry {
     /// histograms as cumulative `_bucket{le=...}` series plus `_sum` and
     /// `_count`.
     pub fn render_prometheus(&self) -> String {
-        let entries = self.lock();
+        let entries = self.entries.lock();
         let mut out = String::new();
         for (name, entry) in entries.iter() {
             out.push_str(&format!("# HELP {name} {}\n", entry.help));
@@ -442,7 +435,7 @@ impl Registry {
     /// identical snapshot regardless of worker count, scheduling, or
     /// insertion order; `vqoe-core` gives it its JSON form.
     pub fn snapshot(&self) -> Snapshot {
-        let entries = self.lock();
+        let entries = self.entries.lock();
         let mut snapshot = Snapshot::default();
         for (name, entry) in entries.iter() {
             if entry.class != MetricClass::Stable {
@@ -472,7 +465,7 @@ impl Registry {
     /// histogram whose bucket boundaries changed, is an error. Returns
     /// the number of metrics absorbed.
     pub fn absorb(&self, snapshot: &Snapshot) -> Result<usize, SnapshotError> {
-        let entries = self.lock();
+        let entries = self.entries.lock();
         let mut absorbed = 0usize;
         for (name, value) in &snapshot.counters {
             let Some(entry) = entries.get(name) else {
@@ -608,7 +601,7 @@ impl Histogram {
         // merges the saved exemplars under the usual top-K rule.
         if let Some(exemplars) = &parts.exemplars {
             self.enable_exemplars();
-            let mut slots = self.exemplar_lock();
+            let mut slots = self.state.exemplars.lock();
             for &(idx, ex) in exemplars {
                 if let Some(bucket) = slots.get_mut(idx) {
                     merge_exemplar(bucket, ex);
@@ -616,6 +609,34 @@ impl Histogram {
             }
         }
         Some(())
+    }
+}
+
+/// The registry's two locks: its entries table and each histogram's
+/// exemplar slots. Nothing else in the workspace shares state behind a
+/// lock, so the type ban is lifted for this module alone.
+#[expect(
+    clippy::disallowed_types,
+    reason = "registration is rare and off the hot path; the exemplar lock is \
+              taken once per observation, inside engine jobs, only under \
+              `--exemplars`, and its top-K merge is order-independent"
+)]
+mod lock {
+    use std::sync::{Mutex, MutexGuard};
+
+    /// A mutex that shrugs off poisoning: every holder leaves the data
+    /// consistent, so a panicked holder is no reason to stop.
+    #[derive(Debug, Default)]
+    pub(super) struct Locked<T>(Mutex<T>);
+
+    impl<T> Locked<T> {
+        pub(super) fn new(value: T) -> Self {
+            Locked(Mutex::new(value))
+        }
+
+        pub(super) fn lock(&self) -> MutexGuard<'_, T> {
+            self.0.lock().unwrap_or_else(|e| e.into_inner())
+        }
     }
 }
 

@@ -29,8 +29,6 @@
 //! out of ABR re-entering a start-up phase; the ON-OFF request cadence
 //! falls out of the buffer high-watermark.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

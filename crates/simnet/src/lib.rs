@@ -28,8 +28,6 @@
 //! dataset bit-for-bit, which is what makes the experiment harness in
 //! `vqoe-bench` reproducible.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

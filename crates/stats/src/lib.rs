@@ -23,8 +23,6 @@
 //! functions are pure, operate on slices, and make their NaN policy explicit
 //! (see [`try_quantile`] and the [`quantiles`] module docs).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

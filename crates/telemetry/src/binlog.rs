@@ -62,7 +62,7 @@
 //! [`BinlogError`], never a panic — the format sits on the same
 //! untrusted edge as [`crate::dataset`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -444,7 +444,7 @@ impl BinaryCorpus {
     pub fn pack(entries: &[WeblogEntry]) -> BinaryCorpus {
         // Number the hosts in order of first appearance and size the
         // buffer, then write it in a second pass.
-        let mut numbers: HashMap<&str, u64> = HashMap::new();
+        let mut numbers: BTreeMap<&str, u64> = BTreeMap::new();
         let mut hosts: Vec<&str> = Vec::new();
         let mut len = HEADER_BYTES;
         for e in entries {

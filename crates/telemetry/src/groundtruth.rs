@@ -18,7 +18,7 @@
 use crate::uri;
 use crate::weblog::WeblogEntry;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use vqoe_player::{ContentType, Itag};
 use vqoe_simnet::time::Instant;
 
@@ -94,8 +94,8 @@ impl ExtractedSession {
 /// returned in order of first appearance.
 pub fn extract_sessions(entries: &[WeblogEntry]) -> Vec<ExtractedSession> {
     let mut order: Vec<String> = Vec::new();
-    let mut sessions: HashMap<String, ExtractedSession> = HashMap::new();
-    let mut last_report_ts: HashMap<String, Instant> = HashMap::new();
+    let mut sessions: BTreeMap<String, ExtractedSession> = BTreeMap::new();
+    let mut last_report_ts: BTreeMap<String, Instant> = BTreeMap::new();
 
     for e in entries {
         let Some(uri_str) = e.uri.as_deref() else {

@@ -215,6 +215,16 @@ impl AnomalyLog {
     pub fn kinds(&self) -> AnomalyKindCounts {
         self.kinds
     }
+
+    /// Whether recording could have built this log: no more kept
+    /// records than the cap or the total allow, and per-kind counts
+    /// that sum to the total. A log read from outside (a checkpoint) is
+    /// checked before it is trusted.
+    pub fn is_consistent(&self) -> bool {
+        self.kept.len() <= self.cap
+            && self.kept.len() as u64 <= self.total
+            && self.kinds.total() == self.total
+    }
 }
 
 /// Monotone counters describing what the degradation layer absorbed.

@@ -46,8 +46,6 @@
 //!
 //! [`SessionTrace`]: vqoe_player::SessionTrace
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 

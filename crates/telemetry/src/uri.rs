@@ -120,7 +120,7 @@ fn parse_secs(s: &str) -> Option<f64> {
     s.parse().ok().filter(|v: &f64| v.is_finite() && *v >= 0.0)
 }
 
-fn parse_query(query: &str) -> std::collections::HashMap<&str, &str> {
+fn parse_query(query: &str) -> std::collections::BTreeMap<&str, &str> {
     query
         .split('&')
         .filter_map(|pair| {

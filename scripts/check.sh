@@ -12,16 +12,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# Clippy also carries the panic-path and wall-clock gates: each gated
-# crate root turns on unwrap_used / expect_used / panic and
-# disallowed_methods / disallowed_types (the paths are in clippy.toml).
-echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings (with the panic-path and wall-clock gates)"
+# Clippy also carries the panic-path, wall-clock, determinism and
+# shared-state gates: each gated crate root turns on unwrap_used /
+# expect_used / panic and disallowed_methods / disallowed_types (the
+# banned clock, HashMap/HashSet and Mutex/RwLock paths are in
+# clippy.toml).
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings (with the panic-path, wall-clock, HashMap/HashSet and Mutex/RwLock gates)"
 cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --locked --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline
 
-echo "==> vqoe-analyze (determinism / constants / hygiene / bounded / locks / floatord / clones, and stale-allow markers)"
+echo "==> vqoe-analyze (constants / hygiene / bounded, and stale-allow markers)"
 cargo build -q --locked -p vqoe-analyze
 target/debug/vqoe-analyze
 

@@ -745,6 +745,71 @@ fn restore_rejects_an_unreadable_spill_digest() {
     ));
 }
 
+/// The value under `key` in a JSON object.
+fn field<'a>(value: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+    match value {
+        serde_json::Value::Map(fields) => fields
+            .iter_mut()
+            .find_map(|(k, v)| (k == key).then_some(v))
+            .unwrap_or_else(|| panic!("no key {key}")),
+        _ => panic!("not an object at {key}"),
+    }
+}
+
+/// The length of a log's `kept` list.
+fn kept_len(log: &mut serde_json::Value) -> u64 {
+    match field(log, "kept") {
+        serde_json::Value::Seq(items) => items.len() as u64,
+        other => panic!("kept is not a list: {other:?}"),
+    }
+}
+
+#[test]
+fn restore_rejects_inconsistent_anomaly_and_shed_logs() {
+    let good = spilled_checkpoint();
+    assert!(!good.anomalies.kept().is_empty() && !good.shed.kept().is_empty());
+    let json = good.to_json().expect("checkpoint serializes");
+    for (log, counts) in [("anomalies", "kinds"), ("shed", "reasons")] {
+        // Each edit leaves the other two checks satisfied.
+        type Edit = fn(&mut serde_json::Value, &str);
+        let edits: [(&str, Edit); 3] = [
+            ("kept longer than cap", |log, _| {
+                let kept = kept_len(log);
+                *field(log, "cap") = serde_json::Value::U64(kept - 1);
+            }),
+            ("kept longer than total", |log, counts| {
+                let kept = kept_len(log);
+                *field(log, "total") = serde_json::Value::U64(kept - 1);
+                let serde_json::Value::Map(fields) = field(log, counts) else {
+                    panic!("{counts} is not an object");
+                };
+                for (i, (_, n)) in fields.iter_mut().enumerate() {
+                    *n = serde_json::Value::U64(if i == 0 { kept - 1 } else { 0 });
+                }
+            }),
+            ("counts short of total", |log, _| {
+                if let serde_json::Value::U64(total) = field(log, "total") {
+                    *total += 1;
+                }
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut value: serde_json::Value = serde_json::from_str(&json).expect("JSON parses");
+            edit(field(&mut value, log), counts);
+            let text = serde_json::to_string(&value).expect("JSON serializes");
+            let bad = OnlineCheckpoint::from_json(&text).expect("the derived parser accepts it");
+            assert!(
+                matches!(
+                    OnlineAssessor::restore(spilling_monitor(), &bad),
+                    Err(RestoreError::Corrupt(_))
+                ),
+                "{log}: {what}"
+            );
+        }
+    }
+    assert!(OnlineAssessor::restore(spilling_monitor(), good).is_ok());
+}
+
 #[test]
 fn a_valid_checkpoint_round_trips_byte_for_byte() {
     let json = spilled_checkpoint()
