@@ -15,7 +15,7 @@
 
 use std::io::Write;
 use vqoe_bench::experiments::{
-    run_experiment, subscriber_scaling_with, SubscriberScalingConfig, EXPERIMENTS,
+    run_experiment, subscriber_scaling_with, EXPERIMENTS, SCALING_LADDER, SCALING_SMOKE_LADDER,
 };
 use vqoe_bench::{ReproContext, ReproScale};
 
@@ -98,9 +98,9 @@ fn main() {
             "subscriber-scaling" => subscriber_scaling_with(
                 &ctx,
                 if smoke {
-                    SubscriberScalingConfig::smoke()
+                    &SCALING_SMOKE_LADDER
                 } else {
-                    SubscriberScalingConfig::quick()
+                    &SCALING_LADDER
                 },
             ),
             _ => run_experiment(id, &ctx),

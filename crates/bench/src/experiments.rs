@@ -1440,45 +1440,28 @@ fn setup_split() -> String {
 
 // -------------------------------------------------- subscriber-scaling
 
-/// Workload knobs for [`subscriber_scaling_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubscriberScalingConfig {
-    /// Concurrent-subscriber ladder; one measured point each.
-    pub subscriber_counts: Vec<usize>,
-    /// Exactness cap forced onto the reassembler. The production
-    /// default (`vqoe_telemetry::EXACT_ENTRY_CAP` = 4096) is deliberate
-    /// headroom; the harness pins it low so the long cohort actually
-    /// exercises the sketch-spill path.
-    pub exact_entry_cap: usize,
-    /// Media chunks in a short (under-cap, exact) session.
-    pub short_chunks: usize,
-    /// Media chunks in a long (spilling, sketched) session.
-    pub long_chunks: usize,
-    /// Every `long_every`-th subscriber plays a long session.
-    pub long_every: usize,
-}
+/// The 100k–1M ladder `scripts/bench.sh` reports: one measured point
+/// per concurrent-subscriber count.
+pub const SCALING_LADDER: [usize; 3] = [100_000, 300_000, 1_000_000];
+/// The 10k single point the memory soak test gates (also what
+/// `repro subscriber-scaling --smoke` uses).
+pub const SCALING_SMOKE_LADDER: [usize; 1] = [10_000];
+/// Exactness cap forced onto the reassembler. The production default
+/// (`vqoe_telemetry::EXACT_ENTRY_CAP` = 4096) is deliberate headroom;
+/// the harness pins it low so the long cohort actually exercises the
+/// sketch-spill path.
+const SCALING_EXACT_ENTRY_CAP: usize = 64;
+/// Media chunks in a short (under-cap, exact) session.
+const SCALING_SHORT_CHUNKS: usize = 4;
+/// Media chunks in a long (spilling, sketched) session.
+const SCALING_LONG_CHUNKS: usize = 512;
+/// Every `SCALING_LONG_EVERY`-th subscriber plays a long session.
+const SCALING_LONG_EVERY: usize = 64;
 
-impl SubscriberScalingConfig {
-    /// The 100k–1M ladder `scripts/bench.sh` reports.
-    pub fn quick() -> Self {
-        SubscriberScalingConfig {
-            subscriber_counts: vec![100_000, 300_000, 1_000_000],
-            exact_entry_cap: 64,
-            short_chunks: 4,
-            long_chunks: 512,
-            long_every: 64,
-        }
-    }
-
-    /// The 10k single point the memory soak test gates (also what
-    /// `repro subscriber-scaling --smoke` uses).
-    pub fn smoke() -> Self {
-        SubscriberScalingConfig {
-            subscriber_counts: vec![10_000],
-            ..SubscriberScalingConfig::quick()
-        }
-    }
-}
+// Short sessions stay exact and long ones spill past the cap.
+const _: () = assert!(
+    SCALING_SHORT_CHUNKS < SCALING_EXACT_ENTRY_CAP && SCALING_EXACT_ENTRY_CAP < SCALING_LONG_CHUNKS
+);
 
 /// One measured ladder point of [`subscriber_scaling_with`].
 struct ScalePoint {
@@ -1532,12 +1515,12 @@ fn scaling_entry(s: u64, k: usize) -> vqoe_telemetry::WeblogEntry {
     clippy::disallowed_types,
     reason = "subscriber-scaling reports throughput on the OS clock"
 )]
-fn measure_scale_point(ctx: &ReproContext, cfg: &SubscriberScalingConfig, n: usize) -> ScalePoint {
+fn measure_scale_point(ctx: &ReproContext, n: usize) -> ScalePoint {
     use vqoe_core::{Fidelity, OnlineAssessor};
     use vqoe_telemetry::IngestConfig;
 
     let mut monitor = ctx.monitor();
-    monitor.reassembly.exact_entry_cap = cfg.exact_entry_cap;
+    monitor.reassembly.exact_entry_cap = SCALING_EXACT_ENTRY_CAP;
     let ingest_cfg = IngestConfig {
         max_open_subscribers: n,
         ..IngestConfig::default()
@@ -1557,15 +1540,15 @@ fn measure_scale_point(ctx: &ReproContext, cfg: &SubscriberScalingConfig, n: usi
             }
         }
     };
-    for k in 0..cfg.long_chunks {
-        if k < cfg.short_chunks {
+    for k in 0..SCALING_LONG_CHUNKS {
+        if k < SCALING_SHORT_CHUNKS {
             for s in 0..n as u64 {
                 fold(online.ingest(&scaling_entry(s, k)), &mut tally);
                 entries_fed += 1;
             }
         } else {
             // Only the long cohort is still playing.
-            for s in (0..n as u64).step_by(cfg.long_every) {
+            for s in (0..n as u64).step_by(SCALING_LONG_EVERY) {
                 fold(online.ingest(&scaling_entry(s, k)), &mut tally);
                 entries_fed += 1;
             }
@@ -1593,7 +1576,7 @@ fn measure_scale_point(ctx: &ReproContext, cfg: &SubscriberScalingConfig, n: usi
 /// Every ladder point opens `n` subscribers *simultaneously*: chunks
 /// arrive in 2-second waves, round-robin across subscribers, so at the
 /// peak all `n` per-subscriber machines are live at once. A fixed
-/// fraction of subscribers (1 in `long_every`) plays a session far past
+/// fraction of subscribers (1 in `SCALING_LONG_EVERY`) plays a session far past
 /// the exactness cap — those cross into the ISSUE-10 streaming-digest
 /// path and come back `Fidelity::Sketched`; everyone else stays exact.
 ///
@@ -1607,19 +1590,18 @@ fn measure_scale_point(ctx: &ReproContext, cfg: &SubscriberScalingConfig, n: usi
 /// pinned constant (`SPILL_STATE_COST_BYTES` + the capped prefix).
 ///
 /// [`OnlineAssessor`]: vqoe_core::OnlineAssessor
-pub fn subscriber_scaling_with(ctx: &ReproContext, cfg: SubscriberScalingConfig) -> String {
-    let points: Vec<ScalePoint> = cfg
-        .subscriber_counts
+pub fn subscriber_scaling_with(ctx: &ReproContext, ladder: &[usize]) -> String {
+    let points: Vec<ScalePoint> = ladder
         .iter()
-        .map(|&n| measure_scale_point(ctx, &cfg, n))
+        .map(|&n| measure_scale_point(ctx, n))
         .collect();
 
     // The counterfactual: what one long session would have cost the
     // budget had every chunk stayed buffered, vs the streaming bound.
     let per_entry = scaling_entry(0, 0).tracked_cost();
-    let buffered_long = cfg.long_chunks as u64 * per_entry;
+    let buffered_long = SCALING_LONG_CHUNKS as u64 * per_entry;
     let streaming_long =
-        cfg.exact_entry_cap as u64 * per_entry + vqoe_telemetry::SPILL_STATE_COST_BYTES;
+        SCALING_EXACT_ENTRY_CAP as u64 * per_entry + vqoe_telemetry::SPILL_STATE_COST_BYTES;
 
     let flatness = {
         let bpses: Vec<u64> = points.iter().map(|p| p.bytes_per_subscriber).collect();
@@ -1636,7 +1618,7 @@ pub fn subscriber_scaling_with(ctx: &ReproContext, cfg: SubscriberScalingConfig)
         "every point holds all subscribers open at once; 1 in {} plays a\n\
          {}-chunk session past the exactness cap ({}) and degrades to the\n\
          sketched tier; the rest stay exact at {} chunks\n\n",
-        cfg.long_every, cfg.long_chunks, cfg.exact_entry_cap, cfg.short_chunks,
+        SCALING_LONG_EVERY, SCALING_LONG_CHUNKS, SCALING_EXACT_ENTRY_CAP, SCALING_SHORT_CHUNKS,
     ));
     let mut t = Table::new(vec![
         "subscribers",
@@ -1669,14 +1651,14 @@ pub fn subscriber_scaling_with(ctx: &ReproContext, cfg: SubscriberScalingConfig)
         "one {}-chunk session, per-subscriber budget cost:\n  \
          buffered path (pre-ISSUE-10): {} bytes (grows with session length)\n  \
          streaming path:              {} bytes (constant for any length)\n\n",
-        cfg.long_chunks, buffered_long, streaming_long,
+        SCALING_LONG_CHUNKS, buffered_long, streaming_long,
     ));
     out.push_str(&budget_line(
         "bytes/subscriber flatness across the ladder (max/min)",
         "<= 1.15x",
         &format!("{flatness:.3}x"),
     ));
-    let expected_sketched = 100.0 / cfg.long_every as f64;
+    let expected_sketched = 100.0 / SCALING_LONG_EVERY as f64;
     let last = points.last().expect("at least one ladder point");
     out.push_str(&budget_line(
         "sketched-session rate at the largest point",
@@ -1703,10 +1685,9 @@ pub fn subscriber_scaling_with(ctx: &ReproContext, cfg: SubscriberScalingConfig)
 
 /// `run_experiment` form: the 10k smoke point, so `repro all` and the
 /// render test stay fast; `scripts/bench.sh` calls
-/// [`subscriber_scaling_with`] on the full [`SubscriberScalingConfig::quick`]
-/// ladder.
+/// [`subscriber_scaling_with`] on the full [`SCALING_LADDER`].
 fn subscriber_scaling(ctx: &ReproContext) -> String {
-    subscriber_scaling_with(ctx, SubscriberScalingConfig::smoke())
+    subscriber_scaling_with(ctx, &SCALING_SMOKE_LADDER)
 }
 
 #[cfg(test)]
@@ -1856,9 +1837,8 @@ mod tests {
     #[test]
     #[ignore = "10k-subscriber memory soak; scripts/soak.sh runs it"]
     fn ten_thousand_subscribers_stay_under_16_kib_each() {
-        let cfg = SubscriberScalingConfig::smoke();
-        assert_eq!(cfg.subscriber_counts, vec![10_000]);
-        let point = measure_scale_point(ctx(), &cfg, 10_000);
+        assert_eq!(SCALING_SMOKE_LADDER, [10_000]);
+        let point = measure_scale_point(ctx(), 10_000);
         assert!(
             point.bytes_per_subscriber <= 16 * 1024,
             "{} bytes/subscriber breaches the 16 KiB bound",

@@ -27,8 +27,14 @@
 //! fresh one. What the assessor adds on top is what only a long-running
 //! loop needs: the LRU, memory budgets and admission, the shed log and
 //! checkpoints; an [`AlertSampler`](crate::AlertSampler) reads its
-//! tallies from outside. Unbudgeted, it is the single-threaded
-//! projection of the engine:
+//! tallies from outside. The engine always runs
+//! `IngestConfig::default()` and never evicts, so the assessor is the
+//! single-threaded projection of the engine when three things hold: it
+//! runs without memory budgets, its [`IngestConfig`] keeps the default
+//! hardening fields (reorder window, dedup depth, object and
+//! transaction limits, anomalies kept), and the capture never has more
+//! open subscribers than `max_open_subscribers`, so the LRU evicts
+//! nobody. Then
 //! [`IngestPipeline::assess`](crate::IngestPipeline::assess) over a
 //! capture produces a bit-identical [`IngestReport`] at any engine
 //! shard count — same assessments in the same order, same health, same
@@ -220,14 +226,19 @@ pub struct IngestReport {
     pub assessments: Vec<SessionAssessment>,
     /// Final health counters of the whole tap. Both drivers count the
     /// same entries and sessions, so the streaming assessor and the
-    /// engine at any worker and shard count report the same values.
+    /// engine at any worker and shard count report the same values —
+    /// provided the assessor runs unbudgeted, with the default hardening
+    /// fields of [`IngestConfig`], and evicts no subscriber under
+    /// `max_open_subscribers` (the engine runs `IngestConfig::default()`
+    /// and never evicts).
     pub health: StreamHealth,
     /// The quarantine log (bounded, with an exact total).
     pub anomalies: AnomalyLog,
     /// The load-shedding log (bounded, with an exact total). Always
     /// empty on the batch engine path, which never sheds — so an
-    /// unbudgeted streaming run stays bit-identical to the engine at any
-    /// worker count.
+    /// unbudgeted streaming run that keeps the default hardening fields
+    /// and evicts nobody stays bit-identical to the engine at any worker
+    /// count.
     pub shed: ShedLog,
 }
 

@@ -21,8 +21,11 @@
 //!   admission, the shed log and checkpoints.
 //!
 //! Both push the same entries through the same machine and assess
-//! through the same function, so an unbudgeted online run and the
-//! engine at any worker count produce bit-identical reports.
+//! through the same function, so an online run and the engine at any
+//! worker count produce bit-identical reports when the online run is
+//! unbudgeted, keeps `IngestConfig::default()`'s hardening fields and
+//! evicts nobody under `max_open_subscribers` (the engine runs the
+//! default config and never evicts).
 
 use std::collections::BTreeMap;
 

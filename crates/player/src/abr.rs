@@ -35,37 +35,27 @@ pub enum AbrKind {
     Hybrid,
 }
 
-/// ABR tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AbrConfig {
-    /// Fraction of the throughput estimate considered safe to spend.
-    pub safety_factor: f64,
-    /// EWMA weight of the newest throughput sample.
-    pub ewma_alpha: f64,
-    /// Buffer level (media s) below which the player pins the lowest
-    /// rung (panic). Must sit below one segment duration, or every
-    /// session's second segment would panic right out of start-up.
-    pub reservoir_secs: f64,
-    /// Buffer level (media s) at/above which BBA allows the device cap.
-    pub cushion_secs: f64,
-}
+/// Fraction of the throughput estimate considered safe to spend.
+const SAFETY_FACTOR: f64 = 0.8;
+/// EWMA weight of the newest throughput sample.
+const EWMA_ALPHA: f64 = 0.3;
+/// Buffer level (media s) below which the player pins the lowest rung
+/// (panic). Must sit below one segment duration, or every session's
+/// second segment would panic right out of start-up.
+const RESERVOIR_SECS: f64 = 2.5;
+/// Buffer level (media s) at/above which BBA allows the device cap.
+const CUSHION_SECS: f64 = 22.0;
 
-impl Default for AbrConfig {
-    fn default() -> Self {
-        AbrConfig {
-            safety_factor: 0.8,
-            ewma_alpha: 0.3,
-            reservoir_secs: 2.5,
-            cushion_secs: 22.0,
-        }
-    }
-}
+// The buffer map spans a non-empty reservoir-to-cushion range, and both
+// weights are fractions.
+const _: () = assert!(0.0 < RESERVOIR_SECS && RESERVOIR_SECS < CUSHION_SECS);
+const _: () = assert!(0.0 < SAFETY_FACTOR && SAFETY_FACTOR <= 1.0);
+const _: () = assert!(0.0 < EWMA_ALPHA && EWMA_ALPHA <= 1.0);
 
 /// Per-session ABR state: the throughput estimator plus the last choice.
 #[derive(Debug, Clone)]
 pub struct AbrState {
     kind: AbrKind,
-    config: AbrConfig,
     /// Highest rung the device will play.
     max_itag: Itag,
     /// EWMA throughput estimate, bps. `None` until the first sample.
@@ -82,10 +72,9 @@ impl AbrState {
     /// generous networks drive down- or up-switches. The start-up phase
     /// still has distinctive sizing — the §4.3 ten-second filter exists
     /// for it — but is not itself a representation switch.
-    pub fn new(kind: AbrKind, config: AbrConfig, max_itag: Itag) -> Self {
+    pub fn new(kind: AbrKind, max_itag: Itag) -> Self {
         AbrState {
             kind,
-            config,
             max_itag,
             estimate_bps: None,
             current: Itag::Q360.min(max_itag),
@@ -109,7 +98,7 @@ impl AbrState {
         }
         self.estimate_bps = Some(match self.estimate_bps {
             None => bps,
-            Some(old) => self.config.ewma_alpha * bps + (1.0 - self.config.ewma_alpha) * old,
+            Some(old) => EWMA_ALPHA * bps + (1.0 - EWMA_ALPHA) * old,
         });
     }
 
@@ -134,7 +123,7 @@ impl AbrState {
             AbrKind::Throughput => tp_choice,
             AbrKind::BufferBased => bb_choice,
             AbrKind::Hybrid => {
-                if buffer_secs < self.config.reservoir_secs {
+                if buffer_secs < RESERVOIR_SECS {
                     // Panic mode: lowest rung regardless of throughput.
                     LADDER[0]
                 } else {
@@ -167,7 +156,7 @@ impl AbrState {
 
     fn throughput_choice(&self, media_rate_factor: f64) -> Itag {
         let budget = match self.estimate_bps {
-            Some(e) => e * self.config.safety_factor,
+            Some(e) => e * SAFETY_FACTOR,
             None => return self.current, // no estimate yet: hold
         };
         let mut choice = LADDER[0];
@@ -182,18 +171,13 @@ impl AbrState {
     }
 
     fn buffer_choice(&self, buffer_secs: f64) -> Itag {
-        let AbrConfig {
-            reservoir_secs,
-            cushion_secs,
-            ..
-        } = self.config;
-        if buffer_secs <= reservoir_secs {
+        if buffer_secs <= RESERVOIR_SECS {
             return LADDER[0];
         }
-        if buffer_secs >= cushion_secs {
+        if buffer_secs >= CUSHION_SECS {
             return self.max_itag;
         }
-        let frac = (buffer_secs - reservoir_secs) / (cushion_secs - reservoir_secs);
+        let frac = (buffer_secs - RESERVOIR_SECS) / (CUSHION_SECS - RESERVOIR_SECS);
         let max_idx = self.max_itag.ladder_index();
         let idx = (frac * max_idx as f64).floor() as usize;
         LADDER[idx.min(max_idx)]
@@ -203,16 +187,17 @@ impl AbrState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::StreamingProfile;
 
     fn state(kind: AbrKind) -> AbrState {
-        AbrState::new(kind, AbrConfig::default(), Itag::Q1080)
+        AbrState::new(kind, Itag::Q1080)
     }
 
     #[test]
     fn sessions_start_at_the_mobile_default() {
         assert_eq!(state(AbrKind::Hybrid).current(), Itag::Q360);
         // Small devices cap the default.
-        let capped = AbrState::new(AbrKind::Hybrid, AbrConfig::default(), Itag::Q240);
+        let capped = AbrState::new(AbrKind::Hybrid, Itag::Q240);
         assert_eq!(capped.current(), Itag::Q240);
     }
 
@@ -275,6 +260,22 @@ mod tests {
     }
 
     #[test]
+    fn reservoir_sits_below_every_profiles_segment() {
+        for profile in [
+            StreamingProfile::youtube(),
+            StreamingProfile::vimeo_like(),
+            StreamingProfile::dailymotion_like(),
+        ] {
+            assert!(
+                RESERVOIR_SECS < profile.segment_secs,
+                "a {} s reservoir panics out of start-up on {} s segments",
+                RESERVOIR_SECS,
+                profile.segment_secs
+            );
+        }
+    }
+
+    #[test]
     fn buffer_based_maps_reservoir_to_cushion() {
         let mut s = state(AbrKind::BufferBased);
         assert_eq!(s.decide(2.0, 1.0, false), Itag::Q144); // below reservoir
@@ -287,8 +288,7 @@ mod tests {
 
     #[test]
     fn buffer_based_is_monotone_in_buffer_level() {
-        let cfg = AbrConfig::default();
-        let s = AbrState::new(AbrKind::BufferBased, cfg, Itag::Q1080);
+        let s = state(AbrKind::BufferBased);
         let mut prev = 0usize;
         for level in [3.0, 7.0, 12.0, 17.0, 21.0, 30.0] {
             let choice = s.buffer_choice(level).ladder_index();
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn device_cap_is_respected() {
-        let mut s = AbrState::new(AbrKind::Throughput, AbrConfig::default(), Itag::Q480);
+        let mut s = AbrState::new(AbrKind::Throughput, Itag::Q480);
         s.observe_throughput(100e6);
         let mut last = Itag::Q144;
         for _ in 0..10 {

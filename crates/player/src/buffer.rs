@@ -6,10 +6,10 @@
 //!
 //! 1. **StartUp** — playback has not begun; the player fills the buffer
 //!    "as fast as possible to ... minimize the initial delay" (§2.1).
-//!    Playback starts once `start_threshold` seconds are buffered.
+//!    Playback starts once `START_THRESHOLD` seconds are buffered.
 //! 2. **Playing** — media drains at one media-second per wall-second.
 //! 3. **Stalled** — the buffer hit zero mid-playback; the player pauses
-//!    until `rebuffer_threshold` seconds accumulate again. Every such
+//!    until `REBUFFER_THRESHOLD` seconds accumulate again. Every such
 //!    excursion is recorded as a [`StallEvent`], the paper's ground truth
 //!    for the Rebuffering Ratio (eq. 1).
 //!
@@ -43,35 +43,20 @@ pub enum PlayerPhase {
     Finished,
 }
 
-/// Playout buffer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BufferConfig {
-    /// Media seconds needed before initial playback starts.
-    pub start_threshold: f64,
-    /// Media seconds needed to resume after a stall.
-    pub rebuffer_threshold: f64,
-    /// Shortest playback freeze that registers as a stall. Sub-frame
-    /// hiccups are neither perceived by viewers nor reported by the
-    /// player's statistics pings, so they never reach the paper's ground
-    /// truth (rebuffering perception thresholds are ≈0.4–0.5 s in the
-    /// QoE literature).
-    pub min_stall_secs: f64,
-}
-
-impl Default for BufferConfig {
-    fn default() -> Self {
-        BufferConfig {
-            start_threshold: 2.5,
-            rebuffer_threshold: 2.0,
-            min_stall_secs: 0.5,
-        }
-    }
-}
+/// Media seconds needed before initial playback starts.
+const START_THRESHOLD: f64 = 2.5;
+/// Media seconds needed to resume after a stall.
+const REBUFFER_THRESHOLD: f64 = 2.0;
+/// Shortest playback freeze that registers as a stall. Sub-frame
+/// hiccups are neither perceived by viewers nor reported by the player's
+/// statistics pings, so they never reach the paper's ground truth
+/// (rebuffering perception thresholds are ≈0.4–0.5 s in the QoE
+/// literature).
+const MIN_STALL_SECS: f64 = 0.5;
 
 /// The playout buffer itself.
 #[derive(Debug, Clone)]
 pub struct PlayoutBuffer {
-    config: BufferConfig,
     /// Media seconds currently buffered.
     buffered: f64,
     /// Media seconds already played.
@@ -91,9 +76,8 @@ pub struct PlayoutBuffer {
 impl PlayoutBuffer {
     /// Create a buffer for a session beginning at `session_start`, with
     /// `total_media` seconds of content overall.
-    pub fn new(config: BufferConfig, session_start: Instant, total_media: f64) -> Self {
+    pub fn new(session_start: Instant, total_media: f64) -> Self {
         PlayoutBuffer {
-            config,
             buffered: 0.0,
             played: 0.0,
             total_media,
@@ -182,16 +166,16 @@ impl PlayoutBuffer {
         self.pushed = (self.pushed + media_secs).min(self.total_media);
         match self.phase {
             PlayerPhase::StartUp => {
-                let enough = self.buffered >= self.config.start_threshold
-                    || self.pushed >= self.total_media - 1e-9;
+                let enough =
+                    self.buffered >= START_THRESHOLD || self.pushed >= self.total_media - 1e-9;
                 if enough {
                     self.phase = PlayerPhase::Playing;
                     self.playback_started_at = Some(self.clock);
                 }
             }
             PlayerPhase::Stalled => {
-                let enough = self.buffered >= self.config.rebuffer_threshold
-                    || self.pushed >= self.total_media - 1e-9;
+                let enough =
+                    self.buffered >= REBUFFER_THRESHOLD || self.pushed >= self.total_media - 1e-9;
                 if enough {
                     self.close_stall();
                     self.phase = PlayerPhase::Playing;
@@ -212,13 +196,13 @@ impl PlayoutBuffer {
     }
 
     /// Record the open stall as a [`StallEvent`] ending now, if it
-    /// lasted at least `min_stall_secs`. The stall start is always set
+    /// lasted at least `MIN_STALL_SECS`. The stall start is always set
     /// on entering the Stalled phase; `if let` keeps this panic-free
     /// anyway.
     fn close_stall(&mut self) {
         if let Some(start) = self.current_stall_start.take() {
             let duration = self.clock.duration_since(start);
-            if duration.as_secs_f64() >= self.config.min_stall_secs {
+            if duration.as_secs_f64() >= MIN_STALL_SECS {
                 self.stalls.push(StallEvent { start, duration });
             }
         }
@@ -274,7 +258,7 @@ mod tests {
     use super::*;
 
     fn buf(total: f64) -> PlayoutBuffer {
-        PlayoutBuffer::new(BufferConfig::default(), Instant::ZERO, total)
+        PlayoutBuffer::new(Instant::ZERO, total)
     }
 
     #[test]

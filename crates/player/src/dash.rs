@@ -23,8 +23,8 @@
 //!   weblog therefore contains the small-chunk audio population visible
 //!   in the paper's Figure 5 size distribution.
 
-use crate::abr::{AbrConfig, AbrKind, AbrState};
-use crate::buffer::{BufferConfig, PlayerPhase, PlayoutBuffer};
+use crate::abr::{AbrKind, AbrState};
+use crate::buffer::{PlayerPhase, PlayoutBuffer};
 use crate::catalog::VideoMeta;
 use crate::session::{
     ChunkRecord, ContentType, GroundTruth, Patience, SessionConfig, TransportSummary,
@@ -47,13 +47,13 @@ pub fn simulate_dash(
 ) -> (Vec<ChunkRecord>, GroundTruth) {
     let mut rng = seeds.child(0xDA54).stream(config.session_index);
     let mut engine = TransferEngine::new(config.scenario, seeds, config.session_index);
-    let mut abr = AbrState::new(abr_kind, AbrConfig::default(), video.max_itag);
+    let mut abr = AbrState::new(abr_kind, video.max_itag);
 
     let profile = config.profile;
     let segment_media = profile.segment_secs;
     let total_media = video.duration.as_secs_f64();
     let n_segments = (total_media / segment_media).ceil() as usize;
-    let mut buffer = PlayoutBuffer::new(BufferConfig::default(), config.start_time, total_media);
+    let mut buffer = PlayoutBuffer::new(config.start_time, total_media);
 
     let mut chunks: Vec<ChunkRecord> = Vec::new();
     let mut segment_resolutions: Vec<u32> = Vec::new();

@@ -21,7 +21,7 @@
 //! which is why progressive sessions stall when radio conditions cannot
 //! sustain the chosen bitrate, giving the stall classifier its signal.
 
-use crate::buffer::{BufferConfig, PlayerPhase, PlayoutBuffer};
+use crate::buffer::{PlayerPhase, PlayoutBuffer};
 use crate::catalog::{Itag, VideoMeta, LADDER};
 use crate::session::{
     ChunkRecord, ContentType, GroundTruth, Patience, SessionConfig, TransportSummary,
@@ -79,7 +79,7 @@ pub fn simulate_progressive(
 
     let itag = choose_quality(video, config.scenario, &mut rng);
     let total_media = video.duration.as_secs_f64();
-    let mut buffer = PlayoutBuffer::new(BufferConfig::default(), config.start_time, total_media);
+    let mut buffer = PlayoutBuffer::new(config.start_time, total_media);
 
     let profile = config.profile;
     // Pacing rate follows the *actual* media byte-rate (muxed stream).

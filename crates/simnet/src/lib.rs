@@ -39,6 +39,6 @@ pub mod transfer;
 
 pub use channel::{ChannelParams, RadioChannel, RadioState, Scenario};
 pub use rng::SeedSequence;
-pub use tcp::{TcpConfig, TcpConnection, TransferStats};
+pub use tcp::{TcpConnection, TransferStats};
 pub use time::{Duration, Instant};
 pub use transfer::{ChunkTransfer, TransferEngine};

@@ -39,41 +39,24 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Tunables of the TCP model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TcpConfig {
-    /// Maximum segment size in bytes.
-    pub mss_bytes: u32,
-    /// Initial congestion window in segments (RFC 6928 default).
-    pub initial_cwnd: u32,
-    /// Initial slow-start threshold in segments.
-    pub initial_ssthresh: u32,
-    /// Receiver-window clamp in segments.
-    pub max_cwnd: u32,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: Duration,
-    /// Idle gap after which the window collapses back to `initial_cwnd`
-    /// (slow-start restart, RFC 2581 §4.1). Video pacing makes this fire
-    /// constantly in the steady state.
-    pub idle_threshold: Duration,
-    /// Mean of the exponential server think-time added before the first
-    /// byte of each response.
-    pub server_delay_mean: Duration,
-}
+/// Maximum segment size in bytes.
+const MSS_BYTES: u32 = 1400;
+/// Initial congestion window in segments (RFC 6928 default).
+const INITIAL_CWND: u32 = 10;
+/// Initial slow-start threshold in segments.
+const INITIAL_SSTHRESH: u32 = 64;
+/// Receiver-window clamp in segments.
+const MAX_CWND: u32 = 512;
+/// Lower bound on the retransmission timeout.
+const MIN_RTO: Duration = Duration::from_millis(600);
+/// Idle gap after which the window collapses back to `INITIAL_CWND`
+/// (slow-start restart, RFC 2581 §4.1). Video pacing makes this fire
+/// constantly in the steady state.
+const IDLE_THRESHOLD: Duration = Duration::from_millis(800);
 
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss_bytes: 1400,
-            initial_cwnd: 10,
-            initial_ssthresh: 64,
-            max_cwnd: 512,
-            min_rto: Duration::from_millis(600),
-            idle_threshold: Duration::from_millis(800),
-            server_delay_mean: Duration::from_millis(15),
-        }
-    }
-}
+// A fresh connection starts in slow start, and neither threshold may
+// exceed the receiver-window clamp.
+const _: () = assert!(INITIAL_CWND <= INITIAL_SSTHRESH && INITIAL_SSTHRESH <= MAX_CWND);
 
 /// Transport statistics of one chunk download — the raw material for the
 /// weblog annotations of Table 1.
@@ -150,7 +133,9 @@ impl TransferStats {
 /// server.
 #[derive(Debug, Clone)]
 pub struct TcpConnection {
-    config: TcpConfig,
+    /// Mean of the exponential server think-time added before the first
+    /// byte of each response.
+    server_delay_mean: Duration,
     /// Congestion window, in segments.
     cwnd: u32,
     /// Slow-start threshold, in segments.
@@ -160,12 +145,13 @@ pub struct TcpConnection {
 }
 
 impl TcpConnection {
-    /// Open a fresh connection.
-    pub fn new(config: TcpConfig) -> Self {
+    /// Open a fresh connection to a server whose think time before each
+    /// response is exponential with mean `server_delay_mean`.
+    pub fn new(server_delay_mean: Duration) -> Self {
         TcpConnection {
-            cwnd: config.initial_cwnd,
-            ssthresh: config.initial_ssthresh,
-            config,
+            server_delay_mean,
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
             last_activity: None,
         }
     }
@@ -193,15 +179,15 @@ impl TcpConnection {
         bytes: u64,
         throttle_bps: Option<f64>,
     ) -> TransferStats {
-        let mss = self.config.mss_bytes as u64;
+        let mss = MSS_BYTES as u64;
         let mut now = start;
         channel.advance_to(now);
 
         // Slow-start restart after idle.
         if let Some(last) = self.last_activity {
-            if now.duration_since(last) > self.config.idle_threshold {
+            if now.duration_since(last) > IDLE_THRESHOLD {
                 self.ssthresh = self.ssthresh.max(self.cwnd / 2).max(2);
-                self.cwnd = self.config.initial_cwnd.min(self.cwnd);
+                self.cwnd = INITIAL_CWND.min(self.cwnd);
             }
         }
 
@@ -230,7 +216,7 @@ impl TcpConnection {
 
         // Request upstream + server think time before the first byte.
         let u: f64 = rng.gen_range(1e-9..1.0);
-        let think = self.config.server_delay_mean.mul_f64(-u.ln());
+        let think = self.server_delay_mean.mul_f64(-u.ln());
         now += channel.base_rtt() + think;
         channel.advance_to(now);
 
@@ -309,9 +295,9 @@ impl TcpConnection {
                 stats.arrivals.push((now, delivered));
                 // Window growth.
                 if self.cwnd < self.ssthresh {
-                    self.cwnd = (self.cwnd * 2).min(self.ssthresh).min(self.config.max_cwnd);
+                    self.cwnd = (self.cwnd * 2).min(self.ssthresh).min(MAX_CWND);
                 } else {
-                    self.cwnd = (self.cwnd + 1).min(self.config.max_cwnd);
+                    self.cwnd = (self.cwnd + 1).min(MAX_CWND);
                 }
             } else {
                 stats.packets_lost += lost;
@@ -338,8 +324,8 @@ impl TcpConnection {
                         stats.arrivals.push((now + round_time, delivered));
                     }
                     let srtt = Duration::from_secs_f64(rtt_sample);
-                    let rto_base = if self.config.min_rto.as_secs_f64() > 2.0 * srtt.as_secs_f64() {
-                        self.config.min_rto
+                    let rto_base = if MIN_RTO.as_secs_f64() > 2.0 * srtt.as_secs_f64() {
+                        MIN_RTO
                     } else {
                         srtt.mul_f64(2.0)
                     };
@@ -392,11 +378,14 @@ mod tests {
     use crate::channel::Scenario;
     use crate::rng::SeedSequence;
 
+    /// Server think time of the test connections.
+    const SERVER_DELAY_MEAN: Duration = Duration::from_millis(15);
+
     fn setup(scenario: Scenario, idx: u64) -> (RadioChannel, StdRng, TcpConnection) {
         let seeds = SeedSequence::new(777);
         let channel = RadioChannel::new(scenario, &seeds, idx);
         let rng = seeds.child(1).stream(idx);
-        let conn = TcpConnection::new(TcpConfig::default());
+        let conn = TcpConnection::new(SERVER_DELAY_MEAN);
         (channel, rng, conn)
     }
 
@@ -476,7 +465,7 @@ mod tests {
         for idx in 0..20 {
             let mut ch = RadioChannel::new(Scenario::Commuting, &seeds, idx);
             let mut rng = seeds.child(2).stream(idx);
-            let mut conn = TcpConnection::new(TcpConfig::default());
+            let mut conn = TcpConnection::new(SERVER_DELAY_MEAN);
             let stats = conn.transfer(&mut ch, &mut rng, Instant::ZERO, 3_000_000, None);
             total_retx += stats.packets_retx;
             assert_eq!(stats.packets_retx, stats.packets_lost);
@@ -493,7 +482,7 @@ mod tests {
             for idx in 0..30 {
                 let mut ch = RadioChannel::new(scenario, &seeds, idx);
                 let mut rng = seeds.child(3).stream(idx);
-                let mut conn = TcpConnection::new(TcpConfig::default());
+                let mut conn = TcpConnection::new(SERVER_DELAY_MEAN);
                 let stats = conn.transfer(&mut ch, &mut rng, Instant::ZERO, 1_000_000, None);
                 sum += stats.duration().as_secs_f64();
             }
@@ -512,7 +501,7 @@ mod tests {
         let (mut ch, mut rng, mut conn) = setup(Scenario::StaticHome, 7);
         let _ = conn.transfer(&mut ch, &mut rng, Instant::ZERO, 2_000_000, None);
         let grown = conn.cwnd();
-        assert!(grown > TcpConfig::default().initial_cwnd);
+        assert!(grown > INITIAL_CWND);
         // Immediately-following chunk keeps the window.
         let s1 = conn.transfer(
             &mut ch,
@@ -521,14 +510,14 @@ mod tests {
             100_000,
             None,
         );
-        assert!(conn.cwnd() >= grown.min(TcpConfig::default().max_cwnd) / 2);
+        assert!(conn.cwnd() >= grown.min(MAX_CWND) / 2);
         // A long idle collapses it back to the initial window.
         let idle_start = s1.end + Duration::from_secs(30);
         let _ = conn.transfer(&mut ch, &mut rng, idle_start, 100_000, None);
         // After restart the window re-grows from initial; it cannot still
         // be at the fully-grown steady-state value right at transfer start.
         // (We can't observe mid-transfer cwnd; assert via the stats: the
-        // first round's bytes-in-flight is bounded by initial_cwnd * mss.)
+        // first round's bytes-in-flight is bounded by INITIAL_CWND * MSS_BYTES.)
         let (mut ch2, mut rng2, mut conn2) = setup(Scenario::StaticHome, 8);
         let a = conn2.transfer(&mut ch2, &mut rng2, Instant::ZERO, 2_000_000, None);
         let _ = a;
@@ -541,7 +530,7 @@ mod tests {
         );
         let first_round_bif = b.arrivals.first().map(|&(_, bytes)| bytes).unwrap_or(0);
         assert!(
-            first_round_bif <= (TcpConfig::default().initial_cwnd as u64 + 1) * 1400,
+            first_round_bif <= (INITIAL_CWND as u64 + 1) * MSS_BYTES as u64,
             "first round after idle carried {first_round_bif} bytes"
         );
     }

@@ -71,7 +71,7 @@ impl Duration {
     }
 
     /// Construct from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000)
     }
 

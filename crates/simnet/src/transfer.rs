@@ -7,7 +7,7 @@
 
 use crate::channel::{RadioChannel, Scenario};
 use crate::rng::{standard_normal, SeedSequence};
-use crate::tcp::{TcpConfig, TcpConnection, TransferStats};
+use crate::tcp::{TcpConnection, TransferStats};
 use crate::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -55,10 +55,9 @@ impl TransferEngine {
     /// (think time, first-contact redirect latency) are sampled here.
     pub fn new(scenario: Scenario, seeds: &SeedSequence, session_index: u64) -> Self {
         let mut rng = seeds.child(0x7C9).stream(session_index);
-        let mut config = TcpConfig::default();
         // Edge caches differ: per-session mean server think time.
         use rand::Rng;
-        config.server_delay_mean = Duration::from_millis(rng.gen_range(8..80));
+        let server_delay_mean = Duration::from_millis(rng.gen_range(8..80));
         let first_fetch_extra = Duration::from_millis(rng.gen_range(20..600));
         let mut lognormal = |sigma: f64| (standard_normal(&mut rng) * sigma).exp();
         let bias_rtt = lognormal(0.25);
@@ -66,7 +65,7 @@ impl TransferEngine {
         let bias_bif = lognormal(0.35);
         TransferEngine {
             channel: RadioChannel::new(scenario, seeds, session_index),
-            connection: TcpConnection::new(config),
+            connection: TcpConnection::new(server_delay_mean),
             rng,
             first_fetch_extra,
             bias_rtt,
